@@ -26,10 +26,11 @@ from .linediagrams import expand
 from .matchings import enumerate_noncrossing, enumerate_standard, phi, theta
 from .perms import Permutation, parse_permutation
 from .rewriting import reduce_to_standard
-from .snaction import act_permutation, act_simple, character, rep_matrix
+from .snaction import act_permutation, act_word, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid, standard_tableaux
 from .verify import SUITE_NAMES, run_suites
 
+MIN_VERIFY_N = 2
 MAX_VERIFY_N = 12
 WARN_VERIFY_N = 10
 
@@ -160,7 +161,7 @@ def _cmd_act(args) -> int:
     if (args.gen is None) == (args.perm is None):
         raise ValueError("provide exactly one of --gen or --perm")
     if args.gen is not None:
-        result = v.map_basis(lambda m: act_simple(args.gen, m))
+        result = act_word((args.gen,), v)
     else:
         n = args.n if args.n is not None else max(sizes, default=0)
         result = act_permutation(parse_permutation(args.perm, n=n), v)
@@ -243,6 +244,8 @@ def _cmd_top_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < MIN_VERIFY_N:
+        raise ValueError(f"--max-n {args.max_n} is below the smallest case n={MIN_VERIFY_N}")
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n {args.max_n} exceeds the supported bound {MAX_VERIFY_N}")
     if args.max_n > WARN_VERIFY_N:

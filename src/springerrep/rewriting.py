@@ -130,7 +130,12 @@ def apply_type2(m: DottedMatching, site: RewriteSite) -> FormalSum:
 def _rewrite_once(m: DottedMatching, site: RewriteSite) -> FormalSum:
     step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
     before = nesting_measure(m)
-    assert all(nesting_measure(term) < before for term, _ in step), "rewrite did not decrease nesting"
+    if any(nesting_measure(term) >= before for term, _ in step):
+        raise VerificationError(
+            "rewrite did not decrease nesting",
+            {"n": m.n, "arcs": m.arcs, "dotted": sorted(m.dotted),
+             "site": [site.kind, site.i, site.j, site.k, site.l]},
+        )
     return step
 
 

@@ -14,6 +14,14 @@ carries the dot.  Acting on the signed line-diagram expansion by strand
 permutation gives the same answer; :func:`chart_diagram_consistency`
 checks that identity exhaustively, and it is what makes the chart a
 representation at all.
+
+The chart is evaluated once per (n, k, i, basis matching) and stored in a
+per-degree table: the standard basis of degree (n, k), its index, and for
+each s_i the sparse integer columns of its matrix.  Every image must be a
+standard basis matching, or building the table fails.  Characters, Coxeter
+checks and representation matrices run on integer vectors over that
+table.  The public action works on classes: an arbitrary sum of dotted
+matchings is first rewritten into the standard basis, then acted on.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ from math import factorial
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import expand, permute_diagram
-from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of, syt_count
+from .linediagrams import expand
+from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of
 from .perms import Permutation
 from .rewriting import reduce_to_standard
+
+Column = tuple[tuple[int, int], ...]  # sparse (row, coefficient) pairs
 
 
 @dataclass(frozen=True)
@@ -43,47 +53,103 @@ class RepMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.size))
-
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
 
 
-@cache
-def act_simple(i: int, m: DottedMatching) -> FormalSum:
-    """Action of the simple transposition s_i on a standard matching."""
-    n = m.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
+@dataclass(frozen=True)
+class _Tables:
+    """The chart action of every s_i on one degree, by basis index."""
+
+    basis: tuple[DottedMatching, ...]
+    index: dict[DottedMatching, int]
+    columns: tuple[tuple[Column, ...], ...]  # columns[i - 1][c]: image of basis[c] under s_i
+
+
+def _chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
+    """The four-case local rule for s_i on a standard matching."""
     arc_left = m.matching.arc_containing(i)
     arc_right = m.matching.arc_containing(i + 1)
     if arc_left == arc_right:
-        result = FormalSum.single(m, 1 if m.is_dotted(arc_left) else -1)
-    elif m.is_dotted(arc_left) and m.is_dotted(arc_right):
-        result = FormalSum.single(m)
-    else:
-        j = m.matching.partner(i)
-        k = m.matching.partner(i + 1)
-        far_arc = (min(j, k), max(j, k))
-        spectators = [a for a in m.arcs if a not in (arc_left, arc_right)]
-        spectator_dots = [a for a in m.dotted if a not in (arc_left, arc_right)]
-        one_dotted = m.is_dotted(arc_left) != m.is_dotted(arc_right)
-        rewired = DottedMatching.make(
-            n,
-            spectators + [(i, i + 1), far_arc],
-            spectator_dots + ([far_arc] if one_dotted else []),
-        )
-        result = FormalSum([(m, 1), (rewired, 1)])
-    # the chart already lands on standard matchings; reduction is a safety net
-    return reduce_to_standard(result)
+        return [(m, 1 if m.is_dotted(arc_left) else -1)]
+    if m.is_dotted(arc_left) and m.is_dotted(arc_right):
+        return [(m, 1)]
+    j = m.matching.partner(i)
+    k = m.matching.partner(i + 1)
+    far_arc = (min(j, k), max(j, k))
+    spectators = [a for a in m.arcs if a not in (arc_left, arc_right)]
+    spectator_dots = [a for a in m.dotted if a not in (arc_left, arc_right)]
+    one_dotted = m.is_dotted(arc_left) != m.is_dotted(arc_right)
+    rewired = DottedMatching.make(
+        m.n,
+        spectators + [(i, i + 1), far_arc],
+        spectator_dots + ([far_arc] if one_dotted else []),
+    )
+    return [(m, 1), (rewired, 1)]
+
+
+@cache
+def _tables(n: int, k: int) -> _Tables:
+    basis = enumerate_standard(n, k)
+    index = {m: r for r, m in enumerate(basis)}
+    columns = []
+    for i in range(1, n):
+        generator = []
+        for m in basis:
+            column = []
+            for image, coef in _chart(i, m):
+                if image not in index:
+                    raise VerificationError(
+                        "chart image is not a standard basis matching",
+                        {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
+                    )
+                column.append((index[image], coef))
+            generator.append(tuple(column))
+        columns.append(tuple(generator))
+    return _Tables(basis, index, tuple(columns))
+
+
+def _check_word(word: tuple[int, ...], n: int) -> None:
+    for i in word:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range for n={n}")
+
+
+def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
+    """Apply a word to an integer vector, rightmost letter first."""
+    for letter in reversed(word):
+        columns = tables.columns[letter - 1]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for c, coef in vec.items():
+            for r, entry in columns[c]:
+                acc[r] = get(r, 0) + coef * entry
+        vec = acc
+    return {r: coef for r, coef in vec.items() if coef}
+
+
+def act_simple(i: int, m: DottedMatching) -> FormalSum:
+    """Action of the simple transposition s_i on the class of a matching."""
+    return act_word((i,), FormalSum.single(m))
 
 
 def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
-    """Apply a word in the simple transpositions, rightmost letter first."""
-    for letter in reversed(word):
-        v = v.map_basis(lambda m: act_simple(letter, m))
-    return v
+    """Apply a word in the simple transpositions, rightmost letter first.
+
+    ``v`` may be any sum of dotted matchings; each degree is rewritten into
+    the standard basis once and the result is expressed in that basis.
+    """
+    degrees: dict[tuple[int, int], list[tuple[DottedMatching, int]]] = {}
+    for m, coef in v:
+        degrees.setdefault((m.n, m.k), []).append((m, coef))
+    result = FormalSum.zero()
+    for (n, k), terms in degrees.items():
+        _check_word(word, n)
+        tables = _tables(n, k)
+        vec = {tables.index[m]: coef for m, coef in reduce_to_standard(FormalSum(terms))}
+        image = _apply(tables, word, vec)
+        result += FormalSum((tables.basis[r], coef) for r, coef in image.items())
+    return result
 
 
 def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
@@ -91,27 +157,16 @@ def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
     return act_word(w.reduced_word(), v)
 
 
-def _coordinates(v: FormalSum, index: dict[DottedMatching, int]) -> list[int]:
-    column = [0] * len(index)
-    for m, coef in v:
-        column[index[m]] = coef
-    return column
-
-
-def _word_matrix(n: int, k: int, word: tuple[int, ...]) -> RepMatrix:
-    basis = enumerate_standard(n, k)
-    index = {m: r for r, m in enumerate(basis)}
-    columns = [_coordinates(act_word(word, FormalSum.single(m)), index) for m in basis]
-    return RepMatrix(n, k, tuple(zip(*columns)))
-
-
 def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
     """Matrix of s_i; column c holds the image of the c-th basis matching."""
-    return _word_matrix(n, k, (i,))
-
-
-def permutation_matrix(n: int, k: int, w: Permutation) -> RepMatrix:
-    return _word_matrix(n, k, w.reduced_word())
+    tables = _tables(n, k)
+    _check_word((i,), n)
+    size = len(tables.basis)
+    entries = [[0] * size for _ in range(size)]
+    for c in range(size):
+        for r, coef in _apply(tables, (i,), {c: 1}).items():
+            entries[r][c] = coef
+    return RepMatrix(n, k, tuple(tuple(row) for row in entries))
 
 
 @dataclass(frozen=True)
@@ -125,11 +180,10 @@ class CoxeterReport:
 
 def verify_coxeter(n: int, k: int) -> CoxeterReport:
     """Check s_i^2 = 1, braid, and commuting relations on the rep matrices."""
-    basis = enumerate_standard(n, k)
-    index = {m: r for r, m in enumerate(basis)}
+    tables = _tables(n, k)
 
     def is_identity_word(word: tuple[int, ...]) -> bool:
-        return all(act_word(word, FormalSum.single(m)) == FormalSum.single(m) for m in basis)
+        return all(_apply(tables, word, {c: 1}) == {c: 1} for c in range(len(tables.basis)))
 
     involutions = braid = commuting = 0
     for i in range(1, n):
@@ -173,17 +227,11 @@ def centralizer_order(cycle_type) -> int:
     return z
 
 
-def conjugacy_class_size(n: int, cycle_type) -> int:
-    return factorial(n) // centralizer_order(cycle_type)
-
-
 def character(n: int, k: int, cycle_type) -> int:
     """Trace of the canonical representative of the class on degree (n, k)."""
     word = class_representative(n, cycle_type).reduced_word()
-    total = 0
-    for m in enumerate_standard(n, k):
-        total += act_word(word, FormalSum.single(m)).coefficient(m)
-    return total
+    tables = _tables(n, k)
+    return sum(_apply(tables, word, {c: 1}).get(c, 0) for c in range(len(tables.basis)))
 
 
 def irreducibility_check(n: int, k: int) -> Fraction:
@@ -195,19 +243,34 @@ def irreducibility_check(n: int, k: int) -> Fraction:
     return total
 
 
+def _swap_strands(mask: int, i: int) -> int:
+    """Exchange strands i and i+1 of a diagram whose strand x is bit x-1."""
+    pair = 0b11 << (i - 1)
+    both = mask & pair
+    return mask ^ pair if both and both != pair else mask
+
+
 def chart_diagram_consistency(n: int, k: int) -> bool:
     """Does the chart action match strand permutation of the expansions?
 
     For every standard M and generator s_i, the expansion of the chart's
     answer must equal the relabelled expansion of M.  This is the central
-    identity behind the representation.
+    identity behind the representation.  Diagrams are held as bitmasks of
+    their undot sets; the diagram side never reads the action tables.
     """
-    for m in enumerate_standard(n, k):
-        diagram = expand(m)
+    basis = enumerate_standard(n, k)
+    diagrams = [
+        {sum(1 << (x - 1) for x in u.members): coef for u, coef in expand(m)} for m in basis
+    ]
+    tables = _tables(n, k)
+    for c, m in enumerate(basis):
         for i in range(1, n):
-            via_chart = act_simple(i, m).map_basis(expand)
-            via_diagram = permute_diagram(Permutation.simple(n, i), diagram)
-            if via_chart != via_diagram:
+            via_diagram = {_swap_strands(mask, i): coef for mask, coef in diagrams[c].items()}
+            via_chart: dict[int, int] = {}
+            for r, coef in tables.columns[i - 1][c]:
+                for mask, sign in diagrams[r].items():
+                    via_chart[mask] = via_chart.get(mask, 0) + coef * sign
+            if {mask: coef for mask, coef in via_chart.items() if coef} != via_diagram:
                 raise VerificationError(
                     "chart action disagrees with diagram permutation",
                     {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},

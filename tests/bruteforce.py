@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from springerrep import DottedMatching, is_standard
-from springerrep.matchings import enumerate_noncrossing
+from springerrep import DottedMatching, act_permutation, is_standard
+from springerrep.formal import FormalSum
+from springerrep.matchings import enumerate_noncrossing, enumerate_standard
 from springerrep.perms import Permutation
 
 
@@ -105,3 +106,20 @@ def two_row_character_oracle(w: Permutation, k: int) -> int:
     """Character of the (n-k, k) irreducible at w, as a difference of
     permutation characters on subsets (Young's rule for two-row shapes)."""
     return fixed_subsets(w, k) - (fixed_subsets(w, k - 1) if k else 0)
+
+
+def conjugacy_class_size(n: int, cycle_type) -> int:
+    """Number of permutations of {1..n} with the given cycle type, by counting."""
+    wanted = tuple(sorted(cycle_type, reverse=True))
+    return sum(
+        1 for images in itertools.permutations(range(1, n + 1))
+        if Permutation(images).cycle_type() == wanted
+    )
+
+
+def permutation_matrix(n: int, k: int, w: Permutation) -> list[list[int]]:
+    """Matrix of w on the degree-(n, k) standard basis, one column per
+    basis matching, read off the action on single matchings."""
+    basis = enumerate_standard(n, k)
+    columns = [act_permutation(w, FormalSum.single(m)) for m in basis]
+    return [[column.coefficient(row) for column in columns] for row in basis]

@@ -80,6 +80,18 @@ def test_act_gen_and_perm(capsys, tmp_path):
     ]
 
 
+def test_act_reduces_nonstandard_input_first(capsys, tmp_path):
+    source = tmp_path / "m.json"
+    source.write_text('{"n":4,"arcs":[[1,4],[2,3]],"dotted":[[2,3]]}')
+    code, out, _ = run(capsys, "act", "--input", str(source), "--gen", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"coef": -2, "matching": {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[3, 4]]}},
+        {"coef": -1, "matching": {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[1, 4]]}},
+        {"coef": 1, "matching": {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, 2]]}},
+    ]
+
+
 def test_act_requires_exactly_one_operator(capsys, tmp_path):
     source = tmp_path / "m.json"
     source.write_text('{"n":2,"arcs":[[1,2]],"dotted":[]}')
@@ -147,6 +159,13 @@ def test_verify_rejects_unknown_suite(capsys):
 def test_verify_rejects_huge_max_n(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "14")
     assert code == 2 and "exceeds" in err
+
+
+@pytest.mark.parametrize("max_n", ("0", "-2"))
+def test_verify_rejects_max_n_below_two(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert f"--max-n {max_n}" in err and "below" in err
 
 
 def test_out_file(capsys, tmp_path):

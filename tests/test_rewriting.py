@@ -148,6 +148,17 @@ def test_rewrites_decrease_nesting_measure():
         assert all(nesting_measure(t) < nesting_measure(m) for t, _ in step)
 
 
+def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
+    # a plain assert would vanish under python -O; the guard must raise
+    import springerrep.rewriting as rw
+
+    m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
+    monkeypatch.setattr(rw, "apply_type2", lambda m, site: single(m))
+    with pytest.raises(VerificationError) as info:
+        rw._rewrite_once(m, find_sites(m)[0])
+    assert info.value.witness["site"] == ["II", 1, 2, 3, 4]
+
+
 def test_reduction_is_order_independent():
     # empirical confluence: picking the last site instead of the first
     for n in (4, 6):

@@ -5,27 +5,29 @@ import pytest
 
 from springerrep import (
     DottedMatching,
+    VerificationError,
     act_permutation,
     act_simple,
     character,
     chart_diagram_consistency,
+    expand,
     irreducibility_check,
     is_standard,
+    permute_diagram,
+    reduce_to_standard,
     rep_matrix,
     verify_coxeter,
 )
+from springerrep import snaction
 from springerrep.exactlinalg import is_identity, mat_mul
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of, syt_count
 from springerrep.perms import Permutation, parse_permutation
-from springerrep.snaction import (
-    centralizer_order,
-    class_representative,
-    conjugacy_class_size,
-    permutation_matrix,
-)
+from springerrep.rewriting import degree_generators
+from springerrep.snaction import centralizer_order, class_representative
+from springerrep.verify import run_suites
 
-from bruteforce import two_row_character_oracle
+from bruteforce import conjugacy_class_size, permutation_matrix, two_row_character_oracle
 
 
 def m_(n, arcs, dotted=()):
@@ -110,11 +112,11 @@ def test_braid_matrix_has_order_three():
 
 def test_permutation_matrix_agrees_with_generator_products():
     w = parse_permutation("(1 2 3)", n=4)
-    direct = permutation_matrix(4, 2, w).rows()
+    direct = permutation_matrix(4, 2, w)
     assert direct == mat_mul(rep_matrix(4, 2, 1).rows(), rep_matrix(4, 2, 2).rows())
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
 def test_coxeter_relations(n):
     for k in range(n // 2 + 1):
         report = verify_coxeter(n, k)
@@ -140,7 +142,7 @@ def test_character_identity_is_dimension(n):
         assert character(n, k, (1,) * n) == syt_count(n, k)
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_character_matches_subset_oracle(n):
     for k in range(n // 2 + 1):
         for cycle_type in partitions_of(n):
@@ -157,6 +159,8 @@ def test_class_representative_and_sizes():
     assert centralizer_order((2, 1, 1)) == 4
     for n in (3, 4, 5, 6):
         assert sum(conjugacy_class_size(n, ct) for ct in partitions_of(n)) == factorial(n)
+        for ct in partitions_of(n):
+            assert conjugacy_class_size(n, ct) * centralizer_order(ct) == factorial(n)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
@@ -169,3 +173,74 @@ def test_irreducibility(n):
 def test_chart_diagram_consistency(n):
     for k in range(n // 2 + 1):
         assert chart_diagram_consistency(n, k)
+
+
+def diagrams(v):
+    return v.map_basis(expand)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_action_on_classes_matches_strand_permutation(n):
+    # oracle independent of the chart: rewrite, expand, permute the strands
+    for k in range(n // 2 + 1):
+        for g in degree_generators(n, k):
+            reduced = diagrams(reduce_to_standard(single(g)))
+            for i in range(1, n):
+                expected = permute_diagram(Permutation.simple(n, i), reduced)
+                assert diagrams(act_simple(i, g)) == expected
+
+
+def test_action_on_nonstandard_matching_pinned():
+    # applying the chart rule to this non-standard input used to give a wrong class
+    g = m_(4, [(1, 4), (2, 3)], [(2, 3)])
+    assert act_simple(1, g) == FormalSum([
+        (m_(4, [(1, 2), (3, 4)], [(3, 4)]), -2),
+        (m_(4, [(1, 4), (2, 3)], [(1, 4)]), -1),
+        (m_(4, [(1, 2), (3, 4)], [(1, 2)]), 1),
+    ])
+
+
+@pytest.fixture
+def broken_chart(monkeypatch):
+    """Install a replacement chart rule on an empty table cache."""
+    real = snaction._chart
+
+    def install(rule):
+        snaction._tables.cache_clear()
+        monkeypatch.setattr(snaction, "_chart", lambda i, m: rule(real, i, m))
+
+    snaction._tables.cache_clear()
+    yield install
+    snaction._tables.cache_clear()
+
+
+def sign_of_undotted_pair_flipped(real, i, m):
+    return [(image, abs(coef)) for image, coef in real(i, m)]
+
+
+def dot_on_new_short_arc(real, i, m):
+    images = real(i, m)
+    if len(images) == 2:
+        rewired = images[1][0]
+        moved = rewired.dotted - m.dotted
+        if moved:
+            images[1] = (rewired.with_dots((rewired.dotted - moved) | {(i, i + 1)}), 1)
+    return images
+
+
+@pytest.mark.parametrize("suite", ("consistency", "irreducibility"))
+def test_broken_chart_is_caught_by_suite(broken_chart, suite):
+    assert all(r.ok for r in run_suites([suite], 6))
+    broken_chart(sign_of_undotted_pair_flipped)
+    results = run_suites([suite], 6)
+    assert not all(r.ok for r in results)
+    assert not any("not a standard basis matching" in r.detail for r in results)
+
+
+def test_chart_image_outside_basis_is_rejected(broken_chart):
+    broken_chart(dot_on_new_short_arc)
+    with pytest.raises(VerificationError) as info:
+        rep_matrix(4, 1, 2)
+    assert info.value.witness == {
+        "n": 4, "k": 1, "i": 2, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)],
+    }
