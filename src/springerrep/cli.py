@@ -3,8 +3,7 @@
 Subcommands: enumerate, bijection, reduce, expand, act, matrix, character,
 specht, top-basis, verify.  Output is deterministic for a fixed invocation:
 basis orders are canonical, JSON keys are emitted in a fixed order, and the
-verify report is assembled independently of the worker-thread count (capped
-by the SPRINGERREP_THREADS environment variable).
+verify suites run serially in a fixed order.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
@@ -16,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import jsonio
@@ -251,8 +249,7 @@ def _cmd_verify(args) -> int:
     if args.max_n > WARN_VERIFY_N:
         print(f"warning: --max-n {args.max_n} may take a long time", file=sys.stderr)
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
-    threads = max(1, int(os.environ.get("SPRINGERREP_THREADS", "1")))
-    results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0), threads=threads)
+    results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
     passed = sum(r.ok for r in results)
     if args.format == "json":
         payload = {

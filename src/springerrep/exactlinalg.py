@@ -94,21 +94,3 @@ def solve_in_span(
         raise ValueError("basis vectors are linearly dependent")
     return [[reduced[r][nb + t] for r in range(nb)] for t in range(len(targets))]
 
-
-def identity_matrix(size: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-
-
-def is_identity(rows: Sequence[Sequence[int]]) -> bool:
-    return all(
-        value == (1 if i == j else 0)
-        for i, row in enumerate(rows)
-        for j, value in enumerate(row)
-    )
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

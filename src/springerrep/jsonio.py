@@ -81,27 +81,24 @@ def _expect(obj: Any, key: str, context: str) -> Any:
     return obj[key]
 
 
+# Integers are checked with ``type(x) is int``: JSON true/false decode to
+# bool, which is a subclass of int.
+
 def _pair_list(value: Any, context: str) -> list[tuple[int, int]]:
     if not isinstance(value, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p) for p in value
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in value
     ):
-        raise ValueError(f"{context}: expected a list of [left,right] pairs")
+        raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
     return [tuple(p) for p in value]
 
 
 def matching_from_obj(obj: Any) -> DottedMatching:
     n = _expect(obj, "n", "matching")
+    if type(n) is not int:
+        raise ValueError("matching: n must be an integer")
     arcs = _pair_list(_expect(obj, "arcs", "matching"), "matching arcs")
     dotted = _pair_list(obj.get("dotted", []), "matching dotted")
     return DottedMatching.make(n, arcs, dotted)
-
-
-def tableau_from_obj(obj: Any) -> TwoRowTableau:
-    n = _expect(obj, "n", "tableau")
-    bottom = _expect(obj, "bottom", "tableau")
-    if not isinstance(bottom, list) or not all(isinstance(x, int) for x in bottom):
-        raise ValueError("tableau: bottom must be a list of integers")
-    return TwoRowTableau(n, tuple(bottom))
 
 
 def matching_sum_from_obj(obj: Any) -> FormalSum:
@@ -111,7 +108,7 @@ def matching_sum_from_obj(obj: Any) -> FormalSum:
     parsed = []
     for entry in terms:
         coef = _expect(entry, "coef", "formal sum term")
-        if not isinstance(coef, int):
+        if type(coef) is not int:
             raise ValueError("formal sum: coef must be an integer")
         parsed.append((matching_from_obj(_expect(entry, "matching", "formal sum term")), coef))
     return FormalSum(parsed)

@@ -94,6 +94,11 @@ def permute_diagram(w: Permutation, v: FormalSum) -> FormalSum:
     )
 
 
+def _shift(x: int, i: int, j: int) -> int:
+    """Old vertex x in 1..n renumbered in 1..n+2, with i and j left free."""
+    return x + (x >= i) + (x >= j - 1)
+
+
 def insert_arc(m: DottedMatching, position: tuple[int, int], dotted: bool) -> DottedMatching:
     """Insert a new arc at positions (i, j) of the enlarged vertex set 1..n+2.
 
@@ -103,12 +108,8 @@ def insert_arc(m: DottedMatching, position: tuple[int, int], dotted: bool) -> Do
     i, j = position
     if not 1 <= i < j <= m.n + 2:
         raise ValueError(f"insertion position ({i},{j}) out of range for n={m.n}")
-
-    def relabel(x: int) -> int:
-        return x + (x >= i) + (x >= j - 1)
-
-    arcs = [(relabel(a), relabel(b)) for a, b in m.arcs] + [(i, j)]
-    dots = {(relabel(a), relabel(b)) for a, b in m.dotted}
+    arcs = [(_shift(a, i, j), _shift(b, i, j)) for a, b in m.arcs] + [(i, j)]
+    dots = {(_shift(a, i, j), _shift(b, i, j)) for a, b in m.dotted}
     if dotted:
         dots.add((i, j))
     inserted = DottedMatching.make(m.n + 2, arcs, dots)
@@ -126,13 +127,9 @@ def insert_arc_consistency(m: DottedMatching, position: tuple[int, int], dotted:
     _require_standard(m)
     inserted = insert_arc(m, position, dotted)
     i, j = position
-
-    def relabel(x: int) -> int:
-        return x + (x >= i) + (x >= j - 1)
-
     predicted = []
     for u, coef in expand(m):
-        shifted = tuple(relabel(x) for x in u.members)
+        shifted = tuple(_shift(x, i, j) for x in u.members)
         if dotted:
             predicted.append((UndotSet(inserted.n, shifted), coef))
         else:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 from .errors import VerificationError
 from .exactlinalg import rref
@@ -137,15 +136,6 @@ def _rewrite_once(m: DottedMatching, site: RewriteSite) -> FormalSum:
              "site": [site.kind, site.i, site.j, site.k, site.l]},
         )
     return step
-
-
-def _reduce_matching(m: DottedMatching, pick: Callable[[list[RewriteSite]], RewriteSite]) -> FormalSum:
-    """Reduction with a pluggable site choice; used to probe confluence."""
-    sites = find_sites(m)
-    if not sites:
-        return FormalSum.single(m)
-    step = _rewrite_once(m, pick(sites))
-    return step.map_basis(lambda term: _reduce_matching(term, pick))
 
 
 @cache

@@ -1,15 +1,15 @@
 """Named verification suites behind the ``verify`` CLI command.
 
-Each check returns a :class:`CheckResult`; suites are built as a flat task
-list in a fixed order, so reports are byte-identical however many worker
-threads execute them.  Failures are reported, never raised, and carry the
-witness of whichever identity broke.
+``SUITES`` is the one table of suites, in report order: each maps to the
+checks it runs for one even ``n`` and to the largest ``n`` it covers.  Tasks
+run serially in table order, so reports are byte-identical from run to run.
+Failures are reported, never raised, and carry the witness of whichever
+identity broke.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable
@@ -35,21 +35,7 @@ from .rewriting import ORACLE_MAX_N, degree_generators, quotient_project_oracle,
 from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
-SUITE_NAMES = (
-    "counting",
-    "bijection",
-    "rewriting",
-    "echelon",
-    "coxeter",
-    "consistency",
-    "irreducibility",
-    "module-equality",
-    "multiplicity",
-    "dimension",
-    "linearity",
-)
-
-DESK_BOUND = ORACLE_MAX_N  # suites doing exact elimination over all generators stop here
+Rows = list[tuple[str, bool, str]]  # (check name, ok, detail) for one n
 
 
 @dataclass(frozen=True)
@@ -60,154 +46,70 @@ class CheckResult:
     detail: str = ""
 
 
-def _evens(max_n: int) -> list[int]:
-    return list(range(2, max_n + 1, 2))
+def _per_degree(label: str, check: Callable[[int, int], tuple[bool, str]]):
+    """Checks for one n that run ``check(n, k) -> (ok, detail)`` in every degree k."""
+    return lambda n, seed: [(f"n={n} k={k} {label}", *check(n, k)) for k in range(n // 2 + 1)]
 
 
-def _counting_checks(n: int) -> list[CheckResult]:
-    out = []
+def _counting(n: int, seed: int) -> Rows:
     count = len(enumerate_noncrossing(n))
-    out.append(CheckResult(
-        "counting", f"n={n} noncrossing", count == catalan(n // 2),
-        f"count={count} catalan={catalan(n // 2)}",
-    ))
+    out = [(f"n={n} noncrossing", count == catalan(n // 2), f"count={count} catalan={catalan(n // 2)}")]
     total = 0
     for k in range(n // 2 + 1):
         standard = len(enumerate_standard(n, k))
         expected = comb(n, k) - (comb(n, k - 1) if k else 0)
         total += standard
-        out.append(CheckResult(
-            "counting", f"n={n} k={k} standard",
-            standard == expected == syt_count(n, k),
-            f"count={standard} expected={expected}",
-        ))
-    out.append(CheckResult(
-        "counting", f"n={n} total", total == comb(n, n // 2),
-        f"sum={total} C(n,n/2)={comb(n, n // 2)}",
-    ))
+        out.append((f"n={n} k={k} standard", standard == expected == syt_count(n, k),
+                    f"count={standard} expected={expected}"))
+    out.append((f"n={n} total", total == comb(n, n // 2), f"sum={total} C(n,n/2)={comb(n, n // 2)}"))
     return out
 
 
-def _bijection_checks(n: int) -> list[CheckResult]:
-    out = []
-    for k in range(n // 2 + 1):
-        ok = True
-        for bottom in standard_bottom_sets(n, k):
-            t = TwoRowTableau(n, bottom)
-            m = theta(t)
-            if not is_standard(m) or m.k != k or phi(m) != t:
-                ok = False
-                break
-        for m in enumerate_standard(n, k):
-            if theta(phi(m)) != m:
-                ok = False
-                break
-        out.append(CheckResult(
-            "bijection", f"n={n} k={k} round-trip", ok,
-            f"{syt_count(n, k)} tableaux",
-        ))
-    return out
+def _bijection(n: int, k: int) -> tuple[bool, str]:
+    tableaux = (TwoRowTableau(n, bottom) for bottom in standard_bottom_sets(n, k))
+    ok = all(is_standard(m := theta(t)) and m.k == k and phi(m) == t for t in tableaux)
+    ok = all(theta(phi(m)) == m for m in enumerate_standard(n, k)) and ok
+    return ok, f"{syt_count(n, k)} tableaux"
 
 
-def _rewriting_checks(n: int) -> list[CheckResult]:
-    out = []
-    for k in range(n // 2 + 1):
-        table = quotient_project_oracle(n, k)
-        generators = degree_generators(n, k)
-        mismatches = sum(
-            1 for g in generators if reduce_to_standard(FormalSum.single(g)) != table[g]
-        )
-        out.append(CheckResult(
-            "rewriting", f"n={n} k={k} oracle", mismatches == 0,
-            f"{len(generators)} generators, dim {syt_count(n, k)}"
-            + (f", {mismatches} mismatches" if mismatches else ""),
-        ))
-    return out
+def _rewriting(n: int, k: int) -> tuple[bool, str]:
+    table = quotient_project_oracle(n, k)
+    generators = degree_generators(n, k)
+    mismatches = sum(reduce_to_standard(FormalSum.single(g)) != table[g] for g in generators)
+    return mismatches == 0, (f"{len(generators)} generators, dim {syt_count(n, k)}"
+                             + (f", {mismatches} mismatches" if mismatches else ""))
 
 
-def _echelon_checks(n: int) -> list[CheckResult]:
-    return [
-        CheckResult(
-            "echelon", f"n={n} k={k} row-echelon", echelon_certificate(n, k),
-            f"{syt_count(n, k)} pivots",
-        )
-        for k in range(n // 2 + 1)
-    ]
+def _coxeter(n: int, k: int) -> tuple[bool, str]:
+    report = verify_coxeter(n, k)
+    return True, f"{report.involutions + report.braid + report.commuting} relations hold"
 
 
-def _coxeter_checks(n: int) -> list[CheckResult]:
-    out = []
-    for k in range(n // 2 + 1):
-        report = verify_coxeter(n, k)
-        relations = report.involutions + report.braid + report.commuting
-        out.append(CheckResult(
-            "coxeter", f"n={n} k={k} relations", True, f"{relations} relations hold",
-        ))
-    return out
+def _irreducibility(n: int, k: int) -> tuple[bool, str]:
+    norm = irreducibility_check(n, k)
+    return norm == 1, f"<chi,chi>={norm}"
 
 
-def _consistency_checks(n: int) -> list[CheckResult]:
-    out = []
-    for k in range(n // 2 + 1):
-        identities = syt_count(n, k) * max(n - 1, 0)
-        out.append(CheckResult(
-            "consistency", f"n={n} k={k} chart-vs-diagram",
-            chart_diagram_consistency(n, k), f"{identities} identities",
-        ))
-    return out
-
-
-def _irreducibility_checks(n: int) -> list[CheckResult]:
-    out = []
-    for k in range(n // 2 + 1):
-        norm = irreducibility_check(n, k)
-        out.append(CheckResult(
-            "irreducibility", f"n={n} k={k} character-norm", norm == 1, f"<chi,chi>={norm}",
-        ))
-    return out
-
-
-def _module_equality_checks(n: int) -> list[CheckResult]:
-    return [
-        CheckResult(
-            "module-equality", f"n={n} k={k} spans", verify_module_equality(n, k),
-            f"rank {syt_count(n, k)}",
-        )
-        for k in range(n // 2 + 1)
-    ]
-
-
-def _multiplicity_checks(n: int) -> list[CheckResult]:
+def _multiplicity(n: int, seed: int) -> Rows:
     decomposition = graded_decomposition(n)
     expected = [(k, tuple(p for p in (n - k, k) if p)) for k in range(n // 2 + 1)]
-    ok = decomposition == expected
     shapes = {shape for _, shape in expected}
     pattern_ok = all(
         kostka_two_row(mu, (n // 2, n // 2)) == (1 if mu in shapes else 0)
         for mu in partitions_of(n)
     )
-    return [
-        CheckResult("multiplicity", f"n={n} graded-decomposition", ok,
-                    f"{len(decomposition)} degrees"),
-        CheckResult("multiplicity", f"n={n} kostka-pattern", pattern_ok,
-                    f"{len(shapes)} constituents"),
-    ]
+    return [(f"n={n} graded-decomposition", decomposition == expected, f"{len(decomposition)} degrees"),
+            (f"n={n} kostka-pattern", pattern_ok, f"{len(shapes)} constituents")]
 
 
-def _dimension_checks(n: int) -> list[CheckResult]:
-    half = (n // 2, n // 2)
-    dim = springer_dimension(half)
+def _dimension(n: int, seed: int) -> Rows:
+    dim = springer_dimension((n // 2, n // 2))
     top_rank = syt_count(n, n // 2)
-    return [
-        CheckResult(
-            "dimension", f"n={n} fiber-dimension",
-            dim == n // 2 and top_rank == catalan(n // 2),
-            f"dim={dim} top-degree rank={top_rank}",
-        )
-    ]
+    return [(f"n={n} fiber-dimension", dim == n // 2 and top_rank == catalan(n // 2),
+             f"dim={dim} top-degree rank={top_rank}")]
 
 
-def _linearity_checks(n: int, seed: int) -> list[CheckResult]:
+def _linearity(n: int, seed: int) -> Rows:
     rng = random.Random(f"{seed}:{n}")
     ok = True
     for k in range(n // 2 + 1):
@@ -222,7 +124,44 @@ def _linearity_checks(n: int, seed: int) -> list[CheckResult]:
             )
             if combined != split:
                 ok = False
-    return [CheckResult("linearity", f"n={n} random-combinations", ok, f"seed={seed}")]
+    return [(f"n={n} random-combinations", ok, f"seed={seed}")]
+
+
+def _up_to_max_n(max_n: int) -> int:
+    return max_n
+
+
+def _desk(max_n: int) -> int:
+    """Suites doing exact elimination over all generators stop at ORACLE_MAX_N."""
+    return min(max_n, ORACLE_MAX_N)
+
+
+def _through_12(max_n: int) -> int:
+    """The fiber-dimension formula is always checked for every n <= 12."""
+    return max(max_n, 12)
+
+
+# suite -> (checks for one n, largest n covered given --max-n), in report order.
+# Check functions are looked up through module globals when a task runs, so
+# patching ``verify.verify_coxeter`` (or wrapping it) takes effect.
+SUITES: dict[str, tuple[Callable[[int, int], Rows], Callable[[int], int]]] = {
+    "counting": (_counting, _up_to_max_n),
+    "bijection": (_per_degree("round-trip", _bijection), _up_to_max_n),
+    "rewriting": (_per_degree("oracle", _rewriting), _desk),
+    "echelon": (_per_degree("row-echelon", lambda n, k: (
+        echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), _up_to_max_n),
+    "coxeter": (_per_degree("relations", _coxeter), _up_to_max_n),
+    "consistency": (_per_degree("chart-vs-diagram", lambda n, k: (
+        chart_diagram_consistency(n, k), f"{syt_count(n, k) * (n - 1)} identities")), _up_to_max_n),
+    "irreducibility": (_per_degree("character-norm", _irreducibility), _up_to_max_n),
+    "module-equality": (_per_degree("spans", lambda n, k: (
+        verify_module_equality(n, k), f"rank {syt_count(n, k)}")), _desk),
+    "multiplicity": (_multiplicity, _desk),
+    "dimension": (_dimension, _through_12),
+    "linearity": (_linearity, _desk),
+}
+
+SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass(frozen=True)
@@ -232,53 +171,20 @@ class Task:
     run: Callable[[], list[CheckResult]]
 
 
+def _task(suite: str, n: int, seed: int) -> Task:
+    def run() -> list[CheckResult]:
+        return [CheckResult(suite, name, ok, detail) for name, ok, detail in SUITES[suite][0](n, seed)]
+    return Task(suite, f"n={n}", run)
+
+
 def build_tasks(suites: Iterable[str], max_n: int, seed: int = 0) -> list[Task]:
     wanted = list(suites)
     for name in wanted:
-        if name not in SUITE_NAMES:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    tasks: list[Task] = []
-
-    def add(fn, *args):
-        tasks.append(Task(suite, f"n={args[0]}", lambda fn=fn, args=args: fn(*args)))
-
-    for suite in SUITE_NAMES:
-        if suite not in wanted:
-            continue
-        if suite == "counting":
-            for n in _evens(max_n):
-                add(_counting_checks, n)
-        elif suite == "bijection":
-            for n in _evens(max_n):
-                add(_bijection_checks, n)
-        elif suite == "rewriting":
-            for n in _evens(min(max_n, DESK_BOUND)):
-                add(_rewriting_checks, n)
-        elif suite == "echelon":
-            for n in _evens(max_n):
-                add(_echelon_checks, n)
-        elif suite == "coxeter":
-            for n in _evens(max_n):
-                add(_coxeter_checks, n)
-        elif suite == "consistency":
-            for n in _evens(max_n):
-                add(_consistency_checks, n)
-        elif suite == "irreducibility":
-            for n in _evens(max_n):
-                add(_irreducibility_checks, n)
-        elif suite == "module-equality":
-            for n in _evens(min(max_n, DESK_BOUND)):
-                add(_module_equality_checks, n)
-        elif suite == "multiplicity":
-            for n in _evens(min(max_n, DESK_BOUND)):
-                add(_multiplicity_checks, n)
-        elif suite == "dimension":
-            for n in _evens(max(max_n, 12)):
-                add(_dimension_checks, n)
-        elif suite == "linearity":
-            for n in _evens(min(max_n, DESK_BOUND)):
-                add(_linearity_checks, n, seed)
-    return tasks
+    return [_task(suite, n, seed)
+            for suite, (_, top) in SUITES.items() if suite in wanted
+            for n in range(2, top(max_n) + 1, 2)]
 
 
 def _run_task(task: Task) -> list[CheckResult]:
@@ -288,12 +194,6 @@ def _run_task(task: Task) -> list[CheckResult]:
         return [CheckResult(task.suite, task.label, False, f"{exc} witness={exc.witness}")]
 
 
-def run_suites(suites: Iterable[str], max_n: int, seed: int = 0, threads: int = 1) -> list[CheckResult]:
-    """Run the requested suites; the result order never depends on threads."""
-    tasks = build_tasks(suites, max_n, seed)
-    if threads <= 1:
-        groups = [_run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(_run_task, tasks))
-    return [result for group in groups for result in group]
+def run_suites(suites: Iterable[str], max_n: int, seed: int = 0) -> list[CheckResult]:
+    """Run the requested suites in table order, one n at a time."""
+    return [result for task in build_tasks(suites, max_n, seed) for result in _run_task(task)]

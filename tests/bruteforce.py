@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import itertools
 
-from springerrep import DottedMatching, act_permutation, is_standard
+from springerrep import (
+    DottedMatching,
+    TwoRowTableau,
+    act_permutation,
+    apply_type1,
+    apply_type2,
+    find_sites,
+    is_standard,
+)
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_noncrossing, enumerate_standard
 from springerrep.perms import Permutation
@@ -123,3 +131,41 @@ def permutation_matrix(n: int, k: int, w: Permutation) -> list[list[int]]:
     basis = enumerate_standard(n, k)
     columns = [act_permutation(w, FormalSum.single(m)) for m in basis]
     return [[column.coefficient(row) for column in columns] for row in basis]
+
+
+def identity_matrix(size: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+
+
+def is_identity(rows) -> bool:
+    return all(
+        value == (1 if i == j else 0)
+        for i, row in enumerate(rows)
+        for j, value in enumerate(row)
+    )
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions do not match")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def tableau_from_obj(obj) -> TwoRowTableau:
+    """Decode the tableau wire format ``{"n":6,"bottom":[3,6]}``."""
+    bottom = obj["bottom"]
+    if not isinstance(bottom, list) or not all(type(x) is int for x in bottom):
+        raise ValueError("tableau: bottom must be a list of integers")
+    return TwoRowTableau(obj["n"], tuple(bottom))
+
+
+def reduce_picking(m: DottedMatching, pick) -> FormalSum:
+    """Rewrite m to standard form, choosing each rewrite site with ``pick``
+    from the sites ``find_sites`` lists; probes confluence."""
+    sites = find_sites(m)
+    if not sites:
+        return FormalSum.single(m)
+    site = pick(sites)
+    step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
+    return step.map_basis(lambda term: reduce_picking(term, pick))

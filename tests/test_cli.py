@@ -145,6 +145,19 @@ def test_invalid_matching_exits_2(capsys, tmp_path):
     assert code == 2 and "cross" in err
 
 
+@pytest.mark.parametrize("command, payload", (
+    ("expand", '{"n":"4","arcs":[[1,2],[3,4]],"dotted":[]}'),
+    ("expand", '{"n":4,"arcs":[[true,2],[3,4]],"dotted":[]}'),
+    ("reduce", '{"terms":[{"coef":true,"matching":{"n":2,"arcs":[[1,2]]}}]}'),
+))
+def test_non_integer_json_exits_2(capsys, tmp_path, command, payload):
+    source = tmp_path / "bad.json"
+    source.write_text(payload)
+    code, out, err = run(capsys, command, "--input", str(source))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "integer" in err
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counting,dimension", "--max-n", "4")
     assert code == 0

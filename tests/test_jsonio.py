@@ -10,13 +10,14 @@ from springerrep.jsonio import (
     matching_plain,
     matching_sum_from_obj,
     matching_sum_to_obj,
-    tableau_from_obj,
     tableau_plain,
     tableau_to_obj,
     tabloid_sum_to_obj,
     undot_plain,
 )
 from springerrep.specht import matching_generator
+
+from bruteforce import tableau_from_obj
 
 
 FIGURE = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(2, 3)])
@@ -75,6 +76,25 @@ def test_decode_errors():
         matching_sum_from_obj({"terms": [{"coef": "one", "matching": {"n": 0, "arcs": []}}]})
     with pytest.raises(ValueError):
         matching_sum_from_obj({})
+
+
+@pytest.mark.parametrize("obj", (
+    {"n": "4", "arcs": [[1, 2], [3, 4]], "dotted": []},
+    {"n": True, "arcs": [[1, 2]]},
+    {"n": 4.0, "arcs": [[1, 2], [3, 4]]},
+    {"n": 4, "arcs": [[True, 2], [3, 4]]},
+    {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, False]]},
+    {"n": 4, "arcs": [[1, 2.0], [3, 4]]},
+))
+def test_decode_rejects_non_integer_vertices(obj):
+    with pytest.raises(ValueError):
+        matching_from_obj(obj)
+
+
+@pytest.mark.parametrize("coef", (True, False, 1.0, "1", None))
+def test_decode_rejects_non_integer_coef(coef):
+    with pytest.raises(ValueError, match="coef"):
+        matching_sum_from_obj({"terms": [{"coef": coef, "matching": {"n": 2, "arcs": [[1, 2]]}}]})
 
 
 def test_plain_renderings():

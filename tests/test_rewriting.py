@@ -16,11 +16,12 @@ from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, syt_count
 from springerrep.rewriting import (
     RewriteSite,
-    _reduce_matching,
     degree_generators,
     nesting_measure,
     relation_vectors,
 )
+
+from bruteforce import reduce_picking
 
 
 def m_(n, arcs, dotted=()):
@@ -165,7 +166,7 @@ def test_reduction_is_order_independent():
         for k in range(n // 2 + 1):
             for g in degree_generators(n, k):
                 default = reduce_to_standard(single(g))
-                alternate = _reduce_matching(g, lambda sites: sites[-1])
+                alternate = reduce_picking(g, lambda sites: sites[-1])
                 assert default == alternate
 
 

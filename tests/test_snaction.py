@@ -19,7 +19,6 @@ from springerrep import (
     verify_coxeter,
 )
 from springerrep import snaction
-from springerrep.exactlinalg import is_identity, mat_mul
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of, syt_count
 from springerrep.perms import Permutation, parse_permutation
@@ -27,7 +26,13 @@ from springerrep.rewriting import degree_generators
 from springerrep.snaction import centralizer_order, class_representative
 from springerrep.verify import run_suites
 
-from bruteforce import conjugacy_class_size, permutation_matrix, two_row_character_oracle
+from bruteforce import (
+    conjugacy_class_size,
+    is_identity,
+    mat_mul,
+    permutation_matrix,
+    two_row_character_oracle,
+)
 
 
 def m_(n, arcs, dotted=()):

@@ -9,10 +9,19 @@ def test_all_suites_pass_at_small_n():
     assert results and all(r.ok for r in results)
 
 
-def test_thread_count_does_not_change_results():
-    serial = run_suites(("counting", "echelon", "coxeter"), max_n=6, threads=1)
-    parallel = run_suites(("counting", "echelon", "coxeter"), max_n=6, threads=4)
-    assert serial == parallel
+def test_suite_order_and_n_ranges():
+    tasks = build_tasks(reversed(SUITE_NAMES), max_n=10)
+    covered = {}
+    for task in tasks:
+        covered.setdefault(task.suite, []).append(task.label)
+    assert list(covered) == [
+        "counting", "bijection", "rewriting", "echelon", "coxeter", "consistency",
+        "irreducibility", "module-equality", "multiplicity", "dimension", "linearity",
+    ]
+    up_to = {"rewriting": 8, "module-equality": 8, "multiplicity": 8, "linearity": 8,
+             "dimension": 12}
+    for suite, labels in covered.items():
+        assert labels == [f"n={n}" for n in range(2, up_to.get(suite, 10) + 1, 2)], suite
 
 
 def test_seed_changes_only_the_sampling():
