@@ -26,7 +26,6 @@ from .matchings import (
 )
 from .linediagrams import (
     UndotSet,
-    compare_undot_sets,
     echelon_certificate,
     expand,
     insert_arc_consistency,

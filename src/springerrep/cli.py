@@ -31,6 +31,16 @@ from .verify import SUITE_NAMES, run_suites
 MIN_VERIFY_N = 2
 MAX_VERIFY_N = 12
 WARN_VERIFY_N = 10
+# Largest --n of enumerate, bijection, specht, top-basis, matrix and character.  At 14
+# each takes under 2 s and 100 MB (specht --n 14 --k 6 is the largest); output grows
+# like Catalan(n/2) * 2^k, and specht at 16 has seven times as many terms.
+MAX_SIZE_N = 14
+
+
+def vertex_count(text: str) -> int:
+    if int(text) > MAX_SIZE_N:
+        raise argparse.ArgumentTypeError(f"{text} exceeds the supported bound {MAX_SIZE_N}")
+    return int(text)
 
 
 def _read_json(path: str):
@@ -202,14 +212,13 @@ def _cmd_character(args) -> int:
     return 0
 
 
-def _tabloid_vectors(args, named: dict[str, list[FormalSum]]) -> None:
+def _tabloid_vectors(args, k: int, named: dict[str, list[FormalSum]]) -> None:
     if args.format == "json":
-        payload: dict = {"n": args.n, "k": named.pop("_k")}
+        payload: dict = {"n": args.n, "k": k}
         for name, vectors in named.items():
-            payload[name] = [jsonio.tabloid_sum_to_obj(v, n=args.n, k=payload["k"]) for v in vectors]
+            payload[name] = [jsonio.tabloid_sum_to_obj(v, n=args.n, k=k) for v in vectors]
         _emit(args, jsonio.dumps(payload))
     elif args.format == "csv":
-        named.pop("_k")
         rows = [["family", "index", "coef", "bottom"]]
         for name, vectors in named.items():
             for idx, v in enumerate(vectors):
@@ -217,7 +226,6 @@ def _tabloid_vectors(args, named: dict[str, list[FormalSum]]) -> None:
                     rows.append([name, idx, coef, " ".join(map(str, t.bottom))])
         _emit(args, _csv_text(rows))
     else:
-        named.pop("_k")
         lines = []
         for name, vectors in named.items():
             for idx, v in enumerate(vectors):
@@ -226,18 +234,17 @@ def _tabloid_vectors(args, named: dict[str, list[FormalSum]]) -> None:
 
 
 def _cmd_specht(args) -> int:
-    named: dict[str, list[FormalSum]] = {"_k": args.k}
+    named: dict[str, list[FormalSum]] = {}
     if args.emit in ("eT", "both"):
         named["eT"] = [polytabloid(t) for t in standard_tableaux(args.n, args.k)]
     if args.emit in ("eM", "both"):
         named["eM"] = [matching_generator(m) for m in enumerate_standard(args.n, args.k)]
-    _tabloid_vectors(args, named)
+    _tabloid_vectors(args, args.k, named)
     return 0
 
 
 def _cmd_top_basis(args) -> int:
-    named = {"_k": args.n // 2, "top": emit_top_degree_basis(args.n)}
-    _tabloid_vectors(args, named)
+    _tabloid_vectors(args, args.n // 2, {"top": emit_top_degree_basis(args.n)})
     return 0
 
 
@@ -254,7 +261,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "max_n": args.max_n,
-            "suites": list(suites),
+            "suites": [name for name in SUITE_NAMES if name in suites],
             "checks": [
                 {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results
@@ -291,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="noncrossing matchings, or the standard basis of a degree")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=int, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bijection", help="matching/tableau correspondence table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=int, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_bijection)
@@ -323,28 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("matrix", help="matrix of a simple transposition on the standard basis")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--gen", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("character", help="character value at a cycle type")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cycle-type", required=True, help="for example 3,2,1")
     _add_format(p)
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("specht", help="emit polytabloid and matching generators")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit", choices=("eT", "eM", "both"), default="both")
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_specht)
 
     p = sub.add_parser("top-basis", help="the matching basis of the top homology degree")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=vertex_count, required=True)
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_top_basis)
 

@@ -1,14 +1,18 @@
 """Exact linear algebra over the integers and rationals.
 
-Rank uses fraction-free (Bareiss) elimination, so integer matrices stay
-integer throughout; reduced echelon forms and solves use ``Fraction``.
-No floating point anywhere.
+Rank uses fraction-free (Bareiss) elimination on dense integer rows, so
+integer matrices stay integer throughout.  Sparse reduced echelon forms
+work on ``dict`` rows and stay in the integers while every pivot entry is
++-1; any other pivot turns its row into ``Fraction``s.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
+
+Entry = int | Fraction
 
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
@@ -40,57 +44,41 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def rref(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.
+def subtract_row(row: dict[int, Entry], factor: Entry, other: Mapping[int, Entry]) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, x in other.items():
+        value = row.get(c, 0) - factor * x
+        if value:
+            row[c] = value
+        else:
+            row.pop(c, None)
 
-    Returns (nonzero rows, pivot column indices); pivot entries are 1 and
-    pivot columns are cleared above and below.
+
+def sparse_rref(rows: Iterable[Mapping[int, Entry]]) -> dict[int, dict[int, Entry]]:
+    """Reduced row echelon form of sparse rows (column -> entry), keyed by pivot.
+
+    Each row is reduced against the pivots found so far; a nonzero rest makes
+    its leftmost column a new pivot, scaled to 1.  Back-substitution in
+    decreasing pivot order then clears each pivot column in the other rows.
+    Row space and column order fix the reduced form, so this equals dense
+    Gauss-Jordan row for row.
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+    echelon: dict[int, dict[int, Entry]] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        lead = min(row, default=None)
+        while lead in echelon:
+            subtract_row(row, row[lead], echelon[lead])
+            lead = min(row, default=None)
+        if lead is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def solve_in_span(
-    basis: Sequence[Sequence[int | Fraction]],
-    targets: Sequence[Sequence[int | Fraction]],
-) -> list[list[Fraction]]:
-    """Coordinates of each target vector in the span of an independent basis.
-
-    ``basis`` and ``targets`` are lists of vectors (rows of equal length).
-    Raises ValueError if the basis is dependent or a target lies outside
-    its span.
-    """
-    nb = len(basis)
-    dim = len(basis[0]) if basis else 0
-    augmented = [[Fraction(basis[b][d]) for b in range(nb)]
-                 + [Fraction(t[d]) for t in targets]
-                 for d in range(dim)]
-    reduced, pivots = rref(augmented)
-    if any(p >= nb for p in pivots):
-        raise ValueError("target vector outside the span of the basis")
-    if len(pivots) != nb:
-        raise ValueError("basis vectors are linearly dependent")
-    return [[reduced[r][nb + t] for r in range(nb)] for t in range(len(targets))]
-
+        scale = row[lead]
+        if scale in (1, -1):
+            echelon[lead] = {c: x * scale for c, x in row.items()}
+        else:
+            echelon[lead] = {c: Fraction(x) / scale for c, x in row.items()}
+    for pivot in sorted(echelon, reverse=True):
+        row = echelon[pivot]
+        for c in [c for c in row if c != pivot and c in echelon]:
+            subtract_row(row, row[c], echelon[c])
+    return echelon

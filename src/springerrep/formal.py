@@ -53,9 +53,6 @@ class FormalSum:
     def items(self) -> Iterator[tuple[Any, int]]:
         return iter(self._terms.items())
 
-    def support(self) -> set[Any]:
-        return set(self._terms)
-
     def sorted_terms(self, key: Callable[[Any], Any] = _default_key) -> list[tuple[Any, int]]:
         """Terms in a deterministic order, independent of computation history."""
         return sorted(self._terms.items(), key=lambda item: key(item[0]))

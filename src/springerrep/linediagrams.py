@@ -79,14 +79,6 @@ def expand(m: DottedMatching) -> FormalSum:
     return FormalSum(terms)
 
 
-def compare_undot_sets(s: UndotSet, t: UndotSet) -> int:
-    """-1/0/+1 under the largest-element-first order on equal-size subsets."""
-    if len(s.members) != len(t.members):
-        raise ValueError("cannot compare undot sets of different cardinality")
-    a, b = subset_order_key(s.members), subset_order_key(t.members)
-    return (a > b) - (a < b)
-
-
 def permute_diagram(w: Permutation, v: FormalSum) -> FormalSum:
     """Relabel every strand of every diagram by w; coefficients unchanged."""
     return v.map_basis(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import VerificationError
-from .exactlinalg import rank, solve_in_span
+from .exactlinalg import rank, subtract_row
 from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import (
@@ -30,7 +30,6 @@ from .matchings import (
     subset_order_key,
     syt_count,
 )
-from .perms import Permutation
 from .snaction import (
     centralizer_order,
     character,
@@ -104,13 +103,6 @@ def matching_generator(m: DottedMatching) -> FormalSum:
 def psi(v: FormalSum) -> FormalSum:
     """Relabel line diagrams to tabloids: the undot set becomes the bottom row."""
     return v.map_basis(lambda u: FormalSum.single(Tabloid(u.n, u.members)))
-
-
-def permute_tabloids(w: Permutation, v: FormalSum) -> FormalSum:
-    """The S_n action on tabloids: w relabels every entry."""
-    return v.map_basis(
-        lambda t: FormalSum.single(Tabloid(t.n, tuple(w(x) for x in t.bottom)))
-    )
 
 
 def _degree_of(vectors) -> tuple[int, int]:
@@ -196,30 +188,43 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Character of the S_n action restricted to span{e_T}, per cycle type.
 
-    Solves for the matrix of each class representative in the e_T basis by
-    exact elimination; an inconsistent solve would mean the span is not
-    invariant, which is itself reported.
+    By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
+    each e_T has leading tabloid {T} in the undot-set order, coefficient 1;
+    this is checked.  Each w.e_T is peeled in integers from the largest
+    leading tabloid down: the multiples are its coordinates, the trace sums
+    the diagonal ones, and a nonzero rest (outside the span) is reported.
     """
-    basis_vectors = [polytabloid(t) for t in standard_tableaux(n, k)]
-    rows = _coordinate_rows(basis_vectors, n, k)
-    types = partitions_of(n)
-    targets = []
-    for cycle_type in types:
-        w = class_representative(n, cycle_type)
-        targets.extend(_coordinate_rows([permute_tabloids(w, v) for v in basis_vectors], n, k))
-    d = len(basis_vectors)
-    try:
-        coords = solve_in_span(rows, targets)
-    except ValueError as exc:
-        raise VerificationError("Specht span is not S_n-invariant", {"n": n, "k": k}) from exc
-    out = {}
-    for t_index, cycle_type in enumerate(types):
-        trace = sum(coords[t_index * d + c][c] for c in range(d))
-        if trace.denominator != 1:
+    tableaux = standard_tableaux(n, k)
+    leads = [subset_order_key(t.bottom) for t in tableaux]
+    vectors = []
+    for t, lead in zip(tableaux, leads):
+        vector = {subset_order_key(tab.bottom): coef for tab, coef in polytabloid(t)}
+        if vector.get(lead) != 1 or max(vector) != lead:
             raise VerificationError(
-                "non-integer Specht character", {"n": n, "k": k, "type": cycle_type}
+                "polytabloid is not unitriangular in the undot-set order",
+                {"n": n, "k": k, "bottom": t.bottom},
             )
-        out[cycle_type] = int(trace)
+        vectors.append(vector)
+    order = sorted(range(len(leads)), key=leads.__getitem__, reverse=True)
+    out = {}
+    for cycle_type in partitions_of(n):
+        images = (0,) + class_representative(n, cycle_type).images
+        trace = 0
+        for i, vector in enumerate(vectors):
+            image = {subset_order_key([images[x] for x in b]): coef for b, coef in vector.items()}
+            for j in order:
+                coef = image.get(leads[j])
+                if coef:
+                    if j == i:
+                        trace += coef
+                    subtract_row(image, coef, vectors[j])
+            if image:
+                raise VerificationError(
+                    "Specht span is not S_n-invariant",
+                    {"n": n, "k": k, "type": cycle_type, "bottom": tableaux[i].bottom,
+                     "tabloid": sorted(max(image))},
+                )
+        out[cycle_type] = trace
     return out
 
 

@@ -8,19 +8,30 @@ through the package's own shortcuts, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from springerrep import (
     DottedMatching,
+    Tabloid,
     TwoRowTableau,
     act_permutation,
     apply_type1,
     apply_type2,
     find_sites,
     is_standard,
+    polytabloid,
 )
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_noncrossing, enumerate_standard
+from springerrep.matchings import (
+    enumerate_noncrossing,
+    enumerate_standard,
+    partitions_of,
+    subset_order_key,
+)
 from springerrep.perms import Permutation
+from springerrep.rewriting import degree_generators, relation_vectors
+from springerrep.snaction import class_representative
+from springerrep.specht import standard_tableaux, tabloid_basis
 
 
 def perfect_matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -169,3 +180,113 @@ def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     site = pick(sites)
     step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
     return step.map_basis(lambda term: reduce_picking(term, pick))
+
+
+def compare_undot_sets(s, t) -> int:
+    """-1/0/+1 under the largest-element-first order on equal-size subsets."""
+    if len(s.members) != len(t.members):
+        raise ValueError("cannot compare undot sets of different cardinality")
+    a, b = subset_order_key(s.members), subset_order_key(t.members)
+    return (a > b) - (a < b)
+
+
+def permute_tabloids(w: Permutation, v: FormalSum) -> FormalSum:
+    """The S_n action on tabloids: w relabels every entry."""
+    return v.map_basis(
+        lambda t: FormalSum.single(Tabloid(t.n, tuple(w(x) for x in t.bottom)))
+    )
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Dense Gauss-Jordan over ``Fraction``: (nonzero rows, pivot columns);
+    pivot entries are 1 and pivot columns are cleared above and below."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("ragged matrix")
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def solve_in_span(basis, targets) -> list[list[Fraction]]:
+    """Coordinates of each target row in the span of independent basis rows,
+    by dense ``rref``; ValueError if the basis is dependent or a target lies
+    outside its span."""
+    nb = len(basis)
+    dim = len(basis[0]) if basis else 0
+    augmented = [[Fraction(basis[b][d]) for b in range(nb)]
+                 + [Fraction(t[d]) for t in targets]
+                 for d in range(dim)]
+    reduced, pivots = rref(augmented)
+    if any(p >= nb for p in pivots):
+        raise ValueError("target vector outside the span of the basis")
+    if len(pivots) != nb:
+        raise ValueError("basis vectors are linearly dependent")
+    return [[reduced[r][nb + t] for r in range(nb)] for t in range(len(targets))]
+
+
+def dense_quotient_table(n: int, k: int) -> dict[DottedMatching, FormalSum]:
+    """Normal form of every degree-k generator: dense ``rref`` of the relation
+    matrix with the standard matchings as its last columns."""
+    generators = degree_generators(n, k)
+    standard = [g for g in generators if is_standard(g)]
+    columns = [g for g in generators if not is_standard(g)] + standard
+    index = {g: c for c, g in enumerate(columns)}
+    rows = []
+    for relation in relation_vectors(n, k):
+        row = [0] * len(columns)
+        for term, coef in relation:
+            row[index[term]] = coef
+        rows.append(row)
+    reduced, pivots = rref(rows)
+    table = {m: FormalSum.single(m) for m in standard}
+    for row, pivot in zip(reduced, pivots):
+        if columns[pivot] in table:
+            raise ValueError("standard matchings are dependent modulo the relations")
+        terms = [(columns[c], -row[c]) for c in range(len(columns)) if c != pivot and row[c]]
+        if any(x.denominator != 1 for _, x in terms):
+            raise ValueError("non-integer coordinate")
+        table[columns[pivot]] = FormalSum((g, int(x)) for g, x in terms)
+    return table
+
+
+def dense_specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Trace of each class representative on span{e_T}, from the coordinates
+    that ``solve_in_span`` gives for every permuted e_T."""
+    position = {t: c for c, t in enumerate(tabloid_basis(n, k))}
+
+    def row(v: FormalSum) -> list[int]:
+        out = [0] * len(position)
+        for t, coef in v:
+            out[position[t]] = coef
+        return out
+
+    basis = [polytabloid(t) for t in standard_tableaux(n, k)]
+    out = {}
+    for cycle_type in partitions_of(n):
+        w = class_representative(n, cycle_type)
+        coords = solve_in_span([row(v) for v in basis],
+                               [row(permute_tabloids(w, v)) for v in basis])
+        trace = sum(coords[c][c] for c in range(len(basis)))
+        if trace.denominator != 1:
+            raise ValueError(f"non-integer trace {trace}")
+        out[cycle_type] = int(trace)
+    return out

@@ -1,8 +1,11 @@
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from springerrep.cli import main
+from springerrep.cli import MAX_SIZE_N, main
 
 
 def run(capsys, *argv):
@@ -167,6 +170,42 @@ def test_verify_small(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense", "--max-n", "4")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize("given, ran", [
+    ("coxeter,coxeter", ["coxeter"]),
+    ("irreducibility,coxeter", ["coxeter", "irreducibility"]),
+])
+def test_verify_json_lists_the_suites_that_ran(capsys, given, ran):
+    code, out, _ = run(capsys, "verify", "--suite", given, "--max-n", "2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["suites"] == ran == list(dict.fromkeys(c["suite"] for c in report["checks"]))
+
+
+def _cap_memory():
+    limit = 1 << 30  # a missing bound must fail fast, not exhaust the machine
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "40"],
+    ["bijection", "--n", "40"],
+    ["specht", "--n", "40", "--k", "20"],
+    ["top-basis", "--n", "40"],
+    ["matrix", "--n", "40", "--k", "20", "--gen", "1"],
+    ["character", "--n", "40", "--k", "20", "--cycle-type", "40"],
+])
+def test_sizes_above_the_bound_exit_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"40 exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
+
+
+def test_size_bound_admits_its_own_value(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", str(MAX_SIZE_N), "--k", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == 1
 
 
 def test_verify_rejects_huge_max_n(capsys):

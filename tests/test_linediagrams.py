@@ -6,7 +6,6 @@ import pytest
 from springerrep import (
     DottedMatching,
     UndotSet,
-    compare_undot_sets,
     echelon_certificate,
     expand,
     insert_arc_consistency,
@@ -18,6 +17,8 @@ from springerrep.formal import FormalSum
 from springerrep.linediagrams import insert_arc
 from springerrep.matchings import enumerate_standard
 from springerrep.perms import Permutation, parse_permutation
+
+from bruteforce import compare_undot_sets
 
 
 def m_(n, arcs, dotted=()):

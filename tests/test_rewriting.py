@@ -21,7 +21,7 @@ from springerrep.rewriting import (
     relation_vectors,
 )
 
-from bruteforce import reduce_picking
+from bruteforce import dense_quotient_table, reduce_picking
 
 
 def m_(n, arcs, dotted=()):
@@ -188,7 +188,26 @@ def test_oracle_dimensions():
 
 def test_oracle_bound():
     with pytest.raises(ValueError):
-        quotient_project_oracle(10, 5)
+        quotient_project_oracle(12, 5)
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_oracle_matches_dense_elimination(n):
+    for k in range(n // 2 + 1):
+        assert quotient_project_oracle(n, k) == dense_quotient_table(n, k)
+
+
+def test_oracle_rejects_dependent_standard_columns(monkeypatch):
+    # a relation among standard matchings alone puts a pivot in a standard column
+    import springerrep.rewriting as rw
+
+    honest = rw.relation_vectors
+    first, second = enumerate_standard(4, 1)[:2]
+    monkeypatch.setattr(rw, "relation_vectors",
+                        lambda n, k: honest(n, k) + [single(first) - single(second)])
+    with pytest.raises(VerificationError, match="dependent") as info:
+        quotient_project_oracle(4, 1)
+    assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6))

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -21,9 +24,9 @@ from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of
 from springerrep.perms import Permutation
 from springerrep.snaction import character, class_representative
-from springerrep.specht import permute_tabloids, specht_characters, standard_tableaux
+from springerrep.specht import specht_characters, standard_tableaux
 
-from bruteforce import two_row_character_oracle
+from bruteforce import dense_specht_characters, permute_tabloids, two_row_character_oracle
 
 
 def m_(n, arcs, dotted=()):
@@ -126,7 +129,7 @@ def test_emit_top_degree_basis():
 
 
 def test_specht_characters_match_subset_oracle():
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10):
         for k in range(n // 2 + 1):
             chars = specht_characters(n, k)
             for cycle_type in partitions_of(n):
@@ -134,6 +137,65 @@ def test_specht_characters_match_subset_oracle():
                 assert chars[cycle_type] == two_row_character_oracle(w, k)
                 # matching-module side carries the same character
                 assert chars[cycle_type] == character(n, k, cycle_type)
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_specht_characters_match_dense_elimination(n):
+    for k in range(n // 2 + 1):
+        assert specht_characters(n, k) == dense_specht_characters(n, k)
+
+
+@pytest.fixture
+def fresh_specht_characters():
+    specht_characters.cache_clear()
+    yield
+    specht_characters.cache_clear()
+
+
+def test_specht_span_outside_invariance_is_reported(monkeypatch, fresh_specht_characters):
+    import springerrep.specht as sp
+
+    # single standard tabloids: unitriangular, but (1 2) carries {2} to {1}, no leading tabloid
+    monkeypatch.setattr(sp, "polytabloid", lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
+    with pytest.raises(VerificationError, match="not S_n-invariant") as info:
+        specht_characters(4, 1)
+    assert info.value.witness["tabloid"] == [1]
+
+
+@pytest.mark.parametrize("broken", ["doubled", "raised"])
+def test_specht_leading_term_is_checked(monkeypatch, fresh_specht_characters, broken):
+    import springerrep.specht as sp
+
+    honest = sp.polytabloid
+
+    def sabotaged(t):
+        if t.bottom != (3, 4):
+            return honest(t)
+        if broken == "doubled":  # {T} keeps the lead with coefficient 2
+            return 2 * honest(t)
+        return honest(t) + FormalSum.single(Tabloid(t.n, (2, 5)))  # a tabloid above {T}
+
+    monkeypatch.setattr(sp, "polytabloid", sabotaged)
+    with pytest.raises(VerificationError, match="not unitriangular") as info:
+        specht_characters(6 if broken == "raised" else 4, 2)
+    assert info.value.witness["bottom"] == (3, 4)
+
+
+def test_specht_guard_survives_optimized_python():
+    script = textwrap.dedent("""
+        import sys
+        import springerrep.specht as sp
+        from springerrep.cli import main
+        from springerrep.formal import FormalSum
+
+        assert False, "asserts must be stripped"
+        sp.polytabloid = lambda t: FormalSum.single(sp.Tabloid(t.n, t.bottom))
+        sys.exit(main(["verify", "--suite", "multiplicity", "--max-n", "4"]))
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "not S_n-invariant witness=" in proc.stdout
 
 
 def test_graded_decomposition_examples():
