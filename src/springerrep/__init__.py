@@ -34,14 +34,7 @@ from .linediagrams import (
     undot_sets,
 )
 from .perms import Permutation, parse_permutation
-from .rewriting import (
-    RewriteSite,
-    apply_type1,
-    apply_type2,
-    find_sites,
-    quotient_project_oracle,
-    reduce_to_standard,
-)
+from .rewriting import quotient_project_oracle, reduce_to_standard
 from .snaction import (
     RepMatrix,
     act_permutation,

@@ -85,11 +85,14 @@ def _expect(obj: Any, key: str, context: str) -> Any:
 # bool, which is a subclass of int.
 
 def _pair_list(value: Any, context: str) -> list[tuple[int, int]]:
-    if not isinstance(value, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in value
-    ):
+    if not isinstance(value, list):
         raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
-    return [tuple(p) for p in value]
+    pairs = []
+    for p in value:
+        if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
+            raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
+        pairs.append((p[0], p[1]))
+    return pairs
 
 
 def matching_from_obj(obj: Any) -> DottedMatching:

@@ -38,14 +38,17 @@ class NoncrossingMatching:
         if self.n < 0 or self.n % 2:
             raise ValueError(f"vertex count must be even and nonnegative, got {self.n}")
         seen = [v for arc in arcs for v in arc]
-        if sorted(seen) != list(range(1, self.n + 1)):
+        if len(seen) != self.n or sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError(f"arcs {arcs} do not partition 1..{self.n}")
-        for (i, j), (k, l) in itertools.combinations(arcs, 2):
-            if i < k < j < l:
-                raise ValueError(f"arcs ({i},{j}) and ({k},{l}) cross")
+        # open arcs, innermost last; each new arc must close inside the top one (so every
+        # arc encloses a perfect matching, and its endpoints have opposite parity)
+        stack = []
         for i, j in arcs:
-            if (j - i) % 2 == 0:
-                raise ValueError(f"arc ({i},{j}) has endpoints of equal parity")
+            while stack and stack[-1][1] < i:
+                stack.pop()
+            if stack and stack[-1][1] < j:
+                raise ValueError(f"arcs ({stack[-1][0]},{stack[-1][1]}) and ({i},{j}) cross")
+            stack.append((i, j))
 
     @cached_property
     def _arc_of(self) -> dict[int, tuple[int, int]]:
@@ -102,15 +105,8 @@ class DottedMatching:
     def undotted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arcs if a not in self.dotted)
 
-    @property
-    def dotted_arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(a for a in self.arcs if a in self.dotted)
-
     def is_dotted(self, arc: tuple[int, int]) -> bool:
         return arc in self.dotted
-
-    def with_dots(self, dotted) -> DottedMatching:
-        return DottedMatching(self.matching, frozenset(dotted))
 
     def right_undotted(self) -> tuple[int, ...]:
         """Right endpoints of the undotted arcs, sorted (the set U_M)."""

@@ -9,17 +9,34 @@ dots fixed:
              = [nested, dot on (i,l)] + [nested, dot on (j,k)]
   Type II: [side by side, dots on both] = [nested, dots on both]
 
-Oriented so as to eliminate a dotted arc nested below another arc, the
-relations rewrite any dotted matching into a combination of standard ones.
-Every step strictly decreases the total nesting depth of the dotted arcs,
-so rewriting terminates.  An independent linear-algebra oracle recomputes
-the same normal forms by exact elimination.
+Rewriting runs on integers.  A dotted matching on 1..n is a pair of n-bit
+masks ``(opens, dots)``: bit v-1 of ``opens`` is set when v is a left
+endpoint (a Dyck word, which determines the matching), and of ``dots`` when
+v opens a dotted arc.  The arc opened at a lies below
+2*popcount(opens below a) - (a-1) arcs; the nesting measure, that depth
+summed over the dotted arcs, is 0 exactly on standard matchings.
+
+The rewrite site is the deepest nested dotted arc (j,k), leftmost among
+equals, under its innermost encloser (i,l); one stack scan finds it.
+Oriented to eliminate (j,k), the relations are bit flips (x is the bit of
+vertex x):
+
+  Type II, (i,l) dotted:   (opens^j^k, dots^j^k)
+  Type I,  (i,l) undotted: -(opens, dots^j^i) + (opens^j^k, dots^j^i)
+                             + (opens^j^k, dots^j^k)
+
+Every term on the right has a smaller measure, so a reduction files the
+coefficients in buckets by measure and drains them deepest level first:
+each matching is rewritten once per call, after all its contributions have
+arrived, and no memo outlives the call.  A term whose measure is not below
+its bucket raises :class:`VerificationError` (the termination guard).
+:func:`quotient_project_oracle` recomputes the normal forms by elimination
+over the object-level :func:`relation_vectors`, independently of the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import VerificationError
@@ -37,120 +54,60 @@ from .matchings import (
 ORACLE_MAX_N = 10  # every suite at --max-n 12 runs in under 15 s on 2 vCPUs
 
 
-@dataclass(frozen=True)
-class RewriteSite:
-    """A relation instance inside a matching: arcs (i,l) over dotted (j,k)."""
-
-    kind: str  # 'I' (outer arc undotted) or 'II' (outer arc dotted)
-    i: int
-    j: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.kind not in ("I", "II"):
-            raise ValueError(f"unknown site kind {self.kind!r}")
-        if not self.i < self.j < self.k < self.l:
-            raise ValueError(f"site vertices must increase: {(self.i, self.j, self.k, self.l)}")
+def _encode(m: DottedMatching) -> tuple[int, int]:
+    return sum(1 << (i - 1) for i, _ in m.arcs), sum(1 << (i - 1) for i, _ in m.dotted)
 
 
-def nesting_measure(m: DottedMatching) -> int:
-    """Total number of (dotted arc, strictly enclosing arc) pairs."""
-    return sum(len(m.matching.enclosers(arc)) for arc in m.dotted)
+def _decode(n: int, opens: int, dots: int) -> dict:
+    """The matching of a code as a witness: n, arcs and dotted arcs."""
+    stack, arcs = [], []
+    for v in range(1, n + 1):
+        if opens >> (v - 1) & 1:
+            stack.append(v)
+        else:
+            arcs.append((stack.pop(), v))
+    arcs.sort()
+    return {"n": n, "arcs": tuple(arcs), "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
 
 
-def find_sites(m: DottedMatching) -> list[RewriteSite]:
-    """All rewritable positions: each nested dotted arc with its innermost
-    enclosing arc.  Empty exactly when ``m`` is standard.
-
-    Sites are ordered deepest-nested first, then leftmost.
-    """
-    sites = []
-    for inner in m.dotted_arcs:
-        enclosing = m.matching.enclosers(inner)
-        if not enclosing:
-            continue
-        outer = enclosing[-1]  # innermost encloser: the only rewirable partner
-        kind = "II" if m.is_dotted(outer) else "I"
-        sites.append((-len(enclosing), inner[0], RewriteSite(kind, outer[0], inner[0], inner[1], outer[1])))
-    sites.sort(key=lambda entry: entry[:2])
-    return [site for *_, site in sites]
+def _nesting(opens: int, dots: int) -> int:
+    """The nesting measure: the depths of the dotted arcs, summed."""
+    total = 0
+    while dots:
+        low = dots & -dots
+        total += 2 * (opens & (low - 1)).bit_count() - low.bit_length() + 1
+        dots ^= low
+    return total
 
 
-def _site_arcs(m: DottedMatching, site: RewriteSite) -> tuple[tuple[int, int], tuple[int, int]]:
-    outer, inner = (site.i, site.l), (site.j, site.k)
-    if outer not in m.arcs or inner not in m.arcs:
-        raise ValueError(f"site {site} does not name two arcs of the matching")
-    if not m.is_dotted(inner):
-        raise ValueError(f"inner arc {inner} is not dotted")
-    if any(site.i < x < site.j and site.k < y < site.l for (x, y) in m.arcs):
-        raise ValueError(f"an arc lies between {inner} and {outer}; site is not rewirable")
-    return outer, inner
+def _find_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int]:
+    """Bit positions (i, j, k, l): (j,k) is the deepest nested dotted arc,
+    leftmost among equals, and (i,l) its innermost encloser."""
+    stack, close = [], {}
+    depth = 0
+    for v in range(n):
+        if opens >> v & 1:
+            if dots >> v & 1 and len(stack) > depth:
+                depth, i, j = len(stack), stack[-1], v
+            stack.append(v)
+        else:
+            close[stack.pop()] = v
+    return i, j, close[j], close[i]
 
 
-def _rewired(m: DottedMatching, site: RewriteSite, dotted_new: tuple[tuple[int, int], ...]) -> DottedMatching:
-    outer, inner = (site.i, site.l), (site.j, site.k)
-    arcs = [a for a in m.arcs if a not in (outer, inner)]
-    spectator_dots = [a for a in m.dotted if a not in (outer, inner)]
-    return DottedMatching.make(
-        m.n, arcs + [(site.i, site.j), (site.k, site.l)], spectator_dots + list(dotted_new)
-    )
-
-
-def apply_type1(m: DottedMatching, site: RewriteSite) -> FormalSum:
-    """Rewrite a dotted arc nested below an undotted one.
-
-    Solving the Type I relation for the nested-dotted configuration gives
-      - [same nest, dot moved to the outer arc]
-      + [side by side, dot on (i,j)] + [side by side, dot on (k,l)].
-    """
-    if site.kind != "I":
-        raise ValueError(f"site {site} is not a Type I site")
-    outer, inner = _site_arcs(m, site)
-    if m.is_dotted(outer):
-        raise ValueError(f"outer arc {outer} must be undotted for a Type I rewrite")
-    spectators = [a for a in m.dotted if a != inner]
-    dot_on_outer = m.with_dots(spectators + [outer])
-    split_left = _rewired(m, site, ((site.i, site.j),))
-    split_right = _rewired(m, site, ((site.k, site.l),))
-    return FormalSum([(dot_on_outer, -1), (split_left, 1), (split_right, 1)])
-
-
-def apply_type2(m: DottedMatching, site: RewriteSite) -> FormalSum:
-    """Replace two nested dotted arcs by the side-by-side dotted pair."""
-    if site.kind != "II":
-        raise ValueError(f"site {site} is not a Type II site")
-    outer, _ = _site_arcs(m, site)
-    if not m.is_dotted(outer):
-        raise ValueError(f"outer arc {outer} must be dotted for a Type II rewrite")
-    return FormalSum.single(_rewired(m, site, ((site.i, site.j), (site.k, site.l))))
-
-
-def _rewrite_once(m: DottedMatching, site: RewriteSite) -> FormalSum:
-    step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
-    before = nesting_measure(m)
-    if any(nesting_measure(term) >= before for term, _ in step):
-        raise VerificationError(
-            "rewrite did not decrease nesting",
-            {"n": m.n, "arcs": m.arcs, "dotted": sorted(m.dotted),
-             "site": [site.kind, site.i, site.j, site.k, site.l]},
-        )
-    return step
+def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
+    """The relation at ``site`` solved for the matching, as (opens, dots, coef) terms."""
+    i, j, k, _ = site
+    jk = 1 << j | 1 << k
+    if dots >> i & 1:
+        return [(opens ^ jk, dots ^ jk, 1)]
+    ji = 1 << j | 1 << i
+    return [(opens, dots ^ ji, -1), (opens ^ jk, dots ^ ji, 1), (opens ^ jk, dots ^ jk, 1)]
 
 
 @cache
-def _reduce_cached(m: DottedMatching) -> FormalSum:
-    sites = find_sites(m)
-    if not sites:
-        return FormalSum.single(m)
-    step = _rewrite_once(m, sites[0])
-    return step.map_basis(_reduce_cached)
-
-
-def _check_homogeneous(v: FormalSum) -> None:
-    degrees = {(m.n, m.k) for m, _ in v}
-    if len(degrees) > 1:
-        raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
+def _standard_codes(n: int, k: int) -> dict[tuple[int, int], DottedMatching]:
+    return {_encode(m): m for m in enumerate_standard(n, k)}
 
 
 def reduce_to_standard(v: FormalSum) -> FormalSum:
@@ -159,8 +116,40 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     The result represents the same class modulo the Type I/II relations;
     already-standard sums come back unchanged.
     """
-    _check_homogeneous(v)
-    return v.map_basis(_reduce_cached)
+    degrees = {(m.n, m.k) for m, _ in v}
+    if len(degrees) > 1:
+        raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
+    if not degrees:
+        return FormalSum.zero()
+    [(n, k)] = degrees
+    levels: dict[int, dict[tuple[int, int], int]] = {0: {}}
+    for m, coef in v:
+        code = _encode(m)
+        bucket = levels.setdefault(_nesting(*code), {})
+        bucket[code] = bucket.get(code, 0) + coef
+    for level in range(max(levels), 0, -1):
+        for (opens, dots), coef in levels.pop(level, {}).items():
+            if not coef:
+                continue
+            site = _find_site(n, opens, dots)
+            for child_opens, child_dots, sign in _rewrite(opens, dots, site):
+                child_level = _nesting(child_opens, child_dots)
+                if child_level >= level:
+                    kind = "II" if dots >> site[0] & 1 else "I"
+                    raise VerificationError(
+                        "rewrite did not decrease nesting",
+                        {**_decode(n, opens, dots), "site": [kind, *(x + 1 for x in site)]},
+                    )
+                bucket = levels.setdefault(child_level, {})
+                code = (child_opens, child_dots)
+                bucket[code] = bucket.get(code, 0) + coef * sign
+    standard = _standard_codes(n, k)
+    for code in levels[0]:
+        if code not in standard:
+            raise VerificationError(
+                "rewriting ended outside the standard basis", {**_decode(n, *code), "k": k}
+            )
+    return FormalSum((standard[code], coef) for code, coef in levels[0].items())
 
 
 def _all_dottings(matching: NoncrossingMatching, k: int) -> list[DottedMatching]:

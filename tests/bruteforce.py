@@ -8,6 +8,7 @@ through the package's own shortcuts, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from springerrep import (
@@ -15,9 +16,6 @@ from springerrep import (
     Tabloid,
     TwoRowTableau,
     act_permutation,
-    apply_type1,
-    apply_type2,
-    find_sites,
     is_standard,
     polytabloid,
 )
@@ -171,6 +169,100 @@ def tableau_from_obj(obj) -> TwoRowTableau:
     return TwoRowTableau(obj["n"], tuple(bottom))
 
 
+@dataclass(frozen=True)
+class RewriteSite:
+    """A relation instance inside a matching: arcs (i,l) over dotted (j,k)."""
+
+    kind: str  # 'I' (outer arc undotted) or 'II' (outer arc dotted)
+    i: int
+    j: int
+    k: int
+    l: int
+
+    def __post_init__(self):
+        if self.kind not in ("I", "II"):
+            raise ValueError(f"unknown site kind {self.kind!r}")
+        if not self.i < self.j < self.k < self.l:
+            raise ValueError(f"site vertices must increase: {(self.i, self.j, self.k, self.l)}")
+
+
+def nesting_measure(m: DottedMatching) -> int:
+    """Total number of (dotted arc, strictly enclosing arc) pairs."""
+    return sum(len(m.matching.enclosers(arc)) for arc in m.dotted)
+
+
+def find_sites(m: DottedMatching) -> list[RewriteSite]:
+    """All rewritable positions: each nested dotted arc with its innermost
+    enclosing arc.  Empty exactly when ``m`` is standard.
+
+    Sites are ordered deepest-nested first, then leftmost; the package's
+    kernel rewrites at the first one.
+    """
+    sites = []
+    for inner in sorted(m.dotted):
+        enclosing = m.matching.enclosers(inner)
+        if not enclosing:
+            continue
+        outer = enclosing[-1]  # innermost encloser: the only rewirable partner
+        kind = "II" if m.is_dotted(outer) else "I"
+        sites.append((-len(enclosing), inner[0], RewriteSite(kind, outer[0], inner[0], inner[1], outer[1])))
+    sites.sort(key=lambda entry: entry[:2])
+    return [site for *_, site in sites]
+
+
+def _site_arcs(m: DottedMatching, site: RewriteSite) -> tuple[tuple[int, int], tuple[int, int]]:
+    outer, inner = (site.i, site.l), (site.j, site.k)
+    if outer not in m.arcs or inner not in m.arcs:
+        raise ValueError(f"site {site} does not name two arcs of the matching")
+    if not m.is_dotted(inner):
+        raise ValueError(f"inner arc {inner} is not dotted")
+    if any(site.i < x < site.j and site.k < y < site.l for (x, y) in m.arcs):
+        raise ValueError(f"an arc lies between {inner} and {outer}; site is not rewirable")
+    return outer, inner
+
+
+def _rewired(m: DottedMatching, site: RewriteSite, dotted_new: tuple[tuple[int, int], ...]) -> DottedMatching:
+    outer, inner = (site.i, site.l), (site.j, site.k)
+    arcs = [a for a in m.arcs if a not in (outer, inner)]
+    spectator_dots = [a for a in m.dotted if a not in (outer, inner)]
+    return DottedMatching.make(
+        m.n, arcs + [(site.i, site.j), (site.k, site.l)], spectator_dots + list(dotted_new)
+    )
+
+
+def apply_type1(m: DottedMatching, site: RewriteSite) -> FormalSum:
+    """Rewrite a dotted arc nested below an undotted one.
+
+    Solving the Type I relation for the nested-dotted configuration gives
+      - [same nest, dot moved to the outer arc]
+      + [side by side, dot on (i,j)] + [side by side, dot on (k,l)].
+    """
+    if site.kind != "I":
+        raise ValueError(f"site {site} is not a Type I site")
+    outer, inner = _site_arcs(m, site)
+    if m.is_dotted(outer):
+        raise ValueError(f"outer arc {outer} must be undotted for a Type I rewrite")
+    spectators = [a for a in m.dotted if a != inner]
+    dot_on_outer = DottedMatching(m.matching, frozenset(spectators + [outer]))
+    split_left = _rewired(m, site, ((site.i, site.j),))
+    split_right = _rewired(m, site, ((site.k, site.l),))
+    return FormalSum([(dot_on_outer, -1), (split_left, 1), (split_right, 1)])
+
+
+def apply_type2(m: DottedMatching, site: RewriteSite) -> FormalSum:
+    """Replace two nested dotted arcs by the side-by-side dotted pair."""
+    if site.kind != "II":
+        raise ValueError(f"site {site} is not a Type II site")
+    outer, _ = _site_arcs(m, site)
+    if not m.is_dotted(outer):
+        raise ValueError(f"outer arc {outer} must be dotted for a Type II rewrite")
+    return FormalSum.single(_rewired(m, site, ((site.i, site.j), (site.k, site.l))))
+
+
+def apply_site(m: DottedMatching, site: RewriteSite) -> FormalSum:
+    return apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
+
+
 def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     """Rewrite m to standard form, choosing each rewrite site with ``pick``
     from the sites ``find_sites`` lists; probes confluence."""
@@ -178,8 +270,7 @@ def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     if not sites:
         return FormalSum.single(m)
     site = pick(sites)
-    step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
-    return step.map_basis(lambda term: reduce_picking(term, pick))
+    return apply_site(m, site).map_basis(lambda term: reduce_picking(term, pick))
 
 
 def compare_undot_sets(s, t) -> int:

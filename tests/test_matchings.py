@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from springerrep import (
@@ -20,6 +22,7 @@ from springerrep.matchings import check_partition
 from bruteforce import (
     kostka_bruteforce,
     noncrossing_bruteforce,
+    perfect_matchings,
     standard_bottoms_bruteforce,
     standard_bruteforce,
 )
@@ -64,6 +67,23 @@ def test_noncrossing_validation():
         NoncrossingMatching(4, ((1, 2), (3, 3)))
     with pytest.raises(ValueError):
         DottedMatching.make(4, [(1, 2), (3, 4)], [(1, 4)])  # dot on a non-arc
+    with pytest.raises(ValueError, match="partition"):
+        NoncrossingMatching(10**12, ((1, 2),))  # refused before any work of size n
+
+
+def test_crossing_check_over_every_perfect_matching():
+    accepted = set()
+    for arcs in perfect_matchings(8):
+        try:
+            NoncrossingMatching(8, arcs)
+        except ValueError as err:
+            found = re.fullmatch(r"arcs \((\d+),(\d+)\) and \((\d+),(\d+)\) cross", str(err))
+            a, b, c, d = map(int, found.groups())
+            assert {(a, b), (c, d)} <= set(arcs) and a < c < b < d
+        else:
+            accepted.add(arcs)
+    assert len(perfect_matchings(8)) == 105
+    assert len(accepted) == 14 and accepted == noncrossing_bruteforce(8)
 
 
 def test_is_standard_examples():

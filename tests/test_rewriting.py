@@ -2,26 +2,23 @@ import random
 
 import pytest
 
-from springerrep import (
-    DottedMatching,
-    apply_type1,
-    apply_type2,
-    find_sites,
-    is_standard,
-    quotient_project_oracle,
-    reduce_to_standard,
-)
+import springerrep.rewriting as rw
+from springerrep import DottedMatching, is_standard, quotient_project_oracle, reduce_to_standard
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, syt_count
-from springerrep.rewriting import (
-    RewriteSite,
-    degree_generators,
-    nesting_measure,
-    relation_vectors,
-)
+from springerrep.rewriting import degree_generators, relation_vectors
 
-from bruteforce import dense_quotient_table, reduce_picking
+from bruteforce import (
+    RewriteSite,
+    apply_site,
+    apply_type1,
+    apply_type2,
+    dense_quotient_table,
+    find_sites,
+    nesting_measure,
+    reduce_picking,
+)
 
 
 def m_(n, arcs, dotted=()):
@@ -145,19 +142,74 @@ def test_reduce_is_linear():
 def test_rewrites_decrease_nesting_measure():
     m = m_(8, [(1, 8), (2, 7), (3, 6), (4, 5)], [(2, 7), (4, 5)])
     for site in find_sites(m):
-        step = apply_type2(m, site) if site.kind == "II" else apply_type1(m, site)
-        assert all(nesting_measure(t) < nesting_measure(m) for t, _ in step)
+        assert all(nesting_measure(t) < nesting_measure(m) for t, _ in apply_site(m, site))
 
 
 def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     # a plain assert would vanish under python -O; the guard must raise
-    import springerrep.rewriting as rw
-
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
-    monkeypatch.setattr(rw, "apply_type2", lambda m, site: single(m))
+    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: [(opens, dots, 1)])
     with pytest.raises(VerificationError) as info:
-        rw._rewrite_once(m, find_sites(m)[0])
-    assert info.value.witness["site"] == ["II", 1, 2, 3, 4]
+        reduce_to_standard(single(m))
+    assert info.value.witness == {
+        "n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)], "site": ["II", 1, 2, 3, 4],
+    }
+
+
+def test_code_outside_the_standard_basis_is_refused(monkeypatch):
+    monkeypatch.setattr(rw, "_standard_codes", lambda n, k: {})
+    with pytest.raises(VerificationError, match="outside the standard basis") as info:
+        reduce_to_standard(single(m_(4, [(1, 2), (3, 4)], [(1, 2)])))
+    assert info.value.witness == {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "k": 1}
+
+
+def test_reduce_of_zero_is_zero():
+    assert reduce_to_standard(FormalSum.zero()) == FormalSum.zero()
+
+
+def decoded(n, opens, dots):
+    witness = rw._decode(n, opens, dots)
+    return DottedMatching.make(n, witness["arcs"], witness["dotted"])
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_kernel_step_matches_reference_rule(n):
+    # one bit-flip step against the object-level rule at find_sites(m)[0]:
+    # pins the site choice and both rewrite formulas
+    for k in range(n // 2 + 1):
+        for g in degree_generators(n, k):
+            opens, dots = rw._encode(g)
+            assert decoded(n, opens, dots) == g
+            assert rw._nesting(opens, dots) == nesting_measure(g)
+            sites = find_sites(g)
+            if not sites:
+                continue
+            i, j, kk, l = site = rw._find_site(n, opens, dots)
+            kind = "II" if dots >> i & 1 else "I"
+            assert sites[0] == RewriteSite(kind, i + 1, j + 1, kk + 1, l + 1)
+            step = FormalSum((decoded(n, o, d), c) for o, d, c in rw._rewrite(opens, dots, site))
+            assert step == apply_site(g, sites[0])
+
+
+@pytest.mark.parametrize("n", range(2, 9, 2))
+def test_relation_vectors_reduce_to_zero(n):
+    # every bucket cancels on the way down
+    for k in range(n // 2 + 1):
+        for relation in relation_vectors(n, k):
+            assert reduce_to_standard(relation) == FormalSum.zero()
+
+
+def test_seeded_sum_matches_oracle_rows():
+    # the shape of a large reduce call: one sum over every generator of a degree
+    rng = random.Random(10)
+    for k in range(6):
+        table = quotient_project_oracle(10, k)
+        terms = [(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in degree_generators(10, k)]
+        rng.shuffle(terms)
+        expected = FormalSum.zero()
+        for g, coef in terms:
+            expected = expected + coef * table[g]
+        assert reduce_to_standard(FormalSum(terms)) == expected
 
 
 def test_reduction_is_order_independent():
@@ -199,8 +251,6 @@ def test_oracle_matches_dense_elimination(n):
 
 def test_oracle_rejects_dependent_standard_columns(monkeypatch):
     # a relation among standard matchings alone puts a pivot in a standard column
-    import springerrep.rewriting as rw
-
     honest = rw.relation_vectors
     first, second = enumerate_standard(4, 1)[:2]
     monkeypatch.setattr(rw, "relation_vectors",
@@ -210,7 +260,7 @@ def test_oracle_rejects_dependent_standard_columns(monkeypatch):
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
 
 
-@pytest.mark.parametrize("n", (2, 4, 6))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_reduce_matches_oracle(n):
     for k in range(n // 2 + 1):
         table = quotient_project_oracle(n, k)
@@ -220,8 +270,6 @@ def test_reduce_matches_oracle(n):
 
 def test_oracle_raises_on_impossible_dimension(monkeypatch):
     # sabotage the expected dimension to confirm the hard failure fires
-    import springerrep.rewriting as rw
-
     monkeypatch.setattr(rw, "syt_count", lambda n, k: 99)
     with pytest.raises(VerificationError):
         quotient_project_oracle(4, 1)

@@ -229,7 +229,7 @@ def dot_on_new_short_arc(real, i, m):
         rewired = images[1][0]
         moved = rewired.dotted - m.dotted
         if moved:
-            images[1] = (rewired.with_dots((rewired.dotted - moved) | {(i, i + 1)}), 1)
+            images[1] = (DottedMatching(rewired.matching, (rewired.dotted - moved) | {(i, i + 1)}), 1)
     return images
 
 
