@@ -28,10 +28,6 @@ from .linediagrams import (
     UndotSet,
     echelon_certificate,
     expand,
-    insert_arc_consistency,
-    left_count,
-    permute_diagram,
-    undot_sets,
 )
 from .perms import Permutation, parse_permutation
 from .rewriting import quotient_project_oracle, reduce_to_standard
@@ -40,6 +36,7 @@ from .snaction import (
     act_permutation,
     act_simple,
     character,
+    character_table,
     chart_diagram_consistency,
     irreducibility_check,
     rep_matrix,

@@ -31,9 +31,10 @@ from .verify import SUITE_NAMES, run_suites
 MIN_VERIFY_N = 2
 MAX_VERIFY_N = 12
 WARN_VERIFY_N = 10
-# Largest --n of enumerate, bijection, specht, top-basis, matrix and character.  At 14
-# each takes under 2 s and 100 MB (specht --n 14 --k 6 is the largest); output grows
-# like Catalan(n/2) * 2^k, and specht at 16 has seven times as many terms.
+# Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
+# largest input act takes.  At 14 each takes under 2 s and 100 MB (specht --n 14 --k 6
+# is the largest); output grows like Catalan(n/2) * 2^k, and specht at 16 has seven
+# times as many terms.
 MAX_SIZE_N = 14
 
 
@@ -161,6 +162,8 @@ def _cmd_act(args) -> int:
     else:
         v = FormalSum.single(jsonio.matching_from_obj(payload))
     sizes = {m.n for m, _ in v}
+    if max(sizes, default=0) > MAX_SIZE_N:
+        raise ValueError(f"input on {max(sizes)} vertices exceeds the supported bound {MAX_SIZE_N}")
     degrees = {m.k for m, _ in v}
     if args.n is not None and sizes - {args.n}:
         raise ValueError(f"input is on {sorted(sizes)} vertices, --n says {args.n}")

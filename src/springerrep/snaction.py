@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 
 from .errors import VerificationError
@@ -61,9 +61,31 @@ class RepMatrix:
 class _Tables:
     """The chart action of every s_i on one degree, by basis index."""
 
+    n: int
     basis: tuple[DottedMatching, ...]
     index: dict[DottedMatching, int]
     columns: tuple[tuple[Column, ...], ...]  # columns[i - 1][c]: image of basis[c] under s_i
+
+    @cached_property
+    def characters(self) -> dict[tuple[int, ...], int]:
+        """Trace of every class word, from one walk of the class tree per column.
+
+        Cancelled entries are dropped after every step: class words cancel
+        often, and a zero carried down the tree costs a lookup at each step.
+        """
+        tree = class_tree(self.n)
+        traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
+        for c in range(len(self.basis)):
+            vectors = {}
+            for parts, parent, letter in tree:
+                if parent is None:
+                    vec = {c: 1}
+                else:
+                    step = _step(self.columns[letter - 1], vectors[parent])
+                    vec = {r: coef for r, coef in step.items() if coef}
+                vectors[parts] = vec
+                traces[parts] += vec.get(c, 0)
+        return traces
 
 
 def _chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
@@ -106,7 +128,7 @@ def _tables(n: int, k: int) -> _Tables:
                 column.append((index[image], coef))
             generator.append(tuple(column))
         columns.append(tuple(generator))
-    return _Tables(basis, index, tuple(columns))
+    return _Tables(n, basis, index, tuple(columns))
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:
@@ -115,16 +137,20 @@ def _check_word(word: tuple[int, ...], n: int) -> None:
             raise ValueError(f"generator index {i} out of range for n={n}")
 
 
+def _step(columns: tuple[Column, ...], vec: dict[int, int]) -> dict[int, int]:
+    """Apply one generator, given by its columns, to an integer vector."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for c, coef in vec.items():
+        for r, entry in columns[c]:
+            acc[r] = get(r, 0) + coef * entry
+    return acc
+
+
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
     """Apply a word to an integer vector, rightmost letter first."""
     for letter in reversed(word):
-        columns = tables.columns[letter - 1]
-        acc: dict[int, int] = {}
-        get = acc.get
-        for c, coef in vec.items():
-            for r, entry in columns[c]:
-                acc[r] = get(r, 0) + coef * entry
-        vec = acc
+        vec = _step(tables.columns[letter - 1], vec)
     return {r: coef for r, coef in vec.items() if coef}
 
 
@@ -202,19 +228,57 @@ def verify_coxeter(n: int, k: int) -> CoxeterReport:
     return CoxeterReport(n, k, involutions, braid, commuting)
 
 
-def class_representative(n: int, cycle_type) -> Permutation:
-    """Cycles on consecutive blocks: type (3,2) gives (1 2 3)(4 5)."""
+def _cycle_type(n: int, cycle_type) -> tuple[int, ...]:
     parts = check_partition(cycle_type)
     if sum(parts) != n:
         raise ValueError(f"cycle type {parts} does not partition {n}")
+    return parts
+
+
+def class_representative(n: int, cycle_type) -> Permutation:
+    """Cycles on consecutive blocks: type (3,2) gives (1 2 3)(4 5)."""
     images = list(range(1, n + 1))
     start = 1
-    for part in parts:
+    for part in _cycle_type(n, cycle_type):
         for x in range(start, start + part - 1):
             images[x - 1] = x + 1
         images[start + part - 2] = start
         start += part
     return Permutation(tuple(images))
+
+
+def class_word(n: int, cycle_type) -> tuple[int, ...]:
+    """The letters of the class word of a cycle type, in the order applied.
+
+    Block j..j+p-1 contributes s_j, ..., s_{j+p-2}, blocks left to right;
+    the product is a p-cycle on each block, so it lies in the class.
+    """
+    word: list[int] = []
+    start = 1
+    for part in _cycle_type(n, cycle_type):
+        word.extend(range(start, start + part - 1))
+        start += part
+    return tuple(word)
+
+
+@cache
+def class_tree(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...] | None, int], ...]:
+    """Every cycle type of n as (type, parent, letter), parents before children.
+
+    The parent is the type with its last part above 1 lowered by one and a
+    1 appended; its class word is the type's without the last letter,
+    ``letter``.  The root 1^n has parent None and the empty word.
+    """
+    tree = []
+    for parts in sorted(partitions_of(n), key=len, reverse=True):  # shorter words first
+        cycles = [j for j, part in enumerate(parts) if part > 1]
+        if not cycles:
+            tree.append((parts, None, 0))
+            continue
+        j = cycles[-1]
+        parent = parts[:j] + (parts[j] - 1,) + parts[j + 1:] + (1,)
+        tree.append((parts, parent, class_word(n, parts)[-1]))
+    return tuple(tree)
 
 
 def centralizer_order(cycle_type) -> int:
@@ -228,19 +292,34 @@ def centralizer_order(cycle_type) -> int:
 
 
 def character(n: int, k: int, cycle_type) -> int:
-    """Trace of the canonical representative of the class on degree (n, k)."""
-    word = class_representative(n, cycle_type).reduced_word()
+    """Trace of the class word of a cycle type on degree (n, k).
+
+    Applies that one word, the path from the root of :func:`class_tree`;
+    :func:`character_table` has every class at once.
+    """
+    word = class_word(n, cycle_type)[::-1]
     tables = _tables(n, k)
     return sum(_apply(tables, word, {c: 1}).get(c, 0) for c in range(len(tables.basis)))
 
 
+def character_table(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Every class character of degree (n, k), built once with its tables."""
+    return dict(_tables(n, k).characters)
+
+
+def class_inner_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> Fraction:
+    """<a, b> = sum over cycle types of a * b / z_lambda, for class functions of S_n."""
+    terms = (Fraction(a[parts] * b[parts], centralizer_order(parts)) for parts in a)
+    return sum(terms, Fraction(0))
+
+
 def irreducibility_check(n: int, k: int) -> Fraction:
-    """Character inner product <chi, chi>; equals 1 exactly for irreducibles."""
-    total = Fraction(0)
-    for cycle_type in partitions_of(n):
-        value = character(n, k, cycle_type)
-        total += Fraction(value * value, centralizer_order(cycle_type))
-    return total
+    """Character inner product <chi, chi>; equals 1 exactly for irreducibles.
+
+    Reads the degree's character table, one walk of the class tree.
+    """
+    chi = character_table(n, k)
+    return class_inner_product(chi, chi)
 
 
 def _swap_strands(mask: int, i: int) -> int:

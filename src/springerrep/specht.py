@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import VerificationError
@@ -31,8 +30,8 @@ from .matchings import (
     syt_count,
 )
 from .snaction import (
-    centralizer_order,
-    character,
+    character_table,
+    class_inner_product,
     class_representative,
     irreducibility_check,
 )
@@ -241,11 +240,7 @@ def graded_decomposition(n: int) -> list[tuple[int, tuple[int, ...]]]:
     for k in range(n // 2 + 1):
         if irreducibility_check(n, k) != 1:
             raise VerificationError("degree is not irreducible", {"n": n, "k": k})
-        specht = specht_characters(n, k)
-        pairing = sum(
-            Fraction(character(n, k, ct) * specht[ct], centralizer_order(ct))
-            for ct in partitions_of(n)
-        )
+        pairing = class_inner_product(character_table(n, k), specht_characters(n, k))
         if pairing != 1:
             raise VerificationError(
                 "degree does not pair to 1 with its Specht module",

@@ -203,6 +203,16 @@ def test_sizes_above_the_bound_exit_2(argv):
     assert f"40 exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
 
+def test_act_input_above_the_bound_exits_2():
+    arcs = [[i, i + 1] for i in range(1, 20, 2)]
+    matching = json.dumps({"n": 20, "arcs": arcs, "dotted": arcs[-2:]})
+    argv = ["act", "--input", "-", "--gen", "1"]
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], input=matching,
+                          capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"input on 20 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
+
+
 def test_size_bound_admits_its_own_value(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(MAX_SIZE_N), "--k", "0", "--format", "json")
     assert code == 0 and json.loads(out)["count"] == 1

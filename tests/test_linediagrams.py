@@ -8,17 +8,19 @@ from springerrep import (
     UndotSet,
     echelon_certificate,
     expand,
+)
+from springerrep.formal import FormalSum
+from springerrep.matchings import enumerate_standard
+from springerrep.perms import Permutation, parse_permutation
+
+from bruteforce import (
+    compare_undot_sets,
+    insert_arc,
     insert_arc_consistency,
     left_count,
     permute_diagram,
     undot_sets,
 )
-from springerrep.formal import FormalSum
-from springerrep.linediagrams import insert_arc
-from springerrep.matchings import enumerate_standard
-from springerrep.perms import Permutation, parse_permutation
-
-from bruteforce import compare_undot_sets
 
 
 def m_(n, arcs, dotted=()):

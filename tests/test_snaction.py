@@ -13,7 +13,6 @@ from springerrep import (
     expand,
     irreducibility_check,
     is_standard,
-    permute_diagram,
     reduce_to_standard,
     rep_matrix,
     verify_coxeter,
@@ -23,7 +22,13 @@ from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of, syt_count
 from springerrep.perms import Permutation, parse_permutation
 from springerrep.rewriting import degree_generators
-from springerrep.snaction import centralizer_order, class_representative
+from springerrep.snaction import (
+    centralizer_order,
+    character_table,
+    class_representative,
+    class_tree,
+    class_word,
+)
 from springerrep.verify import run_suites
 
 from bruteforce import (
@@ -31,6 +36,8 @@ from bruteforce import (
     is_identity,
     mat_mul,
     permutation_matrix,
+    permute_diagram,
+    reduced_word_characters,
     two_row_character_oracle,
 )
 
@@ -147,12 +154,41 @@ def test_character_identity_is_dimension(n):
         assert character(n, k, (1,) * n) == syt_count(n, k)
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
 def test_character_matches_subset_oracle(n):
     for k in range(n // 2 + 1):
         for cycle_type in partitions_of(n):
             w = class_representative(n, cycle_type)
             assert character(n, k, cycle_type) == two_row_character_oracle(w, k)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_class_tree(n):
+    tree = class_tree(n)
+    types = [parts for parts, _, _ in tree]
+    assert sorted(types) == sorted(partitions_of(n)) and len(set(types)) == len(types)
+    assert tree[0] == ((1,) * n, None, 0)
+    for position, (parts, parent, letter) in enumerate(tree[1:], start=1):
+        assert parent in types[:position]  # parents first
+        word = class_word(n, parts)
+        assert word == class_word(n, parent) + (letter,)
+        product = Permutation.identity(n)
+        for i in word:
+            product = Permutation.simple(n, i) * product
+        assert product.cycle_type() == parts
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_character_table_matches_reduced_word_traces(n):
+    for k in range(n // 2 + 1):
+        table = character_table(n, k)
+        assert table == reduced_word_characters(n, k)
+        assert table == {ct: character(n, k, ct) for ct in partitions_of(n)}
+
+
+def test_character_rejects_a_type_of_another_size():
+    with pytest.raises(ValueError):
+        character(4, 1, (3, 2))
 
 
 def test_class_representative_and_sizes():
@@ -240,6 +276,12 @@ def test_broken_chart_is_caught_by_suite(broken_chart, suite):
     results = run_suites([suite], 6)
     assert not all(r.ok for r in results)
     assert not any("not a standard basis matching" in r.detail for r in results)
+
+
+def test_character_table_is_dropped_with_the_chart(broken_chart):
+    assert all(irreducibility_check(6, k) == 1 for k in range(4))
+    broken_chart(sign_of_undotted_pair_flipped)
+    assert not all(r.ok for r in run_suites(["irreducibility"], 6))
 
 
 def test_chart_image_outside_basis_is_rejected(broken_chart):

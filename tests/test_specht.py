@@ -13,7 +13,6 @@ from springerrep import (
     expand,
     graded_decomposition,
     matching_generator,
-    permute_diagram,
     polytabloid,
     psi,
     span_rank,
@@ -23,10 +22,20 @@ from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of
 from springerrep.perms import Permutation
-from springerrep.snaction import character, class_representative
+from springerrep.snaction import (
+    character,
+    character_table,
+    class_inner_product,
+    class_representative,
+)
 from springerrep.specht import specht_characters, standard_tableaux
 
-from bruteforce import dense_specht_characters, permute_tabloids, two_row_character_oracle
+from bruteforce import (
+    dense_specht_characters,
+    permute_diagram,
+    permute_tabloids,
+    two_row_character_oracle,
+)
 
 
 def m_(n, arcs, dotted=()):
@@ -202,6 +211,15 @@ def test_graded_decomposition_examples():
     assert graded_decomposition(4) == [(0, (4,)), (1, (3, 1)), (2, (2, 2))]
     assert graded_decomposition(2) == [(0, (2,)), (1, (1, 1))]
     assert character(2, 1, (2,)) == -1  # the sign representation in top degree
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_matching_and_specht_characters_are_orthonormal_by_shape(n):
+    degrees = range(n // 2 + 1)
+    for k in degrees:
+        for j in degrees:
+            pairing = class_inner_product(character_table(n, k), specht_characters(n, j))
+            assert pairing == (1 if k == j else 0)
 
 
 def test_tabloid_validation():
