@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -23,7 +24,7 @@ from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import enumerate_noncrossing, enumerate_standard, phi, theta
 from .perms import Permutation, parse_permutation
-from .rewriting import reduce_to_standard
+from .rewriting import ORACLE_MAX_N, _reduce_codes
 from .snaction import act_permutation, act_word, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid, standard_tableaux
 from .verify import SUITE_NAMES, run_suites
@@ -32,10 +33,13 @@ MIN_VERIFY_N = 2
 MAX_VERIFY_N = 12
 WARN_VERIFY_N = 10
 # Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
-# largest input act takes.  At 14 each takes under 2 s and 100 MB (specht --n 14 --k 6
+# largest input act and expand take.  At 14 each takes under 2 s and 100 MB (specht --n 14 --k 6
 # is the largest); output grows like Catalan(n/2) * 2^k, and specht at 16 has seven
 # times as many terms.
 MAX_SIZE_N = 14
+MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); the rewriting, "
+              f"module-equality, multiplicity and linearity suites stop at {ORACLE_MAX_N}, "
+              f"and dimension always runs to 12")
 
 
 def vertex_count(text: str) -> int:
@@ -44,9 +48,26 @@ def vertex_count(text: str) -> int:
     return int(text)
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_SIZE_N:
+        raise ValueError(f"input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
+
+
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return json.loads(text)
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    # parsing makes no reference cycles, but the cyclic collector would walk the
+    # growing tree again and again (0.06 s of a 15015-term sum)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(args, text: str) -> None:
@@ -136,13 +157,14 @@ def _emit_matching_sum(args, v: FormalSum) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    v = jsonio.matching_sum_from_obj(_read_json(args.input))
-    _emit_matching_sum(args, reduce_to_standard(v))
+    terms = jsonio.matching_codes_from_obj(_read_json(args.input))
+    _emit_matching_sum(args, _reduce_codes(terms))
     return 0
 
 
 def _cmd_expand(args) -> int:
     m = jsonio.matching_from_obj(_read_json(args.input))
+    _check_size(m.n)
     v = expand(m)
     if args.format == "json":
         _emit(args, jsonio.dumps(jsonio.diagram_sum_to_obj(v, n=m.n)))
@@ -162,8 +184,7 @@ def _cmd_act(args) -> int:
     else:
         v = FormalSum.single(jsonio.matching_from_obj(payload))
     sizes = {m.n for m, _ in v}
-    if max(sizes, default=0) > MAX_SIZE_N:
-        raise ValueError(f"input on {max(sizes)} vertices exceeds the supported bound {MAX_SIZE_N}")
+    _check_size(max(sizes, default=0))
     degrees = {m.k for m, _ in v}
     if args.n is not None and sizes - {args.n}:
         raise ValueError(f"input is on {sorted(sizes)} vertices, --n says {args.n}")
@@ -361,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated subset of: " + ", ".join(SUITE_NAMES))
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=8, help=MAX_N_HELP)
     p.add_argument("--test-seed", type=int, default=0,
                    help="seed for the randomized linearity spot-check")
     _add_format(p)
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-equality",
                        help="shorthand for verify --suite module-equality")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--max-n", type=int, default=8, help=MAX_N_HELP)
     _add_format(p)
     p.set_defaults(func=_cmd_verify, suite="module-equality")
 

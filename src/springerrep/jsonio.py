@@ -7,6 +7,12 @@ order, so identical values always serialize to identical bytes.
 
 Plain text writes a matching as ``(1,6)* (2,3) (4,5)`` (``*`` marks a dot)
 and a tabloid or tableau as its two rows, ``1 2 4 5|3 6``.
+
+A formal sum decodes either to objects (:func:`matching_sum_from_obj`) or,
+for ``reduce``, straight to ``(n, opens, dots)`` codes, the integer masks
+the rewriting kernel works on (:func:`matching_codes_from_obj`).  Both apply
+the same rules with the same errors; the code path
+(:func:`~springerrep.matchings.matching_code`) builds no matching object.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Any
 
 from .formal import FormalSum
 from .linediagrams import UndotSet
-from .matchings import DottedMatching, NoncrossingMatching, TwoRowTableau
+from .matchings import DottedMatching, NoncrossingMatching, TwoRowTableau, matching_code
 from .specht import Tabloid
 
 
@@ -84,27 +90,34 @@ def _expect(obj: Any, key: str, context: str) -> Any:
 # Integers are checked with ``type(x) is int``: JSON true/false decode to
 # bool, which is a subclass of int.
 
-def _pair_list(value: Any, context: str) -> list[tuple[int, int]]:
+def _pair_list(value: Any, context: str) -> list[list[int]]:
     if not isinstance(value, list):
         raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
-    pairs = []
     for p in value:
         if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
             raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
-        pairs.append((p[0], p[1]))
-    return pairs
+    return value
 
 
-def matching_from_obj(obj: Any) -> DottedMatching:
+def _matching_fields(obj: Any) -> tuple[int, list, list]:
     n = _expect(obj, "n", "matching")
     if type(n) is not int:
         raise ValueError("matching: n must be an integer")
     arcs = _pair_list(_expect(obj, "arcs", "matching"), "matching arcs")
     dotted = _pair_list(obj.get("dotted", []), "matching dotted")
-    return DottedMatching.make(n, arcs, dotted)
+    return n, arcs, dotted
 
 
-def matching_sum_from_obj(obj: Any) -> FormalSum:
+def matching_from_obj(obj: Any) -> DottedMatching:
+    return DottedMatching.make(*_matching_fields(obj))
+
+
+def matching_code_from_obj(obj: Any) -> tuple[int, int, int]:
+    """:func:`matching_from_obj`, same checks and errors, as an ``(n, opens, dots)`` code."""
+    return matching_code(*_matching_fields(obj))
+
+
+def _sum_terms(obj: Any, decode) -> list[tuple[Any, int]]:
     terms = _expect(obj, "terms", "formal sum")
     if not isinstance(terms, list):
         raise ValueError("formal sum: terms must be a list")
@@ -113,8 +126,18 @@ def matching_sum_from_obj(obj: Any) -> FormalSum:
         coef = _expect(entry, "coef", "formal sum term")
         if type(coef) is not int:
             raise ValueError("formal sum: coef must be an integer")
-        parsed.append((matching_from_obj(_expect(entry, "matching", "formal sum term")), coef))
-    return FormalSum(parsed)
+        parsed.append((decode(_expect(entry, "matching", "formal sum term")), coef))
+    return parsed
+
+
+def matching_sum_from_obj(obj: Any) -> FormalSum:
+    return FormalSum(_sum_terms(obj, matching_from_obj))
+
+
+def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
+    """A wire formal sum as ``((n, opens, dots), coef)`` terms, in input order
+    and not merged: :func:`matching_sum_from_obj` without the objects."""
+    return _sum_terms(obj, matching_code_from_obj)
 
 
 # ------------------------------------------------------------- plain text

@@ -25,6 +25,51 @@ def subset_order_key(members: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(members, reverse=True))
 
 
+def noncrossing_arcs(n: int, arcs) -> tuple[tuple[int, int], ...]:
+    """The rules of :class:`NoncrossingMatching`, which the wire decoder to
+    codes applies too: ``arcs``, pairs in either order, must be a perfect
+    noncrossing matching of 1..n.  Returns them as (left, right) pairs sorted
+    by left endpoint.  The ValueError names the first rule broken: the vertex
+    count, the partition (the arc count first, before anything of size n is
+    built), then a crossing, as the innermost open arc and the new one.
+    """
+    arcs = tuple(sorted([(a, b) if a < b else (b, a) for a, b in arcs]))
+    _check_even(n)
+    if 2 * len(arcs) != n or sorted(itertools.chain.from_iterable(arcs)) != list(range(1, n + 1)):
+        raise ValueError(f"arcs {arcs} do not partition 1..{n}")
+    # open arcs, innermost last, above a sentinel that encloses them all; each new arc
+    # must close inside the top one (so every arc encloses a perfect matching)
+    stack = [(0, n + 1)]
+    for i, j in arcs:
+        while stack[-1][1] < i:
+            stack.pop()
+        if stack[-1][1] < j:
+            raise ValueError(f"arcs ({stack[-1][0]},{stack[-1][1]}) and ({i},{j}) cross")
+        stack.append((i, j))
+    return arcs
+
+
+def dotted_arcs(arcs: tuple[tuple[int, int], ...], dotted) -> frozenset[tuple[int, int]]:
+    """The dotted pairs as (left, right) arcs; ValueError unless each is one of ``arcs``."""
+    dotted = frozenset([(a, b) if a < b else (b, a) for a, b in dotted])
+    if not dotted <= set(arcs):
+        raise ValueError(f"dotted arcs {sorted(dotted - set(arcs))} are not arcs of the matching")
+    return dotted
+
+
+def opens_mask(arcs) -> int:
+    """The left endpoints of ``arcs``, vertex v at bit v-1: the Dyck word of a
+    matching, or the dot mask of its dotted arcs."""
+    return sum([1 << (i - 1) for i, _ in arcs])
+
+
+def matching_code(n: int, arcs, dotted=()) -> tuple[int, int, int]:
+    """:meth:`DottedMatching.make`, same checks and errors, as an ``(n, opens, dots)``
+    code (see :mod:`springerrep.rewriting`) with no object built."""
+    arcs = noncrossing_arcs(n, arcs)
+    return n, opens_mask(arcs), opens_mask(dotted_arcs(arcs, dotted))
+
+
 @dataclass(frozen=True)
 class NoncrossingMatching:
     """A perfect noncrossing matching of {1..n}, arcs stored as (left, right)."""
@@ -33,22 +78,7 @@ class NoncrossingMatching:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        arcs = tuple(sorted((min(a), max(a)) for a in self.arcs))
-        object.__setattr__(self, "arcs", arcs)
-        if self.n < 0 or self.n % 2:
-            raise ValueError(f"vertex count must be even and nonnegative, got {self.n}")
-        seen = [v for arc in arcs for v in arc]
-        if len(seen) != self.n or sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError(f"arcs {arcs} do not partition 1..{self.n}")
-        # open arcs, innermost last; each new arc must close inside the top one (so every
-        # arc encloses a perfect matching, and its endpoints have opposite parity)
-        stack = []
-        for i, j in arcs:
-            while stack and stack[-1][1] < i:
-                stack.pop()
-            if stack and stack[-1][1] < j:
-                raise ValueError(f"arcs ({stack[-1][0]},{stack[-1][1]}) and ({i},{j}) cross")
-            stack.append((i, j))
+        object.__setattr__(self, "arcs", noncrossing_arcs(self.n, self.arcs))
 
     @cached_property
     def _arc_of(self) -> dict[int, tuple[int, int]]:
@@ -78,15 +108,11 @@ class DottedMatching:
     dotted: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "dotted", frozenset(self.dotted))
-        if not self.dotted <= set(self.matching.arcs):
-            extra = self.dotted - set(self.matching.arcs)
-            raise ValueError(f"dotted arcs {sorted(extra)} are not arcs of the matching")
+        object.__setattr__(self, "dotted", dotted_arcs(self.matching.arcs, self.dotted))
 
     @classmethod
     def make(cls, n: int, arcs, dotted=()) -> DottedMatching:
-        base = NoncrossingMatching(n, tuple(tuple(a) for a in arcs))
-        return cls(base, frozenset((min(a), max(a)) for a in dotted))
+        return cls(NoncrossingMatching(n, arcs), dotted)
 
     @property
     def n(self) -> int:
@@ -126,8 +152,7 @@ class TwoRowTableau:
 
     def __post_init__(self):
         object.__setattr__(self, "bottom", tuple(self.bottom))
-        if self.n < 0 or self.n % 2:
-            raise ValueError(f"vertex count must be even and nonnegative, got {self.n}")
+        _check_even(self.n)
         b = self.bottom
         if list(b) != sorted(set(b)) or any(v < 1 or v > self.n for v in b):
             raise ValueError(f"bottom row {b} is not an increasing subset of 1..{self.n}")

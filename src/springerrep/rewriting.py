@@ -28,8 +28,16 @@ vertex x):
 Every term on the right has a smaller measure, so a reduction files the
 coefficients in buckets by measure and drains them deepest level first:
 each matching is rewritten once per call, after all its contributions have
-arrived, and no memo outlives the call.  A term whose measure is not below
+arrived, and no rewrite memo outlives the call.  A term whose measure is not below
 its bucket raises :class:`VerificationError` (the termination guard).
+
+``reduce`` feeds the kernel :func:`_reduce_codes` the codes that
+:func:`springerrep.jsonio.matching_codes_from_obj` decodes from the wire;
+:func:`reduce_to_standard` encodes a :class:`FormalSum` into the same
+kernel.  Only the codes left at measure 0 become objects, each checked on
+its masks (degree k, measure 0) and decoded once per process, so the cost
+follows the input and the output: no standard basis is enumerated.
+
 :func:`quotient_project_oracle` recomputes the normal forms by elimination
 over the object-level :func:`relation_vectors`, independently of the kernel.
 """
@@ -37,6 +45,7 @@ over the object-level :func:`relation_vectors`, independently of the kernel.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cache
 
 from .errors import VerificationError
@@ -48,6 +57,7 @@ from .matchings import (
     enumerate_noncrossing,
     enumerate_standard,
     is_standard,
+    opens_mask,
     syt_count,
 )
 
@@ -55,7 +65,7 @@ ORACLE_MAX_N = 10  # every suite at --max-n 12 runs in under 15 s on 2 vCPUs
 
 
 def _encode(m: DottedMatching) -> tuple[int, int]:
-    return sum(1 << (i - 1) for i, _ in m.arcs), sum(1 << (i - 1) for i, _ in m.dotted)
+    return opens_mask(m.arcs), opens_mask(m.dotted)
 
 
 def _decode(n: int, opens: int, dots: int) -> dict:
@@ -106,27 +116,32 @@ def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tup
 
 
 @cache
-def _standard_codes(n: int, k: int) -> dict[tuple[int, int], DottedMatching]:
-    return {_encode(m): m for m in enumerate_standard(n, k)}
+def _basis_matching(n: int, k: int, opens: int, dots: int) -> DottedMatching | None:
+    """The standard matching of degree k with this code, or None if there is
+    none; the check is on the masks, the decode goes through the matching rules."""
+    if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
+        return None
+    witness = _decode(n, opens, dots)
+    return DottedMatching.make(n, witness["arcs"], witness["dotted"])
 
 
-def reduce_to_standard(v: FormalSum) -> FormalSum:
-    """Rewrite a sum of dotted matchings into the standard basis.
-
-    The result represents the same class modulo the Type I/II relations;
-    already-standard sums come back unchanged.
-    """
-    degrees = {(m.n, m.k) for m, _ in v}
+def _reduce_codes(terms: Iterable[tuple[tuple[int, int, int], int]]) -> FormalSum:
+    """The kernel: ``((n, opens, dots), coef)`` terms in, their class in the
+    standard basis out.  Equal codes merge before the degree check, as in a
+    :class:`FormalSum`, so terms that cancel do not count towards it."""
+    merged: dict[tuple[int, int, int], int] = {}
+    for code, coef in terms:
+        merged[code] = merged.get(code, 0) + coef
+    degrees = {(n, n // 2 - dots.bit_count()) for (n, _, dots), coef in merged.items() if coef}
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
     if not degrees:
         return FormalSum.zero()
     [(n, k)] = degrees
     levels: dict[int, dict[tuple[int, int], int]] = {0: {}}
-    for m, coef in v:
-        code = _encode(m)
-        bucket = levels.setdefault(_nesting(*code), {})
-        bucket[code] = bucket.get(code, 0) + coef
+    for (_, opens, dots), coef in merged.items():
+        if coef:
+            levels.setdefault(_nesting(opens, dots), {})[opens, dots] = coef
     for level in range(max(levels), 0, -1):
         for (opens, dots), coef in levels.pop(level, {}).items():
             if not coef:
@@ -143,13 +158,24 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
                 bucket = levels.setdefault(child_level, {})
                 code = (child_opens, child_dots)
                 bucket[code] = bucket.get(code, 0) + coef * sign
-    standard = _standard_codes(n, k)
-    for code in levels[0]:
-        if code not in standard:
+    out = []
+    for code, coef in levels[0].items():
+        m = _basis_matching(n, k, *code)
+        if m is None:
             raise VerificationError(
                 "rewriting ended outside the standard basis", {**_decode(n, *code), "k": k}
             )
-    return FormalSum((standard[code], coef) for code, coef in levels[0].items())
+        out.append((m, coef))
+    return FormalSum(out)
+
+
+def reduce_to_standard(v: FormalSum) -> FormalSum:
+    """Rewrite a sum of dotted matchings into the standard basis.
+
+    The result represents the same class modulo the Type I/II relations;
+    already-standard sums come back unchanged.
+    """
+    return _reduce_codes(((m.n, *_encode(m)), coef) for m, coef in v)
 
 
 def _all_dottings(matching: NoncrossingMatching, k: int) -> list[DottedMatching]:

@@ -213,6 +213,71 @@ def test_act_input_above_the_bound_exits_2():
     assert f"input on 20 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
 
+def test_expand_input_above_the_bound_exits_2():
+    # a standard matching with 22 undotted arcs would print 2^22 terms
+    arcs = [[i, i + 1] for i in range(1, 44, 2)]
+    argv = ["expand", "--input", "-"]
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv],
+                          input=json.dumps({"n": 44, "arcs": arcs}), capture_output=True,
+                          text=True, timeout=20, preexec_fn=_cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"input on 44 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
+
+
+def test_reduce_of_a_large_standard_matching_builds_no_basis():
+    # n = 40, k = 10: the degree has about 5.7e8 standard matchings, the answer is the input
+    arcs = [[i, 21 - i] for i in range(1, 11)] + [[i, i + 1] for i in range(21, 40, 2)]
+    payload = {"terms": [{"coef": 3, "matching": {"n": 40, "arcs": arcs, "dotted": arcs[10:]}}]}
+    argv = ["reduce", "--input", "-", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv],
+                          input=json.dumps(payload), capture_output=True, text=True,
+                          timeout=10, preexec_fn=_cap_memory)
+    assert proc.returncode == 0 and proc.stderr == ""
+    expected = {"coef": 3, "matching": {"n": 40, "arcs": sorted(arcs), "dotted": arcs[10:]}}
+    assert json.loads(proc.stdout) == {"terms": [expected]}
+
+
+def test_reduce_closes_its_input_file(tmp_path):
+    source = tmp_path / "sum.json"
+    source.write_text('{"terms":[{"coef":1,"matching":{"n":2,"arcs":[[1,2]]}}]}')
+    argv = ["-X", "dev", "-W", "error::ResourceWarning", "-m", "springerrep.cli",
+            "reduce", "--input", str(source)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
+M = {"n": 4, "arcs": [[1, 2], [3, 4]]}
+N = {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[2, 3]]}
+
+
+def test_reduce_merges_terms_before_the_degree_check(capsys, tmp_path):
+    # M (degree 2) cancels and the coef-0 term on 6 vertices drops out, so only N's
+    # degree is left
+    source = tmp_path / "sum.json"
+    source.write_text(json.dumps({"terms": [
+        {"coef": 1, "matching": M}, {"coef": -1, "matching": {**M, "dotted": []}},
+        {"coef": 2, "matching": N},
+        {"coef": 0, "matching": {"n": 6, "arcs": [[1, 2], [3, 4], [5, 6]], "dotted": [[1, 2]]}},
+    ]}))
+    code, out, _ = run(capsys, "reduce", "--input", str(source), "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"terms":[{"coef":2,"matching":{"n":4,"arcs":[[1,2],[3,4]],"dotted":[[3,4]]}},'
+        '{"coef":-2,"matching":{"n":4,"arcs":[[1,4],[2,3]],"dotted":[[1,4]]}},'
+        '{"coef":2,"matching":{"n":4,"arcs":[[1,2],[3,4]],"dotted":[[1,2]]}}]}\n'
+    )
+
+
+def test_reduce_refuses_two_surviving_degrees(capsys, tmp_path):
+    source = tmp_path / "sum.json"
+    source.write_text(json.dumps({"terms": [
+        {"coef": 1, "matching": M}, {"coef": 1, "matching": {**M, "dotted": [[2, 1]]}},
+    ]}))
+    code, out, err = run(capsys, "reduce", "--input", str(source))
+    assert code == 2 and out == ""
+    assert err == "error: inhomogeneous sum: degrees [(4, 1), (4, 2)]\n"
+
+
 def test_size_bound_admits_its_own_value(capsys):
     code, out, _ = run(capsys, "enumerate", "--n", str(MAX_SIZE_N), "--k", "0", "--format", "json")
     assert code == 0 and json.loads(out)["count"] == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from springerrep import DottedMatching, TwoRowTableau, expand
@@ -15,9 +17,11 @@ from springerrep.jsonio import (
     tabloid_sum_to_obj,
     undot_plain,
 )
+from springerrep.jsonio import matching_code_from_obj
+from springerrep.rewriting import _encode
 from springerrep.specht import matching_generator
 
-from bruteforce import tableau_from_obj
+from bruteforce import perfect_matchings, tableau_from_obj
 
 
 FIGURE = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(2, 3)])
@@ -109,3 +113,61 @@ def test_plain_renderings():
     v = FormalSum([(UndotSet(2, (1,)), -1), (UndotSet(2, (2,)), 1)])
     assert formal_plain(v, undot_plain) == "-1 {1}  +1 {2}"
     assert formal_plain(FormalSum.zero(), undot_plain) == "0"
+
+
+def make_or_error(n, arcs, dotted):
+    try:
+        m = DottedMatching.make(n, arcs, dotted)
+    except ValueError as err:
+        return str(err)
+    return (m.n, *_encode(m))
+
+
+def code_or_error(n, arcs, dotted):
+    try:
+        return matching_code_from_obj({"n": n, "arcs": arcs, "dotted": dotted})
+    except ValueError as err:
+        return str(err)
+
+
+def every_dotting(arcs):
+    return [list(dots) for r in range(len(arcs) + 1) for dots in itertools.combinations(arcs, r)]
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_code_decoder_agrees_with_make_on_every_perfect_matching(n):
+    # crossing matchings included: the same code or the same refusal, word for word
+    outcomes = set()
+    for arcs in perfect_matchings(n):
+        wire = [list(a) for a in arcs]
+        for dotted in every_dotting(wire):
+            expected = make_or_error(n, arcs, dotted)
+            assert code_or_error(n, wire, dotted) == expected
+            outcomes.add(type(expected))
+    assert outcomes == ({tuple, str} if n >= 4 else {tuple})
+
+
+@pytest.mark.parametrize("n, arcs, dotted", [
+    (6, [[6, 1], [3, 2], [5, 4]], [[3, 2]]),  # reversed pairs are read as arcs (accepted)
+    (6, [[1, 6], [2, 3], [4, 5]], [[3, 2]]),  # (accepted)
+    (4, [[0, 1], [2, 3]], []),  # out of range
+    (4, [[1, 2], [3, 5]], []),
+    (4, [[-1, 2], [3, 4]], []),
+    (4, [[1, 2], [2, 3]], []),  # repeated vertex
+    (4, [[1, 2], [3, 3]], []),
+    (4, [[1, 2]], []),  # wrong arc count
+    (4, [[1, 2], [3, 4], [1, 2]], []),
+    (2, [], []),
+    (5, [[1, 2], [3, 4]], []),  # odd or negative n
+    (-2, [], []),
+    (10 ** 12, [[1, 2]], []),
+    (4, [[1, 2], [3, 4]], [[1, 4]]),  # a dotted pair that is not an arc
+    (4, [[1, 2], [3, 4]], [[2, 3], [4, 3]]),
+    (8, [[1, 6], [2, 3], [4, 7], [5, 8]], [[2, 3]]),  # crossing
+])
+def test_code_decoder_agrees_with_make_on_malformed_input(n, arcs, dotted):
+    result = code_or_error(n, arcs, dotted)
+    assert result == make_or_error(n, arcs, dotted)
+    assert isinstance(result, tuple) == (n == 6)
+    if n == 6:
+        assert result == (6, 0b001011, 0b000010)

@@ -157,10 +157,23 @@ def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
 
 
 def test_code_outside_the_standard_basis_is_refused(monkeypatch):
-    monkeypatch.setattr(rw, "_standard_codes", lambda n, k: {})
+    monkeypatch.setattr(rw, "_basis_matching", lambda n, k, opens, dots: None)
     with pytest.raises(VerificationError, match="outside the standard basis") as info:
         reduce_to_standard(single(m_(4, [(1, 2), (3, 4)], [(1, 2)])))
     assert info.value.witness == {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "k": 1}
+
+
+def test_rewrite_that_changes_the_degree_is_refused(monkeypatch):
+    # a Type II step that drops the nested dot without dotting the new arc: the
+    # nesting falls, so only the degree check on the level-0 masks can see it
+    def drop_dot(opens, dots, site):
+        i, j, k, _ = site
+        return [(opens ^ (1 << j | 1 << k), dots ^ (1 << j), 1)]
+
+    monkeypatch.setattr(rw, "_rewrite", drop_dot)
+    with pytest.raises(VerificationError, match="outside the standard basis") as info:
+        reduce_to_standard(single(m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])))
+    assert info.value.witness == {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "k": 0}
 
 
 def test_reduce_of_zero_is_zero():
