@@ -49,7 +49,6 @@ from .specht import (
     matching_generator,
     polytabloid,
     psi,
-    span_rank,
     verify_module_equality,
 )
 

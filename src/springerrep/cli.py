@@ -24,22 +24,19 @@ from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import enumerate_noncrossing, enumerate_standard, phi, theta
 from .perms import Permutation, parse_permutation
-from .rewriting import ORACLE_MAX_N, _reduce_codes
+from .rewriting import MAX_VERIFY_N, _reduce_codes
 from .snaction import act_permutation, act_word, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid, standard_tableaux
 from .verify import SUITE_NAMES, run_suites
 
 MIN_VERIFY_N = 2
-MAX_VERIFY_N = 12
-WARN_VERIFY_N = 10
 # Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
 # largest input act and expand take.  At 14 each takes under 2 s and 100 MB (specht --n 14 --k 6
 # is the largest); output grows like Catalan(n/2) * 2^k, and specht at 16 has seven
 # times as many terms.
 MAX_SIZE_N = 14
-MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); the rewriting, "
-              f"module-equality, multiplicity and linearity suites stop at {ORACLE_MAX_N}, "
-              f"and dimension always runs to 12")
+MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); "
+              f"dimension always runs to {MAX_VERIFY_N}")
 
 
 def vertex_count(text: str) -> int:
@@ -277,8 +274,6 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n {args.max_n} is below the smallest case n={MIN_VERIFY_N}")
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n {args.max_n} exceeds the supported bound {MAX_VERIFY_N}")
-    if args.max_n > WARN_VERIFY_N:
-        print(f"warning: --max-n {args.max_n} may take a long time", file=sys.stderr)
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
     passed = sum(r.ok for r in results)

@@ -9,7 +9,7 @@ class VerificationError(Exception):
     """A cross-check that should hold mathematically came out false.
 
     Carries a ``witness`` dictionary locating the failure; raised by the
-    oracle comparisons, the Coxeter checks, and the rank certifications.
+    oracle comparisons, the Coxeter checks, and the span certificates.
     """
 
     def __init__(self, message: str, witness: dict[str, Any] | None = None):

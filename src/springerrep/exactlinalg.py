@@ -1,47 +1,17 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact sparse linear algebra over the integers and rationals.
 
-Rank uses fraction-free (Bareiss) elimination on dense integer rows, so
-integer matrices stay integer throughout.  Sparse reduced echelon forms
-work on ``dict`` rows and stay in the integers while every pivot entry is
-+-1; any other pivot turns its row into ``Fraction``s.  No floating point
-anywhere.
+Rows are ``dict``s from column to entry.  Reduced echelon forms stay in the
+integers while every pivot entry is +-1; any other pivot turns its row into
+``Fraction``s.  No floating point anywhere, and no rank: the certificates
+peel against unitriangular families instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Entry = int | Fraction
-
-
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix, fraction-free."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise ValueError("ragged matrix")
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pivot = mat[r][c]
-        for i in range(r + 1, nrows):
-            row_i, row_r = mat[i], mat[r]
-            factor = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def subtract_row(row: dict[int, Entry], factor: Entry, other: Mapping[int, Entry]) -> None:

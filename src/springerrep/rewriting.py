@@ -61,7 +61,10 @@ from .matchings import (
     syt_count,
 )
 
-ORACLE_MAX_N = 10  # every suite at --max-n 12 runs in under 15 s on 2 vCPUs
+# Largest n of the verify suites and of quotient_project_oracle.  Budget: all
+# of ``verify --suite all --max-n 12`` (252 checks) takes about 6 s on 2 vCPUs,
+# and must stay under 15 s.
+MAX_VERIFY_N = 12
 
 
 def _encode(m: DottedMatching) -> tuple[int, int]:
@@ -239,8 +242,8 @@ def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
     standard matchings are independent modulo the relations and that the
     quotient dimension matches the standard-tableau count.
     """
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"oracle bound exceeded: n={n} > {ORACLE_MAX_N}")
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
     generators = degree_generators(n, k)
     standard = list(enumerate_standard(n, k))
     nonstandard = [g for g in generators if not is_standard(g)]

@@ -7,6 +7,12 @@ group generated by the undotted arcs.  Relabelling line diagrams to
 tabloids (undot set = bottom row) carries the expansion L_M to e_M, and
 both generating sets span the same irreducible module in every degree —
 that is the representation-theoretic content this package certifies.
+
+No rank is computed.  The e_T are unitriangular in the undot-set order, so
+independent; the e_M have pairwise distinct leading tabloids with
+coefficient +-1, so independent too.  Each e_M peels to zero against the
+e_T in integers, so span{e_M} lies in span{e_T}, and equal dimension makes
+the spans equal.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import VerificationError
-from .exactlinalg import rank, subtract_row
+from .exactlinalg import subtract_row
 from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import (
@@ -24,15 +30,14 @@ from .matchings import (
     TwoRowTableau,
     check_partition,
     enumerate_standard,
-    partitions_of,
     phi,
     subset_order_key,
     syt_count,
 )
 from .snaction import (
     character_table,
+    class_characters,
     class_inner_product,
-    class_representative,
     irreducibility_check,
 )
 
@@ -55,13 +60,6 @@ class Tabloid:
 
     def sort_key(self):
         return (self.n, len(self.bottom), subset_order_key(self.bottom))
-
-
-@cache
-def tabloid_basis(n: int, k: int) -> tuple[Tabloid, ...]:
-    """All tabloids of shape (n-k, k) in undot-set order."""
-    sets = sorted(itertools.combinations(range(1, n + 1), k), key=subset_order_key)
-    return tuple(Tabloid(n, b) for b in sets)
 
 
 def polytabloid(t: TwoRowTableau) -> FormalSum:
@@ -104,53 +102,78 @@ def psi(v: FormalSum) -> FormalSum:
     return v.map_basis(lambda u: FormalSum.single(Tabloid(u.n, u.members)))
 
 
-def _degree_of(vectors) -> tuple[int, int]:
-    degrees = {(t.n, len(t.bottom)) for v in vectors for t, _ in v}
-    if len(degrees) != 1:
-        raise ValueError(f"vectors are not homogeneous: degrees {sorted(degrees)}")
-    return degrees.pop()
-
-
-def _coordinate_rows(vectors, n: int, k: int) -> list[list[int]]:
-    index = {t: c for c, t in enumerate(tabloid_basis(n, k))}
-    rows = []
-    for v in vectors:
-        row = [0] * len(index)
-        for t, coef in v:
-            row[index[t]] = coef
-        rows.append(row)
-    return rows
-
-
-def span_rank(vectors) -> int:
-    """Rank of a family of tabloid vectors, by fraction-free elimination."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    n, k = _degree_of(vectors)
-    return rank(_coordinate_rows(vectors, n, k))
-
-
 def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
     return [phi(m) for m in enumerate_standard(n, k)]
+
+
+def _keyed(v: FormalSum) -> dict[tuple[int, ...], int]:
+    """A tabloid vector as an integer dict keyed by ``subset_order_key``."""
+    return {subset_order_key(t.bottom): coef for t, coef in v}
+
+
+def _polytabloid_vectors(n: int, k: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Every e_T of degree (n, k), keyed by its lead {T}, in tableau order.
+
+    By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
+    each e_T has leading tabloid {T} in the undot-set order, coefficient 1;
+    this is checked, so the e_T are independent and peel in integers.
+    """
+    vectors = {}
+    for t in standard_tableaux(n, k):
+        lead = subset_order_key(t.bottom)
+        vector = _keyed(polytabloid(t))
+        if vector.get(lead) != 1 or max(vector) != lead:
+            raise VerificationError(
+                "polytabloid is not unitriangular in the undot-set order",
+                {"n": n, "k": k, "bottom": t.bottom},
+            )
+        vectors[lead] = vector
+    return vectors
+
+
+def _peel(vector: dict[tuple[int, ...], int], basis) -> dict[tuple[int, ...], int]:
+    """Subtract multiples of the unitriangular ``basis`` (lead -> vector) from
+    ``vector`` in place, largest lead first; returns the multiples.  What is
+    left in ``vector`` is zero exactly when it lay in the span."""
+    coords = {}
+    while vector and (lead := max(vector)) in basis:
+        coords[lead] = coef = vector[lead]
+        subtract_row(vector, coef, basis[lead])
+    return coords
 
 
 def verify_module_equality(n: int, k: int) -> bool:
     """Certify span{e_T} = span{e_M}, both of the full dimension.
 
-    Checks the three ranks, the shared pivot generator (the unnested
-    matching with its undotted arcs on the left gives e_M = e_T on the
-    nose), and that relabelling the expansion of each standard matching
-    yields its generator.
+    The e_T are unitriangular and the e_M have distinct +-1 leads, so each
+    family is independent; both have syt_count(n, k) members.  Every e_M
+    peels to zero against the e_T, so containment and equal dimension give
+    equality.  Also checks the shared pivot generator (the unnested matching
+    with its undotted arcs on the left gives e_M = e_T on the nose), and
+    that relabelling the expansion of each standard matching yields its
+    generator.
     """
-    e_t = [polytabloid(t) for t in standard_tableaux(n, k)]
-    e_m = [matching_generator(m) for m in enumerate_standard(n, k)]
+    e_t = _polytabloid_vectors(n, k)
+    leads = set()
+    for m in enumerate_standard(n, k):
+        vector = _keyed(matching_generator(m))
+        lead = max(vector, default=None)
+        witness = {"n": n, "k": k, "arcs": m.arcs, "dotted": sorted(m.dotted)}
+        if lead in leads or vector.get(lead) not in (1, -1):
+            raise VerificationError(
+                "matching generators do not have distinct leading tabloids with coefficient +-1",
+                {**witness, "tabloid": sorted(lead or ())},
+            )
+        leads.add(lead)
+        _peel(vector, e_t)
+        if vector:
+            raise VerificationError("matching generator is not in the Specht span",
+                                    {**witness, "tabloid": sorted(max(vector))})
     expected = syt_count(n, k)
-    ranks = (span_rank(e_t), span_rank(e_m), span_rank(e_t + e_m))
-    if ranks != (expected, expected, expected):
+    if (len(e_t), len(leads)) != (expected, expected):
         raise VerificationError(
-            "rank mismatch between Specht and matching modules",
-            {"n": n, "k": k, "ranks": ranks, "expected": expected},
+            "dimension mismatch between Specht and matching modules",
+            {"n": n, "k": k, "specht": len(e_t), "matching": len(leads), "expected": expected},
         )
     witness_m = DottedMatching.make(
         n,
@@ -174,9 +197,10 @@ def verify_module_equality(n: int, k: int) -> bool:
 def emit_top_degree_basis(n: int) -> list[FormalSum]:
     """The e_M for the fully undotted matchings, in canonical order.
 
-    In top degree this is the geometric (Kazhdan-Lusztig) basis of the
-    irreducible module for (n/2, n/2); the vectors are emitted for outside
-    comparison, no canonical-basis computation happens here.
+    The paper identifies this top-degree basis of the irreducible module for
+    (n/2, n/2) with the Kazhdan-Lusztig basis.  That identification is not
+    certified here (ROADMAP item 2): no canonical-basis computation happens,
+    and the vectors are emitted for outside comparison.
     """
     if n < 0 or n % 2:
         raise ValueError(f"vertex count must be even and nonnegative, got {n}")
@@ -187,44 +211,30 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Character of the S_n action restricted to span{e_T}, per cycle type.
 
-    By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
-    each e_T has leading tabloid {T} in the undot-set order, coefficient 1;
-    this is checked.  Each w.e_T is peeled in integers from the largest
-    leading tabloid down: the multiples are its coordinates, the trace sums
-    the diagonal ones, and a nonzero rest (outside the span) is reported.
+    For each s_i, each s_i.e_T is peeled against the unitriangular e_T in
+    integers: the multiples are its column of the matrix of s_i, and a
+    nonzero rest (outside the span) is reported.  Invariance under every s_i
+    is invariance under S_n; the characters come from the class-tree walk
+    that the matching module uses.
     """
-    tableaux = standard_tableaux(n, k)
-    leads = [subset_order_key(t.bottom) for t in tableaux]
-    vectors = []
-    for t, lead in zip(tableaux, leads):
-        vector = {subset_order_key(tab.bottom): coef for tab, coef in polytabloid(t)}
-        if vector.get(lead) != 1 or max(vector) != lead:
-            raise VerificationError(
-                "polytabloid is not unitriangular in the undot-set order",
-                {"n": n, "k": k, "bottom": t.bottom},
-            )
-        vectors.append(vector)
-    order = sorted(range(len(leads)), key=leads.__getitem__, reverse=True)
-    out = {}
-    for cycle_type in partitions_of(n):
-        images = (0,) + class_representative(n, cycle_type).images
-        trace = 0
-        for i, vector in enumerate(vectors):
-            image = {subset_order_key([images[x] for x in b]): coef for b, coef in vector.items()}
-            for j in order:
-                coef = image.get(leads[j])
-                if coef:
-                    if j == i:
-                        trace += coef
-                    subtract_row(image, coef, vectors[j])
+    vectors = _polytabloid_vectors(n, k)
+    row = {lead: r for r, lead in enumerate(vectors)}
+    columns = []
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        generator = []
+        for lead, vector in vectors.items():
+            image = {subset_order_key([swap.get(x, x) for x in b]): c for b, c in vector.items()}
+            coords = _peel(image, vectors)
             if image:
                 raise VerificationError(
                     "Specht span is not S_n-invariant",
-                    {"n": n, "k": k, "type": cycle_type, "bottom": tableaux[i].bottom,
+                    {"n": n, "k": k, "i": i, "bottom": tuple(sorted(lead)),
                      "tabloid": sorted(max(image))},
                 )
-        out[cycle_type] = trace
-    return out
+            generator.append(tuple((row[b], c) for b, c in coords.items()))
+        columns.append(tuple(generator))
+    return class_characters(n, tuple(columns), len(vectors))
 
 
 def graded_decomposition(n: int) -> list[tuple[int, tuple[int, ...]]]:

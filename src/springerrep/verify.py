@@ -1,10 +1,11 @@
 """Named verification suites behind the ``verify`` CLI command.
 
 ``SUITES`` is the one table of suites, in report order: each maps to the
-checks it runs for one even ``n`` and to the largest ``n`` it covers.  Tasks
-run serially in table order, so reports are byte-identical from run to run.
-Failures are reported, never raised, and carry the witness of whichever
-identity broke.
+checks it runs for one even ``n`` and to the largest ``n`` it covers: every
+suite runs to ``--max-n``, which the CLI bounds by ``MAX_VERIFY_N``, and
+dimension always runs to that bound.  Tasks run serially in table order, so
+reports are byte-identical from run to run.  Failures are reported, never
+raised, and carry the witness of whichever identity broke.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .matchings import (
     TwoRowTableau,
     standard_bottom_sets,
 )
-from .rewriting import ORACLE_MAX_N, degree_generators, quotient_project_oracle, reduce_to_standard
+from .rewriting import MAX_VERIFY_N, degree_generators, quotient_project_oracle, reduce_to_standard
 from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
@@ -131,14 +132,9 @@ def _up_to_max_n(max_n: int) -> int:
     return max_n
 
 
-def _desk(max_n: int) -> int:
-    """Suites doing exact elimination over all generators stop at ORACLE_MAX_N."""
-    return min(max_n, ORACLE_MAX_N)
-
-
-def _through_12(max_n: int) -> int:
-    """The fiber-dimension formula is always checked for every n <= 12."""
-    return max(max_n, 12)
+def _through_bound(max_n: int) -> int:
+    """The fiber-dimension formula is always checked for every n <= MAX_VERIFY_N."""
+    return max(max_n, MAX_VERIFY_N)
 
 
 # suite -> (checks for one n, largest n covered given --max-n), in report order.
@@ -147,7 +143,7 @@ def _through_12(max_n: int) -> int:
 SUITES: dict[str, tuple[Callable[[int, int], Rows], Callable[[int], int]]] = {
     "counting": (_counting, _up_to_max_n),
     "bijection": (_per_degree("round-trip", _bijection), _up_to_max_n),
-    "rewriting": (_per_degree("oracle", _rewriting), _desk),
+    "rewriting": (_per_degree("oracle", _rewriting), _up_to_max_n),
     "echelon": (_per_degree("row-echelon", lambda n, k: (
         echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), _up_to_max_n),
     "coxeter": (_per_degree("relations", _coxeter), _up_to_max_n),
@@ -155,10 +151,10 @@ SUITES: dict[str, tuple[Callable[[int, int], Rows], Callable[[int], int]]] = {
         chart_diagram_consistency(n, k), f"{syt_count(n, k) * (n - 1)} identities")), _up_to_max_n),
     "irreducibility": (_per_degree("character-norm", _irreducibility), _up_to_max_n),
     "module-equality": (_per_degree("spans", lambda n, k: (
-        verify_module_equality(n, k), f"rank {syt_count(n, k)}")), _desk),
-    "multiplicity": (_multiplicity, _desk),
-    "dimension": (_dimension, _through_12),
-    "linearity": (_linearity, _desk),
+        verify_module_equality(n, k), f"rank {syt_count(n, k)}")), _up_to_max_n),
+    "multiplicity": (_multiplicity, _up_to_max_n),
+    "dimension": (_dimension, _through_bound),
+    "linearity": (_linearity, _up_to_max_n),
 }
 
 SUITE_NAMES = tuple(SUITES)

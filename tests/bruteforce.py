@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from springerrep import (
     DottedMatching,
@@ -32,7 +33,7 @@ from springerrep.matchings import (
 from springerrep.perms import Permutation
 from springerrep.rewriting import degree_generators, relation_vectors
 from springerrep.snaction import class_representative
-from springerrep.specht import standard_tableaux, tabloid_basis
+from springerrep.specht import standard_tableaux
 
 
 def perfect_matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -428,6 +429,71 @@ def solve_in_span(basis, targets) -> list[list[Fraction]]:
     if len(pivots) != nb:
         raise ValueError("basis vectors are linearly dependent")
     return [[reduced[r][nb + t] for r in range(nb)] for t in range(len(targets))]
+
+
+def rank(rows) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    (Bareiss) elimination: integer rows stay integer throughout."""
+    mat = [list(r) for r in rows]
+    if not mat or not mat[0]:
+        return 0
+    nrows, ncols = len(mat), len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("ragged matrix")
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pivot = mat[r][c]
+        for i in range(r + 1, nrows):
+            row_i, row_r = mat[i], mat[r]
+            factor = row_i[c]
+            for j in range(c + 1, ncols):
+                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
+            row_i[c] = 0
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+@cache
+def tabloid_basis(n: int, k: int) -> tuple[Tabloid, ...]:
+    """All tabloids of shape (n-k, k) in undot-set order."""
+    sets = sorted(itertools.combinations(range(1, n + 1), k), key=subset_order_key)
+    return tuple(Tabloid(n, b) for b in sets)
+
+
+def _degree_of(vectors) -> tuple[int, int]:
+    degrees = {(t.n, len(t.bottom)) for v in vectors for t, _ in v}
+    if len(degrees) != 1:
+        raise ValueError(f"vectors are not homogeneous: degrees {sorted(degrees)}")
+    return degrees.pop()
+
+
+def _coordinate_rows(vectors, n: int, k: int) -> list[list[int]]:
+    index = {t: c for c, t in enumerate(tabloid_basis(n, k))}
+    rows = []
+    for v in vectors:
+        row = [0] * len(index)
+        for t, coef in v:
+            row[index[t]] = coef
+        rows.append(row)
+    return rows
+
+
+def span_rank(vectors) -> int:
+    """Rank of a family of tabloid vectors over all C(n, k) tabloid columns,
+    by dense ``rank``: the reference for the peeling certificate."""
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    n, k = _degree_of(vectors)
+    return rank(_coordinate_rows(vectors, n, k))
 
 
 def dense_quotient_table(n: int, k: int) -> dict[DottedMatching, FormalSum]:

@@ -288,6 +288,13 @@ def test_verify_rejects_huge_max_n(capsys):
     assert code == 2 and "exceeds" in err
 
 
+def test_verify_runs_every_suite_to_the_bound_without_warning(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "linearity", "--max-n", "12",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert [c["name"] for c in json.loads(out)["checks"]][-1] == "n=12 random-combinations"
+
+
 @pytest.mark.parametrize("max_n", ("0", "-2"))
 def test_verify_rejects_max_n_below_two(capsys, max_n):
     code, out, err = run(capsys, "verify", "--max-n", max_n)

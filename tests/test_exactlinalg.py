@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from springerrep.exactlinalg import rank, sparse_rref
+from springerrep.exactlinalg import sparse_rref
 
-from bruteforce import identity_matrix, is_identity, mat_mul, rref, solve_in_span
+from bruteforce import identity_matrix, is_identity, mat_mul, rank, rref, solve_in_span
 
 
 def test_rank_basics():

@@ -253,7 +253,7 @@ def test_oracle_dimensions():
 
 def test_oracle_bound():
     with pytest.raises(ValueError):
-        quotient_project_oracle(12, 5)
+        quotient_project_oracle(14, 5)
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))

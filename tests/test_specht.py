@@ -15,12 +15,11 @@ from springerrep import (
     matching_generator,
     polytabloid,
     psi,
-    span_rank,
     verify_module_equality,
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard, partitions_of
+from springerrep.matchings import enumerate_standard, partitions_of, syt_count
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -34,6 +33,7 @@ from bruteforce import (
     dense_specht_characters,
     permute_diagram,
     permute_tabloids,
+    span_rank,
     two_row_character_oracle,
 )
 
@@ -213,7 +213,7 @@ def test_graded_decomposition_examples():
     assert character(2, 1, (2,)) == -1  # the sign representation in top degree
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_matching_and_specht_characters_are_orthonormal_by_shape(n):
     degrees = range(n // 2 + 1)
     for k in degrees:
@@ -237,3 +237,42 @@ def test_rank_mismatch_raises(monkeypatch):
     monkeypatch.setattr(sp, "syt_count", lambda n, k: 7)
     with pytest.raises(VerificationError):
         verify_module_equality(4, 1)
+
+
+def test_module_equality_names_the_generator_that_fails_to_peel(monkeypatch):
+    import springerrep.specht as sp
+
+    # single standard tabloids are unitriangular, but e_M = {2} - {1} leaves {1} behind
+    monkeypatch.setattr(sp, "polytabloid", lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
+    with pytest.raises(VerificationError, match="not in the Specht span") as info:
+        verify_module_equality(4, 1)
+    witness = info.value.witness
+    assert (witness["arcs"], witness["dotted"], witness["tabloid"]) == (
+        ((1, 2), (3, 4)), [(3, 4)], [1])
+
+
+@pytest.mark.parametrize("broken", ["repeated", "doubled"])
+def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
+    import springerrep.specht as sp
+
+    honest = sp.matching_generator
+    first, second = enumerate_standard(6, 2)[:2]
+
+    def sabotaged(m):
+        if m != second:
+            return honest(m)
+        return honest(first) if broken == "repeated" else 2 * honest(m)
+
+    monkeypatch.setattr(sp, "matching_generator", sabotaged)
+    with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
+        verify_module_equality(6, 2)
+    assert info.value.witness["arcs"] == second.arcs
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_module_equality_agrees_with_dense_rank(n):
+    for k in range(n // 2 + 1):
+        e_t = [polytabloid(t) for t in standard_tableaux(n, k)]
+        e_m = [matching_generator(m) for m in enumerate_standard(n, k)]
+        expected = syt_count(n, k)
+        assert (span_rank(e_t), span_rank(e_m), span_rank(e_t + e_m)) == (expected,) * 3

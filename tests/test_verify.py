@@ -10,7 +10,6 @@ def test_all_suites_pass_at_small_n():
 
 
 def test_suite_order_and_n_ranges():
-    capped = ("rewriting", "module-equality", "multiplicity", "linearity")
     for max_n in (8, 12):
         covered = {}
         for task in build_tasks(reversed(SUITE_NAMES), max_n=max_n):
@@ -19,9 +18,9 @@ def test_suite_order_and_n_ranges():
             "counting", "bijection", "rewriting", "echelon", "coxeter", "consistency",
             "irreducibility", "module-equality", "multiplicity", "dimension", "linearity",
         ]
-        up_to = {suite: min(max_n, 10) for suite in capped} | {"dimension": 12}
         for suite, labels in covered.items():
-            assert labels == [f"n={n}" for n in range(2, up_to.get(suite, max_n) + 1, 2)], suite
+            up_to = 12 if suite == "dimension" else max_n
+            assert labels == [f"n={n}" for n in range(2, up_to + 1, 2)], suite
 
 
 def test_seed_changes_only_the_sampling():
