@@ -43,15 +43,29 @@ def _require_standard(m: DottedMatching) -> None:
         raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
 
 
+def expansion_masks(m: DottedMatching) -> dict[int, int]:
+    """L_M as {undot-set mask: ±1}, strand x at bit x-1: the one expansion rule,
+    the product over undotted arcs (i, j) of (l_j - l_i) multiplied out in
+    ``itertools.product`` order.  :func:`expand` checks that M is standard."""
+    terms = {0: 1}
+    for i, j in m.undotted_arcs:
+        terms = {
+            mask | bit: sign * coef
+            for mask, coef in terms.items()
+            for bit, sign in ((1 << (i - 1), -1), (1 << (j - 1), 1))
+        }
+    return terms
+
+
 @cache
 def expand(m: DottedMatching) -> FormalSum:
     """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1."""
     _require_standard(m)
-    terms = []
-    for choice in itertools.product(*m.undotted_arcs):
-        lefts = sum(1 for (i, _), v in zip(m.undotted_arcs, choice) if v == i)
-        terms.append((UndotSet(m.n, choice), -1 if lefts % 2 else 1))
-    return FormalSum(terms)
+    strands = range(1, m.n + 1)
+    return FormalSum(
+        (UndotSet(m.n, tuple(x for x in strands if mask >> (x - 1) & 1)), coef)
+        for mask, coef in expansion_masks(m).items()
+    )
 
 
 def echelon_certificate(n: int, k: int) -> bool:

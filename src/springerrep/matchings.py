@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import comb
 
 
@@ -79,17 +79,6 @@ class NoncrossingMatching:
 
     def __post_init__(self):
         object.__setattr__(self, "arcs", noncrossing_arcs(self.n, self.arcs))
-
-    @cached_property
-    def _arc_of(self) -> dict[int, tuple[int, int]]:
-        return {v: arc for arc in self.arcs for v in arc}
-
-    def arc_containing(self, vertex: int) -> tuple[int, int]:
-        return self._arc_of[vertex]
-
-    def partner(self, vertex: int) -> int:
-        i, j = self._arc_of[vertex]
-        return j if vertex == i else i
 
     def enclosers(self, arc: tuple[int, int]) -> tuple[tuple[int, int], ...]:
         """Arcs strictly enclosing ``arc``, innermost last."""

@@ -15,17 +15,21 @@ permutation gives the same answer; :func:`chart_diagram_consistency`
 checks that identity exhaustively, and it is what makes the chart a
 representation at all.
 
-The chart is evaluated once per (n, k, i, basis matching) and stored in a
-per-degree table: the standard basis of degree (n, k), its index, and for
-each s_i the sparse integer columns of its matrix.  Every image must be a
-standard basis matching, or building the table fails.  Characters, Coxeter
-checks and representation matrices run on integer vectors over that
-table.  The public action works on classes: an arbitrary sum of dotted
-matchings is first rewritten into the standard basis, then acted on.
+The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.rewriting`
+with a partner array per matching: cases 1 and 2 are read off the bits, and
+M' clears the four endpoint bits and sets those of i and the nearer far end.
+It is evaluated once per (n, k, i, basis matching) into a per-degree table:
+the standard basis, its index by code, and for each s_i the sparse integer
+columns of its matrix; an image outside the basis fails the build.
+Characters and representation matrices run on vectors over that table, the
+Coxeter relations on whole matrices as column products.  The public action
+works on classes: an arbitrary sum of dotted matchings is first rewritten
+into the standard basis, then acted on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -33,10 +37,10 @@ from math import factorial
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import expand
+from .linediagrams import expansion_masks
 from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of
 from .perms import Permutation
-from .rewriting import reduce_to_standard
+from .rewriting import _encode, reduce_to_standard
 
 Column = tuple[tuple[int, int], ...]  # sparse (row, coefficient) pairs
 
@@ -63,7 +67,7 @@ class _Tables:
 
     n: int
     basis: tuple[DottedMatching, ...]
-    index: dict[DottedMatching, int]
+    index: dict[tuple[int, int], int]  # (opens, dots) code -> basis index
     columns: tuple[tuple[Column, ...], ...]  # columns[i - 1][c]: image of basis[c] under s_i
 
     @cached_property
@@ -71,44 +75,44 @@ class _Tables:
         return class_characters(self.n, self.columns, len(self.basis))
 
 
-def _chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
-    """The four-case local rule for s_i on a standard matching."""
-    arc_left = m.matching.arc_containing(i)
-    arc_right = m.matching.arc_containing(i + 1)
-    if arc_left == arc_right:
-        return [(m, 1 if m.is_dotted(arc_left) else -1)]
-    if m.is_dotted(arc_left) and m.is_dotted(arc_right):
-        return [(m, 1)]
-    j = m.matching.partner(i)
-    k = m.matching.partner(i + 1)
-    far_arc = (min(j, k), max(j, k))
-    spectators = [a for a in m.arcs if a not in (arc_left, arc_right)]
-    spectator_dots = [a for a in m.dotted if a not in (arc_left, arc_right)]
-    one_dotted = m.is_dotted(arc_left) != m.is_dotted(arc_right)
-    rewired = DottedMatching.make(
-        m.n,
-        spectators + [(i, i + 1), far_arc],
-        spectator_dots + ([far_arc] if one_dotted else []),
-    )
-    return [(m, 1), (rewired, 1)]
+def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int, int, int]]:
+    """The four-case local rule for s_i on a standard matching code, as
+    (opens, dots, coef) terms; ``partner[v]`` is the bit joined to bit v."""
+    a, b = i - 1, i
+    j, k = partner[a], partner[b]
+    if j == b:
+        return [(opens, dots, 1 if dots >> a & 1 else -1)]
+    left_dotted, right_dotted = dots >> min(a, j) & 1, dots >> min(b, k) & 1
+    if left_dotted and right_dotted:
+        return [(opens, dots, 1)]
+    ends, far = 1 << a | 1 << b | 1 << j | 1 << k, 1 << min(j, k)
+    dot = far if left_dotted != right_dotted else 0
+    return [(opens, dots, 1), (opens & ~ends | 1 << a | far, dots & ~ends | dot, 1)]
 
 
 @cache
 def _tables(n: int, k: int) -> _Tables:
     basis = enumerate_standard(n, k)
-    index = {m: r for r, m in enumerate(basis)}
+    codes = [_encode(m) for m in basis]
+    index = {code: r for r, code in enumerate(codes)}
+    partners = [[0] * n for _ in basis]
+    for partner, m in zip(partners, basis):
+        for x, y in m.arcs:
+            partner[x - 1], partner[y - 1] = y - 1, x - 1
     columns = []
     for i in range(1, n):
         generator = []
-        for m in basis:
+        for c, (opens, dots) in enumerate(codes):
             column = []
-            for image, coef in _chart(i, m):
-                if image not in index:
+            for image_opens, image_dots, coef in _chart(i, opens, dots, partners[c]):
+                r = index.get((image_opens, image_dots))
+                if r is None:
+                    m = basis[c]
                     raise VerificationError(
                         "chart image is not a standard basis matching",
                         {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
                     )
-                column.append((index[image], coef))
+                column.append((r, coef))
             generator.append(tuple(column))
         columns.append(tuple(generator))
     return _Tables(n, basis, index, tuple(columns))
@@ -130,7 +134,7 @@ def class_characters(n: int, columns, dim: int) -> dict[tuple[int, ...], int]:
             if parent is None:
                 vec = {c: 1}
             else:
-                step = _step(columns[letter - 1], vectors[parent])
+                step = _step(columns[letter - 1], vectors[parent].items())
                 vec = {r: coef for r, coef in step.items() if coef}
             vectors[parts] = vec
             traces[parts] += vec.get(c, 0)
@@ -143,20 +147,27 @@ def _check_word(word: tuple[int, ...], n: int) -> None:
             raise ValueError(f"generator index {i} out of range for n={n}")
 
 
-def _step(columns: tuple[Column, ...], vec: dict[int, int]) -> dict[int, int]:
-    """Apply one generator, given by its columns, to an integer vector."""
+def _step(columns: tuple[Column, ...], vec: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Apply one generator, given by its columns, to the (index, coefficient)
+    pairs of an integer vector."""
     acc: dict[int, int] = {}
     get = acc.get
-    for c, coef in vec.items():
+    for c, coef in vec:
         for r, entry in columns[c]:
             acc[r] = get(r, 0) + coef * entry
     return acc
 
 
+def _product(left: tuple[Column, ...], right: tuple[Column, ...]) -> tuple[Column, ...]:
+    """Columns of the matrix product left * right, each sorted by row with
+    zeros dropped, so that equal matrices compare equal."""
+    return tuple(tuple(sorted([e for e in _step(left, col).items() if e[1]])) for col in right)
+
+
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
     """Apply a word to an integer vector, rightmost letter first."""
     for letter in reversed(word):
-        vec = _step(tables.columns[letter - 1], vec)
+        vec = _step(tables.columns[letter - 1], vec.items())
     return {r: coef for r, coef in vec.items() if coef}
 
 
@@ -178,7 +189,7 @@ def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
     for (n, k), terms in degrees.items():
         _check_word(word, n)
         tables = _tables(n, k)
-        vec = {tables.index[m]: coef for m, coef in reduce_to_standard(FormalSum(terms))}
+        vec = {tables.index[_encode(m)]: coef for m, coef in reduce_to_standard(FormalSum(terms))}
         image = _apply(tables, word, vec)
         result += FormalSum((tables.basis[r], coef) for r, coef in image.items())
     return result
@@ -191,12 +202,12 @@ def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
 
 def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
     """Matrix of s_i; column c holds the image of the c-th basis matching."""
-    tables = _tables(n, k)
     _check_word((i,), n)
+    tables = _tables(n, k)
     size = len(tables.basis)
     entries = [[0] * size for _ in range(size)]
-    for c in range(size):
-        for r, coef in _apply(tables, (i,), {c: 1}).items():
+    for c, column in enumerate(tables.columns[i - 1]):
+        for r, coef in column:
             entries[r][c] = coef
     return RepMatrix(n, k, tuple(tuple(row) for row in entries))
 
@@ -211,24 +222,29 @@ class CoxeterReport:
 
 
 def verify_coxeter(n: int, k: int) -> CoxeterReport:
-    """Check s_i^2 = 1, braid, and commuting relations on the rep matrices."""
+    """Check s_i^2 = 1, then braid and commuting relations, as column products.
+
+    With every s_i an involution, the inverse of a word is the word reversed,
+    so (s_i s_{i+1})^3 = 1 holds exactly when s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1},
+    and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.
+    """
     tables = _tables(n, k)
-
-    def is_identity_word(word: tuple[int, ...]) -> bool:
-        return all(_apply(tables, word, {c: 1}) == {c: 1} for c in range(len(tables.basis)))
-
+    s = (None, *tables.columns)  # s[i]: the columns of s_i
+    identity = tuple(((c, 1),) for c in range(len(tables.basis)))
     involutions = braid = commuting = 0
     for i in range(1, n):
-        if not is_identity_word((i, i)):
+        if _product(s[i], s[i]) != identity:
             raise VerificationError("s_i^2 != 1", {"n": n, "k": k, "i": i})
         involutions += 1
     for i in range(1, n - 1):
-        if not is_identity_word((i, i + 1) * 3):
+        a, b = s[i], s[i + 1]
+        ab = _product(a, b)
+        if _product(ab, a) != _product(b, ab):
             raise VerificationError("braid relation fails", {"n": n, "k": k, "i": i, "j": i + 1})
         braid += 1
     for i in range(1, n):
         for j in range(i + 2, n):
-            if not is_identity_word((i, j) * 2):
+            if _product(s[i], s[j]) != _product(s[j], s[i]):
                 raise VerificationError("commuting relation fails", {"n": n, "k": k, "i": i, "j": j})
             commuting += 1
     return CoxeterReport(n, k, involutions, braid, commuting)
@@ -341,12 +357,10 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
     For every standard M and generator s_i, the expansion of the chart's
     answer must equal the relabelled expansion of M.  This is the central
     identity behind the representation.  Diagrams are held as bitmasks of
-    their undot sets; the diagram side never reads the action tables.
+    their undot sets, from ``expansion_masks``; they never read the tables.
     """
     basis = enumerate_standard(n, k)
-    diagrams = [
-        {sum(1 << (x - 1) for x in u.members): coef for u, coef in expand(m)} for m in basis
-    ]
+    diagrams = [expansion_masks(m) for m in basis]
     tables = _tables(n, k)
     for c, m in enumerate(basis):
         for i in range(1, n):

@@ -129,6 +129,29 @@ def two_row_character_oracle(w: Permutation, k: int) -> int:
     return fixed_subsets(w, k) - (fixed_subsets(w, k - 1) if k else 0)
 
 
+def chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
+    """The four-case local rule for s_i on a standard matching, on objects:
+    the reference for the code rule ``snaction._chart``."""
+    arc_of = {v: arc for arc in m.arcs for v in arc}
+    arc_left, arc_right = arc_of[i], arc_of[i + 1]
+    if arc_left == arc_right:
+        return [(m, 1 if m.is_dotted(arc_left) else -1)]
+    if m.is_dotted(arc_left) and m.is_dotted(arc_right):
+        return [(m, 1)]
+    j = sum(arc_left) - i  # the partner of i
+    k = sum(arc_right) - (i + 1)
+    far_arc = (min(j, k), max(j, k))
+    spectators = [a for a in m.arcs if a not in (arc_left, arc_right)]
+    spectator_dots = [a for a in m.dotted if a not in (arc_left, arc_right)]
+    one_dotted = m.is_dotted(arc_left) != m.is_dotted(arc_right)
+    rewired = DottedMatching.make(
+        m.n,
+        spectators + [(i, i + 1), far_arc],
+        spectator_dots + ([far_arc] if one_dotted else []),
+    )
+    return [(m, 1), (rewired, 1)]
+
+
 def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Trace of every class on degree (n, k), one class at a time: the
     bubble-sort reduced word of ``class_representative`` applied to each

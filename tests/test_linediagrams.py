@@ -9,6 +9,7 @@ from springerrep import (
     echelon_certificate,
     expand,
 )
+from springerrep.linediagrams import expansion_masks
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard
 from springerrep.perms import Permutation, parse_permutation
@@ -67,6 +68,15 @@ def test_expand_examples():
     assert expand(square) == FormalSum([
         (u_(4, 2, 4), 1), (u_(4, 1, 4), -1), (u_(4, 2, 3), -1), (u_(4, 1, 3), 1),
     ])
+
+
+def test_expansion_masks_examples():
+    # strand x at bit x-1; product order over the arcs, left endpoint first
+    assert expansion_masks(m_(4, [(1, 2), (3, 4)], [(1, 2), (3, 4)])) == {0: 1}
+    assert expansion_masks(m_(4, [(1, 2), (3, 4)], [(3, 4)])) == {0b01: -1, 0b10: 1}
+    assert list(expansion_masks(m_(4, [(1, 2), (3, 4)])).items()) == [
+        (0b0101, 1), (0b1001, -1), (0b0110, -1), (0b1010, 1),
+    ]
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -32,6 +32,7 @@ from springerrep.snaction import (
 from springerrep.verify import run_suites
 
 from bruteforce import (
+    chart,
     conjugacy_class_size,
     is_identity,
     mat_mul,
@@ -133,6 +134,13 @@ def test_coxeter_relations(n):
     for k in range(n // 2 + 1):
         report = verify_coxeter(n, k)
         assert report.involutions == n - 1
+
+
+def test_rep_matrix_checks_the_generator_before_building_tables():
+    before = snaction._tables.cache_info().misses
+    with pytest.raises(ValueError, match="out of range"):
+        rep_matrix(14, 5, 99)
+    assert snaction._tables.cache_info().misses == before
 
 
 def test_rep_matrices_square_to_identity():
@@ -241,35 +249,49 @@ def test_action_on_nonstandard_matching_pinned():
     ])
 
 
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+def test_code_chart_equals_object_rule(n):
+    # every (M, i) pair of degree n: 13042 of them over n <= 12
+    pairs = 0
+    for k in range(n // 2 + 1):
+        tables = snaction._tables(n, k)
+        index = {m: r for r, m in enumerate(tables.basis)}
+        for i in range(1, n):
+            for c, m in enumerate(tables.basis):
+                expected = tuple((index[image], coef) for image, coef in chart(i, m))
+                assert tables.columns[i - 1][c] == expected
+                pairs += 1
+    assert pairs == (n - 1) * comb(n, n // 2)
+
+
 @pytest.fixture
 def broken_chart(monkeypatch):
-    """Install a replacement chart rule on an empty table cache."""
+    """Install a replacement code rule on an empty table cache."""
     real = snaction._chart
 
     def install(rule):
         snaction._tables.cache_clear()
-        monkeypatch.setattr(snaction, "_chart", lambda i, m: rule(real, i, m))
+        monkeypatch.setattr(snaction, "_chart", lambda *args: rule(real, *args))
 
     snaction._tables.cache_clear()
     yield install
     snaction._tables.cache_clear()
 
 
-def sign_of_undotted_pair_flipped(real, i, m):
-    return [(image, abs(coef)) for image, coef in real(i, m)]
+def sign_of_undotted_pair_flipped(real, i, opens, dots, partner):
+    return [(o, d, abs(coef)) for o, d, coef in real(i, opens, dots, partner)]
 
 
-def dot_on_new_short_arc(real, i, m):
-    images = real(i, m)
-    if len(images) == 2:
-        rewired = images[1][0]
-        moved = rewired.dotted - m.dotted
-        if moved:
-            images[1] = (DottedMatching(rewired.matching, (rewired.dotted - moved) | {(i, i + 1)}), 1)
+def dot_on_new_short_arc(real, i, opens, dots, partner):
+    images = real(i, opens, dots, partner)
+    far = 1 << min(partner[i - 1], partner[i])  # the far arc opens here in M'
+    if len(images) == 2 and images[1][1] & far:
+        o, d, coef = images[1]
+        images[1] = (o, d ^ far | 1 << (i - 1), coef)
     return images
 
 
-@pytest.mark.parametrize("suite", ("consistency", "irreducibility"))
+@pytest.mark.parametrize("suite", ("coxeter", "consistency", "irreducibility"))
 def test_broken_chart_is_caught_by_suite(broken_chart, suite):
     assert all(r.ok for r in run_suites([suite], 6))
     broken_chart(sign_of_undotted_pair_flipped)
@@ -291,3 +313,25 @@ def test_chart_image_outside_basis_is_rejected(broken_chart):
     assert info.value.witness == {
         "n": 4, "k": 1, "i": 2, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)],
     }
+
+
+SWAP = (((1, 1),), ((0, 1),))
+ONE = (((0, 1),), ((1, 1),))
+SHEAR = (((0, 1),), ((0, 1), (1, 1)))
+# s_1, s_2 of the chart at n = 4, k = 2: reflections whose product has order 3
+S1 = (((0, -1),), ((0, 1), (1, 1)))
+S2 = (((0, 1), (1, 1)), ((1, -1),))
+
+
+@pytest.mark.parametrize("n, generators, message, witness", [
+    (3, (SHEAR, ONE), "s_i\\^2 != 1", {"i": 1}),
+    (3, (SWAP, ONE), "braid relation fails", {"i": 1, "j": 2}),
+    (4, (S1, S1, S2), "commuting relation fails", {"i": 1, "j": 3}),
+])
+def test_each_relation_gate_fires_alone(monkeypatch, n, generators, message, witness):
+    # generators that break exactly one relation; all but the shear are involutions
+    tables = snaction._Tables(n, (None, None), {}, generators)
+    monkeypatch.setattr(snaction, "_tables", lambda n, k: tables)
+    with pytest.raises(VerificationError, match=message) as info:
+        verify_coxeter(n, 0)
+    assert info.value.witness == {"n": n, "k": 0, **witness}
