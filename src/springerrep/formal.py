@@ -53,9 +53,9 @@ class FormalSum:
     def items(self) -> Iterator[tuple[Any, int]]:
         return iter(self._terms.items())
 
-    def sorted_terms(self, key: Callable[[Any], Any] = _default_key) -> list[tuple[Any, int]]:
+    def sorted_terms(self) -> list[tuple[Any, int]]:
         """Terms in a deterministic order, independent of computation history."""
-        return sorted(self._terms.items(), key=lambda item: key(item[0]))
+        return sorted(self._terms.items(), key=lambda item: _default_key(item[0]))
 
     def map_basis(self, f: Callable[[Any], "FormalSum"]) -> FormalSum:
         """Linear extension of a basis map ``f: element -> FormalSum``."""

@@ -7,17 +7,17 @@ endpoint per undotted arc, signed by the parity of how many left endpoints
 were chosen.  This expansion is the homology image of the matching under
 the component-wise antipodal embedding, and the choose-the-right-endpoint
 term always carries coefficient +1 — which makes the expansion matrix
-row-echelon once rows and columns are sorted by the undot-set order.
+row-echelon once rows and columns are sorted by the undot-set order.  The
+certificates hold undot sets as bitmasks (strand x at bit x-1), on which
+that order is integer order (:func:`~springerrep.matchings.subset_mask`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .formal import FormalSum
-from .matchings import DottedMatching, enumerate_standard, is_standard, subset_order_key
+from .matchings import DottedMatching, enumerate_standard, is_standard, subset_mask, subset_members
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class UndotSet:
             raise ValueError(f"strand out of range 1..{self.n}: {self.members}")
 
     def sort_key(self):
-        return (self.n, len(self.members), subset_order_key(self.members))
+        return (self.n, len(self.members), subset_mask(self.members))
 
 
 def _require_standard(m: DottedMatching) -> None:
@@ -57,36 +57,35 @@ def expansion_masks(m: DottedMatching) -> dict[int, int]:
     return terms
 
 
-@cache
 def expand(m: DottedMatching) -> FormalSum:
     """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1."""
     _require_standard(m)
-    strands = range(1, m.n + 1)
     return FormalSum(
-        (UndotSet(m.n, tuple(x for x in strands if mask >> (x - 1) & 1)), coef)
-        for mask, coef in expansion_masks(m).items()
+        (UndotSet(m.n, subset_members(mask)), coef) for mask, coef in expansion_masks(m).items()
     )
+
+
+def _swap_strands(mask: int, i: int) -> int:
+    """s_i on a subset mask, strand x at bit x-1: exchange strands i and i+1
+    of a line diagram, or entries i and i+1 of a tabloid's bottom row."""
+    pair = 0b11 << (i - 1)
+    both = mask & pair
+    return mask ^ pair if both and both != pair else mask
 
 
 def echelon_certificate(n: int, k: int) -> bool:
     """Is the matrix of M -> L_M in row-echelon form with pivots +1?
 
-    Rows are the standard matchings and columns all k-subsets of {1..n},
-    both arranged with the largest undot set first; each row must lead with
-    coefficient +1 in the column of its own undot set U_M.
+    Rows are the standard matchings in canonical order and columns the
+    undot-set masks, which on k-subsets are in undot-set order as integers.
+    Each row must lead (its largest mask) with coefficient +1 at the mask of
+    its own undot set U_M, and the leads must increase strictly down the rows.
     """
-    basis = enumerate_standard(n, k)
-    columns = sorted(itertools.combinations(range(1, n + 1), k), key=subset_order_key, reverse=True)
-    col_index = {c: idx for idx, c in enumerate(columns)}
     previous = -1
-    for m in reversed(basis):
-        row = expand(m)
-        pivot = min(col_index[u.members] for u, _ in row)
-        if pivot != col_index[m.right_undotted()]:
+    for m in enumerate_standard(n, k):
+        row = expansion_masks(m)
+        lead = max(row)
+        if lead != subset_mask(m.right_undotted()) or row[lead] != 1 or lead <= previous:
             return False
-        if row.coefficient(UndotSet(n, m.right_undotted())) != 1:
-            return False
-        if pivot <= previous:
-            return False
-        previous = pivot
+        previous = lead
     return True

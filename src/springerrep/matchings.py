@@ -16,13 +16,21 @@ from functools import cache
 from math import comb
 
 
-def subset_order_key(members: tuple[int, ...]) -> tuple[int, ...]:
-    """Key for the total order on equal-size subsets of {1..n}.
+def subset_mask(members) -> int:
+    """The subset ``members`` of {1..n} as a bitmask, vertex v at bit v-1.
 
-    Subsets are compared from their largest element downward: S < S' when at
-    the first disagreement (scanning decreasingly) S has the smaller entry.
+    On subsets of equal size, integer order of the masks is the undot-set
+    order: subsets are compared from their largest element downward, and S
+    is below S' when at the first disagreement S has the smaller entry.  That
+    first disagreement is the highest bit in which the masks differ, and the
+    subset holding it has the larger mask.
     """
-    return tuple(sorted(members, reverse=True))
+    return sum([1 << (v - 1) for v in members])
+
+
+def subset_members(mask: int) -> list[int]:
+    """The sorted members of a subset mask: the inverse of :func:`subset_mask`."""
+    return [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def noncrossing_arcs(n: int, arcs) -> tuple[tuple[int, int], ...]:
@@ -129,7 +137,7 @@ class DottedMatching:
 
     def sort_key(self):
         flags = tuple(a in self.dotted for a in self.arcs)
-        return (self.n, self.k, subset_order_key(self.right_undotted()), self.arcs, flags)
+        return (self.n, self.k, subset_mask(self.right_undotted()), self.arcs, flags)
 
 
 @dataclass(frozen=True)
@@ -162,12 +170,8 @@ class TwoRowTableau:
         bottom = set(self.bottom)
         return tuple(v for v in range(1, self.n + 1) if v not in bottom)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n - self.k, self.k)
-
     def sort_key(self):
-        return (self.n, self.k, subset_order_key(self.bottom))
+        return (self.n, self.k, subset_mask(self.bottom))
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -243,7 +247,7 @@ def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
     """
     sets = [b for b in itertools.combinations(range(1, n + 1), k)
             if all(v >= 2 * (i + 1) for i, v in enumerate(b))]
-    sets.sort(key=subset_order_key)
+    sets.sort(key=subset_mask)
     return sets
 
 
@@ -252,7 +256,7 @@ def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     """All standard dotted matchings on n vertices with exactly k undotted arcs.
 
     Canonical order: increasing in the undot set U_M (right endpoints of the
-    undotted arcs) under :func:`subset_order_key`.
+    undotted arcs) in the undot-set order, that is by :func:`subset_mask`.
     """
     _check_even(n)
     if not 0 <= k <= n // 2:

@@ -37,7 +37,7 @@ from math import factorial
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import expansion_masks
+from .linediagrams import _swap_strands, expansion_masks
 from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of
 from .perms import Permutation
 from .rewriting import _encode, reduce_to_standard
@@ -52,10 +52,6 @@ class RepMatrix:
     n: int
     k: int
     entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     def rows(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -342,13 +338,6 @@ def irreducibility_check(n: int, k: int) -> Fraction:
     """
     chi = character_table(n, k)
     return class_inner_product(chi, chi)
-
-
-def _swap_strands(mask: int, i: int) -> int:
-    """Exchange strands i and i+1 of a diagram whose strand x is bit x-1."""
-    pair = 0b11 << (i - 1)
-    both = mask & pair
-    return mask ^ pair if both and both != pair else mask
 
 
 def chart_diagram_consistency(n: int, k: int) -> bool:

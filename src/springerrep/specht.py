@@ -8,6 +8,11 @@ tabloids (undot set = bottom row) carries the expansion L_M to e_M, and
 both generating sets span the same irreducible module in every degree —
 that is the representation-theoretic content this package certifies.
 
+The certificates key every tabloid vector by the bitmask of its bottom row
+(entry x at bit x-1).  ``expansion_masks`` keys undot sets the same way, so
+psi is the identity on masks, and integer order on masks is the undot-set
+order (:func:`~springerrep.matchings.subset_mask`).
+
 No rank is computed.  The e_T are unitriangular in the undot-set order, so
 independent; the e_M have pairwise distinct leading tabloids with
 coefficient +-1, so independent too.  Each e_M peels to zero against the
@@ -24,14 +29,15 @@ from functools import cache
 from .errors import VerificationError
 from .exactlinalg import subtract_row
 from .formal import FormalSum
-from .linediagrams import expand
+from .linediagrams import _swap_strands, expansion_masks
 from .matchings import (
     DottedMatching,
     TwoRowTableau,
     check_partition,
     enumerate_standard,
     phi,
-    subset_order_key,
+    subset_mask,
+    subset_members,
     syt_count,
 )
 from .snaction import (
@@ -59,7 +65,7 @@ class Tabloid:
             raise ValueError(f"bottom row {self.bottom} longer than half of {self.n}")
 
     def sort_key(self):
-        return (self.n, len(self.bottom), subset_order_key(self.bottom))
+        return (self.n, len(self.bottom), subset_mask(self.bottom))
 
 
 def polytabloid(t: TwoRowTableau) -> FormalSum:
@@ -106,12 +112,12 @@ def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
     return [phi(m) for m in enumerate_standard(n, k)]
 
 
-def _keyed(v: FormalSum) -> dict[tuple[int, ...], int]:
-    """A tabloid vector as an integer dict keyed by ``subset_order_key``."""
-    return {subset_order_key(t.bottom): coef for t, coef in v}
+def _keyed(v: FormalSum) -> dict[int, int]:
+    """A tabloid vector as an integer dict keyed by bottom-row mask."""
+    return {subset_mask(t.bottom): coef for t, coef in v}
 
 
-def _polytabloid_vectors(n: int, k: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
     """Every e_T of degree (n, k), keyed by its lead {T}, in tableau order.
 
     By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
@@ -120,7 +126,7 @@ def _polytabloid_vectors(n: int, k: int) -> dict[tuple[int, ...], dict[tuple[int
     """
     vectors = {}
     for t in standard_tableaux(n, k):
-        lead = subset_order_key(t.bottom)
+        lead = subset_mask(t.bottom)
         vector = _keyed(polytabloid(t))
         if vector.get(lead) != 1 or max(vector) != lead:
             raise VerificationError(
@@ -131,7 +137,7 @@ def _polytabloid_vectors(n: int, k: int) -> dict[tuple[int, ...], dict[tuple[int
     return vectors
 
 
-def _peel(vector: dict[tuple[int, ...], int], basis) -> dict[tuple[int, ...], int]:
+def _peel(vector: dict[int, int], basis) -> dict[int, int]:
     """Subtract multiples of the unitriangular ``basis`` (lead -> vector) from
     ``vector`` in place, largest lead first; returns the multiples.  What is
     left in ``vector`` is zero exactly when it lay in the span."""
@@ -148,10 +154,10 @@ def verify_module_equality(n: int, k: int) -> bool:
     The e_T are unitriangular and the e_M have distinct +-1 leads, so each
     family is independent; both have syt_count(n, k) members.  Every e_M
     peels to zero against the e_T, so containment and equal dimension give
-    equality.  Also checks the shared pivot generator (the unnested matching
-    with its undotted arcs on the left gives e_M = e_T on the nose), and
-    that relabelling the expansion of each standard matching yields its
-    generator.
+    equality.  Also checks that relabelling the expansion of each standard
+    matching yields its generator (on masks, ``expansion_masks(M) == e_M``),
+    and the shared pivot generator (the unnested matching with its undotted
+    arcs on the left gives e_M = e_T on the nose).
     """
     e_t = _polytabloid_vectors(n, k)
     leads = set()
@@ -162,13 +168,15 @@ def verify_module_equality(n: int, k: int) -> bool:
         if lead in leads or vector.get(lead) not in (1, -1):
             raise VerificationError(
                 "matching generators do not have distinct leading tabloids with coefficient +-1",
-                {**witness, "tabloid": sorted(lead or ())},
+                {**witness, "tabloid": subset_members(lead or 0)},
             )
         leads.add(lead)
+        if expansion_masks(m) != vector:
+            raise VerificationError("relabelled expansion differs from matching generator", witness)
         _peel(vector, e_t)
         if vector:
             raise VerificationError("matching generator is not in the Specht span",
-                                    {**witness, "tabloid": sorted(max(vector))})
+                                    {**witness, "tabloid": subset_members(max(vector))})
     expected = syt_count(n, k)
     if (len(e_t), len(leads)) != (expected, expected):
         raise VerificationError(
@@ -185,12 +193,6 @@ def verify_module_equality(n: int, k: int) -> bool:
         raise VerificationError(
             "pivot generator mismatch", {"n": n, "k": k, "bottom": witness_t.bottom}
         )
-    for m in enumerate_standard(n, k):
-        if psi(expand(m)) != matching_generator(m):
-            raise VerificationError(
-                "relabelled expansion differs from matching generator",
-                {"n": n, "k": k, "arcs": m.arcs, "dotted": sorted(m.dotted)},
-            )
     return True
 
 
@@ -221,16 +223,15 @@ def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     row = {lead: r for r, lead in enumerate(vectors)}
     columns = []
     for i in range(1, n):
-        swap = {i: i + 1, i + 1: i}
         generator = []
         for lead, vector in vectors.items():
-            image = {subset_order_key([swap.get(x, x) for x in b]): c for b, c in vector.items()}
+            image = {_swap_strands(b, i): c for b, c in vector.items()}
             coords = _peel(image, vectors)
             if image:
                 raise VerificationError(
                     "Specht span is not S_n-invariant",
-                    {"n": n, "k": k, "i": i, "bottom": tuple(sorted(lead)),
-                     "tabloid": sorted(max(image))},
+                    {"n": n, "k": k, "i": i, "bottom": tuple(subset_members(lead)),
+                     "tabloid": subset_members(max(image))},
                 )
             generator.append(tuple((row[b], c) for b, c in coords.items()))
         columns.append(tuple(generator))

@@ -28,7 +28,6 @@ from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
     partitions_of,
-    subset_order_key,
 )
 from springerrep.perms import Permutation
 from springerrep.rewriting import degree_generators, relation_vectors
@@ -313,12 +312,31 @@ def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     return apply_site(m, site).map_basis(lambda term: reduce_picking(term, pick))
 
 
+def subset_order_key(members) -> tuple[int, ...]:
+    """The undot-set order on equal-size subsets of {1..n}, written out:
+    subsets are compared from their largest element downward, and S < S'
+    when at the first disagreement (scanning decreasingly) S has the smaller
+    entry.  ``subset_mask`` must sort every k-subset the same way."""
+    return tuple(sorted(members, reverse=True))
+
+
 def compare_undot_sets(s, t) -> int:
     """-1/0/+1 under the largest-element-first order on equal-size subsets."""
     if len(s.members) != len(t.members):
         raise ValueError("cannot compare undot sets of different cardinality")
     a, b = subset_order_key(s.members), subset_order_key(t.members)
     return (a > b) - (a < b)
+
+
+def negated_lead(rule):
+    """A broken expansion rule: ``rule`` with the coefficient of its largest
+    undot-set mask negated."""
+    def broken(m: DottedMatching) -> dict[int, int]:
+        terms = dict(rule(m))
+        lead = max(terms)
+        terms[lead] = -terms[lead]
+        return terms
+    return broken
 
 
 def _require_standard(m: DottedMatching) -> None:

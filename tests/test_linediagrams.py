@@ -19,6 +19,7 @@ from bruteforce import (
     insert_arc,
     insert_arc_consistency,
     left_count,
+    negated_lead,
     permute_diagram,
     undot_sets,
 )
@@ -182,3 +183,26 @@ def test_echelon_certificate_examples():
     assert echelon_certificate(4, 2)
     assert echelon_certificate(8, 0)
     assert echelon_certificate(6, 3)
+
+
+def test_echelon_gate_fires_on_a_negated_lead(monkeypatch, capsys):
+    import springerrep.linediagrams as ld
+    from springerrep.cli import main
+
+    monkeypatch.setattr(ld, "expansion_masks", negated_lead(ld.expansion_masks))
+    assert not echelon_certificate(4, 1)
+    assert main(["verify", "--suite", "echelon", "--max-n", "4"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("broken", ["shifted", "reversed"])
+def test_echelon_checks_each_lead_and_the_row_order(monkeypatch, broken):
+    import springerrep.linediagrams as ld
+
+    if broken == "shifted":  # leads +1 and increasing, one strand right of U_M
+        real = ld.expansion_masks
+        monkeypatch.setattr(ld, "expansion_masks",
+                            lambda m: {mask << 1: coef for mask, coef in real(m).items()})
+    else:  # each row leads at U_M with +1, but the leads decrease
+        monkeypatch.setattr(ld, "enumerate_standard", lambda n, k: enumerate_standard(n, k)[::-1])
+    assert not echelon_certificate(4, 1)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -17,7 +18,7 @@ from springerrep import (
     syt_count,
     theta,
 )
-from springerrep.matchings import check_partition
+from springerrep.matchings import check_partition, subset_mask, subset_members
 
 from bruteforce import (
     kostka_bruteforce,
@@ -25,6 +26,7 @@ from bruteforce import (
     perfect_matchings,
     standard_bottoms_bruteforce,
     standard_bruteforce,
+    subset_order_key,
 )
 
 
@@ -110,6 +112,21 @@ def test_enumerate_standard_rejects_bad_k():
         enumerate_standard(4, 3)
     with pytest.raises(ValueError):
         enumerate_standard(4, -1)
+
+
+def test_subset_mask_examples():
+    assert subset_mask(()) == 0
+    assert subset_mask((1, 3)) == 0b101
+    assert subset_mask([4, 2]) == 0b1010
+    assert subset_members(0b1010) == [2, 4] and subset_members(0) == []
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_subset_mask_sorts_in_undot_set_order(n):
+    for k in range(n + 1):
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        assert sorted(subsets, key=subset_mask) == sorted(subsets, key=subset_order_key)
+        assert all(subset_members(subset_mask(s)) == list(s) for s in subsets)
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))

@@ -31,6 +31,7 @@ from springerrep.specht import specht_characters, standard_tableaux
 
 from bruteforce import (
     dense_specht_characters,
+    negated_lead,
     permute_diagram,
     permute_tabloids,
     span_rank,
@@ -249,6 +250,16 @@ def test_module_equality_names_the_generator_that_fails_to_peel(monkeypatch):
     witness = info.value.witness
     assert (witness["arcs"], witness["dotted"], witness["tabloid"]) == (
         ((1, 2), (3, 4)), [(3, 4)], [1])
+
+
+def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
+    import springerrep.specht as sp
+
+    monkeypatch.setattr(sp, "expansion_masks", negated_lead(sp.expansion_masks))
+    with pytest.raises(VerificationError,
+                       match="relabelled expansion differs from matching generator") as info:
+        verify_module_equality(4, 1)
+    assert info.value.witness == {"n": 4, "k": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}
 
 
 @pytest.mark.parametrize("broken", ["repeated", "doubled"])
