@@ -8,7 +8,7 @@ rounding to worry about.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Any, Callable
+from typing import Any
 
 
 def _default_key(element: Any):
@@ -56,20 +56,6 @@ class FormalSum:
     def sorted_terms(self) -> list[tuple[Any, int]]:
         """Terms in a deterministic order, independent of computation history."""
         return sorted(self._terms.items(), key=lambda item: _default_key(item[0]))
-
-    def map_basis(self, f: Callable[[Any], "FormalSum"]) -> FormalSum:
-        """Linear extension of a basis map ``f: element -> FormalSum``."""
-        acc: dict[Any, int] = {}
-        for element, coef in self._terms.items():
-            for image, c in f(element)._terms.items():
-                new = acc.get(image, 0) + coef * c
-                if new:
-                    acc[image] = new
-                elif image in acc:
-                    del acc[image]
-        result = FormalSum.zero()
-        result._terms = acc
-        return result
 
     def __add__(self, other: FormalSum) -> FormalSum:
         if not isinstance(other, FormalSum):

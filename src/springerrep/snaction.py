@@ -68,7 +68,25 @@ class _Tables:
 
     @cached_property
     def characters(self) -> dict[tuple[int, ...], int]:
-        return class_characters(self.n, self.columns, len(self.basis))
+        """Trace of every class word, from one walk of the class tree per
+        basis column.
+
+        Cancelled entries are dropped after every step: class words cancel
+        often, and a zero carried down the tree costs a lookup at each step.
+        """
+        tree = class_tree(self.n)
+        traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
+        for c in range(len(self.basis)):
+            vectors = {}
+            for parts, parent, letter in tree:
+                if parent is None:
+                    vec = {c: 1}
+                else:
+                    step = _step(self.columns[letter - 1], vectors[parent].items())
+                    vec = {r: coef for r, coef in step.items() if coef}
+                vectors[parts] = vec
+                traces[parts] += vec.get(c, 0)
+        return traces
 
 
 def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int, int, int]]:
@@ -112,29 +130,6 @@ def _tables(n: int, k: int) -> _Tables:
             generator.append(tuple(column))
         columns.append(tuple(generator))
     return _Tables(n, basis, index, tuple(columns))
-
-
-def class_characters(n: int, columns, dim: int) -> dict[tuple[int, ...], int]:
-    """Trace of every class word on a representation of S_n, from one walk of
-    the class tree per basis column; ``columns[i - 1][c]`` is the image of
-    basis vector c under s_i.
-
-    Cancelled entries are dropped after every step: class words cancel
-    often, and a zero carried down the tree costs a lookup at each step.
-    """
-    tree = class_tree(n)
-    traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
-    for c in range(dim):
-        vectors = {}
-        for parts, parent, letter in tree:
-            if parent is None:
-                vec = {c: 1}
-            else:
-                step = _step(columns[letter - 1], vectors[parent].items())
-                vec = {r: coef for r, coef in step.items() if coef}
-            vectors[parts] = vec
-            traces[parts] += vec.get(c, 0)
-    return traces
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:

@@ -8,44 +8,44 @@ tabloids (undot set = bottom row) carries the expansion L_M to e_M, and
 both generating sets span the same irreducible module in every degree —
 that is the representation-theoretic content this package certifies.
 
-The certificates key every tabloid vector by the bitmask of its bottom row
-(entry x at bit x-1).  ``expansion_masks`` keys undot sets the same way, so
-psi is the identity on masks, and integer order on masks is the undot-set
-order (:func:`~springerrep.matchings.subset_mask`).
+The certificates build e_T and e_M directly as ``{bottom-row mask: +-1}``
+(entry x at bit x-1) and never construct a tabloid.  ``expansion_masks``
+keys undot sets the same way, so psi is the identity on masks, and integer
+order on masks is the undot-set order
+(:func:`~springerrep.matchings.subset_mask`).  :func:`polytabloid` and
+:func:`matching_generator` decode the masks to :class:`Tabloid` sums for
+output, as ``expand`` does over ``expansion_masks``.
 
 No rank is computed.  The e_T are unitriangular in the undot-set order, so
 independent; the e_M have pairwise distinct leading tabloids with
 coefficient +-1, so independent too.  Each e_M peels to zero against the
 e_T in integers, so span{e_M} lies in span{e_T}, and equal dimension makes
-the spans equal.
+the spans equal.  The Specht characters come from Young's rule, not from
+the action: no code is shared with the matching-module characters they
+are paired with.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import VerificationError
 from .exactlinalg import subtract_row
 from .formal import FormalSum
-from .linediagrams import _swap_strands, expansion_masks
+from .linediagrams import expansion_masks
 from .matchings import (
     DottedMatching,
     TwoRowTableau,
+    _check_even,
     check_partition,
     enumerate_standard,
+    partitions_of,
     phi,
     subset_mask,
     subset_members,
     syt_count,
 )
-from .snaction import (
-    character_table,
-    class_characters,
-    class_inner_product,
-    irreducibility_check,
-)
+from .snaction import character_table, class_inner_product, irreducibility_check
 
 
 @dataclass(frozen=True)
@@ -68,53 +68,58 @@ class Tabloid:
         return (self.n, len(self.bottom), subset_mask(self.bottom))
 
 
-def polytabloid(t: TwoRowTableau) -> FormalSum:
-    """e_T: signed sum over the column group of the standard tableau T.
+def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
+    """e_T as {bottom-row mask: +-1}: the signed sum over the column group of
+    the standard tableau T, the product over its height-two columns
+    (top_c, bottom_c) of (bit(bottom_c) - bit(top_c)), multiplied out."""
+    terms = {0: 1}
+    for top, bottom in zip(t.top, t.bottom):
+        terms = {
+            mask | bit: sign * coef
+            for mask, coef in terms.items()
+            for bit, sign in ((1 << (bottom - 1), 1), (1 << (top - 1), -1))
+        }
+    return terms
 
-    The height-two columns pair the first k top entries with the bottom
-    entries; each subset of columns swaps its pairs, signed by parity.
-    """
-    top = t.top
-    columns = list(zip(top[: t.k], t.bottom))
-    terms = []
-    for swap in itertools.product((False, True), repeat=len(columns)):
-        bottom = tuple(a if s else b for s, (a, b) in zip(swap, columns))
-        terms.append((Tabloid(t.n, bottom), -1 if sum(swap) % 2 else 1))
-    return FormalSum(terms)
+
+def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
+    """e_M as {bottom-row mask: +-1}: the signed sum over the group generated
+    by the undotted arcs of M, each transposition (i j) acting on the bottom
+    row of phi(M) by exchanging i and j, signed by the subset's parity."""
+    terms = {subset_mask(phi(m).bottom): 1}
+    for i, j in m.undotted_arcs:
+        pair = 1 << (i - 1) | 1 << (j - 1)
+        acc: dict[int, int] = {}
+        for mask, coef in terms.items():
+            both = mask & pair
+            swapped = mask ^ pair if both and both != pair else mask
+            for image, c in ((mask, coef), (swapped, -coef)):
+                acc[image] = acc.get(image, 0) + c
+        terms = {mask: coef for mask, coef in acc.items() if coef}
+    return terms
+
+
+def _tabloids(n: int, masks: dict[int, int]) -> FormalSum:
+    return FormalSum((Tabloid(n, subset_members(mask)), coef) for mask, coef in masks.items())
+
+
+def polytabloid(t: TwoRowTableau) -> FormalSum:
+    """e_T as a sum of tabloids, decoded from :func:`polytabloid_masks`."""
+    return _tabloids(t.n, polytabloid_masks(t))
 
 
 def matching_generator(m: DottedMatching) -> FormalSum:
-    """e_M: signed sum over the group generated by the undotted arcs of M.
-
-    Each subset of undotted arcs acts on phi(M) by swapping its endpoints,
-    signed by the subset's parity.
-    """
-    base = set(phi(m).bottom)
-    arcs = m.undotted_arcs
-    terms = []
-    for swap in itertools.product((False, True), repeat=len(arcs)):
-        bottom = set(base)
-        for s, (i, j) in zip(swap, arcs):
-            if s:
-                # each (i j) moves the right endpoint j out of the bottom row
-                bottom.remove(j)
-                bottom.add(i)
-        terms.append((Tabloid(m.n, tuple(bottom)), -1 if sum(swap) % 2 else 1))
-    return FormalSum(terms)
+    """e_M as a sum of tabloids, decoded from :func:`matching_generator_masks`."""
+    return _tabloids(m.n, matching_generator_masks(m))
 
 
 def psi(v: FormalSum) -> FormalSum:
     """Relabel line diagrams to tabloids: the undot set becomes the bottom row."""
-    return v.map_basis(lambda u: FormalSum.single(Tabloid(u.n, u.members)))
+    return FormalSum((Tabloid(u.n, u.members), coef) for u, coef in v)
 
 
 def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
     return [phi(m) for m in enumerate_standard(n, k)]
-
-
-def _keyed(v: FormalSum) -> dict[int, int]:
-    """A tabloid vector as an integer dict keyed by bottom-row mask."""
-    return {subset_mask(t.bottom): coef for t, coef in v}
 
 
 def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
@@ -127,7 +132,7 @@ def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
     vectors = {}
     for t in standard_tableaux(n, k):
         lead = subset_mask(t.bottom)
-        vector = _keyed(polytabloid(t))
+        vector = polytabloid_masks(t)
         if vector.get(lead) != 1 or max(vector) != lead:
             raise VerificationError(
                 "polytabloid is not unitriangular in the undot-set order",
@@ -137,15 +142,12 @@ def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
     return vectors
 
 
-def _peel(vector: dict[int, int], basis) -> dict[int, int]:
+def _peel(vector: dict[int, int], basis) -> None:
     """Subtract multiples of the unitriangular ``basis`` (lead -> vector) from
-    ``vector`` in place, largest lead first; returns the multiples.  What is
-    left in ``vector`` is zero exactly when it lay in the span."""
-    coords = {}
+    ``vector`` in place, largest lead first.  What is left in ``vector`` is
+    zero exactly when it lay in the span."""
     while vector and (lead := max(vector)) in basis:
-        coords[lead] = coef = vector[lead]
-        subtract_row(vector, coef, basis[lead])
-    return coords
+        subtract_row(vector, vector[lead], basis[lead])
 
 
 def verify_module_equality(n: int, k: int) -> bool:
@@ -162,7 +164,7 @@ def verify_module_equality(n: int, k: int) -> bool:
     e_t = _polytabloid_vectors(n, k)
     leads = set()
     for m in enumerate_standard(n, k):
-        vector = _keyed(matching_generator(m))
+        vector = matching_generator_masks(m)
         lead = max(vector, default=None)
         witness = {"n": n, "k": k, "arcs": m.arcs, "dotted": sorted(m.dotted)}
         if lead in leads or vector.get(lead) not in (1, -1):
@@ -189,7 +191,8 @@ def verify_module_equality(n: int, k: int) -> bool:
         [(2 * c - 1, 2 * c) for c in range(k + 1, n // 2 + 1)],
     )
     witness_t = TwoRowTableau(n, tuple(range(2, 2 * k + 1, 2)))
-    if phi(witness_m) != witness_t or matching_generator(witness_m) != polytabloid(witness_t):
+    if (phi(witness_m) != witness_t
+            or matching_generator_masks(witness_m) != polytabloid_masks(witness_t)):
         raise VerificationError(
             "pivot generator mismatch", {"n": n, "k": k, "bottom": witness_t.bottom}
         )
@@ -201,41 +204,34 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
 
     The paper identifies this top-degree basis of the irreducible module for
     (n/2, n/2) with the Kazhdan-Lusztig basis.  That identification is not
-    certified here (ROADMAP item 2): no canonical-basis computation happens,
+    certified here (ROADMAP item 4): no canonical-basis computation happens,
     and the vectors are emitted for outside comparison.
     """
-    if n < 0 or n % 2:
-        raise ValueError(f"vertex count must be even and nonnegative, got {n}")
+    _check_even(n)
     return [matching_generator(m) for m in enumerate_standard(n, n // 2)]
 
 
-@cache
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
-    """Character of the S_n action restricted to span{e_T}, per cycle type.
+    """Character of the Specht module of shape (n-k, k), per cycle type.
 
-    For each s_i, each s_i.e_T is peeled against the unitriangular e_T in
-    integers: the multiples are its column of the matrix of s_i, and a
-    nonzero rest (outside the span) is reported.  Invariance under every s_i
-    is invariance under S_n; the characters come from the class-tree walk
-    that the matching module uses.
+    Young's rule for two-row shapes (James, *The Representation Theory of the
+    Symmetric Groups*; Sagan, *The Symmetric Group*): chi = pi_k - pi_{k-1},
+    where pi_j(sigma) counts the j-subsets of {1..n} that are unions of
+    cycles of sigma, a subset-sum count over the cycle type.  The formula
+    alone gives a virtual character off the two-row shapes, so n must be
+    even and 0 <= k <= n/2, as for the matching basis.
     """
-    vectors = _polytabloid_vectors(n, k)
-    row = {lead: r for r, lead in enumerate(vectors)}
-    columns = []
-    for i in range(1, n):
-        generator = []
-        for lead, vector in vectors.items():
-            image = {_swap_strands(b, i): c for b, c in vector.items()}
-            coords = _peel(image, vectors)
-            if image:
-                raise VerificationError(
-                    "Specht span is not S_n-invariant",
-                    {"n": n, "k": k, "i": i, "bottom": tuple(subset_members(lead)),
-                     "tabloid": subset_members(max(image))},
-                )
-            generator.append(tuple((row[b], c) for b, c in coords.items()))
-        columns.append(tuple(generator))
-    return class_characters(n, tuple(columns), len(vectors))
+    _check_even(n)
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"k={k} out of range for n={n}")
+    out = {}
+    for parts in partitions_of(n):
+        unions = [1] + [0] * k  # unions[j]: j-subsets that are unions of the cycles so far
+        for part in parts:
+            for j in range(k, part - 1, -1):
+                unions[j] += unions[j - part]
+        out[parts] = unions[k] - (unions[k - 1] if k else 0)
+    return out
 
 
 def graded_decomposition(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -245,8 +241,7 @@ def graded_decomposition(n: int) -> list[tuple[int, tuple[int, ...]]]:
     pair to 1 with the Specht character of shape (n-k, k); the result lists
     (k, (n-k, k)) for k = 0..n/2.
     """
-    if n < 0 or n % 2:
-        raise ValueError(f"vertex count must be even and nonnegative, got {n}")
+    _check_even(n)
     out = []
     for k in range(n // 2 + 1):
         if irreducibility_check(n, k) != 1:

@@ -20,19 +20,27 @@ from springerrep import (
     act_permutation,
     expand,
     is_standard,
-    polytabloid,
+    phi,
 )
 from springerrep import snaction
+from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
     partitions_of,
+    subset_mask,
+    subset_members,
 )
 from springerrep.perms import Permutation
 from springerrep.rewriting import degree_generators, relation_vectors
 from springerrep.snaction import class_representative
 from springerrep.specht import standard_tableaux
+
+
+def map_basis(v: FormalSum, f) -> FormalSum:
+    """Linear extension of a basis map ``f: element -> FormalSum``."""
+    return FormalSum((image, coef * c) for element, coef in v for image, c in f(element))
 
 
 def perfect_matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -151,17 +159,34 @@ def chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
     return [(m, 1), (rewired, 1)]
 
 
-def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
-    """Trace of every class on degree (n, k), one class at a time: the
-    bubble-sort reduced word of ``class_representative`` applied to each
-    basis column, with no class tree and no shared work between classes."""
-    tables = snaction._tables(n, k)
+def reduced_word_traces(n: int, columns, dim: int) -> dict[tuple[int, ...], int]:
+    """Trace of every class on a representation of S_n given by sparse
+    columns (``columns[i - 1][c]``: (row, coef) pairs of s_i on basis vector
+    c), one class at a time: the bubble-sort reduced word of
+    ``class_representative`` applied to each basis column, with no class
+    tree and no shared work between classes."""
     out = {}
     for cycle_type in partitions_of(n):
         word = class_representative(n, cycle_type).reduced_word()
-        out[cycle_type] = sum(snaction._apply(tables, word, {c: 1}).get(c, 0)
-                              for c in range(len(tables.basis)))
+        trace = 0
+        for c in range(dim):
+            vec = {c: 1}
+            for letter in reversed(word):
+                image: dict[int, int] = {}
+                for col, coef in vec.items():
+                    for row, entry in columns[letter - 1][col]:
+                        image[row] = image.get(row, 0) + coef * entry
+                vec = image
+            trace += vec.get(c, 0)
+        out[cycle_type] = trace
     return out
+
+
+def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Trace of every class on degree (n, k), read off the chart tables by
+    :func:`reduced_word_traces`."""
+    tables = snaction._tables(n, k)
+    return reduced_word_traces(n, tables.columns, len(tables.basis))
 
 
 def conjugacy_class_size(n: int, cycle_type) -> int:
@@ -309,7 +334,7 @@ def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     if not sites:
         return FormalSum.single(m)
     site = pick(sites)
-    return apply_site(m, site).map_basis(lambda term: reduce_picking(term, pick))
+    return map_basis(apply_site(m, site), lambda term: reduce_picking(term, pick))
 
 
 def subset_order_key(members) -> tuple[int, ...]:
@@ -370,9 +395,7 @@ def left_count(m: DottedMatching, u: UndotSet) -> int:
 
 def permute_diagram(w: Permutation, v: FormalSum) -> FormalSum:
     """Relabel every strand of every diagram by w; coefficients unchanged."""
-    return v.map_basis(
-        lambda u: FormalSum.single(UndotSet(u.n, tuple(w(x) for x in u.members)))
-    )
+    return map_basis(v, lambda u: FormalSum.single(UndotSet(u.n, tuple(w(x) for x in u.members))))
 
 
 def _shift(x: int, i: int, j: int) -> int:
@@ -421,9 +444,75 @@ def insert_arc_consistency(m: DottedMatching, position: tuple[int, int], dotted:
 
 def permute_tabloids(w: Permutation, v: FormalSum) -> FormalSum:
     """The S_n action on tabloids: w relabels every entry."""
-    return v.map_basis(
-        lambda t: FormalSum.single(Tabloid(t.n, tuple(w(x) for x in t.bottom)))
-    )
+    return map_basis(v, lambda t: FormalSum.single(Tabloid(t.n, tuple(w(x) for x in t.bottom))))
+
+
+def polytabloid_by_columns(t: TwoRowTableau) -> FormalSum:
+    """e_T on objects: the signed sum over the column group of T.  The
+    height-two columns pair the first k top entries with the bottom entries;
+    each subset of columns swaps its pairs, signed by parity."""
+    columns = list(zip(t.top[: t.k], t.bottom))
+    terms = []
+    for swap in itertools.product((False, True), repeat=len(columns)):
+        bottom = tuple(a if s else b for s, (a, b) in zip(swap, columns))
+        terms.append((Tabloid(t.n, bottom), -1 if sum(swap) % 2 else 1))
+    return FormalSum(terms)
+
+
+def generator_by_arc_swaps(m: DottedMatching) -> FormalSum:
+    """e_M on objects: each subset of undotted arcs acts on phi(M) by moving
+    the right endpoint j of each of its arcs (i, j) out of the bottom row
+    and i in, signed by the subset's parity."""
+    base = set(phi(m).bottom)
+    terms = []
+    for swap in itertools.product((False, True), repeat=len(m.undotted_arcs)):
+        bottom = set(base)
+        for s, (i, j) in zip(swap, m.undotted_arcs):
+            if s:
+                bottom.remove(j)
+                bottom.add(i)
+        terms.append((Tabloid(m.n, tuple(bottom)), -1 if sum(swap) % 2 else 1))
+    return FormalSum(terms)
+
+
+def peeled_specht_characters(n: int, k: int, polytabloid=polytabloid_by_columns):
+    """Character of S_n on span{e_T}, from the matrices of the s_i: each
+    s_i.e_T, by relabelling tabloids, is peeled against the e_T, which must
+    be unitriangular in the undot-set order; a nonzero rest (outside the
+    span) is reported."""
+    tableaux = standard_tableaux(n, k)
+    basis = [polytabloid(t) for t in tableaux]
+    vectors = {}
+    for t, e_t in zip(tableaux, basis):
+        vector = {subset_mask(u.bottom): coef for u, coef in e_t}
+        lead = max(vector)
+        if lead != subset_mask(t.bottom) or vector[lead] != 1:
+            raise ValueError(f"polytabloid of {t.bottom} is not unitriangular")
+        vectors[lead] = vector
+    row = {lead: r for r, lead in enumerate(vectors)}
+    columns = []
+    for i in range(1, n):
+        generator = []
+        for t, e_t in zip(tableaux, basis):
+            moved = permute_tabloids(Permutation.simple(n, i), e_t)
+            image = {subset_mask(u.bottom): coef for u, coef in moved}
+            column = []
+            while image and (top := max(image)) in vectors:
+                coef = image[top]
+                column.append((row[top], coef))
+                for b, c in vectors[top].items():
+                    image[b] = image.get(b, 0) - coef * c
+                    if not image[b]:
+                        del image[b]
+            if image:
+                raise VerificationError(
+                    "Specht span is not S_n-invariant",
+                    {"n": n, "k": k, "i": i, "bottom": t.bottom,
+                     "tabloid": subset_members(max(image))},
+                )
+            generator.append(tuple(column))
+        columns.append(tuple(generator))
+    return reduced_word_traces(n, columns, len(vectors))
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -573,7 +662,7 @@ def dense_specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
             out[position[t]] = coef
         return out
 
-    basis = [polytabloid(t) for t in standard_tableaux(n, k)]
+    basis = [polytabloid_by_columns(t) for t in standard_tableaux(n, k)]
     out = {}
     for cycle_type in partitions_of(n):
         w = class_representative(n, cycle_type)

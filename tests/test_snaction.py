@@ -35,6 +35,7 @@ from bruteforce import (
     chart,
     conjugacy_class_size,
     is_identity,
+    map_basis,
     mat_mul,
     permutation_matrix,
     permute_diagram,
@@ -225,7 +226,7 @@ def test_chart_diagram_consistency(n):
 
 
 def diagrams(v):
-    return v.map_basis(expand)
+    return map_basis(v, expand)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))

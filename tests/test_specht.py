@@ -19,7 +19,7 @@ from springerrep import (
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard, partitions_of, syt_count
+from springerrep.matchings import enumerate_standard, partitions_of, subset_mask, syt_count
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -31,7 +31,10 @@ from springerrep.specht import specht_characters, standard_tableaux
 
 from bruteforce import (
     dense_specht_characters,
+    generator_by_arc_swaps,
     negated_lead,
+    peeled_specht_characters,
+    polytabloid_by_columns,
     permute_diagram,
     permute_tabloids,
     span_rank,
@@ -104,12 +107,21 @@ def test_psi_intertwines_the_actions():
                 assert psi(permute_diagram(w, v)) == permute_tabloids(w, psi(v))
 
 
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_decoders_match_the_object_references(n):
+    for k in range(n // 2 + 1):
+        for t in standard_tableaux(n, k):
+            assert polytabloid(t) == polytabloid_by_columns(t)
+        for m in enumerate_standard(n, k):
+            assert matching_generator(m) == generator_by_arc_swaps(m)
+
+
 def test_span_rank():
-    vectors = [polytabloid(t) for t in standard_tableaux(4, 2)]
+    vectors = [polytabloid_by_columns(t) for t in standard_tableaux(4, 2)]
     assert span_rank(vectors) == 2
     assert span_rank(vectors + vectors) == 2
     assert span_rank([vectors[0], vectors[0]]) == 1
-    assert span_rank([matching_generator(m) for m in enumerate_standard(6, 3)]) == 5
+    assert span_rank([generator_by_arc_swaps(m) for m in enumerate_standard(6, 3)]) == 5
     assert span_rank([]) == 0
     with pytest.raises(ValueError):
         span_rank([FormalSum.single(t_(4, 2)), FormalSum.single(t_(4, 2, 4))])
@@ -131,7 +143,7 @@ def test_module_equality_witness_pair():
 def test_emit_top_degree_basis():
     assert emit_top_degree_basis(2) == [FormalSum([(t_(2, 2), 1), (t_(2, 1), -1)])]
     top4 = emit_top_degree_basis(4)
-    assert top4 == [matching_generator(m) for m in enumerate_standard(4, 2)]
+    assert top4 == [generator_by_arc_swaps(m) for m in enumerate_standard(4, 2)]
     top6 = emit_top_degree_basis(6)
     assert len(top6) == 5 and span_rank(top6) == 5
     with pytest.raises(ValueError):
@@ -155,57 +167,83 @@ def test_specht_characters_match_dense_elimination(n):
         assert specht_characters(n, k) == dense_specht_characters(n, k)
 
 
-@pytest.fixture
-def fresh_specht_characters():
-    specht_characters.cache_clear()
-    yield
-    specht_characters.cache_clear()
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_young_rule_matches_the_peeled_action(n):
+    for k in range(n // 2 + 1):
+        assert specht_characters(n, k) == peeled_specht_characters(n, k)
 
 
-def test_specht_span_outside_invariance_is_reported(monkeypatch, fresh_specht_characters):
-    import springerrep.specht as sp
+@pytest.mark.parametrize("n, k", [(5, 1), (4, 3), (4, -1), (-2, 0)])
+def test_specht_characters_refuse_bad_degrees(n, k):
+    # Young's rule alone would return a virtual character here
+    with pytest.raises(ValueError, match="even and nonnegative|out of range"):
+        specht_characters(n, k)
 
+
+def test_specht_span_outside_invariance_is_reported():
     # single standard tabloids: unitriangular, but (1 2) carries {2} to {1}, no leading tabloid
-    monkeypatch.setattr(sp, "polytabloid", lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
     with pytest.raises(VerificationError, match="not S_n-invariant") as info:
-        specht_characters(4, 1)
+        peeled_specht_characters(4, 1, polytabloid=lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
     assert info.value.witness["tabloid"] == [1]
 
 
 @pytest.mark.parametrize("broken", ["doubled", "raised"])
-def test_specht_leading_term_is_checked(monkeypatch, fresh_specht_characters, broken):
+def test_specht_leading_term_is_checked(monkeypatch, broken):
     import springerrep.specht as sp
 
-    honest = sp.polytabloid
+    honest = sp.polytabloid_masks
 
     def sabotaged(t):
+        vector = honest(t)
         if t.bottom != (3, 4):
-            return honest(t)
+            return vector
         if broken == "doubled":  # {T} keeps the lead with coefficient 2
-            return 2 * honest(t)
-        return honest(t) + FormalSum.single(Tabloid(t.n, (2, 5)))  # a tabloid above {T}
+            return {b: 2 * c for b, c in vector.items()}
+        return {**vector, subset_mask((2, 5)): 1}  # a tabloid above {T}
 
-    monkeypatch.setattr(sp, "polytabloid", sabotaged)
+    monkeypatch.setattr(sp, "polytabloid_masks", sabotaged)
     with pytest.raises(VerificationError, match="not unitriangular") as info:
-        specht_characters(6 if broken == "raised" else 4, 2)
+        verify_module_equality(6 if broken == "raised" else 4, 2)
     assert info.value.witness["bottom"] == (3, 4)
 
 
+def _run_cli(script: str, optimized: bool = True) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter; with ``optimized``, under
+    ``python -O``, where its first line proves that asserts are stripped."""
+    prefix = 'assert False, "asserts must be stripped"\n' if optimized else ""
+    return subprocess.run([sys.executable, *(["-O"] if optimized else []), "-c",
+                           prefix + textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=60)
+
+
 def test_specht_guard_survives_optimized_python():
-    script = textwrap.dedent("""
+    proc = _run_cli("""
         import sys
         import springerrep.specht as sp
         from springerrep.cli import main
-        from springerrep.formal import FormalSum
+        from springerrep.matchings import subset_mask
 
-        assert False, "asserts must be stripped"
-        sp.polytabloid = lambda t: FormalSum.single(sp.Tabloid(t.n, t.bottom))
-        sys.exit(main(["verify", "--suite", "multiplicity", "--max-n", "4"]))
+        sp.polytabloid_masks = lambda t: {subset_mask(t.bottom): 1}
+        sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
     """)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
-    assert "not S_n-invariant witness=" in proc.stdout
+    assert "not in the Specht span witness=" in proc.stdout
+
+
+@pytest.mark.parametrize("optimized", [False, True], ids=["asserts", "optimized"])
+def test_multiplicity_gate_fires_on_the_wrong_shape(optimized):
+    proc = _run_cli("""
+        import sys
+        import springerrep.specht as sp
+        from springerrep.cli import main
+
+        honest = sp.specht_characters
+        # the character of shape (n-k+1, k-1); degree 0 keeps its own
+        sp.specht_characters = lambda n, k: honest(n, max(k - 1, 0))
+        sys.exit(main(["verify", "--suite", "multiplicity", "--max-n", "4"]))
+    """, optimized)
+    assert proc.returncode == 1, proc.stderr
+    assert "does not pair to 1" in proc.stdout
 
 
 def test_graded_decomposition_examples():
@@ -244,7 +282,7 @@ def test_module_equality_names_the_generator_that_fails_to_peel(monkeypatch):
     import springerrep.specht as sp
 
     # single standard tabloids are unitriangular, but e_M = {2} - {1} leaves {1} behind
-    monkeypatch.setattr(sp, "polytabloid", lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
+    monkeypatch.setattr(sp, "polytabloid_masks", lambda t: {subset_mask(t.bottom): 1})
     with pytest.raises(VerificationError, match="not in the Specht span") as info:
         verify_module_equality(4, 1)
     witness = info.value.witness
@@ -266,15 +304,15 @@ def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
 def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
     import springerrep.specht as sp
 
-    honest = sp.matching_generator
+    honest = sp.matching_generator_masks
     first, second = enumerate_standard(6, 2)[:2]
 
     def sabotaged(m):
         if m != second:
             return honest(m)
-        return honest(first) if broken == "repeated" else 2 * honest(m)
+        return honest(first) if broken == "repeated" else {b: 2 * c for b, c in honest(m).items()}
 
-    monkeypatch.setattr(sp, "matching_generator", sabotaged)
+    monkeypatch.setattr(sp, "matching_generator_masks", sabotaged)
     with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
         verify_module_equality(6, 2)
     assert info.value.witness["arcs"] == second.arcs
@@ -283,7 +321,7 @@ def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
 @pytest.mark.parametrize("n", range(0, 9, 2))
 def test_module_equality_agrees_with_dense_rank(n):
     for k in range(n // 2 + 1):
-        e_t = [polytabloid(t) for t in standard_tableaux(n, k)]
-        e_m = [matching_generator(m) for m in enumerate_standard(n, k)]
+        e_t = [polytabloid_by_columns(t) for t in standard_tableaux(n, k)]
+        e_m = [generator_by_arc_swaps(m) for m in enumerate_standard(n, k)]
         expected = syt_count(n, k)
         assert (span_rank(e_t), span_rank(e_m), span_rank(e_t + e_m)) == (expected,) * 3
