@@ -175,8 +175,13 @@ class TwoRowTableau:
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Normalize a partition: weakly decreasing, nonnegative, zeros stripped."""
-    parts = tuple(int(p) for p in parts)
+    """Normalize a partition: weakly decreasing, nonnegative, zeros stripped.
+    Every part must be an ``int`` proper: floats, bools and strings are
+    refused, not truncated or parsed."""
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"partition part {p!r} is not an integer")
     if any(p < 0 for p in parts):
         raise ValueError(f"negative part in partition {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -21,10 +21,24 @@ M' clears the four endpoint bits and sets those of i and the nearer far end.
 It is evaluated once per (n, k, i, basis matching) into a per-degree table:
 the standard basis, its index by code, and for each s_i the sparse integer
 columns of its matrix; an image outside the basis fails the build.
-Characters and representation matrices run on vectors over that table, the
-Coxeter relations on whole matrices as column products.  The public action
-works on classes: an arbitrary sum of dotted matchings is first rewritten
-into the standard basis, then acted on.
+The public action works on classes: an arbitrary sum of dotted matchings
+is first rewritten into the standard basis, then acted on, one vector at a
+time.
+
+The three certificates (the Coxeter relations, the class-tree character
+table and the chart-diagram consistency) run on whole matrices packed into
+Python integers (Kronecker substitution).  A column, or a block of at most
+``ROW_BLOCK`` rows of it, is the integer sum of A[r][c] * 2^(w*r) with
+balanced w-bit digits, |A[r][c]| < 2^(w-1); so two packed matrices are equal
+exactly when their integer lists are, and a product A * s_i costs one or two
+big-integer additions per column, since every chart column has at most two
+entries.  The width w is computed, never assumed: if R is the largest column
+abs-sum of the generators, a product of m of them has entries of size at
+most R^m, so w = m * ceil(log2 R) + 2 bits hold every digit, whatever chart
+the tables were built from.  The Coxeter words have m = 3 and the class words
+m <= n - 1.  The class-tree walk packs ``ROW_BLOCK`` rows per integer, one
+block after another, so that it never holds a whole matrix per tree node.  Consistency packs the rows of the expansion matrix
+instead, over the basis index.
 """
 
 from __future__ import annotations
@@ -59,7 +73,8 @@ class RepMatrix:
 
 @dataclass(frozen=True)
 class _Tables:
-    """The chart action of every s_i on one degree, by basis index."""
+    """The chart action of every s_i on one degree, by basis index, and the
+    degree's character table, computed once from it on packed matrices."""
 
     n: int
     basis: tuple[DottedMatching, ...]
@@ -68,24 +83,35 @@ class _Tables:
 
     @cached_property
     def characters(self) -> dict[tuple[int, ...], int]:
-        """Trace of every class word, from one walk of the class tree per
-        basis column.
+        """Trace of every class, from one walk of the class tree on packed
+        matrices, ``ROW_BLOCK`` rows at a time.
 
-        Cancelled entries are dropped after every step: class words cancel
-        often, and a zero carried down the tree costs a lookup at each step.
+        Each tree edge is one right multiplication, so a node holds the
+        product of its class word's generators in the order applied, s_{w_1}
+        ... s_{w_m}: the class element s_{w_m} ... s_{w_1} reversed.  With
+        every s_i an involution the reversed word is the inverse, and every
+        element of S_n is conjugate to its inverse, so the trace is the same.
+        The walk is depth first, so the only matrices held are those of the
+        ancestors with children still to visit.
         """
         tree = class_tree(self.n)
+        dim = len(self.basis)
+        w = _width(self.columns, self.n - 1)  # class words have at most n - 1 letters
+        children: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for parts, parent, letter in tree[1:]:
+            children.setdefault(parent, []).append((parts, letter))
         traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
-        for c in range(len(self.basis)):
-            vectors = {}
-            for parts, parent, letter in tree:
+        for start in range(0, dim, ROW_BLOCK):
+            rows = range(start, min(start + ROW_BLOCK, dim))
+            stack = [(tree[0][0], 0, None)]
+            while stack:
+                parts, letter, parent = stack.pop()
                 if parent is None:
-                    vec = {c: 1}
+                    node = _identity(rows, dim, w)
                 else:
-                    step = _step(self.columns[letter - 1], vectors[parent].items())
-                    vec = {r: coef for r, coef in step.items() if coef}
-                vectors[parts] = vec
-                traces[parts] += vec.get(c, 0)
+                    node = _times(parent, self.columns[letter - 1])
+                traces[parts] += sum(_digit(node[c], c - start, w) for c in rows)
+                stack += ((child, letter, node) for child, letter in children.get(parts, ()))
         return traces
 
 
@@ -149,10 +175,40 @@ def _step(columns: tuple[Column, ...], vec: Iterable[tuple[int, int]]) -> dict[i
     return acc
 
 
-def _product(left: tuple[Column, ...], right: tuple[Column, ...]) -> tuple[Column, ...]:
-    """Columns of the matrix product left * right, each sorted by row with
-    zeros dropped, so that equal matrices compare equal."""
-    return tuple(tuple(sorted([e for e in _step(left, col).items() if e[1]])) for col in right)
+ROW_BLOCK = 128  # rows per packed integer in the class-tree walk
+
+
+def _width(generators: Iterable[tuple[Column, ...]], length: int) -> int:
+    """Digit width in bits for products of up to ``length`` generators: with R
+    their largest column abs-sum, every entry is at most R^length in size."""
+    r = max((sum(abs(e) for _, e in column) for g in generators for column in g), default=1)
+    return length * (max(r, 1) - 1).bit_length() + 2
+
+
+def _identity(rows: range, dim: int, w: int) -> list[int]:
+    """Packed columns of the given rows of the dim x dim identity."""
+    return [1 << w * (c - rows.start) if c in rows else 0 for c in range(dim)]
+
+
+def _times(packed: list[int], columns: tuple[Column, ...]) -> list[int]:
+    """Packed columns of A * S, from those of A and the sparse columns of S."""
+    out = []
+    for column in columns:
+        x = 0
+        for r, e in column:
+            x += packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
+        out.append(x)
+    return out
+
+
+def _digit(x: int, r: int, w: int) -> int:
+    """Digit r of a packed integer with balanced w-bit digits.  The digits
+    below r sum to less than 2^(w*r - 1) in size, so adding that much before
+    the shift rounds them away exactly."""
+    if r:
+        x = (x + (1 << w * r - 1)) >> w * r
+    half = 1 << w - 1
+    return ((x + half) & (2 * half - 1)) - half
 
 
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
@@ -213,29 +269,32 @@ class CoxeterReport:
 
 
 def verify_coxeter(n: int, k: int) -> CoxeterReport:
-    """Check s_i^2 = 1, then braid and commuting relations, as column products.
+    """Check s_i^2 = 1, then braid and commuting relations, on packed matrices.
 
     With every s_i an involution, the inverse of a word is the word reversed,
     so (s_i s_{i+1})^3 = 1 holds exactly when s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1},
-    and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.
+    and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.  No word is longer
+    than three letters, and the width of the digits is chosen for that.
     """
     tables = _tables(n, k)
     s = (None, *tables.columns)  # s[i]: the columns of s_i
-    identity = tuple(((c, 1),) for c in range(len(tables.basis)))
+    dim = len(tables.basis)
+    w = _width(tables.columns, 3)
+    identity = _identity(range(dim), dim, w)
+    packed = (None, *(_times(identity, columns) for columns in tables.columns))
     involutions = braid = commuting = 0
     for i in range(1, n):
-        if _product(s[i], s[i]) != identity:
+        if _times(packed[i], s[i]) != identity:
             raise VerificationError("s_i^2 != 1", {"n": n, "k": k, "i": i})
         involutions += 1
     for i in range(1, n - 1):
-        a, b = s[i], s[i + 1]
-        ab = _product(a, b)
-        if _product(ab, a) != _product(b, ab):
+        ab, ba = _times(packed[i], s[i + 1]), _times(packed[i + 1], s[i])
+        if _times(ab, s[i]) != _times(ba, s[i + 1]):
             raise VerificationError("braid relation fails", {"n": n, "k": k, "i": i, "j": i + 1})
         braid += 1
     for i in range(1, n):
         for j in range(i + 2, n):
-            if _product(s[i], s[j]) != _product(s[j], s[i]):
+            if _times(packed[i], s[j]) != _times(packed[j], s[i]):
                 raise VerificationError("commuting relation fails", {"n": n, "k": k, "i": i, "j": j})
             commuting += 1
     return CoxeterReport(n, k, involutions, braid, commuting)
@@ -342,20 +401,42 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
     answer must equal the relabelled expansion of M.  This is the central
     identity behind the representation.  Diagrams are held as bitmasks of
     their undot sets, from ``expansion_masks``; they never read the tables.
+
+    With E the expansion matrix (row u: undot-set mask, column c: basis
+    index; its entries are 0 and ±1), the identity says that row u of
+    E * s_i is row swap_i(u) of E.  Rows are packed over the basis index;
+    row u of E * s_i is the signed sum, over the nonzero entries of row u of
+    E, of the packed rows of s_i.  A failure reports the least basis index,
+    then the least i.
     """
     basis = enumerate_standard(n, k)
-    diagrams = [expansion_masks(m) for m in basis]
     tables = _tables(n, k)
+    w = _width(tables.columns, 1)
+    entries: dict[int, tuple[list[int], list[int]]] = {}  # mask -> (c with E = 1, c with E = -1)
     for c, m in enumerate(basis):
-        for i in range(1, n):
-            via_diagram = {_swap_strands(mask, i): coef for mask, coef in diagrams[c].items()}
-            via_chart: dict[int, int] = {}
-            for r, coef in tables.columns[i - 1][c]:
-                for mask, sign in diagrams[r].items():
-                    via_chart[mask] = via_chart.get(mask, 0) + coef * sign
-            if {mask: coef for mask, coef in via_chart.items() if coef} != via_diagram:
-                raise VerificationError(
-                    "chart action disagrees with diagram permutation",
-                    {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
-                )
+        for mask, sign in expansion_masks(m).items():
+            entries.setdefault(mask, ([], []))[sign < 0].append(c)
+    bits = [1 << w * c for c in range(len(basis))]
+    packed = {u: sum(map(bits.__getitem__, plus)) - sum(map(bits.__getitem__, minus))
+              for u, (plus, minus) in entries.items()}
+    failure = None
+    for i in range(1, n):
+        s_rows = [0] * len(basis)
+        for c, column in enumerate(tables.columns[i - 1]):
+            for r, coef in column:
+                s_rows[r] += coef * bits[c]
+        row = s_rows.__getitem__
+        for u in entries.keys() | {_swap_strands(u, i) for u in entries}:
+            plus, minus = entries.get(u, ((), ()))
+            diff = sum(map(row, plus)) - sum(map(row, minus)) - packed.get(_swap_strands(u, i), 0)
+            if diff:
+                c = ((diff & -diff).bit_length() - 1) // w  # the lowest differing digit
+                failure = min(failure or (c, i), (c, i))
+    if failure:
+        c, i = failure
+        m = basis[c]
+        raise VerificationError(
+            "chart action disagrees with diagram permutation",
+            {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
+        )
     return True

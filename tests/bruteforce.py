@@ -189,6 +189,63 @@ def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     return reduced_word_traces(n, tables.columns, len(tables.basis))
 
 
+def column_product(left, right):
+    """Sparse columns of the matrix product left * right, each sorted by row
+    with zeros dropped; columns are tuples of (row, coefficient) pairs."""
+    out = []
+    for column in right:
+        acc: dict[int, int] = {}
+        for c, coef in column:
+            for r, entry in left[c]:
+                acc[r] = acc.get(r, 0) + coef * entry
+        out.append(tuple(sorted((r, coef) for r, coef in acc.items() if coef)))
+    return tuple(out)
+
+
+def unpack_columns(packed, w: int, dim: int):
+    """Sparse columns of a dim-row matrix packed one integer per column, digit
+    r the entry of row r in balanced w-bit digits, |digit| < 2^(w-1).  The
+    lowest nonzero digit is the one whose w-bit slot holds the lowest set bit.
+    Whatever is left past the last row is returned as one more entry."""
+    half = 1 << w - 1
+    columns = []
+    for x in packed:
+        column = []
+        while x:
+            r = ((x & -x).bit_length() - 1) // w
+            if r >= dim:
+                column.append((r, x))
+                break
+            digit = ((x >> w * r) + half & 2 * half - 1) - half
+            column.append((r, digit))
+            x -= digit << w * r
+        columns.append(tuple(column))
+    return tuple(columns)
+
+
+def walked_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Trace of every class on degree (n, k) from one walk of ``class_tree``
+    per basis column on dict vectors: each tree edge applies its letter on
+    the left, s * parent, to the parent's vector."""
+    tables = snaction._tables(n, k)
+    tree = snaction.class_tree(n)
+    traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
+    for c in range(len(tables.basis)):
+        vectors = {}
+        for parts, parent, letter in tree:
+            if parent is None:
+                vec = {c: 1}
+            else:
+                vec = {}
+                for col, coef in vectors[parent].items():
+                    for row, entry in tables.columns[letter - 1][col]:
+                        vec[row] = vec.get(row, 0) + coef * entry
+                vec = {row: coef for row, coef in vec.items() if coef}
+            vectors[parts] = vec
+            traces[parts] += vec.get(c, 0)
+    return traces
+
+
 def conjugacy_class_size(n: int, cycle_type) -> int:
     """Number of permutations of {1..n} with the given cycle type, by counting."""
     wanted = tuple(sorted(cycle_type, reverse=True))

@@ -8,6 +8,7 @@ from springerrep import (
     NoncrossingMatching,
     TwoRowTableau,
     catalan,
+    character,
     enumerate_noncrossing,
     enumerate_standard,
     is_standard,
@@ -236,6 +237,21 @@ def test_partitions_of():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partitions_of(0) == [()]
     assert check_partition((3, 3, 0, 0)) == (3, 3)
+
+
+@pytest.mark.parametrize("parts", [
+    (2.7, 1.2, 1.1), (2.5, 2.5), (2.0, 2), (True, 1), (2, False), ("2", "2"), ("3",),
+])
+@pytest.mark.parametrize("call", [
+    check_partition,
+    springer_dimension,
+    lambda parts: character(4, 1, parts),
+    lambda parts: kostka_two_row(parts, (2, 2)),
+], ids=["check_partition", "springer_dimension", "character", "kostka_two_row"])
+def test_partition_parts_must_be_ints(call, parts):
+    # int() used to truncate 2.7 to 2 and read True as 1
+    with pytest.raises(ValueError, match="not an integer"):
+        call(parts)
 
 
 def test_degenerate_n_zero():

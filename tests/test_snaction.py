@@ -33,6 +33,7 @@ from springerrep.verify import run_suites
 
 from bruteforce import (
     chart,
+    column_product,
     conjugacy_class_size,
     is_identity,
     map_basis,
@@ -41,6 +42,8 @@ from bruteforce import (
     permute_diagram,
     reduced_word_characters,
     two_row_character_oracle,
+    unpack_columns,
+    walked_characters,
 )
 
 
@@ -130,11 +133,12 @@ def test_permutation_matrix_agrees_with_generator_products():
     assert direct == mat_mul(rep_matrix(4, 2, 1).rows(), rep_matrix(4, 2, 2).rows())
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12, 14))
 def test_coxeter_relations(n):
     for k in range(n // 2 + 1):
         report = verify_coxeter(n, k)
-        assert report.involutions == n - 1
+        assert (report.involutions, report.braid, report.commuting) == (
+            n - 1, max(n - 2, 0), (n - 2) * (n - 3) // 2)
 
 
 def test_rep_matrix_checks_the_generator_before_building_tables():
@@ -192,7 +196,27 @@ def test_character_table_matches_reduced_word_traces(n):
     for k in range(n // 2 + 1):
         table = character_table(n, k)
         assert table == reduced_word_characters(n, k)
+        assert table == walked_characters(n, k)  # the dict walk, s * parent
         assert table == {ct: character(n, k, ct) for ct in partitions_of(n)}
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+def test_packed_products_decode_to_column_products(n):
+    for k in range(n // 2 + 1):
+        tables = snaction._tables(n, k)
+        s = (None, *tables.columns)
+        dim = len(tables.basis)
+        w = snaction._width(tables.columns, 3)  # the width verify_coxeter uses
+        identity = snaction._identity(range(dim), dim, w)
+        for i in range(1, n):
+            packed = snaction._times(identity, s[i])
+            assert unpack_columns(packed, w, dim) == tuple(tuple(sorted(c)) for c in s[i])
+            for j in range(1, n):
+                product = snaction._times(packed, s[j])
+                assert unpack_columns(product, w, dim) == column_product(s[i], s[j])
+                if j == i + 1:
+                    triple = unpack_columns(snaction._times(product, s[i]), w, dim)
+                    assert triple == column_product(column_product(s[i], s[j]), s[i])
 
 
 def test_character_rejects_a_type_of_another_size():
@@ -213,7 +237,7 @@ def test_class_representative_and_sizes():
             assert conjugacy_class_size(n, ct) * centralizer_order(ct) == factorial(n)
 
 
-@pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 14))  # 14: class words of 13 letters, 15-bit digits
 def test_irreducibility(n):
     for k in range(n // 2 + 1):
         assert irreducibility_check(n, k) == Fraction(1)
@@ -299,6 +323,18 @@ def test_broken_chart_is_caught_by_suite(broken_chart, suite):
     results = run_suites([suite], 6)
     assert not all(r.ok for r in results)
     assert not any("not a standard basis matching" in r.detail for r in results)
+
+
+def test_broken_chart_witnesses_at_n_4(broken_chart):
+    broken_chart(sign_of_undotted_pair_flipped)
+    with pytest.raises(VerificationError) as info:
+        chart_diagram_consistency(4, 1)
+    # the least basis index first, then the least i
+    assert info.value.witness == {
+        "n": 4, "k": 1, "i": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)],
+    }
+    details = [r.detail for r in run_suites(["irreducibility"], 4) if not r.ok]
+    assert details == ["<chi,chi>=46/3", "<chi,chi>=26/3"]
 
 
 def test_character_table_is_dropped_with_the_chart(broken_chart):
