@@ -24,7 +24,7 @@ from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import enumerate_noncrossing, enumerate_standard, phi, theta
 from .perms import Permutation, parse_permutation
-from .rewriting import MAX_VERIFY_N, _reduce_codes
+from .rewriting import MAX_VERIFY_N, _reduce_sum
 from .snaction import act_permutation, act_word, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid, standard_tableaux
 from .verify import SUITE_NAMES, run_suites
@@ -155,7 +155,7 @@ def _emit_matching_sum(args, v: FormalSum) -> None:
 
 def _cmd_reduce(args) -> int:
     terms = jsonio.matching_codes_from_obj(_read_json(args.input))
-    _emit_matching_sum(args, _reduce_codes(terms))
+    _emit_matching_sum(args, _reduce_sum(terms))
     return 0
 
 

@@ -31,15 +31,19 @@ each matching is rewritten once per call, after all its contributions have
 arrived, and no rewrite memo outlives the call.  A term whose measure is not below
 its bucket raises :class:`VerificationError` (the termination guard).
 
-``reduce`` feeds the kernel :func:`_reduce_codes` the codes that
+``reduce`` hands :func:`_reduce_sum` the codes that
 :func:`springerrep.jsonio.matching_codes_from_obj` decodes from the wire;
-:func:`reduce_to_standard` encodes a :class:`FormalSum` into the same
-kernel.  Only the codes left at measure 0 become objects, each checked on
+:func:`reduce_to_standard` encodes a :class:`FormalSum` into it.  It merges
+the terms, checks that they share one degree and drains them through the
+kernel :func:`_reduce_codes`, which takes and returns ``(opens, dots)``
+terms.  Only the codes left at measure 0 become objects, each checked on
 its masks (degree k, measure 0) and decoded once per process, so the cost
 follows the input and the output: no standard basis is enumerated.
 
-:func:`quotient_project_oracle` recomputes the normal forms by elimination
-over the object-level :func:`relation_vectors`, independently of the kernel.
+:func:`quotient_project_codes` recomputes the normal forms by one
+elimination over Type I/II rows built on codes, read off each nested arc
+and its innermost encloser, and never calls the kernel it certifies;
+:func:`quotient_project_oracle` decodes its table to matchings.
 """
 
 from __future__ import annotations
@@ -51,20 +55,14 @@ from functools import cache
 from .errors import VerificationError
 from .exactlinalg import sparse_rref
 from .formal import FormalSum
-from .matchings import (
-    DottedMatching,
-    NoncrossingMatching,
-    enumerate_noncrossing,
-    enumerate_standard,
-    is_standard,
-    opens_mask,
-    syt_count,
-)
+from .matchings import DottedMatching, enumerate_noncrossing, enumerate_standard, opens_mask, syt_count
 
-# Largest n of the verify suites and of quotient_project_oracle.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes about 4 s on 2 vCPUs
-# (3.7-3.9 s measured, Python 3.11), and must stay under 15 s.
+# Largest n of the verify suites and of quotient_project_codes.  Budget: all
+# of ``verify --suite all --max-n 12`` (252 checks) takes about 2 s on 2 vCPUs
+# (1.8-2.2 s measured under -O, Python 3.11), and must stay under 15 s.
 MAX_VERIFY_N = 12
+
+Code = tuple[int, int]  # (opens, dots)
 
 
 def _encode(m: DottedMatching) -> tuple[int, int]:
@@ -118,33 +116,27 @@ def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tup
     return [(opens, dots ^ ji, -1), (opens ^ jk, dots ^ ji, 1), (opens ^ jk, dots ^ jk, 1)]
 
 
+def _matching(n: int, opens: int, dots: int) -> DottedMatching:
+    witness = _decode(n, opens, dots)
+    return DottedMatching.make(n, witness["arcs"], witness["dotted"])
+
+
 @cache
 def _basis_matching(n: int, k: int, opens: int, dots: int) -> DottedMatching | None:
     """The standard matching of degree k with this code, or None if there is
     none; the check is on the masks, the decode goes through the matching rules."""
     if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
         return None
-    witness = _decode(n, opens, dots)
-    return DottedMatching.make(n, witness["arcs"], witness["dotted"])
+    return _matching(n, opens, dots)
 
 
-def _reduce_codes(terms: Iterable[tuple[tuple[int, int, int], int]]) -> FormalSum:
-    """The kernel: ``((n, opens, dots), coef)`` terms in, their class in the
-    standard basis out.  Equal codes merge before the degree check, as in a
-    :class:`FormalSum`, so terms that cancel do not count towards it."""
-    merged: dict[tuple[int, int, int], int] = {}
+def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
+    """The kernel: ``((opens, dots), coef)`` terms on n vertices in, the
+    nonzero ``{(opens, dots): coef}`` left at measure 0 out."""
+    levels: dict[int, dict[Code, int]] = {0: {}}
     for code, coef in terms:
-        merged[code] = merged.get(code, 0) + coef
-    degrees = {(n, n // 2 - dots.bit_count()) for (n, _, dots), coef in merged.items() if coef}
-    if len(degrees) > 1:
-        raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
-    if not degrees:
-        return FormalSum.zero()
-    [(n, k)] = degrees
-    levels: dict[int, dict[tuple[int, int], int]] = {0: {}}
-    for (_, opens, dots), coef in merged.items():
-        if coef:
-            levels.setdefault(_nesting(opens, dots), {})[opens, dots] = coef
+        bucket = levels.setdefault(_nesting(*code), {})
+        bucket[code] = bucket.get(code, 0) + coef
     for level in range(max(levels), 0, -1):
         for (opens, dots), coef in levels.pop(level, {}).items():
             if not coef:
@@ -161,8 +153,24 @@ def _reduce_codes(terms: Iterable[tuple[tuple[int, int, int], int]]) -> FormalSu
                 bucket = levels.setdefault(child_level, {})
                 code = (child_opens, child_dots)
                 bucket[code] = bucket.get(code, 0) + coef * sign
+    return {code: coef for code, coef in levels[0].items() if coef}
+
+
+def _reduce_sum(terms: Iterable[tuple[tuple[int, int, int], int]]) -> FormalSum:
+    """``((n, opens, dots), coef)`` terms in, their class in the standard basis
+    out.  Equal codes merge before the degree check, as in a
+    :class:`FormalSum`, so terms that cancel do not count towards it."""
+    merged: dict[tuple[int, int, int], int] = {}
+    for code, coef in terms:
+        merged[code] = merged.get(code, 0) + coef
+    degrees = {(n, n // 2 - dots.bit_count()) for (n, _, dots), coef in merged.items() if coef}
+    if len(degrees) > 1:
+        raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
+    if not degrees:
+        return FormalSum.zero()
+    [(n, k)] = degrees
     out = []
-    for code, coef in levels[0].items():
+    for code, coef in _reduce_codes(n, (((o, d), c) for (_, o, d), c in merged.items())).items():
         m = _basis_matching(n, k, *code)
         if m is None:
             raise VerificationError(
@@ -178,80 +186,65 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     The result represents the same class modulo the Type I/II relations;
     already-standard sums come back unchanged.
     """
-    return _reduce_codes(((m.n, *_encode(m)), coef) for m, coef in v)
+    return _reduce_sum(((m.n, *_encode(m)), coef) for m, coef in v)
 
 
-def _all_dottings(matching: NoncrossingMatching, k: int) -> list[DottedMatching]:
-    dots_needed = matching.n // 2 - k
-    return [
-        DottedMatching(matching, frozenset(dots))
-        for dots in itertools.combinations(matching.arcs, dots_needed)
-    ]
+def _dot_masks(mask: int, r: int) -> list[int]:
+    """Every r-bit submask of ``mask``: the dots of r of the arcs opening there."""
+    bits = [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
+    return [sum(chosen) for chosen in itertools.combinations(bits, r)] if r >= 0 else []
 
 
-def degree_generators(n: int, k: int) -> list[DottedMatching]:
-    """Every dotted matching on n vertices with exactly k undotted arcs."""
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"k={k} out of range for n={n}")
-    gens = [m for base in enumerate_noncrossing(n) for m in _all_dottings(base, k)]
-    gens.sort(key=DottedMatching.sort_key)
-    return gens
+def _generator_codes(n: int, k: int) -> list[Code]:
+    """Every dotted matching on n vertices with exactly k undotted arcs, as codes."""
+    words = [opens_mask(base.arcs) for base in enumerate_noncrossing(n)]
+    return [(opens, dots) for opens in words for dots in _dot_masks(opens, n // 2 - k)]
 
 
-def relation_vectors(n: int, k: int) -> list[FormalSum]:
-    """All Type I and Type II relation vectors in degree k, as formal sums."""
-    out = []
+def _relation_rows(n: int, k: int) -> list[dict[Code, int]]:
+    """Every Type I and Type II relation of degree k, as ``{(opens, dots): +-1}``:
+    one family per nested arc (j,k) under its innermost encloser (i,l), the
+    side-by-side word flipping the bits of j and k, with every dotting of the
+    spectator arcs that leaves degree k."""
+    rows = []
     for base in enumerate_noncrossing(n):
+        nested = opens_mask(base.arcs)
         for inner in base.arcs:
             enclosing = base.enclosers(inner)
             if not enclosing:
                 continue
-            outer = enclosing[-1]
-            i, l = outer
-            j, kk = inner
-            rewired = NoncrossingMatching(
-                n, tuple(a for a in base.arcs if a not in (outer, inner)) + ((i, j), (kk, l))
-            )
-            spectators = tuple(a for a in base.arcs if a not in (outer, inner))
-            for dots in itertools.chain.from_iterable(
-                itertools.combinations(spectators, r) for r in range(len(spectators) + 1)
-            ):
-                undotted_spectators = len(spectators) - len(dots)
-                if undotted_spectators + 1 == k:
-                    out.append(FormalSum([
-                        (DottedMatching(rewired, frozenset(dots + ((i, j),))), 1),
-                        (DottedMatching(rewired, frozenset(dots + ((kk, l),))), 1),
-                        (DottedMatching(base, frozenset(dots + (outer,))), -1),
-                        (DottedMatching(base, frozenset(dots + (inner,))), -1),
-                    ]))
-                if undotted_spectators == k:
-                    out.append(FormalSum([
-                        (DottedMatching(rewired, frozenset(dots + ((i, j), (kk, l)))), 1),
-                        (DottedMatching(base, frozenset(dots + (outer, inner))), -1),
-                    ]))
-    return out
+            i, j, kk = (1 << (v - 1) for v in (enclosing[-1][0], *inner))
+            side, spectators = nested ^ j ^ kk, nested ^ i ^ j
+            for s in _dot_masks(spectators, n // 2 - 1 - k):
+                rows.append({(side, s | i): 1, (side, s | kk): 1,
+                             (nested, s | i): -1, (nested, s | j): -1})
+            for s in _dot_masks(spectators, n // 2 - 2 - k):
+                rows.append({(side, s | i | kk): 1, (nested, s | i | j): -1})
+    return rows
 
 
-def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
-    """Normal forms of every degree-k generator, by exact elimination.
+def quotient_project_codes(n: int, k: int) -> dict[Code, dict[Code, int]]:
+    """Normal forms of every degree-k generator, by exact elimination, as codes.
 
-    Builds the full relation subspace on all dotted matchings of degree k,
-    row-reduces its sparse rows (at most four entries, each +-1) with the
-    standard matchings ordered last, and reads off each generator's
-    coordinates in the standard basis.  Verifies that the
-    standard matchings are independent modulo the relations and that the
-    quotient dimension matches the standard-tableau count.
+    Row-reduces the Type I/II rows (at most four entries, each +-1) over all
+    dotted matchings of degree k, the nonstandard ones by increasing nesting
+    and the standard ones (from :func:`enumerate_standard`) last, and reads
+    off each generator's coordinates in the standard basis.  Verifies that
+    the standard matchings are independent modulo the relations and that the
+    quotient dimension matches the standard-tableau count.  Never calls the
+    rewriting kernel, whose drain it certifies.
     """
     if n > MAX_VERIFY_N:
         raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
-    generators = degree_generators(n, k)
-    standard = list(enumerate_standard(n, k))
-    nonstandard = [g for g in generators if not is_standard(g)]
+    standard = [_encode(m) for m in enumerate_standard(n, k)]
+    known = set(standard)
+    nonstandard = sorted((g for g in _generator_codes(n, k) if g not in known),
+                         key=lambda g: _nesting(*g))
     columns = nonstandard + standard
     index = {g: c for c, g in enumerate(columns)}
 
     reduced = sparse_rref(
-        {index[term]: coef for term, coef in relation} for relation in relation_vectors(n, k)
+        {index[code]: coef for code, coef in row.items()} for row in _relation_rows(n, k)
     )
     pivots = sorted(reduced)
 
@@ -267,17 +260,23 @@ def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
             {"n": n, "k": k, "dimension": dimension, "expected": syt_count(n, k)},
         )
 
-    table: dict[DottedMatching, FormalSum] = {m: FormalSum.single(m) for m in standard}
+    table = {g: {g: 1} for g in standard}
     for pivot in pivots:
-        terms = []
-        # the pivot entry sorts first; every other nonstandard column is cleared
-        for c, entry in sorted(reduced[pivot].items())[1:]:
-            value = -entry
-            if value.denominator != 1:
+        # every other nonstandard column is cleared, so the rest are standard
+        row = {columns[c]: -x for c, x in reduced[pivot].items() if c != pivot}
+        for x in row.values():
+            if x.denominator != 1:
                 raise VerificationError(
-                    "non-integer coordinate in quotient projection",
-                    {"n": n, "k": k, "value": str(value)},
+                    "non-integer coordinate in quotient projection", {"n": n, "k": k, "value": str(x)}
                 )
-            terms.append((columns[c], int(value)))
-        table[columns[pivot]] = FormalSum(terms)
+        table[columns[pivot]] = {c: int(x) for c, x in row.items()}
     return table
+
+
+def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
+    """:func:`quotient_project_codes` as matchings: each degree-k generator's
+    normal form in the standard basis."""
+    return {
+        _matching(n, *g): FormalSum((_matching(n, *c), coef) for c, coef in row.items())
+        for g, row in quotient_project_codes(n, k).items()
+    }

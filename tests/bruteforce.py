@@ -14,6 +14,7 @@ from functools import cache
 
 from springerrep import (
     DottedMatching,
+    NoncrossingMatching,
     Tabloid,
     TwoRowTableau,
     UndotSet,
@@ -33,7 +34,6 @@ from springerrep.matchings import (
     subset_members,
 )
 from springerrep.perms import Permutation
-from springerrep.rewriting import degree_generators, relation_vectors
 from springerrep.snaction import class_representative
 from springerrep.specht import standard_tableaux
 
@@ -681,6 +681,53 @@ def span_rank(vectors) -> int:
         return 0
     n, k = _degree_of(vectors)
     return rank(_coordinate_rows(vectors, n, k))
+
+
+def degree_generators(n: int, k: int) -> list[DottedMatching]:
+    """Every dotted matching on n vertices with exactly k undotted arcs."""
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"k={k} out of range for n={n}")
+    gens = [
+        DottedMatching(base, frozenset(dots))
+        for base in enumerate_noncrossing(n)
+        for dots in itertools.combinations(base.arcs, n // 2 - k)
+    ]
+    gens.sort(key=DottedMatching.sort_key)
+    return gens
+
+
+def relation_vectors(n: int, k: int) -> list[FormalSum]:
+    """All Type I and Type II relation vectors in degree k, as formal sums:
+    for each arc with an encloser, rewire it with the innermost encloser and
+    dot the spectator arcs in every way that stays in degree k."""
+    out = []
+    for base in enumerate_noncrossing(n):
+        for inner in base.arcs:
+            enclosing = base.enclosers(inner)
+            if not enclosing:
+                continue
+            outer = enclosing[-1]
+            i, l = outer
+            j, kk = inner
+            spectators = tuple(a for a in base.arcs if a not in (outer, inner))
+            rewired = NoncrossingMatching(n, spectators + ((i, j), (kk, l)))
+            for dots in itertools.chain.from_iterable(
+                itertools.combinations(spectators, r) for r in range(len(spectators) + 1)
+            ):
+                undotted_spectators = len(spectators) - len(dots)
+                if undotted_spectators + 1 == k:
+                    out.append(FormalSum([
+                        (DottedMatching(rewired, frozenset(dots + ((i, j),))), 1),
+                        (DottedMatching(rewired, frozenset(dots + ((kk, l),))), 1),
+                        (DottedMatching(base, frozenset(dots + (outer,))), -1),
+                        (DottedMatching(base, frozenset(dots + (inner,))), -1),
+                    ]))
+                if undotted_spectators == k:
+                    out.append(FormalSum([
+                        (DottedMatching(rewired, frozenset(dots + ((i, j), (kk, l)))), 1),
+                        (DottedMatching(base, frozenset(dots + (outer, inner))), -1),
+                    ]))
+    return out
 
 
 def dense_quotient_table(n: int, k: int) -> dict[DottedMatching, FormalSum]:

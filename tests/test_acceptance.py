@@ -34,7 +34,8 @@ from springerrep import (
 from springerrep.formal import FormalSum
 from springerrep.matchings import TwoRowTableau, partitions_of
 from springerrep.matchings import standard_bottom_sets
-from springerrep.rewriting import degree_generators
+
+from bruteforce import degree_generators
 
 
 @contextmanager

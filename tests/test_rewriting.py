@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
@@ -6,18 +9,20 @@ import springerrep.rewriting as rw
 from springerrep import DottedMatching, is_standard, quotient_project_oracle, reduce_to_standard
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
+from springerrep.cli import main
 from springerrep.matchings import enumerate_standard, syt_count
-from springerrep.rewriting import degree_generators, relation_vectors
 
 from bruteforce import (
     RewriteSite,
     apply_site,
     apply_type1,
     apply_type2,
+    degree_generators,
     dense_quotient_table,
     find_sites,
     nesting_measure,
     reduce_picking,
+    relation_vectors,
 )
 
 
@@ -264,10 +269,9 @@ def test_oracle_matches_dense_elimination(n):
 
 def test_oracle_rejects_dependent_standard_columns(monkeypatch):
     # a relation among standard matchings alone puts a pivot in a standard column
-    honest = rw.relation_vectors
-    first, second = enumerate_standard(4, 1)[:2]
-    monkeypatch.setattr(rw, "relation_vectors",
-                        lambda n, k: honest(n, k) + [single(first) - single(second)])
+    honest = rw._relation_rows
+    first, second = (rw._encode(m) for m in enumerate_standard(4, 1)[:2])
+    monkeypatch.setattr(rw, "_relation_rows", lambda n, k: honest(n, k) + [{first: 1, second: -1}])
     with pytest.raises(VerificationError, match="dependent") as info:
         quotient_project_oracle(4, 1)
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
@@ -286,3 +290,72 @@ def test_oracle_raises_on_impossible_dimension(monkeypatch):
     monkeypatch.setattr(rw, "syt_count", lambda n, k: 99)
     with pytest.raises(VerificationError):
         quotient_project_oracle(4, 1)
+
+
+def encoded_row(relation):
+    return frozenset((rw._encode(m), coef) for m, coef in relation)
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_code_generators_and_rows_match_the_object_builders(n):
+    # a dropped dot bit or a wrong rewiring changes a row; the counts pin duplicates
+    for k in range(n // 2 + 1):
+        generators = rw._generator_codes(n, k)
+        assert len(generators) == len(set(generators))
+        assert set(generators) == {rw._encode(g) for g in degree_generators(n, k)}
+        rows = rw._relation_rows(n, k)
+        expected = relation_vectors(n, k)
+        assert len(rows) == len(expected)
+        assert Counter(frozenset(row.items()) for row in rows) == Counter(map(encoded_row, expected))
+
+
+def test_oracle_never_calls_the_kernel(monkeypatch):
+    # the table must not depend on the rewrite it certifies, nor on the
+    # nesting measure beyond the column order: standardness comes from
+    # enumerate_standard, and normal forms do not depend on that order
+    honest = {(n, k): rw.quotient_project_codes(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the rewriting kernel")
+
+    monkeypatch.setattr(rw, "_find_site", refuse)
+    monkeypatch.setattr(rw, "_rewrite", refuse)
+    monkeypatch.setattr(rw, "_nesting", lambda opens, dots: 0)
+    for (n, k), table in honest.items():
+        assert rw.quotient_project_codes(n, k) == table
+
+
+NEGATED_TYPE_I = """
+import sys
+import springerrep.rewriting as rw
+from springerrep.cli import main
+
+honest = rw._rewrite
+
+def negated(opens, dots, site):
+    terms = honest(opens, dots, site)
+    if len(terms) == 3:
+        (o, d, c), *rest = terms
+        terms = [(o, d, -c), *rest]
+    return terms
+
+rw._rewrite = negated
+sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_negated_type_one_fails_the_rewriting_suite(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", NEGATED_TYPE_I],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    failed = [line.split() for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL rewriting n=4 k=1 oracle 4 generators, dim 3, 1 mismatches".split()]
+
+
+def test_rewriting_suite_fails_without_type_two_rows(monkeypatch, capsys):
+    honest = rw._relation_rows
+    monkeypatch.setattr(rw, "_relation_rows", lambda n, k: [row for row in honest(n, k) if len(row) == 4])
+    assert main(["verify", "--suite", "rewriting", "--max-n", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "quotient dimension does not match" in out

@@ -21,7 +21,6 @@ from springerrep import snaction
 from springerrep.formal import FormalSum
 from springerrep.matchings import enumerate_standard, partitions_of, syt_count
 from springerrep.perms import Permutation, parse_permutation
-from springerrep.rewriting import degree_generators
 from springerrep.snaction import (
     centralizer_order,
     character_table,
@@ -35,6 +34,7 @@ from bruteforce import (
     chart,
     column_product,
     conjugacy_class_size,
+    degree_generators,
     is_identity,
     map_basis,
     mat_mul,
