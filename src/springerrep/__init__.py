@@ -12,6 +12,7 @@ from .formal import FormalSum
 from .matchings import (
     DottedMatching,
     NoncrossingMatching,
+    Tabloid,
     TwoRowTableau,
     catalan,
     enumerate_noncrossing,
@@ -25,7 +26,6 @@ from .matchings import (
     theta,
 )
 from .linediagrams import (
-    UndotSet,
     echelon_certificate,
     expand,
 )
@@ -43,12 +43,10 @@ from .snaction import (
     verify_coxeter,
 )
 from .specht import (
-    Tabloid,
     emit_top_degree_basis,
     graded_decomposition,
     matching_generator,
     polytabloid,
-    psi,
     verify_module_equality,
 )
 

@@ -22,11 +22,11 @@ from . import jsonio
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import expand
-from .matchings import enumerate_noncrossing, enumerate_standard, phi, theta
+from .matchings import enumerate_noncrossing, enumerate_standard, phi, standard_tableaux, theta
 from .perms import Permutation, parse_permutation
 from .rewriting import MAX_VERIFY_N, _reduce_sum
 from .snaction import act_permutation, act_word, character, rep_matrix
-from .specht import emit_top_degree_basis, matching_generator, polytabloid, standard_tableaux
+from .specht import emit_top_degree_basis, matching_generator, polytabloid
 from .verify import SUITE_NAMES, run_suites
 
 MIN_VERIFY_N = 2
@@ -133,11 +133,11 @@ def _cmd_bijection(args) -> int:
         _emit(args, jsonio.dumps(payload))
     elif args.format == "csv":
         table = [["k", "matching", "tableau"]]
-        table += [[k, jsonio.matching_plain(m), jsonio.tableau_plain(t)] for k, m, t in rows]
+        table += [[k, jsonio.matching_plain(m), jsonio.rows_plain(t)] for k, m, t in rows]
         _emit(args, _csv_text(table))
     else:
         _emit(args, "\n".join(
-            f"{jsonio.matching_plain(m)}  <->  {jsonio.tableau_plain(t)}" for _, m, t in rows
+            f"{jsonio.matching_plain(m)}  <->  {jsonio.rows_plain(t)}" for _, m, t in rows
         ) or "(none)")
     return 0
 
@@ -167,7 +167,7 @@ def _cmd_expand(args) -> int:
         _emit(args, jsonio.dumps(jsonio.diagram_sum_to_obj(v, n=m.n)))
     elif args.format == "csv":
         rows = [["coef", "undot"]]
-        rows += [[coef, " ".join(map(str, u.members))] for u, coef in v.sorted_terms()]
+        rows += [[coef, " ".join(map(str, u.bottom))] for u, coef in v.sorted_terms()]
         _emit(args, _csv_text(rows))
     else:
         _emit(args, jsonio.formal_plain(v, jsonio.undot_plain))
@@ -250,7 +250,7 @@ def _tabloid_vectors(args, k: int, named: dict[str, list[FormalSum]]) -> None:
         lines = []
         for name, vectors in named.items():
             for idx, v in enumerate(vectors):
-                lines.append(f"{name}[{idx}] = {jsonio.formal_plain(v, jsonio.tabloid_plain)}")
+                lines.append(f"{name}[{idx}] = {jsonio.formal_plain(v, jsonio.rows_plain)}")
         _emit(args, "\n".join(lines))
 
 

@@ -21,9 +21,7 @@ import json
 from typing import Any
 
 from .formal import FormalSum
-from .linediagrams import UndotSet
-from .matchings import DottedMatching, NoncrossingMatching, TwoRowTableau, matching_code
-from .specht import Tabloid
+from .matchings import DottedMatching, NoncrossingMatching, Tabloid, TwoRowTableau, matching_code
 
 
 def dumps(obj: Any) -> str:
@@ -62,7 +60,7 @@ def diagram_sum_to_obj(v: FormalSum, n: int | None = None) -> dict:
         n = sizes.pop()
     return {
         "n": n,
-        "terms": [{"coef": coef, "undot": list(u.members)} for u, coef in v.sorted_terms()],
+        "terms": [{"coef": coef, "undot": list(u.bottom)} for u, coef in v.sorted_terms()],
     }
 
 
@@ -150,21 +148,15 @@ def matching_plain(m: DottedMatching | NoncrossingMatching) -> str:
     ) or "(empty)"
 
 
-def rows_plain(n: int, bottom: tuple[int, ...]) -> str:
-    top = [v for v in range(1, n + 1) if v not in set(bottom)]
-    return " ".join(map(str, top)) + "|" + " ".join(map(str, bottom))
+def rows_plain(t: TwoRowTableau | Tabloid) -> str:
+    """A tableau or tabloid as its two rows, top first."""
+    top = [v for v in range(1, t.n + 1) if v not in set(t.bottom)]
+    return " ".join(map(str, top)) + "|" + " ".join(map(str, t.bottom))
 
 
-def tableau_plain(t: TwoRowTableau) -> str:
-    return rows_plain(t.n, t.bottom)
-
-
-def tabloid_plain(t: Tabloid) -> str:
-    return rows_plain(t.n, t.bottom)
-
-
-def undot_plain(u: UndotSet) -> str:
-    return "{" + ",".join(map(str, u.members)) + "}"
+def undot_plain(u: Tabloid) -> str:
+    """A line diagram as its undot set."""
+    return "{" + ",".join(map(str, u.bottom)) + "}"
 
 
 def formal_plain(v: FormalSum, render) -> str:

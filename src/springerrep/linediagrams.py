@@ -10,67 +10,31 @@ term always carries coefficient +1 — which makes the expansion matrix
 row-echelon once rows and columns are sorted by the undot-set order.  The
 certificates hold undot sets as bitmasks (strand x at bit x-1), on which
 that order is integer order (:func:`~springerrep.matchings.subset_mask`).
+
+A line diagram is held as the :class:`~springerrep.matchings.Tabloid` whose
+bottom row is its undot set: the paper's relabelling of line diagrams to
+tabloids is the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formal import FormalSum
-from .matchings import DottedMatching, enumerate_standard, is_standard, subset_mask, subset_members
-
-
-@dataclass(frozen=True)
-class UndotSet:
-    """The undotted-strand positions of a line diagram on n strands."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-        if len(set(self.members)) != len(self.members):
-            raise ValueError(f"repeated strand in {self.members}")
-        if any(v < 1 or v > self.n for v in self.members):
-            raise ValueError(f"strand out of range 1..{self.n}: {self.members}")
-
-    def sort_key(self):
-        return (self.n, len(self.members), subset_mask(self.members))
-
-
-def _require_standard(m: DottedMatching) -> None:
-    if not is_standard(m):
-        raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
+from .matchings import DottedMatching, enumerate_standard, is_standard, pair_product, subset_mask, tabloid_sum
 
 
 def expansion_masks(m: DottedMatching) -> dict[int, int]:
     """L_M as {undot-set mask: ±1}, strand x at bit x-1: the one expansion rule,
-    the product over undotted arcs (i, j) of (l_j - l_i) multiplied out in
-    ``itertools.product`` order.  :func:`expand` checks that M is standard."""
-    terms = {0: 1}
-    for i, j in m.undotted_arcs:
-        terms = {
-            mask | bit: sign * coef
-            for mask, coef in terms.items()
-            for bit, sign in ((1 << (i - 1), -1), (1 << (j - 1), 1))
-        }
-    return terms
+    the product over undotted arcs (i, j) of (l_j - l_i), multiplied out by
+    :func:`~springerrep.matchings.pair_product`.  :func:`expand` checks that M is standard."""
+    return pair_product(m.undotted_arcs)
 
 
 def expand(m: DottedMatching) -> FormalSum:
-    """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1."""
-    _require_standard(m)
-    return FormalSum(
-        (UndotSet(m.n, subset_members(mask)), coef) for mask, coef in expansion_masks(m).items()
-    )
-
-
-def _swap_strands(mask: int, i: int) -> int:
-    """s_i on a subset mask, strand x at bit x-1: exchange strands i and i+1
-    of a line diagram, or entries i and i+1 of a tabloid's bottom row."""
-    pair = 0b11 << (i - 1)
-    both = mask & pair
-    return mask ^ pair if both and both != pair else mask
+    """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1,
+    each a :class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set."""
+    if not is_standard(m):
+        raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
+    return tabloid_sum(m.n, expansion_masks(m))
 
 
 def echelon_certificate(n: int, k: int) -> bool:

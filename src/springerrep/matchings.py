@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb
 
+from .formal import FormalSum
+
 
 def subset_mask(members) -> int:
     """The subset ``members`` of {1..n} as a bitmask, vertex v at bit v-1.
@@ -31,6 +33,54 @@ def subset_mask(members) -> int:
 def subset_members(mask: int) -> list[int]:
     """The sorted members of a subset mask: the inverse of :func:`subset_mask`."""
     return [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def pair_product(pairs) -> dict[int, int]:
+    """The product over ``pairs`` (a, b) of (bit b - bit a), multiplied out in
+    ``itertools.product`` order, as {subset mask: +-1}.  Over the undotted arcs
+    (i, j) of a standard matching this is the expansion L_M; over the columns
+    (top, bottom) of a standard tableau, the polytabloid e_T."""
+    terms = {0: 1}
+    for a, b in pairs:
+        terms = {
+            mask | bit: sign * coef
+            for mask, coef in terms.items()
+            for bit, sign in ((1 << (a - 1), -1), (1 << (b - 1), 1))
+        }
+    return terms
+
+
+def transpose_mask(mask: int, pair: int) -> int:
+    """The transposition of the two vertices in ``pair`` (a mask of two bits)
+    on a subset mask: it exchanges them when exactly one is in the subset."""
+    both = mask & pair
+    return mask ^ pair if both and both != pair else mask
+
+
+@dataclass(frozen=True)
+class Tabloid:
+    """A two-row tabloid, identified by its bottom-row set; equally a line
+    diagram on n strands, identified by its undot set (the relabelling psi)."""
+
+    n: int
+    bottom: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "bottom", tuple(sorted(self.bottom)))
+        if len(set(self.bottom)) != len(self.bottom):
+            raise ValueError(f"repeated entry in bottom row {self.bottom}")
+        if any(v < 1 or v > self.n for v in self.bottom):
+            raise ValueError(f"entry out of range 1..{self.n} in {self.bottom}")
+        if 2 * len(self.bottom) > self.n:
+            raise ValueError(f"bottom row {self.bottom} longer than half of {self.n}")
+
+    def sort_key(self):
+        return (self.n, len(self.bottom), subset_mask(self.bottom))
+
+
+def tabloid_sum(n: int, masks: dict[int, int]) -> FormalSum:
+    """A {subset mask: coef} vector decoded to a sum of :class:`Tabloid`."""
+    return FormalSum((Tabloid(n, subset_members(mask)), coef) for mask, coef in masks.items())
 
 
 def noncrossing_arcs(n: int, arcs) -> tuple[tuple[int, int], ...]:
@@ -215,6 +265,13 @@ def _check_even(n: int) -> None:
         raise ValueError(f"vertex count must be even and nonnegative, got {n}")
 
 
+def check_degree(n: int, k: int) -> None:
+    """ValueError unless n is even and nonnegative and 0 <= k <= n/2."""
+    _check_even(n)
+    if not 0 <= k <= n // 2:
+        raise ValueError(f"k={k} out of range for n={n}")
+
+
 @cache
 def _noncrossing_arc_tuples(lo: int, hi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All noncrossing matchings of the vertex interval [lo, hi], lex order."""
@@ -256,6 +313,12 @@ def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return sets
 
 
+def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
+    """The standard (n-k, k) tableaux, in undot-set order of their bottom rows."""
+    check_degree(n, k)
+    return [TwoRowTableau(n, b) for b in standard_bottom_sets(n, k)]
+
+
 @cache
 def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     """All standard dotted matchings on n vertices with exactly k undotted arcs.
@@ -263,10 +326,7 @@ def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     Canonical order: increasing in the undot set U_M (right endpoints of the
     undotted arcs) in the undot-set order, that is by :func:`subset_mask`.
     """
-    _check_even(n)
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"k={k} out of range for n={n}")
-    return tuple(theta(TwoRowTableau(n, b)) for b in standard_bottom_sets(n, k))
+    return tuple(theta(t) for t in standard_tableaux(n, k))
 
 
 def phi(m: DottedMatching) -> TwoRowTableau:

@@ -51,8 +51,8 @@ from math import factorial
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import _swap_strands, expansion_masks
-from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of
+from .linediagrams import expansion_masks
+from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of, transpose_mask
 from .perms import Permutation
 from .rewriting import _encode, reduce_to_standard
 
@@ -307,18 +307,6 @@ def _cycle_type(n: int, cycle_type) -> tuple[int, ...]:
     return parts
 
 
-def class_representative(n: int, cycle_type) -> Permutation:
-    """Cycles on consecutive blocks: type (3,2) gives (1 2 3)(4 5)."""
-    images = list(range(1, n + 1))
-    start = 1
-    for part in _cycle_type(n, cycle_type):
-        for x in range(start, start + part - 1):
-            images[x - 1] = x + 1
-        images[start + part - 2] = start
-        start += part
-    return Permutation(tuple(images))
-
-
 def class_word(n: int, cycle_type) -> tuple[int, ...]:
     """The letters of the class word of a cycle type, in the order applied.
 
@@ -426,9 +414,10 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
             for r, coef in column:
                 s_rows[r] += coef * bits[c]
         row = s_rows.__getitem__
-        for u in entries.keys() | {_swap_strands(u, i) for u in entries}:
+        pair = 0b11 << (i - 1)  # strands i and i+1
+        for u in entries.keys() | {transpose_mask(u, pair) for u in entries}:
             plus, minus = entries.get(u, ((), ()))
-            diff = sum(map(row, plus)) - sum(map(row, minus)) - packed.get(_swap_strands(u, i), 0)
+            diff = sum(map(row, plus)) - sum(map(row, minus)) - packed.get(transpose_mask(u, pair), 0)
             if diff:
                 c = ((diff & -diff).bit_length() - 1) // w  # the lowest differing digit
                 failure = min(failure or (c, i), (c, i))

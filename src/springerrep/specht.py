@@ -8,13 +8,14 @@ tabloids (undot set = bottom row) carries the expansion L_M to e_M, and
 both generating sets span the same irreducible module in every degree —
 that is the representation-theoretic content this package certifies.
 
-The certificates build e_T and e_M directly as ``{bottom-row mask: +-1}``
-(entry x at bit x-1) and never construct a tabloid.  ``expansion_masks``
-keys undot sets the same way, so psi is the identity on masks, and integer
-order on masks is the undot-set order
-(:func:`~springerrep.matchings.subset_mask`).  :func:`polytabloid` and
-:func:`matching_generator` decode the masks to :class:`Tabloid` sums for
-output, as ``expand`` does over ``expansion_masks``.
+The relabelling is the identity: a line diagram is the ``Tabloid`` of its
+undot set, and the certificates key both as ``{bottom-row mask: +-1}``
+(entry x at bit x-1), never constructing a tabloid; integer order on masks
+is the undot-set order.  e_T and L_M come from one product rule,
+``pair_product``, over the columns of T and the undotted arcs of M.  e_M
+does not: it is built from the arc swaps of phi(M), so the check
+``expansion_masks(M) == e_M`` compares the shared rule with code it does
+not share.
 
 No rank is computed.  The e_T are unitriangular in the undot-set order, so
 independent; the e_M have pairwise distinct leading tabloids with
@@ -27,8 +28,6 @@ are paired with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationError
 from .exactlinalg import subtract_row
 from .formal import FormalSum
@@ -37,49 +36,27 @@ from .matchings import (
     DottedMatching,
     TwoRowTableau,
     _check_even,
+    check_degree,
     check_partition,
     enumerate_standard,
+    pair_product,
     partitions_of,
     phi,
+    standard_tableaux,
     subset_mask,
     subset_members,
     syt_count,
+    tabloid_sum,
+    transpose_mask,
 )
 from .snaction import character_table, class_inner_product, irreducibility_check
-
-
-@dataclass(frozen=True)
-class Tabloid:
-    """A two-row tabloid, identified by its bottom-row set."""
-
-    n: int
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bottom", tuple(sorted(self.bottom)))
-        if len(set(self.bottom)) != len(self.bottom):
-            raise ValueError(f"repeated entry in bottom row {self.bottom}")
-        if any(v < 1 or v > self.n for v in self.bottom):
-            raise ValueError(f"entry out of range 1..{self.n} in {self.bottom}")
-        if 2 * len(self.bottom) > self.n:
-            raise ValueError(f"bottom row {self.bottom} longer than half of {self.n}")
-
-    def sort_key(self):
-        return (self.n, len(self.bottom), subset_mask(self.bottom))
 
 
 def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
     """e_T as {bottom-row mask: +-1}: the signed sum over the column group of
     the standard tableau T, the product over its height-two columns
     (top_c, bottom_c) of (bit(bottom_c) - bit(top_c)), multiplied out."""
-    terms = {0: 1}
-    for top, bottom in zip(t.top, t.bottom):
-        terms = {
-            mask | bit: sign * coef
-            for mask, coef in terms.items()
-            for bit, sign in ((1 << (bottom - 1), 1), (1 << (top - 1), -1))
-        }
-    return terms
+    return pair_product(zip(t.top, t.bottom))
 
 
 def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
@@ -91,35 +68,20 @@ def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
         pair = 1 << (i - 1) | 1 << (j - 1)
         acc: dict[int, int] = {}
         for mask, coef in terms.items():
-            both = mask & pair
-            swapped = mask ^ pair if both and both != pair else mask
-            for image, c in ((mask, coef), (swapped, -coef)):
+            for image, c in ((mask, coef), (transpose_mask(mask, pair), -coef)):
                 acc[image] = acc.get(image, 0) + c
         terms = {mask: coef for mask, coef in acc.items() if coef}
     return terms
 
 
-def _tabloids(n: int, masks: dict[int, int]) -> FormalSum:
-    return FormalSum((Tabloid(n, subset_members(mask)), coef) for mask, coef in masks.items())
-
-
 def polytabloid(t: TwoRowTableau) -> FormalSum:
     """e_T as a sum of tabloids, decoded from :func:`polytabloid_masks`."""
-    return _tabloids(t.n, polytabloid_masks(t))
+    return tabloid_sum(t.n, polytabloid_masks(t))
 
 
 def matching_generator(m: DottedMatching) -> FormalSum:
     """e_M as a sum of tabloids, decoded from :func:`matching_generator_masks`."""
-    return _tabloids(m.n, matching_generator_masks(m))
-
-
-def psi(v: FormalSum) -> FormalSum:
-    """Relabel line diagrams to tabloids: the undot set becomes the bottom row."""
-    return FormalSum((Tabloid(u.n, u.members), coef) for u, coef in v)
-
-
-def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
-    return [phi(m) for m in enumerate_standard(n, k)]
+    return tabloid_sum(m.n, matching_generator_masks(m))
 
 
 def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
@@ -207,7 +169,6 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
     certified here (ROADMAP item 4): no canonical-basis computation happens,
     and the vectors are emitted for outside comparison.
     """
-    _check_even(n)
     return [matching_generator(m) for m in enumerate_standard(n, n // 2)]
 
 
@@ -221,9 +182,7 @@ def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     alone gives a virtual character off the two-row shapes, so n must be
     even and 0 <= k <= n/2, as for the matching basis.
     """
-    _check_even(n)
-    if not 0 <= k <= n // 2:
-        raise ValueError(f"k={k} out of range for n={n}")
+    check_degree(n, k)
     out = {}
     for parts in partitions_of(n):
         unions = [1] + [0] * k  # unions[j]: j-subsets that are unions of the cycles so far

@@ -1,9 +1,9 @@
 """Named verification suites behind the ``verify`` CLI command.
 
 ``SUITES`` is the one table of suites, in report order: each maps to the
-checks it runs for one even ``n`` and to the largest ``n`` it covers: every
-suite runs to ``--max-n``, which the CLI bounds by ``MAX_VERIFY_N``, and
-dimension always runs to that bound.  Tasks run serially in table order, so
+checks it runs for one even ``n`` and to the smallest top ``n`` it always
+reaches, so a suite runs to the larger of that and ``--max-n`` (which the
+CLI bounds by ``MAX_VERIFY_N``).  Tasks run serially in table order, so
 reports are byte-identical from run to run.  Failures are reported, never
 raised, and carry the witness of whichever identity broke.
 """
@@ -26,10 +26,9 @@ from .matchings import (
     partitions_of,
     phi,
     springer_dimension,
+    standard_tableaux,
     syt_count,
     theta,
-    TwoRowTableau,
-    standard_bottom_sets,
 )
 from .rewriting import MAX_VERIFY_N, _generator_codes, _reduce_codes, quotient_project_codes
 from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
@@ -66,8 +65,7 @@ def _counting(n: int, seed: int) -> Rows:
 
 
 def _bijection(n: int, k: int) -> tuple[bool, str]:
-    tableaux = (TwoRowTableau(n, bottom) for bottom in standard_bottom_sets(n, k))
-    ok = all(is_standard(m := theta(t)) and m.k == k and phi(m) == t for t in tableaux)
+    ok = all(is_standard(m := theta(t)) and m.k == k and phi(m) == t for t in standard_tableaux(n, k))
     ok = all(theta(phi(m)) == m for m in enumerate_standard(n, k)) and ok
     return ok, f"{syt_count(n, k)} tableaux"
 
@@ -125,33 +123,25 @@ def _linearity(n: int, seed: int) -> Rows:
     return [(f"n={n} random-combinations", ok, f"seed={seed}")]
 
 
-def _up_to_max_n(max_n: int) -> int:
-    return max_n
-
-
-def _through_bound(max_n: int) -> int:
-    """The fiber-dimension formula is always checked for every n <= MAX_VERIFY_N."""
-    return max(max_n, MAX_VERIFY_N)
-
-
-# suite -> (checks for one n, largest n covered given --max-n), in report order.
+# suite -> (checks for one n, smallest top n it always reaches), in report order;
+# the fiber-dimension formula is always checked for every n <= MAX_VERIFY_N.
 # Check functions are looked up through module globals when a task runs, so
 # patching ``verify.verify_coxeter`` (or wrapping it) takes effect.
-SUITES: dict[str, tuple[Callable[[int, int], Rows], Callable[[int], int]]] = {
-    "counting": (_counting, _up_to_max_n),
-    "bijection": (_per_degree("round-trip", _bijection), _up_to_max_n),
-    "rewriting": (_per_degree("oracle", _rewriting), _up_to_max_n),
+SUITES: dict[str, tuple[Callable[[int, int], Rows], int]] = {
+    "counting": (_counting, 0),
+    "bijection": (_per_degree("round-trip", _bijection), 0),
+    "rewriting": (_per_degree("oracle", _rewriting), 0),
     "echelon": (_per_degree("row-echelon", lambda n, k: (
-        echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), _up_to_max_n),
-    "coxeter": (_per_degree("relations", _coxeter), _up_to_max_n),
+        echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), 0),
+    "coxeter": (_per_degree("relations", _coxeter), 0),
     "consistency": (_per_degree("chart-vs-diagram", lambda n, k: (
-        chart_diagram_consistency(n, k), f"{syt_count(n, k) * (n - 1)} identities")), _up_to_max_n),
-    "irreducibility": (_per_degree("character-norm", _irreducibility), _up_to_max_n),
+        chart_diagram_consistency(n, k), f"{syt_count(n, k) * (n - 1)} identities")), 0),
+    "irreducibility": (_per_degree("character-norm", _irreducibility), 0),
     "module-equality": (_per_degree("spans", lambda n, k: (
-        verify_module_equality(n, k), f"rank {syt_count(n, k)}")), _up_to_max_n),
-    "multiplicity": (_multiplicity, _up_to_max_n),
-    "dimension": (_dimension, _through_bound),
-    "linearity": (_linearity, _up_to_max_n),
+        verify_module_equality(n, k), f"rank {syt_count(n, k)}")), 0),
+    "multiplicity": (_multiplicity, 0),
+    "dimension": (_dimension, MAX_VERIFY_N),
+    "linearity": (_linearity, 0),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -176,8 +166,8 @@ def build_tasks(suites: Iterable[str], max_n: int, seed: int = 0) -> list[Task]:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return [_task(suite, n, seed)
-            for suite, (_, top) in SUITES.items() if suite in wanted
-            for n in range(2, top(max_n) + 1, 2)]
+            for suite, (_, floor) in SUITES.items() if suite in wanted
+            for n in range(2, max(max_n, floor) + 1, 2)]
 
 
 def _run_task(task: Task) -> list[CheckResult]:

@@ -17,7 +17,6 @@ from springerrep import (
     NoncrossingMatching,
     Tabloid,
     TwoRowTableau,
-    UndotSet,
     act_permutation,
     expand,
     is_standard,
@@ -30,12 +29,11 @@ from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
     partitions_of,
+    standard_tableaux,
     subset_mask,
     subset_members,
 )
 from springerrep.perms import Permutation
-from springerrep.snaction import class_representative
-from springerrep.specht import standard_tableaux
 
 
 def map_basis(v: FormalSum, f) -> FormalSum:
@@ -157,6 +155,18 @@ def chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
         spectator_dots + ([far_arc] if one_dotted else []),
     )
     return [(m, 1), (rewired, 1)]
+
+
+def class_representative(n: int, cycle_type) -> Permutation:
+    """Cycles on consecutive blocks: type (3,2) gives (1 2 3)(4 5)."""
+    images = list(range(1, n + 1))
+    start = 1
+    for part in snaction._cycle_type(n, cycle_type):
+        for x in range(start, start + part - 1):
+            images[x - 1] = x + 1
+        images[start + part - 2] = start
+        start += part
+    return Permutation(tuple(images))
 
 
 def reduced_word_traces(n: int, columns, dim: int) -> dict[tuple[int, ...], int]:
@@ -404,9 +414,9 @@ def subset_order_key(members) -> tuple[int, ...]:
 
 def compare_undot_sets(s, t) -> int:
     """-1/0/+1 under the largest-element-first order on equal-size subsets."""
-    if len(s.members) != len(t.members):
+    if len(s.bottom) != len(t.bottom):
         raise ValueError("cannot compare undot sets of different cardinality")
-    a, b = subset_order_key(s.members), subset_order_key(t.members)
+    a, b = subset_order_key(s.bottom), subset_order_key(t.bottom)
     return (a > b) - (a < b)
 
 
@@ -426,25 +436,25 @@ def _require_standard(m: DottedMatching) -> None:
         raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
 
 
-def undot_sets(m: DottedMatching) -> list[UndotSet]:
+def undot_sets(m: DottedMatching) -> list[Tabloid]:
     """The 2^k undot sets of M: one endpoint from each undotted arc."""
     _require_standard(m)
-    out = [UndotSet(m.n, choice) for choice in itertools.product(*m.undotted_arcs)]
-    out.sort(key=UndotSet.sort_key)
+    out = [Tabloid(m.n, choice) for choice in itertools.product(*m.undotted_arcs)]
+    out.sort(key=Tabloid.sort_key)
     return out
 
 
-def left_count(m: DottedMatching, u: UndotSet) -> int:
+def left_count(m: DottedMatching, u: Tabloid) -> int:
     """Number of elements of u that are left endpoints of their arc in m."""
     _require_standard(m)
     undotted = m.undotted_arcs
-    chosen = set(u.members)
+    chosen = set(u.bottom)
     if u.n != m.n or len(chosen) != len(undotted):
-        raise ValueError(f"{u.members} is not an undot set of the matching")
+        raise ValueError(f"{u.bottom} is not an undot set of the matching")
     lefts = 0
     for i, j in undotted:
         if (i in chosen) == (j in chosen):
-            raise ValueError(f"{u.members} does not choose exactly one endpoint of arc ({i},{j})")
+            raise ValueError(f"{u.bottom} does not choose exactly one endpoint of arc ({i},{j})")
         if i in chosen:
             lefts += 1
     return lefts
@@ -452,7 +462,7 @@ def left_count(m: DottedMatching, u: UndotSet) -> int:
 
 def permute_diagram(w: Permutation, v: FormalSum) -> FormalSum:
     """Relabel every strand of every diagram by w; coefficients unchanged."""
-    return map_basis(v, lambda u: FormalSum.single(UndotSet(u.n, tuple(w(x) for x in u.members))))
+    return map_basis(v, lambda u: FormalSum.single(Tabloid(u.n, tuple(w(x) for x in u.bottom))))
 
 
 def _shift(x: int, i: int, j: int) -> int:
@@ -490,12 +500,12 @@ def insert_arc_consistency(m: DottedMatching, position: tuple[int, int], dotted:
     i, j = position
     predicted = []
     for u, coef in expand(m):
-        shifted = tuple(_shift(x, i, j) for x in u.members)
+        shifted = tuple(_shift(x, i, j) for x in u.bottom)
         if dotted:
-            predicted.append((UndotSet(inserted.n, shifted), coef))
+            predicted.append((Tabloid(inserted.n, shifted), coef))
         else:
-            predicted.append((UndotSet(inserted.n, shifted + (j,)), coef))
-            predicted.append((UndotSet(inserted.n, shifted + (i,)), -coef))
+            predicted.append((Tabloid(inserted.n, shifted + (j,)), coef))
+            predicted.append((Tabloid(inserted.n, shifted + (i,)), -coef))
     return FormalSum(predicted) == expand(inserted)
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from springerrep import DottedMatching, TwoRowTableau, expand
+from springerrep import DottedMatching, Tabloid, TwoRowTableau, expand
 from springerrep.formal import FormalSum
 from springerrep.jsonio import (
     diagram_sum_to_obj,
@@ -12,7 +12,7 @@ from springerrep.jsonio import (
     matching_plain,
     matching_sum_from_obj,
     matching_sum_to_obj,
-    tableau_plain,
+    rows_plain,
     tableau_to_obj,
     tabloid_sum_to_obj,
     undot_plain,
@@ -105,12 +105,11 @@ def test_plain_renderings():
     assert matching_plain(FIGURE) == "(1,6) (2,3)* (4,5)"
     star_on_top = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(1, 6)])
     assert matching_plain(star_on_top) == "(1,6)* (2,3) (4,5)"
-    assert tableau_plain(TwoRowTableau(6, (3, 6))) == "1 2 4 5|3 6"
-    assert tableau_plain(TwoRowTableau(4, ())) == "1 2 3 4|"
-    from springerrep.linediagrams import UndotSet
-
-    assert undot_plain(UndotSet(4, (2, 4))) == "{2,4}"
-    v = FormalSum([(UndotSet(2, (1,)), -1), (UndotSet(2, (2,)), 1)])
+    assert rows_plain(TwoRowTableau(6, (3, 6))) == "1 2 4 5|3 6"
+    assert rows_plain(TwoRowTableau(4, ())) == "1 2 3 4|"
+    assert rows_plain(Tabloid(4, (3, 1))) == "2 4|1 3"
+    assert undot_plain(Tabloid(4, (2, 4))) == "{2,4}"
+    v = FormalSum([(Tabloid(2, (1,)), -1), (Tabloid(2, (2,)), 1)])
     assert formal_plain(v, undot_plain) == "-1 {1}  +1 {2}"
     assert formal_plain(FormalSum.zero(), undot_plain) == "0"
 

@@ -5,7 +5,7 @@ import pytest
 
 from springerrep import (
     DottedMatching,
-    UndotSet,
+    Tabloid,
     echelon_certificate,
     expand,
 )
@@ -30,7 +30,7 @@ def m_(n, arcs, dotted=()):
 
 
 def u_(n, *members):
-    return UndotSet(n, members)
+    return Tabloid(n, members)
 
 
 def test_undot_sets_examples():
@@ -88,8 +88,8 @@ def test_expand_shape(n):
             assert len(v) == 2 ** k
             assert all(c in (-1, 1) for _, c in v)
             # the all-right-endpoints term is maximal and carries +1
-            lead = max((u for u, _ in v), key=lambda u: tuple(sorted(u.members, reverse=True)))
-            assert lead.members == m.right_undotted()
+            lead = max((u for u, _ in v), key=lambda u: tuple(sorted(u.bottom, reverse=True)))
+            assert lead.bottom == m.right_undotted()
             assert v.coefficient(lead) == 1
 
 

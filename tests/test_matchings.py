@@ -19,7 +19,7 @@ from springerrep import (
     syt_count,
     theta,
 )
-from springerrep.matchings import check_partition, subset_mask, subset_members
+from springerrep.matchings import check_partition, standard_tableaux, subset_mask, subset_members
 
 from bruteforce import (
     kostka_bruteforce,
@@ -113,6 +113,9 @@ def test_enumerate_standard_rejects_bad_k():
         enumerate_standard(4, 3)
     with pytest.raises(ValueError):
         enumerate_standard(4, -1)
+    for n, k in ((4, 3), (4, -1), (5, 1)):
+        with pytest.raises(ValueError, match="out of range|even and nonnegative"):
+            standard_tableaux(n, k)
 
 
 def test_subset_mask_examples():

@@ -24,7 +24,6 @@ from springerrep.perms import Permutation, parse_permutation
 from springerrep.snaction import (
     centralizer_order,
     character_table,
-    class_representative,
     class_tree,
     class_word,
 )
@@ -32,6 +31,7 @@ from springerrep.verify import run_suites
 
 from bruteforce import (
     chart,
+    class_representative,
     column_product,
     conjugacy_class_size,
     degree_generators,

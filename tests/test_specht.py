@@ -14,22 +14,21 @@ from springerrep import (
     graded_decomposition,
     matching_generator,
     polytabloid,
-    psi,
     verify_module_equality,
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard, partitions_of, subset_mask, syt_count
+from springerrep.matchings import enumerate_standard, partitions_of, standard_tableaux, subset_mask, syt_count
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
     character_table,
     class_inner_product,
-    class_representative,
 )
-from springerrep.specht import specht_characters, standard_tableaux
+from springerrep.specht import specht_characters
 
 from bruteforce import (
+    class_representative,
     dense_specht_characters,
     generator_by_arc_swaps,
     negated_lead,
@@ -81,18 +80,18 @@ def test_matching_generator_fully_dotted():
 
 
 def test_psi_examples():
-    from springerrep.linediagrams import UndotSet
-
-    assert psi(FormalSum.single(UndotSet(4, ()))) == FormalSum.single(t_(4))
+    # psi, undot set to bottom row, is the identity: expansions are tabloid sums
     worked = m_(4, [(1, 2), (3, 4)], [(3, 4)])
-    assert psi(expand(worked)) == FormalSum([(t_(4, 2), 1), (t_(4, 1), -1)])
+    assert expand(worked) == FormalSum([(t_(4, 2), 1), (t_(4, 1), -1)])
+    fully_dotted = m_(4, [(1, 2), (3, 4)], [(1, 2), (3, 4)])
+    assert expand(fully_dotted) == FormalSum.single(t_(4))
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
 def test_psi_carries_expansion_to_generator(n):
     for k in range(n // 2 + 1):
         for m in enumerate_standard(n, k):
-            assert psi(expand(m)) == matching_generator(m)
+            assert expand(m) == matching_generator(m)
 
 
 def test_psi_intertwines_the_actions():
@@ -104,7 +103,7 @@ def test_psi_intertwines_the_actions():
                 images = list(range(1, n + 1))
                 rng.shuffle(images)
                 w = Permutation(tuple(images))
-                assert psi(permute_diagram(w, v)) == permute_tabloids(w, psi(v))
+                assert permute_diagram(w, v) == permute_tabloids(w, matching_generator(m))
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
@@ -228,6 +227,43 @@ def test_specht_guard_survives_optimized_python():
     """)
     assert proc.returncode == 1, proc.stderr
     assert "not in the Specht span witness=" in proc.stdout
+
+
+BROKEN_PRODUCT_RULE = """
+    import sys
+    from springerrep import linediagrams, matchings, specht
+    from springerrep.cli import main
+
+    honest = matchings.pair_product
+
+    def broken(pairs):
+        # the first factor (bit b - bit a) becomes (bit a - bit b), or (bit b + bit a)
+        pairs = list(pairs)
+        terms = honest(pairs)
+        if not pairs:
+            return terms
+        a = pairs[0][0]
+        if FAULT == "factor":
+            return {mask: -coef for mask, coef in terms.items()}
+        return {mask: -coef if mask >> (a - 1) & 1 else coef for mask, coef in terms.items()}
+
+    # every module that calls the shared rule
+    linediagrams.pair_product = specht.pair_product = broken
+    sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
+"""
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("factor", "polytabloid is not unitriangular"),  # the e_T lead turns -1
+    # the e_T leads keep +1, so only the independent e_M can see it
+    ("term", "relabelled expansion differs from matching generator"),
+], ids=["factor", "term"])
+@pytest.mark.parametrize("optimized", [False, True], ids=["asserts", "optimized"])
+def test_module_equality_catches_a_broken_shared_product_rule(fault, message, optimized):
+    proc = _run_cli(BROKEN_PRODUCT_RULE.replace("FAULT", repr(fault)), optimized)
+    assert proc.returncode == 1, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed and all(message in line for line in failed), proc.stdout
 
 
 @pytest.mark.parametrize("optimized", [False, True], ids=["asserts", "optimized"])
