@@ -62,6 +62,8 @@ def _read_json(path: str):
     gc.disable()
     try:
         return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     finally:
         if enabled:
             gc.enable()

@@ -50,9 +50,6 @@ class FormalSum:
     def coefficient(self, element: Any) -> int:
         return self._terms.get(element, 0)
 
-    def items(self) -> Iterator[tuple[Any, int]]:
-        return iter(self._terms.items())
-
     def sorted_terms(self) -> list[tuple[Any, int]]:
         """Terms in a deterministic order, independent of computation history."""
         return sorted(self._terms.items(), key=lambda item: _default_key(item[0]))
@@ -60,16 +57,7 @@ class FormalSum:
     def __add__(self, other: FormalSum) -> FormalSum:
         if not isinstance(other, FormalSum):
             return NotImplemented
-        acc = dict(self._terms)
-        for element, coef in other._terms.items():
-            new = acc.get(element, 0) + coef
-            if new:
-                acc[element] = new
-            elif element in acc:
-                del acc[element]
-        result = FormalSum.zero()
-        result._terms = acc
-        return result
+        return FormalSum([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: FormalSum) -> FormalSum:
         if not isinstance(other, FormalSum):

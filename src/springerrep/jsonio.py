@@ -30,14 +30,11 @@ def dumps(obj: Any) -> str:
 
 # ---------------------------------------------------------------- encoding
 
-def matching_to_obj(m: DottedMatching | NoncrossingMatching) -> dict:
-    if isinstance(m, NoncrossingMatching):
-        return {"n": m.n, "arcs": [list(a) for a in m.arcs]}
-    return {
-        "n": m.n,
-        "arcs": [list(a) for a in m.arcs],
-        "dotted": [list(a) for a in sorted(m.dotted)],
-    }
+def matching_to_obj(m: NoncrossingMatching) -> dict:
+    obj = {"n": m.n, "arcs": [list(a) for a in m.arcs]}
+    if isinstance(m, DottedMatching):
+        obj["dotted"] = [list(a) for a in sorted(m.dotted)]
+    return obj
 
 
 def tableau_to_obj(t: TwoRowTableau) -> dict:
@@ -140,18 +137,14 @@ def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
 
 # ------------------------------------------------------------- plain text
 
-def matching_plain(m: DottedMatching | NoncrossingMatching) -> str:
-    if isinstance(m, NoncrossingMatching):
-        return " ".join(f"({i},{j})" for i, j in m.arcs) or "(empty)"
-    return " ".join(
-        f"({i},{j})*" if m.is_dotted((i, j)) else f"({i},{j})" for i, j in m.arcs
-    ) or "(empty)"
+def matching_plain(m: NoncrossingMatching) -> str:
+    dotted = m.dotted if isinstance(m, DottedMatching) else ()
+    return " ".join(f"({i},{j})*" if (i, j) in dotted else f"({i},{j})" for i, j in m.arcs) or "(empty)"
 
 
-def rows_plain(t: TwoRowTableau | Tabloid) -> str:
-    """A tableau or tabloid as its two rows, top first."""
-    top = [v for v in range(1, t.n + 1) if v not in set(t.bottom)]
-    return " ".join(map(str, top)) + "|" + " ".join(map(str, t.bottom))
+def rows_plain(t: Tabloid) -> str:
+    """A tabloid or tableau as its two rows, top first."""
+    return " ".join(map(str, t.top)) + "|" + " ".join(map(str, t.bottom))
 
 
 def undot_plain(u: Tabloid) -> str:

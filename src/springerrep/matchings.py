@@ -74,8 +74,35 @@ class Tabloid:
         if 2 * len(self.bottom) > self.n:
             raise ValueError(f"bottom row {self.bottom} longer than half of {self.n}")
 
+    @property
+    def k(self) -> int:
+        return len(self.bottom)
+
+    @property
+    def top(self) -> tuple[int, ...]:
+        bottom = set(self.bottom)
+        return tuple(v for v in range(1, self.n + 1) if v not in bottom)
+
     def sort_key(self):
-        return (self.n, len(self.bottom), subset_mask(self.bottom))
+        return (self.n, self.k, subset_mask(self.bottom))
+
+
+def column_condition(bottom) -> bool:
+    """True when the sorted bottom row ``bottom`` makes a standard tableau: its
+    i-th entry exceeds the i-th top entry, equivalently is at least 2i."""
+    return all(v >= 2 * i for i, v in enumerate(bottom, 1))
+
+
+@dataclass(frozen=True)
+class TwoRowTableau(Tabloid):
+    """A standard tableau of shape (n-k, k): a tabloid on an even number of
+    vertices whose rows pass the column condition."""
+
+    def __post_init__(self):
+        _check_even(self.n)
+        super().__post_init__()
+        if not column_condition(self.bottom):
+            raise ValueError(f"tableau with bottom row {self.bottom} is not standard")
 
 
 def tabloid_sum(n: int, masks: dict[int, int]) -> FormalSum:
@@ -143,31 +170,20 @@ class NoncrossingMatching:
         i, j = arc
         return tuple(sorted((x, y) for (x, y) in self.arcs if x < i and j < y))
 
-    def sort_key(self):
-        return (self.n, self.arcs)
-
 
 @dataclass(frozen=True)
-class DottedMatching:
+class DottedMatching(NoncrossingMatching):
     """A noncrossing matching together with a set of dotted arcs."""
 
-    matching: NoncrossingMatching
     dotted: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "dotted", dotted_arcs(self.matching.arcs, self.dotted))
+        super().__post_init__()
+        object.__setattr__(self, "dotted", dotted_arcs(self.arcs, self.dotted))
 
     @classmethod
     def make(cls, n: int, arcs, dotted=()) -> DottedMatching:
-        return cls(NoncrossingMatching(n, arcs), dotted)
-
-    @property
-    def n(self) -> int:
-        return self.matching.n
-
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return self.matching.arcs
+        return cls(n, arcs, dotted)
 
     @property
     def k(self) -> int:
@@ -188,40 +204,6 @@ class DottedMatching:
     def sort_key(self):
         flags = tuple(a in self.dotted for a in self.arcs)
         return (self.n, self.k, subset_mask(self.right_undotted()), self.arcs, flags)
-
-
-@dataclass(frozen=True)
-class TwoRowTableau:
-    """A standard tableau of shape (n-k, k), identified by its bottom row."""
-
-    n: int
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        _check_even(self.n)
-        b = self.bottom
-        if list(b) != sorted(set(b)) or any(v < 1 or v > self.n for v in b):
-            raise ValueError(f"bottom row {b} is not an increasing subset of 1..{self.n}")
-        if 2 * len(b) > self.n:
-            raise ValueError(f"bottom row {b} longer than half of {self.n}")
-        # column condition: the i-th bottom entry must exceed the i-th top entry,
-        # equivalently bottom[i] >= 2(i+1)
-        for i, v in enumerate(b):
-            if v < 2 * (i + 1):
-                raise ValueError(f"tableau with bottom row {b} is not standard")
-
-    @property
-    def k(self) -> int:
-        return len(self.bottom)
-
-    @property
-    def top(self) -> tuple[int, ...]:
-        bottom = set(self.bottom)
-        return tuple(v for v in range(1, self.n + 1) if v not in bottom)
-
-    def sort_key(self):
-        return (self.n, self.k, subset_mask(self.bottom))
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -298,17 +280,13 @@ def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
 
 def is_standard(m: DottedMatching) -> bool:
     """True when no dotted arc of ``m`` is nested below another arc."""
-    return all(not m.matching.enclosers(arc) for arc in m.dotted)
+    return all(not m.enclosers(arc) for arc in m.dotted)
 
 
 def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
-    """Bottom rows of the standard (n-k, k) tableaux, in undot-set order.
-
-    A k-subset is a valid bottom row exactly when its i-th smallest entry
-    is at least 2i (the column condition).
-    """
-    sets = [b for b in itertools.combinations(range(1, n + 1), k)
-            if all(v >= 2 * (i + 1) for i, v in enumerate(b))]
+    """Bottom rows of the standard (n-k, k) tableaux, in undot-set order: the
+    k-subsets that pass :func:`column_condition`."""
+    sets = [b for b in itertools.combinations(range(1, n + 1), k) if column_condition(b)]
     sets.sort(key=subset_mask)
     return sets
 

@@ -92,9 +92,6 @@ class Permutation:
             collected.append(descent + 1)
         return tuple(reversed(collected))
 
-    def sort_key(self):
-        return self.images
-
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 

@@ -75,7 +75,7 @@ def standard_bruteforce(n: int, k: int) -> set[DottedMatching]:
     out = set()
     for base in enumerate_noncrossing(n):
         for dots in itertools.combinations(base.arcs, n // 2 - k):
-            m = DottedMatching(base, frozenset(dots))
+            m = DottedMatching(base.n, base.arcs, frozenset(dots))
             if is_standard(m):
                 out.add(m)
     return out
@@ -319,7 +319,7 @@ class RewriteSite:
 
 def nesting_measure(m: DottedMatching) -> int:
     """Total number of (dotted arc, strictly enclosing arc) pairs."""
-    return sum(len(m.matching.enclosers(arc)) for arc in m.dotted)
+    return sum(len(m.enclosers(arc)) for arc in m.dotted)
 
 
 def find_sites(m: DottedMatching) -> list[RewriteSite]:
@@ -331,7 +331,7 @@ def find_sites(m: DottedMatching) -> list[RewriteSite]:
     """
     sites = []
     for inner in sorted(m.dotted):
-        enclosing = m.matching.enclosers(inner)
+        enclosing = m.enclosers(inner)
         if not enclosing:
             continue
         outer = enclosing[-1]  # innermost encloser: the only rewirable partner
@@ -374,7 +374,7 @@ def apply_type1(m: DottedMatching, site: RewriteSite) -> FormalSum:
     if m.is_dotted(outer):
         raise ValueError(f"outer arc {outer} must be undotted for a Type I rewrite")
     spectators = [a for a in m.dotted if a != inner]
-    dot_on_outer = DottedMatching(m.matching, frozenset(spectators + [outer]))
+    dot_on_outer = DottedMatching(m.n, m.arcs, frozenset(spectators + [outer]))
     split_left = _rewired(m, site, ((site.i, site.j),))
     split_right = _rewired(m, site, ((site.k, site.l),))
     return FormalSum([(dot_on_outer, -1), (split_left, 1), (split_right, 1)])
@@ -698,7 +698,7 @@ def degree_generators(n: int, k: int) -> list[DottedMatching]:
     if not 0 <= k <= n // 2:
         raise ValueError(f"k={k} out of range for n={n}")
     gens = [
-        DottedMatching(base, frozenset(dots))
+        DottedMatching(base.n, base.arcs, frozenset(dots))
         for base in enumerate_noncrossing(n)
         for dots in itertools.combinations(base.arcs, n // 2 - k)
     ]
@@ -727,15 +727,15 @@ def relation_vectors(n: int, k: int) -> list[FormalSum]:
                 undotted_spectators = len(spectators) - len(dots)
                 if undotted_spectators + 1 == k:
                     out.append(FormalSum([
-                        (DottedMatching(rewired, frozenset(dots + ((i, j),))), 1),
-                        (DottedMatching(rewired, frozenset(dots + ((kk, l),))), 1),
-                        (DottedMatching(base, frozenset(dots + (outer,))), -1),
-                        (DottedMatching(base, frozenset(dots + (inner,))), -1),
+                        (DottedMatching(rewired.n, rewired.arcs, frozenset(dots + ((i, j),))), 1),
+                        (DottedMatching(rewired.n, rewired.arcs, frozenset(dots + ((kk, l),))), 1),
+                        (DottedMatching(base.n, base.arcs, frozenset(dots + (outer,))), -1),
+                        (DottedMatching(base.n, base.arcs, frozenset(dots + (inner,))), -1),
                     ]))
                 if undotted_spectators == k:
                     out.append(FormalSum([
-                        (DottedMatching(rewired, frozenset(dots + ((i, j), (kk, l)))), 1),
-                        (DottedMatching(base, frozenset(dots + (outer, inner))), -1),
+                        (DottedMatching(rewired.n, rewired.arcs, frozenset(dots + ((i, j), (kk, l)))), 1),
+                        (DottedMatching(base.n, base.arcs, frozenset(dots + (outer, inner))), -1),
                     ]))
     return out
 

@@ -224,6 +224,17 @@ def test_expand_input_above_the_bound_exits_2():
     assert f"input on 44 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", (["reduce"], ["expand"], ["act", "--gen", "1"]))
+def test_deeply_nested_json_exits_2_without_a_traceback(tmp_path, command):
+    source = tmp_path / "deep.json"
+    source.write_text("[" * 200000 + "]" * 200000)
+    argv = [*command, "--input", str(source)]
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: JSON input is nested too deeply\n"
+
+
 def test_reduce_of_a_large_standard_matching_builds_no_basis():
     # n = 40, k = 10: the degree has about 5.7e8 standard matchings, the answer is the input
     arcs = [[i, 21 - i] for i in range(1, 11)] + [[i, i + 1] for i in range(21, 40, 2)]

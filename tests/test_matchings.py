@@ -6,6 +6,7 @@ import pytest
 from springerrep import (
     DottedMatching,
     NoncrossingMatching,
+    Tabloid,
     TwoRowTableau,
     catalan,
     character,
@@ -176,6 +177,24 @@ def test_tableau_rejects_nonstandard():
         TwoRowTableau(4, (2, 3))
     with pytest.raises(ValueError):
         TwoRowTableau(4, (2, 2))
+
+
+def test_refinements_extend_their_base():
+    t = TwoRowTableau(6, [6, 3])  # sorted, as a tabloid's bottom row is
+    assert isinstance(t, Tabloid) and t.bottom == (3, 6) and t.top == (1, 2, 4, 5) and t.k == 2
+    assert t != Tabloid(6, (3, 6))
+    for n, bottom in ((6, (3, 3)), (6, (3, 7)), (4, (2, 3, 4)), (5, (2,))):
+        with pytest.raises(ValueError):
+            TwoRowTableau(n, bottom)
+    Tabloid(5, (2,))  # only a tableau needs an even vertex count
+
+    m = DottedMatching(4, ((2, 3), (4, 1)), [(3, 2)])
+    assert isinstance(m, NoncrossingMatching)
+    assert m.arcs == ((1, 4), (2, 3)) and m.dotted == {(2, 3)}
+    assert m == DottedMatching.make(4, [(1, 4), (2, 3)], [(2, 3)])
+    assert m != NoncrossingMatching(4, m.arcs)
+    with pytest.raises(ValueError):
+        DottedMatching(4, ((1, 3), (2, 4)), ())
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
