@@ -215,7 +215,11 @@ def _cmd_matrix(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in text.replace(",", " ").split())
+    try:
+        parts = tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"--cycle-type expects positive integers separated by spaces or commas, "
+                         f"got {text!r}") from None
     if not parts:
         raise ValueError("empty cycle type")
     return parts

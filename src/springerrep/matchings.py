@@ -194,9 +194,6 @@ class DottedMatching(NoncrossingMatching):
     def undotted_arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(a for a in self.arcs if a not in self.dotted)
 
-    def is_dotted(self, arc: tuple[int, int]) -> bool:
-        return arc in self.dotted
-
     def right_undotted(self) -> tuple[int, ...]:
         """Right endpoints of the undotted arcs, sorted (the set U_M)."""
         return tuple(sorted(j for _, j in self.undotted_arcs))

@@ -53,9 +53,6 @@ class Permutation:
             inv[y - 1] = x
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images, start=1))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its smallest element."""
         seen = set()

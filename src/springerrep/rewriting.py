@@ -40,10 +40,20 @@ terms.  Only the codes left at measure 0 become objects, each checked on
 its masks (degree k, measure 0) and decoded once per process, so the cost
 follows the input and the output: no standard basis is enumerated.
 
-:func:`quotient_project_codes` recomputes the normal forms by one
-elimination over Type I/II rows built on codes, read off each nested arc
-and its innermost encloser, and never calls the kernel it certifies;
-:func:`quotient_project_oracle` decodes its table to matchings.
+:func:`quotient_project_codes` certifies that the standard matchings are a
+basis of the quotient by the linear diamond lemma (Bergman, "The diamond
+lemma for ring theory", 1978), with the Type I/II rows built on codes, read
+off each nested arc and its innermost encloser.  Per degree, in one pass by
+increasing nesting: (1) each nonstandard g takes its one kernel step, to
+children of lower measure, and g minus the signed children is +- a row;
+(2) the normal forms N(s) = s for standard s and N(g) = the signed sum of
+its children's otherwise; (3) every row r has N(r) = 0; (4) there are
+syt_count(n, k) standard codes.  By (1) and induction every g - N(g) lies
+in the row span R, so V = span(standard) + R; N is linear, kills R by (3)
+and fixes the standard span, so the sum is direct.  Hence the standard
+matchings are a basis of V/R, its dimension is the tableau count by (4),
+and N is the quotient projection: the table an elimination of the rows
+would give.  :func:`quotient_project_oracle` decodes it to matchings.
 """
 
 from __future__ import annotations
@@ -53,13 +63,12 @@ from collections.abc import Iterable
 from functools import cache
 
 from .errors import VerificationError
-from .exactlinalg import sparse_rref
 from .formal import FormalSum
-from .matchings import DottedMatching, enumerate_noncrossing, enumerate_standard, opens_mask, syt_count
+from .matchings import DottedMatching, enumerate_noncrossing, opens_mask, syt_count
 
 # Largest n of the verify suites and of quotient_project_codes.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes about 2 s on 2 vCPUs
-# (1.8-2.2 s measured under -O, Python 3.11), and must stay under 15 s.
+# of ``verify --suite all --max-n 12`` (252 checks) takes about 1.5 s on 2 vCPUs
+# (1.4-1.7 s in fresh processes under -O, Python 3.11), and must stay under 15 s.
 MAX_VERIFY_N = 12
 
 Code = tuple[int, int]  # (opens, dots)
@@ -130,6 +139,12 @@ def _basis_matching(n: int, k: int, opens: int, dots: int) -> DottedMatching | N
     return _matching(n, opens, dots)
 
 
+def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
+    kind = "II" if dots >> site[0] & 1 else "I"
+    return VerificationError("rewrite did not decrease nesting",
+                             {**_decode(n, opens, dots), "site": [kind, *(x + 1 for x in site)]})
+
+
 def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
     """The kernel: ``((opens, dots), coef)`` terms on n vertices in, the
     nonzero ``{(opens, dots): coef}`` left at measure 0 out."""
@@ -145,11 +160,7 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
             for child_opens, child_dots, sign in _rewrite(opens, dots, site):
                 child_level = _nesting(child_opens, child_dots)
                 if child_level >= level:
-                    kind = "II" if dots >> site[0] & 1 else "I"
-                    raise VerificationError(
-                        "rewrite did not decrease nesting",
-                        {**_decode(n, opens, dots), "site": [kind, *(x + 1 for x in site)]},
-                    )
+                    raise _no_descent(n, opens, dots, site)
                 bucket = levels.setdefault(child_level, {})
                 code = (child_opens, child_dots)
                 bucket[code] = bucket.get(code, 0) + coef * sign
@@ -223,53 +234,64 @@ def _relation_rows(n: int, k: int) -> list[dict[Code, int]]:
     return rows
 
 
-def quotient_project_codes(n: int, k: int) -> dict[Code, dict[Code, int]]:
-    """Normal forms of every degree-k generator, by exact elimination, as codes.
+def _combine(table: dict[Code, dict[Code, int]], terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
+    """The sum of coef * table[code] over the terms, zeros dropped; a code
+    missing from the table counts as 0."""
+    out: dict[Code, int] = {}
+    for code, coef in terms:
+        for c, x in table.get(code, {}).items():
+            out[c] = out.get(c, 0) + coef * x
+    return {c: x for c, x in out.items() if x}
 
-    Row-reduces the Type I/II rows (at most four entries, each +-1) over all
-    dotted matchings of degree k, the nonstandard ones by increasing nesting
-    and the standard ones (from :func:`enumerate_standard`) last, and reads
-    off each generator's coordinates in the standard basis.  Verifies that
-    the standard matchings are independent modulo the relations and that the
-    quotient dimension matches the standard-tableau count.  Never calls the
-    rewriting kernel, whose drain it certifies.
-    """
-    if n > MAX_VERIFY_N:
-        raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
-    standard = [_encode(m) for m in enumerate_standard(n, k)]
-    known = set(standard)
-    nonstandard = sorted((g for g in _generator_codes(n, k) if g not in known),
-                         key=lambda g: _nesting(*g))
-    columns = nonstandard + standard
-    index = {g: c for c, g in enumerate(columns)}
 
-    reduced = sparse_rref(
-        {index[code]: coef for code, coef in row.items()} for row in _relation_rows(n, k)
-    )
-    pivots = sorted(reduced)
+def _normal_forms(n: int, k: int) -> tuple[dict[Code, dict[Code, int]], int]:
+    """The certificate of the module docstring in degree k: every generator's
+    normal form, and the number of generators whose kernel step is not +- a
+    relation row.  A step that does not descend, a standard count that is not
+    the tableau count, and (once every step is a relation) a row that survives
+    raise :class:`VerificationError`."""
+    rows = _relation_rows(n, k)
+    relations = {frozenset(row.items()) for row in rows}
+    levels = {g: _nesting(*g) for g in _generator_codes(n, k)}
+    table: dict[Code, dict[Code, int]] = {}
+    unmatched = 0
+    for g in sorted(levels, key=levels.get):
+        if not levels[g]:
+            table[g] = {g: 1}
+            continue
+        site = _find_site(n, *g)
+        children = [((opens, dots), sign) for opens, dots, sign in _rewrite(*g, site)]
+        if any(_nesting(*child) >= levels[g] for child, _ in children):
+            raise _no_descent(n, *g, site)
+        step = frozenset([(g, 1), *((child, -sign) for child, sign in children)])
+        if step not in relations and frozenset((c, -x) for c, x in step) not in relations:
+            unmatched += 1
+        table[g] = _combine(table, children)
 
-    if any(p >= len(nonstandard) for p in pivots):
-        raise VerificationError(
-            "standard matchings are dependent modulo the relations",
-            {"n": n, "k": k, "pivots": pivots},
-        )
-    dimension = len(columns) - len(pivots)
-    if dimension != syt_count(n, k) or len(pivots) != len(nonstandard):
+    dimension = sum(not level for level in levels.values())
+    if dimension != syt_count(n, k):
         raise VerificationError(
             "quotient dimension does not match the standard-tableau count",
             {"n": n, "k": k, "dimension": dimension, "expected": syt_count(n, k)},
         )
+    for row in () if unmatched else rows:
+        if rest := _combine(table, row.items()):
+            raise VerificationError(
+                "standard matchings are dependent modulo the relations",
+                {"n": n, "k": k, "standard": [{**_decode(n, *c), "coef": x} for c, x in rest.items()]},
+            )
+    return table, unmatched
 
-    table = {g: {g: 1} for g in standard}
-    for pivot in pivots:
-        # every other nonstandard column is cleared, so the rest are standard
-        row = {columns[c]: -x for c, x in reduced[pivot].items() if c != pivot}
-        for x in row.values():
-            if x.denominator != 1:
-                raise VerificationError(
-                    "non-integer coordinate in quotient projection", {"n": n, "k": k, "value": str(x)}
-                )
-        table[columns[pivot]] = {c: int(x) for c, x in row.items()}
+
+def quotient_project_codes(n: int, k: int) -> dict[Code, dict[Code, int]]:
+    """Normal forms of every degree-k generator in the standard basis, as codes,
+    certified as in the module docstring; refused if a kernel step is not a
+    relation."""
+    if n > MAX_VERIFY_N:
+        raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
+    table, unmatched = _normal_forms(n, k)
+    if unmatched:
+        raise VerificationError("rewrite steps are not relations", {"n": n, "k": k, "generators": unmatched})
     return table
 
 

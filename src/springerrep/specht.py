@@ -29,7 +29,6 @@ are paired with.
 from __future__ import annotations
 
 from .errors import VerificationError
-from .exactlinalg import subtract_row
 from .formal import FormalSum
 from .linediagrams import expansion_masks
 from .matchings import (
@@ -109,7 +108,13 @@ def _peel(vector: dict[int, int], basis) -> None:
     ``vector`` in place, largest lead first.  What is left in ``vector`` is
     zero exactly when it lay in the span."""
     while vector and (lead := max(vector)) in basis:
-        subtract_row(vector, vector[lead], basis[lead])
+        factor = vector[lead]
+        for c, x in basis[lead].items():
+            value = vector.get(c, 0) - factor * x
+            if value:
+                vector[c] = value
+            else:
+                vector.pop(c, None)
 
 
 def verify_module_equality(n: int, k: int) -> bool:

@@ -30,7 +30,7 @@ from .matchings import (
     syt_count,
     theta,
 )
-from .rewriting import MAX_VERIFY_N, _generator_codes, _reduce_codes, quotient_project_codes
+from .rewriting import MAX_VERIFY_N, _combine, _generator_codes, _normal_forms, _reduce_codes
 from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
@@ -71,8 +71,12 @@ def _bijection(n: int, k: int) -> tuple[bool, str]:
 
 
 def _rewriting(n: int, k: int) -> tuple[bool, str]:
-    table = quotient_project_codes(n, k)
-    mismatches = sum(_reduce_codes(n, [(g, 1)]) != row for g, row in table.items())
+    # one drain of all the generators, each at its own weight, checks the
+    # kernel's loop against the certified normal forms
+    table, mismatches = _normal_forms(n, k)
+    terms = [(g, weight) for weight, g in enumerate(table, 1)]
+    drained, expected = _reduce_codes(n, terms), _combine(table, terms)
+    mismatches += sum(drained.get(c) != expected.get(c) for c in drained.keys() | expected.keys())
     return mismatches == 0, (f"{len(table)} generators, dim {syt_count(n, k)}"
                              + (f", {mismatches} mismatches" if mismatches else ""))
 

@@ -22,6 +22,7 @@ from springerrep import (
     is_standard,
     phi,
 )
+from springerrep import rewriting as rw
 from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
@@ -32,6 +33,7 @@ from springerrep.matchings import (
     standard_tableaux,
     subset_mask,
     subset_members,
+    syt_count,
 )
 from springerrep.perms import Permutation
 
@@ -140,15 +142,15 @@ def chart(i: int, m: DottedMatching) -> list[tuple[DottedMatching, int]]:
     arc_of = {v: arc for arc in m.arcs for v in arc}
     arc_left, arc_right = arc_of[i], arc_of[i + 1]
     if arc_left == arc_right:
-        return [(m, 1 if m.is_dotted(arc_left) else -1)]
-    if m.is_dotted(arc_left) and m.is_dotted(arc_right):
+        return [(m, 1 if arc_left in m.dotted else -1)]
+    if arc_left in m.dotted and arc_right in m.dotted:
         return [(m, 1)]
     j = sum(arc_left) - i  # the partner of i
     k = sum(arc_right) - (i + 1)
     far_arc = (min(j, k), max(j, k))
     spectators = [a for a in m.arcs if a not in (arc_left, arc_right)]
     spectator_dots = [a for a in m.dotted if a not in (arc_left, arc_right)]
-    one_dotted = m.is_dotted(arc_left) != m.is_dotted(arc_right)
+    one_dotted = (arc_left in m.dotted) != (arc_right in m.dotted)
     rewired = DottedMatching.make(
         m.n,
         spectators + [(i, i + 1), far_arc],
@@ -335,7 +337,7 @@ def find_sites(m: DottedMatching) -> list[RewriteSite]:
         if not enclosing:
             continue
         outer = enclosing[-1]  # innermost encloser: the only rewirable partner
-        kind = "II" if m.is_dotted(outer) else "I"
+        kind = "II" if outer in m.dotted else "I"
         sites.append((-len(enclosing), inner[0], RewriteSite(kind, outer[0], inner[0], inner[1], outer[1])))
     sites.sort(key=lambda entry: entry[:2])
     return [site for *_, site in sites]
@@ -345,7 +347,7 @@ def _site_arcs(m: DottedMatching, site: RewriteSite) -> tuple[tuple[int, int], t
     outer, inner = (site.i, site.l), (site.j, site.k)
     if outer not in m.arcs or inner not in m.arcs:
         raise ValueError(f"site {site} does not name two arcs of the matching")
-    if not m.is_dotted(inner):
+    if inner not in m.dotted:
         raise ValueError(f"inner arc {inner} is not dotted")
     if any(site.i < x < site.j and site.k < y < site.l for (x, y) in m.arcs):
         raise ValueError(f"an arc lies between {inner} and {outer}; site is not rewirable")
@@ -371,7 +373,7 @@ def apply_type1(m: DottedMatching, site: RewriteSite) -> FormalSum:
     if site.kind != "I":
         raise ValueError(f"site {site} is not a Type I site")
     outer, inner = _site_arcs(m, site)
-    if m.is_dotted(outer):
+    if outer in m.dotted:
         raise ValueError(f"outer arc {outer} must be undotted for a Type I rewrite")
     spectators = [a for a in m.dotted if a != inner]
     dot_on_outer = DottedMatching(m.n, m.arcs, frozenset(spectators + [outer]))
@@ -385,7 +387,7 @@ def apply_type2(m: DottedMatching, site: RewriteSite) -> FormalSum:
     if site.kind != "II":
         raise ValueError(f"site {site} is not a Type II site")
     outer, _ = _site_arcs(m, site)
-    if not m.is_dotted(outer):
+    if outer not in m.dotted:
         raise ValueError(f"outer arc {outer} must be dotted for a Type II rewrite")
     return FormalSum.single(_rewired(m, site, ((site.i, site.j), (site.k, site.l))))
 
@@ -626,6 +628,90 @@ def solve_in_span(basis, targets) -> list[list[Fraction]]:
     if len(pivots) != nb:
         raise ValueError("basis vectors are linearly dependent")
     return [[reduced[r][nb + t] for r in range(nb)] for t in range(len(targets))]
+
+
+def subtract_row(row: dict, factor, other: dict) -> None:
+    """row -= factor * other, in place, dropping entries that cancel."""
+    for c, x in other.items():
+        value = row.get(c, 0) - factor * x
+        if value:
+            row[c] = value
+        else:
+            row.pop(c, None)
+
+
+def sparse_rref(rows) -> dict[int, dict]:
+    """Reduced row echelon form of sparse rows (column -> entry), keyed by pivot.
+
+    Each row is reduced against the pivots found so far; a nonzero rest makes
+    its leftmost column a new pivot, scaled to 1.  Back-substitution in
+    decreasing pivot order then clears each pivot column in the other rows.
+    Rows stay integer while every pivot entry is +-1; any other pivot turns
+    its row into ``Fraction``s.  Row space and column order fix the reduced
+    form, so this equals dense ``rref`` row for row.
+    """
+    echelon: dict[int, dict] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        lead = min(row, default=None)
+        while lead in echelon:
+            subtract_row(row, row[lead], echelon[lead])
+            lead = min(row, default=None)
+        if lead is None:
+            continue
+        scale = row[lead]
+        if scale in (1, -1):
+            echelon[lead] = {c: x * scale for c, x in row.items()}
+        else:
+            echelon[lead] = {c: Fraction(x) / scale for c, x in row.items()}
+    for pivot in sorted(echelon, reverse=True):
+        row = echelon[pivot]
+        for c in [c for c in row if c != pivot and c in echelon]:
+            subtract_row(row, row[c], echelon[c])
+    return echelon
+
+
+def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+    """Normal forms of every degree-k generator, as codes, by exact elimination:
+    the reference for ``rewriting.quotient_project_codes``.
+
+    Row-reduces the package's Type I/II code rows over all dotted matchings of
+    degree k, the nonstandard ones by increasing nesting and the standard
+    ones (from ``enumerate_standard``) last, and reads off each generator's
+    coordinates in the standard basis.  Raises ``VerificationError`` if the
+    standard matchings are dependent modulo the relations or the quotient
+    dimension is not the standard-tableau count.  Never calls the rewriting
+    kernel; the helpers are looked up on the module, so a test can patch them.
+    """
+    standard = [rw._encode(m) for m in enumerate_standard(n, k)]
+    known = set(standard)
+    nonstandard = sorted((g for g in rw._generator_codes(n, k) if g not in known),
+                         key=lambda g: rw._nesting(*g))
+    columns = nonstandard + standard
+    index = {g: c for c, g in enumerate(columns)}
+    reduced = sparse_rref(
+        {index[code]: coef for code, coef in row.items()} for row in rw._relation_rows(n, k)
+    )
+    pivots = sorted(reduced)
+    if any(p >= len(nonstandard) for p in pivots):
+        raise VerificationError(
+            "standard matchings are dependent modulo the relations",
+            {"n": n, "k": k, "pivots": pivots},
+        )
+    dimension = len(columns) - len(pivots)
+    if dimension != syt_count(n, k) or len(pivots) != len(nonstandard):
+        raise VerificationError(
+            "quotient dimension does not match the standard-tableau count",
+            {"n": n, "k": k, "dimension": dimension, "expected": syt_count(n, k)},
+        )
+    table = {g: {g: 1} for g in standard}
+    for pivot in pivots:
+        # every other nonstandard column is cleared, so the rest are standard
+        row = {columns[c]: -x for c, x in reduced[pivot].items() if c != pivot}
+        if any(x.denominator != 1 for x in row.values()):
+            raise ValueError("non-integer coordinate in quotient projection")
+        table[columns[pivot]] = {c: int(x) for c, x in row.items()}
+    return table
 
 
 def rank(rows) -> int:

@@ -3,9 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from springerrep.exactlinalg import sparse_rref
-
-from bruteforce import identity_matrix, is_identity, mat_mul, rank, rref, solve_in_span
+from bruteforce import identity_matrix, is_identity, mat_mul, rank, rref, solve_in_span, sparse_rref
 
 
 def test_rank_basics():

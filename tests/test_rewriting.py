@@ -23,6 +23,7 @@ from bruteforce import (
     nesting_measure,
     reduce_picking,
     relation_vectors,
+    rref_quotient_codes,
 )
 
 
@@ -154,11 +155,14 @@ def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     # a plain assert would vanish under python -O; the guard must raise
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
     monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: [(opens, dots, 1)])
+    witness = {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)], "site": ["II", 1, 2, 3, 4]}
     with pytest.raises(VerificationError) as info:
         reduce_to_standard(single(m))
-    assert info.value.witness == {
-        "n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)], "site": ["II", 1, 2, 3, 4],
-    }
+    assert info.value.witness == witness
+    # the certificate's own guard: its induction runs on the measure
+    with pytest.raises(VerificationError, match="did not decrease nesting") as info:
+        quotient_project_oracle(4, 0)
+    assert info.value.witness == witness
 
 
 def test_code_outside_the_standard_basis_is_refused(monkeypatch):
@@ -268,13 +272,31 @@ def test_oracle_matches_dense_elimination(n):
 
 
 def test_oracle_rejects_dependent_standard_columns(monkeypatch):
-    # a relation among standard matchings alone puts a pivot in a standard column
+    # a relation among standard matchings alone survives the normal forms, and
+    # puts a pivot in a standard column of the elimination reference
     honest = rw._relation_rows
     first, second = (rw._encode(m) for m in enumerate_standard(4, 1)[:2])
     monkeypatch.setattr(rw, "_relation_rows", lambda n, k: honest(n, k) + [{first: 1, second: -1}])
     with pytest.raises(VerificationError, match="dependent") as info:
         quotient_project_oracle(4, 1)
+    assert sorted(term["coef"] for term in info.value.witness["standard"]) == [-1, 1]
+    with pytest.raises(VerificationError, match="dependent") as info:
+        rref_quotient_codes(4, 1)
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
+
+
+def test_oracle_rejects_a_step_that_is_not_a_relation(monkeypatch):
+    honest = rw._rewrite
+    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: honest(opens, dots, site)[1:])
+    with pytest.raises(VerificationError, match="not relations") as info:
+        quotient_project_oracle(4, 1)
+    assert info.value.witness == {"n": 4, "k": 1, "generators": 1}
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_certificate_matches_the_elimination_reference(n):
+    for k in range(n // 2 + 1):
+        assert rw.quotient_project_codes(n, k) == rref_quotient_codes(n, k)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
@@ -310,10 +332,10 @@ def test_code_generators_and_rows_match_the_object_builders(n):
 
 
 def test_oracle_never_calls_the_kernel(monkeypatch):
-    # the table must not depend on the rewrite it certifies, nor on the
-    # nesting measure beyond the column order: standardness comes from
-    # enumerate_standard, and normal forms do not depend on that order
-    honest = {(n, k): rw.quotient_project_codes(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1)}
+    # the elimination reference must not depend on the rewrite it certifies,
+    # nor on the nesting measure beyond the column order: standardness comes
+    # from enumerate_standard, and normal forms do not depend on that order
+    honest = {(n, k): rref_quotient_codes(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1)}
 
     def refuse(*args):
         raise AssertionError("the oracle called the rewriting kernel")
@@ -322,7 +344,7 @@ def test_oracle_never_calls_the_kernel(monkeypatch):
     monkeypatch.setattr(rw, "_rewrite", refuse)
     monkeypatch.setattr(rw, "_nesting", lambda opens, dots: 0)
     for (n, k), table in honest.items():
-        assert rw.quotient_project_codes(n, k) == table
+        assert rref_quotient_codes(n, k) == table
 
 
 NEGATED_TYPE_I = """
@@ -358,4 +380,46 @@ def test_rewriting_suite_fails_without_type_two_rows(monkeypatch, capsys):
     monkeypatch.setattr(rw, "_relation_rows", lambda n, k: [row for row in honest(n, k) if len(row) == 4])
     assert main(["verify", "--suite", "rewriting", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "quotient dimension does not match" in out
+    assert "FAIL" in out and "mismatches" in out
+
+
+GATE = """
+import sys
+import springerrep.rewriting as rw
+import springerrep.verify as verify
+from springerrep.cli import main
+from springerrep.matchings import enumerate_standard
+
+{sabotage}
+sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
+"""
+
+SABOTAGE = {
+    "rewrite did not decrease nesting": "rw._rewrite = lambda opens, dots, site: [(opens, dots, 1)]",
+    "standard matchings are dependent modulo the relations": """
+honest = rw._relation_rows
+first, second = (rw._encode(m) for m in enumerate_standard(4, 1)[:2])
+rw._relation_rows = lambda n, k: honest(n, k) + ([{first: 1, second: -1}] if (n, k) == (4, 1) else [])
+""",
+    "1 mismatches": """
+honest = verify._reduce_codes
+
+def dropped(n, terms):
+    out = honest(n, terms)
+    out.pop(max(out, default=None), None)
+    return out
+
+verify._reduce_codes = dropped
+""",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("message", SABOTAGE)
+def test_sabotaged_certificate_fails_the_rewriting_suite(message, flags):
+    # each check must raise or count, not assert, so -O cannot strip it
+    proc = subprocess.run([sys.executable, *flags, "-c", GATE.format(sabotage=SABOTAGE[message])],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert failed and all(message in line for line in failed)
