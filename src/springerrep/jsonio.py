@@ -11,8 +11,9 @@ and a tabloid or tableau as its two rows, ``1 2 4 5|3 6``.
 A formal sum decodes either to objects (:func:`matching_sum_from_obj`) or,
 for ``reduce``, straight to ``(n, opens, dots)`` codes, the integer masks
 the rewriting kernel works on (:func:`matching_codes_from_obj`).  Both apply
-the same rules with the same errors; the code path
-(:func:`~springerrep.matchings.matching_code`) builds no matching object.
+the same rules with the same errors; the code path builds no matching object
+and checks each distinct arc list once per call, so a sum over few matching
+shapes pays the arc rules once per shape.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import json
 from typing import Any
 
 from .formal import FormalSum
-from .matchings import DottedMatching, NoncrossingMatching, Tabloid, TwoRowTableau, matching_code
+from .matchings import (DottedMatching, NoncrossingMatching, Tabloid, TwoRowTableau, dotted_arcs,
+                        noncrossing_arcs, opens_mask)
 
 
 def dumps(obj: Any) -> str:
@@ -107,11 +109,6 @@ def matching_from_obj(obj: Any) -> DottedMatching:
     return DottedMatching.make(*_matching_fields(obj))
 
 
-def matching_code_from_obj(obj: Any) -> tuple[int, int, int]:
-    """:func:`matching_from_obj`, same checks and errors, as an ``(n, opens, dots)`` code."""
-    return matching_code(*_matching_fields(obj))
-
-
 def _sum_terms(obj: Any, decode) -> list[tuple[Any, int]]:
     terms = _expect(obj, "terms", "formal sum")
     if not isinstance(terms, list):
@@ -131,8 +128,32 @@ def matching_sum_from_obj(obj: Any) -> FormalSum:
 
 def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
     """A wire formal sum as ``((n, opens, dots), coef)`` terms, in input order
-    and not merged: :func:`matching_sum_from_obj` without the objects."""
-    return _sum_terms(obj, matching_code_from_obj)
+    and not merged: :func:`matching_sum_from_obj` without the objects.
+
+    Each distinct ``(n, arcs as given)`` is checked by the matching rules once
+    per call; its Dyck word and ``{arc: bit}`` map serve every later term with
+    those arcs.  The key is built only after :func:`_pair_list` has checked
+    that every pair is two ints, since ``2.0`` and ``True`` hash as ``2`` and
+    ``1`` do."""
+    shapes: dict[tuple[int, tuple], tuple[int, dict[tuple[int, int], int]]] = {}
+
+    def decode(matching: Any) -> tuple[int, int, int]:
+        n, arcs, dotted = _matching_fields(matching)
+        key = (n, tuple(map(tuple, arcs)))
+        shape = shapes.get(key)
+        if shape is None:
+            arcs = noncrossing_arcs(n, arcs)
+            shape = shapes[key] = (opens_mask(arcs), {arc: 1 << (arc[0] - 1) for arc in arcs})
+        opens, bits = shape
+        dots = 0
+        for a, b in dotted:
+            bit = bits.get((a, b) if a < b else (b, a))
+            if bit is None:
+                dotted_arcs(tuple(bits), dotted)  # not an arc: raises the rule's own error
+            dots |= bit
+        return n, opens, dots
+
+    return _sum_terms(obj, decode)
 
 
 # ------------------------------------------------------------- plain text

@@ -148,13 +148,6 @@ def opens_mask(arcs) -> int:
     return sum([1 << (i - 1) for i, _ in arcs])
 
 
-def matching_code(n: int, arcs, dotted=()) -> tuple[int, int, int]:
-    """:meth:`DottedMatching.make`, same checks and errors, as an ``(n, opens, dots)``
-    code (see :mod:`springerrep.rewriting`) with no object built."""
-    arcs = noncrossing_arcs(n, arcs)
-    return n, opens_mask(arcs), opens_mask(dotted_arcs(arcs, dotted))
-
-
 @dataclass(frozen=True)
 class NoncrossingMatching:
     """A perfect noncrossing matching of {1..n}, arcs stored as (left, right)."""

@@ -17,9 +17,11 @@ v opens a dotted arc.  The arc opened at a lies below
 summed over the dotted arcs, is 0 exactly on standard matchings.
 
 The rewrite site is the deepest nested dotted arc (j,k), leftmost among
-equals, under its innermost encloser (i,l); one stack scan finds it.
-Oriented to eliminate (j,k), the relations are bit flips (x is the bit of
-vertex x):
+equals, under its innermost encloser (i,l).  A table per Dyck word, built
+by one stack scan and cached for the process (at most Catalan(n/2) words
+per n), lists the nested arcs in that order, and a step takes the first
+one whose dot bit is set.  Oriented to eliminate (j,k), the relations are
+bit flips (x is the bit of vertex x):
 
   Type II, (i,l) dotted:   (opens^j^k, dots^j^k)
   Type I,  (i,l) undotted: -(opens, dots^j^i) + (opens^j^k, dots^j^i)
@@ -28,7 +30,8 @@ vertex x):
 Every term on the right has a smaller measure, so a reduction files the
 coefficients in buckets by measure and drains them deepest level first:
 each matching is rewritten once per call, after all its contributions have
-arrived, and no rewrite memo outlives the call.  A term whose measure is not below
+arrived, and no rewrite memo outlives the call (the site table depends on
+the Dyck word alone, not on any sum).  A term whose measure is not below
 its bucket raises :class:`VerificationError` (the termination guard).
 
 ``reduce`` hands :func:`_reduce_sum` the codes that
@@ -100,19 +103,29 @@ def _nesting(opens: int, dots: int) -> int:
     return total
 
 
-def _find_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int]:
-    """Bit positions (i, j, k, l): (j,k) is the deepest nested dotted arc,
-    leftmost among equals, and (i,l) its innermost encloser."""
-    stack, close = [], {}
-    depth = 0
+@cache
+def _sites(n: int, opens: int) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
+    """Every nested arc (j,k) of a Dyck word under its innermost encloser (i,l),
+    as (bit of j, bit positions (i, j, k, l)), deepest first and leftmost among
+    equals: the order in which :func:`_find_site` tries them."""
+    stack, close, nested = [], {}, []
     for v in range(n):
         if opens >> v & 1:
-            if dots >> v & 1 and len(stack) > depth:
-                depth, i, j = len(stack), stack[-1], v
+            if stack:
+                nested.append((-len(stack), v, stack[-1]))
             stack.append(v)
         else:
             close[stack.pop()] = v
-    return i, j, close[j], close[i]
+    return tuple((1 << j, (i, j, close[j], close[i])) for _, j, i in sorted(nested))
+
+
+def _find_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int]:
+    """Bit positions (i, j, k, l): (j,k) is the deepest nested dotted arc,
+    leftmost among equals, and (i,l) its innermost encloser."""
+    for bit, site in _sites(n, opens):
+        if dots & bit:
+            return site
+    raise ValueError("a standard matching has no rewrite site")
 
 
 def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:

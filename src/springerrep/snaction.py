@@ -45,9 +45,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
+from typing import TYPE_CHECKING
 
 from .errors import VerificationError
 from .formal import FormalSum
@@ -55,6 +55,9 @@ from .linediagrams import expansion_masks
 from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of, transpose_mask
 from .perms import Permutation
 from .rewriting import _encode, reduce_to_standard
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Column = tuple[tuple[int, int], ...]  # sparse (row, coefficient) pairs
 
@@ -369,6 +372,9 @@ def character_table(n: int, k: int) -> dict[tuple[int, ...], int]:
 
 def class_inner_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> Fraction:
     """<a, b> = sum over cycle types of a * b / z_lambda, for class functions of S_n."""
+    # imported here: fractions pulls in decimal, which every CLI start would pay for
+    from fractions import Fraction
+
     terms = (Fraction(a[parts] * b[parts], centralizer_order(parts)) for parts in a)
     return sum(terms, Fraction(0))
 

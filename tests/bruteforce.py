@@ -343,6 +343,26 @@ def find_sites(m: DottedMatching) -> list[RewriteSite]:
     return [site for *_, site in sites]
 
 
+def scan_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int] | None:
+    """The kernel's rewrite site by one stack scan of the code: bit positions
+    (i, j, k, l) with (j,k) the deepest nested dotted arc, leftmost among
+    equals, under its innermost encloser (i,l); None on a standard code.
+    The reference for ``rewriting._find_site``."""
+    stack, close = [], {}
+    depth, site = 0, None
+    for v in range(n):
+        if opens >> v & 1:
+            if dots >> v & 1 and len(stack) > depth:
+                depth, site = len(stack), (stack[-1], v)
+            stack.append(v)
+        else:
+            close[stack.pop()] = v
+    if site is None:
+        return None
+    i, j = site
+    return i, j, close[j], close[i]
+
+
 def _site_arcs(m: DottedMatching, site: RewriteSite) -> tuple[tuple[int, int], tuple[int, int]]:
     outer, inner = (site.i, site.l), (site.j, site.k)
     if outer not in m.arcs or inner not in m.arcs:
@@ -601,11 +621,15 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        pivot_row = mat[r] = [x * inv for x in mat[r]]
+        # a column where the pivot row is 0 (every column left of c) does not change
+        support = [j for j in range(c, ncols) if pivot_row[j]]
         for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+            row = mat[i]
+            if i != r and row[c]:
+                factor = row[c]
+                for j in support:
+                    row[j] -= factor * pivot_row[j]
         pivots.append(c)
         r += 1
         if r == len(mat):

@@ -257,6 +257,14 @@ def test_reduce_closes_its_input_file(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+def test_cli_import_leaves_fractions_out():
+    # fractions pulls in decimal, a start-up cost every command would pay;
+    # the child reports through its exit code, which -O cannot strip
+    code = "import sys, springerrep.cli; sys.exit(sorted({'fractions', 'decimal'} & set(sys.modules)) or 0)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+
+
 M = {"n": 4, "arcs": [[1, 2], [3, 4]]}
 N = {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[2, 3]]}
 

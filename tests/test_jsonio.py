@@ -17,7 +17,7 @@ from springerrep.jsonio import (
     tabloid_sum_to_obj,
     undot_plain,
 )
-from springerrep.jsonio import matching_code_from_obj
+from springerrep.jsonio import matching_codes_from_obj
 from springerrep.rewriting import _encode
 from springerrep.specht import matching_generator
 
@@ -124,7 +124,9 @@ def make_or_error(n, arcs, dotted):
 
 def code_or_error(n, arcs, dotted):
     try:
-        return matching_code_from_obj({"n": n, "arcs": arcs, "dotted": dotted})
+        [(code, _)] = matching_codes_from_obj(
+            {"terms": [{"coef": 1, "matching": {"n": n, "arcs": arcs, "dotted": dotted}}]})
+        return code
     except ValueError as err:
         return str(err)
 
@@ -170,3 +172,48 @@ def test_code_decoder_agrees_with_make_on_malformed_input(n, arcs, dotted):
     assert isinstance(result, tuple) == (n == 6)
     if n == 6:
         assert result == (6, 0b001011, 0b000010)
+
+
+def both_decoders(*matchings):
+    """One sum of these matchings through matching_codes_from_obj, and through
+    matching_sum_from_obj with each term's code read off its object: the
+    per-term codes or the error message of each."""
+    obj = {"terms": [{"coef": 1, "matching": m} for m in matchings]}
+    try:
+        codes = [code for code, _ in matching_codes_from_obj(obj)]
+    except ValueError as err:
+        codes = str(err)
+    try:
+        matching_sum_from_obj(obj)
+    except ValueError as err:
+        return codes, str(err)
+    return codes, [(m.n, *_encode(m)) for m in map(matching_from_obj, matchings)]
+
+
+SIDE = {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, 2]]}
+CROSSING = {"n": 4, "arcs": [[1, 3], [2, 4]]}
+FIGURE_WIRE = {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}
+
+
+@pytest.mark.parametrize("matchings, refused", [
+    # a later term whose pairs equal the first's as numbers, but are not ints
+    ((SIDE, {"n": 4, "arcs": [[1, 2.0], [3, 4]]}), True),
+    ((SIDE, {"n": 4, "arcs": [[True, 2], [3, 4]]}), True),
+    ((SIDE, {"n": 4.0, "arcs": [[1, 2], [3, 4]]}), True),
+    ((SIDE, {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, 2.0]]}), True),
+    ((CROSSING, CROSSING), True),
+    ((SIDE, CROSSING, CROSSING), True),
+    # dotted pairs that are not arcs, on a shape already seen
+    ((SIDE, {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[2, 3]]}), True),
+    ((SIDE, {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[4, 3], [3, 2], [1, 4]]}), True),
+    # the same arcs under another key, and a dot given twice
+    ((FIGURE_WIRE,
+      {"n": 6, "arcs": [[6, 1], [3, 2], [5, 4]], "dotted": [[3, 2]]},
+      {"n": 6, "arcs": [[4, 5], [1, 6], [2, 3]], "dotted": [[2, 3], [3, 2]]},
+      FIGURE_WIRE), False),
+    ((SIDE, SIDE, {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[3, 4], [1, 2], [4, 3]]}), False),
+])
+def test_code_decoder_reuses_shapes_without_changing_outcomes(matchings, refused):
+    codes, expected = both_decoders(*matchings)
+    assert codes == expected
+    assert isinstance(codes, str) == refused

@@ -1,7 +1,9 @@
 """Property tests of the wire decoders: every payload decodes or is refused.
 
 ``matching_sum_from_obj`` must return a ``FormalSum`` or raise
-``ValueError`` (which the CLI turns into exit 2), never anything else.
+``ValueError`` (which the CLI turns into exit 2), never anything else, and
+``matching_codes_from_obj`` must agree with it term by term or refuse with
+the same message.
 """
 
 import json
@@ -17,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerrep.formal import FormalSum
-from springerrep.jsonio import matching_sum_from_obj
-from springerrep.rewriting import reduce_to_standard
+from springerrep.jsonio import matching_codes_from_obj, matching_from_obj, matching_sum_from_obj
+from springerrep.rewriting import _encode, reduce_to_standard
 
 VALID = {"terms": [
     {"coef": 2, "matching": {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}},
@@ -89,6 +91,33 @@ def test_mutated_sums_decode_or_are_refused(data):
         except ValueError:  # inhomogeneous
             return
         assert isinstance(reduced, FormalSum)
+
+
+# the first term again, so that the code decoder meets an arc list it has seen
+REPEATED = {"terms": [*VALID["terms"], VALID["terms"][0]]}
+
+
+def message_or(decode, obj):
+    try:
+        return decode(obj)
+    except ValueError as err:
+        return str(err)
+
+
+def object_term_code(entry):
+    m = matching_from_obj(entry["matching"])
+    return (m.n, *_encode(m)), entry["coef"]
+
+
+@FUZZ
+@given(st.data())
+def test_code_decoder_agrees_with_the_object_decoder(data):
+    path = data.draw(st.sampled_from(list(node_paths(REPEATED))))
+    obj = mutated(REPEATED, path, data.draw(JSON_TREES), data.draw(st.booleans()) and bool(path))
+    expected = message_or(matching_sum_from_obj, obj)
+    if not isinstance(expected, str):
+        expected = list(map(object_term_code, obj["terms"]))
+    assert message_or(matching_codes_from_obj, obj) == expected
 
 
 def _cap_memory():

@@ -24,6 +24,7 @@ from bruteforce import (
     reduce_picking,
     relation_vectors,
     rref_quotient_codes,
+    scan_site,
 )
 
 
@@ -211,6 +212,19 @@ def test_kernel_step_matches_reference_rule(n):
             assert sites[0] == RewriteSite(kind, i + 1, j + 1, kk + 1, l + 1)
             step = FormalSum((decoded(n, o, d), c) for o, d, c in rw._rewrite(opens, dots, site))
             assert step == apply_site(g, sites[0])
+
+
+@pytest.mark.parametrize("n", range(0, 13, 2))
+def test_site_table_matches_the_stack_scan(n):
+    for k in range(n // 2 + 1):
+        for opens, dots in rw._generator_codes(n, k):
+            site = scan_site(n, opens, dots)
+            assert (site is None) == (rw._nesting(opens, dots) == 0)
+            if site is None:
+                with pytest.raises(ValueError, match="no rewrite site"):
+                    rw._find_site(n, opens, dots)
+            else:
+                assert rw._find_site(n, opens, dots) == site
 
 
 @pytest.mark.parametrize("n", range(2, 9, 2))
