@@ -3,7 +3,9 @@
 Subcommands: enumerate, bijection, reduce, expand, act, matrix, character,
 specht, top-basis, verify.  Output is deterministic for a fixed invocation:
 basis orders are canonical, JSON keys are emitted in a fixed order, and the
-verify suites run serially in a fixed order.
+verify suites run serially in a fixed order.  Every command builds only the
+rendering ``--format`` names, and ``--out FILE`` writes exactly the bytes
+stdout would get.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
@@ -22,7 +24,8 @@ from . import jsonio
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import expand
-from .matchings import enumerate_noncrossing, enumerate_standard, phi, standard_tableaux, theta
+from .matchings import (check_degree, enumerate_noncrossing, enumerate_standard, phi,
+                        standard_tableaux, theta)
 from .perms import Permutation, parse_permutation
 from .rewriting import MAX_VERIFY_N, _reduce_sum
 from .snaction import act_permutation, act_word, character, rep_matrix
@@ -69,10 +72,19 @@ def _read_json(path: str):
             gc.enable()
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, json, csv, plain) -> None:
+    """Write the rendering ``--format`` names, to ``--out`` or stdout, ending in a
+    newline.  ``json()`` returns a JSON value, ``csv()`` the table rows and
+    ``plain()`` the text; only the named one is called."""
+    if args.format == "json":
+        text = jsonio.dumps(json())
+    elif args.format == "csv":
+        text = _csv_text(csv())
+    else:
+        text = plain()
     if not text.endswith("\n"):
         text += "\n"
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -81,9 +93,16 @@ def _emit(args, text: str) -> None:
 
 def _csv_text(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _emit_sum(args, v: FormalSum, json, column: str, cell, render) -> None:
+    """Emit a formal sum as ``json(v)``, as CSV rows (coef, ``cell(x)``) under the
+    header (coef, ``column``), or as plain text with ``render`` for each element."""
+    _emit(args, lambda: json(v),
+          lambda: [["coef", column], *([coef, cell(x)] for x, coef in v.sorted_terms())],
+          lambda: jsonio.formal_plain(v, render))
 
 
 def _cmd_enumerate(args) -> int:
@@ -91,23 +110,18 @@ def _cmd_enumerate(args) -> int:
         matchings = list(enumerate_noncrossing(args.n))
     else:
         matchings = list(enumerate_standard(args.n, args.k))
-    if args.format == "json":
-        payload = {"n": args.n}
-        if args.k is not None:
-            payload["k"] = args.k
-        payload["count"] = len(matchings)
-        payload["matchings"] = [jsonio.matching_to_obj(m) for m in matchings]
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        rows = [["index", "matching"]]
-        rows += [[i, jsonio.matching_plain(m)] for i, m in enumerate(matchings)]
-        _emit(args, _csv_text(rows))
-    else:
-        _emit(args, "\n".join(jsonio.matching_plain(m) for m in matchings) or "(none)")
+    head = {"n": args.n} if args.k is None else {"n": args.n, "k": args.k}
+    _emit(args,
+          lambda: {**head, "count": len(matchings),
+                   "matchings": [jsonio.matching_to_obj(m) for m in matchings]},
+          lambda: [["index", "matching"],
+                   *([i, jsonio.matching_plain(m)] for i, m in enumerate(matchings))],
+          lambda: "\n".join(map(jsonio.matching_plain, matchings)) or "(none)")
     return 0
 
 
 def _cmd_bijection(args) -> int:
+    check_degree(args.n, 0)
     ks = [args.k] if args.k is not None else list(range(args.n // 2 + 1))
     rows = []
     for k in ks:
@@ -124,55 +138,28 @@ def _cmd_bijection(args) -> int:
                 raise VerificationError(
                     "bijection round-trip failed", {"n": args.n, "k": k, "bottom": t.bottom}
                 )
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "rows": [
-                {"k": k, "matching": jsonio.matching_to_obj(m), "tableau": jsonio.tableau_to_obj(t)}
-                for k, m, t in rows
-            ],
-        }
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        table = [["k", "matching", "tableau"]]
-        table += [[k, jsonio.matching_plain(m), jsonio.rows_plain(t)] for k, m, t in rows]
-        _emit(args, _csv_text(table))
-    else:
-        _emit(args, "\n".join(
-            f"{jsonio.matching_plain(m)}  <->  {jsonio.rows_plain(t)}" for _, m, t in rows
-        ) or "(none)")
+    _emit(args,
+          lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
+                                          "tableau": jsonio.tableau_to_obj(t)} for k, m, t in rows]},
+          lambda: [["k", "matching", "tableau"],
+                   *([k, jsonio.matching_plain(m), jsonio.rows_plain(t)] for k, m, t in rows)],
+          lambda: "\n".join(f"{jsonio.matching_plain(m)}  <->  {jsonio.rows_plain(t)}"
+                            for _, m, t in rows) or "(none)")
     return 0
-
-
-def _emit_matching_sum(args, v: FormalSum) -> None:
-    if args.format == "json":
-        _emit(args, jsonio.dumps(jsonio.matching_sum_to_obj(v)))
-    elif args.format == "csv":
-        rows = [["coef", "matching"]]
-        rows += [[coef, jsonio.matching_plain(m)] for m, coef in v.sorted_terms()]
-        _emit(args, _csv_text(rows))
-    else:
-        _emit(args, jsonio.formal_plain(v, jsonio.matching_plain))
 
 
 def _cmd_reduce(args) -> int:
     terms = jsonio.matching_codes_from_obj(_read_json(args.input))
-    _emit_matching_sum(args, _reduce_sum(terms))
+    _emit_sum(args, _reduce_sum(terms), jsonio.matching_sum_to_obj, "matching",
+              jsonio.matching_plain, jsonio.matching_plain)
     return 0
 
 
 def _cmd_expand(args) -> int:
     m = jsonio.matching_from_obj(_read_json(args.input))
     _check_size(m.n)
-    v = expand(m)
-    if args.format == "json":
-        _emit(args, jsonio.dumps(jsonio.diagram_sum_to_obj(v, n=m.n)))
-    elif args.format == "csv":
-        rows = [["coef", "undot"]]
-        rows += [[coef, " ".join(map(str, u.bottom))] for u, coef in v.sorted_terms()]
-        _emit(args, _csv_text(rows))
-    else:
-        _emit(args, jsonio.formal_plain(v, jsonio.undot_plain))
+    _emit_sum(args, expand(m), lambda v: jsonio.diagram_sum_to_obj(v, n=m.n), "undot",
+              lambda u: " ".join(map(str, u.bottom)), jsonio.undot_plain)
     return 0
 
 
@@ -196,21 +183,20 @@ def _cmd_act(args) -> int:
     else:
         n = args.n if args.n is not None else max(sizes, default=0)
         result = act_permutation(parse_permutation(args.perm, n=n), v)
-    _emit_matching_sum(args, result)
+    _emit_sum(args, result, jsonio.matching_sum_to_obj, "matching",
+              jsonio.matching_plain, jsonio.matching_plain)
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    matrix = rep_matrix(args.n, args.k, args.gen)
-    if args.format == "json":
-        payload = {"n": args.n, "k": args.k, "gen": args.gen,
-                   "rows": [list(r) for r in matrix.entries]}
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        _emit(args, "\n".join(",".join(map(str, row)) for row in matrix.entries))
-    else:
-        width = max((len(str(x)) for row in matrix.entries for x in row), default=1)
-        _emit(args, "\n".join(" ".join(f"{x:>{width}}" for x in row) for row in matrix.entries))
+    rows = rep_matrix(args.n, args.k, args.gen).entries
+
+    def aligned() -> str:
+        width = max((len(str(x)) for row in rows for x in row), default=1)
+        return "\n".join(" ".join(f"{x:>{width}}" for x in row) for row in rows)
+
+    _emit(args, lambda: {"n": args.n, "k": args.k, "gen": args.gen, "rows": [list(r) for r in rows]},
+          lambda: rows, aligned)
     return 0
 
 
@@ -228,36 +214,25 @@ def _parse_cycle_type(text: str) -> tuple[int, ...]:
 def _cmd_character(args) -> int:
     cycle_type = _parse_cycle_type(args.cycle_type)
     value = character(args.n, args.k, cycle_type)
-    if args.format == "json":
-        payload = {"n": args.n, "k": args.k, "cycle_type": list(cycle_type), "value": value}
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text([["n", "k", "cycle_type", "value"],
-                               [args.n, args.k, " ".join(map(str, cycle_type)), value]]))
-    else:
-        _emit(args, str(value))
+    _emit(args,
+          lambda: {"n": args.n, "k": args.k, "cycle_type": list(cycle_type), "value": value},
+          lambda: [["n", "k", "cycle_type", "value"],
+                   [args.n, args.k, " ".join(map(str, cycle_type)), value]],
+          lambda: str(value))
     return 0
 
 
 def _tabloid_vectors(args, k: int, named: dict[str, list[FormalSum]]) -> None:
-    if args.format == "json":
-        payload: dict = {"n": args.n, "k": k}
-        for name, vectors in named.items():
-            payload[name] = [jsonio.tabloid_sum_to_obj(v, n=args.n, k=k) for v in vectors]
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        rows = [["family", "index", "coef", "bottom"]]
-        for name, vectors in named.items():
-            for idx, v in enumerate(vectors):
-                for t, coef in v.sorted_terms():
-                    rows.append([name, idx, coef, " ".join(map(str, t.bottom))])
-        _emit(args, _csv_text(rows))
-    else:
-        lines = []
-        for name, vectors in named.items():
-            for idx, v in enumerate(vectors):
-                lines.append(f"{name}[{idx}] = {jsonio.formal_plain(v, jsonio.rows_plain)}")
-        _emit(args, "\n".join(lines))
+    families = [(name, idx, v) for name, vectors in named.items() for idx, v in enumerate(vectors)]
+    _emit(args,
+          lambda: {"n": args.n, "k": k, **{
+              name: [jsonio.tabloid_sum_to_obj(v, n=args.n, k=k) for v in vectors]
+              for name, vectors in named.items()}},
+          lambda: [["family", "index", "coef", "bottom"],
+                   *([name, idx, coef, " ".join(map(str, t.bottom))]
+                     for name, idx, v in families for t, coef in v.sorted_terms())],
+          lambda: "\n".join(f"{name}[{idx}] = {jsonio.formal_plain(v, jsonio.rows_plain)}"
+                            for name, idx, v in families))
 
 
 def _cmd_specht(args) -> int:
@@ -283,29 +258,15 @@ def _cmd_verify(args) -> int:
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
     passed = sum(r.ok for r in results)
-    if args.format == "json":
-        payload = {
-            "max_n": args.max_n,
-            "suites": [name for name in SUITE_NAMES if name in suites],
-            "checks": [
-                {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in results
-            ],
-            "passed": passed,
-            "total": len(results),
-        }
-        _emit(args, jsonio.dumps(payload))
-    elif args.format == "csv":
-        rows = [["suite", "name", "ok", "detail"]]
-        rows += [[r.suite, r.name, "ok" if r.ok else "FAIL", r.detail] for r in results]
-        _emit(args, _csv_text(rows))
-    else:
-        lines = [
-            f"{'ok  ' if r.ok else 'FAIL'} {r.suite:<16} {r.name:<28} {r.detail}".rstrip()
-            for r in results
-        ]
-        lines.append(f"{passed}/{len(results)} checks passed")
-        _emit(args, "\n".join(lines))
+    _emit(args,
+          lambda: {"max_n": args.max_n, "suites": [name for name in SUITE_NAMES if name in suites],
+                   "checks": [{"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
+                              for r in results],
+                   "passed": passed, "total": len(results)},
+          lambda: [["suite", "name", "ok", "detail"],
+                   *([r.suite, r.name, "ok" if r.ok else "FAIL", r.detail] for r in results)],
+          lambda: "\n".join([*(f"{'ok  ' if r.ok else 'FAIL'} {r.suite:<16} {r.name:<28} {r.detail}".rstrip()
+                               for r in results), f"{passed}/{len(results)} checks passed"]))
     return 0 if passed == len(results) else 1
 
 

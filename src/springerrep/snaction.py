@@ -37,8 +37,8 @@ abs-sum of the generators, a product of m of them has entries of size at
 most R^m, so w = m * ceil(log2 R) + 2 bits hold every digit, whatever chart
 the tables were built from.  The Coxeter words have m = 3 and the class words
 m <= n - 1.  The class-tree walk packs ``ROW_BLOCK`` rows per integer, one
-block after another, so that it never holds a whole matrix per tree node.  Consistency packs the rows of the expansion matrix
-instead, over the basis index.
+block after another, so that it never holds a whole matrix per tree node.
+Consistency packs the rows of the expansion matrix instead, over the basis index.
 """
 
 from __future__ import annotations

@@ -171,7 +171,7 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
 
     The paper identifies this top-degree basis of the irreducible module for
     (n/2, n/2) with the Kazhdan-Lusztig basis.  That identification is not
-    certified here (ROADMAP item 4): no canonical-basis computation happens,
+    certified here (ROADMAP item 2): no canonical-basis computation happens,
     and the vectors are emitted for outside comparison.
     """
     return [matching_generator(m) for m in enumerate_standard(n, n // 2)]

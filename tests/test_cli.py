@@ -161,6 +161,15 @@ def test_non_integer_json_exits_2(capsys, tmp_path, command, payload):
     assert err.startswith("error:") and "integer" in err
 
 
+@pytest.mark.parametrize("n", ("-2", "-4"))
+@pytest.mark.parametrize("fmt", ("json", "csv", "plain"))
+def test_bijection_rejects_negative_n_without_k(capsys, n, fmt):
+    # with no --k the degree range is empty, so nothing downstream sees n
+    code, out, err = run(capsys, "bijection", "--n", n, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == f"error: vertex count must be even and nonnegative, got {n}\n"
+
+
 def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "counting,dimension", "--max-n", "4")
     assert code == 0

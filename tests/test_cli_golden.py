@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from springerrep import cli
 from springerrep.cli import main
 from springerrep.matchings import partitions_of
 
@@ -182,17 +183,53 @@ def test_golden_table_covers_every_command_and_format():
     }
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_cli_output_matches_golden(tmp_path, monkeypatch, command, fmt):
-    golden = _golden()
-    for name, text in golden["inputs"].items():
+@pytest.fixture
+def golden(tmp_path, monkeypatch):
+    """The golden table, run from a directory holding its input files."""
+    table = _golden()
+    for name, text in table["inputs"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    return table
+
+
+def _first_success(golden, command, fmt):
+    """The first recorded case of (command, fmt) that exits 0."""
+    return next(case for case in golden["cases"]
+                if _pair(case[0]) == (command, fmt) and case[1] == 0)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cli_output_matches_golden(golden, command, fmt):
     cases = [case for case in golden["cases"] if _pair(case[0]) == (command, fmt)]
     assert cases
     for argv, *expected in cases:
         assert list(run(argv)) == expected, argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_out_file_holds_the_stdout_bytes(golden, tmp_path, command, fmt):
+    argv, code, stdout, stderr = _first_success(golden, command, fmt)
+    target = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(target)]) == (code, "", stderr), argv
+    assert target.read_bytes() == stdout.encode("utf-8"), argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_only_the_named_rendering_is_built(golden, monkeypatch, command, fmt):
+    argv, *expected = _first_success(golden, command, fmt)
+
+    def refuse(*_):
+        raise AssertionError(f"--format {fmt} built another rendering")
+
+    if fmt != "csv":
+        monkeypatch.setattr(cli, "_csv_text", refuse)
+    if fmt != "json":
+        monkeypatch.setattr(cli.jsonio, "dumps", refuse)
+    assert list(run(argv)) == expected, argv
 
 
 if __name__ == "__main__":
