@@ -30,9 +30,10 @@ bit flips (x is the bit of vertex x):
 Every term on the right has a smaller measure, so a reduction files the
 coefficients in buckets by measure and drains them deepest level first:
 each matching is rewritten once per call, after all its contributions have
-arrived, and no rewrite memo outlives the call (the site table depends on
-the Dyck word alone, not on any sum).  A term whose measure is not below
-its bucket raises :class:`VerificationError` (the termination guard).
+arrived, and measured once per call, when its code is first seen; no memo
+outlives the call (the site table depends on the Dyck word alone, not on
+any sum).  A term whose measure is not below its bucket raises
+:class:`VerificationError`, memo hit or miss (the termination guard).
 
 ``reduce`` hands :func:`_reduce_sum` the codes that
 :func:`springerrep.jsonio.matching_codes_from_obj` decodes from the wire;
@@ -162,8 +163,11 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
     """The kernel: ``((opens, dots), coef)`` terms on n vertices in, the
     nonzero ``{(opens, dots): coef}`` left at measure 0 out."""
     levels: dict[int, dict[Code, int]] = {0: {}}
+    measures: dict[Code, int] = {}
     for code, coef in terms:
-        bucket = levels.setdefault(_nesting(*code), {})
+        if (level := measures.get(code)) is None:
+            level = measures[code] = _nesting(*code)
+        bucket = levels.setdefault(level, {})
         bucket[code] = bucket.get(code, 0) + coef
     for level in range(max(levels), 0, -1):
         for (opens, dots), coef in levels.pop(level, {}).items():
@@ -171,11 +175,12 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
                 continue
             site = _find_site(n, opens, dots)
             for child_opens, child_dots, sign in _rewrite(opens, dots, site):
-                child_level = _nesting(child_opens, child_dots)
+                code = (child_opens, child_dots)
+                if (child_level := measures.get(code)) is None:
+                    child_level = measures[code] = _nesting(child_opens, child_dots)
                 if child_level >= level:
                     raise _no_descent(n, opens, dots, site)
                 bucket = levels.setdefault(child_level, {})
-                code = (child_opens, child_dots)
                 bucket[code] = bucket.get(code, 0) + coef * sign
     return {code: coef for code, coef in levels[0].items() if coef}
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import resource
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+import springerrep.cli as cli
 from springerrep.cli import MAX_SIZE_N, main
+from springerrep.errors import VerificationError
 
 
 def run(capsys, *argv):
@@ -350,3 +353,56 @@ def test_argparse_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["matrix", "--n", "4"])
     assert info.value.code == 2
+
+
+@pytest.fixture(params=(True, False), ids=("gc-on", "gc-off"))
+def collector(request):
+    """The collector state a caller of ``main`` starts from, restored after the test."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+def _raise(exc):
+    def command(*args, **kwargs):
+        raise exc
+    return command
+
+
+def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, collector):
+    seen = []
+    honest = cli.enumerate_noncrossing
+    monkeypatch.setattr(cli, "enumerate_noncrossing", lambda n: seen.append(gc.isenabled()) or honest(n))
+    assert main(["enumerate", "--n", "4"]) == 0
+    assert seen == [False] and gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("exc, status", [
+    (VerificationError("planted failure", {"n": 4}), 1),
+    (ValueError("planted bad input"), 2),
+], ids=("exit-1", "exit-2"))
+def test_main_restores_the_collector_on_failure(capsys, monkeypatch, collector, exc, status):
+    monkeypatch.setattr(cli, "enumerate_noncrossing", _raise(exc))
+    assert main(["enumerate", "--n", "4"]) == status
+    assert str(exc) in capsys.readouterr().err and gc.isenabled() == collector
+
+
+def test_main_restores_the_collector_on_invalid_json(capsys, tmp_path, collector):
+    source = tmp_path / "bad.json"
+    source.write_text('{"terms": [')
+    assert main(["reduce", "--input", str(source)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err and gc.isenabled() == collector
+
+
+def test_main_restores_the_collector_on_an_argparse_exit(capsys, collector):
+    with pytest.raises(SystemExit):
+        main(["matrix", "--n", "4"])
+    assert gc.isenabled() == collector
+
+
+def test_main_restores_the_collector_when_an_exception_escapes(monkeypatch, collector):
+    monkeypatch.setattr(cli, "enumerate_noncrossing", _raise(RuntimeError("planted bug")))
+    with pytest.raises(RuntimeError, match="planted bug"):
+        main(["enumerate", "--n", "4"])
+    assert gc.isenabled() == collector

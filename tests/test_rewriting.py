@@ -166,6 +166,44 @@ def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     assert info.value.witness == witness
 
 
+def test_rewrite_to_an_unseen_code_that_keeps_nesting_is_refused(monkeypatch):
+    # the guard on a memo miss: the child was never an input term, so its
+    # measure is computed on the spot, and it equals the parent's
+    m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
+    child = (0b0011, 0b0010)  # (1,4),(2,3) with only (2,3) dotted: measure 1, as m
+    assert child != rw._encode(m) and rw._nesting(*child) == rw._nesting(*rw._encode(m)) == 1
+    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: [(*child, 1)])
+    with pytest.raises(VerificationError, match="rewrite did not decrease nesting") as info:
+        reduce_to_standard(single(m))
+    assert info.value.witness == {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)],
+                                  "site": ["II", 1, 2, 3, 4]}
+
+
+def test_kernel_measures_each_code_once(monkeypatch):
+    # every generator of one degree drained at once, generator i at weight i + 1
+    n, k = 10, 2
+    table, _ = rw._normal_forms(n, k)
+    terms = [(g, weight) for weight, g in enumerate(table, 1)]
+    expected = rw._combine(table, terms)
+    seen = {g for g, _ in terms}
+    calls = Counter()
+    honest_nesting, honest_rewrite = rw._nesting, rw._rewrite
+
+    def counted(opens, dots):
+        calls[opens, dots] += 1
+        return honest_nesting(opens, dots)
+
+    def recorded(opens, dots, site):
+        children = honest_rewrite(opens, dots, site)
+        seen.update((o, d) for o, d, _ in children)
+        return children
+
+    monkeypatch.setattr(rw, "_nesting", counted)
+    monkeypatch.setattr(rw, "_rewrite", recorded)
+    assert rw._reduce_codes(n, terms) == expected
+    assert sum(calls.values()) <= len(seen) and max(calls.values()) == 1
+
+
 def test_code_outside_the_standard_basis_is_refused(monkeypatch):
     monkeypatch.setattr(rw, "_basis_matching", lambda n, k, opens, dots: None)
     with pytest.raises(VerificationError, match="outside the standard basis") as info:
