@@ -26,9 +26,9 @@ from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import (check_degree, enumerate_noncrossing, enumerate_standard, phi,
                         standard_tableaux, theta)
-from .perms import Permutation, parse_permutation
-from .rewriting import MAX_VERIFY_N, _reduce_sum
-from .snaction import act_permutation, act_word, character, rep_matrix
+from .perms import parse_permutation
+from .rewriting import MAX_VERIFY_N, _merge, _reduce_sum
+from .snaction import act_codes, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid
 from .verify import SUITE_NAMES, run_suites
 
@@ -158,25 +158,23 @@ def _cmd_expand(args) -> int:
 
 def _cmd_act(args) -> int:
     payload = _read_json(args.input)
-    if isinstance(payload, dict) and "terms" in payload:
-        v = jsonio.matching_sum_from_obj(payload)
-    else:
-        v = FormalSum.single(jsonio.matching_from_obj(payload))
-    sizes = {m.n for m, _ in v}
+    if not (isinstance(payload, dict) and "terms" in payload):
+        payload = {"terms": [{"coef": 1, "matching": payload}]}
+    merged, degrees = _merge(jsonio.matching_codes_from_obj(payload))
+    sizes, ks = {n for n, _ in degrees}, {k for _, k in degrees}
     _check_size(max(sizes, default=0))
-    degrees = {m.k for m, _ in v}
     if args.n is not None and sizes - {args.n}:
         raise ValueError(f"input is on {sorted(sizes)} vertices, --n says {args.n}")
-    if args.k is not None and degrees - {args.k}:
-        raise ValueError(f"input has degrees {sorted(degrees)}, --k says {args.k}")
+    if args.k is not None and ks - {args.k}:
+        raise ValueError(f"input has degrees {sorted(ks)}, --k says {args.k}")
     if (args.gen is None) == (args.perm is None):
         raise ValueError("provide exactly one of --gen or --perm")
     if args.gen is not None:
-        result = act_word((args.gen,), v)
+        word = (args.gen,)
     else:
         n = args.n if args.n is not None else max(sizes, default=0)
-        result = act_permutation(parse_permutation(args.perm, n=n), v)
-    _emit_sum(args, result, jsonio.matching_sum_to_obj, "matching",
+        word = parse_permutation(args.perm, n=n).reduced_word()
+    _emit_sum(args, act_codes(word, merged, degrees), jsonio.matching_sum_to_obj, "matching",
               jsonio.matching_plain, jsonio.matching_plain)
     return 0
 

@@ -8,12 +8,12 @@ order, so identical values always serialize to identical bytes.
 Plain text writes a matching as ``(1,6)* (2,3) (4,5)`` (``*`` marks a dot)
 and a tabloid or tableau as its two rows, ``1 2 4 5|3 6``.
 
-A formal sum decodes either to objects (:func:`matching_sum_from_obj`) or,
-for ``reduce``, straight to ``(n, opens, dots)`` codes, the integer masks
-the rewriting kernel works on (:func:`matching_codes_from_obj`).  Both apply
-the same rules with the same errors; the code path builds no matching object
-and checks each distinct arc list once per call, so a sum over few matching
-shapes pays the arc rules once per shape.
+A formal sum, the input of ``reduce`` and ``act``, decodes straight to
+``(n, opens, dots)`` codes, the integer masks the rewriting kernel works on
+(:func:`matching_codes_from_obj`).  It applies the rules of a single
+matching (:func:`matching_from_obj`) with the same errors, but builds no
+matching object and checks each distinct arc list once per call, so a sum
+over few matching shapes pays the arc rules once per shape.
 """
 
 from __future__ import annotations
@@ -109,36 +109,26 @@ def matching_from_obj(obj: Any) -> DottedMatching:
     return DottedMatching.make(*_matching_fields(obj))
 
 
-def _sum_terms(obj: Any, decode) -> list[tuple[Any, int]]:
-    terms = _expect(obj, "terms", "formal sum")
-    if not isinstance(terms, list):
-        raise ValueError("formal sum: terms must be a list")
-    parsed = []
-    for entry in terms:
-        coef = _expect(entry, "coef", "formal sum term")
-        if type(coef) is not int:
-            raise ValueError("formal sum: coef must be an integer")
-        parsed.append((decode(_expect(entry, "matching", "formal sum term")), coef))
-    return parsed
-
-
-def matching_sum_from_obj(obj: Any) -> FormalSum:
-    return FormalSum(_sum_terms(obj, matching_from_obj))
-
-
 def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
     """A wire formal sum as ``((n, opens, dots), coef)`` terms, in input order
-    and not merged: :func:`matching_sum_from_obj` without the objects.
+    and not merged; each matching is checked by the rules of
+    :func:`matching_from_obj`, with its errors, but no object is built.
 
     Each distinct ``(n, arcs as given)`` is checked by the matching rules once
     per call; its Dyck word and ``{arc: bit}`` map serve every later term with
     those arcs.  The key is built only after :func:`_pair_list` has checked
     that every pair is two ints, since ``2.0`` and ``True`` hash as ``2`` and
     ``1`` do."""
+    terms = _expect(obj, "terms", "formal sum")
+    if not isinstance(terms, list):
+        raise ValueError("formal sum: terms must be a list")
     shapes: dict[tuple[int, tuple], tuple[int, dict[tuple[int, int], int]]] = {}
-
-    def decode(matching: Any) -> tuple[int, int, int]:
-        n, arcs, dotted = _matching_fields(matching)
+    parsed = []
+    for entry in terms:
+        coef = _expect(entry, "coef", "formal sum term")
+        if type(coef) is not int:
+            raise ValueError("formal sum: coef must be an integer")
+        n, arcs, dotted = _matching_fields(_expect(entry, "matching", "formal sum term"))
         key = (n, tuple(map(tuple, arcs)))
         shape = shapes.get(key)
         if shape is None:
@@ -151,9 +141,8 @@ def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
             if bit is None:
                 dotted_arcs(tuple(bits), dotted)  # not an arc: raises the rule's own error
             dots |= bit
-        return n, opens, dots
-
-    return _sum_terms(obj, decode)
+        parsed.append(((n, opens, dots), coef))
+    return parsed
 
 
 # ------------------------------------------------------------- plain text

@@ -35,16 +35,16 @@ outlives the call (the site table depends on the Dyck word alone, not on
 any sum).  A term whose measure is not below its bucket raises
 :class:`VerificationError`, memo hit or miss (the termination guard).
 
-``reduce`` hands :func:`_reduce_sum` the codes that
-:func:`springerrep.jsonio.matching_codes_from_obj` decodes from the wire;
-:func:`reduce_to_standard` encodes a :class:`FormalSum` into it.  It merges
-the terms, checks that they share one degree and drains them through the
-kernel :func:`_reduce_codes`, which takes and returns ``(opens, dots)``
-terms.  Only the codes left at measure 0 become objects, each checked on
-its masks (degree k, measure 0) and decoded once per process, so the cost
-follows the input and the output: no standard basis is enumerated.
+``reduce`` and ``act`` share one path from the ``(n, opens, dots)`` codes
+that :func:`springerrep.jsonio.matching_codes_from_obj` decodes from the
+wire (a :class:`FormalSum` is encoded into them).  :func:`_merge` merges
+equal codes, drops zeros and lists the degrees; :func:`_standard` drains a
+degree through the kernel :func:`_reduce_codes`, which takes and returns
+``(opens, dots)`` terms, and checks each survivor on its masks (degree k,
+measure 0).  ``act`` looks the survivors up in its tables; ``reduce``
+decodes them to objects, so it enumerates no standard basis.
 
-:func:`quotient_project_codes` certifies that the standard matchings are a
+:func:`quotient_project_oracle` certifies that the standard matchings are a
 basis of the quotient by the linear diamond lemma (Bergman, "The diamond
 lemma for ring theory", 1978), with the Type I/II rows built on codes, read
 off each nested arc and its innermost encloser.  Per degree, in one pass by
@@ -57,7 +57,7 @@ in the row span R, so V = span(standard) + R; N is linear, kills R by (3)
 and fixes the standard span, so the sum is direct.  Hence the standard
 matchings are a basis of V/R, its dimension is the tableau count by (4),
 and N is the quotient projection: the table an elimination of the rows
-would give.  :func:`quotient_project_oracle` decodes it to matchings.
+would give, decoded to matchings.
 """
 
 from __future__ import annotations
@@ -70,12 +70,13 @@ from .errors import VerificationError
 from .formal import FormalSum
 from .matchings import DottedMatching, enumerate_noncrossing, opens_mask, syt_count
 
-# Largest n of the verify suites and of quotient_project_codes.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes about 1.5 s on 2 vCPUs
-# (1.4-1.7 s in fresh processes under -O, Python 3.11), and must stay under 15 s.
+# Largest n of the verify suites and of quotient_project_oracle.  Budget: all
+# of ``verify --suite all --max-n 12`` (252 checks) takes about 0.9 s on 2 vCPUs
+# (median of 6 fresh processes, Python 3.11, with or without -O), and must stay under 15 s.
 MAX_VERIFY_N = 12
 
 Code = tuple[int, int]  # (opens, dots)
+Wire = tuple[int, int, int]  # (n, opens, dots)
 
 
 def _encode(m: DottedMatching) -> tuple[int, int]:
@@ -144,15 +145,6 @@ def _matching(n: int, opens: int, dots: int) -> DottedMatching:
     return DottedMatching.make(n, witness["arcs"], witness["dotted"])
 
 
-@cache
-def _basis_matching(n: int, k: int, opens: int, dots: int) -> DottedMatching | None:
-    """The standard matching of degree k with this code, or None if there is
-    none; the check is on the masks, the decode goes through the matching rules."""
-    if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
-        return None
-    return _matching(n, opens, dots)
-
-
 def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
     kind = "II" if dots >> site[0] & 1 else "I"
     return VerificationError("rewrite did not decrease nesting",
@@ -185,28 +177,41 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
     return {code: coef for code, coef in levels[0].items() if coef}
 
 
-def _reduce_sum(terms: Iterable[tuple[tuple[int, int, int], int]]) -> FormalSum:
-    """``((n, opens, dots), coef)`` terms in, their class in the standard basis
-    out.  Equal codes merge before the degree check, as in a
-    :class:`FormalSum`, so terms that cancel do not count towards it."""
-    merged: dict[tuple[int, int, int], int] = {}
+def _merge(terms: Iterable[tuple[Wire, int]]) -> tuple[dict[Wire, int], list[tuple[int, int]]]:
+    """``((n, opens, dots), coef)`` terms merged as in a :class:`FormalSum`
+    (a code whose coefficient reaches 0 drops out), and the degrees (n, k) of
+    the merged codes in order of their first term."""
+    merged: dict[Wire, int] = {}
     for code, coef in terms:
-        merged[code] = merged.get(code, 0) + coef
-    degrees = {(n, n // 2 - dots.bit_count()) for (n, _, dots), coef in merged.items() if coef}
+        if total := merged.get(code, 0) + coef:
+            merged[code] = total
+        elif code in merged:
+            del merged[code]
+    return merged, list(dict.fromkeys((n, n // 2 - dots.bit_count()) for n, _, dots in merged))
+
+
+def _standard(merged: dict[Wire, int], n: int, k: int) -> dict[Code, int]:
+    """The degree-(n, k) codes of a merged sum drained through the kernel,
+    each survivor checked on its masks: k undotted arcs, measure 0."""
+    out = _reduce_codes(n, (((o, d), c) for (m, o, d), c in merged.items()
+                            if m == n and n // 2 - d.bit_count() == k))
+    for opens, dots in out:
+        if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
+            raise VerificationError(
+                "rewriting ended outside the standard basis", {**_decode(n, opens, dots), "k": k}
+            )
+    return out
+
+
+def _reduce_sum(terms: Iterable[tuple[Wire, int]]) -> FormalSum:
+    """``((n, opens, dots), coef)`` terms in, their class in the standard basis
+    out.  Equal codes merge before the degree check, so terms that cancel do
+    not count towards it."""
+    merged, degrees = _merge(terms)
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
-    if not degrees:
-        return FormalSum.zero()
-    [(n, k)] = degrees
-    out = []
-    for code, coef in _reduce_codes(n, (((o, d), c) for (_, o, d), c in merged.items())).items():
-        m = _basis_matching(n, k, *code)
-        if m is None:
-            raise VerificationError(
-                "rewriting ended outside the standard basis", {**_decode(n, *code), "k": k}
-            )
-        out.append((m, coef))
-    return FormalSum(out)
+    return FormalSum((_matching(n, *code), coef)
+                     for n, k in degrees for code, coef in _standard(merged, n, k).items())
 
 
 def reduce_to_standard(v: FormalSum) -> FormalSum:
@@ -301,22 +306,16 @@ def _normal_forms(n: int, k: int) -> tuple[dict[Code, dict[Code, int]], int]:
     return table, unmatched
 
 
-def quotient_project_codes(n: int, k: int) -> dict[Code, dict[Code, int]]:
-    """Normal forms of every degree-k generator in the standard basis, as codes,
-    certified as in the module docstring; refused if a kernel step is not a
-    relation."""
+def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
+    """Normal forms of every degree-k generator in the standard basis, as
+    matchings, certified as in the module docstring; refused if a kernel step
+    is not a relation."""
     if n > MAX_VERIFY_N:
         raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
     table, unmatched = _normal_forms(n, k)
     if unmatched:
         raise VerificationError("rewrite steps are not relations", {"n": n, "k": k, "generators": unmatched})
-    return table
-
-
-def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
-    """:func:`quotient_project_codes` as matchings: each degree-k generator's
-    normal form in the standard basis."""
     return {
         _matching(n, *g): FormalSum((_matching(n, *c), coef) for c, coef in row.items())
-        for g, row in quotient_project_codes(n, k).items()
+        for g, row in table.items()
     }

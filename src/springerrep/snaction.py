@@ -22,8 +22,8 @@ It is evaluated once per (n, k, i, basis matching) into a per-degree table:
 the standard basis, its index by code, and for each s_i the sparse integer
 columns of its matrix; an image outside the basis fails the build.
 The public action works on classes: an arbitrary sum of dotted matchings
-is first rewritten into the standard basis, then acted on, one vector at a
-time.
+is merged and rewritten into the standard basis on its codes, the step
+``reduce`` takes, then acted on as one vector per degree.
 
 The three certificates (the Coxeter relations, the class-tree character
 table and the chart-diagram consistency) run on whole matrices packed into
@@ -54,7 +54,7 @@ from .formal import FormalSum
 from .linediagrams import expansion_masks
 from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of, transpose_mask
 from .perms import Permutation
-from .rewriting import _encode, reduce_to_standard
+from .rewriting import Wire, _encode, _merge, _standard
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -226,23 +226,27 @@ def act_simple(i: int, m: DottedMatching) -> FormalSum:
     return act_word((i,), FormalSum.single(m))
 
 
+def act_codes(word: tuple[int, ...], merged: dict[Wire, int], degrees: list[tuple[int, int]]) -> FormalSum:
+    """Apply a word to a sum merged by :func:`springerrep.rewriting._merge`:
+    each degree is rewritten into the standard basis on its codes, indexed by
+    code in the degree's table and acted on as one integer vector."""
+    result = FormalSum.zero()
+    for n, k in degrees:
+        _check_word(word, n)
+        tables = _tables(n, k)
+        vec = {tables.index[code]: coef for code, coef in _standard(merged, n, k).items()}
+        image = _apply(tables, word, vec)
+        result += FormalSum((tables.basis[r], coef) for r, coef in image.items())
+    return result
+
+
 def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
     """Apply a word in the simple transpositions, rightmost letter first.
 
     ``v`` may be any sum of dotted matchings; each degree is rewritten into
     the standard basis once and the result is expressed in that basis.
     """
-    degrees: dict[tuple[int, int], list[tuple[DottedMatching, int]]] = {}
-    for m, coef in v:
-        degrees.setdefault((m.n, m.k), []).append((m, coef))
-    result = FormalSum.zero()
-    for (n, k), terms in degrees.items():
-        _check_word(word, n)
-        tables = _tables(n, k)
-        vec = {tables.index[_encode(m)]: coef for m, coef in reduce_to_standard(FormalSum(terms))}
-        image = _apply(tables, word, vec)
-        result += FormalSum((tables.basis[r], coef) for r, coef in image.items())
-    return result
+    return act_codes(word, *_merge(((m.n, *_encode(m)), coef) for m, coef in v))
 
 
 def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:

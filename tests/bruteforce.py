@@ -26,6 +26,7 @@ from springerrep import rewriting as rw
 from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
+from springerrep.jsonio import matching_from_obj
 from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
@@ -300,6 +301,26 @@ def tableau_from_obj(obj) -> TwoRowTableau:
     if not isinstance(bottom, list) or not all(type(x) is int for x in bottom):
         raise ValueError("tableau: bottom must be a list of integers")
     return TwoRowTableau(obj["n"], tuple(bottom))
+
+
+def matching_sum_from_obj(obj) -> FormalSum:
+    """Decode a wire formal sum to matching objects, term by term through
+    ``jsonio.matching_from_obj``: the object reference that
+    ``jsonio.matching_codes_from_obj`` must agree with, message for message."""
+    if not isinstance(obj, dict) or "terms" not in obj:
+        raise ValueError("formal sum: missing key 'terms'")
+    if not isinstance(obj["terms"], list):
+        raise ValueError("formal sum: terms must be a list")
+    parsed = []
+    for entry in obj["terms"]:
+        if not isinstance(entry, dict) or "coef" not in entry:
+            raise ValueError("formal sum term: missing key 'coef'")
+        if type(entry["coef"]) is not int:
+            raise ValueError("formal sum: coef must be an integer")
+        if "matching" not in entry:
+            raise ValueError("formal sum term: missing key 'matching'")
+        parsed.append((matching_from_obj(entry["matching"]), entry["coef"]))
+    return FormalSum(parsed)
 
 
 @dataclass(frozen=True)
@@ -697,7 +718,7 @@ def sparse_rref(rows) -> dict[int, dict]:
 
 def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
     """Normal forms of every degree-k generator, as codes, by exact elimination:
-    the reference for ``rewriting.quotient_project_codes``.
+    the reference for ``rewriting._normal_forms``.
 
     Row-reduces the package's Type I/II code rows over all dotted matchings of
     degree k, the nonstandard ones by increasing nesting and the standard

@@ -116,6 +116,78 @@ def test_act_validates_n_and_k(capsys, tmp_path):
     assert code == 2 and "--k" in err
 
 
+# One sum over three degrees: n = 4 at k = 1 and k = 2, and n = 6; a pair of n = 8
+# terms that cancels, and one n = 6 matching given twice, the second time with its
+# pairs and arcs reversed, so that its coefficients merge to 1.
+MIXED = {"terms": [
+    {"coef": 2, "matching": {"n": 8, "arcs": [[1, 8], [2, 7], [3, 6], [4, 5]], "dotted": [[4, 5]]}},
+    {"coef": 1, "matching": {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[2, 3]]}},
+    {"coef": -1, "matching": {"n": 6, "arcs": [[1, 2], [3, 6], [4, 5]], "dotted": [[4, 5]]}},
+    {"coef": 3, "matching": {"n": 4, "arcs": [[1, 4], [2, 3]]}},
+    {"coef": -2, "matching": {"n": 8, "arcs": [[1, 8], [2, 7], [3, 6], [4, 5]], "dotted": [[4, 5]]}},
+    {"coef": 2, "matching": {"n": 6, "arcs": [[4, 5], [6, 3], [2, 1]], "dotted": [[5, 4]]}},
+]}
+MIXED_IMAGE = (
+    '{"terms":[{"coef":-2,"matching":{"n":4,"arcs":[[1,2],[3,4]],"dotted":[[3,4]]}},'
+    '{"coef":-1,"matching":{"n":4,"arcs":[[1,4],[2,3]],"dotted":[[1,4]]}},'
+    '{"coef":1,"matching":{"n":4,"arcs":[[1,2],[3,4]],"dotted":[[1,2]]}},'
+    '{"coef":3,"matching":{"n":4,"arcs":[[1,2],[3,4]],"dotted":[]}},'
+    '{"coef":3,"matching":{"n":4,"arcs":[[1,4],[2,3]],"dotted":[]}},'
+    '{"coef":-1,"matching":{"n":6,"arcs":[[1,2],[3,4],[5,6]],"dotted":[[5,6]]}},'
+    '{"coef":1,"matching":{"n":6,"arcs":[[1,2],[3,6],[4,5]],"dotted":[[3,6]]}},'
+    '{"coef":-1,"matching":{"n":6,"arcs":[[1,2],[3,4],[5,6]],"dotted":[[3,4]]}}]}\n'
+)
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    (["--gen", "1"], 0, MIXED_IMAGE, ""),
+    (["--gen", "5"], 2, "", "error: generator index 5 out of range for n=4\n"),
+    (["--perm", "(1 2)"], 0, MIXED_IMAGE, ""),
+    (["--k", "1"], 2, "", "error: input has degrees [1, 2], --k says 1\n"),
+    (["--gen", "1", "--format", "plain"], 0,
+     "-2 (1,2) (3,4)*  -1 (1,4)* (2,3)  +1 (1,2)* (3,4)  +3 (1,2) (3,4)  +3 (1,4) (2,3)  "
+     "-1 (1,2) (3,4) (5,6)*  +1 (1,2) (3,6)* (4,5)  -1 (1,2) (3,4)* (5,6)\n", ""),
+])
+def test_act_on_a_sum_over_several_degrees_is_pinned(capsys, tmp_path, argv, status, out, err):
+    source = tmp_path / "sum.json"
+    source.write_text(json.dumps(MIXED))
+    assert run(capsys, "act", "--input", str(source), *argv) == (status, out, err)
+
+
+def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkeypatch):
+    import springerrep.matchings as matchings
+    import springerrep.rewriting as rw
+    import springerrep.snaction as snaction
+
+    terms = [{"coef": c + 1, "matching": rw._decode(8, *code)}
+             for c, code in enumerate(rw._generator_codes(8, 2))]
+    source = tmp_path / "sum.json"
+    source.write_text(json.dumps({"terms": terms}))
+    snaction._tables.cache_clear()
+    matchings.enumerate_standard.cache_clear()
+    built = []
+    honest = matchings.NoncrossingMatching.__post_init__
+
+    def counted(self):
+        built.append(self)
+        honest(self)
+
+    monkeypatch.setattr(matchings.NoncrossingMatching, "__post_init__", counted)
+    code, out, _ = run(capsys, "act", "--input", str(source), "--gen", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["terms"]
+    assert len(built) <= matchings.syt_count(8, 2) < len(terms)
+
+
+def test_act_rejects_non_integer_permutation_entries(capsys, tmp_path):
+    source = tmp_path / "m.json"
+    source.write_text('{"n":4,"arcs":[[1,4],[2,3]],"dotted":[]}')
+    for perm in ("x", "(1 x)", "2 1 x", "1.5 2"):
+        code, out, err = run(capsys, "act", "--input", str(source), "--perm", perm)
+        assert code == 2 and out == ""
+        assert err == ("error: a permutation is cycle notation such as '(1 2)(3 4 5)' or one-line "
+                       f"notation such as '2 1 4 5 3', with positive integer entries; got {perm!r}\n")
+
+
 def test_character_value(capsys):
     code, out, _ = run(capsys, "character", "--n", "4", "--k", "2", "--cycle-type", "3,1")
     assert code == 0 and out == "-1\n"

@@ -10,7 +10,6 @@ from springerrep.jsonio import (
     formal_plain,
     matching_from_obj,
     matching_plain,
-    matching_sum_from_obj,
     matching_sum_to_obj,
     rows_plain,
     tableau_to_obj,
@@ -21,7 +20,7 @@ from springerrep.jsonio import matching_codes_from_obj
 from springerrep.rewriting import _encode
 from springerrep.specht import matching_generator
 
-from bruteforce import perfect_matchings, tableau_from_obj
+from bruteforce import matching_sum_from_obj, perfect_matchings, tableau_from_obj
 
 
 FIGURE = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(2, 3)])
@@ -32,7 +31,7 @@ def test_matching_json_matches_documented_encoding():
         '{"terms":[{"coef":1,"matching":'
         '{"n":6,"arcs":[[1,6],[2,3],[4,5]],"dotted":[[2,3]]}}]}'
     )
-    assert matching_sum_from_obj(matching_to) == FormalSum.single(FIGURE)
+    assert matching_codes_from_obj(matching_to) == [((6, *_encode(FIGURE)), 1)]
 
 
 def test_matching_round_trip():
@@ -77,9 +76,9 @@ def test_decode_errors():
     with pytest.raises(ValueError):
         tableau_from_obj({"n": 2, "bottom": "x"})
     with pytest.raises(ValueError):
-        matching_sum_from_obj({"terms": [{"coef": "one", "matching": {"n": 0, "arcs": []}}]})
+        matching_codes_from_obj({"terms": [{"coef": "one", "matching": {"n": 0, "arcs": []}}]})
     with pytest.raises(ValueError):
-        matching_sum_from_obj({})
+        matching_codes_from_obj({})
 
 
 @pytest.mark.parametrize("obj", (
@@ -98,7 +97,7 @@ def test_decode_rejects_non_integer_vertices(obj):
 @pytest.mark.parametrize("coef", (True, False, 1.0, "1", None))
 def test_decode_rejects_non_integer_coef(coef):
     with pytest.raises(ValueError, match="coef"):
-        matching_sum_from_obj({"terms": [{"coef": coef, "matching": {"n": 2, "arcs": [[1, 2]]}}]})
+        matching_codes_from_obj({"terms": [{"coef": coef, "matching": {"n": 2, "arcs": [[1, 2]]}}]})
 
 
 def test_plain_renderings():

@@ -1,9 +1,10 @@
 """Property tests of the wire decoders: every payload decodes or is refused.
 
-``matching_sum_from_obj`` must return a ``FormalSum`` or raise
-``ValueError`` (which the CLI turns into exit 2), never anything else, and
-``matching_codes_from_obj`` must agree with it term by term or refuse with
-the same message.
+``matching_codes_from_obj``, the package's one formal-sum decoder, must
+return its ``((n, opens, dots), coef)`` terms or raise ``ValueError`` (which
+the CLI turns into exit 2), never anything else, and so must the object
+reference ``bruteforce.matching_sum_from_obj``; the two must agree term by
+term or refuse with the same message.
 """
 
 import json
@@ -19,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerrep.formal import FormalSum
-from springerrep.jsonio import matching_codes_from_obj, matching_from_obj, matching_sum_from_obj
+from springerrep.jsonio import matching_codes_from_obj, matching_from_obj
 from springerrep.rewriting import _encode, reduce_to_standard
+
+from bruteforce import matching_sum_from_obj
 
 VALID = {"terms": [
     {"coef": 2, "matching": {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}},
@@ -67,16 +70,28 @@ def decodes_or_refuses(obj):
     return result
 
 
+def codes_or_refuses(obj):
+    try:
+        result = matching_codes_from_obj(obj)
+    except ValueError:
+        return None
+    assert isinstance(result, list)
+    for (n, opens, dots), coef in result:
+        assert all(type(x) is int for x in (n, opens, dots, coef))
+    return result
+
+
 def test_the_valid_sum_decodes():
-    assert len(decodes_or_refuses(VALID)) == 2
+    assert len(decodes_or_refuses(VALID)) == len(codes_or_refuses(VALID)) == 2
 
 
 @FUZZ
 @given(JSON_TREES)
 def test_arbitrary_trees_decode_or_are_refused(obj):
-    decodes_or_refuses(obj)
-    decodes_or_refuses({"terms": [obj]})
-    decodes_or_refuses({"terms": [{"coef": 1, "matching": obj}]})
+    for decode in (decodes_or_refuses, codes_or_refuses):
+        decode(obj)
+        decode({"terms": [obj]})
+        decode({"terms": [{"coef": 1, "matching": obj}]})
 
 
 @FUZZ
