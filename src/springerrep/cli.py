@@ -172,7 +172,7 @@ def _cmd_act(args) -> int:
     if args.gen is not None:
         word = (args.gen,)
     else:
-        n = args.n if args.n is not None else max(sizes, default=0)
+        n = args.n if args.n is not None else max(sizes, default=None)  # None: the text sizes itself
         word = parse_permutation(args.perm, n=n).reduced_word()
     _emit_sum(args, act_codes(word, merged, degrees), jsonio.matching_sum_to_obj, "matching",
               jsonio.matching_plain, jsonio.matching_plain)

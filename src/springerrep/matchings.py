@@ -324,6 +324,28 @@ def theta(t: TwoRowTableau) -> DottedMatching:
     return DottedMatching.make(t.n, undotted + dotted, dotted)
 
 
+def standard_codes(n: int, k: int) -> list[tuple[int, int]]:
+    """The standard matchings of degree (n, k) as ``(opens, dots)`` codes, in
+    the order of :func:`enumerate_standard`: :func:`theta` on bitmasks of the
+    unmatched vertices, vertex v at bit v-1."""
+    check_degree(n, k)
+    codes = []
+    for bottom in standard_bottom_sets(n, k):
+        free, opens = (1 << n) - 1, 0
+        for j in bottom:
+            i = 1 << (free & (1 << (j - 1)) - 1).bit_length() - 1  # nearest unmatched left of j
+            opens |= i
+            free ^= i | 1 << (j - 1)
+        dots = 0
+        while free:  # neighbouring unmatched vertices, lowest first
+            low = free & -free
+            free ^= low
+            dots |= low
+            free &= free - 1
+        codes.append((opens | dots, dots))
+    return codes
+
+
 def syt_count(n: int, k: int) -> int:
     """Number of standard tableaux of shape (n-k, k): C(n,k) - C(n,k-1)."""
     if k < 0 or 2 * k > n:

@@ -18,9 +18,12 @@ representation at all.
 The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.rewriting`
 with a partner array per matching: cases 1 and 2 are read off the bits, and
 M' clears the four endpoint bits and sets those of i and the nearer far end.
-It is evaluated once per (n, k, i, basis matching) into a per-degree table:
-the standard basis, its index by code, and for each s_i the sparse integer
-columns of its matrix; an image outside the basis fails the build.
+It is evaluated once per (n, k, i, basis code) into a per-degree table: the
+standard basis as codes, enumerated by :func:`~springerrep.matchings.standard_codes`
+(theta on bitmasks), its index by code, and for each s_i the sparse integer
+columns of its matrix; an image outside the basis fails the build.  The
+certificates build no matching object: the table decodes its basis to
+:class:`DottedMatching` only when ``act`` output or a caller reads it.
 The public action works on classes: an arbitrary sum of dotted matchings
 is merged and rewritten into the standard basis on its codes, the step
 ``reduce`` takes, then acted on as one vector per degree.
@@ -33,12 +36,19 @@ balanced w-bit digits, |A[r][c]| < 2^(w-1); so two packed matrices are equal
 exactly when their integer lists are, and a product A * s_i costs one or two
 big-integer additions per column, since every chart column has at most two
 entries.  The width w is computed, never assumed: if R is the largest column
-abs-sum of the generators, a product of m of them has entries of size at
-most R^m, so w = m * ceil(log2 R) + 2 bits hold every digit, whatever chart
-the tables were built from.  The Coxeter words have m = 3 and the class words
-m <= n - 1.  The class-tree walk packs ``ROW_BLOCK`` rows per integer, one
-block after another, so that it never holds a whole matrix per tree node.
-Consistency packs the rows of the expansion matrix instead, over the basis index.
+abs-sum of the generators (found once per table), a product of m of them has
+entries of size at most R^m, so w = m * ceil(log2 R) + 2 bits hold every
+digit, whatever chart the tables were built from.  The Coxeter words have
+m = 3 and the class words m <= n - 1.  The class-tree walk packs
+``ROW_BLOCK`` = 512 rows per integer, one block after another, so that it
+never holds a whole matrix per tree node: every degree with n <= 12
+(dimension at most 297) is one block, and n = 14 (up to 1001) two.  A
+node's trace, digit c - start of each column c of the block, is read in one
+pass: adding 2^(w-1) to every digit makes all of them unsigned without a
+carry, so each is a shift and a mask, and the bias is subtracted back.
+Consistency packs the rows of the expansion matrix instead, over the basis
+index; it expands each basis code by itself and never reads the chart
+columns on its diagram side.
 """
 
 from __future__ import annotations
@@ -46,15 +56,17 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import repeat
 from math import factorial
+from operator import add, and_, rshift
 from typing import TYPE_CHECKING
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import expansion_masks
-from .matchings import DottedMatching, check_partition, enumerate_standard, partitions_of, transpose_mask
+from .matchings import (DottedMatching, check_partition, pair_product, partitions_of, standard_codes,
+                        transpose_mask)
 from .perms import Permutation
-from .rewriting import Wire, _encode, _merge, _standard
+from .rewriting import Wire, _decode, _encode, _matching, _merge, _standard
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -80,9 +92,24 @@ class _Tables:
     degree's character table, computed once from it on packed matrices."""
 
     n: int
-    basis: tuple[DottedMatching, ...]
+    codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
     index: dict[tuple[int, int], int]  # (opens, dots) code -> basis index
     columns: tuple[tuple[Column, ...], ...]  # columns[i - 1][c]: image of basis[c] under s_i
+
+    @cached_property
+    def basis(self) -> tuple[DottedMatching, ...]:
+        """The basis matchings, decoded from their codes when first read."""
+        return tuple(_matching(self.n, *code) for code in self.codes)
+
+    @cached_property
+    def radius(self) -> int:
+        """R, the largest column abs-sum of the generators (1 if none)."""
+        return max((sum(abs(e) for _, e in column) for g in self.columns for column in g), default=1)
+
+    def width(self, length: int) -> int:
+        """Digit width in bits for products of up to ``length`` generators:
+        every entry of one is at most R^length in size."""
+        return length * (max(self.radius, 1) - 1).bit_length() + 2
 
     @cached_property
     def characters(self) -> dict[tuple[int, ...], int]:
@@ -98,14 +125,17 @@ class _Tables:
         ancestors with children still to visit.
         """
         tree = class_tree(self.n)
-        dim = len(self.basis)
-        w = _width(self.columns, self.n - 1)  # class words have at most n - 1 letters
+        dim = len(self.codes)
+        w = self.width(self.n - 1)  # class words have at most n - 1 letters
+        half, mask = 1 << w - 1, (1 << w) - 1
         children: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for parts, parent, letter in tree[1:]:
             children.setdefault(parent, []).append((parts, letter))
         traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
         for start in range(0, dim, ROW_BLOCK):
             rows = range(start, min(start + ROW_BLOCK, dim))
+            bias = sum(half << w * r for r in range(len(rows)))
+            shifts = range(0, w * len(rows), w)
             stack = [(tree[0][0], 0, None)]
             while stack:
                 parts, letter, parent = stack.pop()
@@ -113,7 +143,9 @@ class _Tables:
                     node = _identity(rows, dim, w)
                 else:
                     node = _times(parent, self.columns[letter - 1])
-                traces[parts] += sum(_digit(node[c], c - start, w) for c in rows)
+                # digit c - start of each column c, biased by half to read unsigned
+                digits = map(rshift, map(add, node[rows.start:rows.stop], repeat(bias)), shifts)
+                traces[parts] += sum(map(and_, digits, repeat(mask))) - len(rows) * half
                 stack += ((child, letter, node) for child, letter in children.get(parts, ()))
         return traces
 
@@ -135,13 +167,9 @@ def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int,
 
 @cache
 def _tables(n: int, k: int) -> _Tables:
-    basis = enumerate_standard(n, k)
-    codes = [_encode(m) for m in basis]
+    codes = tuple(standard_codes(n, k))
     index = {code: r for r, code in enumerate(codes)}
-    partners = [[0] * n for _ in basis]
-    for partner, m in zip(partners, basis):
-        for x, y in m.arcs:
-            partner[x - 1], partner[y - 1] = y - 1, x - 1
+    partners = [_partners(n, opens) for opens, _ in codes]
     columns = []
     for i in range(1, n):
         generator = []
@@ -150,15 +178,30 @@ def _tables(n: int, k: int) -> _Tables:
             for image_opens, image_dots, coef in _chart(i, opens, dots, partners[c]):
                 r = index.get((image_opens, image_dots))
                 if r is None:
-                    m = basis[c]
-                    raise VerificationError(
-                        "chart image is not a standard basis matching",
-                        {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
-                    )
+                    raise VerificationError("chart image is not a standard basis matching",
+                                            _witness(n, k, i, opens, dots))
                 column.append((r, coef))
             generator.append(tuple(column))
         columns.append(tuple(generator))
-    return _Tables(n, basis, index, tuple(columns))
+    return _Tables(n, codes, index, tuple(columns))
+
+
+def _partners(n: int, opens: int) -> list[int]:
+    """The partner array of a Dyck word: bit v is joined to bit partner[v]."""
+    stack, partner = [], [0] * n
+    for v in range(n):
+        if opens >> v & 1:
+            stack.append(v)
+        else:
+            partner[v] = u = stack.pop()
+            partner[u] = v
+    return partner
+
+
+def _witness(n: int, k: int, i: int, opens: int, dots: int) -> dict:
+    """A failure at s_i on a basis matching: n, k, i, its arcs and dotted arcs."""
+    m = _decode(n, opens, dots)
+    return {"n": n, "k": k, "i": i, "arcs": m["arcs"], "dotted": m["dotted"]}
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:
@@ -178,14 +221,12 @@ def _step(columns: tuple[Column, ...], vec: Iterable[tuple[int, int]]) -> dict[i
     return acc
 
 
-ROW_BLOCK = 128  # rows per packed integer in the class-tree walk
+ROW_BLOCK = 512  # rows per packed integer in the class-tree walk: one block for every n <= 12
 
 
 def _width(generators: Iterable[tuple[Column, ...]], length: int) -> int:
-    """Digit width in bits for products of up to ``length`` generators: with R
-    their largest column abs-sum, every entry is at most R^length in size."""
-    r = max((sum(abs(e) for _, e in column) for g in generators for column in g), default=1)
-    return length * (max(r, 1) - 1).bit_length() + 2
+    """:meth:`_Tables.width` of a bare list of generators."""
+    return _Tables(0, (), {}, tuple(generators)).width(length)
 
 
 def _identity(rows: range, dim: int, w: int) -> list[int]:
@@ -202,16 +243,6 @@ def _times(packed: list[int], columns: tuple[Column, ...]) -> list[int]:
             x += packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
         out.append(x)
     return out
-
-
-def _digit(x: int, r: int, w: int) -> int:
-    """Digit r of a packed integer with balanced w-bit digits.  The digits
-    below r sum to less than 2^(w*r - 1) in size, so adding that much before
-    the shift rounds them away exactly."""
-    if r:
-        x = (x + (1 << w * r - 1)) >> w * r
-    half = 1 << w - 1
-    return ((x + half) & (2 * half - 1)) - half
 
 
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
@@ -258,7 +289,7 @@ def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
     """Matrix of s_i; column c holds the image of the c-th basis matching."""
     _check_word((i,), n)
     tables = _tables(n, k)
-    size = len(tables.basis)
+    size = len(tables.codes)
     entries = [[0] * size for _ in range(size)]
     for c, column in enumerate(tables.columns[i - 1]):
         for r, coef in column:
@@ -285,8 +316,8 @@ def verify_coxeter(n: int, k: int) -> CoxeterReport:
     """
     tables = _tables(n, k)
     s = (None, *tables.columns)  # s[i]: the columns of s_i
-    dim = len(tables.basis)
-    w = _width(tables.columns, 3)
+    dim = len(tables.codes)
+    w = tables.width(3)
     identity = _identity(range(dim), dim, w)
     packed = (None, *(_times(identity, columns) for columns in tables.columns))
     involutions = braid = commuting = 0
@@ -366,7 +397,7 @@ def character(n: int, k: int, cycle_type) -> int:
     """
     word = class_word(n, cycle_type)[::-1]
     tables = _tables(n, k)
-    return sum(_apply(tables, word, {c: 1}).get(c, 0) for c in range(len(tables.basis)))
+    return sum(_apply(tables, word, {c: 1}).get(c, 0) for c in range(len(tables.codes)))
 
 
 def character_table(n: int, k: int) -> dict[tuple[int, ...], int]:
@@ -398,7 +429,8 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
     For every standard M and generator s_i, the expansion of the chart's
     answer must equal the relabelled expansion of M.  This is the central
     identity behind the representation.  Diagrams are held as bitmasks of
-    their undot sets, from ``expansion_masks``; they never read the tables.
+    their undot sets: the product over the undotted arcs of each basis code,
+    multiplied out by ``pair_product``, never read off the chart columns.
 
     With E the expansion matrix (row u: undot-set mask, column c: basis
     index; its entries are 0 and ±1), the identity says that row u of
@@ -407,19 +439,20 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
     E, of the packed rows of s_i.  A failure reports the least basis index,
     then the least i.
     """
-    basis = enumerate_standard(n, k)
     tables = _tables(n, k)
-    w = _width(tables.columns, 1)
+    dim = len(tables.codes)
+    w = tables.width(1)
     entries: dict[int, tuple[list[int], list[int]]] = {}  # mask -> (c with E = 1, c with E = -1)
-    for c, m in enumerate(basis):
-        for mask, sign in expansion_masks(m).items():
+    for c, (opens, dots) in enumerate(tables.codes):
+        undotted = [(i, j) for i, j in _decode(n, opens, dots)["arcs"] if not dots >> i - 1 & 1]
+        for mask, sign in pair_product(undotted).items():
             entries.setdefault(mask, ([], []))[sign < 0].append(c)
-    bits = [1 << w * c for c in range(len(basis))]
+    bits = [1 << w * c for c in range(dim)]
     packed = {u: sum(map(bits.__getitem__, plus)) - sum(map(bits.__getitem__, minus))
               for u, (plus, minus) in entries.items()}
     failure = None
     for i in range(1, n):
-        s_rows = [0] * len(basis)
+        s_rows = [0] * dim
         for c, column in enumerate(tables.columns[i - 1]):
             for r, coef in column:
                 s_rows[r] += coef * bits[c]
@@ -433,9 +466,6 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
                 failure = min(failure or (c, i), (c, i))
     if failure:
         c, i = failure
-        m = basis[c]
-        raise VerificationError(
-            "chart action disagrees with diagram permutation",
-            {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)},
-        )
+        raise VerificationError("chart action disagrees with diagram permutation",
+                                _witness(n, k, i, *tables.codes[c]))
     return True

@@ -188,6 +188,23 @@ def test_act_rejects_non_integer_permutation_entries(capsys, tmp_path):
                        f"notation such as '2 1 4 5 3', with positive integer entries; got {perm!r}\n")
 
 
+@pytest.mark.parametrize("payload", [
+    {"terms": [{"coef": 1, "matching": {"n": 2, "arcs": [[1, 2]]}},
+               {"coef": -1, "matching": {"n": 2, "arcs": [[2, 1]]}}]},  # cancels to zero
+    {"terms": []},
+])
+def test_act_perm_on_the_zero_sum(capsys, tmp_path, payload):
+    # no degree survives the merge, so the permutation is sized by its own text
+    source = tmp_path / "zero.json"
+    source.write_text(json.dumps(payload))
+    assert run(capsys, "act", "--input", str(source), "--perm", "(1 2)") == (0, '{"terms":[]}\n', "")
+    assert run(capsys, "act", "--input", str(source), "--gen", "1") == (0, '{"terms":[]}\n', "")
+    code, out, err = run(capsys, "act", "--input", str(source), "--perm", "(1 x)")
+    assert code == 2 and out == ""
+    assert err == ("error: a permutation is cycle notation such as '(1 2)(3 4 5)' or one-line "
+                   "notation such as '2 1 4 5 3', with positive integer entries; got '(1 x)'\n")
+
+
 def test_character_value(capsys):
     code, out, _ = run(capsys, "character", "--n", "4", "--k", "2", "--cycle-type", "3,1")
     assert code == 0 and out == "-1\n"

@@ -19,8 +19,9 @@ from springerrep import (
 )
 from springerrep import snaction
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard, partitions_of, syt_count
+from springerrep.matchings import enumerate_standard, partitions_of, standard_codes, syt_count
 from springerrep.perms import Permutation, parse_permutation
+from springerrep.rewriting import _encode
 from springerrep.snaction import (
     centralizer_order,
     character_table,
@@ -288,6 +289,36 @@ def test_code_chart_equals_object_rule(n):
                 pairs += 1
     assert pairs == (n - 1) * comb(n, n // 2)
 
+
+
+@pytest.mark.parametrize("n", (0, 2, 4, 6, 8, 10, 12))
+def test_code_enumerator_matches_the_object_enumerator(n):
+    # theta on bitmasks against theta on tableaux, order included
+    for k in range(n // 2 + 1):
+        expected = tuple(_encode(m) for m in enumerate_standard(n, k))
+        assert tuple(standard_codes(n, k)) == expected
+        assert snaction._tables(n, k).codes == expected
+        assert snaction._tables(n, k).basis == enumerate_standard(n, k)
+
+
+def test_tables_check_the_degree_first():
+    with pytest.raises(ValueError, match=r"^k=2 out of range for n=2$"):
+        snaction._tables(2, 2)
+    with pytest.raises(ValueError, match="vertex count must be even"):
+        standard_codes(3, 1)
+
+
+@pytest.mark.parametrize("block", (1, 7))
+def test_character_table_across_row_blocks(monkeypatch, block):
+    # every degree up to n = 12 fits one block; small blocks keep the block walk covered
+    monkeypatch.setattr(snaction, "ROW_BLOCK", block)
+    snaction._tables.cache_clear()
+    try:
+        for n in (2, 4, 6, 8):
+            for k in range(n // 2 + 1):
+                assert character_table(n, k) == walked_characters(n, k)
+    finally:
+        snaction._tables.cache_clear()
 
 @pytest.fixture
 def broken_chart(monkeypatch):
