@@ -71,8 +71,8 @@ from .formal import FormalSum
 from .matchings import DottedMatching, enumerate_noncrossing, opens_mask, syt_count
 
 # Largest n of the verify suites and of quotient_project_oracle.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes about 1.35 s on 2 vCPUs
-# (median of 8 fresh processes, 1.16-1.54 s, Python 3.11; 1.46 s under -O), and must stay under 15 s.
+# of ``verify --suite all --max-n 12`` (252 checks) takes about 1.0 s on 2 vCPUs
+# (median of 8 fresh processes, 0.80-1.29 s, Python 3.11; 0.99 s under -O), and must stay under 15 s.
 MAX_VERIFY_N = 12
 
 Code = tuple[int, int]  # (opens, dots)

@@ -46,9 +46,10 @@ never holds a whole matrix per tree node: every degree with n <= 12
 node's trace, digit c - start of each column c of the block, is read in one
 pass: adding 2^(w-1) to every digit makes all of them unsigned without a
 carry, so each is a shift and a mask, and the bias is subtracted back.
-Consistency packs the rows of the expansion matrix instead, over the basis
-index; it expands each basis code by itself and never reads the chart
-columns on its diagram side.
+Consistency packs the columns of the expansion matrix E instead, one
+integer per basis code with a digit per undot mask: column c of E * s_i is
+one or two additions of them, and column c of P_i * E, with strands i and
+i+1 exchanged, is the same integer under a bias, three masks and two shifts.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from typing import TYPE_CHECKING
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .matchings import (DottedMatching, check_partition, pair_product, partitions_of, standard_codes,
-                        transpose_mask)
+from .matchings import DottedMatching, check_partition, partitions_of, standard_codes
 from .perms import Permutation
 from .rewriting import Wire, _decode, _encode, _matching, _merge, _standard
 
@@ -405,13 +405,27 @@ def character_table(n: int, k: int) -> dict[tuple[int, ...], int]:
     return dict(_tables(n, k).characters)
 
 
+@cache
+def _class_sizes(n: int) -> dict[tuple[int, ...], int]:
+    """n!/z_lambda, the size of every conjugacy class of S_n."""
+    return {parts: factorial(n) // centralizer_order(parts) for parts in partitions_of(n)}
+
+
 def class_inner_product(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> Fraction:
-    """<a, b> = sum over cycle types of a * b / z_lambda, for class functions of S_n."""
+    """<a, b> = sum over cycle types of a * b / z_lambda, for class functions of
+    S_n: the integer sum of a * b * n!/z_lambda over n!.  Both must have exactly
+    the cycle types of n, read off the first type of ``a``, as keys."""
     # imported here: fractions pulls in decimal, which every CLI start would pay for
     from fractions import Fraction
 
-    terms = (Fraction(a[parts] * b[parts], centralizer_order(parts)) for parts in a)
-    return sum(terms, Fraction(0))
+    n = sum(next(iter(a), ()))
+    sizes = _class_sizes(n)
+    for name, f in (("first", a), ("second", b)):
+        if f.keys() != sizes.keys():
+            missing, extra = sorted(sizes.keys() - f.keys()), sorted(f.keys() - sizes.keys())
+            problem = f"lacks the class {missing[0]}" if missing else f"has the class {extra[0]}, not one"
+            raise ValueError(f"mismatched class functions: the {name} {problem} of S_{n}")
+    return Fraction(sum(a[parts] * b[parts] * size for parts, size in sizes.items()), factorial(n))
 
 
 def irreducibility_check(n: int, k: int) -> Fraction:
@@ -428,44 +442,79 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
 
     For every standard M and generator s_i, the expansion of the chart's
     answer must equal the relabelled expansion of M.  This is the central
-    identity behind the representation.  Diagrams are held as bitmasks of
-    their undot sets: the product over the undotted arcs of each basis code,
-    multiplied out by ``pair_product``, never read off the chart columns.
+    identity behind the representation: with E the expansion matrix (row u:
+    undot-set mask, column c: basis index, entries 0 and ±1) and P_i the
+    exchange of strands i and i+1 on the masks, E * s_i = P_i * E.
 
-    With E the expansion matrix (row u: undot-set mask, column c: basis
-    index; its entries are 0 and ±1), the identity says that row u of
-    E * s_i is row swap_i(u) of E.  Rows are packed over the basis index;
-    row u of E * s_i is the signed sum, over the nonzero entries of row u of
-    E, of the packed rows of s_i.  A failure reports the least basis index,
-    then the least i.
+    Each column L_M of E is one integer whose balanced w-bit digit u is the
+    coefficient of mask u, built by :func:`_expansion` from the basis code
+    alone, never from the chart columns.  Column c of E * s_i is the signed
+    sum of the columns of E that column c of s_i names, as in :func:`_times`,
+    so its digits are at most R, the largest column abs-sum of the
+    generators, in size.  w = ``tables.width(1)`` = ceil(log2 R) + 2 bits
+    gives 2^(w-1) >= 2R > R, so every digit is balanced and the sum equals
+    column c of P_i * E exactly when the two integers are equal.
+    Column c of P_i * E is :func:`_swap` of column c of E: a bias of 2^(w-1)
+    in every digit makes the digits unsigned, so the masks holding exactly
+    one of strands i and i+1 can be moved by masking and shifting.  Only E's
+    columns are held across the generators.  A failure reports the least
+    basis index c, then the least i at it.
     """
     tables = _tables(n, k)
-    dim = len(tables.codes)
     w = tables.width(1)
-    entries: dict[int, tuple[list[int], list[int]]] = {}  # mask -> (c with E = 1, c with E = -1)
-    for c, (opens, dots) in enumerate(tables.codes):
-        undotted = [(i, j) for i, j in _decode(n, opens, dots)["arcs"] if not dots >> i - 1 & 1]
-        for mask, sign in pair_product(undotted).items():
-            entries.setdefault(mask, ([], []))[sign < 0].append(c)
-    bits = [1 << w * c for c in range(dim)]
-    packed = {u: sum(map(bits.__getitem__, plus)) - sum(map(bits.__getitem__, minus))
-              for u, (plus, minus) in entries.items()}
+    packed = [_expansion(n, w, *code) for code in tables.codes]
     failure = None
     for i in range(1, n):
-        s_rows = [0] * dim
-        for c, column in enumerate(tables.columns[i - 1]):
-            for r, coef in column:
-                s_rows[r] += coef * bits[c]
-        row = s_rows.__getitem__
-        pair = 0b11 << (i - 1)  # strands i and i+1
-        for u in entries.keys() | {transpose_mask(u, pair) for u in entries}:
-            plus, minus = entries.get(u, ((), ()))
-            diff = sum(map(row, plus)) - sum(map(row, minus)) - packed.get(transpose_mask(u, pair), 0)
-            if diff:
-                c = ((diff & -diff).bit_length() - 1) // w  # the lowest differing digit
-                failure = min(failure or (c, i), (c, i))
+        masks = _swap_masks(n, w, i)
+        # only a smaller basis index than the failure found so far can replace it
+        for c, column in enumerate(tables.columns[i - 1][:failure[0] if failure else None]):
+            x = 0
+            for r, e in column:
+                x += packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
+            if x != _swap(packed[c], masks):
+                failure = (c, i)
+                break
     if failure:
         c, i = failure
         raise VerificationError("chart action disagrees with diagram permutation",
                                 _witness(n, k, i, *tables.codes[c]))
     return True
+
+
+def _expansion(n: int, w: int, opens: int, dots: int) -> int:
+    """L_M packed with balanced w-bit digits, digit u the coefficient of undot
+    mask u: the product over the undotted arcs (a, b) of
+    (2^(w*2^(b-1)) - 2^(w*2^(a-1))), each factor a difference of two shifts."""
+    x, stack = 1, []
+    for v in range(n):
+        if opens >> v & 1:
+            stack.append(v)
+        else:
+            a = stack.pop()
+            if not dots >> a & 1:
+                x = (x << (w << v)) - (x << (w << a))
+    return x
+
+
+def _swap_masks(n: int, w: int, i: int) -> tuple[int, int, int, int, int]:
+    """The bias, the three digit masks and the shift of :func:`_swap` on n
+    strands: a bias of 2^(w-1) in every digit, the digits of the masks that
+    hold both or neither of strands i and i+1, those of the masks holding
+    only i, those holding only i+1, and w * 2^(i-1), the distance between
+    the two."""
+    ones, full = (1 << w) - 1, (1 << (w << n)) - 1
+    shift = w << i - 1
+    # the masks repeat every 2^(i+1): 2^(i-1) holding neither, 2^(i-1) only i, then only i+1, then both
+    runs = ((1 << shift) - 1) * (full // ((1 << 4 * shift) - 1))
+    up, down = runs << shift, runs << 2 * shift
+    return full // ones << w - 1, full ^ up ^ down, up, down, shift
+
+
+def _swap(x: int, masks: tuple[int, int, int, int, int]) -> int:
+    """A packed expansion with strands i and i+1 exchanged, for the
+    :func:`_swap_masks` of i: the bias makes every digit unsigned, so the
+    digits of the masks holding only one of the two strands move by 2^(i-1)
+    places without a carry, and the bias is subtracted back."""
+    bias, keep, up, down, shift = masks
+    y = x + bias
+    return (y & keep | (y & up) << shift | (y & down) >> shift) - bias

@@ -27,6 +27,7 @@ from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.jsonio import matching_from_obj
+from springerrep.linediagrams import expansion_masks
 from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
@@ -35,6 +36,7 @@ from springerrep.matchings import (
     subset_mask,
     subset_members,
     syt_count,
+    transpose_mask,
 )
 from springerrep.perms import Permutation
 
@@ -234,6 +236,26 @@ def unpack_columns(packed, w: int, dim: int):
             x -= digit << w * r
         columns.append(tuple(column))
     return tuple(columns)
+
+
+def consistency_failure(n: int, k: int) -> tuple[int, int] | None:
+    """The least basis index c, then the least i, at which column c of
+    E * s_i differs from column c of P_i * E, or None: E * s_i summed over
+    the chart columns on {undot mask: coefficient} dicts from
+    ``expansion_masks``, and P_i * E by ``transpose_mask`` on those dicts."""
+    tables = snaction._tables(n, k)
+    expansions = [expansion_masks(m) for m in tables.basis]
+    failures = []
+    for i in range(1, n):
+        for c, column in enumerate(tables.columns[i - 1]):
+            image: dict[int, int] = {}
+            for r, entry in column:
+                for u, coef in expansions[r].items():
+                    image[u] = image.get(u, 0) + entry * coef
+            swapped = {transpose_mask(u, 0b11 << (i - 1)): coef for u, coef in expansions[c].items()}
+            if {u: coef for u, coef in image.items() if coef} != swapped:
+                failures.append((c, i))
+    return min(failures, default=None)
 
 
 def walked_characters(n: int, k: int) -> dict[tuple[int, ...], int]:

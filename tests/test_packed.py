@@ -1,5 +1,6 @@
-"""Property test of the packed-matrix kernel of ``snaction`` on random
-column tables, with entries and column sums larger than the chart's."""
+"""Property tests of the packed-integer kernels of ``snaction``: matrix
+products on random column tables, with entries and column sums larger than
+the chart's, and the strand swap on random signed digit vectors."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from springerrep import snaction
+from springerrep.matchings import transpose_mask
 
 from bruteforce import column_product, unpack_columns
 
@@ -40,3 +42,26 @@ def test_packed_product_decodes_to_the_reference(case):
         packed = snaction._times(packed, generators[letter - 1])
         expected = column_product(expected, generators[letter - 1])
     assert unpack_columns(packed, w, dim) == expected
+
+
+@st.composite
+def digit_vectors(draw):
+    n = draw(st.integers(2, 8))
+    radius = draw(st.integers(1, 9))
+    digits = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
+                                  st.integers(-radius, radius).filter(bool), max_size=40))
+    return n, radius, digits
+
+
+# every digit at -R: the bias must lift all of them without a borrow
+@example((3, 4, dict.fromkeys(range(8), -4)))
+@example((2, 2, {1: 2, 2: -2}))
+@settings(max_examples=200, deadline=None)
+@given(digit_vectors())
+def test_strand_swap_decodes_to_transpose_mask(case):
+    n, radius, digits = case
+    w = snaction._width([(((0, radius),),)], 1)  # the digit width of a generator of column sum R
+    packed = sum(d << w * u for u, d in digits.items())
+    for i in range(1, n):
+        (swapped,) = unpack_columns([snaction._swap(packed, snaction._swap_masks(n, w, i))], w, 1 << n)
+        assert dict(swapped) == {transpose_mask(u, 0b11 << (i - 1)): d for u, d in digits.items()}

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,12 +21,14 @@ from springerrep import (
 )
 from springerrep import snaction
 from springerrep.formal import FormalSum
+from springerrep.linediagrams import expansion_masks
 from springerrep.matchings import enumerate_standard, partitions_of, standard_codes, syt_count
 from springerrep.perms import Permutation, parse_permutation
 from springerrep.rewriting import _encode
 from springerrep.snaction import (
     centralizer_order,
     character_table,
+    class_inner_product,
     class_tree,
     class_word,
 )
@@ -35,6 +39,7 @@ from bruteforce import (
     class_representative,
     column_product,
     conjugacy_class_size,
+    consistency_failure,
     degree_generators,
     is_identity,
     map_basis,
@@ -250,6 +255,37 @@ def test_chart_diagram_consistency(n):
         assert chart_diagram_consistency(n, k)
 
 
+@pytest.mark.parametrize("n", (0, 2, 4, 6, 8, 10))
+def test_packed_expansion_is_the_expansion_rule(n):
+    # the balanced digits of each packed column are L_M, mask for mask
+    for k in range(n // 2 + 1):
+        tables = snaction._tables(n, k)
+        w = tables.width(1)
+        packed = [snaction._expansion(n, w, *code) for code in tables.codes]
+        for column, m in zip(unpack_columns(packed, w, 1 << n), tables.basis):
+            assert dict(column) == expansion_masks(m)
+
+
+def test_class_inner_product_refuses_mismatched_class_functions():
+    with pytest.raises(ValueError, match=r"^mismatched class functions: the second lacks the class "
+                                         r"\(1, 1, 1, 1\) of S_4$"):
+        class_inner_product(character_table(4, 1), character_table(6, 1))
+    with pytest.raises(ValueError, match=r"^mismatched class functions: the first lacks the class "
+                                         r"\(1, 1\) of S_2$"):
+        class_inner_product({(2,): 1}, {(2,): 1})
+    with pytest.raises(ValueError, match=r"the second has the class \(1, 2\), not one of S_3$"):
+        class_inner_product({(3,): 1, (2, 1): 1, (1, 1, 1): 1}, {(3,): 1, (2, 1): 1, (1, 1, 1): 1, (1, 2): 1})
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12))
+def test_class_inner_product_is_the_per_class_sum(n):
+    tables = [character_table(n, k) for k in range(n // 2 + 1)]
+    for a in tables:
+        for b in tables:
+            expected = sum((Fraction(a[parts] * b[parts], centralizer_order(parts)) for parts in a), Fraction(0))
+            assert class_inner_product(a, b) == expected
+
+
 def diagrams(v):
     return map_basis(v, expand)
 
@@ -366,6 +402,56 @@ def test_broken_chart_witnesses_at_n_4(broken_chart):
     }
     details = [r.detail for r in run_suites(["irreducibility"], 4) if not r.ok]
     assert details == ["<chi,chi>=46/3", "<chi,chi>=26/3"]
+
+
+def second_image_dropped_on_a_pattern(real, i, opens, dots, partner):
+    images = real(i, opens, dots, partner)
+    return images[:1] if (i + opens) % 3 == 0 else images
+
+
+def diagonal_sign_flipped_at_3(real, i, opens, dots, partner):
+    (o, d, coef), *rest = real(i, opens, dots, partner)
+    return [(o, d, -coef if i == 3 else coef), *rest]
+
+
+@pytest.mark.parametrize("rule", (sign_of_undotted_pair_flipped, second_image_dropped_on_a_pattern,
+                                  diagonal_sign_flipped_at_3))
+def test_consistency_witness_is_the_least_index_then_the_least_i(broken_chart, rule):
+    broken_chart(rule)
+    for n in range(0, 9, 2):
+        for k in range(n // 2 + 1):
+            failure = consistency_failure(n, k)
+            if failure is None:
+                assert chart_diagram_consistency(n, k)
+                continue
+            c, i = failure
+            m = snaction._tables(n, k).basis[c]
+            with pytest.raises(VerificationError, match="chart action disagrees") as info:
+                chart_diagram_consistency(n, k)
+            assert info.value.witness == {"n": n, "k": k, "i": i, "arcs": m.arcs, "dotted": sorted(m.dotted)}
+            assert list(info.value.witness) == ["n", "k", "i", "arcs", "dotted"]
+
+
+def mutant(function, old, new):
+    """``function`` recompiled from its source with ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    if source.count(old) != 1:
+        raise LookupError(f"{old!r} is not once in {function.__name__}")
+    namespace = {}
+    exec(source.replace(old, new), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("_expansion", "(x << (w << v)) - (x << (w << a))", "(x << (w << v)) + (x << (w << a))"),
+    ("_swap", "(y & up) << shift | (y & down) >> shift", "(y & up) >> shift | (y & down) << shift"),
+], ids=["binomial-plus", "shifts-exchanged"])
+def test_packing_mutants_fail_the_consistency_suite(monkeypatch, name, old, new):
+    assert all(r.ok for r in run_suites(["consistency"], 8))
+    monkeypatch.setattr(snaction, name, mutant(getattr(snaction, name), old, new))
+    results = run_suites(["consistency"], 8)
+    assert not all(r.ok for r in results)
+    assert all("chart action disagrees" in r.detail for r in results if not r.ok)
 
 
 def test_character_table_is_dropped_with_the_chart(broken_chart):
