@@ -4,7 +4,7 @@ A line diagram on n strands is determined by its undot set: the positions
 of the undotted strands.  A standard matching M with k undotted arcs
 expands into the sum L_M of 2^k diagrams, one for each choice of a single
 endpoint per undotted arc, signed by the parity of how many left endpoints
-were chosen.  This expansion is the homology image of the matching under
+were chosen.  Up to sign it is E, the homology image of the matching under
 the component-wise antipodal embedding, and the choose-the-right-endpoint
 term always carries coefficient +1 — which makes the expansion matrix
 row-echelon once rows and columns are sorted by the undot-set order.  The
@@ -23,10 +23,18 @@ from .matchings import DottedMatching, enumerate_standard, is_standard, pair_pro
 
 
 def expansion_masks(m: DottedMatching) -> dict[int, int]:
-    """L_M as {undot-set mask: ±1}, strand x at bit x-1: the one expansion rule,
+    """L_M as {undot-set mask: ±1}, strand x at bit x-1: the expansion rule,
     the product over undotted arcs (i, j) of (l_j - l_i), multiplied out by
     :func:`~springerrep.matchings.pair_product`.  :func:`expand` checks that M is standard."""
     return pair_product(m.undotted_arcs)
+
+
+def image_masks(undotted) -> dict[int, int]:
+    """E, the antipodal image of a dotted matching with ``undotted`` arcs, as
+    {undot-set mask: ±1}: the product over them of (-1)^a l_a + (-1)^b l_b.
+    As b - a is odd, that factor is l_even - l_odd = (-1)^b (l_b - l_a), so E
+    is (-1)^(sum of the b) L_M on a standard matching."""
+    return pair_product([(a, b) if b % 2 == 0 else (b, a) for a, b in undotted])
 
 
 def expand(m: DottedMatching) -> FormalSum:

@@ -17,10 +17,10 @@ v opens a dotted arc.  The arc opened at a lies below
 summed over the dotted arcs, is 0 exactly on standard matchings.
 
 The rewrite site is the deepest nested dotted arc (j,k), leftmost among
-equals, under its innermost encloser (i,l).  A table per Dyck word, built
-by one stack scan and cached for the process (at most Catalan(n/2) words
-per n), lists the nested arcs in that order, and a step takes the first
-one whose dot bit is set.  Oriented to eliminate (j,k), the relations are
+equals, under its innermost encloser (i,l).  A table per Dyck word, read
+off its arcs and cached for the process (at most Catalan(n/2) words per
+n), lists the nested arcs in that order, and a step takes the first one
+whose dot bit is set.  Oriented to eliminate (j,k), the relations are
 bit flips (x is the bit of vertex x):
 
   Type II, (i,l) dotted:   (opens^j^k, dots^j^k)
@@ -44,20 +44,25 @@ degree through the kernel :func:`_reduce_codes`, which takes and returns
 measure 0).  ``act`` looks the survivors up in its tables; ``reduce``
 decodes them to objects, so it enumerates no standard basis.
 
-:func:`quotient_project_oracle` certifies that the standard matchings are a
-basis of the quotient by the linear diamond lemma (Bergman, "The diamond
-lemma for ring theory", 1978), with the Type I/II rows built on codes, read
-off each nested arc and its innermost encloser.  Per degree, in one pass by
-increasing nesting: (1) each nonstandard g takes its one kernel step, to
-children of lower measure, and g minus the signed children is +- a row;
-(2) the normal forms N(s) = s for standard s and N(g) = the signed sum of
-its children's otherwise; (3) every row r has N(r) = 0; (4) there are
-syt_count(n, k) standard codes.  By (1) and induction every g - N(g) lies
-in the row span R, so V = span(standard) + R; N is linear, kills R by (3)
-and fixes the standard span, so the sum is direct.  Hence the standard
-matchings are a basis of V/R, its dimension is the tableau count by (4),
-and N is the quotient projection: the table an elimination of the rows
-would give, decoded to matchings.
+:func:`_certify` and the ``rewriting`` verify suite show, per degree, that
+the standard matchings are a basis of the quotient V/R by the relations.
+(1) Each nonstandard code's one kernel step descends and is +- the Type
+I/II row at its own site, read off the arcs, so by induction on the
+measure the standard codes span V/R.  (2) They number syt_count(n, k).
+(3) E, the image under the antipodal embedding (``image_masks`` of
+:mod:`~springerrep.linediagrams`, the product over the undotted arcs (a,b)
+of (-1)^a l_a + (-1)^b l_b), kills every row: a row's terms share their
+spectator factor, both sides of Type I are then (-1)^i l_i + (-1)^j l_j +
+(-1)^k l_k + (-1)^l l_l, and Type II leaves no undotted arc at the site
+(``tests/test_local_lemmas.py``).  (4) On standard matchings E = +-L_M,
+injective by ``echelon_certificate``.  By (3) and (4) the standard codes
+are independent in V/R, so they are a basis.  (5) A drain that keeps its
+input's image under E ends, by (4), at its class.  The spanning half is
+the linear diamond lemma (Bergman, 1978); E replaces its check that every
+row vanishes under the normal forms, so no normal form or row is kept.
+The signs are the paper's antipodal hypothesis: with the unsigned
+(l_b - l_a), the sides of Type I at vertices 1..4 are l4 - l3 + l2 - l1
+and l3 - l2 + l4 - l1.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from functools import cache
 
 from .errors import VerificationError
 from .formal import FormalSum
+from .linediagrams import image_masks
 from .matchings import DottedMatching, enumerate_noncrossing, opens_mask, syt_count
 
 # Largest n of the verify suites and of quotient_project_oracle.  Budget: all
@@ -83,16 +89,22 @@ def _encode(m: DottedMatching) -> tuple[int, int]:
     return opens_mask(m.arcs), opens_mask(m.dotted)
 
 
-def _decode(n: int, opens: int, dots: int) -> dict:
-    """The matching of a code as a witness: n, arcs and dotted arcs."""
+@cache
+def _arcs(n: int, opens: int) -> tuple[tuple[int, int], ...]:
+    """The sorted arcs of a Dyck word on n vertices, cached for the process."""
     stack, arcs = [], []
     for v in range(1, n + 1):
         if opens >> (v - 1) & 1:
             stack.append(v)
         else:
             arcs.append((stack.pop(), v))
-    arcs.sort()
-    return {"n": n, "arcs": tuple(arcs), "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
+    return tuple(sorted(arcs))
+
+
+def _decode(n: int, opens: int, dots: int) -> dict:
+    """The matching of a code as a witness: n, arcs and dotted arcs."""
+    arcs = _arcs(n, opens)
+    return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
 
 
 def _nesting(opens: int, dots: int) -> int:
@@ -110,15 +122,10 @@ def _sites(n: int, opens: int) -> tuple[tuple[int, tuple[int, int, int, int]], .
     """Every nested arc (j,k) of a Dyck word under its innermost encloser (i,l),
     as (bit of j, bit positions (i, j, k, l)), deepest first and leftmost among
     equals: the order in which :func:`_find_site` tries them."""
-    stack, close, nested = [], {}, []
-    for v in range(n):
-        if opens >> v & 1:
-            if stack:
-                nested.append((-len(stack), v, stack[-1]))
-            stack.append(v)
-        else:
-            close[stack.pop()] = v
-    return tuple((1 << j, (i, j, close[j], close[i])) for _, j, i in sorted(nested))
+    arcs = _arcs(n, opens)
+    nested = sorted((-len(out), j, k, *max(out))
+                    for j, k in arcs if (out := [(a, b) for a, b in arcs if a < j < b]))
+    return tuple((1 << j - 1, (i - 1, j - 1, k - 1, l - 1)) for _, j, k, i, l in nested)
 
 
 def _find_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int]:
@@ -223,99 +230,82 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     return _reduce_sum(((m.n, *_encode(m)), coef) for m, coef in v)
 
 
-def _dot_masks(mask: int, r: int) -> list[int]:
-    """Every r-bit submask of ``mask``: the dots of r of the arcs opening there."""
-    bits = [1 << v for v in range(mask.bit_length()) if mask >> v & 1]
-    return [sum(chosen) for chosen in itertools.combinations(bits, r)] if r >= 0 else []
-
-
 def _generator_codes(n: int, k: int) -> list[Code]:
-    """Every dotted matching on n vertices with exactly k undotted arcs, as codes."""
-    words = [opens_mask(base.arcs) for base in enumerate_noncrossing(n)]
-    return [(opens, dots) for opens in words for dots in _dot_masks(opens, n // 2 - k)]
+    """Every dotted matching on n vertices with exactly k undotted arcs, as codes:
+    each Dyck word with the dots of every n/2 - k of its arcs."""
+    words = [opens_mask(base.arcs) for base in enumerate_noncrossing(n)] if k <= n // 2 else []
+    return [(opens, sum(dots)) for opens in words
+            for dots in itertools.combinations([1 << v for v in range(n) if opens >> v & 1], n // 2 - k)]
 
 
-def _relation_rows(n: int, k: int) -> list[dict[Code, int]]:
-    """Every Type I and Type II relation of degree k, as ``{(opens, dots): +-1}``:
-    one family per nested arc (j,k) under its innermost encloser (i,l), the
-    side-by-side word flipping the bits of j and k, with every dotting of the
-    spectator arcs that leaves degree k."""
-    rows = []
-    for base in enumerate_noncrossing(n):
-        nested = opens_mask(base.arcs)
-        for inner in base.arcs:
-            enclosing = base.enclosers(inner)
-            if not enclosing:
-                continue
-            i, j, kk = (1 << (v - 1) for v in (enclosing[-1][0], *inner))
-            side, spectators = nested ^ j ^ kk, nested ^ i ^ j
-            for s in _dot_masks(spectators, n // 2 - 1 - k):
-                rows.append({(side, s | i): 1, (side, s | kk): 1,
-                             (nested, s | i): -1, (nested, s | j): -1})
-            for s in _dot_masks(spectators, n // 2 - 2 - k):
-                rows.append({(side, s | i | kk): 1, (nested, s | i | j): -1})
-    return rows
+def _site_row(n: int, nested: int, dots: int, j: int) -> dict[Code, int] | None:
+    """The Type I or II row, as ``{(opens, dots): +-1}``, at the dotted arc (j,k)
+    that opens at bit j, read off the arcs: (i,l) is its innermost encloser and
+    s the spectator dots.  None if no arc opens there or it has no encloser."""
+    right, v = dict(_arcs(n, nested)), j + 1
+    enclosers = [a for a, b in right.items() if a < v < b] if v in right else []
+    if not enclosers:
+        return None
+    i, j, k = (1 << (x - 1) for x in (max(enclosers), v, right[v]))
+    side, s = nested ^ j ^ k, dots & ~(i | j)
+    if dots & i:
+        return {(side, s | i | k): 1, (nested, s | i | j): -1}
+    return {(side, s | i): 1, (side, s | k): 1, (nested, s | i): -1, (nested, s | j): -1}
 
 
-def _combine(table: dict[Code, dict[Code, int]], terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
-    """The sum of coef * table[code] over the terms, zeros dropped; a code
-    missing from the table counts as 0."""
-    out: dict[Code, int] = {}
-    for code, coef in terms:
-        for c, x in table.get(code, {}).items():
-            out[c] = out.get(c, 0) + coef * x
-    return {c: x for c, x in out.items() if x}
-
-
-def _normal_forms(n: int, k: int) -> tuple[dict[Code, dict[Code, int]], int]:
-    """The certificate of the module docstring in degree k: every generator's
-    normal form, and the number of generators whose kernel step is not +- a
-    relation row.  A step that does not descend, a standard count that is not
-    the tableau count, and (once every step is a relation) a row that survives
-    raise :class:`VerificationError`."""
-    rows = _relation_rows(n, k)
-    relations = {frozenset(row.items()) for row in rows}
-    levels = {g: _nesting(*g) for g in _generator_codes(n, k)}
-    table: dict[Code, dict[Code, int]] = {}
-    unmatched = 0
-    for g in sorted(levels, key=levels.get):
-        if not levels[g]:
-            table[g] = {g: 1}
+def _certify(n: int, k: int) -> tuple[list[Code], int]:
+    """Facts (1) and (2) of the module docstring in degree k: the generators,
+    and how many of them take a kernel step that is not +- the row at its
+    site.  A step that does not descend, and a standard count that is not
+    the tableau count, raise :class:`VerificationError`."""
+    generators = _generator_codes(n, k)
+    standard = unmatched = 0
+    for g in generators:
+        if not (level := _nesting(*g)):
+            standard += 1
             continue
         site = _find_site(n, *g)
-        children = [((opens, dots), sign) for opens, dots, sign in _rewrite(*g, site)]
-        if any(_nesting(*child) >= levels[g] for child, _ in children):
-            raise _no_descent(n, *g, site)
-        step = frozenset([(g, 1), *((child, -sign) for child, sign in children)])
-        if step not in relations and frozenset((c, -x) for c, x in step) not in relations:
+        step = {g: 1}
+        for opens, dots, sign in _rewrite(*g, site):
+            if _nesting(opens, dots) >= level:
+                raise _no_descent(n, *g, site)
+            step[opens, dots] = step.get((opens, dots), 0) - sign
+        row = _site_row(n, *g, site[1])
+        if row is None or (step != row and step != {c: -x for c, x in row.items()}):
             unmatched += 1
-        table[g] = _combine(table, children)
+    if standard != syt_count(n, k):
+        raise VerificationError("quotient dimension does not match the standard-tableau count",
+                                {"n": n, "k": k, "dimension": standard, "expected": syt_count(n, k)})
+    return generators, unmatched
 
-    dimension = sum(not level for level in levels.values())
-    if dimension != syt_count(n, k):
-        raise VerificationError(
-            "quotient dimension does not match the standard-tableau count",
-            {"n": n, "k": k, "dimension": dimension, "expected": syt_count(n, k)},
-        )
-    for row in () if unmatched else rows:
-        if rest := _combine(table, row.items()):
-            raise VerificationError(
-                "standard matchings are dependent modulo the relations",
-                {"n": n, "k": k, "standard": [{**_decode(n, *c), "coef": x} for c, x in rest.items()]},
-            )
-    return table, unmatched
+
+def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
+    """E of a sum of ``((opens, dots), coef)`` terms, as {undot-set mask: coef}."""
+    out: dict[int, int] = {}
+    for (opens, dots), coef in terms:
+        undotted = [(a, b) for a, b in _arcs(n, opens) if not dots >> (a - 1) & 1]
+        for mask, x in image_masks(undotted).items():
+            out[mask] = out.get(mask, 0) + coef * x
+    return {mask: x for mask, x in out.items() if x}
 
 
 def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
-    """Normal forms of every degree-k generator in the standard basis, as
-    matchings, certified as in the module docstring; refused if a kernel step
-    is not a relation."""
+    """Every degree-k generator's class in the standard basis, as matchings:
+    one drain through the kernel per generator after :func:`_certify`, each
+    checked to keep its image under E, which the echelon certificate (its
+    suite covers every n accepted here) makes injective on the standard span.
+    Refused if a kernel step is not a relation, or a drain changes the image."""
     if n > MAX_VERIFY_N:
         raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
-    table, unmatched = _normal_forms(n, k)
+    generators, unmatched = _certify(n, k)
     if unmatched:
         raise VerificationError("rewrite steps are not relations", {"n": n, "k": k, "generators": unmatched})
-    return {
-        _matching(n, *g): FormalSum((_matching(n, *c), coef) for c, coef in row.items())
-        for g, row in table.items()
-    }
+    table = {}
+    for g in generators:
+        form = _reduce_codes(n, [(g, 1)])
+        if _image(n, form.items()) != _image(n, [(g, 1)]):
+            standard = [{**_decode(n, *c), "coef": x} for c, x in form.items()]
+            raise VerificationError("standard matchings are dependent modulo the relations",
+                                    {**_decode(n, *g), "k": k, "standard": standard})
+        table[_matching(n, *g)] = FormalSum((_matching(n, *c), coef) for c, coef in form.items())
+    return table

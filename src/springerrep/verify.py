@@ -30,7 +30,7 @@ from .matchings import (
     syt_count,
     theta,
 )
-from .rewriting import MAX_VERIFY_N, _combine, _generator_codes, _normal_forms, _reduce_codes
+from .rewriting import MAX_VERIFY_N, _certify, _generator_codes, _image, _reduce_codes
 from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
@@ -71,13 +71,14 @@ def _bijection(n: int, k: int) -> tuple[bool, str]:
 
 
 def _rewriting(n: int, k: int) -> tuple[bool, str]:
-    # one drain of all the generators, each at its own weight, checks the
-    # kernel's loop against the certified normal forms
-    table, mismatches = _normal_forms(n, k)
-    terms = [(g, weight) for weight, g in enumerate(table, 1)]
-    drained, expected = _reduce_codes(n, terms), _combine(table, terms)
-    mismatches += sum(drained.get(c) != expected.get(c) for c in drained.keys() | expected.keys())
-    return mismatches == 0, (f"{len(table)} generators, dim {syt_count(n, k)}"
+    # once every step is its site row, a drain of all the generators, each at
+    # its own weight, must keep its image under E, injective on the standard span
+    generators, mismatches = _certify(n, k)
+    if not mismatches:
+        terms = [(g, weight) for weight, g in enumerate(generators, 1)]
+        drained = _reduce_codes(n, terms)
+        mismatches = (not echelon_certificate(n, k)) + (_image(n, drained.items()) != _image(n, terms))
+    return mismatches == 0, (f"{len(generators)} generators, dim {syt_count(n, k)}"
                              + (f", {mismatches} mismatches" if mismatches else ""))
 
 

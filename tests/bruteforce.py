@@ -740,15 +740,16 @@ def sparse_rref(rows) -> dict[int, dict]:
 
 def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
     """Normal forms of every degree-k generator, as codes, by exact elimination:
-    the reference for ``rewriting._normal_forms``.
+    the reference for the rewriting kernel's drain of each generator.
 
-    Row-reduces the package's Type I/II code rows over all dotted matchings of
-    degree k, the nonstandard ones by increasing nesting and the standard
-    ones (from ``enumerate_standard``) last, and reads off each generator's
-    coordinates in the standard basis.  Raises ``VerificationError`` if the
-    standard matchings are dependent modulo the relations or the quotient
-    dimension is not the standard-tableau count.  Never calls the rewriting
-    kernel; the helpers are looked up on the module, so a test can patch them.
+    Row-reduces the Type I/II rows of :func:`relation_vectors`, encoded, over
+    all dotted matchings of degree k, the nonstandard ones by increasing
+    nesting and the standard ones (from ``enumerate_standard``) last, and
+    reads off each generator's coordinates in the standard basis.  Raises
+    ``VerificationError`` if the standard matchings are dependent modulo the
+    relations or the quotient dimension is not the standard-tableau count.
+    Never calls the rewriting kernel; the helpers, ``relation_vectors``
+    included, are looked up on their modules, so a test can patch them.
     """
     standard = [rw._encode(m) for m in enumerate_standard(n, k)]
     known = set(standard)
@@ -757,7 +758,7 @@ def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int,
     columns = nonstandard + standard
     index = {g: c for c, g in enumerate(columns)}
     reduced = sparse_rref(
-        {index[code]: coef for code, coef in row.items()} for row in rw._relation_rows(n, k)
+        {index[rw._encode(m)]: coef for m, coef in relation} for relation in relation_vectors(n, k)
     )
     pivots = sorted(reduced)
     if any(p >= len(nonstandard) for p in pivots):

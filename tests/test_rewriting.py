@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import bruteforce
 import springerrep.rewriting as rw
 from springerrep import DottedMatching, is_standard, quotient_project_oracle, reduce_to_standard
 from springerrep.errors import VerificationError
@@ -179,12 +180,21 @@ def test_rewrite_to_an_unseen_code_that_keeps_nesting_is_refused(monkeypatch):
                                   "site": ["II", 1, 2, 3, 4]}
 
 
+def combined(table, terms):
+    """The sum of coef * table[code] over the terms, zeros dropped."""
+    out = Counter()
+    for code, coef in terms:
+        for c, x in table[code].items():
+            out[c] += coef * x
+    return {c: x for c, x in out.items() if x}
+
+
 def test_kernel_measures_each_code_once(monkeypatch):
     # every generator of one degree drained at once, generator i at weight i + 1
     n, k = 10, 2
-    table, _ = rw._normal_forms(n, k)
+    table = rref_quotient_codes(n, k)
     terms = [(g, weight) for weight, g in enumerate(table, 1)]
-    expected = rw._combine(table, terms)
+    expected = combined(table, terms)
     seen = {g for g, _ in terms}
     calls = Counter()
     honest_nesting, honest_rewrite = rw._nesting, rw._rewrite
@@ -327,14 +337,32 @@ def test_oracle_matches_dense_elimination(n):
 
 
 def test_oracle_rejects_dependent_standard_columns(monkeypatch):
-    # a relation among standard matchings alone survives the normal forms, and
-    # puts a pivot in a standard column of the elimination reference
-    honest = rw._relation_rows
-    first, second = (rw._encode(m) for m in enumerate_standard(4, 1)[:2])
-    monkeypatch.setattr(rw, "_relation_rows", lambda n, k: honest(n, k) + [{first: 1, second: -1}])
+    # a Type I step that drops its nested term, and a site row patched to
+    # agree: with that step as a relation the standard matchings are
+    # dependent, and the drain of (1,4),(2,3) dotted on (2,3) changes its image
+    honest = rw._rewrite
+
+    def truncated(opens, dots, site):
+        terms = honest(opens, dots, site)
+        return terms[1:] if len(terms) == 3 else terms
+
+    def agreeing(n, opens, dots, j):
+        children = truncated(opens, dots, rw._find_site(n, opens, dots))
+        return {(opens, dots): 1, **{(o, d): -c for o, d, c in children}}
+
+    monkeypatch.setattr(rw, "_rewrite", truncated)
+    monkeypatch.setattr(rw, "_site_row", agreeing)
     with pytest.raises(VerificationError, match="dependent") as info:
         quotient_project_oracle(4, 1)
-    assert sorted(term["coef"] for term in info.value.witness["standard"]) == [-1, 1]
+    assert info.value.witness == {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(2, 3)], "k": 1, "standard": [
+        {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "coef": 1},
+        {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)], "coef": 1}]}
+    # a relation among standard matchings alone puts a pivot in a standard
+    # column of the elimination reference
+    first, second = enumerate_standard(4, 1)[:2]
+    honest_rows = bruteforce.relation_vectors
+    monkeypatch.setattr(bruteforce, "relation_vectors",
+                        lambda n, k: honest_rows(n, k) + [FormalSum([(first, 1), (second, -1)])])
     with pytest.raises(VerificationError, match="dependent") as info:
         rref_quotient_codes(4, 1)
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
@@ -351,7 +379,9 @@ def test_oracle_rejects_a_step_that_is_not_a_relation(monkeypatch):
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_certificate_matches_the_elimination_reference(n):
     for k in range(n // 2 + 1):
-        assert rw._normal_forms(n, k) == (rref_quotient_codes(n, k), 0)
+        generators, unmatched = rw._certify(n, k)
+        assert unmatched == 0
+        assert {g: rw._reduce_codes(n, [(g, 1)]) for g in generators} == rref_quotient_codes(n, k)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
@@ -375,15 +405,17 @@ def encoded_row(relation):
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_code_generators_and_rows_match_the_object_builders(n):
-    # a dropped dot bit or a wrong rewiring changes a row; the counts pin duplicates
+    # a dropped dot bit or a wrong rewiring changes a row; the count pins duplicates
     for k in range(n // 2 + 1):
         generators = rw._generator_codes(n, k)
         assert len(generators) == len(set(generators))
         assert set(generators) == {rw._encode(g) for g in degree_generators(n, k)}
-        rows = rw._relation_rows(n, k)
-        expected = relation_vectors(n, k)
-        assert len(rows) == len(expected)
-        assert Counter(frozenset(row.items()) for row in rows) == Counter(map(encoded_row, expected))
+        rows = set(map(encoded_row, relation_vectors(n, k)))
+        for opens, dots in generators:
+            for bit, _ in rw._sites(n, opens):
+                if dots & bit:
+                    row = rw._site_row(n, opens, dots, bit.bit_length() - 1)
+                    assert frozenset(row.items()) in rows
 
 
 def test_oracle_never_calls_the_kernel(monkeypatch):
@@ -431,32 +463,51 @@ def test_negated_type_one_fails_the_rewriting_suite(flags):
 
 
 def test_rewriting_suite_fails_without_type_two_rows(monkeypatch, capsys):
-    honest = rw._relation_rows
-    monkeypatch.setattr(rw, "_relation_rows", lambda n, k: [row for row in honest(n, k) if len(row) == 4])
+    # the site row refuses Type II sites
+    honest = rw._site_row
+
+    def type_one_only(*args):
+        row = honest(*args)
+        return row if row is not None and len(row) == 4 else None
+
+    monkeypatch.setattr(rw, "_site_row", type_one_only)
     assert main(["verify", "--suite", "rewriting", "--max-n", "4"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "mismatches" in out
 
 
 GATE = """
+import inspect
 import sys
 import springerrep.rewriting as rw
 import springerrep.verify as verify
 from springerrep.cli import main
-from springerrep.matchings import enumerate_standard
+from springerrep.matchings import pair_product
 
 {sabotage}
 sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
 """
 
+# name -> (text in every FAIL line, the sabotage)
 SABOTAGE = {
-    "rewrite did not decrease nesting": "rw._rewrite = lambda opens, dots, site: [(opens, dots, 1)]",
-    "standard matchings are dependent modulo the relations": """
-honest = rw._relation_rows
-first, second = (rw._encode(m) for m in enumerate_standard(4, 1)[:2])
-rw._relation_rows = lambda n, k: honest(n, k) + ([{first: 1, second: -1}] if (n, k) == (4, 1) else [])
-""",
-    "1 mismatches": """
+    "rewrite did not decrease nesting": (
+        "rewrite did not decrease nesting", "rw._rewrite = lambda opens, dots, site: [(opens, dots, 1)]"),
+    # a Type I step that drops its nested term, with the site row patched to
+    # agree: a relation among the standard matchings that only E can see
+    "standard matchings are dependent modulo the relations": ("1 mismatches", """
+honest = rw._rewrite
+
+def truncated(opens, dots, site):
+    terms = honest(opens, dots, site)
+    return terms[1:] if len(terms) == 3 else terms
+
+def agreeing(n, opens, dots, j):
+    children = truncated(opens, dots, rw._find_site(n, opens, dots))
+    return {(opens, dots): 1, **{(o, d): -c for o, d, c in children}}
+
+rw._rewrite, rw._site_row = truncated, agreeing
+"""),
+    "1 mismatches": ("1 mismatches", """
 honest = verify._reduce_codes
 
 def dropped(n, terms):
@@ -465,15 +516,35 @@ def dropped(n, terms):
     return out
 
 verify._reduce_codes = dropped
-""",
+"""),
+    "type II without the dot flip": ("rewrite did not decrease nesting", """
+honest = rw._rewrite
+
+def unflipped(opens, dots, site):
+    i, j, k, _ = site
+    return [(opens ^ (1 << j | 1 << k), dots, 1)] if dots >> i & 1 else honest(opens, dots, site)
+
+rw._rewrite = unflipped
+"""),
+    # recompiled from its source, so the drain's own loop is the mutant
+    "kernel accumulating coef": ("1 mismatches", """
+source = inspect.getsource(rw._reduce_codes)
+if source.count("coef * sign") != 1:
+    sys.exit(3)
+exec(source.replace("coef * sign", "coef"), vars(rw))
+verify._reduce_codes = rw._reduce_codes
+"""),
+    "unsigned image": ("1 mismatches", "rw.image_masks = pair_product"),
+    "echelon certificate refused": ("1 mismatches", "verify.echelon_certificate = lambda n, k: False"),
 }
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-@pytest.mark.parametrize("message", SABOTAGE)
-def test_sabotaged_certificate_fails_the_rewriting_suite(message, flags):
+@pytest.mark.parametrize("name", SABOTAGE)
+def test_sabotaged_certificate_fails_the_rewriting_suite(name, flags):
     # each check must raise or count, not assert, so -O cannot strip it
-    proc = subprocess.run([sys.executable, *flags, "-c", GATE.format(sabotage=SABOTAGE[message])],
+    message, sabotage = SABOTAGE[name]
+    proc = subprocess.run([sys.executable, *flags, "-c", GATE.format(sabotage=sabotage)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
