@@ -8,8 +8,9 @@ were chosen.  Up to sign it is E, the homology image of the matching under
 the component-wise antipodal embedding, and the choose-the-right-endpoint
 term always carries coefficient +1 — which makes the expansion matrix
 row-echelon once rows and columns are sorted by the undot-set order.  The
-certificates hold undot sets as bitmasks (strand x at bit x-1), on which
-that order is integer order (:func:`~springerrep.matchings.subset_mask`).
+certificates read matchings as codes and hold undot sets as bitmasks
+(strand x at bit x-1), on which that order is integer order
+(:func:`~springerrep.matchings.subset_mask`).
 
 A line diagram is held as the :class:`~springerrep.matchings.Tabloid` whose
 bottom row is its undot set: the paper's relabelling of line diagrams to
@@ -19,14 +20,20 @@ tabloids is the identity.
 from __future__ import annotations
 
 from .formal import FormalSum
-from .matchings import DottedMatching, enumerate_standard, is_standard, pair_product, subset_mask, tabloid_sum
+from .matchings import (DottedMatching, code_undotted, is_standard, opens_mask, pair_product, standard_codes,
+                        tabloid_sum, undot_mask)
+
+
+def code_expansion_masks(n: int, opens: int, dots: int) -> dict[int, int]:
+    """L_M as {undot-set mask: ±1}, strand x at bit x-1, for the matching with
+    code ``(opens, dots)``: the expansion rule, the product over undotted arcs
+    (i, j) of (l_j - l_i), multiplied out by :func:`~springerrep.matchings.pair_product`."""
+    return pair_product(code_undotted(n, opens, dots))
 
 
 def expansion_masks(m: DottedMatching) -> dict[int, int]:
-    """L_M as {undot-set mask: ±1}, strand x at bit x-1: the expansion rule,
-    the product over undotted arcs (i, j) of (l_j - l_i), multiplied out by
-    :func:`~springerrep.matchings.pair_product`.  :func:`expand` checks that M is standard."""
-    return pair_product(m.undotted_arcs)
+    """:func:`code_expansion_masks` of a matching; :func:`expand` checks M is standard."""
+    return code_expansion_masks(m.n, opens_mask(m.arcs), opens_mask(m.dotted))
 
 
 def image_masks(undotted) -> dict[int, int]:
@@ -48,16 +55,16 @@ def expand(m: DottedMatching) -> FormalSum:
 def echelon_certificate(n: int, k: int) -> bool:
     """Is the matrix of M -> L_M in row-echelon form with pivots +1?
 
-    Rows are the standard matchings in canonical order and columns the
+    Rows are the standard matching codes in canonical order and columns the
     undot-set masks, which on k-subsets are in undot-set order as integers.
     Each row must lead (its largest mask) with coefficient +1 at the mask of
     its own undot set U_M, and the leads must increase strictly down the rows.
     """
     previous = -1
-    for m in enumerate_standard(n, k):
-        row = expansion_masks(m)
+    for code in standard_codes(n, k):
+        row = code_expansion_masks(n, *code)
         lead = max(row)
-        if lead != subset_mask(m.right_undotted()) or row[lead] != 1 or lead <= previous:
+        if lead != undot_mask(n, *code) or row[lead] != 1 or lead <= previous:
             return False
         previous = lead
     return True

@@ -6,6 +6,14 @@ the arcs.  Matchings whose dotted arcs are never nested below another arc
 are called standard; they index the homology basis in each degree, and the
 maps :func:`phi` / :func:`theta` identify them with standard two-row
 tableaux.
+
+Inside the package a matching is a code ``(opens, dots)`` of two n-bit
+masks: bit v-1 of ``opens`` is set when v is a left endpoint (a Dyck word,
+which determines the matching), and of ``dots`` when v opens a dotted arc.
+:func:`dyck_words` and :func:`standard_codes` enumerate codes, and
+:func:`decode_word` is the one decoder of a word.  The classes are built
+only at the edges: JSON, the CLI, the object enumerators, and the public
+functions documented to return them.
 """
 
 from __future__ import annotations
@@ -245,27 +253,47 @@ def check_degree(n: int, k: int) -> None:
 
 
 @cache
-def _noncrossing_arc_tuples(lo: int, hi: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All noncrossing matchings of the vertex interval [lo, hi], lex order."""
-    if lo > hi:
-        return ((),)
-    out = []
-    for mid in range(lo + 1, hi + 1, 2):
-        for left in _noncrossing_arc_tuples(lo + 1, mid - 1):
-            for right in _noncrossing_arc_tuples(mid + 1, hi):
-                out.append(((lo, mid),) + left + right)
-    return tuple(out)
+def dyck_words(n: int) -> tuple[int, ...]:
+    """The Catalan(n/2) Dyck words on n vertices, as ``opens`` masks, in
+    lexicographic order of their sorted arcs: by the arc (1, mid), then the
+    word inside it, then the word right of it."""
+    _check_even(n)
+    if not n:
+        return (0,)
+    return tuple(1 | inner << 1 | outer << mid
+                 for mid in range(2, n + 1, 2)
+                 for inner in dyck_words(mid - 2) for outer in dyck_words(n - mid))
+
+
+@cache
+def decode_word(n: int, opens: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """A Dyck word on n vertices decoded, cached per word: its arcs as (left,
+    right) pairs sorted by left endpoint, and its partner array, bit v joined
+    to bit partner[v]."""
+    stack, partner = [], [0] * n
+    for v in range(n):
+        if opens >> v & 1:
+            stack.append(v)
+        else:
+            partner[v] = u = stack.pop()
+            partner[u] = v
+    return tuple((v + 1, partner[v] + 1) for v in range(n) if opens >> v & 1), tuple(partner)
+
+
+def code_undotted(n: int, opens: int, dots: int) -> list[tuple[int, int]]:
+    """The undotted arcs of the matching with code ``(opens, dots)``, sorted."""
+    return [(a, b) for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1]
+
+
+def undot_mask(n: int, opens: int, dots: int) -> int:
+    """U_M, the right endpoints of the undotted arcs, as a subset mask."""
+    return subset_mask(b for _, b in code_undotted(n, opens, dots))
 
 
 @cache
 def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
-    """All noncrossing perfect matchings of {1..n}.
-
-    Returned in lexicographic order of the arc tuple (arcs sorted by left
-    endpoint); there are Catalan(n/2) of them.
-    """
-    _check_even(n)
-    return tuple(NoncrossingMatching(n, arcs) for arcs in _noncrossing_arc_tuples(1, n))
+    """All noncrossing perfect matchings of {1..n} as objects, in :func:`dyck_words` order."""
+    return tuple(NoncrossingMatching(n, decode_word(n, opens)[0]) for opens in dyck_words(n))
 
 
 def is_standard(m: DottedMatching) -> bool:

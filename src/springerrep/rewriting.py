@@ -9,12 +9,10 @@ dots fixed:
              = [nested, dot on (i,l)] + [nested, dot on (j,k)]
   Type II: [side by side, dots on both] = [nested, dots on both]
 
-Rewriting runs on integers.  A dotted matching on 1..n is a pair of n-bit
-masks ``(opens, dots)``: bit v-1 of ``opens`` is set when v is a left
-endpoint (a Dyck word, which determines the matching), and of ``dots`` when
-v opens a dotted arc.  The arc opened at a lies below
-2*popcount(opens below a) - (a-1) arcs; the nesting measure, that depth
-summed over the dotted arcs, is 0 exactly on standard matchings.
+Rewriting runs on the ``(opens, dots)`` codes of :mod:`~springerrep.matchings`.
+The arc opened at a lies below 2*popcount(opens below a) - (a-1) arcs; the
+nesting measure, that depth summed over the dotted arcs, is 0 exactly on
+standard matchings.
 
 The rewrite site is the deepest nested dotted arc (j,k), leftmost among
 equals, under its innermost encloser (i,l).  A table per Dyck word, read
@@ -74,7 +72,7 @@ from functools import cache
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import image_masks
-from .matchings import DottedMatching, enumerate_noncrossing, opens_mask, syt_count
+from .matchings import DottedMatching, code_undotted, decode_word, dyck_words, opens_mask, syt_count
 
 # Largest n of the verify suites and of quotient_project_oracle.  Budget: all
 # of ``verify --suite all --max-n 12`` (252 checks) takes about 1.0 s on 2 vCPUs
@@ -89,21 +87,9 @@ def _encode(m: DottedMatching) -> tuple[int, int]:
     return opens_mask(m.arcs), opens_mask(m.dotted)
 
 
-@cache
-def _arcs(n: int, opens: int) -> tuple[tuple[int, int], ...]:
-    """The sorted arcs of a Dyck word on n vertices, cached for the process."""
-    stack, arcs = [], []
-    for v in range(1, n + 1):
-        if opens >> (v - 1) & 1:
-            stack.append(v)
-        else:
-            arcs.append((stack.pop(), v))
-    return tuple(sorted(arcs))
-
-
 def _decode(n: int, opens: int, dots: int) -> dict:
     """The matching of a code as a witness: n, arcs and dotted arcs."""
-    arcs = _arcs(n, opens)
+    arcs = decode_word(n, opens)[0]
     return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
 
 
@@ -122,7 +108,7 @@ def _sites(n: int, opens: int) -> tuple[tuple[int, tuple[int, int, int, int]], .
     """Every nested arc (j,k) of a Dyck word under its innermost encloser (i,l),
     as (bit of j, bit positions (i, j, k, l)), deepest first and leftmost among
     equals: the order in which :func:`_find_site` tries them."""
-    arcs = _arcs(n, opens)
+    arcs = decode_word(n, opens)[0]
     nested = sorted((-len(out), j, k, *max(out))
                     for j, k in arcs if (out := [(a, b) for a, b in arcs if a < j < b]))
     return tuple((1 << j - 1, (i - 1, j - 1, k - 1, l - 1)) for _, j, k, i, l in nested)
@@ -148,8 +134,7 @@ def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tup
 
 
 def _matching(n: int, opens: int, dots: int) -> DottedMatching:
-    witness = _decode(n, opens, dots)
-    return DottedMatching.make(n, witness["arcs"], witness["dotted"])
+    return DottedMatching.make(**_decode(n, opens, dots))
 
 
 def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
@@ -233,7 +218,7 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
 def _generator_codes(n: int, k: int) -> list[Code]:
     """Every dotted matching on n vertices with exactly k undotted arcs, as codes:
     each Dyck word with the dots of every n/2 - k of its arcs."""
-    words = [opens_mask(base.arcs) for base in enumerate_noncrossing(n)] if k <= n // 2 else []
+    words = dyck_words(n) if k <= n // 2 else ()
     return [(opens, sum(dots)) for opens in words
             for dots in itertools.combinations([1 << v for v in range(n) if opens >> v & 1], n // 2 - k)]
 
@@ -242,7 +227,7 @@ def _site_row(n: int, nested: int, dots: int, j: int) -> dict[Code, int] | None:
     """The Type I or II row, as ``{(opens, dots): +-1}``, at the dotted arc (j,k)
     that opens at bit j, read off the arcs: (i,l) is its innermost encloser and
     s the spectator dots.  None if no arc opens there or it has no encloser."""
-    right, v = dict(_arcs(n, nested)), j + 1
+    right, v = dict(decode_word(n, nested)[0]), j + 1
     enclosers = [a for a, b in right.items() if a < v < b] if v in right else []
     if not enclosers:
         return None
@@ -283,8 +268,7 @@ def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
     """E of a sum of ``((opens, dots), coef)`` terms, as {undot-set mask: coef}."""
     out: dict[int, int] = {}
     for (opens, dots), coef in terms:
-        undotted = [(a, b) for a, b in _arcs(n, opens) if not dots >> (a - 1) & 1]
-        for mask, x in image_masks(undotted).items():
+        for mask, x in image_masks(code_undotted(n, opens, dots)).items():
             out[mask] = out.get(mask, 0) + coef * x
     return {mask: x for mask, x in out.items() if x}
 

@@ -15,15 +15,14 @@ permutation gives the same answer; :func:`chart_diagram_consistency`
 checks that identity exhaustively, and it is what makes the chart a
 representation at all.
 
-The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.rewriting`
-with a partner array per matching: cases 1 and 2 are read off the bits, and
-M' clears the four endpoint bits and sets those of i and the nearer far end.
-It is evaluated once per (n, k, i, basis code) into a per-degree table: the
-standard basis as codes, enumerated by :func:`~springerrep.matchings.standard_codes`
-(theta on bitmasks), its index by code, and for each s_i the sparse integer
-columns of its matrix; an image outside the basis fails the build.  The
-certificates build no matching object: the table decodes its basis to
-:class:`DottedMatching` only when ``act`` output or a caller reads it.
+The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
+and the partner array of each word, decoded once per word: cases 1 and 2
+are read off the bits, and M' clears the four endpoint bits and sets those
+of i and the nearer far end.  It is evaluated once per (n, k, i, basis code)
+into a per-degree table: the :func:`~springerrep.matchings.standard_codes`,
+their index, and for each s_i the sparse integer columns of its matrix; an
+image outside the basis fails the build.  The table decodes its basis to
+:class:`DottedMatching` objects only when ``act`` output or a caller reads it.
 The public action works on classes: an arbitrary sum of dotted matchings
 is merged and rewritten into the standard basis on its codes, the step
 ``reduce`` takes, then acted on as one vector per degree.
@@ -64,7 +63,7 @@ from typing import TYPE_CHECKING
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .matchings import DottedMatching, check_partition, partitions_of, standard_codes
+from .matchings import DottedMatching, check_partition, code_undotted, decode_word, partitions_of, standard_codes
 from .perms import Permutation
 from .rewriting import Wire, _decode, _encode, _matching, _merge, _standard
 
@@ -169,7 +168,7 @@ def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int,
 def _tables(n: int, k: int) -> _Tables:
     codes = tuple(standard_codes(n, k))
     index = {code: r for r, code in enumerate(codes)}
-    partners = [_partners(n, opens) for opens, _ in codes]
+    partners = [decode_word(n, opens)[1] for opens, _ in codes]
     columns = []
     for i in range(1, n):
         generator = []
@@ -179,29 +178,11 @@ def _tables(n: int, k: int) -> _Tables:
                 r = index.get((image_opens, image_dots))
                 if r is None:
                     raise VerificationError("chart image is not a standard basis matching",
-                                            _witness(n, k, i, opens, dots))
+                                            {"n": n, "k": k, "i": i, **_decode(n, opens, dots)})
                 column.append((r, coef))
             generator.append(tuple(column))
         columns.append(tuple(generator))
     return _Tables(n, codes, index, tuple(columns))
-
-
-def _partners(n: int, opens: int) -> list[int]:
-    """The partner array of a Dyck word: bit v is joined to bit partner[v]."""
-    stack, partner = [], [0] * n
-    for v in range(n):
-        if opens >> v & 1:
-            stack.append(v)
-        else:
-            partner[v] = u = stack.pop()
-            partner[u] = v
-    return partner
-
-
-def _witness(n: int, k: int, i: int, opens: int, dots: int) -> dict:
-    """A failure at s_i on a basis matching: n, k, i, its arcs and dotted arcs."""
-    m = _decode(n, opens, dots)
-    return {"n": n, "k": k, "i": i, "arcs": m["arcs"], "dotted": m["dotted"]}
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:
@@ -224,11 +205,6 @@ def _step(columns: tuple[Column, ...], vec: Iterable[tuple[int, int]]) -> dict[i
 ROW_BLOCK = 512  # rows per packed integer in the class-tree walk: one block for every n <= 12
 
 
-def _width(generators: Iterable[tuple[Column, ...]], length: int) -> int:
-    """:meth:`_Tables.width` of a bare list of generators."""
-    return _Tables(0, (), {}, tuple(generators)).width(length)
-
-
 def _identity(rows: range, dim: int, w: int) -> list[int]:
     """Packed columns of the given rows of the dim x dim identity."""
     return [1 << w * (c - rows.start) if c in rows else 0 for c in range(dim)]
@@ -236,13 +212,18 @@ def _identity(rows: range, dim: int, w: int) -> list[int]:
 
 def _times(packed: list[int], columns: tuple[Column, ...]) -> list[int]:
     """Packed columns of A * S, from those of A and the sparse columns of S."""
-    out = []
-    for column in columns:
-        x = 0
-        for r, e in column:
-            x += packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
-        out.append(x)
-    return out
+    return [_column_sum(packed, column) for column in columns]
+
+
+def _column_sum(packed: list[int], column: Column) -> int:
+    """The sum of e * packed[r] over the (r, e) entries of a sparse column,
+    begun at its first term: a lone +1 entry is packed[r] itself, two entries
+    cost one addition, and an empty column is 0."""
+    x = None
+    for r, e in column:
+        y = packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
+        x = y if x is None else x + y
+    return 0 if x is None else x
 
 
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
@@ -468,16 +449,13 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
         masks = _swap_masks(n, w, i)
         # only a smaller basis index than the failure found so far can replace it
         for c, column in enumerate(tables.columns[i - 1][:failure[0] if failure else None]):
-            x = 0
-            for r, e in column:
-                x += packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
-            if x != _swap(packed[c], masks):
+            if _column_sum(packed, column) != _swap(packed[c], masks):
                 failure = (c, i)
                 break
     if failure:
         c, i = failure
         raise VerificationError("chart action disagrees with diagram permutation",
-                                _witness(n, k, i, *tables.codes[c]))
+                                {"n": n, "k": k, "i": i, **_decode(n, *tables.codes[c])})
     return True
 
 
@@ -485,14 +463,9 @@ def _expansion(n: int, w: int, opens: int, dots: int) -> int:
     """L_M packed with balanced w-bit digits, digit u the coefficient of undot
     mask u: the product over the undotted arcs (a, b) of
     (2^(w*2^(b-1)) - 2^(w*2^(a-1))), each factor a difference of two shifts."""
-    x, stack = 1, []
-    for v in range(n):
-        if opens >> v & 1:
-            stack.append(v)
-        else:
-            a = stack.pop()
-            if not dots >> a & 1:
-                x = (x << (w << v)) - (x << (w << a))
+    x = 1
+    for a, b in code_undotted(n, opens, dots):
+        x = (x << (w << b - 1)) - (x << (w << a - 1))
     return x
 
 

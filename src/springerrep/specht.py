@@ -10,12 +10,12 @@ that is the representation-theoretic content this package certifies.
 
 The relabelling is the identity: a line diagram is the ``Tabloid`` of its
 undot set, and the certificates key both as ``{bottom-row mask: +-1}``
-(entry x at bit x-1), never constructing a tabloid; integer order on masks
-is the undot-set order.  e_T and L_M come from one product rule,
-``pair_product``, over the columns of T and the undotted arcs of M.  e_M
-does not: it is built from the arc swaps of phi(M), so the check
-``expansion_masks(M) == e_M`` compares the shared rule with code it does
-not share.
+(entry x at bit x-1) and read matchings as codes, constructing neither a
+tabloid nor a matching; integer order on masks is the undot-set order.
+e_T and L_M come from one product rule, ``pair_product``, over the columns
+of T and the undotted arcs of M.  e_M does not: it is built from the arc
+swaps of phi(M), so the check ``expansion_masks(M) == e_M`` compares the
+shared rule with code it does not share.
 
 No rank is computed.  The e_T are unitriangular in the undot-set order, so
 independent; the e_M have pairwise distinct leading tabloids with
@@ -30,24 +30,27 @@ from __future__ import annotations
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import expansion_masks
+from .linediagrams import code_expansion_masks
 from .matchings import (
     DottedMatching,
     TwoRowTableau,
     _check_even,
     check_degree,
     check_partition,
-    enumerate_standard,
+    code_undotted,
+    opens_mask,
     pair_product,
     partitions_of,
-    phi,
+    standard_codes,
     standard_tableaux,
     subset_mask,
     subset_members,
     syt_count,
     tabloid_sum,
     transpose_mask,
+    undot_mask,
 )
+from .rewriting import _decode
 from .snaction import character_table, class_inner_product, irreducibility_check
 
 
@@ -58,12 +61,13 @@ def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
     return pair_product(zip(t.top, t.bottom))
 
 
-def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
-    """e_M as {bottom-row mask: +-1}: the signed sum over the group generated
-    by the undotted arcs of M, each transposition (i j) acting on the bottom
-    row of phi(M) by exchanging i and j, signed by the subset's parity."""
-    terms = {subset_mask(phi(m).bottom): 1}
-    for i, j in m.undotted_arcs:
+def code_generator_masks(n: int, opens: int, dots: int) -> dict[int, int]:
+    """e_M as {bottom-row mask: +-1} for the matching M with code ``(opens,
+    dots)``: the signed sum over the group generated by the undotted arcs of
+    M, each transposition (i j) acting on the bottom row of phi(M), the mask
+    U_M, by exchanging i and j, signed by the subset's parity."""
+    terms = {undot_mask(n, opens, dots): 1}
+    for i, j in code_undotted(n, opens, dots):
         pair = 1 << (i - 1) | 1 << (j - 1)
         acc: dict[int, int] = {}
         for mask, coef in terms.items():
@@ -71,6 +75,11 @@ def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
                 acc[image] = acc.get(image, 0) + c
         terms = {mask: coef for mask, coef in acc.items() if coef}
     return terms
+
+
+def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
+    """:func:`code_generator_masks` of a matching object."""
+    return code_generator_masks(m.n, opens_mask(m.arcs), opens_mask(m.dotted))
 
 
 def polytabloid(t: TwoRowTableau) -> FormalSum:
@@ -130,17 +139,17 @@ def verify_module_equality(n: int, k: int) -> bool:
     """
     e_t = _polytabloid_vectors(n, k)
     leads = set()
-    for m in enumerate_standard(n, k):
-        vector = matching_generator_masks(m)
+    for opens, dots in standard_codes(n, k):
+        vector = code_generator_masks(n, opens, dots)
         lead = max(vector, default=None)
-        witness = {"n": n, "k": k, "arcs": m.arcs, "dotted": sorted(m.dotted)}
+        witness = {"n": n, "k": k, **_decode(n, opens, dots)}
         if lead in leads or vector.get(lead) not in (1, -1):
             raise VerificationError(
                 "matching generators do not have distinct leading tabloids with coefficient +-1",
                 {**witness, "tabloid": subset_members(lead or 0)},
             )
         leads.add(lead)
-        if expansion_masks(m) != vector:
+        if code_expansion_masks(n, opens, dots) != vector:
             raise VerificationError("relabelled expansion differs from matching generator", witness)
         _peel(vector, e_t)
         if vector:
@@ -152,14 +161,11 @@ def verify_module_equality(n: int, k: int) -> bool:
             "dimension mismatch between Specht and matching modules",
             {"n": n, "k": k, "specht": len(e_t), "matching": len(leads), "expected": expected},
         )
-    witness_m = DottedMatching.make(
-        n,
-        [(2 * c - 1, 2 * c) for c in range(1, n // 2 + 1)],
-        [(2 * c - 1, 2 * c) for c in range(k + 1, n // 2 + 1)],
-    )
+    # the pivot matching (1,2), (3,4), ..., its arcs from the (k+1)-th on dotted
+    pivot = (subset_mask(range(1, n, 2)), subset_mask(range(2 * k + 1, n, 2)))
     witness_t = TwoRowTableau(n, tuple(range(2, 2 * k + 1, 2)))
-    if (phi(witness_m) != witness_t
-            or matching_generator_masks(witness_m) != polytabloid_masks(witness_t)):
+    if (undot_mask(n, *pivot) != subset_mask(witness_t.bottom)
+            or code_generator_masks(n, *pivot) != polytabloid_masks(witness_t)):
         raise VerificationError(
             "pivot generator mismatch", {"n": n, "k": k, "bottom": witness_t.bottom}
         )
@@ -171,10 +177,10 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
 
     The paper identifies this top-degree basis of the irreducible module for
     (n/2, n/2) with the Kazhdan-Lusztig basis.  That identification is not
-    certified here (ROADMAP item 2): no canonical-basis computation happens,
+    certified here (ROADMAP item 1): no canonical-basis computation happens,
     and the vectors are emitted for outside comparison.
     """
-    return [matching_generator(m) for m in enumerate_standard(n, n // 2)]
+    return [tabloid_sum(n, code_generator_masks(n, *code)) for code in standard_codes(n, n // 2)]
 
 
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:

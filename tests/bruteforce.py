@@ -75,6 +75,19 @@ def noncrossing_bruteforce(n: int) -> set[tuple[tuple[int, int], ...]]:
     return {m for m in perfect_matchings(n) if is_noncrossing(m)}
 
 
+def partners_by_stack(n: int, opens: int) -> list[int]:
+    """The partner array of a Dyck word by a stack scan of its bits: bit v is
+    joined to bit partner[v]."""
+    stack, partner = [], [0] * n
+    for v in range(n):
+        if opens >> v & 1:
+            stack.append(v)
+        else:
+            partner[v] = u = stack.pop()
+            partner[u] = v
+    return partner
+
+
 def standard_bruteforce(n: int, k: int) -> set[DottedMatching]:
     """All standard dotted matchings of degree k, by filtering everything."""
     out = set()
@@ -488,8 +501,8 @@ def compare_undot_sets(s, t) -> int:
 def negated_lead(rule):
     """A broken expansion rule: ``rule`` with the coefficient of its largest
     undot-set mask negated."""
-    def broken(m: DottedMatching) -> dict[int, int]:
-        terms = dict(rule(m))
+    def broken(*matching) -> dict[int, int]:
+        terms = dict(rule(*matching))
         lead = max(terms)
         terms[lead] = -terms[lead]
         return terms

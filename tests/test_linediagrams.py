@@ -11,7 +11,7 @@ from springerrep import (
 )
 from springerrep.linediagrams import expansion_masks
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard
+from springerrep.matchings import enumerate_standard, standard_codes
 from springerrep.perms import Permutation, parse_permutation
 
 from bruteforce import (
@@ -189,7 +189,7 @@ def test_echelon_gate_fires_on_a_negated_lead(monkeypatch, capsys):
     import springerrep.linediagrams as ld
     from springerrep.cli import main
 
-    monkeypatch.setattr(ld, "expansion_masks", negated_lead(ld.expansion_masks))
+    monkeypatch.setattr(ld, "code_expansion_masks", negated_lead(ld.code_expansion_masks))
     assert not echelon_certificate(4, 1)
     assert main(["verify", "--suite", "echelon", "--max-n", "4"]) == 1
     assert "FAIL" in capsys.readouterr().out
@@ -200,9 +200,9 @@ def test_echelon_checks_each_lead_and_the_row_order(monkeypatch, broken):
     import springerrep.linediagrams as ld
 
     if broken == "shifted":  # leads +1 and increasing, one strand right of U_M
-        real = ld.expansion_masks
-        monkeypatch.setattr(ld, "expansion_masks",
-                            lambda m: {mask << 1: coef for mask, coef in real(m).items()})
+        real = ld.code_expansion_masks
+        monkeypatch.setattr(ld, "code_expansion_masks",
+                            lambda *code: {mask << 1: coef for mask, coef in real(*code).items()})
     else:  # each row leads at U_M with +1, but the leads decrease
-        monkeypatch.setattr(ld, "enumerate_standard", lambda n, k: enumerate_standard(n, k)[::-1])
+        monkeypatch.setattr(ld, "standard_codes", lambda n, k: standard_codes(n, k)[::-1])
     assert not echelon_certificate(4, 1)

@@ -20,16 +20,30 @@ from springerrep import (
     syt_count,
     theta,
 )
-from springerrep.matchings import check_partition, standard_tableaux, subset_mask, subset_members
+from springerrep.matchings import (check_partition, decode_word, dyck_words, opens_mask, standard_tableaux,
+                                   subset_mask, subset_members)
 
 from bruteforce import (
     kostka_bruteforce,
     noncrossing_bruteforce,
+    partners_by_stack,
     perfect_matchings,
     standard_bottoms_bruteforce,
     standard_bruteforce,
     subset_order_key,
 )
+
+
+def test_decoder_agrees_with_the_object_rules_and_the_stack_scan():
+    words = 0
+    for n in range(2, 15, 2):
+        assert len(dyck_words(n)) == catalan(n // 2)
+        for opens in dyck_words(n):
+            arcs, partner = decode_word(n, opens)
+            assert arcs == NoncrossingMatching(n, arcs).arcs and opens_mask(arcs) == opens
+            assert list(partner) == partners_by_stack(n, opens)
+            words += 1
+    assert words == 625
 
 
 def test_enumerate_noncrossing_small():

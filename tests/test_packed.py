@@ -35,7 +35,7 @@ def tables_and_words(draw):
 def test_packed_product_decodes_to_the_reference(case):
     generators, word = case
     dim = len(generators[0])
-    w = snaction._width(generators, len(word))
+    w = snaction._Tables(0, (), {}, generators).width(len(word))
     packed = snaction._identity(range(dim), dim, w)
     expected = tuple(((c, 1),) for c in range(dim))
     for letter in word:
@@ -60,7 +60,8 @@ def digit_vectors(draw):
 @given(digit_vectors())
 def test_strand_swap_decodes_to_transpose_mask(case):
     n, radius, digits = case
-    w = snaction._width([(((0, radius),),)], 1)  # the digit width of a generator of column sum R
+    # the digit width of a generator of column sum R
+    w = snaction._Tables(0, (), {}, ((((0, radius),),),)).width(1)
     packed = sum(d << w * u for u, d in digits.items())
     for i in range(1, n):
         (swapped,) = unpack_columns([snaction._swap(packed, snaction._swap_masks(n, w, i))], w, 1 << n)

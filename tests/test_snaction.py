@@ -212,7 +212,7 @@ def test_packed_products_decode_to_column_products(n):
         tables = snaction._tables(n, k)
         s = (None, *tables.columns)
         dim = len(tables.basis)
-        w = snaction._width(tables.columns, 3)  # the width verify_coxeter uses
+        w = tables.width(3)  # the width verify_coxeter uses
         identity = snaction._identity(range(dim), dim, w)
         for i in range(1, n):
             packed = snaction._times(identity, s[i])
@@ -443,7 +443,7 @@ def mutant(function, old, new):
 
 
 @pytest.mark.parametrize("name, old, new", [
-    ("_expansion", "(x << (w << v)) - (x << (w << a))", "(x << (w << v)) + (x << (w << a))"),
+    ("_expansion", "(x << (w << b - 1)) - (x << (w << a - 1))", "(x << (w << b - 1)) + (x << (w << a - 1))"),
     ("_swap", "(y & up) << shift | (y & down) >> shift", "(y & up) >> shift | (y & down) << shift"),
 ], ids=["binomial-plus", "shifts-exchanged"])
 def test_packing_mutants_fail_the_consistency_suite(monkeypatch, name, old, new):

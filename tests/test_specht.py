@@ -18,7 +18,8 @@ from springerrep import (
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import enumerate_standard, partitions_of, standard_tableaux, subset_mask, syt_count
+from springerrep.matchings import (enumerate_standard, partitions_of, standard_codes, standard_tableaux, subset_mask,
+                                   syt_count)
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -329,7 +330,7 @@ def test_module_equality_names_the_generator_that_fails_to_peel(monkeypatch):
 def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
     import springerrep.specht as sp
 
-    monkeypatch.setattr(sp, "expansion_masks", negated_lead(sp.expansion_masks))
+    monkeypatch.setattr(sp, "code_expansion_masks", negated_lead(sp.code_expansion_masks))
     with pytest.raises(VerificationError,
                        match="relabelled expansion differs from matching generator") as info:
         verify_module_equality(4, 1)
@@ -340,18 +341,18 @@ def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
 def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
     import springerrep.specht as sp
 
-    honest = sp.matching_generator_masks
-    first, second = enumerate_standard(6, 2)[:2]
+    honest = sp.code_generator_masks
+    first, second = standard_codes(6, 2)[:2]
 
-    def sabotaged(m):
-        if m != second:
-            return honest(m)
-        return honest(first) if broken == "repeated" else {b: 2 * c for b, c in honest(m).items()}
+    def sabotaged(n, *code):
+        if code != second:
+            return honest(n, *code)
+        return honest(n, *first) if broken == "repeated" else {b: 2 * c for b, c in honest(n, *code).items()}
 
-    monkeypatch.setattr(sp, "matching_generator_masks", sabotaged)
+    monkeypatch.setattr(sp, "code_generator_masks", sabotaged)
     with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
         verify_module_equality(6, 2)
-    assert info.value.witness["arcs"] == second.arcs
+    assert info.value.witness["arcs"] == enumerate_standard(6, 2)[1].arcs
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))

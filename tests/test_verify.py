@@ -35,6 +35,26 @@ def test_unknown_suite_rejected():
         build_tasks(("bogus",), max_n=4)
 
 
+def test_certificates_build_no_matching_object(monkeypatch):
+    import springerrep.matchings as matchings
+    import springerrep.snaction as snaction
+
+    for cached in (matchings.enumerate_standard, matchings.enumerate_noncrossing, snaction._tables):
+        cached.cache_clear()
+    built = []
+    honest = matchings.NoncrossingMatching.__post_init__
+
+    def counted(self):
+        built.append(self)
+        honest(self)
+
+    monkeypatch.setattr(matchings.NoncrossingMatching, "__post_init__", counted)
+    suites = [s for s in SUITE_NAMES if s not in ("counting", "bijection")]
+    results = run_suites(suites, max_n=8)
+    assert results and all(r.ok for r in results)
+    assert built == []
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     import springerrep.verify as v
 
