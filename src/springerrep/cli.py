@@ -18,6 +18,7 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 
 from . import jsonio
@@ -192,14 +193,14 @@ def _cmd_matrix(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError:
+    # ASCII digits only: int() alone would also read '1_0', '+2' and the digits of other scripts
+    parts = re.findall(r"[^\s,]+", text, re.ASCII)
+    if not all(re.fullmatch(r"0*[1-9][0-9]*", part) for part in parts):
         raise ValueError(f"--cycle-type expects positive integers separated by spaces or commas, "
-                         f"got {text!r}") from None
+                         f"got {text!r}")
     if not parts:
         raise ValueError("empty cycle type")
-    return parts
+    return tuple(map(int, parts))
 
 
 def _cmd_character(args) -> int:

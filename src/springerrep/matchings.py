@@ -352,10 +352,11 @@ def theta(t: TwoRowTableau) -> DottedMatching:
     return DottedMatching.make(t.n, undotted + dotted, dotted)
 
 
-def standard_codes(n: int, k: int) -> list[tuple[int, int]]:
+@cache
+def standard_codes(n: int, k: int) -> tuple[tuple[int, int], ...]:
     """The standard matchings of degree (n, k) as ``(opens, dots)`` codes, in
     the order of :func:`enumerate_standard`: :func:`theta` on bitmasks of the
-    unmatched vertices, vertex v at bit v-1."""
+    unmatched vertices, vertex v at bit v-1.  Cached per degree."""
     check_degree(n, k)
     codes = []
     for bottom in standard_bottom_sets(n, k):
@@ -371,7 +372,7 @@ def standard_codes(n: int, k: int) -> list[tuple[int, int]]:
             dots |= low
             free &= free - 1
         codes.append((opens | dots, dots))
-    return codes
+    return tuple(codes)
 
 
 def syt_count(n: int, k: int) -> int:

@@ -102,7 +102,7 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
-    if not re.fullmatch(r"[\d\s,()]*", text):
+    if not re.fullmatch(r"[\d\s,()]*", text, re.ASCII):
         raise ValueError("a permutation is cycle notation such as '(1 2)(3 4 5)' or one-line notation "
                          f"such as '2 1 4 5 3', with positive integer entries; got {text!r}")
     if "(" in text:

@@ -20,8 +20,15 @@ and the partner array of each word, decoded once per word: cases 1 and 2
 are read off the bits, and M' clears the four endpoint bits and sets those
 of i and the nearer far end.  It is evaluated once per (n, k, i, basis code)
 into a per-degree table: the :func:`~springerrep.matchings.standard_codes`,
-their index, and for each s_i the sparse integer columns of its matrix; an
-image outside the basis fails the build.  The table decodes its basis to
+their index, and each s_i encoded as flat slot arrays (:class:`_Generator`)
+term by term as the chart yields its columns; an image outside the basis
+fails the build.  A generator has one integer array per term layer, one
+slot per basis column, and column c of its matrix is the sum over the
+layers of entry ``layers[t][c]`` of ``packed ++ [0] ++ [e * packed[r] for
+its entries (r, e) with e != 1]``: a +1 entry is its row r < dim, a
+missing term the zero at slot dim, and any other entry a slot past it.  The
+chart has two layers, since every column is ±M or M + M', and only its -M
+columns need slots past the zero.  The table decodes its basis to
 :class:`DottedMatching` objects only when ``act`` output or a caller reads it.
 The public action works on classes: an arbitrary sum of dotted matchings
 is merged and rewritten into the standard basis on its codes, the step
@@ -32,13 +39,13 @@ table and the chart-diagram consistency) run on whole matrices packed into
 Python integers (Kronecker substitution).  A column, or a block of at most
 ``ROW_BLOCK`` rows of it, is the integer sum of A[r][c] * 2^(w*r) with
 balanced w-bit digits, |A[r][c]| < 2^(w-1); so two packed matrices are equal
-exactly when their integer lists are, and a product A * s_i costs one or two
-big-integer additions per column, since every chart column has at most two
-entries.  The width w is computed, never assumed: if R is the largest column
-abs-sum of the generators (found once per table), a product of m of them has
-entries of size at most R^m, so w = m * ceil(log2 R) + 2 bits hold every
-digit, whatever chart the tables were built from.  The Coxeter words have
-m = 3 and the class words m <= n - 1.  The class-tree walk packs
+exactly when their integer lists are, and a product A * s_i is two C-level
+gathers of A's packed columns through the slot arrays and one big-integer
+addition per column.  The width w is computed, never assumed: if R is the
+largest column abs-sum of the generators (recorded as each is encoded), a
+product of m of them has entries of size at most R^m, so w = m *
+ceil(log2 R) + 2 bits hold every digit, whatever chart the tables were
+built from.  The Coxeter words have m = 3 and the class words m <= n - 1.  The class-tree walk packs
 ``ROW_BLOCK`` = 512 rows per integer, one block after another, so that it
 never holds a whole matrix per tree node: every degree with n <= 12
 (dimension at most 297) is one block, and n = 14 (up to 1001) two.  A
@@ -47,19 +54,20 @@ pass: adding 2^(w-1) to every digit makes all of them unsigned without a
 carry, so each is a shift and a mask, and the bias is subtracted back.
 Consistency packs the columns of the expansion matrix E instead, one
 integer per basis code with a digit per undot mask: column c of E * s_i is
-one or two additions of them, and column c of P_i * E, with strands i and
-i+1 exchanged, is the same integer under a bias, three masks and two shifts.
+the sum of the columns of E its two slots name, and column c of P_i * E,
+with strands i and i+1 exchanged, is the same integer under a bias, three
+masks and two shifts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from math import factorial
 from operator import add, and_, rshift
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
 from .formal import FormalSum
@@ -68,10 +76,8 @@ from .perms import Permutation
 from .rewriting import Wire, _decode, _encode, _matching, _merge, _standard
 
 if TYPE_CHECKING:
+    from array import array
     from fractions import Fraction
-
-Column = tuple[tuple[int, int], ...]  # sparse (row, coefficient) pairs
-
 
 @dataclass(frozen=True)
 class RepMatrix:
@@ -85,15 +91,28 @@ class RepMatrix:
         return [list(r) for r in self.entries]
 
 
+class _Generator(NamedTuple):
+    """One s_i as flat slot arrays, one slot per basis column in each term
+    layer.  The slots index the list :func:`_product` builds from a left
+    factor's packed columns: slot r < dim is the entry (r, 1), slot dim the
+    zero of a missing term, and slot dim + 1 + j the entry (rows[j], coefs[j])."""
+
+    layers: tuple[array, ...]  # layers[t][c]: the slot of term t of column c
+    rows: array  # rows and coefficients of the entries whose coefficient is not 1,
+    coefs: tuple[int, ...]  # in column order
+    radius: int  # the largest column abs-sum
+
+
 @dataclass(frozen=True)
 class _Tables:
-    """The chart action of every s_i on one degree, by basis index, and the
-    degree's character table, computed once from it on packed matrices."""
+    """The chart action of every s_i on one degree, by basis index, as slot
+    arrays, and the degree's character table, computed once from it on
+    packed matrices."""
 
     n: int
     codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
     index: dict[tuple[int, int], int]  # (opens, dots) code -> basis index
-    columns: tuple[tuple[Column, ...], ...]  # columns[i - 1][c]: image of basis[c] under s_i
+    generators: tuple[_Generator, ...]  # generators[i - 1]: s_i
 
     @cached_property
     def basis(self) -> tuple[DottedMatching, ...]:
@@ -102,8 +121,9 @@ class _Tables:
 
     @cached_property
     def radius(self) -> int:
-        """R, the largest column abs-sum of the generators (1 if none)."""
-        return max((sum(abs(e) for _, e in column) for g in self.columns for column in g), default=1)
+        """R, the largest column abs-sum of the generators (1 if none), from
+        the one each recorded when it was encoded."""
+        return max((g.radius for g in self.generators), default=1)
 
     def width(self, length: int) -> int:
         """Digit width in bits for products of up to ``length`` generators:
@@ -141,7 +161,7 @@ class _Tables:
                 if parent is None:
                     node = _identity(rows, dim, w)
                 else:
-                    node = _times(parent, self.columns[letter - 1])
+                    node = _times(parent, self.generators[letter - 1])
                 # digit c - start of each column c, biased by half to read unsigned
                 digits = map(rshift, map(add, node[rows.start:rows.stop], repeat(bias)), shifts)
                 traces[parts] += sum(map(and_, digits, repeat(mask))) - len(rows) * half
@@ -166,23 +186,37 @@ def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int,
 
 @cache
 def _tables(n: int, k: int) -> _Tables:
-    codes = tuple(standard_codes(n, k))
+    """The degree's basis codes and every s_i, each encoded into its slot
+    arrays term by term as the chart yields the column: a layer is added,
+    all zero slots, when a column first has that many terms."""
+    # imported here: a CLI start that builds no table need not load the extension
+    from array import array
+
+    codes = standard_codes(n, k)
+    dim = len(codes)
     index = {code: r for r, code in enumerate(codes)}
     partners = [decode_word(n, opens)[1] for opens, _ in codes]
-    columns = []
+    generators = []
     for i in range(1, n):
-        generator = []
-        for c, (opens, dots) in enumerate(codes):
-            column = []
-            for image_opens, image_dots, coef in _chart(i, opens, dots, partners[c]):
+        layers, rows, coefs, radius = [array("i", [dim]) * dim], array("i"), [], 0
+        for c, ((opens, dots), partner) in enumerate(zip(codes, partners)):
+            size = 0
+            for t, (image_opens, image_dots, coef) in enumerate(_chart(i, opens, dots, partner)):
                 r = index.get((image_opens, image_dots))
                 if r is None:
                     raise VerificationError("chart image is not a standard basis matching",
                                             {"n": n, "k": k, "i": i, **_decode(n, opens, dots)})
-                column.append((r, coef))
-            generator.append(tuple(column))
-        columns.append(tuple(generator))
-    return _Tables(n, codes, index, tuple(columns))
+                if t == len(layers):
+                    layers.append(array("i", [dim]) * dim)
+                if coef != 1:
+                    rows.append(r)
+                    coefs.append(coef)
+                    r = dim + len(rows)
+                layers[t][c] = r
+                size += abs(coef)
+            radius = max(radius, size)
+        generators.append(_Generator(tuple(layers), rows, tuple(coefs), radius))
+    return _Tables(n, codes, index, tuple(generators))
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:
@@ -191,14 +225,20 @@ def _check_word(word: tuple[int, ...], n: int) -> None:
             raise ValueError(f"generator index {i} out of range for n={n}")
 
 
-def _step(columns: tuple[Column, ...], vec: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Apply one generator, given by its columns, to the (index, coefficient)
-    pairs of an integer vector."""
+def _step(g: _Generator, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Apply one generator to the (index, coefficient) pairs of an integer
+    vector, reading each slot of a column as a row, an extra entry or none."""
     acc: dict[int, int] = {}
     get = acc.get
+    dim = len(g.layers[0])
     for c, coef in vec:
-        for r, entry in columns[c]:
-            acc[r] = get(r, 0) + coef * entry
+        for layer in g.layers:
+            slot = layer[c]
+            if slot < dim:
+                acc[slot] = get(slot, 0) + coef
+            elif slot > dim:
+                r = g.rows[slot - dim - 1]
+                acc[r] = get(r, 0) + coef * g.coefs[slot - dim - 1]
     return acc
 
 
@@ -210,26 +250,28 @@ def _identity(rows: range, dim: int, w: int) -> list[int]:
     return [1 << w * (c - rows.start) if c in rows else 0 for c in range(dim)]
 
 
-def _times(packed: list[int], columns: tuple[Column, ...]) -> list[int]:
-    """Packed columns of A * S, from those of A and the sparse columns of S."""
-    return [_column_sum(packed, column) for column in columns]
+def _product(packed: list[int], g: _Generator) -> Iterator[int]:
+    """Packed columns of A * S, one at a time, from those of A and the slots
+    of S: one gather per layer, added column by column, from the list of A's
+    columns, 0, then e * packed[r] for each entry (r, e) whose coefficient is
+    not 1."""
+    gather = [*packed, 0, *(e * packed[r] for r, e in zip(g.rows, g.coefs))].__getitem__
+    first, *rest = g.layers
+    product = map(gather, first)
+    for layer in rest:
+        product = map(add, product, map(gather, layer))
+    return product
 
 
-def _column_sum(packed: list[int], column: Column) -> int:
-    """The sum of e * packed[r] over the (r, e) entries of a sparse column,
-    begun at its first term: a lone +1 entry is packed[r] itself, two entries
-    cost one addition, and an empty column is 0."""
-    x = None
-    for r, e in column:
-        y = packed[r] if e == 1 else -packed[r] if e == -1 else e * packed[r]
-        x = y if x is None else x + y
-    return 0 if x is None else x
+def _times(packed: list[int], g: _Generator) -> list[int]:
+    """Packed columns of A * S, from those of A and the slots of S."""
+    return list(_product(packed, g))
 
 
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
     """Apply a word to an integer vector, rightmost letter first."""
     for letter in reversed(word):
-        vec = _step(tables.columns[letter - 1], vec.items())
+        vec = _step(tables.generators[letter - 1], vec.items())
     return {r: coef for r, coef in vec.items() if coef}
 
 
@@ -272,8 +314,8 @@ def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
     tables = _tables(n, k)
     size = len(tables.codes)
     entries = [[0] * size for _ in range(size)]
-    for c, column in enumerate(tables.columns[i - 1]):
-        for r, coef in column:
+    for c in range(size):
+        for r, coef in _step(tables.generators[i - 1], ((c, 1),)).items():
             entries[r][c] = coef
     return RepMatrix(n, k, tuple(tuple(row) for row in entries))
 
@@ -296,11 +338,11 @@ def verify_coxeter(n: int, k: int) -> CoxeterReport:
     than three letters, and the width of the digits is chosen for that.
     """
     tables = _tables(n, k)
-    s = (None, *tables.columns)  # s[i]: the columns of s_i
+    s = (None, *tables.generators)  # s[i]: the slots of s_i
     dim = len(tables.codes)
     w = tables.width(3)
     identity = _identity(range(dim), dim, w)
-    packed = (None, *(_times(identity, columns) for columns in tables.columns))
+    packed = (None, *(_times(identity, g) for g in tables.generators))
     involutions = braid = commuting = 0
     for i in range(1, n):
         if _times(packed[i], s[i]) != identity:
@@ -429,27 +471,28 @@ def chart_diagram_consistency(n: int, k: int) -> bool:
 
     Each column L_M of E is one integer whose balanced w-bit digit u is the
     coefficient of mask u, built by :func:`_expansion` from the basis code
-    alone, never from the chart columns.  Column c of E * s_i is the signed
-    sum of the columns of E that column c of s_i names, as in :func:`_times`,
-    so its digits are at most R, the largest column abs-sum of the
-    generators, in size.  w = ``tables.width(1)`` = ceil(log2 R) + 2 bits
-    gives 2^(w-1) >= 2R > R, so every digit is balanced and the sum equals
-    column c of P_i * E exactly when the two integers are equal.
-    Column c of P_i * E is :func:`_swap` of column c of E: a bias of 2^(w-1)
-    in every digit makes the digits unsigned, so the masks holding exactly
-    one of strands i and i+1 can be moved by masking and shifting.  Only E's
-    columns are held across the generators.  A failure reports the least
+    alone, never from the chart columns.  Column c of E * s_i is the sum of
+    the columns of E that the slots of column c of s_i name, read one column
+    at a time from :func:`_product`, so its digits are at most R, the largest
+    column abs-sum of the generators, in size.  w = ``tables.width(1)`` =
+    ceil(log2 R) + 2 bits gives 2^(w-1) >= 2R > R, so every digit is balanced
+    and the sum equals column c of P_i * E exactly when the two integers are
+    equal.  Column c of P_i * E is :func:`_swap` of column c of E: a bias of
+    2^(w-1) in every digit makes the digits unsigned, so the masks holding
+    exactly one of strands i and i+1 can be moved by masking and shifting.
+    Only E's columns are held across the generators, and for each generator
+    the negated columns its -M columns name.  A failure reports the least
     basis index c, then the least i at it.
     """
     tables = _tables(n, k)
     w = tables.width(1)
     packed = [_expansion(n, w, *code) for code in tables.codes]
     failure = None
-    for i in range(1, n):
+    for i, g in enumerate(tables.generators, 1):
         masks = _swap_masks(n, w, i)
         # only a smaller basis index than the failure found so far can replace it
-        for c, column in enumerate(tables.columns[i - 1][:failure[0] if failure else None]):
-            if _column_sum(packed, column) != _swap(packed[c], masks):
+        for c, column in enumerate(islice(_product(packed, g), failure[0] if failure else None)):
+            if column != _swap(packed[c], masks):
                 failure = (c, i)
                 break
     if failure:

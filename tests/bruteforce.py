@@ -8,6 +8,7 @@ through the package's own shortcuts, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -214,7 +215,59 @@ def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Trace of every class on degree (n, k), read off the chart tables by
     :func:`reduced_word_traces`."""
     tables = snaction._tables(n, k)
-    return reduced_word_traces(n, tables.columns, len(tables.basis))
+    return reduced_word_traces(n, chart_columns(tables), len(tables.basis))
+
+
+def sparse_columns(generator) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The sparse (row, coefficient) columns of a ``snaction._Generator``,
+    read slot by slot from its layers: slot r below the dimension is the
+    entry (r, 1), slot dim no term, and slot dim + 1 + j the j-th entry
+    whose coefficient is not 1.  A slot out of range, or such an entry not
+    used exactly once in column order, is refused."""
+    dim = len(generator.layers[0])
+    targets = [(r, 1) for r in range(dim)] + [None] + list(zip(generator.rows, generator.coefs))
+    columns, extras = [], []
+    for c in range(dim):
+        slots = [layer[c] for layer in generator.layers]
+        if not all(0 <= slot < len(targets) for slot in slots):
+            raise ValueError(f"slot out of range in column {c}: {slots}")
+        extras += [slot for slot in slots if slot > dim]
+        columns.append(tuple(targets[slot] for slot in slots if slot != dim))
+    if extras != list(range(dim + 1, len(targets))):
+        raise ValueError(f"extra slots {extras} are not each used once in order")
+    return tuple(columns)
+
+
+def chart_columns(tables):
+    """Sparse columns of every generator of a table, ``[i - 1][c]`` the
+    image of basis vector c under s_i."""
+    return tuple(sparse_columns(g) for g in tables.generators)
+
+
+def encode_columns(columns) -> snaction._Generator:
+    """A ``snaction._Generator`` from sparse (row, coefficient) columns: as
+    many layers as the longest column has terms (at least one), a +1 entry
+    at its row, any other entry at the next extra slot, a missing term at
+    the zero slot, and R the largest column abs-sum."""
+    dim = len(columns)
+    layers = [[dim] * dim for _ in range(max([1, *map(len, columns)]))]
+    extras = []
+    for c, column in enumerate(columns):
+        for t, (r, e) in enumerate(column):
+            if e != 1:
+                extras.append((r, e))
+            layers[t][c] = r if e == 1 else dim + len(extras)
+    radius = max((sum(abs(e) for _, e in column) for column in columns), default=0)
+    rows, coefs = array("i", [r for r, _ in extras]), tuple(e for _, e in extras)
+    return snaction._Generator(tuple(array("i", layer) for layer in layers), rows, coefs, radius)
+
+
+def encoded_tables(n: int, generators):
+    """A ``snaction._Tables`` on n strands whose s_i has the sparse columns
+    ``generators[i - 1]``, each encoded by :func:`encode_columns`; its codes
+    are placeholders, one per column."""
+    dim = len(generators[0]) if generators else 0
+    return snaction._Tables(n, (None,) * dim, {}, tuple(map(encode_columns, generators)))
 
 
 def column_product(left, right):
@@ -259,8 +312,8 @@ def consistency_failure(n: int, k: int) -> tuple[int, int] | None:
     tables = snaction._tables(n, k)
     expansions = [expansion_masks(m) for m in tables.basis]
     failures = []
-    for i in range(1, n):
-        for c, column in enumerate(tables.columns[i - 1]):
+    for i, generator in enumerate(chart_columns(tables), 1):
+        for c, column in enumerate(generator):
             image: dict[int, int] = {}
             for r, entry in column:
                 for u, coef in expansions[r].items():
@@ -276,6 +329,7 @@ def walked_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     per basis column on dict vectors: each tree edge applies its letter on
     the left, s * parent, to the parent's vector."""
     tables = snaction._tables(n, k)
+    columns = chart_columns(tables)
     tree = snaction.class_tree(n)
     traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
     for c in range(len(tables.basis)):
@@ -286,7 +340,7 @@ def walked_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
             else:
                 vec = {}
                 for col, coef in vectors[parent].items():
-                    for row, entry in tables.columns[letter - 1][col]:
+                    for row, entry in columns[letter - 1][col]:
                         vec[row] = vec.get(row, 0) + coef * entry
                 vec = {row: coef for row, coef in vec.items() if coef}
             vectors[parts] = vec

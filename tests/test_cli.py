@@ -210,6 +210,19 @@ def test_character_value(capsys):
     assert code == 0 and out == "-1\n"
 
 
+@pytest.mark.parametrize("n, text", [
+    (10, "1_0"),  # int() reads the 10-cycle
+    (4, "+2 +2"),
+    (4, "\u0662,\u0662"),  # Arabic-Indic digits two
+    (4, "4,0"),  # a zero part
+])
+def test_cycle_type_takes_ascii_positive_parts_only(capsys, n, text):
+    code, out, err = run(capsys, "character", "--n", str(n), "--k", "1", "--cycle-type", text)
+    assert (code, out) == (2, "")
+    assert err == ("error: --cycle-type expects positive integers separated by spaces or commas, "
+                   f"got {text!r}\n")
+
+
 def test_specht_json(capsys):
     code, out, _ = run(capsys, "specht", "--n", "4", "--k", "2", "--emit", "both",
                        "--format", "json")

@@ -68,7 +68,8 @@ def test_parse_rejects_garbage():
         parse_permutation("1 2 3", n=4)
 
 
-@pytest.mark.parametrize("text", ("x", "(1 x)", "2 1 x", "1.5 2", "(1 2)(3 4.0)"))
+@pytest.mark.parametrize("text", ("x", "(1 x)", "2 1 x", "1.5 2", "(1 2)(3 4.0)",
+                                  "\u0662 1", "(1 \u0662)"))  # Arabic-Indic digit two
 def test_parse_names_the_accepted_forms_for_non_integer_entries(text):
     with pytest.raises(ValueError, match="cycle notation .* or one-line notation") as info:
         parse_permutation(text)

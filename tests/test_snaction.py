@@ -1,5 +1,6 @@
 import inspect
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -22,7 +23,8 @@ from springerrep import (
 from springerrep import snaction
 from springerrep.formal import FormalSum
 from springerrep.linediagrams import expansion_masks
-from springerrep.matchings import enumerate_standard, partitions_of, standard_codes, syt_count
+from springerrep.matchings import (decode_word, enumerate_standard, partitions_of, standard_codes,
+                                   syt_count)
 from springerrep.perms import Permutation, parse_permutation
 from springerrep.rewriting import _encode
 from springerrep.snaction import (
@@ -36,11 +38,13 @@ from springerrep.verify import run_suites
 
 from bruteforce import (
     chart,
+    chart_columns,
     class_representative,
     column_product,
     conjugacy_class_size,
     consistency_failure,
     degree_generators,
+    encoded_tables,
     is_identity,
     map_basis,
     mat_mul,
@@ -210,18 +214,19 @@ def test_character_table_matches_reduced_word_traces(n):
 def test_packed_products_decode_to_column_products(n):
     for k in range(n // 2 + 1):
         tables = snaction._tables(n, k)
-        s = (None, *tables.columns)
+        g = (None, *tables.generators)  # g[i]: the slots of s_i
+        s = (None, *chart_columns(tables))  # s[i]: its sparse columns
         dim = len(tables.basis)
         w = tables.width(3)  # the width verify_coxeter uses
         identity = snaction._identity(range(dim), dim, w)
         for i in range(1, n):
-            packed = snaction._times(identity, s[i])
+            packed = snaction._times(identity, g[i])
             assert unpack_columns(packed, w, dim) == tuple(tuple(sorted(c)) for c in s[i])
             for j in range(1, n):
-                product = snaction._times(packed, s[j])
+                product = snaction._times(packed, g[j])
                 assert unpack_columns(product, w, dim) == column_product(s[i], s[j])
                 if j == i + 1:
-                    triple = unpack_columns(snaction._times(product, s[i]), w, dim)
+                    triple = unpack_columns(snaction._times(product, g[i]), w, dim)
                     assert triple == column_product(column_product(s[i], s[j]), s[i])
 
 
@@ -317,11 +322,12 @@ def test_code_chart_equals_object_rule(n):
     pairs = 0
     for k in range(n // 2 + 1):
         tables = snaction._tables(n, k)
+        columns = chart_columns(tables)
         index = {m: r for r, m in enumerate(tables.basis)}
         for i in range(1, n):
             for c, m in enumerate(tables.basis):
                 expected = tuple((index[image], coef) for image, coef in chart(i, m))
-                assert tables.columns[i - 1][c] == expected
+                assert columns[i - 1][c] == expected
                 pairs += 1
     assert pairs == (n - 1) * comb(n, n // 2)
 
@@ -335,6 +341,36 @@ def test_code_enumerator_matches_the_object_enumerator(n):
         assert tuple(standard_codes(n, k)) == expected
         assert snaction._tables(n, k).codes == expected
         assert snaction._tables(n, k).basis == enumerate_standard(n, k)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_step_on_each_basis_vector_is_its_column(n):
+    for k in range(n // 2 + 1):
+        tables = snaction._tables(n, k)
+        sparse = chart_columns(tables)
+        assert tables.radius == max(sum(abs(e) for _, e in column) for g in sparse for column in g)
+        for g, columns in zip(tables.generators, sparse):
+            assert len(g.layers) == max(map(len, columns)) <= 2  # ±M, or M + M'
+            for c, column in enumerate(columns):
+                assert snaction._step(g, ((c, 1),)) == dict(column)
+                assert snaction._step(g, ((c, -3),)) == {r: -3 * e for r, e in column}
+
+
+def test_tables_up_to_12_retain_under_a_megabyte():
+    # about 0.6 MB: one int32 slot per column and layer, the codes shared
+    # with standard_codes, and a tuple only per basis code
+    for cached in (snaction._tables, standard_codes, decode_word):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(0, 13, 2):
+            for k in range(n // 2 + 1):
+                snaction._tables(n, k)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    assert snaction._tables(12, 5).codes is standard_codes(12, 5)
 
 
 def test_tables_check_the_degree_first():
@@ -484,7 +520,7 @@ S2 = (((0, 1), (1, 1)), ((1, -1),))
 ])
 def test_each_relation_gate_fires_alone(monkeypatch, n, generators, message, witness):
     # generators that break exactly one relation; all but the shear are involutions
-    tables = snaction._Tables(n, (None, None), {}, generators)
+    tables = encoded_tables(n, generators)
     monkeypatch.setattr(snaction, "_tables", lambda n, k: tables)
     with pytest.raises(VerificationError, match=message) as info:
         verify_coxeter(n, 0)

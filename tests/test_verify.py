@@ -55,6 +55,18 @@ def test_certificates_build_no_matching_object(monkeypatch):
     assert built == []
 
 
+def test_each_degree_is_enumerated_once():
+    import springerrep.matchings as matchings
+    import springerrep.snaction as snaction
+
+    for cached in (matchings.standard_codes, snaction._tables):
+        cached.cache_clear()
+    assert all(r.ok for r in run_suites(SUITE_NAMES, max_n=8))
+    info = matchings.standard_codes.cache_info()
+    assert info.misses == info.currsize == sum(n // 2 + 1 for n in range(2, 9, 2))
+    assert info.hits  # the suites share each degree's codes
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     import springerrep.verify as v
 
