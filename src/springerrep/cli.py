@@ -43,10 +43,17 @@ MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8);
               f"dimension always runs to {MAX_VERIFY_N}")
 
 
-def vertex_count(text: str) -> int:
-    if int(text) > MAX_SIZE_N:
-        raise argparse.ArgumentTypeError(f"{text} exceeds the supported bound {MAX_SIZE_N}")
+def integer(text: str) -> int:
+    # ASCII digits only: int() alone would also read '1_0', '+4' and the digits of other scripts
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
     return int(text)
+
+
+def vertex_count(text: str) -> int:
+    if (n := integer(text)) > MAX_SIZE_N:
+        raise argparse.ArgumentTypeError(f"{text} exceeds the supported bound {MAX_SIZE_N}")
+    return n
 
 
 def _check_size(n: int) -> None:
@@ -277,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="noncrossing matchings, or the standard basis of a degree")
     p.add_argument("--n", type=vertex_count, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=integer, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bijection", help="matching/tableau correspondence table")
     p.add_argument("--n", type=vertex_count, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=integer, default=None)
     _add_format(p)
     p.set_defaults(func=_cmd_bijection)
 
@@ -299,31 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("act", help="apply a transposition or permutation to a matching or sum")
     p.add_argument("--input", required=True, help="matching or formal-sum JSON, or - for stdin")
-    p.add_argument("--gen", type=int, default=None, help="simple transposition index i")
+    p.add_argument("--gen", type=integer, default=None, help="simple transposition index i")
     p.add_argument("--perm", default=None,
                    help="permutation, cycle notation '(1 2)(3 4 5)' or one-line '2 1 4 5 3'")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--n", type=integer, default=None)
+    p.add_argument("--k", type=integer, default=None)
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("matrix", help="matrix of a simple transposition on the standard basis")
     p.add_argument("--n", type=vertex_count, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gen", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
+    p.add_argument("--gen", type=integer, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("character", help="character value at a cycle type")
     p.add_argument("--n", type=vertex_count, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument("--cycle-type", required=True, help="for example 3,2,1")
     _add_format(p)
     p.set_defaults(func=_cmd_character)
 
     p = sub.add_parser("specht", help="emit polytabloid and matching generators")
     p.add_argument("--n", type=vertex_count, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=integer, required=True)
     p.add_argument("--emit", choices=("eT", "eM", "both"), default="both")
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_specht)
@@ -336,15 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all",
                    help="'all' or a comma-separated subset of: " + ", ".join(SUITE_NAMES))
-    p.add_argument("--max-n", type=int, default=8, help=MAX_N_HELP)
-    p.add_argument("--test-seed", type=int, default=0,
+    p.add_argument("--max-n", type=integer, default=8, help=MAX_N_HELP)
+    p.add_argument("--test-seed", type=integer, default=0,
                    help="seed for the randomized linearity spot-check")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("verify-equality",
                        help="shorthand for verify --suite module-equality")
-    p.add_argument("--max-n", type=int, default=8, help=MAX_N_HELP)
+    p.add_argument("--max-n", type=integer, default=8, help=MAX_N_HELP)
     _add_format(p)
     p.set_defaults(func=_cmd_verify, suite="module-equality")
 

@@ -17,13 +17,15 @@ of T and the undotted arcs of M.  e_M does not: it is built from the arc
 swaps of phi(M), so the check ``expansion_masks(M) == e_M`` compares the
 shared rule with code it does not share.
 
-No rank is computed.  The e_T are unitriangular in the undot-set order, so
-independent; the e_M have pairwise distinct leading tabloids with
-coefficient +-1, so independent too.  Each e_M peels to zero against the
-e_T in integers, so span{e_M} lies in span{e_T}, and equal dimension makes
-the spans equal.  The Specht characters come from Young's rule, not from
-the action: no code is shared with the matching-module characters they
-are paired with.
+No rank is computed and nothing is eliminated.  The e_T are unitriangular
+in the undot-set order and the e_M have distinct leading tabloids with
+coefficient +-1, so both families are independent.  Each e_T is s_i of the
+e_T of a standard parent, so every e_T is sigma.e_T0; the pivot matching
+has e_M0 = e_T0; and the chart-diagram consistency check makes span{e_M}
+S_n-stable.  So span{e_T} lies in span{e_M}, and equal dimension makes the
+spans equal: module equality rests on the consistency check for its n.  The
+Specht characters come from Young's rule, not from the action: no code is
+shared with the matching-module characters they are paired with.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .matchings import (
     undot_mask,
 )
 from .rewriting import _decode
-from .snaction import character_table, class_inner_product, irreducibility_check
+from .snaction import character_table, chart_diagram_consistency, class_inner_product, irreducibility_check
 
 
 def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
@@ -97,45 +99,38 @@ def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
 
     By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
     each e_T has leading tabloid {T} in the undot-set order, coefficient 1;
-    this is checked, so the e_T are independent and peel in integers.
+    this is checked, so the e_T are independent.  Each T but T0 (bottom row
+    2, 4, ..., 2k) must be s_i of the standard T' of smaller mask, built
+    already, that exchanges i = b_j - 1 and b_j for the least j with b_j > 2j:
+    e_T = s_i.e_T' on masks.  So every e_T is sigma.e_T0.
     """
     vectors = {}
     for t in standard_tableaux(n, k):
         lead = subset_mask(t.bottom)
         vector = polytabloid_masks(t)
+        witness = {"n": n, "k": k, "bottom": t.bottom}
         if vector.get(lead) != 1 or max(vector) != lead:
-            raise VerificationError(
-                "polytabloid is not unitriangular in the undot-set order",
-                {"n": n, "k": k, "bottom": t.bottom},
-            )
+            raise VerificationError("polytabloid is not unitriangular in the undot-set order", witness)
+        j = next((j for j, b in enumerate(t.bottom, 1) if b > 2 * j), None)
+        if j is not None:
+            i = t.bottom[j - 1] - 1
+            pair = 3 << (i - 1)
+            if vector != {transpose_mask(u, pair): c for u, c in vectors[lead ^ pair].items()}:
+                raise VerificationError("polytabloid is not s_i of its standard parent", {**witness, "i": i})
         vectors[lead] = vector
     return vectors
-
-
-def _peel(vector: dict[int, int], basis) -> None:
-    """Subtract multiples of the unitriangular ``basis`` (lead -> vector) from
-    ``vector`` in place, largest lead first.  What is left in ``vector`` is
-    zero exactly when it lay in the span."""
-    while vector and (lead := max(vector)) in basis:
-        factor = vector[lead]
-        for c, x in basis[lead].items():
-            value = vector.get(c, 0) - factor * x
-            if value:
-                vector[c] = value
-            else:
-                vector.pop(c, None)
 
 
 def verify_module_equality(n: int, k: int) -> bool:
     """Certify span{e_T} = span{e_M}, both of the full dimension.
 
     The e_T are unitriangular and the e_M have distinct +-1 leads, so each
-    family is independent; both have syt_count(n, k) members.  Every e_M
-    peels to zero against the e_T, so containment and equal dimension give
-    equality.  Also checks that relabelling the expansion of each standard
-    matching yields its generator (on masks, ``expansion_masks(M) == e_M``),
-    and the shared pivot generator (the unnested matching with its undotted
-    arcs on the left gives e_M = e_T on the nose).
+    family is independent; both have syt_count(n, k) members.  Every e_T is
+    sigma.e_T0 (checked one s_i at a time), the pivot matching (the unnested
+    one with its undotted arcs on the left) has e_M0 = e_T0, and
+    ``expansion_masks(M) == e_M`` makes span{e_M} the column span of E, which
+    :func:`chart_diagram_consistency`, run last, shows S_n-stable.  So
+    span{e_T} lies in span{e_M}: this rests on the consistency check for n.
     """
     e_t = _polytabloid_vectors(n, k)
     leads = set()
@@ -151,10 +146,6 @@ def verify_module_equality(n: int, k: int) -> bool:
         leads.add(lead)
         if code_expansion_masks(n, opens, dots) != vector:
             raise VerificationError("relabelled expansion differs from matching generator", witness)
-        _peel(vector, e_t)
-        if vector:
-            raise VerificationError("matching generator is not in the Specht span",
-                                    {**witness, "tabloid": subset_members(max(vector))})
     expected = syt_count(n, k)
     if (len(e_t), len(leads)) != (expected, expected):
         raise VerificationError(
@@ -169,7 +160,7 @@ def verify_module_equality(n: int, k: int) -> bool:
         raise VerificationError(
             "pivot generator mismatch", {"n": n, "k": k, "bottom": witness_t.bottom}
         )
-    return True
+    return chart_diagram_consistency(n, k)
 
 
 def emit_top_degree_basis(n: int) -> list[FormalSum]:

@@ -674,6 +674,38 @@ def generator_by_arc_swaps(m: DottedMatching) -> FormalSum:
     return FormalSum(terms)
 
 
+def peel(vector: dict[int, int], basis) -> None:
+    """Subtract multiples of the unitriangular ``basis`` (lead -> vector) from
+    ``vector`` in place, largest lead first.  What is left in ``vector`` is
+    zero exactly when it lay in the span."""
+    while vector and (lead := max(vector)) in basis:
+        factor = vector[lead]
+        for c, x in basis[lead].items():
+            value = vector.get(c, 0) - factor * x
+            if value:
+                vector[c] = value
+            else:
+                vector.pop(c, None)
+
+
+def peel_rests(n: int, k: int, polytabloid=polytabloid_by_columns) -> dict[DottedMatching, dict[int, int]]:
+    """The elimination reference for module equality: each standard M's e_M,
+    by arc swaps, peeled against the e_T that ``polytabloid`` builds (which
+    must be unitriangular), as {M: the rest on masks}.  A rest is nonzero
+    exactly when its e_M lies outside span{e_T}."""
+    e_t = {}
+    for t in standard_tableaux(n, k):
+        vector, lead = {subset_mask(u.bottom): coef for u, coef in polytabloid(t)}, subset_mask(t.bottom)
+        if max(vector) != lead or vector[lead] != 1:
+            raise ValueError(f"polytabloid of {t.bottom} is not unitriangular")
+        e_t[lead] = vector
+    rests = {}
+    for m in enumerate_standard(n, k):
+        rests[m] = {subset_mask(u.bottom): coef for u, coef in generator_by_arc_swaps(m)}
+        peel(rests[m], e_t)
+    return rests
+
+
 def peeled_specht_characters(n: int, k: int, polytabloid=polytabloid_by_columns):
     """Character of S_n on span{e_T}, from the matrices of the s_i: each
     s_i.e_T, by relabelling tabloids, is peeled against the e_T, which must

@@ -223,6 +223,34 @@ def test_cycle_type_takes_ascii_positive_parts_only(capsys, n, text):
                    f"got {text!r}\n")
 
 
+# each integer option, its value X; the rest of the command line is valid
+INTEGER_OPTIONS = [
+    ["enumerate", "--n", "X"], ["enumerate", "--n", "4", "--k", "X"],
+    ["bijection", "--n", "X"], ["bijection", "--n", "4", "--k", "X"],
+    ["act", "--input", "-", "--gen", "X"], ["act", "--input", "-", "--perm", "(1 2)", "--n", "X"],
+    ["act", "--input", "-", "--gen", "1", "--k", "X"],
+    ["matrix", "--n", "X", "--k", "1", "--gen", "1"], ["matrix", "--n", "4", "--k", "X", "--gen", "1"],
+    ["matrix", "--n", "4", "--k", "1", "--gen", "X"],
+    ["character", "--n", "X", "--k", "1", "--cycle-type", "4"],
+    ["character", "--n", "4", "--k", "X", "--cycle-type", "4"],
+    ["specht", "--n", "X", "--k", "1"], ["specht", "--n", "4", "--k", "X"],
+    ["top-basis", "--n", "X"],
+    ["verify", "--max-n", "X"], ["verify", "--test-seed", "X"], ["verify-equality", "--max-n", "X"],
+]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0664", "+4"])  # int() reads each: 10, 4 and 4
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS,
+                         ids=[f"{a[0]}{a[a.index('X') - 1]}" for a in INTEGER_OPTIONS])
+def test_integer_options_take_ascii_digits_only(capsys, argv, text):
+    option = argv[argv.index("X") - 1]
+    with pytest.raises(SystemExit) as info:
+        main([text if a == "X" else a for a in argv])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert f"argument {option}: expected an integer in ASCII digits, got {text!r}" in captured.err
+
+
 def test_specht_json(capsys):
     code, out, _ = run(capsys, "specht", "--n", "4", "--k", "2", "--emit", "both",
                        "--format", "json")

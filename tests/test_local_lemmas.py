@@ -4,7 +4,9 @@ every Type I/II relation.  A relation's terms share the factor of their
 spectator arcs, so what is left is one identity on the four site vertices,
 which holds for every parity of them.  The tests also pin the other local
 facts the certificate reads: E is +-L_M on standard matchings, and each
-kernel step is the relation at its own site."""
+kernel step is the relation at its own site.  One more local fact backs the
+module-equality certificate: every standard tableau but T0 is s_i of a
+standard tableau of smaller mask."""
 
 import itertools
 from collections import Counter
@@ -13,9 +15,9 @@ import pytest
 
 import springerrep.rewriting as rw
 from springerrep.linediagrams import expansion_masks, image_masks
-from springerrep.matchings import enumerate_standard
+from springerrep.matchings import enumerate_standard, subset_mask
 
-from bruteforce import degree_generators, relation_vectors
+from bruteforce import degree_generators, relation_vectors, standard_bottoms_bruteforce
 
 
 def antipodal(a, b):
@@ -101,3 +103,26 @@ def test_kernel_step_is_the_row_at_its_site(n):
             for opens, dots, sign in rw._rewrite(*g, site):
                 step[opens, dots] = step.get((opens, dots), 0) - sign
             assert step == {c: -x for c, x in rw._site_row(n, *g, site[1]).items()}
+
+
+@pytest.mark.parametrize("n", range(0, 17, 2))
+def test_every_standard_row_but_the_pivot_has_a_smaller_standard_parent(n):
+    """For a standard bottom row b (b_j >= 2j for each j) other than T0's
+    (2, 4, ..., 2k), let j be least with b_j > 2j, and i = b_j - 1.
+
+    Minimality of j gives b_(j-1) = 2(j-1) when j > 1, so b_(j-1) < 2j <= i < b_j:
+    i is not in b, and b with b_j replaced by i is sorted with i >= 2j, so
+    standard, and its mask is smaller.  This is the parent that
+    ``specht._polytabloid_vectors`` reads for its chain gate."""
+    for k in range(n // 2 + 1):
+        pivot = tuple(range(2, 2 * k + 1, 2))
+        rows = set(standard_bottoms_bruteforce(n, k))
+        assert pivot in rows
+        for b in rows:
+            if b == pivot:
+                continue
+            j = min(j for j in range(1, k + 1) if b[j - 1] > 2 * j)
+            i = b[j - 1] - 1
+            parent = b[:j - 1] + (i,) + b[j:]
+            assert i not in b
+            assert parent in rows and subset_mask(parent) < subset_mask(b)

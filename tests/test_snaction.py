@@ -419,7 +419,7 @@ def dot_on_new_short_arc(real, i, opens, dots, partner):
     return images
 
 
-@pytest.mark.parametrize("suite", ("coxeter", "consistency", "irreducibility"))
+@pytest.mark.parametrize("suite", ("coxeter", "consistency", "irreducibility", "module-equality"))
 def test_broken_chart_is_caught_by_suite(broken_chart, suite):
     assert all(r.ok for r in run_suites([suite], 6))
     broken_chart(sign_of_undotted_pair_flipped)

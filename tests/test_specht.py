@@ -19,7 +19,7 @@ from springerrep import (
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.matchings import (enumerate_standard, partitions_of, standard_codes, standard_tableaux, subset_mask,
-                                   syt_count)
+                                   syt_count, tabloid_sum)
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -33,6 +33,7 @@ from bruteforce import (
     dense_specht_characters,
     generator_by_arc_swaps,
     negated_lead,
+    peel_rests,
     peeled_specht_characters,
     polytabloid_by_columns,
     permute_diagram,
@@ -227,7 +228,7 @@ def test_specht_guard_survives_optimized_python():
         sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
     """)
     assert proc.returncode == 1, proc.stderr
-    assert "not in the Specht span witness=" in proc.stdout
+    assert "pivot generator mismatch witness=" in proc.stdout
 
 
 BROKEN_PRODUCT_RULE = """
@@ -315,16 +316,46 @@ def test_rank_mismatch_raises(monkeypatch):
         verify_module_equality(4, 1)
 
 
-def test_module_equality_names_the_generator_that_fails_to_peel(monkeypatch):
+def test_module_equality_names_the_pivot_when_polytabloids_are_single_tabloids(monkeypatch):
     import springerrep.specht as sp
 
-    # single standard tabloids are unitriangular, but e_M = {2} - {1} leaves {1} behind
+    # single standard tabloids are unitriangular and each is s_i of its parent,
+    # but e_M0 = {2} - {1} is not e_T0 = {2}
     monkeypatch.setattr(sp, "polytabloid_masks", lambda t: {subset_mask(t.bottom): 1})
-    with pytest.raises(VerificationError, match="not in the Specht span") as info:
+    with pytest.raises(VerificationError, match="pivot generator mismatch") as info:
         verify_module_equality(4, 1)
-    witness = info.value.witness
-    assert (witness["arcs"], witness["dotted"], witness["tabloid"]) == (
-        ((1, 2), (3, 4)), [(3, 4)], [1])
+    assert info.value.witness == {"n": 4, "k": 1, "bottom": (2,)}
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_every_generator_peels_into_the_specht_span(n):
+    # the elimination the certificate no longer runs, against the certificate itself
+    for k in range(n // 2 + 1):
+        rests = peel_rests(n, k)
+        assert len(rests) == syt_count(n, k) and not any(rests.values())
+        assert verify_module_equality(n, k)
+
+
+def test_chain_gate_kills_a_sign_flip_below_a_non_pivot_lead(monkeypatch):
+    import springerrep.specht as sp
+
+    honest = sp.polytabloid_masks
+
+    def sabotaged(t):
+        # the lead keeps +1, so only the chain gate, or a peel, can see it
+        vector = honest(t)
+        if t.bottom == (3, 4):
+            vector[min(vector)] *= -1
+        return vector
+
+    monkeypatch.setattr(sp, "polytabloid_masks", sabotaged)
+    with pytest.raises(VerificationError, match="polytabloid is not s_i of its standard parent") as info:
+        verify_module_equality(6, 2)
+    # (3, 4) is s_2 of its parent (2, 4)
+    assert info.value.witness == {"n": 6, "k": 2, "bottom": (3, 4), "i": 2}
+    # the elimination reference rejects the same mutant
+    rests = peel_rests(6, 2, polytabloid=lambda t: tabloid_sum(t.n, sabotaged(t)))
+    assert any(rests.values())
 
 
 def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
