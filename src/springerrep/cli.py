@@ -43,9 +43,13 @@ MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8);
               f"dimension always runs to {MAX_VERIFY_N}")
 
 
+# The one spelling of an integer the CLI reads: ASCII digits with an optional leading '-'.
+# int() alone would also read '1_0', '+4' and the digits of other scripts.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def integer(text: str) -> int:
-    # ASCII digits only: int() alone would also read '1_0', '+4' and the digits of other scripts
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
     return int(text)
 
@@ -200,9 +204,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _parse_cycle_type(text: str) -> tuple[int, ...]:
-    # ASCII digits only: int() alone would also read '1_0', '+2' and the digits of other scripts
     parts = re.findall(r"[^\s,]+", text, re.ASCII)
-    if not all(re.fullmatch(r"0*[1-9][0-9]*", part) for part in parts):
+    if not all(_INTEGER.fullmatch(part) and int(part) > 0 for part in parts):
         raise ValueError(f"--cycle-type expects positive integers separated by spaces or commas, "
                          f"got {text!r}")
     if not parts:

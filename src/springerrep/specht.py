@@ -21,7 +21,9 @@ No rank is computed and nothing is eliminated.  The e_T are unitriangular
 in the undot-set order and the e_M have distinct leading tabloids with
 coefficient +-1, so both families are independent.  Each e_T is s_i of the
 e_T of a standard parent, so every e_T is sigma.e_T0; the pivot matching
-has e_M0 = e_T0; and the chart-diagram consistency check makes span{e_M}
+has e_M0 = e_T0; each packed column of the expansion matrix E that the
+chart-diagram consistency check reads is checked equal to e_M packed at the
+same digit width, so that check, P_i E = E s_i, makes span{e_M}
 S_n-stable.  So span{e_T} lies in span{e_M}, and equal dimension makes the
 spans equal: module equality rests on the consistency check for its n.  The
 Specht characters come from Young's rule, not from the action: no code is
@@ -53,7 +55,8 @@ from .matchings import (
     undot_mask,
 )
 from .rewriting import _decode
-from .snaction import character_table, chart_diagram_consistency, class_inner_product, irreducibility_check
+from .snaction import (_expansion, _tables, character_table, chart_diagram_consistency, class_inner_product,
+                       irreducibility_check)
 
 
 def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
@@ -121,18 +124,35 @@ def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
     return vectors
 
 
+def _packed(vector: dict[int, int], w: int) -> int:
+    """A {mask: coef} vector with balanced w-bit digits, as ``_expansion``
+    packs L_M: the sum of coef * 2^(w*mask), one integer per coefficient
+    value set bit by bit, not one shifted term added at a time."""
+    total = 0
+    for coef in set(vector.values()):
+        digits = bytearray(w * max(vector) // 8 + 1)
+        for u in (u for u, c in vector.items() if c == coef):
+            digits[w * u >> 3] |= 1 << (w * u & 7)
+        total += coef * int.from_bytes(digits, "little")
+    return total
+
+
 def verify_module_equality(n: int, k: int) -> bool:
     """Certify span{e_T} = span{e_M}, both of the full dimension.
 
     The e_T are unitriangular and the e_M have distinct +-1 leads, so each
     family is independent; both have syt_count(n, k) members.  Every e_T is
-    sigma.e_T0 (checked one s_i at a time), the pivot matching (the unnested
-    one with its undotted arcs on the left) has e_M0 = e_T0, and
-    ``expansion_masks(M) == e_M`` makes span{e_M} the column span of E, which
-    :func:`chart_diagram_consistency`, run last, shows S_n-stable.  So
-    span{e_T} lies in span{e_M}: this rests on the consistency check for n.
+    sigma.e_T0 (checked one s_i at a time), and the pivot matching (the
+    unnested one with its undotted arcs on the left) has e_M0 = e_T0.  The
+    packed column of E that :func:`chart_diagram_consistency` builds for M,
+    ``_expansion`` at the width it uses, must equal e_M packed at that width,
+    digit for digit, so span{e_M} is the column span of that E, and the
+    consistency check, run last, shows it S_n-stable.  So span{e_T} lies in
+    span{e_M}: this rests on the consistency check for n.  ``expansion_masks(M)
+    == e_M`` is checked as well, tying e_M to the product rule of e_T.
     """
     e_t = _polytabloid_vectors(n, k)
+    w = _tables(n, k).width(1)
     leads = set()
     for opens, dots in standard_codes(n, k):
         vector = code_generator_masks(n, opens, dots)
@@ -146,6 +166,8 @@ def verify_module_equality(n: int, k: int) -> bool:
         leads.add(lead)
         if code_expansion_masks(n, opens, dots) != vector:
             raise VerificationError("relabelled expansion differs from matching generator", witness)
+        if _expansion(n, w, opens, dots) != _packed(vector, w):
+            raise VerificationError("packed expansion differs from matching generator", witness)
     expected = syt_count(n, k)
     if (len(e_t), len(leads)) != (expected, expected):
         raise VerificationError(

@@ -24,9 +24,11 @@ from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
     character_table,
+    chart_diagram_consistency,
     class_inner_product,
 )
 from springerrep.specht import specht_characters
+from springerrep.verify import run_suites
 
 from bruteforce import (
     class_representative,
@@ -366,6 +368,22 @@ def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
                        match="relabelled expansion differs from matching generator") as info:
         verify_module_equality(4, 1)
     assert info.value.witness == {"n": 4, "k": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}
+
+
+@pytest.mark.parametrize("broken", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
+def test_module_equality_checks_the_packed_columns_consistency_reads(monkeypatch, broken):
+    import springerrep.snaction as sn
+    import springerrep.specht as sp
+
+    honest = sn._expansion
+    for module in (sn, sp):  # every binding, as an edit of its source would
+        monkeypatch.setattr(module, "_expansion", lambda *args: broken(honest(*args)))
+    # E * s_i = P_i * E is linear in E: a zero or negated E passes consistency
+    assert all(chart_diagram_consistency(6, k) for k in range(4))
+    with pytest.raises(VerificationError, match="packed expansion differs from matching generator") as info:
+        verify_module_equality(4, 1)
+    assert info.value.witness == {"n": 4, "k": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}
+    assert not any(r.ok for r in run_suites(["module-equality"], 6))
 
 
 @pytest.mark.parametrize("broken", ["repeated", "doubled"])
