@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: enumerate, bijection, reduce, expand, act, matrix, character,
-specht, top-basis, verify.  Output is deterministic for a fixed invocation:
-basis orders are canonical, JSON keys are emitted in a fixed order, and the
-verify suites run serially in a fixed order.  Every command builds only the
-rendering ``--format`` names, and ``--out FILE`` writes exactly the bytes
-stdout would get.
+specht, top-basis, verify, and verify-equality (``verify --suite
+module-equality``).  ``--max-n`` of the two verify commands is even, from 2
+to ``MAX_VERIFY_N``: the suites run on every even n up to it.  Output is
+deterministic for a fixed invocation: basis orders are canonical, JSON keys
+are emitted in a fixed order, and the verify suites run serially in a fixed
+order.  Every command builds only the rendering ``--format`` names, and
+``--out FILE`` writes exactly the bytes stdout would get.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
@@ -39,7 +41,7 @@ MIN_VERIFY_N = 2
 # is the largest); output grows like Catalan(n/2) * 2^k, and specht at 16 has seven
 # times as many terms.
 MAX_SIZE_N = 14
-MAX_N_HELP = (f"largest n checked, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); "
+MAX_N_HELP = (f"largest n checked, even, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); "
               f"dimension always runs to {MAX_VERIFY_N}")
 
 
@@ -257,6 +259,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--max-n {args.max_n} is below the smallest case n={MIN_VERIFY_N}")
     if args.max_n > MAX_VERIFY_N:
         raise ValueError(f"--max-n {args.max_n} exceeds the supported bound {MAX_VERIFY_N}")
+    if args.max_n % 2:
+        raise ValueError(f"--max-n {args.max_n} is odd; the suites run on even n, "
+                         f"so choose an even value from {MIN_VERIFY_N} to {MAX_VERIFY_N}")
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
     results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
     passed = sum(r.ok for r in results)

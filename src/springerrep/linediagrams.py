@@ -20,7 +20,7 @@ tabloids is the identity.
 from __future__ import annotations
 
 from .formal import FormalSum
-from .matchings import (DottedMatching, code_undotted, is_standard, opens_mask, pair_product, standard_codes,
+from .matchings import (DottedMatching, code_undotted, encode, is_standard, pair_product, standard_codes,
                         tabloid_sum, undot_mask)
 
 
@@ -33,7 +33,7 @@ def code_expansion_masks(n: int, opens: int, dots: int) -> dict[int, int]:
 
 def expansion_masks(m: DottedMatching) -> dict[int, int]:
     """:func:`code_expansion_masks` of a matching; :func:`expand` checks M is standard."""
-    return code_expansion_masks(m.n, opens_mask(m.arcs), opens_mask(m.dotted))
+    return code_expansion_masks(m.n, *encode(m))
 
 
 def image_masks(undotted) -> dict[int, int]:

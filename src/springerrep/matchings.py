@@ -10,10 +10,17 @@ tableaux.
 Inside the package a matching is a code ``(opens, dots)`` of two n-bit
 masks: bit v-1 of ``opens`` is set when v is a left endpoint (a Dyck word,
 which determines the matching), and of ``dots`` when v opens a dotted arc.
-:func:`dyck_words` and :func:`standard_codes` enumerate codes, and
-:func:`decode_word` is the one decoder of a word.  The classes are built
-only at the edges: JSON, the CLI, the object enumerators, and the public
-functions documented to return them.
+This module owns the format and both rules on it.  The arc opened at a lies
+below 2*popcount(opens below a) - (a-1) arcs; the nesting measure, that
+depth summed over the dotted arcs (:func:`nesting`), is 0 exactly on
+standard matchings, and :func:`is_standard` reads it.  :func:`theta_code`
+is theta on bitmasks, the one implementation of the bijection:
+:func:`standard_codes` enumerates the basis with it, and :func:`theta` and
+:func:`enumerate_standard` decode its codes, so every suite reads one basis.
+:func:`dyck_words` enumerates words, :func:`decode_word` is the one decoder
+of a word, and :func:`encode` / :func:`code_matching` are the edge between
+codes and objects.  The classes are built only at the edges: JSON, the CLI,
+the object enumerators, and the public functions documented to return them.
 """
 
 from __future__ import annotations
@@ -166,11 +173,6 @@ class NoncrossingMatching:
     def __post_init__(self):
         object.__setattr__(self, "arcs", noncrossing_arcs(self.n, self.arcs))
 
-    def enclosers(self, arc: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        """Arcs strictly enclosing ``arc``, innermost last."""
-        i, j = arc
-        return tuple(sorted((x, y) for (x, y) in self.arcs if x < i and j < y))
-
 
 @dataclass(frozen=True)
 class DottedMatching(NoncrossingMatching):
@@ -219,21 +221,21 @@ def check_partition(parts) -> tuple[int, ...]:
     return tuple(p for p in parts if p > 0)
 
 
+@cache
+def _partitions(remaining: int, largest: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of ``remaining`` with no part above ``largest``, in
+    reverse lexicographic order, cached for the process."""
+    if remaining == 0:
+        return ((),)
+    return tuple((first, *rest) for first in range(min(remaining, largest), 0, -1)
+                 for rest in _partitions(remaining - first, first))
+
+
 def partitions_of(n: int) -> list[tuple[int, ...]]:
-    """All partitions of n, in reverse lexicographic order ((n,) first)."""
+    """All partitions of n, in reverse lexicographic order ((n,) first), as a new list."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    @cache
-    def gen(remaining: int, largest: int) -> tuple[tuple[int, ...], ...]:
-        if remaining == 0:
-            return ((),)
-        out = []
-        for first in range(min(remaining, largest), 0, -1):
-            out.extend((first, *rest) for rest in gen(remaining - first, first))
-        return tuple(out)
-
-    return [p for p in gen(n, n)]
+    return list(_partitions(n, n))
 
 
 def catalan(m: int) -> int:
@@ -290,6 +292,32 @@ def undot_mask(n: int, opens: int, dots: int) -> int:
     return subset_mask(b for _, b in code_undotted(n, opens, dots))
 
 
+def nesting(opens: int, dots: int) -> int:
+    """The nesting measure of a code: the depths of the dotted arcs, summed."""
+    total = 0
+    while dots:
+        low = dots & -dots
+        total += 2 * (opens & (low - 1)).bit_count() - low.bit_length() + 1
+        dots ^= low
+    return total
+
+
+def encode(m: DottedMatching) -> tuple[int, int]:
+    """The ``(opens, dots)`` code of a matching object."""
+    return opens_mask(m.arcs), opens_mask(m.dotted)
+
+
+def decode(n: int, opens: int, dots: int) -> dict:
+    """The matching of a code as a witness: n, arcs and dotted arcs."""
+    arcs = decode_word(n, opens)[0]
+    return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
+
+
+def code_matching(n: int, opens: int, dots: int) -> DottedMatching:
+    """The matching object of a code: the inverse of :func:`encode`."""
+    return DottedMatching.make(**decode(n, opens, dots))
+
+
 @cache
 def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
     """All noncrossing perfect matchings of {1..n} as objects, in :func:`dyck_words` order."""
@@ -297,8 +325,9 @@ def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
 
 
 def is_standard(m: DottedMatching) -> bool:
-    """True when no dotted arc of ``m`` is nested below another arc."""
-    return all(not m.enclosers(arc) for arc in m.dotted)
+    """True when no dotted arc of ``m`` is nested below another arc: its
+    nesting measure is 0."""
+    return nesting(*encode(m)) == 0
 
 
 def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -317,12 +346,13 @@ def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
 
 @cache
 def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
-    """All standard dotted matchings on n vertices with exactly k undotted arcs.
+    """All standard dotted matchings on n vertices with exactly k undotted
+    arcs: the :func:`standard_codes` of the degree, decoded.
 
     Canonical order: increasing in the undot set U_M (right endpoints of the
     undotted arcs) in the undot-set order, that is by :func:`subset_mask`.
     """
-    return tuple(theta(t) for t in standard_tableaux(n, k))
+    return tuple(code_matching(n, *code) for code in standard_codes(n, k))
 
 
 def phi(m: DottedMatching) -> TwoRowTableau:
@@ -330,49 +360,42 @@ def phi(m: DottedMatching) -> TwoRowTableau:
     return TwoRowTableau(m.n, m.right_undotted())
 
 
-def theta(t: TwoRowTableau) -> DottedMatching:
-    """Standard dotted matching associated to a standard two-row tableau.
+def theta_code(n: int, bottom) -> tuple[int, int]:
+    """theta on bitmasks: the code of the standard matching of the standard
+    tableau on n vertices with sorted bottom row ``bottom``.
 
     Bottom-row entries are matched left to right, each to the nearest
     unmatched vertex on its left, by undotted arcs; what remains is swept up
-    into dotted arcs between neighboring unmatched vertices.
+    into dotted arcs between neighbouring unmatched vertices, lowest first.
+    The unmatched vertices are the bits of ``free``, vertex v at bit v-1.
     """
-    unmatched = set(range(1, t.n + 1))
-    undotted = []
-    for j in t.bottom:
-        i = max(v for v in unmatched if v < j)
-        undotted.append((i, j))
-        unmatched -= {i, j}
-    dotted = []
-    while unmatched:
-        i = min(unmatched)
-        j = min(v for v in unmatched if v > i)
-        dotted.append((i, j))
-        unmatched -= {i, j}
-    return DottedMatching.make(t.n, undotted + dotted, dotted)
+    free, opens = (1 << n) - 1, 0
+    for j in bottom:
+        i = 1 << (free & (1 << (j - 1)) - 1).bit_length() - 1  # nearest unmatched left of j
+        opens |= i
+        free ^= i | 1 << (j - 1)
+    dots = 0
+    while free:
+        low = free & -free
+        free ^= low
+        dots |= low
+        free &= free - 1
+    return opens | dots, dots
+
+
+def theta(t: TwoRowTableau) -> DottedMatching:
+    """Standard dotted matching associated to a standard two-row tableau:
+    :func:`theta_code` of its bottom row, decoded."""
+    return code_matching(t.n, *theta_code(t.n, t.bottom))
 
 
 @cache
 def standard_codes(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """The standard matchings of degree (n, k) as ``(opens, dots)`` codes, in
-    the order of :func:`enumerate_standard`: :func:`theta` on bitmasks of the
-    unmatched vertices, vertex v at bit v-1.  Cached per degree."""
+    """The standard matchings of degree (n, k) as ``(opens, dots)`` codes:
+    :func:`theta_code` of each standard tableau, in undot-set order of their
+    bottom rows.  Cached per degree."""
     check_degree(n, k)
-    codes = []
-    for bottom in standard_bottom_sets(n, k):
-        free, opens = (1 << n) - 1, 0
-        for j in bottom:
-            i = 1 << (free & (1 << (j - 1)) - 1).bit_length() - 1  # nearest unmatched left of j
-            opens |= i
-            free ^= i | 1 << (j - 1)
-        dots = 0
-        while free:  # neighbouring unmatched vertices, lowest first
-            low = free & -free
-            free ^= low
-            dots |= low
-            free &= free - 1
-        codes.append((opens | dots, dots))
-    return tuple(codes)
+    return tuple(theta_code(n, bottom) for bottom in standard_bottom_sets(n, k))
 
 
 def syt_count(n: int, k: int) -> int:

@@ -9,10 +9,9 @@ dots fixed:
              = [nested, dot on (i,l)] + [nested, dot on (j,k)]
   Type II: [side by side, dots on both] = [nested, dots on both]
 
-Rewriting runs on the ``(opens, dots)`` codes of :mod:`~springerrep.matchings`.
-The arc opened at a lies below 2*popcount(opens below a) - (a-1) arcs; the
-nesting measure, that depth summed over the dotted arcs, is 0 exactly on
-standard matchings.
+Rewriting runs on the ``(opens, dots)`` codes of :mod:`~springerrep.matchings`
+and descends its nesting measure (:func:`~springerrep.matchings.nesting`),
+which is 0 exactly on standard matchings.
 
 The rewrite site is the deepest nested dotted arc (j,k), leftmost among
 equals, under its innermost encloser (i,l).  A table per Dyck word, read
@@ -72,35 +71,17 @@ from functools import cache
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import image_masks
-from .matchings import DottedMatching, code_undotted, decode_word, dyck_words, opens_mask, syt_count
+from .matchings import DottedMatching, code_undotted, decode_word, dyck_words, syt_count
+from .matchings import code_matching as _matching, decode as _decode, encode as _encode, nesting as _nesting
 
 # Largest n of the verify suites and of quotient_project_oracle.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes about 1.0 s on 2 vCPUs
-# (median of 8 fresh processes, 0.80-1.29 s, Python 3.11; 0.99 s under -O), and must stay under 15 s.
+# of ``verify --suite all --max-n 12`` (252 checks) takes 0.6-1.4 s on 2 vCPUs as
+# host load varies (Python 3.11, 8 fresh processes: 0.64-1.19 s, median 0.95 s;
+# 0.60-0.74 s, median 0.65 s, under -O), and must stay under 15 s.
 MAX_VERIFY_N = 12
 
 Code = tuple[int, int]  # (opens, dots)
 Wire = tuple[int, int, int]  # (n, opens, dots)
-
-
-def _encode(m: DottedMatching) -> tuple[int, int]:
-    return opens_mask(m.arcs), opens_mask(m.dotted)
-
-
-def _decode(n: int, opens: int, dots: int) -> dict:
-    """The matching of a code as a witness: n, arcs and dotted arcs."""
-    arcs = decode_word(n, opens)[0]
-    return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
-
-
-def _nesting(opens: int, dots: int) -> int:
-    """The nesting measure: the depths of the dotted arcs, summed."""
-    total = 0
-    while dots:
-        low = dots & -dots
-        total += 2 * (opens & (low - 1)).bit_count() - low.bit_length() + 1
-        dots ^= low
-    return total
 
 
 @cache
@@ -131,10 +112,6 @@ def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tup
         return [(opens ^ jk, dots ^ jk, 1)]
     ji = 1 << j | 1 << i
     return [(opens, dots ^ ji, -1), (opens ^ jk, dots ^ ji, 1), (opens ^ jk, dots ^ jk, 1)]
-
-
-def _matching(n: int, opens: int, dots: int) -> DottedMatching:
-    return DottedMatching.make(**_decode(n, opens, dots))
 
 
 def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:

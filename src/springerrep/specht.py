@@ -42,7 +42,8 @@ from .matchings import (
     check_degree,
     check_partition,
     code_undotted,
-    opens_mask,
+    decode,
+    encode,
     pair_product,
     partitions_of,
     standard_codes,
@@ -54,7 +55,6 @@ from .matchings import (
     transpose_mask,
     undot_mask,
 )
-from .rewriting import _decode
 from .snaction import (_expansion, _tables, character_table, chart_diagram_consistency, class_inner_product,
                        irreducibility_check)
 
@@ -84,7 +84,7 @@ def code_generator_masks(n: int, opens: int, dots: int) -> dict[int, int]:
 
 def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
     """:func:`code_generator_masks` of a matching object."""
-    return code_generator_masks(m.n, opens_mask(m.arcs), opens_mask(m.dotted))
+    return code_generator_masks(m.n, *encode(m))
 
 
 def polytabloid(t: TwoRowTableau) -> FormalSum:
@@ -157,7 +157,7 @@ def verify_module_equality(n: int, k: int) -> bool:
     for opens, dots in standard_codes(n, k):
         vector = code_generator_masks(n, opens, dots)
         lead = max(vector, default=None)
-        witness = {"n": n, "k": k, **_decode(n, opens, dots)}
+        witness = {"n": n, "k": k, **decode(n, opens, dots)}
         if lead in leads or vector.get(lead) not in (1, -1):
             raise VerificationError(
                 "matching generators do not have distinct leading tabloids with coefficient +-1",

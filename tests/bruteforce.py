@@ -20,7 +20,6 @@ from springerrep import (
     TwoRowTableau,
     act_permutation,
     expand,
-    is_standard,
     phi,
 )
 from springerrep import rewriting as rw
@@ -89,13 +88,46 @@ def partners_by_stack(n: int, opens: int) -> list[int]:
     return partner
 
 
+def enclosers(m: NoncrossingMatching, arc: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """Arcs of ``m`` strictly enclosing ``arc``, innermost last."""
+    i, j = arc
+    return tuple(sorted((x, y) for (x, y) in m.arcs if x < i and j < y))
+
+
+def standard_by_enclosers(m: DottedMatching) -> bool:
+    """The definition of standard, on arc sets: no dotted arc has an
+    encloser.  The reference for ``matchings.is_standard``, which reads the
+    nesting measure of the code."""
+    return all(not enclosers(m, arc) for arc in m.dotted)
+
+
+def theta_by_sets(t: TwoRowTableau) -> DottedMatching:
+    """theta on vertex sets, the reference for ``matchings.theta_code``:
+    bottom-row entries are matched left to right, each to the nearest
+    unmatched vertex on its left, by undotted arcs; what remains is swept up
+    into dotted arcs between neighbouring unmatched vertices."""
+    unmatched = set(range(1, t.n + 1))
+    undotted = []
+    for j in t.bottom:
+        i = max(v for v in unmatched if v < j)
+        undotted.append((i, j))
+        unmatched -= {i, j}
+    dotted = []
+    while unmatched:
+        i = min(unmatched)
+        j = min(v for v in unmatched if v > i)
+        dotted.append((i, j))
+        unmatched -= {i, j}
+    return DottedMatching.make(t.n, undotted + dotted, dotted)
+
+
 def standard_bruteforce(n: int, k: int) -> set[DottedMatching]:
     """All standard dotted matchings of degree k, by filtering everything."""
     out = set()
     for base in enumerate_noncrossing(n):
         for dots in itertools.combinations(base.arcs, n // 2 - k):
             m = DottedMatching(base.n, base.arcs, frozenset(dots))
-            if is_standard(m):
+            if standard_by_enclosers(m):
                 out.add(m)
     return out
 
@@ -431,7 +463,7 @@ class RewriteSite:
 
 def nesting_measure(m: DottedMatching) -> int:
     """Total number of (dotted arc, strictly enclosing arc) pairs."""
-    return sum(len(m.enclosers(arc)) for arc in m.dotted)
+    return sum(len(enclosers(m, arc)) for arc in m.dotted)
 
 
 def find_sites(m: DottedMatching) -> list[RewriteSite]:
@@ -443,7 +475,7 @@ def find_sites(m: DottedMatching) -> list[RewriteSite]:
     """
     sites = []
     for inner in sorted(m.dotted):
-        enclosing = m.enclosers(inner)
+        enclosing = enclosers(m, inner)
         if not enclosing:
             continue
         outer = enclosing[-1]  # innermost encloser: the only rewirable partner
@@ -564,7 +596,7 @@ def negated_lead(rule):
 
 
 def _require_standard(m: DottedMatching) -> None:
-    if not is_standard(m):
+    if not standard_by_enclosers(m):
         raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
 
 
@@ -843,14 +875,14 @@ def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int,
 
     Row-reduces the Type I/II rows of :func:`relation_vectors`, encoded, over
     all dotted matchings of degree k, the nonstandard ones by increasing
-    nesting and the standard ones (from ``enumerate_standard``) last, and
+    nesting and the standard ones (from :func:`theta_by_sets`) last, and
     reads off each generator's coordinates in the standard basis.  Raises
     ``VerificationError`` if the standard matchings are dependent modulo the
     relations or the quotient dimension is not the standard-tableau count.
     Never calls the rewriting kernel; the helpers, ``relation_vectors``
     included, are looked up on their modules, so a test can patch them.
     """
-    standard = [rw._encode(m) for m in enumerate_standard(n, k)]
+    standard = [rw._encode(theta_by_sets(t)) for t in standard_tableaux(n, k)]
     known = set(standard)
     nonstandard = sorted((g for g in rw._generator_codes(n, k) if g not in known),
                          key=lambda g: rw._nesting(*g))
@@ -966,7 +998,7 @@ def relation_vectors(n: int, k: int) -> list[FormalSum]:
     out = []
     for base in enumerate_noncrossing(n):
         for inner in base.arcs:
-            enclosing = base.enclosers(inner)
+            enclosing = enclosers(base, inner)
             if not enclosing:
                 continue
             outer = enclosing[-1]
@@ -997,8 +1029,8 @@ def dense_quotient_table(n: int, k: int) -> dict[DottedMatching, FormalSum]:
     """Normal form of every degree-k generator: dense ``rref`` of the relation
     matrix with the standard matchings as its last columns."""
     generators = degree_generators(n, k)
-    standard = [g for g in generators if is_standard(g)]
-    columns = [g for g in generators if not is_standard(g)] + standard
+    standard = [g for g in generators if standard_by_enclosers(g)]
+    columns = [g for g in generators if not standard_by_enclosers(g)] + standard
     index = {g: c for c, g in enumerate(columns)}
     rows = []
     for relation in relation_vectors(n, k):

@@ -463,6 +463,18 @@ def test_verify_rejects_max_n_below_two(capsys, max_n):
     assert f"--max-n {max_n}" in err and "below" in err
 
 
+@pytest.mark.parametrize("command", ("verify", "verify-equality"))
+@pytest.mark.parametrize("max_n", ("3", "5", "11"))
+def test_verify_rejects_odd_max_n(capsys, command, max_n):
+    # the suites run on even n only, so an odd bound would report n checks that never ran
+    from springerrep.cli import MAX_N_HELP
+
+    code, out, err = run(capsys, command, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert f"--max-n {max_n} is odd" in err and "even value from 2 to 12" in err
+    assert "even" in MAX_N_HELP
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "out.csv"
     code, out, _ = run(capsys, "matrix", "--n", "4", "--k", "2", "--gen", "2",

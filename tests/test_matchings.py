@@ -30,7 +30,9 @@ from bruteforce import (
     perfect_matchings,
     standard_bottoms_bruteforce,
     standard_bruteforce,
+    standard_by_enclosers,
     subset_order_key,
+    theta_by_sets,
 )
 
 
@@ -121,6 +123,16 @@ def test_enumerate_standard_examples():
     assert bottom[0].arcs == ((1, 2), (3, 4))
     assert bottom[0].dotted == frozenset({(1, 2), (3, 4)})
     assert len(enumerate_standard(6, 2)) == 9
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_is_standard_is_the_encloser_rule(n):
+    # the nesting measure is 0 exactly when no dotted arc has an encloser
+    for base in enumerate_noncrossing(n):
+        for r in range(n // 2 + 1):
+            for dots in itertools.combinations(base.arcs, r):
+                m = DottedMatching(n, base.arcs, frozenset(dots))
+                assert is_standard(m) == standard_by_enclosers(m)
 
 
 def test_enumerate_standard_rejects_bad_k():
@@ -218,6 +230,7 @@ def test_bijection_round_trip(n):
             assert theta(phi(m)) == m
         for bottom in standard_bottoms_bruteforce(n, k):
             t = TwoRowTableau(n, bottom)
+            assert theta(t) == theta_by_sets(t)
             assert phi(theta(t)) == t
             assert is_standard(theta(t))
             assert theta(t).k == k
@@ -273,6 +286,19 @@ def test_partitions_of():
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert partitions_of(0) == [()]
     assert check_partition((3, 3, 0, 0)) == (3, 3)
+    with pytest.raises(ValueError):
+        partitions_of(-1)
+
+
+def test_partitions_share_one_memo_and_return_fresh_lists():
+    from springerrep.matchings import _partitions
+
+    partitions_of(12)
+    before = _partitions.cache_info()
+    first = partitions_of(12)
+    assert _partitions.cache_info().misses == before.misses  # the memo outlives the call
+    first.append(("spoiled",))
+    assert partitions_of(12) == first[:-1] and len(partitions_of(12)) == 77
 
 
 @pytest.mark.parametrize("parts", [
@@ -294,4 +320,4 @@ def test_degenerate_n_zero():
     assert [m.arcs for m in enumerate_noncrossing(0)] == [()]
     assert len(enumerate_standard(0, 0)) == 1
     t = TwoRowTableau(0, ())
-    assert phi(theta(t)) == t
+    assert phi(theta(t)) == t and theta(t) == theta_by_sets(t)

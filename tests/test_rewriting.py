@@ -421,7 +421,7 @@ def test_code_generators_and_rows_match_the_object_builders(n):
 def test_oracle_never_calls_the_kernel(monkeypatch):
     # the elimination reference must not depend on the rewrite it certifies,
     # nor on the nesting measure beyond the column order: standardness comes
-    # from enumerate_standard, and normal forms do not depend on that order
+    # from theta on vertex sets, and normal forms do not depend on that order
     honest = {(n, k): rref_quotient_codes(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1)}
 
     def refuse(*args):

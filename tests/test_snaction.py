@@ -24,7 +24,7 @@ from springerrep import snaction
 from springerrep.formal import FormalSum
 from springerrep.linediagrams import expansion_masks
 from springerrep.matchings import (decode_word, enumerate_standard, partitions_of, standard_codes,
-                                   syt_count)
+                                   standard_tableaux, syt_count)
 from springerrep.perms import Permutation, parse_permutation
 from springerrep.rewriting import _encode
 from springerrep.snaction import (
@@ -51,6 +51,7 @@ from bruteforce import (
     permutation_matrix,
     permute_diagram,
     reduced_word_characters,
+    theta_by_sets,
     two_row_character_oracle,
     unpack_columns,
     walked_characters,
@@ -146,9 +147,8 @@ def test_permutation_matrix_agrees_with_generator_products():
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10, 12, 14))
 def test_coxeter_relations(n):
     for k in range(n // 2 + 1):
-        report = verify_coxeter(n, k)
-        assert (report.involutions, report.braid, report.commuting) == (
-            n - 1, max(n - 2, 0), (n - 2) * (n - 3) // 2)
+        # n - 1 involutions, n - 2 braid relations, (n - 2)(n - 3)/2 commuting pairs
+        assert verify_coxeter(n, k) == (n - 1) + (n - 2) + (n - 2) * (n - 3) // 2
 
 
 def test_rep_matrix_checks_the_generator_before_building_tables():
@@ -335,12 +335,13 @@ def test_code_chart_equals_object_rule(n):
 
 @pytest.mark.parametrize("n", (0, 2, 4, 6, 8, 10, 12))
 def test_code_enumerator_matches_the_object_enumerator(n):
-    # theta on bitmasks against theta on tableaux, order included
+    # theta on bitmasks against theta on vertex sets, order included
     for k in range(n // 2 + 1):
-        expected = tuple(_encode(m) for m in enumerate_standard(n, k))
+        reference = tuple(theta_by_sets(t) for t in standard_tableaux(n, k))
+        expected = tuple(_encode(m) for m in reference)
         assert tuple(standard_codes(n, k)) == expected
         assert snaction._tables(n, k).codes == expected
-        assert snaction._tables(n, k).basis == enumerate_standard(n, k)
+        assert snaction._tables(n, k).basis == enumerate_standard(n, k) == reference
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))

@@ -67,6 +67,30 @@ def test_each_degree_is_enumerated_once():
     assert info.hits  # the suites share each degree's codes
 
 
+def test_counting_reads_the_action_basis(monkeypatch):
+    # the counting rows count the very codes the algebraic suites run on, so
+    # a basis enumerator that loses one code fails them
+    import springerrep.matchings as matchings
+    import springerrep.snaction as snaction
+
+    honest = matchings.standard_codes
+    caches = (matchings.standard_codes, matchings.enumerate_standard, snaction._tables)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    clear()
+    monkeypatch.setattr(matchings, "standard_codes", lambda n, k: honest(n, k)[:-1])
+    try:
+        results = run_suites(("counting",), max_n=6)
+    finally:
+        clear()
+    failed = {r.name for r in results if not r.ok}
+    assert {f"n={n} k={k} standard" for n in (2, 4, 6) for k in range(n // 2 + 1)} <= failed
+    assert "n=6 total" in failed
+
+
 def test_failures_are_reported_not_raised(monkeypatch):
     import springerrep.verify as v
 
