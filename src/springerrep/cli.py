@@ -27,13 +27,12 @@ from . import jsonio
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import expand
-from .matchings import (check_degree, enumerate_noncrossing, enumerate_standard, phi,
-                        standard_tableaux, theta)
+from .matchings import check_degree, enumerate_noncrossing, enumerate_standard, phi, standard_tableaux
 from .perms import parse_permutation
 from .rewriting import MAX_VERIFY_N, _merge, _reduce_sum
 from .snaction import act_codes, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
 # Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
@@ -132,19 +131,9 @@ def _cmd_bijection(args) -> int:
     ks = [args.k] if args.k is not None else list(range(args.n // 2 + 1))
     rows = []
     for k in ks:
-        for m in enumerate_standard(args.n, k):
-            t = phi(m)
-            if theta(t) != m:
-                raise VerificationError(
-                    "bijection round-trip failed",
-                    {"n": args.n, "k": k, "arcs": m.arcs, "bottom": t.bottom},
-                )
-            rows.append((k, m, t))
-        for t in standard_tableaux(args.n, k):
-            if phi(theta(t)) != t:
-                raise VerificationError(
-                    "bijection round-trip failed", {"n": args.n, "k": k, "bottom": t.bottom}
-                )
+        if not _bijection(args.n, k)[0]:
+            raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
+        rows += ((k, m, phi(m)) for m in enumerate_standard(args.n, k))
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
                                           "tableau": jsonio.tableau_to_obj(t)} for k, m, t in rows]},
@@ -277,8 +266,11 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _add_format(parser, default="plain", choices=("json", "csv", "plain")) -> None:
-    parser.add_argument("--format", choices=choices, default=default)
+FORMATS = ("json", "csv", "plain")
+
+
+def _add_format(parser, default="plain") -> None:
+    parser.add_argument("--format", choices=FORMATS, default=default)
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 

@@ -51,24 +51,14 @@ def matching_sum_to_obj(v: FormalSum) -> dict:
     }
 
 
-def diagram_sum_to_obj(v: FormalSum, n: int | None = None) -> dict:
-    sizes = {u.n for u, _ in v}
-    if n is None:
-        if len(sizes) != 1:
-            raise ValueError("cannot infer strand count from an empty or mixed sum")
-        n = sizes.pop()
+def diagram_sum_to_obj(v: FormalSum, n: int) -> dict:
     return {
         "n": n,
         "terms": [{"coef": coef, "undot": list(u.bottom)} for u, coef in v.sorted_terms()],
     }
 
 
-def tabloid_sum_to_obj(v: FormalSum, n: int | None = None, k: int | None = None) -> dict:
-    degrees = {(t.n, len(t.bottom)) for t, _ in v}
-    if n is None or k is None:
-        if len(degrees) != 1:
-            raise ValueError("cannot infer shape from an empty or mixed sum")
-        n, k = degrees.pop()
+def tabloid_sum_to_obj(v: FormalSum, n: int, k: int) -> dict:
     return {
         "n": n,
         "k": k,

@@ -305,7 +305,11 @@ def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
 
 
 def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
-    """Linear action of an arbitrary permutation, via a reduced word."""
+    """Linear action of an arbitrary permutation, via a reduced word; every
+    term of ``v`` must be a matching on the w.n points w permutes."""
+    for m, _ in v:
+        if m.n != w.n:
+            raise ValueError(f"a permutation of {w.n} points cannot act on a matching on {m.n} vertices")
     return act_word(w.reduced_word(), v)
 
 

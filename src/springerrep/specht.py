@@ -17,15 +17,17 @@ of T and the undotted arcs of M.  e_M does not: it is built from the arc
 swaps of phi(M), so the check ``expansion_masks(M) == e_M`` compares the
 shared rule with code it does not share.
 
-No rank is computed and nothing is eliminated.  The e_T are unitriangular
-in the undot-set order and the e_M have distinct leading tabloids with
-coefficient +-1, so both families are independent.  Each e_T is s_i of the
-e_T of a standard parent, so every e_T is sigma.e_T0; the pivot matching
-has e_M0 = e_T0; each packed column of the expansion matrix E that the
+No rank is computed and nothing is eliminated.  One pass walks the pairs
+(T, theta(T)) in the undot-set order.  Each e_T leads at {T} with
+coefficient 1, and each e_M leads at its own tableau, {T} = U_M, with
+coefficient +-1, a lead no earlier pair had, so both families are
+independent.  The first pair is the pivot, T0 and its matching, where
+e_M0 = e_T0; each later e_T is s_i of the e_T of a standard parent, so every
+e_T is sigma.e_T0.  Each packed column of the expansion matrix E that the
 chart-diagram consistency check reads is checked equal to e_M packed at the
-same digit width, so that check, P_i E = E s_i, makes span{e_M}
-S_n-stable.  So span{e_T} lies in span{e_M}, and equal dimension makes the
-spans equal: module equality rests on the consistency check for its n.  The
+same digit width, so that check, P_i E = E s_i, makes span{e_M} S_n-stable.
+So span{e_T} lies in span{e_M}, and equal dimension makes the spans equal:
+module equality rests on the consistency check for its n.  The
 Specht characters come from Young's rule, not from the action: no code is
 shared with the matching-module characters they are paired with.
 """
@@ -82,46 +84,14 @@ def code_generator_masks(n: int, opens: int, dots: int) -> dict[int, int]:
     return terms
 
 
-def matching_generator_masks(m: DottedMatching) -> dict[int, int]:
-    """:func:`code_generator_masks` of a matching object."""
-    return code_generator_masks(m.n, *encode(m))
-
-
 def polytabloid(t: TwoRowTableau) -> FormalSum:
     """e_T as a sum of tabloids, decoded from :func:`polytabloid_masks`."""
     return tabloid_sum(t.n, polytabloid_masks(t))
 
 
 def matching_generator(m: DottedMatching) -> FormalSum:
-    """e_M as a sum of tabloids, decoded from :func:`matching_generator_masks`."""
-    return tabloid_sum(m.n, matching_generator_masks(m))
-
-
-def _polytabloid_vectors(n: int, k: int) -> dict[int, dict[int, int]]:
-    """Every e_T of degree (n, k), keyed by its lead {T}, in tableau order.
-
-    By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
-    each e_T has leading tabloid {T} in the undot-set order, coefficient 1;
-    this is checked, so the e_T are independent.  Each T but T0 (bottom row
-    2, 4, ..., 2k) must be s_i of the standard T' of smaller mask, built
-    already, that exchanges i = b_j - 1 and b_j for the least j with b_j > 2j:
-    e_T = s_i.e_T' on masks.  So every e_T is sigma.e_T0.
-    """
-    vectors = {}
-    for t in standard_tableaux(n, k):
-        lead = subset_mask(t.bottom)
-        vector = polytabloid_masks(t)
-        witness = {"n": n, "k": k, "bottom": t.bottom}
-        if vector.get(lead) != 1 or max(vector) != lead:
-            raise VerificationError("polytabloid is not unitriangular in the undot-set order", witness)
-        j = next((j for j, b in enumerate(t.bottom, 1) if b > 2 * j), None)
-        if j is not None:
-            i = t.bottom[j - 1] - 1
-            pair = 3 << (i - 1)
-            if vector != {transpose_mask(u, pair): c for u, c in vectors[lead ^ pair].items()}:
-                raise VerificationError("polytabloid is not s_i of its standard parent", {**witness, "i": i})
-        vectors[lead] = vector
-    return vectors
+    """e_M as a sum of tabloids, decoded from :func:`code_generator_masks`."""
+    return tabloid_sum(m.n, code_generator_masks(m.n, *encode(m)))
 
 
 def _packed(vector: dict[int, int], w: int) -> int:
@@ -138,50 +108,60 @@ def _packed(vector: dict[int, int], w: int) -> int:
 
 
 def verify_module_equality(n: int, k: int) -> bool:
-    """Certify span{e_T} = span{e_M}, both of the full dimension.
+    """Certify span{e_T} = span{e_M}, both of the full dimension, in one pass
+    over the pairs (T, theta(T)) of the degree, in undot-set order.
 
-    The e_T are unitriangular and the e_M have distinct +-1 leads, so each
-    family is independent; both have syt_count(n, k) members.  Every e_T is
-    sigma.e_T0 (checked one s_i at a time), and the pivot matching (the
-    unnested one with its undotted arcs on the left) has e_M0 = e_T0.  The
-    packed column of E that :func:`chart_diagram_consistency` builds for M,
-    ``_expansion`` at the width it uses, must equal e_M packed at that width,
-    digit for digit, so span{e_M} is the column span of that E, and the
-    consistency check, run last, shows it S_n-stable.  So span{e_T} lies in
-    span{e_M}: this rests on the consistency check for n.  ``expansion_masks(M)
-    == e_M`` is checked as well, tying e_M to the product rule of e_T.
+    By the dominance lemma for polytabloids (Sagan, *The Symmetric Group*),
+    e_T leads at {T} with coefficient 1; this is checked.  The first T is T0
+    (bottom row 2, 4, ..., 2k); every later T must be s_i of the standard T'
+    of smaller mask, checked already, that exchanges i = b_j - 1 and b_j for
+    the least j with b_j > 2j: e_T = s_i.e_T' on masks, so every e_T is
+    sigma.e_T0.  e_M must lead at {T} = U_M with coefficient +-1, a {T} no
+    earlier pair had, so both families are independent, and at T0, the pivot,
+    e_M0 = e_T0.  The packed column of E that
+    :func:`chart_diagram_consistency` builds for M, ``_expansion`` at the
+    width it uses, must equal e_M packed at that width, digit for digit, so
+    span{e_M} is the column span of that E, and the consistency check, run
+    last, shows it S_n-stable.  So span{e_T} lies in span{e_M}: this rests on
+    the consistency check for n.  ``expansion_masks(M) == e_M`` is checked as
+    well, tying e_M to the product rule of e_T.
     """
-    e_t = _polytabloid_vectors(n, k)
-    w = _tables(n, k).width(1)
-    leads = set()
-    for opens, dots in standard_codes(n, k):
-        vector = code_generator_masks(n, opens, dots)
-        lead = max(vector, default=None)
-        witness = {"n": n, "k": k, **decode(n, opens, dots)}
-        if lead in leads or vector.get(lead) not in (1, -1):
-            raise VerificationError(
-                "matching generators do not have distinct leading tabloids with coefficient +-1",
-                {**witness, "tabloid": subset_members(lead or 0)},
-            )
-        leads.add(lead)
-        if code_expansion_masks(n, opens, dots) != vector:
-            raise VerificationError("relabelled expansion differs from matching generator", witness)
-        if _expansion(n, w, opens, dots) != _packed(vector, w):
-            raise VerificationError("packed expansion differs from matching generator", witness)
+    tableaux, codes = standard_tableaux(n, k), standard_codes(n, k)
     expected = syt_count(n, k)
-    if (len(e_t), len(leads)) != (expected, expected):
+    if (len(tableaux), len(codes)) != (expected, expected):
         raise VerificationError(
             "dimension mismatch between Specht and matching modules",
-            {"n": n, "k": k, "specht": len(e_t), "matching": len(leads), "expected": expected},
+            {"n": n, "k": k, "specht": len(tableaux), "matching": len(codes), "expected": expected},
         )
-    # the pivot matching (1,2), (3,4), ..., its arcs from the (k+1)-th on dotted
-    pivot = (subset_mask(range(1, n, 2)), subset_mask(range(2 * k + 1, n, 2)))
-    witness_t = TwoRowTableau(n, tuple(range(2, 2 * k + 1, 2)))
-    if (undot_mask(n, *pivot) != subset_mask(witness_t.bottom)
-            or code_generator_masks(n, *pivot) != polytabloid_masks(witness_t)):
-        raise VerificationError(
-            "pivot generator mismatch", {"n": n, "k": k, "bottom": witness_t.bottom}
-        )
+    w = _tables(n, k).width(1)
+    e_t: dict[int, dict[int, int]] = {}  # each e_T checked so far, keyed by its lead {T}
+    for t, (opens, dots) in zip(tableaux, codes):
+        lead = subset_mask(t.bottom)
+        vector = polytabloid_masks(t)
+        witness = {"n": n, "k": k, "bottom": t.bottom}
+        if vector.get(lead) != 1 or max(vector) != lead:
+            raise VerificationError("polytabloid is not unitriangular in the undot-set order", witness)
+        j = next((j for j, b in enumerate(t.bottom, 1) if b > 2 * j), None)
+        if j is not None:
+            i = t.bottom[j - 1] - 1
+            pair = 3 << (i - 1)
+            if vector != {transpose_mask(u, pair): c for u, c in e_t.get(lead ^ pair, {}).items()}:
+                raise VerificationError("polytabloid is not s_i of its standard parent", {**witness, "i": i})
+        e_m = code_generator_masks(n, opens, dots)
+        top = max(e_m, default=None)
+        m_witness = {"n": n, "k": k, **decode(n, opens, dots)}
+        if top != lead or lead in e_t or e_m[lead] not in (1, -1):
+            raise VerificationError(
+                "matching generators do not have distinct leading tabloids with coefficient +-1",
+                {**m_witness, "tabloid": subset_members(top or 0)},
+            )
+        e_t[lead] = vector
+        if code_expansion_masks(n, opens, dots) != e_m:
+            raise VerificationError("relabelled expansion differs from matching generator", m_witness)
+        if _expansion(n, w, opens, dots) != _packed(e_m, w):
+            raise VerificationError("packed expansion differs from matching generator", m_witness)
+        if j is None and e_m != vector:
+            raise VerificationError("pivot generator mismatch", witness)
     return chart_diagram_consistency(n, k)
 
 

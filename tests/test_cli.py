@@ -48,6 +48,25 @@ def test_bijection_table(capsys):
     ]
 
 
+@pytest.mark.parametrize("k", (None, "1"))
+def test_bijection_exits_1_when_theta_is_broken(capsys, monkeypatch, k):
+    # the command is guarded by the bijection suite's own check; a theta that
+    # sends every tableau to the first standard matching fails it at k = 1
+    import springerrep
+    import springerrep.matchings as matchings
+    import springerrep.verify as verify
+
+    def broken(t):
+        return matchings.enumerate_standard(t.n, len(t.bottom))[0]
+
+    for module in (springerrep, matchings, verify, cli):  # every binding, as an edit of its source would
+        if hasattr(module, "theta"):
+            monkeypatch.setattr(module, "theta", broken)
+    code, out, err = run(capsys, "bijection", "--n", "4", *(("--k", k) if k else ()))
+    assert code == 1 and out == ""
+    assert err == 'error: bijection round-trip failed\nwitness: {"n":4,"k":1}\n'
+
+
 def test_reduce_round_trip(capsys, tmp_path):
     source = tmp_path / "sum.json"
     source.write_text(

@@ -53,7 +53,7 @@ def test_tableau_round_trip():
 
 def test_diagram_sum_encoding():
     m = DottedMatching.make(4, [(1, 2), (3, 4)])
-    obj = diagram_sum_to_obj(expand(m))
+    obj = diagram_sum_to_obj(expand(m), n=4)
     assert dumps(obj) == (
         '{"n":4,"terms":['
         '{"coef":1,"undot":[1,3]},{"coef":-1,"undot":[2,3]},'
@@ -63,7 +63,7 @@ def test_diagram_sum_encoding():
 
 def test_tabloid_sum_encoding():
     m = DottedMatching.make(4, [(1, 2), (3, 4)])
-    obj = tabloid_sum_to_obj(matching_generator(m))
+    obj = tabloid_sum_to_obj(matching_generator(m), n=4, k=2)
     assert obj["n"] == 4 and obj["k"] == 2
     assert obj["terms"][0] == {"coef": 1, "bottom": [1, 3]}
 

@@ -113,7 +113,7 @@ def test_every_standard_row_but_the_pivot_has_a_smaller_standard_parent(n):
     Minimality of j gives b_(j-1) = 2(j-1) when j > 1, so b_(j-1) < 2j <= i < b_j:
     i is not in b, and b with b_j replaced by i is sorted with i >= 2j, so
     standard, and its mask is smaller.  This is the parent that
-    ``specht._polytabloid_vectors`` reads for its chain gate."""
+    ``specht.verify_module_equality`` reads for its chain gate."""
     for k in range(n // 2 + 1):
         pivot = tuple(range(2, 2 * k + 1, 2))
         rows = set(standard_bottoms_bruteforce(n, k))

@@ -114,6 +114,15 @@ def test_act_permutation_identity_and_pinned_composition():
     assert act_permutation(w, v) == single(NEST4)
 
 
+@pytest.mark.parametrize("images", [(2, 1), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 6, 5)],
+                         ids=["smaller", "larger identity", "larger"])
+def test_act_permutation_refuses_a_permutation_of_another_size(images):
+    with pytest.raises(ValueError, match="permutation of .* points cannot act on a matching on 4 vertices"):
+        act_permutation(Permutation(images), single(UNNEST4) + single(NEST4))
+    # the empty sum has no vertices to disagree with
+    assert act_permutation(Permutation(images), FormalSum.zero()) == FormalSum.zero()
+
+
 def test_k_zero_is_trivial_representation():
     for n in (2, 4, 6):
         m = enumerate_standard(n, 0)[0]

@@ -18,8 +18,8 @@ from springerrep import (
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import (enumerate_standard, partitions_of, standard_codes, standard_tableaux, subset_mask,
-                                   syt_count, tabloid_sum)
+from springerrep.matchings import (decode, enumerate_standard, partitions_of, standard_codes, standard_tableaux,
+                                   subset_mask, syt_count, tabloid_sum)
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -402,6 +402,50 @@ def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
     with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
         verify_module_equality(6, 2)
     assert info.value.witness["arcs"] == enumerate_standard(6, 2)[1].arcs
+
+
+def test_module_equality_pairs_each_tableau_with_its_own_code(monkeypatch):
+    # with the first two codes exchanged the e_M keep distinct +-1 leads and
+    # the pivot matching is still among them, but the first e_M no longer
+    # leads at its own tableau T0
+    import springerrep.linediagrams as ld
+    import springerrep.matchings as matchings
+    import springerrep.snaction as sn
+    import springerrep.specht as sp
+
+    honest = matchings.standard_codes
+    caches = (matchings.standard_codes, matchings.enumerate_standard, sn._tables)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    def swapped(n, k):
+        codes = honest(n, k)
+        return (*codes[1::-1], *codes[2:])
+
+    clear()
+    for module in (matchings, sn, sp, ld):  # every binding, as an edit of its source would
+        monkeypatch.setattr(module, "standard_codes", swapped)
+    try:
+        with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
+            verify_module_equality(6, 2)
+    finally:
+        clear()
+    assert info.value.witness == {"n": 6, "k": 2, **decode(6, *honest(6, 2)[1]), "tabloid": [3, 4]}
+
+
+def test_module_equality_refuses_a_repeated_pair(monkeypatch):
+    # the second tableau and its code both repeat the first: each e_T and e_M
+    # passes its own gates, and only distinct leads tell the pairs apart
+    import springerrep.specht as sp
+
+    tableaux, codes = sp.standard_tableaux(6, 2), sp.standard_codes(6, 2)
+    monkeypatch.setattr(sp, "standard_tableaux", lambda n, k: [tableaux[0], *tableaux[:-1]])
+    monkeypatch.setattr(sp, "standard_codes", lambda n, k: (codes[0], *codes[:-1]))
+    with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
+        verify_module_equality(6, 2)
+    assert info.value.witness == {"n": 6, "k": 2, **decode(6, *codes[0]), "tabloid": [2, 4]}
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
