@@ -13,7 +13,8 @@ where M' rewires the two arcs through i and i+1 into the undotted arc
 carries the dot.  Acting on the signed line-diagram expansion by strand
 permutation gives the same answer; :func:`chart_diagram_consistency`
 checks that identity exhaustively, and it is what makes the chart a
-representation at all.
+representation at all.  Like the character table, its verdict is
+cached on the degree's tables, shared by the suites, and dropped with them.
 
 The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
 and the partner array of each word, decoded once per word: cases 1 and 2
@@ -107,8 +108,8 @@ class _Generator(NamedTuple):
 @dataclass(frozen=True)
 class _Tables:
     """The chart action of every s_i on one degree, by basis index, as slot
-    arrays, and the degree's character table, computed once from it on
-    packed matrices."""
+    arrays, and the degree's character table and consistency verdict, each
+    computed once from it on packed matrices."""
 
     n: int
     codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
@@ -168,6 +169,48 @@ class _Tables:
                 traces[parts] += sum(map(and_, digits, repeat(mask))) - len(rows) * half
                 stack += ((child, letter, node) for child, letter in children.get(parts, ()))
         return traces
+
+    @cached_property
+    def consistent(self) -> bool:
+        """Does the chart action match strand permutation of the expansions?
+
+        For every standard M and generator s_i, the expansion of the chart's
+        answer must equal the relabelled expansion of M.  This is the central
+        identity behind the representation: with E the expansion matrix (row u:
+        undot-set mask, column c: basis index, entries 0 and ±1) and P_i the
+        exchange of strands i and i+1 on the masks, E * s_i = P_i * E.
+
+        Each column L_M of E is one integer whose balanced w-bit digit u is the
+        coefficient of mask u, built by :func:`_expansion` from the basis code
+        alone, never from the chart columns.  Column c of E * s_i is the sum of
+        the columns of E that the slots of column c of s_i name, read one column
+        at a time from :func:`_product`, so its digits are at most R, the largest
+        column abs-sum of the generators, in size.  w = ``self.width(1)`` =
+        ceil(log2 R) + 2 bits gives 2^(w-1) >= 2R > R, so every digit is balanced
+        and the sum equals column c of P_i * E exactly when the two integers are
+        equal.  Column c of P_i * E is :func:`_swap` of column c of E: a bias of
+        2^(w-1) in every digit makes the digits unsigned, so the masks holding
+        exactly one of strands i and i+1 can be moved by masking and shifting.
+        Only E's columns are held across the generators, and for each generator
+        the negated columns its -M columns name.  A failure, raised and never
+        stored, reports the least basis index c, then the least i at it.
+        """
+        n, w = self.n, self.width(1)
+        packed = [_expansion(n, w, *code) for code in self.codes]
+        failure = None
+        for i, g in enumerate(self.generators, 1):
+            masks = _swap_masks(n, w, i)
+            # only a smaller basis index than the failure found so far can replace it
+            for c, column in enumerate(islice(_product(packed, g), failure[0] if failure else None)):
+                if column != _swap(packed[c], masks):
+                    failure = (c, i)
+                    break
+        if failure:
+            c, i = failure
+            opens, dots = self.codes[c]  # k: the n/2 arcs less the dotted ones
+            raise VerificationError("chart action disagrees with diagram permutation",
+                                    {"n": n, "k": n // 2 - dots.bit_count(), "i": i, **decode(n, opens, dots)})
+        return True
 
 
 def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int, int, int]]:
@@ -458,45 +501,9 @@ def irreducibility_check(n: int, k: int) -> Fraction:
 
 
 def chart_diagram_consistency(n: int, k: int) -> bool:
-    """Does the chart action match strand permutation of the expansions?
-
-    For every standard M and generator s_i, the expansion of the chart's
-    answer must equal the relabelled expansion of M.  This is the central
-    identity behind the representation: with E the expansion matrix (row u:
-    undot-set mask, column c: basis index, entries 0 and ±1) and P_i the
-    exchange of strands i and i+1 on the masks, E * s_i = P_i * E.
-
-    Each column L_M of E is one integer whose balanced w-bit digit u is the
-    coefficient of mask u, built by :func:`_expansion` from the basis code
-    alone, never from the chart columns.  Column c of E * s_i is the sum of
-    the columns of E that the slots of column c of s_i name, read one column
-    at a time from :func:`_product`, so its digits are at most R, the largest
-    column abs-sum of the generators, in size.  w = ``tables.width(1)`` =
-    ceil(log2 R) + 2 bits gives 2^(w-1) >= 2R > R, so every digit is balanced
-    and the sum equals column c of P_i * E exactly when the two integers are
-    equal.  Column c of P_i * E is :func:`_swap` of column c of E: a bias of
-    2^(w-1) in every digit makes the digits unsigned, so the masks holding
-    exactly one of strands i and i+1 can be moved by masking and shifting.
-    Only E's columns are held across the generators, and for each generator
-    the negated columns its -M columns name.  A failure reports the least
-    basis index c, then the least i at it.
-    """
-    tables = _tables(n, k)
-    w = tables.width(1)
-    packed = [_expansion(n, w, *code) for code in tables.codes]
-    failure = None
-    for i, g in enumerate(tables.generators, 1):
-        masks = _swap_masks(n, w, i)
-        # only a smaller basis index than the failure found so far can replace it
-        for c, column in enumerate(islice(_product(packed, g), failure[0] if failure else None)):
-            if column != _swap(packed[c], masks):
-                failure = (c, i)
-                break
-    if failure:
-        c, i = failure
-        raise VerificationError("chart action disagrees with diagram permutation",
-                                {"n": n, "k": k, "i": i, **decode(n, *tables.codes[c])})
-    return True
+    """E * s_i = P_i * E on degree (n, k), E the expansion matrix: the verdict
+    :attr:`_Tables.consistent`, kept beside the character table and dropped with the tables."""
+    return _tables(n, k).consistent
 
 
 def _expansion(n: int, w: int, opens: int, dots: int) -> int:

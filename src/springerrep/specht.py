@@ -121,10 +121,10 @@ def verify_module_equality(n: int, k: int) -> bool:
     e_M0 = e_T0.  The packed column of E that
     :func:`chart_diagram_consistency` builds for M, ``_expansion`` at the
     width it uses, must equal e_M packed at that width, digit for digit, so
-    span{e_M} is the column span of that E, and the consistency check, run
-    last, shows it S_n-stable.  So span{e_T} lies in span{e_M}: this rests on
-    the consistency check for n.  ``expansion_masks(M) == e_M`` is checked as
-    well, tying e_M to the product rule of e_T.
+    span{e_M} is the column span of that E, and the degree's consistency
+    verdict, read last (computed if no suite of the run has), shows it S_n-stable.
+    So span{e_T} lies in span{e_M}: this rests on the consistency check for n.
+    ``expansion_masks(M) == e_M`` is checked as well, tying e_M to the product rule of e_T.
     """
     tableaux, codes = standard_tableaux(n, k), standard_codes(n, k)
     expected = syt_count(n, k)
@@ -162,6 +162,7 @@ def verify_module_equality(n: int, k: int) -> bool:
             raise VerificationError("packed expansion differs from matching generator", m_witness)
         if j is None and e_m != vector:
             raise VerificationError("pivot generator mismatch", witness)
+    del e_t  # every e_T of the degree: not held while the verdict is computed
     return chart_diagram_consistency(n, k)
 
 

@@ -5,7 +5,8 @@ checks it runs for one even ``n`` and to the smallest top ``n`` it always
 reaches, so a suite runs to the larger of that and ``--max-n`` (which the
 CLI bounds by ``MAX_VERIFY_N``).  Tasks run serially in table order, so
 reports are byte-identical from run to run.  Failures are reported, never
-raised, and carry the witness of whichever identity broke.
+raised, and carry the witness of whichever identity broke.  A run ends by
+dropping the per-degree tables and the verdicts on them, so none outlives it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .matchings import (
     theta,
 )
 from .rewriting import MAX_VERIFY_N, _certify, _generator_codes, _image, _reduce_codes
-from .snaction import chart_diagram_consistency, irreducibility_check, verify_coxeter
+from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
 Rows = list[tuple[str, bool, str]]  # (check name, ok, detail) for one n
@@ -179,5 +180,8 @@ def _run_task(task: Task) -> list[CheckResult]:
 
 
 def run_suites(suites: Iterable[str], max_n: int, seed: int = 0) -> list[CheckResult]:
-    """Run the requested suites in table order, one n at a time."""
-    return [result for task in build_tasks(suites, max_n, seed) for result in _run_task(task)]
+    """Run the requested suites in table order, one n at a time; then drop the tables."""
+    try:
+        return [result for task in build_tasks(suites, max_n, seed) for result in _run_task(task)]
+    finally:
+        _tables.cache_clear()

@@ -1,6 +1,7 @@
 import inspect
 import textwrap
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -498,6 +499,42 @@ def test_packing_mutants_fail_the_consistency_suite(monkeypatch, name, old, new)
     results = run_suites(["consistency"], 8)
     assert not all(r.ok for r in results)
     assert all("chart action disagrees" in r.detail for r in results if not r.ok)
+
+
+def test_each_degree_builds_its_expansion_once_per_run(monkeypatch):
+    # module equality reads the verdict the consistency suite left on the
+    # degree's tables, so E, one _expansion per basis code, is built once
+    honest, built = snaction._expansion, Counter()
+
+    def counted(n, w, opens, dots):
+        built[n, opens, dots] += 1
+        return honest(n, w, opens, dots)
+
+    snaction._tables.cache_clear()
+    monkeypatch.setattr(snaction, "_expansion", counted)  # the specht binding stays honest
+    assert all(r.ok for r in run_suites(["consistency", "module-equality"], 8))
+    assert built == Counter((n, *code) for n in range(2, 9, 2) for k in range(n // 2 + 1)
+                            for code in standard_codes(n, k))
+
+
+def test_no_consistency_verdict_outlives_its_run(monkeypatch, broken_chart):
+    assert all(r.ok for r in run_suites(["consistency"], 6))
+    honest = snaction._swap
+    # installed on the caches the honest run leaves, none cleared
+    monkeypatch.setattr(snaction, "_swap", mutant(honest, "(y & up) << shift | (y & down) >> shift",
+                                                   "(y & up) >> shift | (y & down) << shift"))
+    for k in range(1, 4):
+        with pytest.raises(VerificationError, match="chart action disagrees"):
+            chart_diagram_consistency(6, k)
+    monkeypatch.setattr(snaction, "_swap", honest)
+    # a raised verdict is not stored: module equality, reading it after the
+    # consistency suite failed, checks again and reports the same witness
+    broken_chart(sign_of_undotted_pair_flipped)
+    witnesses = {2: {"n": 2, "k": 1, "i": 1, "arcs": ((1, 2),), "dotted": []},
+                 4: {"n": 4, "k": 1, "i": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}}
+    assert [(r.suite, r.name, r.ok, r.detail) for r in run_suites(["consistency", "module-equality"], 4)] == [
+        (suite, f"n={n}", False, f"chart action disagrees with diagram permutation witness={witness}")
+        for suite in ("consistency", "module-equality") for n, witness in witnesses.items()]
 
 
 def test_character_table_is_dropped_with_the_chart(broken_chart):
