@@ -13,8 +13,8 @@ where M' rewires the two arcs through i and i+1 into the undotted arc
 carries the dot.  Acting on the signed line-diagram expansion by strand
 permutation gives the same answer; :func:`chart_diagram_consistency`
 checks that identity exhaustively, and it is what makes the chart a
-representation at all.  Like the character table, its verdict is
-cached on the degree's tables, shared by the suites, and dropped with them.
+representation at all.  Its verdict is cached on the degree's tables, like
+the character table, until a verify run ends or ``_tables.cache_clear()``.
 
 The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
 and the partner array of each word, decoded once per word: cases 1 and 2
@@ -501,8 +501,8 @@ def irreducibility_check(n: int, k: int) -> Fraction:
 
 
 def chart_diagram_consistency(n: int, k: int) -> bool:
-    """E * s_i = P_i * E on degree (n, k), E the expansion matrix: the verdict
-    :attr:`_Tables.consistent`, kept beside the character table and dropped with the tables."""
+    """E * s_i = P_i * E on degree (n, k), E the expansion matrix: the verdict :attr:`_Tables.consistent`,
+    cached until ``_tables.cache_clear()``, which only ``verify.run_suites`` calls on its own."""
     return _tables(n, k).consistent
 
 

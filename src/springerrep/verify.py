@@ -5,8 +5,8 @@ checks it runs for one even ``n`` and to the smallest top ``n`` it always
 reaches, so a suite runs to the larger of that and ``--max-n`` (which the
 CLI bounds by ``MAX_VERIFY_N``).  Tasks run serially in table order, so
 reports are byte-identical from run to run.  Failures are reported, never
-raised, and carry the witness of whichever identity broke.  A run ends by
-dropping the per-degree tables and the verdicts on them, so none outlives it.
+raised, and carry the witness of whichever identity broke.  A run ends by dropping
+the per-degree tables and their verdicts, also any that a direct call cached before it.
 """
 
 from __future__ import annotations
