@@ -4,13 +4,13 @@ A line diagram on n strands is determined by its undot set: the positions
 of the undotted strands.  A standard matching M with k undotted arcs
 expands into the sum L_M of 2^k diagrams, one for each choice of a single
 endpoint per undotted arc, signed by the parity of how many left endpoints
-were chosen.  Up to sign it is E, the homology image of the matching under
-the component-wise antipodal embedding, and the choose-the-right-endpoint
-term always carries coefficient +1 — which makes the expansion matrix
-row-echelon once rows and columns are sorted by the undot-set order.  The
-certificates read matchings as codes and hold undot sets as bitmasks
-(strand x at bit x-1), on which that order is integer order
-(:func:`~springerrep.matchings.subset_mask`).
+were chosen.  With the sign (-1)^(sum of the right endpoints) it is E, the
+homology image of any dotted matching under the component-wise antipodal
+embedding.  The choose-the-right-endpoint term always carries coefficient
++1 — which makes the expansion matrix row-echelon once rows and columns are
+sorted by the undot-set order.  The certificates read matchings as codes
+and hold undot sets as bitmasks (strand x at bit x-1), on which that order
+is integer order (:func:`~springerrep.matchings.subset_mask`).
 
 A line diagram is held as the :class:`~springerrep.matchings.Tabloid` whose
 bottom row is its undot set: the paper's relabelling of line diagrams to
@@ -36,14 +36,6 @@ def expansion_masks(m: DottedMatching) -> dict[int, int]:
     return code_expansion_masks(m.n, *encode(m))
 
 
-def image_masks(undotted) -> dict[int, int]:
-    """E, the antipodal image of a dotted matching with ``undotted`` arcs, as
-    {undot-set mask: ±1}: the product over them of (-1)^a l_a + (-1)^b l_b.
-    As b - a is odd, that factor is l_even - l_odd = (-1)^b (l_b - l_a), so E
-    is (-1)^(sum of the b) L_M on a standard matching."""
-    return pair_product([(a, b) if b % 2 == 0 else (b, a) for a, b in undotted])
-
-
 def expand(m: DottedMatching) -> FormalSum:
     """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1,
     each a :class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set."""
@@ -63,7 +55,7 @@ def echelon_certificate(n: int, k: int) -> bool:
     previous = -1
     for code in standard_codes(n, k):
         row = code_expansion_masks(n, *code)
-        lead = max(row)
+        lead = max(row, default=None)
         if lead != undot_mask(n, *code) or row[lead] != 1 or lead <= previous:
             return False
         previous = lead

@@ -46,20 +46,20 @@ the standard matchings are a basis of the quotient V/R by the relations.
 (1) Each nonstandard code's one kernel step descends and is +- the Type
 I/II row at its own site, read off the arcs, so by induction on the
 measure the standard codes span V/R.  (2) They number syt_count(n, k).
-(3) E, the image under the antipodal embedding (``image_masks`` of
-:mod:`~springerrep.linediagrams`, the product over the undotted arcs (a,b)
-of (-1)^a l_a + (-1)^b l_b), kills every row: a row's terms share their
-spectator factor, both sides of Type I are then (-1)^i l_i + (-1)^j l_j +
-(-1)^k l_k + (-1)^l l_l, and Type II leaves no undotted arc at the site
-(``tests/test_local_lemmas.py``).  (4) On standard matchings E = +-L_M,
-injective by ``echelon_certificate``.  By (3) and (4) the standard codes
-are independent in V/R, so they are a basis.  (5) A drain that keeps its
-input's image under E ends, by (4), at its class.  The spanning half is
-the linear diamond lemma (Bergman, 1978); E replaces its check that every
-row vanishes under the normal forms, so no normal form or row is kept.
-The signs are the paper's antipodal hypothesis: with the unsigned
-(l_b - l_a), the sides of Type I at vertices 1..4 are l4 - l3 + l2 - l1
-and l3 - l2 + l4 - l1.
+(3) E, the image under the antipodal embedding, the product over the
+undotted arcs (a,b) of (-1)^a l_a + (-1)^b l_b, kills every row: a row's
+terms share their spectator factor, Type I's sides are then (-1)^i l_i +
+(-1)^j l_j + (-1)^k l_k + (-1)^l l_l, and Type II leaves no undotted arc at
+the site (``tests/test_local_lemmas.py``).  As b - a is odd, E is L_M
+times (-1)^(sum of the b).  (4) ``echelon_certificate`` shows that L_M, the
+rule :func:`_image` reads, is injective on the standard span.  By (3) and
+(4) the standard codes are independent in V/R, so they are a basis.  (5) A
+drain that keeps its input's image under E ends, by (4), at its class.
+The spanning half is the linear diamond lemma (Bergman, 1978); E replaces
+its check that every row vanishes under the normal forms, so no normal
+form or row is kept.  The signs are the paper's antipodal hypothesis: with
+the unsigned (l_b - l_a), the sides of Type I at vertices 1..4 are
+l4 - l3 + l2 - l1 and l3 - l2 + l4 - l1.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ from functools import cache
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import image_masks
-from .matchings import DottedMatching, code_undotted, decode_word, dyck_words, syt_count
+from .linediagrams import code_expansion_masks, echelon_certificate
+from .matchings import DottedMatching, decode_word, dyck_words, syt_count
 from .matchings import code_matching as _matching, decode as _decode, encode as _encode, nesting as _nesting
 
-# Largest n of the verify suites and of quotient_project_oracle.  Budget: all
+# Largest n of the verify suites and of quotient_project_oracle, a size bound.  Budget: all
 # of ``verify --suite all --max-n 12`` (252 checks) takes 0.6-1.4 s on 2 vCPUs as
 # host load varies (Python 3.11, 8 fresh processes: 0.64-1.19 s, median 0.95 s;
 # 0.60-0.74 s, median 0.65 s, under -O), and must stay under 15 s.
@@ -242,22 +242,28 @@ def _certify(n: int, k: int) -> tuple[list[Code], int]:
 
 
 def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
-    """E of a sum of ``((opens, dots), coef)`` terms, as {undot-set mask: coef}."""
+    """E of ``((opens, dots), coef)`` terms, as {undot-set mask: coef}: each L_M
+    times -1 to the number of undotted arcs that open at an even vertex."""
+    even = (1 << n) // 3 << 1  # the bits of vertices 2, 4, ..., n
     out: dict[int, int] = {}
     for (opens, dots), coef in terms:
-        for mask, x in image_masks(code_undotted(n, opens, dots)).items():
-            out[mask] = out.get(mask, 0) + coef * x
+        sign = (-1) ** (opens & ~dots & even).bit_count()
+        for mask, x in code_expansion_masks(n, opens, dots).items():
+            out[mask] = out.get(mask, 0) + sign * coef * x
     return {mask: x for mask, x in out.items() if x}
 
 
 def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
     """Every degree-k generator's class in the standard basis, as matchings:
     one drain through the kernel per generator after :func:`_certify`, each
-    checked to keep its image under E, which the echelon certificate (its
-    suite covers every n accepted here) makes injective on the standard span.
-    Refused if a kernel step is not a relation, or a drain changes the image."""
+    checked to keep its image under E, which the echelon certificate, checked
+    first, makes injective on the standard span.  Refused if n is above the
+    size bound, the expansion is not row-echelon, a kernel step is not a
+    relation, or a drain changes the image."""
     if n > MAX_VERIFY_N:
         raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
+    if not echelon_certificate(n, k):
+        raise VerificationError("the expansion is not row-echelon", {"n": n, "k": k})
     generators, unmatched = _certify(n, k)
     if unmatched:
         raise VerificationError("rewrite steps are not relations", {"n": n, "k": k, "generators": unmatched})

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 import springerrep.rewriting as rw
-from springerrep.linediagrams import expansion_masks, image_masks
+from springerrep.linediagrams import expansion_masks
 from springerrep.matchings import enumerate_standard, subset_mask
 
 from bruteforce import degree_generators, relation_vectors, standard_bottoms_bruteforce
@@ -71,9 +71,10 @@ def test_unsigned_image_fails_type_one_at_vertices_1_to_4():
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
 def test_image_is_the_antipodal_product(n):
+    # every dotted matching, standard or not: the signed L_M is the definition
     for k in range(n // 2 + 1):
         for g in degree_generators(n, k):
-            assert image_masks(g.undotted_arcs) == antipodal_product(g.undotted_arcs)
+            assert rw._image(n, [(rw._encode(g), 1)]) == antipodal_product(g.undotted_arcs)
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
@@ -87,7 +88,7 @@ def test_image_kills_every_relation(n):
 def test_image_is_the_expansion_up_to_sign_on_standard_matchings(n):
     for k in range(n // 2 + 1):
         for m in enumerate_standard(n, k):
-            image, expansion = image_masks(m.undotted_arcs), expansion_masks(m)
+            image, expansion = rw._image(n, [(rw._encode(m), 1)]), expansion_masks(m)
             assert image in (expansion, {mask: -x for mask, x in expansion.items()})
 
 

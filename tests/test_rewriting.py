@@ -368,6 +368,19 @@ def test_oracle_rejects_dependent_standard_columns(monkeypatch):
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
 
 
+def test_oracle_checks_its_own_echelon_premise(monkeypatch):
+    # refused on every binding, so no suite that covered n can stand in for it
+    import springerrep
+    import springerrep.linediagrams as ld
+    import springerrep.verify as verify
+
+    for module in (springerrep, ld, rw, verify):
+        monkeypatch.setattr(module, "echelon_certificate", lambda n, k: False)
+    with pytest.raises(VerificationError, match="row-echelon") as info:
+        quotient_project_oracle(4, 1)
+    assert info.value.witness == {"n": 4, "k": 1}
+
+
 def test_oracle_rejects_a_step_that_is_not_a_relation(monkeypatch):
     honest = rw._rewrite
     monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: honest(opens, dots, site)[1:])
@@ -479,14 +492,17 @@ def test_rewriting_suite_fails_without_type_two_rows(monkeypatch, capsys):
 GATE = """
 import inspect
 import sys
+import springerrep.linediagrams as ld
 import springerrep.rewriting as rw
+import springerrep.specht as sp
 import springerrep.verify as verify
 from springerrep.cli import main
-from springerrep.matchings import pair_product
 
 {sabotage}
 sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
 """
+
+EVERY_BINDING = "ld.code_expansion_masks = rw.code_expansion_masks = sp.code_expansion_masks = {rule}"
 
 # name -> (text in every FAIL line, the sabotage)
 SABOTAGE = {
@@ -534,7 +550,17 @@ if source.count("coef * sign") != 1:
 exec(source.replace("coef * sign", "coef"), vars(rw))
 verify._reduce_codes = rw._reduce_codes
 """),
-    "unsigned image": ("1 mismatches", "rw.image_masks = pair_product"),
+    # recompiled from its source, so E is L_M itself
+    "E without its sign": ("1 mismatches", """
+source = inspect.getsource(rw._image)
+if source.count("(-1) **") != 1:
+    sys.exit(3)
+exec(source.replace("(-1) **", "1 **"), vars(rw))
+verify._image = rw._image
+"""),
+    # the rule E reads is the rule the echelon premise checks, so it fails there
+    "constant expansion rule": ("mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {0: 1}")),
+    "zero expansion rule": ("1 mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {}")),
     "echelon certificate refused": ("1 mismatches", "verify.echelon_certificate = lambda n, k: False"),
 }
 

@@ -103,6 +103,18 @@ def test_failures_are_reported_not_raised(monkeypatch):
     assert "witness" in results[0].detail
 
 
+def test_an_empty_expansion_is_reported_not_raised(monkeypatch):
+    # a zero rule on every binding: the echelon premise finds no lead in any row
+    import springerrep.linediagrams as ld
+    import springerrep.rewriting as rw
+    import springerrep.specht as sp
+
+    for module in (ld, rw, sp):
+        monkeypatch.setattr(module, "code_expansion_masks", lambda n, opens, dots: {})
+    results = run_suites(("rewriting", "echelon"), max_n=4)
+    assert len(results) == 10 and not any(r.ok for r in results)
+
+
 def test_cli_exit_1_on_failed_check(monkeypatch, capsys):
     import springerrep.verify as v
     from springerrep.cli import main
