@@ -30,7 +30,7 @@ from .linediagrams import (
     expand,
 )
 from .perms import Permutation, parse_permutation
-from .rewriting import quotient_project_oracle, reduce_to_standard
+from .rewriting import reduce_to_standard
 from .snaction import (
     RepMatrix,
     act_permutation,

@@ -29,10 +29,10 @@ from .formal import FormalSum
 from .linediagrams import expand
 from .matchings import check_degree, enumerate_noncrossing, enumerate_standard, phi, standard_tableaux
 from .perms import parse_permutation
-from .rewriting import MAX_VERIFY_N, _merge, _reduce_sum
-from .snaction import act_codes, character, rep_matrix
+from .rewriting import _merge, _reduce_sum
+from .snaction import _check_word, act_codes, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid
-from .verify import SUITE_NAMES, _bijection, run_suites
+from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
 # Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
@@ -174,6 +174,10 @@ def _cmd_act(args) -> int:
         raise ValueError("provide exactly one of --gen or --perm")
     if args.gen is not None:
         word = (args.gen,)
+        if not degrees and args.n is not None:  # no degree for act_codes to check it in
+            _check_word(word, args.n)
+        elif not degrees and args.gen < 1:
+            raise ValueError(f"generator index {args.gen} out of range: indices start at 1")
     else:
         n = args.n if args.n is not None else max(sizes, default=None)  # None: the text sizes itself
         word = parse_permutation(args.perm, n=n).reduced_word()

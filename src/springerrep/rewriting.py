@@ -70,15 +70,9 @@ from functools import cache
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .linediagrams import code_expansion_masks, echelon_certificate
-from .matchings import DottedMatching, decode_word, dyck_words, syt_count
+from .linediagrams import code_expansion_masks
+from .matchings import decode_word, dyck_words, syt_count
 from .matchings import code_matching as _matching, decode as _decode, encode as _encode, nesting as _nesting
-
-# Largest n of the verify suites and of quotient_project_oracle, a size bound.  Budget: all
-# of ``verify --suite all --max-n 12`` (252 checks) takes 0.6-1.4 s on 2 vCPUs as
-# host load varies (Python 3.11, 8 fresh processes: 0.64-1.19 s, median 0.95 s;
-# 0.60-0.74 s, median 0.65 s, under -O), and must stay under 15 s.
-MAX_VERIFY_N = 12
 
 Code = tuple[int, int]  # (opens, dots)
 Wire = tuple[int, int, int]  # (n, opens, dots)
@@ -252,27 +246,3 @@ def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
             out[mask] = out.get(mask, 0) + sign * coef * x
     return {mask: x for mask, x in out.items() if x}
 
-
-def quotient_project_oracle(n: int, k: int) -> dict[DottedMatching, FormalSum]:
-    """Every degree-k generator's class in the standard basis, as matchings:
-    one drain through the kernel per generator after :func:`_certify`, each
-    checked to keep its image under E, which the echelon certificate, checked
-    first, makes injective on the standard span.  Refused if n is above the
-    size bound, the expansion is not row-echelon, a kernel step is not a
-    relation, or a drain changes the image."""
-    if n > MAX_VERIFY_N:
-        raise ValueError(f"oracle bound exceeded: n={n} > {MAX_VERIFY_N}")
-    if not echelon_certificate(n, k):
-        raise VerificationError("the expansion is not row-echelon", {"n": n, "k": k})
-    generators, unmatched = _certify(n, k)
-    if unmatched:
-        raise VerificationError("rewrite steps are not relations", {"n": n, "k": k, "generators": unmatched})
-    table = {}
-    for g in generators:
-        form = _reduce_codes(n, [(g, 1)])
-        if _image(n, form.items()) != _image(n, [(g, 1)]):
-            standard = [{**_decode(n, *c), "coef": x} for c, x in form.items()]
-            raise VerificationError("standard matchings are dependent modulo the relations",
-                                    {**_decode(n, *g), "k": k, "standard": standard})
-        table[_matching(n, *g)] = FormalSum((_matching(n, *c), coef) for c, coef in form.items())
-    return table

@@ -31,9 +31,15 @@ from .matchings import (
     syt_count,
     theta,
 )
-from .rewriting import MAX_VERIFY_N, _certify, _generator_codes, _image, _reduce_codes
+from .rewriting import _certify, _generator_codes, _image, _reduce_codes
 from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
+
+# Largest n of the verify suites, a size bound.  Budget: all of ``verify --suite
+# all --max-n 12`` (252 checks) takes 0.6-1.4 s on 2 vCPUs as host load varies
+# (Python 3.11, 8 fresh processes: 0.64-1.19 s, median 0.95 s; 0.60-0.74 s,
+# median 0.65 s, under -O), and must stay under 15 s.
+MAX_VERIFY_N = 12
 
 Rows = list[tuple[str, bool, str]]  # (check name, ok, detail) for one n
 

@@ -218,6 +218,12 @@ def test_act_perm_on_the_zero_sum(capsys, tmp_path, payload):
     source.write_text(json.dumps(payload))
     assert run(capsys, "act", "--input", str(source), "--perm", "(1 2)") == (0, '{"terms":[]}\n', "")
     assert run(capsys, "act", "--input", str(source), "--gen", "1") == (0, '{"terms":[]}\n', "")
+    assert run(capsys, "act", "--input", str(source), "--gen", "3", "--n", "4") == (0, '{"terms":[]}\n', "")
+    # --gen is checked against --n, or else only its lower end
+    for argv, err in [(["--gen", "0"], "generator index 0 out of range: indices start at 1"),
+                      (["--gen", "7", "--n", "4"], "generator index 7 out of range for n=4"),
+                      (["--gen", "0", "--n", "4"], "generator index 0 out of range for n=4")]:
+        assert run(capsys, "act", "--input", str(source), *argv) == (2, "", f"error: {err}\n")
     code, out, err = run(capsys, "act", "--input", str(source), "--perm", "(1 x)")
     assert code == 2 and out == ""
     assert err == ("error: a permutation is cycle notation such as '(1 2)(3 4 5)' or one-line "

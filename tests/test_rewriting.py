@@ -7,7 +7,8 @@ import pytest
 
 import bruteforce
 import springerrep.rewriting as rw
-from springerrep import DottedMatching, is_standard, quotient_project_oracle, reduce_to_standard
+import springerrep.verify as verify
+from springerrep import DottedMatching, is_standard, reduce_to_standard
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.cli import main
@@ -19,7 +20,6 @@ from bruteforce import (
     apply_type1,
     apply_type2,
     degree_generators,
-    dense_quotient_table,
     find_sites,
     nesting_measure,
     reduce_picking,
@@ -163,7 +163,7 @@ def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     assert info.value.witness == witness
     # the certificate's own guard: its induction runs on the measure
     with pytest.raises(VerificationError, match="did not decrease nesting") as info:
-        quotient_project_oracle(4, 0)
+        rw._certify(4, 0)
     assert info.value.witness == witness
 
 
@@ -290,13 +290,11 @@ def test_seeded_sum_matches_oracle_rows():
     # the shape of a large reduce call: one sum over every generator of a degree
     rng = random.Random(10)
     for k in range(6):
-        table = quotient_project_oracle(10, k)
+        table = rref_quotient_codes(10, k)
         terms = [(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in degree_generators(10, k)]
         rng.shuffle(terms)
-        expected = FormalSum.zero()
-        for g, coef in terms:
-            expected = expected + coef * table[g]
-        assert reduce_to_standard(FormalSum(terms)) == expected
+        expected = combined(table, [(rw._encode(g), coef) for g, coef in terms])
+        assert {rw._encode(m): c for m, c in reduce_to_standard(FormalSum(terms))} == expected
 
 
 def test_reduction_is_order_independent():
@@ -317,29 +315,10 @@ def test_relation_vectors_are_degree_homogeneous():
                 assert sorted(c for _, c in relation) in ([-1, 1], [-1, -1, 1, 1])
 
 
-def test_oracle_dimensions():
-    table = quotient_project_oracle(4, 1)
-    assert len({t for v in table.values() for t, _ in v}) == 3 == syt_count(4, 1)
-    assert len(quotient_project_oracle(4, 2)) == 2
-    top = quotient_project_oracle(6, 3)
-    assert len(top) == 5 and all(v == FormalSum.single(g) for g, v in top.items())
-
-
-def test_oracle_bound():
-    with pytest.raises(ValueError):
-        quotient_project_oracle(14, 5)
-
-
-@pytest.mark.parametrize("n", range(0, 9, 2))
-def test_oracle_matches_dense_elimination(n):
-    for k in range(n // 2 + 1):
-        assert quotient_project_oracle(n, k) == dense_quotient_table(n, k)
-
-
-def test_oracle_rejects_dependent_standard_columns(monkeypatch):
+def test_dependent_standard_columns_fail_the_suite_and_the_reference(monkeypatch):
     # a Type I step that drops its nested term, and a site row patched to
     # agree: with that step as a relation the standard matchings are
-    # dependent, and the drain of (1,4),(2,3) dotted on (2,3) changes its image
+    # dependent, and the drain of the generators changes their image
     honest = rw._rewrite
 
     def truncated(opens, dots, site):
@@ -352,11 +331,8 @@ def test_oracle_rejects_dependent_standard_columns(monkeypatch):
 
     monkeypatch.setattr(rw, "_rewrite", truncated)
     monkeypatch.setattr(rw, "_site_row", agreeing)
-    with pytest.raises(VerificationError, match="dependent") as info:
-        quotient_project_oracle(4, 1)
-    assert info.value.witness == {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(2, 3)], "k": 1, "standard": [
-        {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "coef": 1},
-        {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)], "coef": 1}]}
+    assert rw._certify(4, 1)[1] == 0
+    assert verify._rewriting(4, 1) == (False, "4 generators, dim 3, 1 mismatches")
     # a relation among standard matchings alone puts a pivot in a standard
     # column of the elimination reference
     first, second = enumerate_standard(4, 1)[:2]
@@ -368,25 +344,10 @@ def test_oracle_rejects_dependent_standard_columns(monkeypatch):
     assert max(info.value.witness["pivots"]) >= len(degree_generators(4, 1)) - syt_count(4, 1)
 
 
-def test_oracle_checks_its_own_echelon_premise(monkeypatch):
-    # refused on every binding, so no suite that covered n can stand in for it
-    import springerrep
-    import springerrep.linediagrams as ld
-    import springerrep.verify as verify
-
-    for module in (springerrep, ld, rw, verify):
-        monkeypatch.setattr(module, "echelon_certificate", lambda n, k: False)
-    with pytest.raises(VerificationError, match="row-echelon") as info:
-        quotient_project_oracle(4, 1)
-    assert info.value.witness == {"n": 4, "k": 1}
-
-
-def test_oracle_rejects_a_step_that_is_not_a_relation(monkeypatch):
+def test_certify_counts_a_step_that_is_not_a_relation(monkeypatch):
     honest = rw._rewrite
     monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: honest(opens, dots, site)[1:])
-    with pytest.raises(VerificationError, match="not relations") as info:
-        quotient_project_oracle(4, 1)
-    assert info.value.witness == {"n": 4, "k": 1, "generators": 1}
+    assert rw._certify(4, 1)[1] == 1
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
@@ -399,17 +360,19 @@ def test_certificate_matches_the_elimination_reference(n):
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_reduce_matches_oracle(n):
+    # the oracle is the elimination reference, which never calls the kernel
     for k in range(n // 2 + 1):
-        table = quotient_project_oracle(n, k)
+        table = rref_quotient_codes(n, k)
         for g in degree_generators(n, k):
-            assert reduce_to_standard(single(g)) == table[g]
+            assert {rw._encode(m): c for m, c in reduce_to_standard(single(g))} == table[rw._encode(g)]
 
 
-def test_oracle_raises_on_impossible_dimension(monkeypatch):
+def test_certify_raises_on_impossible_dimension(monkeypatch):
     # sabotage the expected dimension to confirm the hard failure fires
     monkeypatch.setattr(rw, "syt_count", lambda n, k: 99)
-    with pytest.raises(VerificationError):
-        quotient_project_oracle(4, 1)
+    with pytest.raises(VerificationError, match="quotient dimension does not match") as info:
+        rw._certify(4, 1)
+    assert info.value.witness == {"n": 4, "k": 1, "dimension": 3, "expected": 99}
 
 
 def encoded_row(relation):
@@ -562,6 +525,8 @@ verify._image = rw._image
     "constant expansion rule": ("mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {0: 1}")),
     "zero expansion rule": ("1 mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {}")),
     "echelon certificate refused": ("1 mismatches", "verify.echelon_certificate = lambda n, k: False"),
+    "quotient dimension does not match": (
+        "quotient dimension does not match", "rw.syt_count = lambda n, k: 99"),
 }
 
 
