@@ -32,7 +32,6 @@ from .linediagrams import (
 from .perms import Permutation, parse_permutation
 from .rewriting import reduce_to_standard
 from .snaction import (
-    RepMatrix,
     act_permutation,
     act_simple,
     character,

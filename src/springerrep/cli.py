@@ -172,6 +172,8 @@ def _cmd_act(args) -> int:
         raise ValueError(f"input has degrees {sorted(ks)}, --k says {args.k}")
     if (args.gen is None) == (args.perm is None):
         raise ValueError("provide exactly one of --gen or --perm")
+    if not degrees and args.n is not None:  # no degree of the input to check --n and --k against
+        check_degree(args.n, args.k or 0)
     if args.gen is not None:
         word = (args.gen,)
         if not degrees and args.n is not None:  # no degree for act_codes to check it in
@@ -187,7 +189,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    rows = rep_matrix(args.n, args.k, args.gen).entries
+    rows = rep_matrix(args.n, args.k, args.gen)
 
     def aligned() -> str:
         width = max((len(str(x)) for row in rows for x in row), default=1)

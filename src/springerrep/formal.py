@@ -39,14 +39,6 @@ class FormalSum:
                 del acc[element]
         self._terms = acc
 
-    @classmethod
-    def single(cls, element: Any, coef: int = 1) -> FormalSum:
-        return cls({element: coef})
-
-    @classmethod
-    def zero(cls) -> FormalSum:
-        return cls()
-
     def coefficient(self, element: Any) -> int:
         return self._terms.get(element, 0)
 
@@ -65,7 +57,7 @@ class FormalSum:
         return self + (-other)
 
     def __neg__(self) -> FormalSum:
-        result = FormalSum.zero()
+        result = FormalSum()
         result._terms = {element: -coef for element, coef in self._terms.items()}
         return result
 
@@ -73,8 +65,8 @@ class FormalSum:
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
-            return FormalSum.zero()
-        result = FormalSum.zero()
+            return FormalSum()
+        result = FormalSum()
         result._terms = {element: scalar * coef for element, coef in self._terms.items()}
         return result
 

@@ -31,17 +31,12 @@ def code_expansion_masks(n: int, opens: int, dots: int) -> dict[int, int]:
     return pair_product(code_undotted(n, opens, dots))
 
 
-def expansion_masks(m: DottedMatching) -> dict[int, int]:
-    """:func:`code_expansion_masks` of a matching; :func:`expand` checks M is standard."""
-    return code_expansion_masks(m.n, *encode(m))
-
-
 def expand(m: DottedMatching) -> FormalSum:
     """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1,
     each a :class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set."""
     if not is_standard(m):
         raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
-    return tabloid_sum(m.n, expansion_masks(m))
+    return tabloid_sum(m.n, code_expansion_masks(m.n, *encode(m)))
 
 
 def echelon_certificate(n: int, k: int) -> bool:

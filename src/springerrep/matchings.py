@@ -20,7 +20,8 @@ is theta on bitmasks, the one implementation of the bijection:
 :func:`dyck_words` enumerates words, :func:`decode_word` is the one decoder
 of a word, and :func:`encode` / :func:`code_matching` are the edge between
 codes and objects.  The classes are built only at the edges: JSON, the CLI,
-the object enumerators, and the public functions documented to return them.
+the object enumerators, and the public functions documented to return them;
+the caches here hold codes and arcs, never a matching or tableau object.
 """
 
 from __future__ import annotations
@@ -318,9 +319,9 @@ def code_matching(n: int, opens: int, dots: int) -> DottedMatching:
     return DottedMatching.make(**decode(n, opens, dots))
 
 
-@cache
 def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
-    """All noncrossing perfect matchings of {1..n} as objects, in :func:`dyck_words` order."""
+    """All noncrossing perfect matchings of {1..n} as new objects, in
+    :func:`dyck_words` order: only the words are cached."""
     return tuple(NoncrossingMatching(n, decode_word(n, opens)[0]) for opens in dyck_words(n))
 
 
@@ -344,10 +345,10 @@ def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
     return [TwoRowTableau(n, b) for b in standard_bottom_sets(n, k)]
 
 
-@cache
 def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     """All standard dotted matchings on n vertices with exactly k undotted
-    arcs: the :func:`standard_codes` of the degree, decoded.
+    arcs: the cached :func:`standard_codes` of the degree, decoded into new
+    objects at each call.
 
     Canonical order: increasing in the undot set U_M (right endpoints of the
     undotted arcs) in the undot-set order, that is by :func:`subset_mask`.

@@ -29,8 +29,8 @@ layers of entry ``layers[t][c]`` of ``packed ++ [0] ++ [e * packed[r] for
 its entries (r, e) with e != 1]``: a +1 entry is its row r < dim, a
 missing term the zero at slot dim, and any other entry a slot past it.  The
 chart has two layers, since every column is ±M or M + M', and only its -M
-columns need slots past the zero.  The table decodes its basis to
-:class:`DottedMatching` objects only when ``act`` output or a caller reads it.
+columns need slots past the zero.  The tables hold codes only; ``act``
+decodes to :class:`DottedMatching` objects just the codes it outputs.
 The public action works on classes: an arbitrary sum of dotted matchings
 is merged and rewritten into the standard basis on its codes, the step
 ``reduce`` takes, then acted on as one vector per degree.
@@ -81,18 +81,6 @@ if TYPE_CHECKING:
     from array import array
     from fractions import Fraction
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Integer matrix of a group element on the degree-(n, k) standard basis."""
-
-    n: int
-    k: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def rows(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-
 class _Generator(NamedTuple):
     """One s_i as flat slot arrays, one slot per basis column in each term
     layer.  The slots index the list :func:`_product` builds from a left
@@ -115,11 +103,6 @@ class _Tables:
     codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
     index: dict[tuple[int, int], int]  # (opens, dots) code -> basis index
     generators: tuple[_Generator, ...]  # generators[i - 1]: s_i
-
-    @cached_property
-    def basis(self) -> tuple[DottedMatching, ...]:
-        """The basis matchings, decoded from their codes when first read."""
-        return tuple(code_matching(self.n, *code) for code in self.codes)
 
     @cached_property
     def radius(self) -> int:
@@ -321,20 +304,20 @@ def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[
 
 def act_simple(i: int, m: DottedMatching) -> FormalSum:
     """Action of the simple transposition s_i on the class of a matching."""
-    return act_word((i,), FormalSum.single(m))
+    return act_word((i,), FormalSum({m: 1}))
 
 
 def act_codes(word: tuple[int, ...], merged: dict[Wire, int], degrees: list[tuple[int, int]]) -> FormalSum:
     """Apply a word to a sum merged by :func:`springerrep.rewriting._merge`:
     each degree is rewritten into the standard basis on its codes, indexed by
     code in the degree's table and acted on as one integer vector."""
-    result = FormalSum.zero()
+    result = FormalSum()
     for n, k in degrees:
         _check_word(word, n)
         tables = _tables(n, k)
         vec = {tables.index[code]: coef for code, coef in _standard(merged, n, k).items()}
         image = _apply(tables, word, vec)
-        result += FormalSum((tables.basis[r], coef) for r, coef in image.items())
+        result += FormalSum((code_matching(n, *tables.codes[r]), coef) for r, coef in image.items())
     return result
 
 
@@ -356,8 +339,9 @@ def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
     return act_word(w.reduced_word(), v)
 
 
-def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
-    """Matrix of s_i; column c holds the image of the c-th basis matching."""
+def rep_matrix(n: int, k: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the integer matrix of s_i on the degree's standard basis;
+    column c holds the image of the c-th basis matching."""
     _check_word((i,), n)
     tables = _tables(n, k)
     size = len(tables.codes)
@@ -365,7 +349,7 @@ def rep_matrix(n: int, k: int, i: int) -> RepMatrix:
     for c in range(size):
         for r, coef in _step(tables.generators[i - 1], ((c, 1),)).items():
             entries[r][c] = coef
-    return RepMatrix(n, k, tuple(tuple(row) for row in entries))
+    return tuple(map(tuple, entries))
 
 
 def verify_coxeter(n: int, k: int) -> int:

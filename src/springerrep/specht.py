@@ -14,8 +14,8 @@ undot set, and the certificates key both as ``{bottom-row mask: +-1}``
 tabloid nor a matching; integer order on masks is the undot-set order.
 e_T and L_M come from one product rule, ``pair_product``, over the columns
 of T and the undotted arcs of M.  e_M does not: it is built from the arc
-swaps of phi(M), so the check ``expansion_masks(M) == e_M`` compares the
-shared rule with code it does not share.
+swaps of phi(M), so the check ``code_expansion_masks(n, *code) == e_M``
+compares the shared rule with code it does not share.
 
 No rank is computed and nothing is eliminated.  One pass walks the pairs
 (T, theta(T)) in the undot-set order.  Each e_T leads at {T} with
@@ -124,7 +124,7 @@ def verify_module_equality(n: int, k: int) -> bool:
     span{e_M} is the column span of that E, and the degree's consistency
     verdict, read last (computed if no suite of the run has), shows it S_n-stable.
     So span{e_T} lies in span{e_M}: this rests on the consistency check for n.
-    ``expansion_masks(M) == e_M`` is checked as well, tying e_M to the product rule of e_T.
+    ``code_expansion_masks(n, *code) == e_M`` is checked as well, tying e_M to the product rule of e_T.
     """
     tableaux, codes = standard_tableaux(n, k), standard_codes(n, k)
     expected = syt_count(n, k)

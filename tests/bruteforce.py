@@ -27,7 +27,7 @@ from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.jsonio import matching_from_obj
-from springerrep.linediagrams import expansion_masks
+from springerrep.linediagrams import code_expansion_masks
 from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
@@ -247,7 +247,7 @@ def reduced_word_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Trace of every class on degree (n, k), read off the chart tables by
     :func:`reduced_word_traces`."""
     tables = snaction._tables(n, k)
-    return reduced_word_traces(n, chart_columns(tables), len(tables.basis))
+    return reduced_word_traces(n, chart_columns(tables), len(tables.codes))
 
 
 def sparse_columns(generator) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -340,9 +340,9 @@ def consistency_failure(n: int, k: int) -> tuple[int, int] | None:
     """The least basis index c, then the least i, at which column c of
     E * s_i differs from column c of P_i * E, or None: E * s_i summed over
     the chart columns on {undot mask: coefficient} dicts from
-    ``expansion_masks``, and P_i * E by ``transpose_mask`` on those dicts."""
+    ``code_expansion_masks``, and P_i * E by ``transpose_mask`` on those dicts."""
     tables = snaction._tables(n, k)
-    expansions = [expansion_masks(m) for m in tables.basis]
+    expansions = [code_expansion_masks(n, *code) for code in tables.codes]
     failures = []
     for i, generator in enumerate(chart_columns(tables), 1):
         for c, column in enumerate(generator):
@@ -364,7 +364,7 @@ def walked_characters(n: int, k: int) -> dict[tuple[int, ...], int]:
     columns = chart_columns(tables)
     tree = snaction.class_tree(n)
     traces = dict.fromkeys((parts for parts, _, _ in tree), 0)
-    for c in range(len(tables.basis)):
+    for c in range(len(tables.codes)):
         vectors = {}
         for parts, parent, letter in tree:
             if parent is None:
@@ -393,7 +393,7 @@ def permutation_matrix(n: int, k: int, w: Permutation) -> list[list[int]]:
     """Matrix of w on the degree-(n, k) standard basis, one column per
     basis matching, read off the action on single matchings."""
     basis = enumerate_standard(n, k)
-    columns = [act_permutation(w, FormalSum.single(m)) for m in basis]
+    columns = [act_permutation(w, FormalSum({m: 1})) for m in basis]
     return [[column.coefficient(row) for column in columns] for row in basis]
 
 
@@ -551,7 +551,7 @@ def apply_type2(m: DottedMatching, site: RewriteSite) -> FormalSum:
     outer, _ = _site_arcs(m, site)
     if outer not in m.dotted:
         raise ValueError(f"outer arc {outer} must be dotted for a Type II rewrite")
-    return FormalSum.single(_rewired(m, site, ((site.i, site.j), (site.k, site.l))))
+    return FormalSum({_rewired(m, site, ((site.i, site.j), (site.k, site.l))): 1})
 
 
 def apply_site(m: DottedMatching, site: RewriteSite) -> FormalSum:
@@ -563,7 +563,7 @@ def reduce_picking(m: DottedMatching, pick) -> FormalSum:
     from the sites ``find_sites`` lists; probes confluence."""
     sites = find_sites(m)
     if not sites:
-        return FormalSum.single(m)
+        return FormalSum({m: 1})
     site = pick(sites)
     return map_basis(apply_site(m, site), lambda term: reduce_picking(term, pick))
 
@@ -626,7 +626,7 @@ def left_count(m: DottedMatching, u: Tabloid) -> int:
 
 def permute_diagram(w: Permutation, v: FormalSum) -> FormalSum:
     """Relabel every strand of every diagram by w; coefficients unchanged."""
-    return map_basis(v, lambda u: FormalSum.single(Tabloid(u.n, tuple(w(x) for x in u.bottom))))
+    return map_basis(v, lambda u: FormalSum({Tabloid(u.n, tuple(w(x) for x in u.bottom)): 1}))
 
 
 def _shift(x: int, i: int, j: int) -> int:
@@ -675,7 +675,7 @@ def insert_arc_consistency(m: DottedMatching, position: tuple[int, int], dotted:
 
 def permute_tabloids(w: Permutation, v: FormalSum) -> FormalSum:
     """The S_n action on tabloids: w relabels every entry."""
-    return map_basis(v, lambda t: FormalSum.single(Tabloid(t.n, tuple(w(x) for x in t.bottom))))
+    return map_basis(v, lambda t: FormalSum({Tabloid(t.n, tuple(w(x) for x in t.bottom)): 1}))
 
 
 def polytabloid_by_columns(t: TwoRowTableau) -> FormalSum:
@@ -1039,7 +1039,7 @@ def dense_quotient_table(n: int, k: int) -> dict[DottedMatching, FormalSum]:
             row[index[term]] = coef
         rows.append(row)
     reduced, pivots = rref(rows)
-    table = {m: FormalSum.single(m) for m in standard}
+    table = {m: FormalSum({m: 1}) for m in standard}
     for row, pivot in zip(reduced, pivots):
         if columns[pivot] in table:
             raise ValueError("standard matchings are dependent modulo the relations")

@@ -183,7 +183,6 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     source = tmp_path / "sum.json"
     source.write_text(json.dumps({"terms": terms}))
     snaction._tables.cache_clear()
-    matchings.enumerate_standard.cache_clear()
     built = []
     honest = matchings.NoncrossingMatching.__post_init__
 
@@ -194,7 +193,8 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     monkeypatch.setattr(matchings.NoncrossingMatching, "__post_init__", counted)
     code, out, _ = run(capsys, "act", "--input", str(source), "--gen", "3", "--format", "json")
     assert code == 0 and json.loads(out)["terms"]
-    assert len(built) <= matchings.syt_count(8, 2) < len(terms)
+    # one object per output term: only the codes act outputs are decoded
+    assert len(built) == len(json.loads(out)["terms"]) <= matchings.syt_count(8, 2) < len(terms)
 
 
 def test_act_rejects_non_integer_permutation_entries(capsys, tmp_path):
@@ -222,7 +222,12 @@ def test_act_perm_on_the_zero_sum(capsys, tmp_path, payload):
     # --gen is checked against --n, or else only its lower end
     for argv, err in [(["--gen", "0"], "generator index 0 out of range: indices start at 1"),
                       (["--gen", "7", "--n", "4"], "generator index 7 out of range for n=4"),
-                      (["--gen", "0", "--n", "4"], "generator index 0 out of range for n=4")]:
+                      (["--gen", "0", "--n", "4"], "generator index 0 out of range for n=4"),
+                      # --n, and --k when given, name a degree, which must exist
+                      (["--gen", "1", "--n", "3"], "vertex count must be even and nonnegative, got 3"),
+                      (["--perm", "(1 2)", "--n", "3"], "vertex count must be even and nonnegative, got 3"),
+                      (["--gen", "1", "--n", "4", "--k", "9"], "k=9 out of range for n=4"),
+                      (["--gen", "1", "--n", "-2"], "vertex count must be even and nonnegative, got -2")]:
         assert run(capsys, "act", "--input", str(source), *argv) == (2, "", f"error: {err}\n")
     code, out, err = run(capsys, "act", "--input", str(source), "--perm", "(1 x)")
     assert code == 2 and out == ""

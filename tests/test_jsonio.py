@@ -27,7 +27,7 @@ FIGURE = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(2, 3)])
 
 
 def test_matching_json_matches_documented_encoding():
-    assert dumps(matching_to := matching_sum_to_obj(FormalSum.single(FIGURE))) == (
+    assert dumps(matching_to := matching_sum_to_obj(FormalSum({FIGURE: 1}))) == (
         '{"terms":[{"coef":1,"matching":'
         '{"n":6,"arcs":[[1,6],[2,3],[4,5]],"dotted":[[2,3]]}}]}'
     )
@@ -110,7 +110,7 @@ def test_plain_renderings():
     assert undot_plain(Tabloid(4, (2, 4))) == "{2,4}"
     v = FormalSum([(Tabloid(2, (1,)), -1), (Tabloid(2, (2,)), 1)])
     assert formal_plain(v, undot_plain) == "-1 {1}  +1 {2}"
-    assert formal_plain(FormalSum.zero(), undot_plain) == "0"
+    assert formal_plain(FormalSum(), undot_plain) == "0"
 
 
 def make_or_error(n, arcs, dotted):

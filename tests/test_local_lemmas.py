@@ -14,8 +14,8 @@ from collections import Counter
 import pytest
 
 import springerrep.rewriting as rw
-from springerrep.linediagrams import expansion_masks
-from springerrep.matchings import enumerate_standard, subset_mask
+from springerrep.linediagrams import code_expansion_masks
+from springerrep.matchings import standard_codes, subset_mask
 
 from bruteforce import degree_generators, relation_vectors, standard_bottoms_bruteforce
 
@@ -87,8 +87,8 @@ def test_image_kills_every_relation(n):
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_image_is_the_expansion_up_to_sign_on_standard_matchings(n):
     for k in range(n // 2 + 1):
-        for m in enumerate_standard(n, k):
-            image, expansion = rw._image(n, [(rw._encode(m), 1)]), expansion_masks(m)
+        for code in standard_codes(n, k):
+            image, expansion = rw._image(n, [(code, 1)]), code_expansion_masks(n, *code)
             assert image in (expansion, {mask: -x for mask, x in expansion.items()})
 
 

@@ -64,7 +64,7 @@ def test_polytabloid_figure_rows():
 
 def test_polytabloid_single_row():
     for n in (0, 2, 6):
-        assert polytabloid(TwoRowTableau(n, ())) == FormalSum.single(t_(n))
+        assert polytabloid(TwoRowTableau(n, ())) == FormalSum({t_(n): 1})
 
 
 def test_matching_generator_figure_rows():
@@ -80,7 +80,7 @@ def test_matching_generator_figure_rows():
 
 def test_matching_generator_fully_dotted():
     m = m_(6, [(1, 2), (3, 4), (5, 6)], [(1, 2), (3, 4), (5, 6)])
-    assert matching_generator(m) == FormalSum.single(t_(6))
+    assert matching_generator(m) == FormalSum({t_(6): 1})
 
 
 def test_psi_examples():
@@ -88,7 +88,7 @@ def test_psi_examples():
     worked = m_(4, [(1, 2), (3, 4)], [(3, 4)])
     assert expand(worked) == FormalSum([(t_(4, 2), 1), (t_(4, 1), -1)])
     fully_dotted = m_(4, [(1, 2), (3, 4)], [(1, 2), (3, 4)])
-    assert expand(fully_dotted) == FormalSum.single(t_(4))
+    assert expand(fully_dotted) == FormalSum({t_(4): 1})
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
@@ -127,7 +127,7 @@ def test_span_rank():
     assert span_rank([generator_by_arc_swaps(m) for m in enumerate_standard(6, 3)]) == 5
     assert span_rank([]) == 0
     with pytest.raises(ValueError):
-        span_rank([FormalSum.single(t_(4, 2)), FormalSum.single(t_(4, 2, 4))])
+        span_rank([FormalSum({t_(4, 2): 1}), FormalSum({t_(4, 2, 4): 1})])
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))
@@ -186,7 +186,7 @@ def test_specht_characters_refuse_bad_degrees(n, k):
 def test_specht_span_outside_invariance_is_reported():
     # single standard tabloids: unitriangular, but (1 2) carries {2} to {1}, no leading tabloid
     with pytest.raises(VerificationError, match="not S_n-invariant") as info:
-        peeled_specht_characters(4, 1, polytabloid=lambda t: FormalSum.single(Tabloid(t.n, t.bottom)))
+        peeled_specht_characters(4, 1, polytabloid=lambda t: FormalSum({Tabloid(t.n, t.bottom): 1}))
     assert info.value.witness["tabloid"] == [1]
 
 
@@ -415,7 +415,7 @@ def test_module_equality_pairs_each_tableau_with_its_own_code(monkeypatch):
     import springerrep.specht as sp
 
     honest = matchings.standard_codes
-    caches = (matchings.standard_codes, matchings.enumerate_standard, sn._tables)
+    caches = (matchings.standard_codes, sn._tables)
 
     def clear():
         for cached in caches:

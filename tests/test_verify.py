@@ -39,8 +39,7 @@ def test_certificates_build_no_matching_object(monkeypatch):
     import springerrep.matchings as matchings
     import springerrep.snaction as snaction
 
-    for cached in (matchings.enumerate_standard, matchings.enumerate_noncrossing, snaction._tables):
-        cached.cache_clear()
+    snaction._tables.cache_clear()
     built = []
     honest = matchings.NoncrossingMatching.__post_init__
 
@@ -53,6 +52,27 @@ def test_certificates_build_no_matching_object(monkeypatch):
     results = run_suites(suites, max_n=8)
     assert results and all(r.ok for r in results)
     assert built == []
+
+
+def test_no_matching_object_outlives_its_call():
+    # the enumerators and the action tables cache codes, never objects
+    import gc
+
+    import springerrep.matchings as matchings
+    from springerrep.formal import FormalSum
+    from springerrep.snaction import act_word
+
+    def alive():
+        gc.collect()
+        return sum(isinstance(x, matchings.NoncrossingMatching) for x in gc.get_objects())
+
+    before = alive()
+    assert all(r.ok for r in run_suites(["counting", "bijection"], 8))
+    m = matchings.code_matching(8, *matchings.standard_codes(8, 2)[0])
+    image = act_word((1, 2, 3), FormalSum({m: 1}))
+    assert image and alive() >= before + len(image)
+    del m, image
+    assert alive() <= before
 
 
 def test_each_degree_is_enumerated_once():
@@ -74,7 +94,7 @@ def test_counting_reads_the_action_basis(monkeypatch):
     import springerrep.snaction as snaction
 
     honest = matchings.standard_codes
-    caches = (matchings.standard_codes, matchings.enumerate_standard, snaction._tables)
+    caches = (matchings.standard_codes, snaction._tables)
 
     def clear():
         for cached in caches:
