@@ -35,10 +35,10 @@ from .specht import emit_top_degree_basis, matching_generator, polytabloid
 from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
-# Largest --n of enumerate, bijection, specht, top-basis, matrix and character, and the
-# largest input act and expand take.  At 14 each takes under 2 s and 100 MB (specht --n 14 --k 6
-# is the largest); output grows like Catalan(n/2) * 2^k, and specht at 16 has seven
-# times as many terms.
+# Largest --n of enumerate, bijection, specht, top-basis, matrix, character and act, the
+# largest input act and expand take, and the largest vertex act --perm names.  At 14 each
+# takes under 2 s and 100 MB (specht --n 14 --k 6 is the largest); output grows like
+# Catalan(n/2) * 2^k, and specht at 16 has seven times as many terms.
 MAX_SIZE_N = 14
 MAX_N_HELP = (f"largest n checked, even, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); "
               f"dimension always runs to {MAX_VERIFY_N}")
@@ -182,6 +182,8 @@ def _cmd_act(args) -> int:
             raise ValueError(f"generator index {args.gen} out of range: indices start at 1")
     else:
         n = args.n if args.n is not None else max(sizes, default=None)  # None: the text sizes itself
+        if n is None and (named := max(map(int, re.findall("[0-9]+", args.perm)), default=0)) > MAX_SIZE_N:
+            raise ValueError(f"--perm vertex {named} exceeds the supported bound {MAX_SIZE_N}")
         word = parse_permutation(args.perm, n=n).reduced_word()
     _emit_sum(args, act_codes(word, merged, degrees), jsonio.matching_sum_to_obj, "matching",
               jsonio.matching_plain, jsonio.matching_plain)
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", type=integer, default=None, help="simple transposition index i")
     p.add_argument("--perm", default=None,
                    help="permutation, cycle notation '(1 2)(3 4 5)' or one-line '2 1 4 5 3'")
-    p.add_argument("--n", type=integer, default=None)
+    p.add_argument("--n", type=vertex_count, default=None)
     p.add_argument("--k", type=integer, default=None)
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_act)

@@ -74,19 +74,19 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def reduced_word(self) -> tuple[int, ...]:
-        """A reduced word in the simple transpositions, by bubble sort.
+        """A reduced word in the simple transpositions, by insertion sort.
 
-        Repeatedly right-multiplying by s_i at the leftmost descent sorts the
-        one-line notation; reversing the multipliers gives the word.
+        Moving each entry of the one-line notation left into place, swap by
+        swap, right-multiplies by the s_i of each swap, always at the leftmost
+        descent; reversing the multipliers gives the word.
         """
         images = list(self.images)
         collected = []
-        while True:
-            descent = next((i for i in range(len(images) - 1) if images[i] > images[i + 1]), None)
-            if descent is None:
-                break
-            images[descent], images[descent + 1] = images[descent + 1], images[descent]
-            collected.append(descent + 1)
+        for i in range(1, len(images)):
+            while i and images[i - 1] > images[i]:
+                images[i - 1], images[i] = images[i], images[i - 1]
+                collected.append(i)
+                i -= 1
         return tuple(reversed(collected))
 
 

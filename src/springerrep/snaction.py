@@ -20,20 +20,20 @@ The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
 and the partner array of each word, decoded once per word: cases 1 and 2
 are read off the bits, and M' clears the four endpoint bits and sets those
 of i and the nearer far end.  It is evaluated once per (n, k, i, basis code)
-into a per-degree table: the :func:`~springerrep.matchings.standard_codes`,
-their index, and each s_i encoded as flat slot arrays (:class:`_Generator`)
-term by term as the chart yields its columns; an image outside the basis
-fails the build.  A generator has one integer array per term layer, one
-slot per basis column, and column c of its matrix is the sum over the
-layers of entry ``layers[t][c]`` of ``packed ++ [0] ++ [e * packed[r] for
-its entries (r, e) with e != 1]``: a +1 entry is its row r < dim, a
-missing term the zero at slot dim, and any other entry a slot past it.  The
-chart has two layers, since every column is ±M or M + M', and only its -M
-columns need slots past the zero.  The tables hold codes only; ``act``
-decodes to :class:`DottedMatching` objects just the codes it outputs.
-The public action works on classes: an arbitrary sum of dotted matchings
-is merged and rewritten into the standard basis on its codes, the step
-``reduce`` takes, then acted on as one vector per degree.
+into a sparse (row, coef) column by basis index, an image outside the basis
+failing the build, and :func:`_encode`, the one writer of slot arrays and the
+one the property tests drive, writes each s_i as a :class:`_Generator` of the
+degree's table, beside the :func:`~springerrep.matchings.standard_codes` and
+their index.  A generator has one integer array per term layer, one slot per
+basis column, and column c of its matrix is the sum over the layers of entry
+``layers[t][c]`` of ``packed ++ [0] ++ [e * packed[r] for its entries (r, e)
+with e != 1]``: a +1 entry is its row r < dim, a missing term the zero at
+slot dim, and any other entry a slot past it.  The chart has two layers, since
+every column is ±M or M + M', and only its -M columns need slots past the
+zero.  The tables hold codes only; ``act`` decodes to :class:`DottedMatching`
+objects just the codes it outputs.  The public action works on classes: an
+arbitrary sum of dotted matchings is merged and rewritten into the standard
+basis on its codes, the step ``reduce`` takes, then acted on as one vector per degree.
 
 The three certificates (the Coxeter relations, the class-tree character
 table and the chart-diagram consistency) run on whole matrices packed into
@@ -82,10 +82,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 class _Generator(NamedTuple):
-    """One s_i as flat slot arrays, one slot per basis column in each term
-    layer.  The slots index the list :func:`_product` builds from a left
-    factor's packed columns: slot r < dim is the entry (r, 1), slot dim the
-    zero of a missing term, and slot dim + 1 + j the entry (rows[j], coefs[j])."""
+    """One s_i as flat slot arrays, written by :func:`_encode`, one slot per basis column in each
+    term layer.  The slots index the list :func:`_product` builds from a left factor's packed
+    columns: slot r < dim is the entry (r, 1), slot dim the zero of a missing term, and slot
+    dim + 1 + j the entry (rows[j], coefs[j])."""
 
     layers: tuple[array, ...]  # layers[t][c]: the slot of term t of column c
     rows: array  # rows and coefficients of the entries whose coefficient is not 1,
@@ -211,39 +211,48 @@ def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int,
     return [(opens, dots, 1), (opens & ~ends | 1 << a | far, dots & ~ends | dot, 1)]
 
 
-@cache
-def _tables(n: int, k: int) -> _Tables:
-    """The degree's basis codes and every s_i, each encoded into its slot
-    arrays term by term as the chart yields the column: a layer is added,
-    all zero slots, when a column first has that many terms."""
+def _encode(dim: int, columns: Iterable[Iterable[tuple[int, int]]]) -> _Generator:
+    """The slot arrays of a dim x dim matrix, written term by term as its sparse (row, coef)
+    columns are read: a layer is added, all zero slots, when a column first has that many terms."""
     # imported here: a CLI start that builds no table need not load the extension
     from array import array
 
+    layers, rows, coefs, radius = [array("i", [dim]) * dim], array("i"), [], 0
+    for c, column in enumerate(columns):
+        size = 0
+        for t, (r, coef) in enumerate(column):
+            if t == len(layers):
+                layers.append(array("i", [dim]) * dim)
+            if coef != 1:
+                rows.append(r)
+                coefs.append(coef)
+                r = dim + len(rows)
+            layers[t][c] = r
+            size += abs(coef)
+        radius = max(radius, size)
+    return _Generator(tuple(layers), rows, tuple(coefs), radius)
+
+
+@cache
+def _tables(n: int, k: int) -> _Tables:
+    """The degree's basis codes and every s_i, least i first, the chart's sparse (row, coef)
+    columns encoded as they are evaluated; an image outside the basis fails the build."""
     codes = standard_codes(n, k)
-    dim = len(codes)
     index = {code: r for r, code in enumerate(codes)}
     partners = [decode_word(n, opens)[1] for opens, _ in codes]
-    generators = []
-    for i in range(1, n):
-        layers, rows, coefs, radius = [array("i", [dim]) * dim], array("i"), [], 0
-        for c, ((opens, dots), partner) in enumerate(zip(codes, partners)):
-            size = 0
-            for t, (image_opens, image_dots, coef) in enumerate(_chart(i, opens, dots, partner)):
+
+    def columns(i: int) -> Iterator[list[tuple[int, int]]]:
+        for (opens, dots), partner in zip(codes, partners):
+            column = []
+            for image_opens, image_dots, coef in _chart(i, opens, dots, partner):
                 r = index.get((image_opens, image_dots))
                 if r is None:
                     raise VerificationError("chart image is not a standard basis matching",
                                             {"n": n, "k": k, "i": i, **decode(n, opens, dots)})
-                if t == len(layers):
-                    layers.append(array("i", [dim]) * dim)
-                if coef != 1:
-                    rows.append(r)
-                    coefs.append(coef)
-                    r = dim + len(rows)
-                layers[t][c] = r
-                size += abs(coef)
-            radius = max(radius, size)
-        generators.append(_Generator(tuple(layers), rows, tuple(coefs), radius))
-    return _Tables(n, codes, index, tuple(generators))
+                column.append((r, coef))
+            yield column
+
+    return _Tables(n, codes, index, tuple(_encode(len(codes), columns(i)) for i in range(1, n)))
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:
@@ -498,6 +507,18 @@ def _expansion(n: int, w: int, opens: int, dots: int) -> int:
     for a, b in code_undotted(n, opens, dots):
         x = (x << (w << b - 1)) - (x << (w << a - 1))
     return x
+
+
+def _packed(vector: dict[int, int], w: int) -> int:
+    """A {mask: coef} vector packed as :func:`_expansion` packs L_M, the sum of coef *
+    2^(w*mask): one integer per coefficient value, set bit by bit, not a shifted term at a time."""
+    total = 0
+    for coef in set(vector.values()):
+        digits = bytearray(w * max(vector) // 8 + 1)
+        for u in (u for u, c in vector.items() if c == coef):
+            digits[w * u >> 3] |= 1 << (w * u & 7)
+        total += coef * int.from_bytes(digits, "little")
+    return total
 
 
 def _swap_masks(n: int, w: int, i: int) -> tuple[int, int, int, int, int]:

@@ -57,8 +57,8 @@ from .matchings import (
     transpose_mask,
     undot_mask,
 )
-from .snaction import (_expansion, _tables, character_table, chart_diagram_consistency, class_inner_product,
-                       irreducibility_check)
+from .snaction import (_expansion, _packed, _tables, character_table, chart_diagram_consistency,
+                       class_inner_product, irreducibility_check)
 
 
 def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
@@ -92,19 +92,6 @@ def polytabloid(t: TwoRowTableau) -> FormalSum:
 def matching_generator(m: DottedMatching) -> FormalSum:
     """e_M as a sum of tabloids, decoded from :func:`code_generator_masks`."""
     return tabloid_sum(m.n, code_generator_masks(m.n, *encode(m)))
-
-
-def _packed(vector: dict[int, int], w: int) -> int:
-    """A {mask: coef} vector with balanced w-bit digits, as ``_expansion``
-    packs L_M: the sum of coef * 2^(w*mask), one integer per coefficient
-    value set bit by bit, not one shifted term added at a time."""
-    total = 0
-    for coef in set(vector.values()):
-        digits = bytearray(w * max(vector) // 8 + 1)
-        for u in (u for u, c in vector.items() if c == coef):
-            digits[w * u >> 3] |= 1 << (w * u & 7)
-        total += coef * int.from_bytes(digits, "little")
-    return total
 
 
 def verify_module_equality(n: int, k: int) -> bool:

@@ -1,14 +1,17 @@
-"""Independent brute-force oracles used by the tests.
+"""Independent brute-force oracles used by the tests, and the few helpers
+they share (``m_``, ``single``, ``cap_memory``).
 
 Everything here recomputes expected values from first principles — raw
 enumeration, direct pattern filtering, fixed-point counting — without going
-through the package's own shortcuts, so agreement is meaningful.
+through the package's own shortcuts, so agreement is meaningful.  The one
+exception is :func:`encoded_tables`, which builds slot arrays through the
+package encoder so that the property tests drive the code the tables use.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
+import resource
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,6 +42,21 @@ from springerrep.matchings import (
     transpose_mask,
 )
 from springerrep.perms import Permutation
+
+
+def m_(n, arcs, dotted=()) -> DottedMatching:
+    return DottedMatching.make(n, arcs, dotted)
+
+
+def single(m) -> FormalSum:
+    return FormalSum({m: 1})
+
+
+def cap_memory() -> None:
+    """Cap a subprocess's address space at 1 GB: a missing bound or check must
+    fail fast, not exhaust the machine."""
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def map_basis(v: FormalSum, f) -> FormalSum:
@@ -276,30 +294,12 @@ def chart_columns(tables):
     return tuple(sparse_columns(g) for g in tables.generators)
 
 
-def encode_columns(columns) -> snaction._Generator:
-    """A ``snaction._Generator`` from sparse (row, coefficient) columns: as
-    many layers as the longest column has terms (at least one), a +1 entry
-    at its row, any other entry at the next extra slot, a missing term at
-    the zero slot, and R the largest column abs-sum."""
-    dim = len(columns)
-    layers = [[dim] * dim for _ in range(max([1, *map(len, columns)]))]
-    extras = []
-    for c, column in enumerate(columns):
-        for t, (r, e) in enumerate(column):
-            if e != 1:
-                extras.append((r, e))
-            layers[t][c] = r if e == 1 else dim + len(extras)
-    radius = max((sum(abs(e) for _, e in column) for column in columns), default=0)
-    rows, coefs = array("i", [r for r, _ in extras]), tuple(e for _, e in extras)
-    return snaction._Generator(tuple(array("i", layer) for layer in layers), rows, coefs, radius)
-
-
 def encoded_tables(n: int, generators):
     """A ``snaction._Tables`` on n strands whose s_i has the sparse columns
-    ``generators[i - 1]``, each encoded by :func:`encode_columns`; its codes
-    are placeholders, one per column."""
+    ``generators[i - 1]``, each written by the package encoder
+    ``snaction._encode``; its codes are placeholders, one per column."""
     dim = len(generators[0]) if generators else 0
-    return snaction._Tables(n, (None,) * dim, {}, tuple(map(encode_columns, generators)))
+    return snaction._Tables(n, (None,) * dim, {}, tuple(snaction._encode(dim, g) for g in generators))
 
 
 def column_product(left, right):

@@ -1,6 +1,5 @@
 import gc
 import json
-import resource
 import subprocess
 import sys
 
@@ -9,6 +8,8 @@ import pytest
 import springerrep.cli as cli
 from springerrep.cli import MAX_SIZE_N, main
 from springerrep.errors import VerificationError
+
+from bruteforce import cap_memory
 
 
 def run(capsys, *argv):
@@ -355,11 +356,6 @@ def test_verify_json_lists_the_suites_that_ran(capsys, given, ran):
     assert report["suites"] == ran == list(dict.fromkeys(c["suite"] for c in report["checks"]))
 
 
-def _cap_memory():
-    limit = 1 << 30  # a missing bound must fail fast, not exhaust the machine
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "40"],
     ["bijection", "--n", "40"],
@@ -370,9 +366,22 @@ def _cap_memory():
 ])
 def test_sizes_above_the_bound_exit_2(argv):
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], capture_output=True,
-                          text=True, timeout=20, preexec_fn=_cap_memory)
+                          text=True, timeout=20, preexec_fn=cap_memory)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"40 exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--perm", "(1 99999999999)"], 99999999999),
+    (["--n", "30000", "--perm", "(1 30000)"], 30000),
+])
+def test_act_on_the_zero_sum_bounds_every_vertex_count(argv, named):
+    # no degree survives the merge, so only the bound itself can stop a permutation of that size
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", "act", "--input", "-", *argv],
+                          input='{"terms":[]}', capture_output=True, text=True, timeout=20,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"{named} exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
 
 def test_act_input_above_the_bound_exits_2():
@@ -380,7 +389,7 @@ def test_act_input_above_the_bound_exits_2():
     matching = json.dumps({"n": 20, "arcs": arcs, "dotted": arcs[-2:]})
     argv = ["act", "--input", "-", "--gen", "1"]
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], input=matching,
-                          capture_output=True, text=True, timeout=20, preexec_fn=_cap_memory)
+                          capture_output=True, text=True, timeout=20, preexec_fn=cap_memory)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"input on 20 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
@@ -391,7 +400,7 @@ def test_expand_input_above_the_bound_exits_2():
     argv = ["expand", "--input", "-"]
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv],
                           input=json.dumps({"n": 44, "arcs": arcs}), capture_output=True,
-                          text=True, timeout=20, preexec_fn=_cap_memory)
+                          text=True, timeout=20, preexec_fn=cap_memory)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"input on 44 vertices exceeds the supported bound {MAX_SIZE_N}" in proc.stderr
 
@@ -402,7 +411,7 @@ def test_deeply_nested_json_exits_2_without_a_traceback(tmp_path, command):
     source.write_text("[" * 200000 + "]" * 200000)
     argv = [*command, "--input", str(source)]
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv], capture_output=True,
-                          text=True, timeout=20, preexec_fn=_cap_memory)
+                          text=True, timeout=20, preexec_fn=cap_memory)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: JSON input is nested too deeply\n"
 
@@ -414,7 +423,7 @@ def test_reduce_of_a_large_standard_matching_builds_no_basis():
     argv = ["reduce", "--input", "-", "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", *argv],
                           input=json.dumps(payload), capture_output=True, text=True,
-                          timeout=10, preexec_fn=_cap_memory)
+                          timeout=10, preexec_fn=cap_memory)
     assert proc.returncode == 0 and proc.stderr == ""
     expected = {"coef": 3, "matching": {"n": 40, "arcs": sorted(arcs), "dotted": arcs[10:]}}
     assert json.loads(proc.stdout) == {"terms": [expected]}

@@ -8,7 +8,6 @@ term or refuse with the same message.
 """
 
 import json
-import resource
 import subprocess
 import sys
 
@@ -23,7 +22,7 @@ from springerrep.formal import FormalSum
 from springerrep.jsonio import matching_codes_from_obj, matching_from_obj
 from springerrep.rewriting import _encode, reduce_to_standard
 
-from bruteforce import matching_sum_from_obj
+from bruteforce import cap_memory, matching_sum_from_obj
 
 VALID = {"terms": [
     {"coef": 2, "matching": {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}},
@@ -135,11 +134,6 @@ def test_code_decoder_agrees_with_the_object_decoder(data):
     assert message_or(matching_codes_from_obj, obj) == expected
 
 
-def _cap_memory():
-    limit = 1 << 30  # a missing check must fail fast, not exhaust the machine
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
 @pytest.mark.parametrize("payload", (
     {"terms": {"coef": 1}},
     {"terms": [{"coef": 1, "matching": {"n": 6, "arcs": [[1, 4], [2, 5], [3, 6]]}}]},
@@ -153,5 +147,5 @@ def test_reduce_exits_2_on_malformed_payloads(tmp_path, payload):
     source = tmp_path / "sum.json"
     source.write_text(json.dumps(payload))
     proc = subprocess.run([sys.executable, "-m", "springerrep.cli", "reduce", "--input", str(source)],
-                          capture_output=True, text=True, timeout=60, preexec_fn=_cap_memory)
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
     assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from springerrep import (
-    DottedMatching,
     Tabloid,
     echelon_certificate,
     expand,
@@ -19,14 +18,11 @@ from bruteforce import (
     insert_arc,
     insert_arc_consistency,
     left_count,
+    m_,
     negated_lead,
     permute_diagram,
     undot_sets,
 )
-
-
-def m_(n, arcs, dotted=()):
-    return DottedMatching.make(n, arcs, dotted)
 
 
 def u_(n, *members):

@@ -1,7 +1,8 @@
 """Property tests of the packed-integer kernels of ``snaction``: the slot
-encoding of random column tables and matrix products on them, with entries
-and column sums larger than the chart's, and the strand swap on random
-signed digit vectors."""
+encoding the chart tables are built with, on random column tables and
+matrix products on them, with entries and column sums larger than the
+chart's, and the strand swap and the mask-vector packer on random signed
+digit vectors."""
 
 import pytest
 
@@ -96,3 +97,14 @@ def test_strand_swap_decodes_to_transpose_mask(case):
     for i in range(1, n):
         (swapped,) = unpack_columns([snaction._swap(packed, snaction._swap_masks(n, w, i))], w, 1 << n)
         assert dict(swapped) == {transpose_mask(u, 0b11 << (i - 1)): d for u, d in digits.items()}
+
+
+# the empty vector packs to 0, and digits at -R and R are the edge of the width rule
+@example((2, 1, {}))
+@example((3, 4, {0: -4, 7: 4, 5: 4}))
+@settings(max_examples=200, deadline=None)
+@given(digit_vectors())
+def test_mask_vector_packing_round_trips(case):
+    n, radius, digits = case
+    w = encoded_tables(0, ((((0, radius),),),)).width(1)
+    assert unpack_columns([snaction._packed(digits, w)], w, 1 << n) == (tuple(sorted(digits.items())),)

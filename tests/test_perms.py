@@ -23,19 +23,17 @@ def test_validation():
         Permutation((2, 3)) * Permutation((1,))
 
 
-def test_reduced_word_reconstructs_every_permutation_in_s4():
-    for images in itertools.permutations(range(1, 5)):
-        w = Permutation(images)
-        word = w.reduced_word()
-        rebuilt = Permutation.identity(4)
-        for letter in word:  # leftmost factor applied last
-            rebuilt = rebuilt * Permutation.simple(4, letter)
-        assert rebuilt == w
-        # reduced: length equals the inversion number
-        inversions = sum(
-            1 for a in range(4) for b in range(a + 1, 4) if images[a] > images[b]
-        )
-        assert len(word) == inversions
+def test_reduced_word_reconstructs_every_permutation_up_to_s6():
+    for n in range(1, 7):
+        for images in itertools.permutations(range(1, n + 1)):
+            w = Permutation(images)
+            word = w.reduced_word()
+            rebuilt = Permutation.identity(n)
+            for letter in word:  # leftmost factor applied last
+                rebuilt = rebuilt * Permutation.simple(n, letter)
+            assert rebuilt == w
+            # reduced: length equals the inversion number
+            assert len(word) == sum(images[a] > images[b] for a in range(n) for b in range(a + 1, n))
 
 
 def test_reduced_word_convention_pin():

@@ -15,26 +15,20 @@ from springerrep.cli import main
 from springerrep.matchings import enumerate_standard, syt_count
 
 from bruteforce import (
-    RewriteSite,
     apply_site,
     apply_type1,
     apply_type2,
     degree_generators,
     find_sites,
+    m_,
     nesting_measure,
     reduce_picking,
     relation_vectors,
+    RewriteSite,
     rref_quotient_codes,
     scan_site,
+    single,
 )
-
-
-def m_(n, arcs, dotted=()):
-    return DottedMatching.make(n, arcs, dotted)
-
-
-def single(m):
-    return FormalSum({m: 1})
 
 
 def test_find_sites_examples():

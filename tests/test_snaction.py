@@ -8,7 +8,6 @@ from math import comb, factorial
 import pytest
 
 from springerrep import (
-    DottedMatching,
     VerificationError,
     act_permutation,
     act_simple,
@@ -47,24 +46,18 @@ from bruteforce import (
     degree_generators,
     encoded_tables,
     is_identity,
+    m_,
     map_basis,
     mat_mul,
     permutation_matrix,
     permute_diagram,
     reduced_word_characters,
+    single,
     theta_by_sets,
     two_row_character_oracle,
     unpack_columns,
     walked_characters,
 )
-
-
-def m_(n, arcs, dotted=()):
-    return DottedMatching.make(n, arcs, dotted)
-
-
-def single(m):
-    return FormalSum({m: 1})
 
 
 UNNEST4 = m_(4, [(1, 2), (3, 4)])

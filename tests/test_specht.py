@@ -6,7 +6,6 @@ import textwrap
 import pytest
 
 from springerrep import (
-    DottedMatching,
     Tabloid,
     TwoRowTableau,
     emit_top_degree_basis,
@@ -34,6 +33,7 @@ from bruteforce import (
     class_representative,
     dense_specht_characters,
     generator_by_arc_swaps,
+    m_,
     negated_lead,
     peel_rests,
     peeled_specht_characters,
@@ -43,10 +43,6 @@ from bruteforce import (
     span_rank,
     two_row_character_oracle,
 )
-
-
-def m_(n, arcs, dotted=()):
-    return DottedMatching.make(n, arcs, dotted)
 
 
 def t_(n, *bottom):
