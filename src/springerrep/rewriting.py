@@ -52,7 +52,9 @@ terms share their spectator factor, Type I's sides are then (-1)^i l_i +
 (-1)^j l_j + (-1)^k l_k + (-1)^l l_l, and Type II leaves no undotted arc at
 the site (``tests/test_local_lemmas.py``).  As b - a is odd, E is L_M
 times (-1)^(sum of the b).  (4) ``echelon_certificate`` shows that L_M, the
-rule :func:`_image` reads, is injective on the standard span.  By (3) and
+rule :func:`_image` reads, is injective on the standard span, whose image is
+then the kernel of the down operator (the argument of :mod:`springerrep.specht`,
+by L8, L9 and the ballot count).  By (3) and
 (4) the standard codes are independent in V/R, so they are a basis.  (5) A
 drain that keeps its input's image under E ends, by (4), at its class.
 The spanning half is the linear diamond lemma (Bergman, 1978); E replaces

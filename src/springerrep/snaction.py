@@ -12,9 +12,10 @@ where M' rewires the two arcs through i and i+1 into the undotted arc
 (i, i+1) plus an arc joining the two far endpoints, which in case 3
 carries the dot.  Acting on the signed line-diagram expansion by strand
 permutation gives the same answer; :func:`chart_diagram_consistency`
-checks that identity exhaustively, and it is what makes the chart a
-representation at all.  Its verdict is cached on the degree's tables, like
-the character table, until a verify run ends or ``_tables.cache_clear()``.
+checks that identity column by column, on the at most four vertices each
+s_i changes, and it is what makes the chart a representation at all.  Its
+verdict is cached on the degree's tables, like the character table, until a
+verify run ends or ``_tables.cache_clear()``.
 
 The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
 and the partner array of each word, decoded once per word: cases 1 and 2
@@ -35,9 +36,9 @@ objects just the codes it outputs.  The public action works on classes: an
 arbitrary sum of dotted matchings is merged and rewritten into the standard
 basis on its codes, the step ``reduce`` takes, then acted on as one vector per degree.
 
-The three certificates (the Coxeter relations, the class-tree character
-table and the chart-diagram consistency) run on whole matrices packed into
-Python integers (Kronecker substitution).  A column, or a block of at most
+The Coxeter relations and the class-tree character table are checked
+and computed on whole matrices packed into Python integers (Kronecker
+substitution).  A column, or a block of at most
 ``ROW_BLOCK`` rows of it, is the integer sum of A[r][c] * 2^(w*r) with
 balanced w-bit digits, |A[r][c]| < 2^(w-1); so two packed matrices are equal
 exactly when their integer lists are, and a product A * s_i is two C-level
@@ -53,11 +54,6 @@ never holds a whole matrix per tree node: every degree with n <= 12
 node's trace, digit c - start of each column c of the block, is read in one
 pass: adding 2^(w-1) to every digit makes all of them unsigned without a
 carry, so each is a shift and a mask, and the bias is subtracted back.
-Consistency packs the columns of the expansion matrix E instead, one
-integer per basis code with a digit per undot mask: column c of E * s_i is
-the sum of the columns of E its two slots name, and column c of P_i * E,
-with strands i and i+1 exchanged, is the same integer under a bias, three
-masks and two shifts.
 """
 
 from __future__ import annotations
@@ -65,15 +61,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from math import factorial
 from operator import add, and_, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import VerificationError
 from .formal import FormalSum
-from .matchings import (DottedMatching, check_partition, code_matching, code_undotted, decode, decode_word, encode,
-                        partitions_of, standard_codes)
+from .matchings import (DottedMatching, check_partition, code_matching, decode, decode_word, encode, pair_product,
+                        partitions_of, standard_codes, transpose_mask)
 from .perms import Permutation
 from .rewriting import Wire, _merge, _standard
 
@@ -83,7 +79,7 @@ if TYPE_CHECKING:
 
 class _Generator(NamedTuple):
     """One s_i as flat slot arrays, written by :func:`_encode`, one slot per basis column in each
-    term layer.  The slots index the list :func:`_product` builds from a left factor's packed
+    term layer.  The slots index the list :func:`_times` builds from a left factor's packed
     columns: slot r < dim is the entry (r, 1), slot dim the zero of a missing term, and slot
     dim + 1 + j the entry (rows[j], coefs[j])."""
 
@@ -96,8 +92,8 @@ class _Generator(NamedTuple):
 @dataclass(frozen=True)
 class _Tables:
     """The chart action of every s_i on one degree, by basis index, as slot
-    arrays, and the degree's character table and consistency verdict, each
-    computed once from it on packed matrices."""
+    arrays, and the degree's character table, computed once from it on packed
+    matrices, and consistency verdict, computed once from its columns."""
 
     n: int
     codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
@@ -157,43 +153,63 @@ class _Tables:
     def consistent(self) -> bool:
         """Does the chart action match strand permutation of the expansions?
 
-        For every standard M and generator s_i, the expansion of the chart's
-        answer must equal the relabelled expansion of M.  This is the central
-        identity behind the representation: with E the expansion matrix (row u:
-        undot-set mask, column c: basis index, entries 0 and ±1) and P_i the
-        exchange of strands i and i+1 on the masks, E * s_i = P_i * E.
-
-        Each column L_M of E is one integer whose balanced w-bit digit u is the
-        coefficient of mask u, built by :func:`_expansion` from the basis code
-        alone, never from the chart columns.  Column c of E * s_i is the sum of
-        the columns of E that the slots of column c of s_i name, read one column
-        at a time from :func:`_product`, so its digits are at most R, the largest
-        column abs-sum of the generators, in size.  w = ``self.width(1)`` =
-        ceil(log2 R) + 2 bits gives 2^(w-1) >= 2R > R, so every digit is balanced
-        and the sum equals column c of P_i * E exactly when the two integers are
-        equal.  Column c of P_i * E is :func:`_swap` of column c of E: a bias of
-        2^(w-1) in every digit makes the digits unsigned, so the masks holding
-        exactly one of strands i and i+1 can be moved by masking and shifting.
-        Only E's columns are held across the generators, and for each generator
-        the negated columns its -M columns name.  A failure, raised and never
-        stored, reports the least basis index c, then the least i at it.
+        For every standard M and s_i, the terms (r, coef) of column c of s_i
+        must satisfy sum coef * L_r = P_i * L_M, P_i the exchange of strands i
+        and i+1: the central identity behind the representation, checked in
+        factored form.  The chart changes only the arcs through i and i+1, whose
+        endpoints V are at most four bits, so every term but M must agree with M
+        off V, on opens and dots, and join the bits of V among themselves.  Then
+        each L_r is F * g_r, F the product over M's arcs off V, which P_i fixes,
+        and g_r that over r's undotted arcs inside V; F shares no variable with
+        g, so the column holds exactly when sum coef * g_r = P_i * g_M
+        (:func:`_local_identity`), decided once per configuration.  It holds for
+        every configuration a standard M has (L4 in ``tests/test_local_lemmas.py``).
+        A failure, raised and never stored, reports the least basis index c,
+        then the least i at it.
         """
-        n, w = self.n, self.width(1)
-        packed = [_expansion(n, w, *code) for code in self.codes]
-        failure = None
-        for i, g in enumerate(self.generators, 1):
-            masks = _swap_masks(n, w, i)
-            # only a smaller basis index than the failure found so far can replace it
-            for c, column in enumerate(islice(_product(packed, g), failure[0] if failure else None)):
-                if column != _swap(packed[c], masks):
-                    failure = (c, i)
-                    break
-        if failure:
-            c, i = failure
-            opens, dots = self.codes[c]  # k: the n/2 arcs less the dotted ones
-            raise VerificationError("chart action disagrees with diagram permutation",
-                                    {"n": n, "k": n // 2 - dots.bit_count(), "i": i, **decode(n, opens, dots)})
+        n, codes = self.n, self.codes
+        partners = [decode_word(n, opens)[1] for opens, _ in codes]
+        holds = cache(_local_identity)  # configurations shifted to bit 0, for this call only
+        for c, ((opens, dots), partner) in enumerate(zip(codes, partners)):
+            for i, g in enumerate(self.generators, 1):
+                a, b, j, k = i - 1, i, partner[i - 1], partner[i]
+                v = 3 << a | 1 << j | 1 << k
+                low = (v & -v).bit_length() - 1
+                config, local = [a - low, v >> low, (opens & v) >> low, (dots & v) >> low], True
+                for r, coef in _step(g, ((c, 1),)).items():
+                    term_opens, term_dots = codes[r]
+                    if r != c:
+                        near = partners[r]
+                        local = (local and not (term_opens ^ opens | term_dots ^ dots) & ~v
+                                 and 1 << near[a] | 1 << near[b] | 1 << near[j] | 1 << near[k] == v)
+                    config += (term_opens & v) >> low, (term_dots & v) >> low, coef
+                if not (local and holds(*config)):
+                    raise VerificationError("chart action disagrees with diagram permutation",
+                                            {"n": n, "k": n // 2 - dots.bit_count(), "i": i, **decode(n, opens, dots)})
         return True
+
+
+def _inside(v: int, opens: int, dots: int) -> dict[int, int]:
+    """The product over a code's undotted arcs among the bits of v, as {mask: +-1}, for a
+    code that joins the bits of v among themselves: a Dyck word on them."""
+    stack, arcs = [], []
+    for e in range(v.bit_length()):
+        if v >> e & 1:
+            if opens >> e & 1:
+                stack.append(e)
+            elif not dots >> (a := stack.pop()) & 1:
+                arcs.append((a + 1, e + 1))
+    return pair_product(arcs)
+
+
+def _local_identity(a: int, v: int, opens: int, dots: int, *terms: int) -> bool:
+    """Is the sum of coef * g_term, with bits a and a + 1 exchanged, equal to g_M on the
+    bits of v?  g is :func:`_inside` of M's (opens, dots) and of each term's (opens, dots, coef)."""
+    total: dict[int, int] = {}
+    for term_opens, term_dots, coef in zip(*[iter(terms)] * 3):
+        for u, x in _inside(v, term_opens, term_dots).items():
+            total[u] = total.get(u, 0) + coef * x
+    return {transpose_mask(u, 3 << a): x for u, x in total.items() if x} == _inside(v, opens, dots)
 
 
 def _chart(i: int, opens: int, dots: int, partner: list[int]) -> list[tuple[int, int, int]]:
@@ -286,22 +302,16 @@ def _identity(rows: range, dim: int, w: int) -> list[int]:
     return [1 << w * (c - rows.start) if c in rows else 0 for c in range(dim)]
 
 
-def _product(packed: list[int], g: _Generator) -> Iterator[int]:
-    """Packed columns of A * S, one at a time, from those of A and the slots
-    of S: one gather per layer, added column by column, from the list of A's
-    columns, 0, then e * packed[r] for each entry (r, e) whose coefficient is
-    not 1."""
+def _times(packed: list[int], g: _Generator) -> list[int]:
+    """Packed columns of A * S, from those of A and the slots of S: one gather
+    per layer, added column by column, from the list of A's columns, 0, then
+    e * packed[r] for each entry (r, e) whose coefficient is not 1."""
     gather = [*packed, 0, *(e * packed[r] for r, e in zip(g.rows, g.coefs))].__getitem__
     first, *rest = g.layers
     product = map(gather, first)
     for layer in rest:
         product = map(add, product, map(gather, layer))
-    return product
-
-
-def _times(packed: list[int], g: _Generator) -> list[int]:
-    """Packed columns of A * S, from those of A and the slots of S."""
-    return list(_product(packed, g))
+    return list(product)
 
 
 def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[int, int]:
@@ -494,52 +504,6 @@ def irreducibility_check(n: int, k: int) -> Fraction:
 
 
 def chart_diagram_consistency(n: int, k: int) -> bool:
-    """E * s_i = P_i * E on degree (n, k), E the expansion matrix: the verdict :attr:`_Tables.consistent`,
+    """The chart carries L_M to P_i L_M on degree (n, k): the verdict :attr:`_Tables.consistent`,
     cached until ``_tables.cache_clear()``, which only ``verify.run_suites`` calls on its own."""
     return _tables(n, k).consistent
-
-
-def _expansion(n: int, w: int, opens: int, dots: int) -> int:
-    """L_M packed with balanced w-bit digits, digit u the coefficient of undot
-    mask u: the product over the undotted arcs (a, b) of
-    (2^(w*2^(b-1)) - 2^(w*2^(a-1))), each factor a difference of two shifts."""
-    x = 1
-    for a, b in code_undotted(n, opens, dots):
-        x = (x << (w << b - 1)) - (x << (w << a - 1))
-    return x
-
-
-def _packed(vector: dict[int, int], w: int) -> int:
-    """A {mask: coef} vector packed as :func:`_expansion` packs L_M, the sum of coef *
-    2^(w*mask): one integer per coefficient value, set bit by bit, not a shifted term at a time."""
-    total = 0
-    for coef in set(vector.values()):
-        digits = bytearray(w * max(vector) // 8 + 1)
-        for u in (u for u, c in vector.items() if c == coef):
-            digits[w * u >> 3] |= 1 << (w * u & 7)
-        total += coef * int.from_bytes(digits, "little")
-    return total
-
-
-def _swap_masks(n: int, w: int, i: int) -> tuple[int, int, int, int, int]:
-    """The bias, the three digit masks and the shift of :func:`_swap` on n
-    strands: a bias of 2^(w-1) in every digit, the digits of the masks that
-    hold both or neither of strands i and i+1, those of the masks holding
-    only i, those holding only i+1, and w * 2^(i-1), the distance between
-    the two."""
-    ones, full = (1 << w) - 1, (1 << (w << n)) - 1
-    shift = w << i - 1
-    # the masks repeat every 2^(i+1): 2^(i-1) holding neither, 2^(i-1) only i, then only i+1, then both
-    runs = ((1 << shift) - 1) * (full // ((1 << 4 * shift) - 1))
-    up, down = runs << shift, runs << 2 * shift
-    return full // ones << w - 1, full ^ up ^ down, up, down, shift
-
-
-def _swap(x: int, masks: tuple[int, int, int, int, int]) -> int:
-    """A packed expansion with strands i and i+1 exchanged, for the
-    :func:`_swap_masks` of i: the bias makes every digit unsigned, so the
-    digits of the masks holding only one of the two strands move by 2^(i-1)
-    places without a carry, and the bias is subtracted back."""
-    bias, keep, up, down, shift = masks
-    y = x + bias
-    return (y & keep | (y & up) << shift | (y & down) >> shift) - bias

@@ -1,23 +1,44 @@
-"""The local lemma behind the rewriting certificate (the ``springerrep.rewriting``
-module docstring, fact (3)): E, the image under the antipodal embedding, kills
-every Type I/II relation.  A relation's terms share the factor of their
-spectator arcs, so what is left is one identity on the four site vertices,
-which holds for every parity of them.  The tests also pin the other local
-facts the certificate reads: E is +-L_M on standard matchings, and each
-kernel step is the relation at its own site.  One more local fact backs the
-module-equality certificate: every standard tableau but T0 is s_i of a
-standard tableau of smaller mask."""
+"""Local lemmas behind three certificates, each a finite check that stands
+for every n.
+
+Rewriting (the ``springerrep.rewriting`` module docstring, fact (3)):
+(L1) E, the image under the antipodal embedding, kills every Type I/II
+relation.  A relation's terms share the factor of their spectator arcs, so
+what is left is one identity on the four site vertices, which holds for
+every parity of them.  (L2) Each kernel step is the relation at its own
+site, and E is +-L_M on standard matchings.
+
+Consistency (``snaction._Tables.consistent``): (L4) the chart changes only
+the arcs through i and i+1, so P_i L_M = sum of the chart's terms is one
+identity on at most four vertices.  Of the 14 local configurations, the 12
+that hold include every one a standard matching has.
+
+Module equality (``specht.verify_module_equality``): the down operator d
+sends a subset mask S to the sum over x in S of S - {x}.  (L8) d kills every
+product over disjoint pairs of (l_b - l_a): every L_M, e_T and e_M.  (L9)
+dU - Ud = (n - 2j) I on the j-subsets, U adding an element, so d is onto
+from the k-subsets for k <= n/2 and its kernel has dimension C(n, k) -
+C(n, k-1) = syt_count(n, k).
+
+(L3) Every standard tableau but T0 is s_i of a standard tableau of smaller
+mask.  No certificate rests on it since module equality checks d instead of
+a chain of s_i from e_T0; it is kept as a fact about standard tableaux."""
 
 import itertools
 from collections import Counter
+from math import comb
 
 import pytest
 
 import springerrep.rewriting as rw
+from springerrep import snaction
 from springerrep.linediagrams import code_expansion_masks
-from springerrep.matchings import standard_codes, subset_mask
+from springerrep.matchings import (DottedMatching, decode_word, encode, is_standard, pair_product, standard_codes,
+                                   standard_tableaux, subset_mask, syt_count, transpose_mask)
+from springerrep.specht import code_generator_masks, down, polytabloid_masks
 
-from bruteforce import degree_generators, relation_vectors, standard_bottoms_bruteforce
+from bruteforce import degree_generators, perfect_matchings, rank, relation_vectors, standard_bottoms_bruteforce
+from test_snaction import sign_of_undotted_pair_flipped
 
 
 def antipodal(a, b):
@@ -113,8 +134,7 @@ def test_every_standard_row_but_the_pivot_has_a_smaller_standard_parent(n):
 
     Minimality of j gives b_(j-1) = 2(j-1) when j > 1, so b_(j-1) < 2j <= i < b_j:
     i is not in b, and b with b_j replaced by i is sorted with i >= 2j, so
-    standard, and its mask is smaller.  This is the parent that
-    ``specht.verify_module_equality`` reads for its chain gate."""
+    standard, and its mask is smaller."""
     for k in range(n // 2 + 1):
         pivot = tuple(range(2, 2 * k + 1, 2))
         rows = set(standard_bottoms_bruteforce(n, k))
@@ -127,3 +147,130 @@ def test_every_standard_row_but_the_pivot_has_a_smaller_standard_parent(n):
             parent = b[:j - 1] + (i,) + b[j:]
             assert i not in b
             assert parent in rows and subset_mask(parent) < subset_mask(b)
+
+
+# (n, i, arcs) of each local configuration of s_i: (i, i+1) an arc; arcs
+# (j, i), (i+1, k) side by side; and nested, i on the inner or on the outer arc
+SHAPES = {"short": (2, 1, ((1, 2),)), "side by side": (4, 2, ((1, 2), (3, 4))),
+          "i inner": (4, 3, ((1, 4), (2, 3))), "i outer": (4, 1, ((1, 4), (2, 3)))}
+
+
+def local_configurations():
+    """The 14 configurations: each shape with every dotting of its arcs."""
+    for name, (n, i, arcs) in SHAPES.items():
+        for size in range(len(arcs) + 1):
+            for dotted in itertools.combinations(arcs, size):
+                yield name, i, DottedMatching(n, arcs, frozenset(dotted))
+
+
+def chart_identity_holds(rule, i, m):
+    """Does the sum of the rule's terms, each coef * L, equal P_i L_M, as
+    polynomials in the at most four variables of the configuration?"""
+    opens, dots = encode(m)
+    total = Counter()
+    for o, d, coef in rule(i, opens, dots, decode_word(m.n, opens)[1]):
+        for u, x in code_expansion_masks(m.n, o, d).items():
+            total[u] += coef * x
+    swapped = {transpose_mask(u, 0b11 << (i - 1)): x for u, x in code_expansion_masks(m.n, opens, dots).items()}
+    return {u: x for u, x in total.items() if x} == swapped
+
+
+def dotted_under_undotted(m):
+    return any(c < a < b < d for a, b in m.dotted for c, d in m.undotted_arcs)
+
+
+def test_consistency_is_local():
+    """(L4) P_i sends L_M to the sum of the chart's terms, for every standard M
+    and every n, because it holds on the configuration at i, i+1.
+
+    Let V be the endpoints of the arcs through i and i+1.  The chart's terms
+    agree with M off V, so each is F * g, F the product over M's undotted arcs
+    off V, and g the product over its undotted arcs inside V.  P_i exchanges l_i
+    and l_{i+1}, which F does not contain, so P_i L_M = F * P_i g_M, and the
+    column identity is F times the identity on V.  That one is decided by the
+    shape of V's arcs and their dots: 14 configurations.  The 2 that fail have
+    a dotted arc nested under an undotted one.  A standard matching dots only
+    arcs that no arc encloses, so in particular none of V's arcs, and only
+    the 12 that hold occur.  ``snaction._Tables.consistent`` checks this
+    factorisation and this identity column by column."""
+    real = snaction._chart
+    holding, failing = [], []
+    for name, i, m in local_configurations():
+        holds = chart_identity_holds(real, i, m)
+        (holding if holds else failing).append((name, m))
+        # the certificate's own identity, on the configuration's vertices
+        opens, dots = encode(m)
+        terms = [x for term in real(i, opens, dots, decode_word(m.n, opens)[1]) for x in term]
+        assert snaction._local_identity(i - 1, (1 << m.n) - 1, opens, dots, *terms) == holds
+    assert (len(holding), len(failing)) == (12, 2)
+    assert failing == [(name, m) for name, _, m in local_configurations() if dotted_under_undotted(m)]
+    assert sum(is_standard(m) for _, m in holding) == 10 and not any(is_standard(m) for _, m in failing)
+    # the sign mutant breaks the short undotted arc, a configuration that holds
+    broken = [(name, m) for name, i, m in local_configurations() if (name, m) in holding
+              and not chart_identity_holds(lambda *args: sign_of_undotted_pair_flipped(real, *args), i, m)]
+    assert broken == [("short", DottedMatching(2, ((1, 2),), frozenset()))]
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_down_operator_kills_every_product_over_disjoint_pairs(n):
+    """(L8) On multilinear polynomials, a mask S the monomial of the l_x for x in
+    S, the down operator d is the derivation sum over x of d/dl_x.  It sends
+    each factor l_b - l_a to 1 - 1 = 0, so by the Leibniz rule it kills every
+    product of such factors over disjoint pairs: every L_M of a dotted matching,
+    crossing or not, every e_T (its columns (top, bottom)) and every e_M."""
+    for k in range(n // 2 + 1):
+        for m in degree_generators(n, k):
+            assert down(code_expansion_masks(n, *encode(m))) == {}
+        for t in standard_tableaux(n, k):
+            assert down(polytabloid_masks(t)) == {}
+        for code in standard_codes(n, k):
+            assert down(code_generator_masks(n, *code)) == {}
+    if n <= 8:
+        for arcs in perfect_matchings(n):
+            for size in range(len(arcs) + 1):
+                for undotted in itertools.combinations(arcs, size):
+                    assert down(pair_product(undotted)) == {}
+
+
+def up(n, vector):
+    """U, the transpose of d: each mask S goes to the sum over x not in S of S + {x}."""
+    out = Counter()
+    for mask, coef in vector.items():
+        for x in range(n):
+            if not mask >> x & 1:
+                out[mask | 1 << x] += coef
+    return {mask: coef for mask, coef in out.items() if coef}
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_down_and_up_commute_up_to_the_grading(n):
+    """(L9) dU - Ud = (n - 2j) I on the j-subsets (Proctor 1982, "Representations
+    of sl(2, C) on posets and the Sperner property").
+
+    dU S is the sum over x not in S and y in S + {x} of S + {x} - {y}, and Ud S
+    the sum over y in S and x not in S - {y} of S - {y} + {x}.  Every term T has
+    |T| = j and differs from S by at most one added and one removed element:
+    (1) T = S comes from y = x, n - j times in dU S and j times in Ud S;
+    (2) T = S + {x} - {y}, x not in S and y in S, comes once in each, and cancels;
+    (3) there is no other T.  So dU - Ud is n - 2j on S.
+
+    Hence, with U the transpose of d, d d^T = d^T d + (n - 2k + 2) I on the
+    (k-1)-subsets, positive definite for every degree k <= n/2: d is onto
+    from the k-subsets, and dim ker d = C(n, k) - C(n, k-1) = syt_count(n, k),
+    the ballot count."""
+    for mask in range(1 << n):
+        j = mask.bit_count()
+        commutator = Counter(down(up(n, {mask: 1})))
+        commutator.subtract(up(n, down({mask: 1})))
+        assert {u: x for u, x in commutator.items() if x} == ({mask: n - 2 * j} if n != 2 * j else {})
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_down_operator_is_onto_and_its_kernel_has_the_ballot_dimension(n):
+    # the consequence of L9 by exact elimination, and the count module equality compares with
+    for k in range(1, n // 2 + 1):
+        subsets = [subset_mask(c) for c in itertools.combinations(range(1, n + 1), k - 1)]
+        rows = [[down({subset_mask(s): 1}).get(r, 0) for r in subsets]
+                for s in itertools.combinations(range(1, n + 1), k)]
+        assert rank(rows) == comb(n, k - 1)
+        assert comb(n, k) - comb(n, k - 1) == syt_count(n, k) == len(standard_tableaux(n, k))

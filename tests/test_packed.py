@@ -1,8 +1,7 @@
 """Property tests of the packed-integer kernels of ``snaction``: the slot
-encoding the chart tables are built with, on random column tables and
+encoding the chart tables are built with, on random column tables, and
 matrix products on them, with entries and column sums larger than the
-chart's, and the strand swap and the mask-vector packer on random signed
-digit vectors."""
+chart's."""
 
 import pytest
 
@@ -12,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from springerrep import snaction
-from springerrep.matchings import transpose_mask
 
 from bruteforce import chart_columns, column_product, encoded_tables, unpack_columns
 
@@ -73,38 +71,3 @@ def test_slot_encoding_round_trips(generators):
                 expected[r] = expected.get(r, 0) + e
             assert snaction._step(g, ((c, 1),)) == expected
             assert snaction._step(g, ((c, 5),)) == {r: 5 * e for r, e in expected.items()}
-
-
-@st.composite
-def digit_vectors(draw):
-    n = draw(st.integers(2, 8))
-    radius = draw(st.integers(1, 9))
-    digits = draw(st.dictionaries(st.integers(0, (1 << n) - 1),
-                                  st.integers(-radius, radius).filter(bool), max_size=40))
-    return n, radius, digits
-
-
-# every digit at -R: the bias must lift all of them without a borrow
-@example((3, 4, dict.fromkeys(range(8), -4)))
-@example((2, 2, {1: 2, 2: -2}))
-@settings(max_examples=200, deadline=None)
-@given(digit_vectors())
-def test_strand_swap_decodes_to_transpose_mask(case):
-    n, radius, digits = case
-    # the digit width of a generator of column sum R
-    w = encoded_tables(0, ((((0, radius),),),)).width(1)
-    packed = sum(d << w * u for u, d in digits.items())
-    for i in range(1, n):
-        (swapped,) = unpack_columns([snaction._swap(packed, snaction._swap_masks(n, w, i))], w, 1 << n)
-        assert dict(swapped) == {transpose_mask(u, 0b11 << (i - 1)): d for u, d in digits.items()}
-
-
-# the empty vector packs to 0, and digits at -R and R are the edge of the width rule
-@example((2, 1, {}))
-@example((3, 4, {0: -4, 7: 4, 5: 4}))
-@settings(max_examples=200, deadline=None)
-@given(digit_vectors())
-def test_mask_vector_packing_round_trips(case):
-    n, radius, digits = case
-    w = encoded_tables(0, ((((0, radius),),),)).width(1)
-    assert unpack_columns([snaction._packed(digits, w)], w, 1 << n) == (tuple(sorted(digits.items())),)

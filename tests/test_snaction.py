@@ -1,7 +1,6 @@
 import inspect
 import textwrap
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,10 +18,10 @@ from springerrep import (
     reduce_to_standard,
     rep_matrix,
     verify_coxeter,
+    verify_module_equality,
 )
 from springerrep import snaction
 from springerrep.formal import FormalSum
-from springerrep.linediagrams import code_expansion_masks
 from springerrep.matchings import (decode_word, enumerate_standard, partitions_of, standard_codes,
                                    standard_tableaux, syt_count)
 from springerrep.perms import Permutation, parse_permutation
@@ -263,17 +262,6 @@ def test_chart_diagram_consistency(n):
         assert chart_diagram_consistency(n, k)
 
 
-@pytest.mark.parametrize("n", (0, 2, 4, 6, 8, 10))
-def test_packed_expansion_is_the_expansion_rule(n):
-    # the balanced digits of each packed column are L_M, mask for mask
-    for k in range(n // 2 + 1):
-        tables = snaction._tables(n, k)
-        w = tables.width(1)
-        packed = [snaction._expansion(n, w, *code) for code in tables.codes]
-        for column, code in zip(unpack_columns(packed, w, 1 << n), tables.codes):
-            assert dict(column) == code_expansion_masks(n, *code)
-
-
 def test_class_inner_product_refuses_mismatched_class_functions():
     with pytest.raises(ValueError, match=r"^mismatched class functions: the second lacks the class "
                                          r"\(1, 1, 1, 1\) of S_4$"):
@@ -424,13 +412,21 @@ def dot_on_new_short_arc(real, i, opens, dots, partner):
     return images
 
 
-@pytest.mark.parametrize("suite", ("coxeter", "consistency", "irreducibility", "module-equality"))
+@pytest.mark.parametrize("suite", ("coxeter", "consistency", "irreducibility"))
 def test_broken_chart_is_caught_by_suite(broken_chart, suite):
     assert all(r.ok for r in run_suites([suite], 6))
     broken_chart(sign_of_undotted_pair_flipped)
     results = run_suites([suite], 6)
     assert not all(r.ok for r in results)
     assert not any("not a standard basis matching" in r.detail for r in results)
+
+
+def test_module_equality_does_not_read_the_chart(broken_chart):
+    # span{e_T} = span{e_M} is the kernel of the down operator, whatever the chart
+    broken_chart(sign_of_undotted_pair_flipped)
+    assert all(verify_module_equality(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1))
+    assert snaction._tables.cache_info().currsize == 0  # no table was built, so no consistency verdict
+    assert all(r.ok for r in run_suites(["module-equality"], 6))
 
 
 def test_broken_chart_witnesses_at_n_4(broken_chart):
@@ -483,52 +479,80 @@ def mutant(function, old, new):
     return namespace[function.__name__]
 
 
-@pytest.mark.parametrize("name, old, new", [
-    ("_expansion", "(x << (w << b - 1)) - (x << (w << a - 1))", "(x << (w << b - 1)) + (x << (w << a - 1))"),
-    ("_swap", "(y & up) << shift | (y & down) >> shift", "(y & up) >> shift | (y & down) << shift"),
-], ids=["binomial-plus", "shifts-exchanged"])
-def test_packing_mutants_fail_the_consistency_suite(monkeypatch, name, old, new):
-    assert all(r.ok for r in run_suites(["consistency"], 8))
-    monkeypatch.setattr(snaction, name, mutant(getattr(snaction, name), old, new))
+def far_arc_moved(real, i, opens, dots, partner):
+    # the last term's first two side-by-side undotted arcs away from i and i+1 nested instead
+    images = real(i, opens, dots, partner)
+    o, d, coef = images[-1]
+    near = 1 << i - 1 | 1 << i | 1 << partner[i - 1] | 1 << partner[i]
+    for p in range(len(partner) - 3):
+        block = 0b1111 << p
+        if o >> p & 0b1111 == 0b0101 and not (near | d) & block:
+            images[-1] = (o ^ 0b0110 << p, d, coef)
+            break
+    return images
+
+
+def far_dot_moved(real, i, opens, dots, partner):
+    # the last term's first dot away from i and i+1 moved to the first undotted outermost arc there
+    images = real(i, opens, dots, partner)
+    o, d, coef = images[-1]
+    near = 1 << i - 1 | 1 << i | 1 << partner[i - 1] | 1 << partner[i]
+    outer, depth = [], 0
+    for p in range(len(partner)):
+        if o >> p & 1:
+            if depth == 0 and not near >> p & 1:
+                outer.append(p)
+            depth += 1
+        else:
+            depth -= 1
+    dotted = [p for p in outer if d >> p & 1]
+    undotted = [p for p in outer if not d >> p & 1]
+    if dotted and undotted:
+        images[-1] = (o, d ^ 1 << dotted[0] ^ 1 << undotted[0], coef)
+    return images
+
+
+def local_coefficient_changed(real, i, opens, dots, partner):
+    # M + 2M' for M + M'
+    images = real(i, opens, dots, partner)
+    if len(images) == 2:
+        o, d, coef = images[1]
+        images[1] = (o, d, 2 * coef)
+    return images
+
+
+@pytest.mark.parametrize("rule", (far_arc_moved, far_dot_moved, local_coefficient_changed))
+def test_factored_check_mutants_fail_the_consistency_suite(broken_chart, rule):
+    # each is a real fault: the full expansion check of the oracle fails too
+    broken_chart(rule)
+    assert any(consistency_failure(n, k) for n in range(0, 9, 2) for k in range(n // 2 + 1))
     results = run_suites(["consistency"], 8)
     assert not all(r.ok for r in results)
-    assert all("chart action disagrees" in r.detail for r in results if not r.ok)
-
-
-def test_each_degree_builds_its_expansion_once_per_run(monkeypatch):
-    # module equality reads the verdict the consistency suite left on the
-    # degree's tables, so E, one _expansion per basis code, is built once
-    honest, built = snaction._expansion, Counter()
-
-    def counted(n, w, opens, dots):
-        built[n, opens, dots] += 1
-        return honest(n, w, opens, dots)
-
-    snaction._tables.cache_clear()
-    monkeypatch.setattr(snaction, "_expansion", counted)  # the specht binding stays honest
-    assert all(r.ok for r in run_suites(["consistency", "module-equality"], 8))
-    assert built == Counter((n, *code) for n in range(2, 9, 2) for k in range(n // 2 + 1)
-                            for code in standard_codes(n, k))
+    assert all(r.detail.startswith("chart action disagrees with diagram permutation witness=")
+               for r in results if not r.ok)
 
 
 def test_no_consistency_verdict_outlives_its_run(monkeypatch, broken_chart):
     assert all(r.ok for r in run_suites(["consistency"], 6))
-    honest = snaction._swap
-    # installed on the caches the honest run leaves, none cleared
-    monkeypatch.setattr(snaction, "_swap", mutant(honest, "(y & up) << shift | (y & down) >> shift",
-                                                   "(y & up) >> shift | (y & down) << shift"))
+    honest = snaction._local_identity
+    # installed on the caches the honest run leaves, none cleared: P_i dropped from the identity
+    monkeypatch.setattr(snaction, "_local_identity", mutant(honest, "transpose_mask(u, 3 << a)", "u"))
     for k in range(1, 4):
         with pytest.raises(VerificationError, match="chart action disagrees"):
             chart_diagram_consistency(6, k)
-    monkeypatch.setattr(snaction, "_swap", honest)
-    # a raised verdict is not stored: module equality, reading it after the
-    # consistency suite failed, checks again and reports the same witness
+    monkeypatch.setattr(snaction, "_local_identity", honest)
+    # a raised verdict is not stored: asked again, the check runs again and reports the same witness
     broken_chart(sign_of_undotted_pair_flipped)
     witnesses = {2: {"n": 2, "k": 1, "i": 1, "arcs": ((1, 2),), "dotted": []},
                  4: {"n": 4, "k": 1, "i": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}}
-    assert [(r.suite, r.name, r.ok, r.detail) for r in run_suites(["consistency", "module-equality"], 4)] == [
-        (suite, f"n={n}", False, f"chart action disagrees with diagram permutation witness={witness}")
-        for suite in ("consistency", "module-equality") for n, witness in witnesses.items()]
+    for _ in range(2):
+        assert [(r.suite, r.name, r.ok, r.detail) for r in run_suites(["consistency"], 4)] == [
+            ("consistency", f"n={n}", False, f"chart action disagrees with diagram permutation witness={witness}")
+            for n, witness in witnesses.items()]
+        for n, witness in witnesses.items():
+            with pytest.raises(VerificationError) as info:
+                chart_diagram_consistency(n, 1)
+            assert info.value.witness == witness
 
 
 def test_character_table_is_dropped_with_the_chart(broken_chart):

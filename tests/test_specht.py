@@ -23,11 +23,9 @@ from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
     character_table,
-    chart_diagram_consistency,
     class_inner_product,
 )
 from springerrep.specht import specht_characters
-from springerrep.verify import run_suites
 
 from bruteforce import (
     class_representative,
@@ -226,7 +224,7 @@ def test_specht_guard_survives_optimized_python():
         sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
     """)
     assert proc.returncode == 1, proc.stderr
-    assert "pivot generator mismatch witness=" in proc.stdout
+    assert "polytabloid is not in the kernel of the down operator witness=" in proc.stdout
 
 
 BROKEN_PRODUCT_RULE = """
@@ -317,10 +315,9 @@ def test_rank_mismatch_raises(monkeypatch):
 def test_module_equality_names_the_pivot_when_polytabloids_are_single_tabloids(monkeypatch):
     import springerrep.specht as sp
 
-    # single standard tabloids are unitriangular and each is s_i of its parent,
-    # but e_M0 = {2} - {1} is not e_T0 = {2}
+    # single standard tabloids are unitriangular, but the down operator sends {2} to {}
     monkeypatch.setattr(sp, "polytabloid_masks", lambda t: {subset_mask(t.bottom): 1})
-    with pytest.raises(VerificationError, match="pivot generator mismatch") as info:
+    with pytest.raises(VerificationError, match="polytabloid is not in the kernel of the down operator") as info:
         verify_module_equality(4, 1)
     assert info.value.witness == {"n": 4, "k": 1, "bottom": (2,)}
 
@@ -340,17 +337,16 @@ def test_chain_gate_kills_a_sign_flip_below_a_non_pivot_lead(monkeypatch):
     honest = sp.polytabloid_masks
 
     def sabotaged(t):
-        # the lead keeps +1, so only the chain gate, or a peel, can see it
+        # the lead keeps +1, so only the down operator, or a peel, can see it
         vector = honest(t)
         if t.bottom == (3, 4):
             vector[min(vector)] *= -1
         return vector
 
     monkeypatch.setattr(sp, "polytabloid_masks", sabotaged)
-    with pytest.raises(VerificationError, match="polytabloid is not s_i of its standard parent") as info:
+    with pytest.raises(VerificationError, match="polytabloid is not in the kernel of the down operator") as info:
         verify_module_equality(6, 2)
-    # (3, 4) is s_2 of its parent (2, 4)
-    assert info.value.witness == {"n": 6, "k": 2, "bottom": (3, 4), "i": 2}
+    assert info.value.witness == {"n": 6, "k": 2, "bottom": (3, 4)}
     # the elimination reference rejects the same mutant
     rests = peel_rests(6, 2, polytabloid=lambda t: tabloid_sum(t.n, sabotaged(t)))
     assert any(rests.values())
@@ -366,21 +362,39 @@ def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
     assert info.value.witness == {"n": 4, "k": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}
 
 
-@pytest.mark.parametrize("broken", [lambda x: 0, lambda x: -x], ids=["zero", "negated"])
-def test_module_equality_checks_the_packed_columns_consistency_reads(monkeypatch, broken):
-    import springerrep.snaction as sn
+def one_factor_flipped(fault):
+    """``pair_product`` with its last factor (bit b - bit a) turned into (bit a - bit b), or
+    into (bit b + bit a)."""
+    from springerrep.matchings import pair_product
+
+    def broken(pairs):
+        pairs = list(pairs)
+        terms = pair_product(pairs)
+        if not pairs:
+            return terms
+        a = pairs[-1][0]
+        if fault == "factor":
+            return {mask: -coef for mask, coef in terms.items()}
+        return {mask: -coef if mask >> (a - 1) & 1 else coef for mask, coef in terms.items()}
+
+    return broken
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("factor", "polytabloid is not unitriangular"),  # the lead turns -1
+    ("term", "polytabloid is not in the kernel of the down operator"),
+], ids=["factor", "term"])
+def test_module_equality_catches_a_one_factor_sign_flip_in_the_polytabloids(monkeypatch, fault, message):
     import springerrep.specht as sp
 
-    honest = sn._expansion
-    for module in (sn, sp):  # every binding, as an edit of its source would
-        monkeypatch.setattr(module, "_expansion", lambda *args: broken(honest(*args)))
-    sn._tables.cache_clear()  # no verdict of the honest E is read
-    # E * s_i = P_i * E is linear in E: a zero or negated E passes consistency
-    assert all(chart_diagram_consistency(6, k) for k in range(4))
-    with pytest.raises(VerificationError, match="packed expansion differs from matching generator") as info:
-        verify_module_equality(4, 1)
-    assert info.value.witness == {"n": 4, "k": 1, "arcs": ((1, 2), (3, 4)), "dotted": [(3, 4)]}
-    assert not any(r.ok for r in run_suites(["module-equality"], 6))
+    monkeypatch.setattr(sp, "pair_product", one_factor_flipped(fault))
+    with pytest.raises(VerificationError, match=message) as info:
+        verify_module_equality(2, 1)
+    assert info.value.witness == {"n": 2, "k": 1, "bottom": (2,)}
+    # on a later factor too: the degree's first tableau has columns (1, 2), (3, 4)
+    with pytest.raises(VerificationError, match=message) as info:
+        verify_module_equality(6, 2)
+    assert info.value.witness == {"n": 6, "k": 2, "bottom": (2, 4)}
 
 
 @pytest.mark.parametrize("broken", ["repeated", "doubled"])
