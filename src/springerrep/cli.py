@@ -27,7 +27,7 @@ from . import jsonio
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import expand
-from .matchings import check_degree, enumerate_noncrossing, enumerate_standard, phi, standard_tableaux
+from .matchings import check_degree, enumerate_noncrossing, enumerate_standard, nesting, phi, standard_tableaux
 from .perms import parse_permutation
 from .rewriting import _merge, _reduce_sum
 from .snaction import _check_word, act_codes, character, rep_matrix
@@ -36,7 +36,8 @@ from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
 # Largest --n of enumerate, bijection, specht, top-basis, matrix, character and act, the
-# largest input act and expand take, and the largest vertex act --perm names.  At 14 each
+# largest input act and expand take, the largest vertex act --perm names, and the largest
+# nonstandard input reduce takes (a standard one is its own answer, at any size).  At 14 each
 # takes under 2 s and 100 MB (specht --n 14 --k 6 is the largest); output grows like
 # Catalan(n/2) * 2^k, and specht at 16 has seven times as many terms.
 MAX_SIZE_N = 14
@@ -145,8 +146,11 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    terms = jsonio.matching_codes_from_obj(_read_json(args.input))
-    _emit_sum(args, _reduce_sum(terms), jsonio.matching_sum_to_obj, "matching",
+    degrees = _merge(jsonio.matching_codes_from_obj(_read_json(args.input)))
+    for (n, _), codes in degrees.items():
+        if n > MAX_SIZE_N and any(nesting(*code) for code in codes):
+            raise ValueError(f"nonstandard input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
+    _emit_sum(args, _reduce_sum(degrees), jsonio.matching_sum_to_obj, "matching",
               jsonio.matching_plain, jsonio.matching_plain)
     return 0
 
@@ -163,7 +167,7 @@ def _cmd_act(args) -> int:
     payload = _read_json(args.input)
     if not (isinstance(payload, dict) and "terms" in payload):
         payload = {"terms": [{"coef": 1, "matching": payload}]}
-    merged, degrees = _merge(jsonio.matching_codes_from_obj(payload))
+    degrees = _merge(jsonio.matching_codes_from_obj(payload))
     sizes, ks = {n for n, _ in degrees}, {k for _, k in degrees}
     _check_size(max(sizes, default=0))
     if args.n is not None and sizes - {args.n}:
@@ -185,7 +189,7 @@ def _cmd_act(args) -> int:
         if n is None and (named := max(map(int, re.findall("[0-9]+", args.perm)), default=0)) > MAX_SIZE_N:
             raise ValueError(f"--perm vertex {named} exceeds the supported bound {MAX_SIZE_N}")
         word = parse_permutation(args.perm, n=n).reduced_word()
-    _emit_sum(args, act_codes(word, merged, degrees), jsonio.matching_sum_to_obj, "matching",
+    _emit_sum(args, act_codes(word, degrees), jsonio.matching_sum_to_obj, "matching",
               jsonio.matching_plain, jsonio.matching_plain)
     return 0
 

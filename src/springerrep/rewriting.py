@@ -35,10 +35,11 @@ any sum).  A term whose measure is not below its bucket raises
 ``reduce`` and ``act`` share one path from the ``(n, opens, dots)`` codes
 that :func:`springerrep.jsonio.matching_codes_from_obj` decodes from the
 wire (a :class:`FormalSum` is encoded into them).  :func:`_merge` merges
-equal codes, drops zeros and lists the degrees; :func:`_standard` drains a
-degree through the kernel :func:`_reduce_codes`, which takes and returns
-``(opens, dots)`` terms, and checks each survivor on its masks (degree k,
-measure 0).  ``act`` looks the survivors up in its tables; ``reduce``
+them in a :class:`FormalSum`, which drops zeros, and splits it once into one
+``{(opens, dots): coef}`` per degree (n, k), the degrees in order of their
+first surviving code; :func:`_standard` drains one degree's sum through the
+kernel :func:`_reduce_codes`, which takes and returns ``(opens, dots)``
+terms, and checks each survivor on its masks (degree k, measure 0).  ``act`` looks the survivors up in its tables; ``reduce``
 decodes them to objects, so it enumerates no standard basis.
 
 :func:`_certify` and the ``rewriting`` verify suite show, per degree, that
@@ -78,6 +79,7 @@ from .matchings import code_matching as _matching, decode as _decode, encode as 
 
 Code = tuple[int, int]  # (opens, dots)
 Wire = tuple[int, int, int]  # (n, opens, dots)
+Degrees = dict[tuple[int, int], dict[Code, int]]  # (n, k) -> {(opens, dots): coef}
 
 
 @cache
@@ -142,24 +144,19 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
     return {code: coef for code, coef in levels[0].items() if coef}
 
 
-def _merge(terms: Iterable[tuple[Wire, int]]) -> tuple[dict[Wire, int], list[tuple[int, int]]]:
-    """``((n, opens, dots), coef)`` terms merged as in a :class:`FormalSum`
-    (a code whose coefficient reaches 0 drops out), and the degrees (n, k) of
-    the merged codes in order of their first term."""
-    merged: dict[Wire, int] = {}
-    for code, coef in terms:
-        if total := merged.get(code, 0) + coef:
-            merged[code] = total
-        elif code in merged:
-            del merged[code]
-    return merged, list(dict.fromkeys((n, n // 2 - dots.bit_count()) for n, _, dots in merged))
+def _merge(terms: Iterable[tuple[Wire, int]]) -> Degrees:
+    """``((n, opens, dots), coef)`` terms merged into a :class:`FormalSum`, split into one
+    ``{(opens, dots): coef}`` per degree (n, k), in order of the degrees' first surviving codes."""
+    degrees: Degrees = {}
+    for (n, opens, dots), coef in FormalSum(terms):
+        degrees.setdefault((n, n // 2 - dots.bit_count()), {})[opens, dots] = coef
+    return degrees
 
 
-def _standard(merged: dict[Wire, int], n: int, k: int) -> dict[Code, int]:
-    """The degree-(n, k) codes of a merged sum drained through the kernel,
+def _standard(codes: dict[Code, int], n: int, k: int) -> dict[Code, int]:
+    """One degree's codes, split by :func:`_merge`, drained through the kernel,
     each survivor checked on its masks: k undotted arcs, measure 0."""
-    out = _reduce_codes(n, (((o, d), c) for (m, o, d), c in merged.items()
-                            if m == n and n // 2 - d.bit_count() == k))
+    out = _reduce_codes(n, codes.items())
     for opens, dots in out:
         if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
             raise VerificationError(
@@ -168,15 +165,14 @@ def _standard(merged: dict[Wire, int], n: int, k: int) -> dict[Code, int]:
     return out
 
 
-def _reduce_sum(terms: Iterable[tuple[Wire, int]]) -> FormalSum:
-    """``((n, opens, dots), coef)`` terms in, their class in the standard basis
-    out.  Equal codes merge before the degree check, so terms that cancel do
-    not count towards it."""
-    merged, degrees = _merge(terms)
+def _reduce_sum(degrees: Degrees) -> FormalSum:
+    """A sum split by :func:`_merge` in, its class in the standard basis out.
+    Codes merge before the degree check, so terms that cancel do not count
+    towards it."""
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
     return FormalSum((_matching(n, *code), coef)
-                     for n, k in degrees for code, coef in _standard(merged, n, k).items())
+                     for (n, k), codes in degrees.items() for code, coef in _standard(codes, n, k).items())
 
 
 def reduce_to_standard(v: FormalSum) -> FormalSum:
@@ -185,7 +181,7 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     The result represents the same class modulo the Type I/II relations;
     already-standard sums come back unchanged.
     """
-    return _reduce_sum(((m.n, *_encode(m)), coef) for m, coef in v)
+    return _reduce_sum(_merge(((m.n, *_encode(m)), coef) for m, coef in v))
 
 
 def _generator_codes(n: int, k: int) -> list[Code]:

@@ -71,7 +71,7 @@ from .formal import FormalSum
 from .matchings import (DottedMatching, check_partition, code_matching, decode, decode_word, encode, pair_product,
                         partitions_of, standard_codes, transpose_mask)
 from .perms import Permutation
-from .rewriting import Wire, _merge, _standard
+from .rewriting import Degrees, _merge, _standard
 
 if TYPE_CHECKING:
     from array import array
@@ -326,15 +326,15 @@ def act_simple(i: int, m: DottedMatching) -> FormalSum:
     return act_word((i,), FormalSum({m: 1}))
 
 
-def act_codes(word: tuple[int, ...], merged: dict[Wire, int], degrees: list[tuple[int, int]]) -> FormalSum:
-    """Apply a word to a sum merged by :func:`springerrep.rewriting._merge`:
-    each degree is rewritten into the standard basis on its codes, indexed by
-    code in the degree's table and acted on as one integer vector."""
+def act_codes(word: tuple[int, ...], degrees: Degrees) -> FormalSum:
+    """Apply a word to a sum split by :func:`springerrep.rewriting._merge` into one
+    ``{(opens, dots): coef}`` per degree: each is rewritten into the standard basis on
+    its codes, indexed by code in the degree's table and acted on as one integer vector."""
     result = FormalSum()
-    for n, k in degrees:
+    for (n, k), codes in degrees.items():
         _check_word(word, n)
         tables = _tables(n, k)
-        vec = {tables.index[code]: coef for code, coef in _standard(merged, n, k).items()}
+        vec = {tables.index[code]: coef for code, coef in _standard(codes, n, k).items()}
         image = _apply(tables, word, vec)
         result += FormalSum((code_matching(n, *tables.codes[r]), coef) for r, coef in image.items())
     return result
@@ -346,7 +346,7 @@ def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
     ``v`` may be any sum of dotted matchings; each degree is rewritten into
     the standard basis once and the result is expressed in that basis.
     """
-    return act_codes(word, *_merge(((m.n, *encode(m)), coef) for m, coef in v))
+    return act_codes(word, _merge(((m.n, *encode(m)), coef) for m, coef in v))
 
 
 def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
@@ -377,31 +377,30 @@ def verify_coxeter(n: int, k: int) -> int:
 
     With every s_i an involution, the inverse of a word is the word reversed,
     so (s_i s_{i+1})^3 = 1 holds exactly when s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1},
-    and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.  No word is longer
-    than three letters, and the width of the digits is chosen for that.
+    and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.  Each relation is a pair
+    of words whose products must be equal; no word is longer than three
+    letters, and the width of the digits is chosen for that.
     """
     tables = _tables(n, k)
-    s = (None, *tables.generators)  # s[i]: the slots of s_i
     dim = len(tables.codes)
-    w = tables.width(3)
-    identity = _identity(range(dim), dim, w)
-    packed = (None, *(_times(identity, g) for g in tables.generators))
-    checked = 0
-    for i in range(1, n):
-        if _times(packed[i], s[i]) != identity:
-            raise VerificationError("s_i^2 != 1", {"n": n, "k": k, "i": i})
-        checked += 1
-    for i in range(1, n - 1):
-        ab, ba = _times(packed[i], s[i + 1]), _times(packed[i + 1], s[i])
-        if _times(ab, s[i]) != _times(ba, s[i + 1]):
-            raise VerificationError("braid relation fails", {"n": n, "k": k, "i": i, "j": i + 1})
-        checked += 1
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            if _times(packed[i], s[j]) != _times(packed[j], s[i]):
-                raise VerificationError("commuting relation fails", {"n": n, "k": k, "i": i, "j": j})
-            checked += 1
-    return checked
+    identity = _identity(range(dim), dim, tables.width(3))
+    packed = (identity, *(_times(identity, g) for g in tables.generators))  # packed[i]: s_i, packed[0]: 1
+
+    def product(word: tuple[int, ...]) -> list[int]:
+        out = packed[word[0] if word else 0]
+        for letter in word[1:]:
+            out = _times(out, tables.generators[letter - 1])
+        return out
+
+    relations = [("s_i^2 != 1", {"i": i}, (i, i), ()) for i in range(1, n)]
+    relations += [("braid relation fails", {"i": i, "j": i + 1}, (i, i + 1, i), (i + 1, i, i + 1))
+                  for i in range(1, n - 1)]
+    relations += [("commuting relation fails", {"i": i, "j": j}, (i, j), (j, i))
+                  for i in range(1, n) for j in range(i + 2, n)]
+    for message, witness, left, right in relations:
+        if product(left) != product(right):
+            raise VerificationError(message, {"n": n, "k": k, **witness})
+    return len(relations)
 
 
 def _cycle_type(n: int, cycle_type) -> tuple[int, ...]:

@@ -429,6 +429,18 @@ def test_reduce_of_a_large_standard_matching_builds_no_basis():
     assert json.loads(proc.stdout) == {"terms": [expected]}
 
 
+def test_reduce_refuses_nonstandard_input_above_the_bound():
+    # nested arcs (i, 29 - i), those opening at an even vertex dotted: rewriting it would
+    # write about 40 MB
+    arcs = [[i, 29 - i] for i in range(1, 15)]
+    payload = {"terms": [{"coef": 1, "matching": {"n": 28, "arcs": arcs, "dotted": arcs[1::2]}}]}
+    proc = subprocess.run([sys.executable, "-m", "springerrep.cli", "reduce", "--input", "-"],
+                          input=json.dumps(payload), capture_output=True, text=True, timeout=20,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: nonstandard input on 28 vertices exceeds the supported bound {MAX_SIZE_N}\n"
+
+
 def test_reduce_closes_its_input_file(tmp_path):
     source = tmp_path / "sum.json"
     source.write_text('{"terms":[{"coef":1,"matching":{"n":2,"arcs":[[1,2]]}}]}')

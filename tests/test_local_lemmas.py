@@ -11,7 +11,9 @@ site, and E is +-L_M on standard matchings.
 Consistency (``snaction._Tables.consistent``): (L4) the chart changes only
 the arcs through i and i+1, so P_i L_M = sum of the chart's terms is one
 identity on at most four vertices.  Of the 14 local configurations, the 12
-that hold include every one a standard matching has.
+that hold include every one a standard matching has.  (L5) The chart's image
+of a standard matching is standard, in the same degree, so the chart never
+leaves the basis.
 
 Module equality (``specht.verify_module_equality``): the down operator d
 sends a subset mask S to the sum over x in S of S - {x}.  (L8) d kills every
@@ -33,8 +35,8 @@ import pytest
 import springerrep.rewriting as rw
 from springerrep import snaction
 from springerrep.linediagrams import code_expansion_masks
-from springerrep.matchings import (DottedMatching, decode_word, encode, is_standard, pair_product, standard_codes,
-                                   standard_tableaux, subset_mask, syt_count, transpose_mask)
+from springerrep.matchings import (DottedMatching, decode_word, encode, is_standard, nesting, pair_product,
+                                   standard_codes, standard_tableaux, subset_mask, syt_count, transpose_mask)
 from springerrep.specht import code_generator_masks, down, polytabloid_masks
 
 from bruteforce import degree_generators, perfect_matchings, rank, relation_vectors, standard_bottoms_bruteforce
@@ -209,6 +211,36 @@ def test_consistency_is_local():
     broken = [(name, m) for name, i, m in local_configurations() if (name, m) in holding
               and not chart_identity_holds(lambda *args: sign_of_undotted_pair_flipped(real, *args), i, m)]
     assert broken == [("short", DottedMatching(2, ((1, 2),), frozenset()))]
+
+
+@pytest.mark.parametrize("n", range(0, 13, 2))
+def test_chart_image_is_standard(n):
+    """(L5) Every term of s_i on a standard M is standard, with M's number of
+    dots, for every n.  M dots only arcs that no arc encloses.  Case by case:
+
+    1. both arcs through i, i+1 dotted, and 2. (i, i+1) an arc: the image is
+       +-M itself.
+    3. and 4. Two arcs, one through i and one through i+1: M' replaces them by
+       the undotted arc (i, i+1) and the far arc joining their other ends, and
+       keeps every other arc and dot.  The far arc's inside lies inside M's two
+       arcs: side by side, (j, i) and (i+1, k) give (j, k), whose inside is
+       theirs; nested, the far arc runs from an end of the inner arc to the
+       outer arc's, under the outer arc.  (i, i+1) encloses nothing.  So an
+       arc that the new arcs enclose was enclosed in M, and is undotted, and
+       an arc kept from M encloses in M' what it enclosed in M.  Case 4 adds
+       no dot.  In case 3 exactly one of M's two arcs is dotted, and M' puts
+       its dot on the far arc.  That arc is outermost: an arc enclosing it
+       encloses an end of each of M's two arcs, so, being noncrossing, both
+       arcs, and it would have enclosed M's dotted arc.
+
+    Each case keeps the number of dots.  Checked exhaustively up to n = 12."""
+    for k in range(n // 2 + 1):
+        for opens, dots in standard_codes(n, k):
+            partner = decode_word(n, opens)[1]
+            for i in range(1, n):
+                for image_opens, image_dots, _ in snaction._chart(i, opens, dots, partner):
+                    assert nesting(image_opens, image_dots) == 0
+                    assert image_dots.bit_count() == dots.bit_count()
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))

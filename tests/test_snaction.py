@@ -212,6 +212,36 @@ def test_character_table_matches_reduced_word_traces(n):
         assert table == {ct: character(n, k, ct) for ct in partitions_of(n)}
 
 
+def test_character_reads_no_character_table(monkeypatch):
+    # character's word walk is the reference the class-tree table is checked against
+    expected = {k: character_table(6, k) for k in range(4)}
+
+    def refuse(self):
+        raise AssertionError("character read the class-tree table")
+
+    monkeypatch.setattr(snaction._Tables, "characters", property(refuse))
+    for k, table in expected.items():
+        assert {parts: character(6, k, parts) for parts in partitions_of(6)} == table
+
+
+def test_coxeter_takes_one_product_per_letter(monkeypatch):
+    # n - 1 generators packed, then per relation one product for each letter
+    # after the first: 1 per involution, 4 per braid and 2 per commuting pair
+    calls = 0
+    real = snaction._times
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(snaction, "_times", counted)
+    for k in range(7):
+        calls = 0
+        verify_coxeter(12, k)
+        assert calls == 11 + 11 + 4 * 10 + 2 * 45 == 152
+
+
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
 def test_packed_products_decode_to_column_products(n):
     for k in range(n // 2 + 1):
