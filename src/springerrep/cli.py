@@ -27,9 +27,10 @@ from . import jsonio
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import expand
-from .matchings import check_degree, enumerate_noncrossing, enumerate_standard, nesting, phi, standard_tableaux
+from .matchings import (check_degree, dyck_words, encode, enumerate_standard, nesting, phi, standard_codes,
+                        standard_tableaux)
 from .perms import parse_permutation
-from .rewriting import _merge, _reduce_sum
+from .rewriting import _reduce_sum
 from .snaction import _check_word, act_codes, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid
 from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
@@ -104,26 +105,29 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-def _emit_sum(args, v: FormalSum, json, column: str, cell, render) -> None:
-    """Emit a formal sum as ``json(v)``, as CSV rows (coef, ``cell(x)``) under the
-    header (coef, ``column``), or as plain text with ``render`` for each element."""
-    _emit(args, lambda: json(v),
-          lambda: [["coef", column], *([coef, cell(x)] for x, coef in v.sorted_terms())],
-          lambda: jsonio.formal_plain(v, render))
+def _emit_sum(args, terms, json, column: str, cell, render) -> None:
+    """Emit the ordered (element, coef) ``terms`` of a sum as ``json()``, as CSV rows (coef,
+    ``cell(x)``) under the header (coef, ``column``), or as plain text with ``render``."""
+    _emit(args, json, lambda: [["coef", column], *([coef, cell(x)] for x, coef in terms)],
+          lambda: jsonio.formal_plain(terms, render))
+
+
+def _emit_matchings(args, codes: dict) -> None:
+    """Emit ``{(n, opens, dots): coef}`` over standard matchings, rendered from the codes."""
+    terms = jsonio.standard_terms(codes)
+    _emit_sum(args, terms, lambda: jsonio.sum_to_obj(terms), "matching", jsonio.matching_plain, jsonio.matching_plain)
 
 
 def _cmd_enumerate(args) -> int:
     if args.k is None:
-        matchings = list(enumerate_noncrossing(args.n))
+        codes = [(args.n, opens, None) for opens in dyck_words(args.n)]
     else:
-        matchings = list(enumerate_standard(args.n, args.k))
+        codes = [(args.n, *code) for code in standard_codes(args.n, args.k)]
     head = {"n": args.n} if args.k is None else {"n": args.n, "k": args.k}
     _emit(args,
-          lambda: {**head, "count": len(matchings),
-                   "matchings": [jsonio.matching_to_obj(m) for m in matchings]},
-          lambda: [["index", "matching"],
-                   *([i, jsonio.matching_plain(m)] for i, m in enumerate(matchings))],
-          lambda: "\n".join(map(jsonio.matching_plain, matchings)) or "(none)")
+          lambda: {**head, "count": len(codes), "matchings": list(map(jsonio.matching_to_obj, codes))},
+          lambda: [["index", "matching"], *([i, jsonio.matching_plain(code)] for i, code in enumerate(codes))],
+          lambda: "\n".join(map(jsonio.matching_plain, codes)) or "(none)")
     return 0
 
 
@@ -134,7 +138,7 @@ def _cmd_bijection(args) -> int:
     for k in ks:
         if not _bijection(args.n, k)[0]:
             raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
-        rows += ((k, m, phi(m)) for m in enumerate_standard(args.n, k))
+        rows += ((k, (m.n, *encode(m)), phi(m)) for m in enumerate_standard(args.n, k))
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
                                           "tableau": jsonio.tableau_to_obj(t)} for k, m, t in rows]},
@@ -146,19 +150,19 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    degrees = _merge(jsonio.matching_codes_from_obj(_read_json(args.input)))
+    degrees = jsonio.matching_codes_from_obj(_read_json(args.input))
     for (n, _), codes in degrees.items():
         if n > MAX_SIZE_N and any(nesting(*code) for code in codes):
             raise ValueError(f"nonstandard input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
-    _emit_sum(args, _reduce_sum(degrees), jsonio.matching_sum_to_obj, "matching",
-              jsonio.matching_plain, jsonio.matching_plain)
+    _emit_matchings(args, _reduce_sum(degrees))
     return 0
 
 
 def _cmd_expand(args) -> int:
     m = jsonio.matching_from_obj(_read_json(args.input))
     _check_size(m.n)
-    _emit_sum(args, expand(m), lambda v: jsonio.diagram_sum_to_obj(v, n=m.n), "undot",
+    v = expand(m)
+    _emit_sum(args, v.sorted_terms(), lambda: jsonio.diagram_sum_to_obj(v, n=m.n), "undot",
               lambda u: " ".join(map(str, u.bottom)), jsonio.undot_plain)
     return 0
 
@@ -167,7 +171,7 @@ def _cmd_act(args) -> int:
     payload = _read_json(args.input)
     if not (isinstance(payload, dict) and "terms" in payload):
         payload = {"terms": [{"coef": 1, "matching": payload}]}
-    degrees = _merge(jsonio.matching_codes_from_obj(payload))
+    degrees = jsonio.matching_codes_from_obj(payload)
     sizes, ks = {n for n, _ in degrees}, {k for _, k in degrees}
     _check_size(max(sizes, default=0))
     if args.n is not None and sizes - {args.n}:
@@ -189,8 +193,7 @@ def _cmd_act(args) -> int:
         if n is None and (named := max(map(int, re.findall("[0-9]+", args.perm)), default=0)) > MAX_SIZE_N:
             raise ValueError(f"--perm vertex {named} exceeds the supported bound {MAX_SIZE_N}")
         word = parse_permutation(args.perm, n=n).reduced_word()
-    _emit_sum(args, act_codes(word, degrees), jsonio.matching_sum_to_obj, "matching",
-              jsonio.matching_plain, jsonio.matching_plain)
+    _emit_matchings(args, act_codes(word, degrees))
     return 0
 
 
@@ -236,7 +239,7 @@ def _tabloid_vectors(args, k: int, named: dict[str, list[FormalSum]]) -> None:
           lambda: [["family", "index", "coef", "bottom"],
                    *([name, idx, coef, " ".join(map(str, t.bottom))]
                      for name, idx, v in families for t, coef in v.sorted_terms())],
-          lambda: "\n".join(f"{name}[{idx}] = {jsonio.formal_plain(v, jsonio.rows_plain)}"
+          lambda: "\n".join(f"{name}[{idx}] = {jsonio.formal_plain(v.sorted_terms(), jsonio.rows_plain)}"
                             for name, idx, v in families))
 
 

@@ -8,22 +8,25 @@ order, so identical values always serialize to identical bytes.
 Plain text writes a matching as ``(1,6)* (2,3) (4,5)`` (``*`` marks a dot)
 and a tabloid or tableau as its two rows, ``1 2 4 5|3 6``.
 
-A formal sum, the input of ``reduce`` and ``act``, decodes straight to
-``(n, opens, dots)`` codes, the integer masks the rewriting kernel works on
-(:func:`matching_codes_from_obj`).  It applies the rules of a single
-matching (:func:`matching_from_obj`) with the same errors, but builds no
-matching object and checks each distinct arc list once per call, so a sum
-over few matching shapes pays the arc rules once per shape.
+A formal sum, the input of ``reduce`` and ``act``, decodes and merges in one
+pass straight to the per-degree ``(opens, dots)`` codes the rewriting kernel
+works on (:func:`matching_codes_from_obj`), with the rules and errors of
+:func:`matching_from_obj` but no matching object, each distinct arc list
+checked once per call.  Output goes the other way from codes: one writer per
+format (:func:`matching_to_obj`, :func:`matching_plain`), and
+:func:`standard_terms` orders standard survivors off their masks.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .formal import FormalSum
-from .matchings import (DottedMatching, NoncrossingMatching, Tabloid, TwoRowTableau, dotted_arcs,
-                        noncrossing_arcs, opens_mask)
+from .matchings import (DottedMatching, Tabloid, TwoRowTableau, decode_word, dotted_arcs, encode,
+                        noncrossing_arcs, opens_mask, undot_mask)
+from .rewriting import Degrees, _by_degree
 
 
 def dumps(obj: Any) -> str:
@@ -32,10 +35,14 @@ def dumps(obj: Any) -> str:
 
 # ---------------------------------------------------------------- encoding
 
-def matching_to_obj(m: NoncrossingMatching) -> dict:
-    obj = {"n": m.n, "arcs": [list(a) for a in m.arcs]}
-    if isinstance(m, DottedMatching):
-        obj["dotted"] = [list(a) for a in sorted(m.dotted)]
+def matching_to_obj(code: tuple[int, int, int | None]) -> dict:
+    """The matching of an ``(n, opens, dots)`` code, the one writer of a matching
+    (object callers pass ``(m.n, *encode(m))``); ``dots`` None writes no ``dotted`` key."""
+    n, opens, dots = code
+    arcs = decode_word(n, opens)[0]
+    obj = {"n": n, "arcs": [list(a) for a in arcs]}
+    if dots is not None:
+        obj["dotted"] = [[i, j] for i, j in arcs if dots >> (i - 1) & 1]
     return obj
 
 
@@ -43,12 +50,20 @@ def tableau_to_obj(t: TwoRowTableau) -> dict:
     return {"n": t.n, "bottom": list(t.bottom)}
 
 
+def standard_terms(codes: dict[tuple[int, int, int], int]) -> list[tuple[tuple[int, int, int], int]]:
+    """Standard ``{(n, opens, dots): coef}`` as terms in :meth:`DottedMatching.sort_key` order, by
+    (n, k, U_M) off the masks: distinct standard M of one degree have distinct U_M, so the later
+    keys never decide (L6, ``tests/test_local_lemmas.py::test_lead_key_is_the_undot_set``)."""
+    return sorted(codes.items(), key=lambda term: (term[0][0], -term[0][2].bit_count(), undot_mask(*term[0])))
+
+
+def sum_to_obj(terms) -> dict:
+    """``((n, opens, dots), coef)`` terms, in order, as a wire formal sum."""
+    return {"terms": [{"coef": coef, "matching": matching_to_obj(code)} for code, coef in terms]}
+
+
 def matching_sum_to_obj(v: FormalSum) -> dict:
-    return {
-        "terms": [
-            {"coef": coef, "matching": matching_to_obj(m)} for m, coef in v.sorted_terms()
-        ]
-    }
+    return sum_to_obj(((m.n, *encode(m)), coef) for m, coef in v.sorted_terms())
 
 
 def diagram_sum_to_obj(v: FormalSum, n: int) -> dict:
@@ -86,60 +101,68 @@ def _pair_list(value: Any, context: str) -> list[list[int]]:
     return value
 
 
-def _matching_fields(obj: Any) -> tuple[int, list, list]:
+def matching_from_obj(obj: Any) -> DottedMatching:
     n = _expect(obj, "n", "matching")
     if type(n) is not int:
         raise ValueError("matching: n must be an integer")
     arcs = _pair_list(_expect(obj, "arcs", "matching"), "matching arcs")
-    dotted = _pair_list(obj.get("dotted", []), "matching dotted")
-    return n, arcs, dotted
+    return DottedMatching.make(n, arcs, _pair_list(obj.get("dotted", []), "matching dotted"))
 
 
-def matching_from_obj(obj: Any) -> DottedMatching:
-    return DottedMatching.make(*_matching_fields(obj))
-
-
-def matching_codes_from_obj(obj: Any) -> list[tuple[tuple[int, int, int], int]]:
-    """A wire formal sum as ``((n, opens, dots), coef)`` terms, in input order
-    and not merged; each matching is checked by the rules of
-    :func:`matching_from_obj`, with its errors, but no object is built.
-
-    Each distinct ``(n, arcs as given)`` is checked by the matching rules once
-    per call; its Dyck word and ``{arc: bit}`` map serve every later term with
-    those arcs.  The key is built only after :func:`_pair_list` has checked
-    that every pair is two ints, since ``2.0`` and ``True`` hash as ``2`` and
-    ``1`` do."""
+def matching_codes_from_obj(obj: Any) -> Degrees:
+    """A wire formal sum decoded in one pass into what :func:`springerrep.rewriting._merge`
+    makes of its terms: each matching is checked by the rules of
+    :func:`matching_from_obj`, in order and with its errors, but no object is built;
+    coefficients are summed into one dict as they are read, dropping a code whose
+    sum is 0 as :class:`FormalSum` does, and the dict is split per degree.  The arc
+    rules run once per distinct ``(n, arcs as given)``, keyed only after
+    :func:`_pair_list` has seen two ints in every pair (``2.0`` hashes as ``2``)."""
     terms = _expect(obj, "terms", "formal sum")
     if not isinstance(terms, list):
         raise ValueError("formal sum: terms must be a list")
-    shapes: dict[tuple[int, tuple], tuple[int, dict[tuple[int, int], int]]] = {}
-    parsed = []
+    shapes: dict[tuple[int, ...], tuple[int, dict[tuple[int, int], int]]] = {}
+    merged: dict[tuple[int, int, int], int] = {}
     for entry in terms:
-        coef = _expect(entry, "coef", "formal sum term")
-        if type(coef) is not int:
+        if not isinstance(entry, dict) or "coef" not in entry:
+            raise ValueError("formal sum term: missing key 'coef'")
+        if type(coef := entry["coef"]) is not int:
             raise ValueError("formal sum: coef must be an integer")
-        n, arcs, dotted = _matching_fields(_expect(entry, "matching", "formal sum term"))
-        key = (n, tuple(map(tuple, arcs)))
-        shape = shapes.get(key)
-        if shape is None:
+        if "matching" not in entry:
+            raise ValueError("formal sum term: missing key 'matching'")
+        if not isinstance(m := entry["matching"], dict) or "n" not in m:
+            raise ValueError("matching: missing key 'n'")
+        if type(n := m["n"]) is not int:
+            raise ValueError("matching: n must be an integer")
+        if "arcs" not in m:
+            raise ValueError("matching: missing key 'arcs'")
+        arcs = _pair_list(m["arcs"], "matching arcs")
+        dotted = _pair_list(m.get("dotted", []), "matching dotted")
+        key = (n, *chain.from_iterable(arcs))
+        if (shape := shapes.get(key)) is None:
             arcs = noncrossing_arcs(n, arcs)
             shape = shapes[key] = (opens_mask(arcs), {arc: 1 << (arc[0] - 1) for arc in arcs})
         opens, bits = shape
         dots = 0
         for a, b in dotted:
-            bit = bits.get((a, b) if a < b else (b, a))
-            if bit is None:
+            if (bit := bits.get((a, b) if a < b else (b, a))) is None:
                 dotted_arcs(tuple(bits), dotted)  # not an arc: raises the rule's own error
             dots |= bit
-        parsed.append(((n, opens, dots), coef))
-    return parsed
+        code = (n, opens, dots)
+        if total := merged.get(code, 0) + coef:
+            merged[code] = total
+        elif code in merged:
+            del merged[code]
+    return _by_degree(merged.items())
 
 
 # ------------------------------------------------------------- plain text
 
-def matching_plain(m: NoncrossingMatching) -> str:
-    dotted = m.dotted if isinstance(m, DottedMatching) else ()
-    return " ".join(f"({i},{j})*" if (i, j) in dotted else f"({i},{j})" for i, j in m.arcs) or "(empty)"
+def matching_plain(code: tuple[int, int, int | None]) -> str:
+    """The matching of an ``(n, opens, dots)`` code as text, the one plain writer of a
+    matching; ``dots`` None is an undotted matching."""
+    n, opens, dots = code
+    return " ".join(f"({i},{j})*" if (dots or 0) >> (i - 1) & 1 else f"({i},{j})"
+                    for i, j in decode_word(n, opens)[0]) or "(empty)"
 
 
 def rows_plain(t: Tabloid) -> str:
@@ -152,11 +175,6 @@ def undot_plain(u: Tabloid) -> str:
     return "{" + ",".join(map(str, u.bottom)) + "}"
 
 
-def formal_plain(v: FormalSum, render) -> str:
-    if not v:
-        return "0"
-    parts = []
-    for element, coef in v.sorted_terms():
-        sign = "+" if coef > 0 else "-"
-        parts.append(f"{sign}{abs(coef)} {render(element)}")
-    return "  ".join(parts)
+def formal_plain(terms, render) -> str:
+    """(element, coef) terms, in order, as signed text; ``0`` when there are none."""
+    return "  ".join(f"{'+' if coef > 0 else '-'}{abs(coef)} {render(element)}" for element, coef in terms) or "0"

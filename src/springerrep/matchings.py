@@ -290,7 +290,7 @@ def code_undotted(n: int, opens: int, dots: int) -> list[tuple[int, int]]:
 
 def undot_mask(n: int, opens: int, dots: int) -> int:
     """U_M, the right endpoints of the undotted arcs, as a subset mask."""
-    return subset_mask(b for _, b in code_undotted(n, opens, dots))
+    return sum([1 << (b - 1) for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1])
 
 
 def nesting(opens: int, dots: int) -> int:

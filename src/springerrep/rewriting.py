@@ -14,11 +14,12 @@ and descends its nesting measure (:func:`~springerrep.matchings.nesting`),
 which is 0 exactly on standard matchings.
 
 The rewrite site is the deepest nested dotted arc (j,k), leftmost among
-equals, under its innermost encloser (i,l).  A table per Dyck word, read
-off its arcs and cached for the process (at most Catalan(n/2) words per
-n), lists the nested arcs in that order, and a step takes the first one
-whose dot bit is set.  Oriented to eliminate (j,k), the relations are
-bit flips (x is the bit of vertex x):
+equals, under its innermost encloser (i,l).  A table per Dyck word
+(:func:`_steps`, cached for the process: at most Catalan(n/2) words per n)
+lists the nested arcs in that order, each with its bits and flip masks, and
+the one step (:func:`_step`, read by the kernel and by :func:`_certify`)
+takes the first whose dot bit is set.  Oriented to eliminate (j,k), the
+relations are bit flips (x is the bit of vertex x):
 
   Type II, (i,l) dotted:   (opens^j^k, dots^j^k)
   Type I,  (i,l) undotted: -(opens, dots^j^i) + (opens^j^k, dots^j^i)
@@ -28,19 +29,16 @@ Every term on the right has a smaller measure, so a reduction files the
 coefficients in buckets by measure and drains them deepest level first:
 each matching is rewritten once per call, after all its contributions have
 arrived, and measured once per call, when its code is first seen; no memo
-outlives the call (the site table depends on the Dyck word alone, not on
-any sum).  A term whose measure is not below its bucket raises
+outlives the call.  A term whose measure is not below its bucket raises
 :class:`VerificationError`, memo hit or miss (the termination guard).
 
-``reduce`` and ``act`` share one path from the ``(n, opens, dots)`` codes
-that :func:`springerrep.jsonio.matching_codes_from_obj` decodes from the
-wire (a :class:`FormalSum` is encoded into them).  :func:`_merge` merges
-them in a :class:`FormalSum`, which drops zeros, and splits it once into one
-``{(opens, dots): coef}`` per degree (n, k), the degrees in order of their
-first surviving code; :func:`_standard` drains one degree's sum through the
-kernel :func:`_reduce_codes`, which takes and returns ``(opens, dots)``
-terms, and checks each survivor on its masks (degree k, measure 0).  ``act`` looks the survivors up in its tables; ``reduce``
-decodes them to objects, so it enumerates no standard basis.
+``reduce`` and ``act`` run from wire to wire on codes: the wire sum decodes
+and merges in one pass (:func:`springerrep.jsonio.matching_codes_from_obj`)
+into one ``{(opens, dots): coef}`` per degree (n, k), as :func:`_merge` does
+for codes of objects; :func:`_standard` drains one degree through the kernel
+:func:`_reduce_codes`, checks each survivor on its masks (degree k, measure
+0), and the CLI renders the survivors from their codes.  Only
+:func:`reduce_to_standard` and ``act_word`` build objects, for their results.
 
 :func:`_certify` and the ``rewriting`` verify suite show, per degree, that
 the standard matchings are a basis of the quotient V/R by the relations.
@@ -83,33 +81,31 @@ Degrees = dict[tuple[int, int], dict[Code, int]]  # (n, k) -> {(opens, dots): co
 
 
 @cache
-def _sites(n: int, opens: int) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
+def _steps(n: int, opens: int) -> tuple[tuple[int, int, int, int, tuple[int, int, int, int]], ...]:
     """Every nested arc (j,k) of a Dyck word under its innermost encloser (i,l),
-    as (bit of j, bit positions (i, j, k, l)), deepest first and leftmost among
-    equals: the order in which :func:`_find_site` tries them."""
-    arcs = decode_word(n, opens)[0]
-    nested = sorted((-len(out), j, k, *max(out))
-                    for j, k in arcs if (out := [(a, b) for a, b in arcs if a < j < b]))
-    return tuple((1 << j - 1, (i - 1, j - 1, k - 1, l - 1)) for _, j, k, i, l in nested)
+    deepest first and leftmost among equals, as (bit of j, bit of i, flip j|k,
+    flip j|i, bit positions (i, j, k, l)), from one scan with the open arcs on a stack."""
+    partner, stack, nested = decode_word(n, opens)[1], [], []
+    for v in range(n):
+        if opens >> v & 1:
+            nested += [(-len(stack), v, stack[-1])] if stack else []
+            stack.append(v)
+        else:
+            stack.pop()
+    nested.sort()
+    return tuple((1 << j, 1 << i, 1 << j | 1 << partner[j], 1 << j | 1 << i, (i, j, partner[j], partner[i]))
+                 for _, j, i in nested)
 
 
-def _find_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int]:
-    """Bit positions (i, j, k, l): (j,k) is the deepest nested dotted arc,
-    leftmost among equals, and (i,l) its innermost encloser."""
-    for bit, site in _sites(n, opens):
-        if dots & bit:
-            return site
+def _step(n: int, opens: int, dots: int) -> tuple[tuple[int, int, int, int], tuple[tuple[Code, int], ...]]:
+    """The rewrite step of a code: its site (i, j, k, l), from the first entry of
+    :func:`_steps` with j dotted, and the relation there solved for the matching."""
+    for j, i, jk, ji, site in _steps(n, opens):
+        if dots & j:
+            if dots & i:
+                return site, (((opens ^ jk, dots ^ jk), 1),)
+            return site, (((opens, dots ^ ji), -1), ((opens ^ jk, dots ^ ji), 1), ((opens ^ jk, dots ^ jk), 1))
     raise ValueError("a standard matching has no rewrite site")
-
-
-def _rewrite(opens: int, dots: int, site: tuple[int, int, int, int]) -> list[tuple[int, int, int]]:
-    """The relation at ``site`` solved for the matching, as (opens, dots, coef) terms."""
-    i, j, k, _ = site
-    jk = 1 << j | 1 << k
-    if dots >> i & 1:
-        return [(opens ^ jk, dots ^ jk, 1)]
-    ji = 1 << j | 1 << i
-    return [(opens, dots ^ ji, -1), (opens ^ jk, dots ^ ji, 1), (opens ^ jk, dots ^ jk, 1)]
 
 
 def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
@@ -132,11 +128,10 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
         for (opens, dots), coef in levels.pop(level, {}).items():
             if not coef:
                 continue
-            site = _find_site(n, opens, dots)
-            for child_opens, child_dots, sign in _rewrite(opens, dots, site):
-                code = (child_opens, child_dots)
+            site, children = _step(n, opens, dots)
+            for code, sign in children:
                 if (child_level := measures.get(code)) is None:
-                    child_level = measures[code] = _nesting(child_opens, child_dots)
+                    child_level = measures[code] = _nesting(*code)
                 if child_level >= level:
                     raise _no_descent(n, opens, dots, site)
                 bucket = levels.setdefault(child_level, {})
@@ -145,10 +140,14 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
 
 
 def _merge(terms: Iterable[tuple[Wire, int]]) -> Degrees:
-    """``((n, opens, dots), coef)`` terms merged into a :class:`FormalSum`, split into one
-    ``{(opens, dots): coef}`` per degree (n, k), in order of the degrees' first surviving codes."""
+    """``((n, opens, dots), coef)`` terms merged into a :class:`FormalSum`, which drops zeros, and split."""
+    return _by_degree(FormalSum(terms))
+
+
+def _by_degree(merged: Iterable[tuple[Wire, int]]) -> Degrees:
+    """Merged terms split into one ``{(opens, dots): coef}`` per degree (n, k), in order of first codes."""
     degrees: Degrees = {}
-    for (n, opens, dots), coef in FormalSum(terms):
+    for (n, opens, dots), coef in merged:
         degrees.setdefault((n, n // 2 - dots.bit_count()), {})[opens, dots] = coef
     return degrees
 
@@ -165,14 +164,12 @@ def _standard(codes: dict[Code, int], n: int, k: int) -> dict[Code, int]:
     return out
 
 
-def _reduce_sum(degrees: Degrees) -> FormalSum:
-    """A sum split by :func:`_merge` in, its class in the standard basis out.
-    Codes merge before the degree check, so terms that cancel do not count
-    towards it."""
+def _reduce_sum(degrees: Degrees) -> dict[Wire, int]:
+    """A sum split by :func:`_merge` in, its class in the standard basis out as codes.
+    Codes merge before the degree check, so terms that cancel do not count towards it."""
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
-    return FormalSum((_matching(n, *code), coef)
-                     for (n, k), codes in degrees.items() for code, coef in _standard(codes, n, k).items())
+    return {(n, *code): coef for (n, k), codes in degrees.items() for code, coef in _standard(codes, n, k).items()}
 
 
 def reduce_to_standard(v: FormalSum) -> FormalSum:
@@ -181,7 +178,8 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     The result represents the same class modulo the Type I/II relations;
     already-standard sums come back unchanged.
     """
-    return _reduce_sum(_merge(((m.n, *_encode(m)), coef) for m, coef in v))
+    reduced = _reduce_sum(_merge(((m.n, *_encode(m)), coef) for m, coef in v))
+    return FormalSum((_matching(*code), coef) for code, coef in reduced.items())
 
 
 def _generator_codes(n: int, k: int) -> list[Code]:
@@ -218,12 +216,12 @@ def _certify(n: int, k: int) -> tuple[list[Code], int]:
         if not (level := _nesting(*g)):
             standard += 1
             continue
-        site = _find_site(n, *g)
+        site, children = _step(n, *g)
         step = {g: 1}
-        for opens, dots, sign in _rewrite(*g, site):
-            if _nesting(opens, dots) >= level:
+        for code, sign in children:
+            if _nesting(*code) >= level:
                 raise _no_descent(n, *g, site)
-            step[opens, dots] = step.get((opens, dots), 0) - sign
+            step[code] = step.get(code, 0) - sign
         row = _site_row(n, *g, site[1])
         if row is None or (step != row and step != {c: -x for c, x in row.items()}):
             unmatched += 1

@@ -71,7 +71,7 @@ from .formal import FormalSum
 from .matchings import (DottedMatching, check_partition, code_matching, decode, decode_word, encode, pair_product,
                         partitions_of, standard_codes, transpose_mask)
 from .perms import Permutation
-from .rewriting import Degrees, _merge, _standard
+from .rewriting import Degrees, Wire, _merge, _standard
 
 if TYPE_CHECKING:
     from array import array
@@ -326,17 +326,17 @@ def act_simple(i: int, m: DottedMatching) -> FormalSum:
     return act_word((i,), FormalSum({m: 1}))
 
 
-def act_codes(word: tuple[int, ...], degrees: Degrees) -> FormalSum:
+def act_codes(word: tuple[int, ...], degrees: Degrees) -> dict[Wire, int]:
     """Apply a word to a sum split by :func:`springerrep.rewriting._merge` into one
-    ``{(opens, dots): coef}`` per degree: each is rewritten into the standard basis on
-    its codes, indexed by code in the degree's table and acted on as one integer vector."""
-    result = FormalSum()
+    ``{(opens, dots): coef}`` per degree, each rewritten into the standard basis on its
+    codes and acted on as one integer vector: the image as ``{(n, opens, dots): coef}``."""
+    result = {}
     for (n, k), codes in degrees.items():
         _check_word(word, n)
         tables = _tables(n, k)
         vec = {tables.index[code]: coef for code, coef in _standard(codes, n, k).items()}
-        image = _apply(tables, word, vec)
-        result += FormalSum((code_matching(n, *tables.codes[r]), coef) for r, coef in image.items())
+        for r, coef in _apply(tables, word, vec).items():
+            result[(n, *tables.codes[r])] = coef
     return result
 
 
@@ -346,7 +346,8 @@ def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
     ``v`` may be any sum of dotted matchings; each degree is rewritten into
     the standard basis once and the result is expressed in that basis.
     """
-    return act_codes(word, _merge(((m.n, *encode(m)), coef) for m, coef in v))
+    image = act_codes(word, _merge(((m.n, *encode(m)), coef) for m, coef in v))
+    return FormalSum((code_matching(*code), coef) for code, coef in image.items())
 
 
 def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:

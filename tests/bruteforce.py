@@ -489,7 +489,7 @@ def scan_site(n: int, opens: int, dots: int) -> tuple[int, int, int, int] | None
     """The kernel's rewrite site by one stack scan of the code: bit positions
     (i, j, k, l) with (j,k) the deepest nested dotted arc, leftmost among
     equals, under its innermost encloser (i,l); None on a standard code.
-    The reference for ``rewriting._find_site``."""
+    The reference for the site of ``rewriting._step``."""
     stack, close = [], {}
     depth, site = 0, None
     for v in range(n):

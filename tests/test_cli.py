@@ -1,15 +1,22 @@
+import csv
 import gc
+import io
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 import springerrep.cli as cli
+import springerrep.rewriting as rw
+from springerrep import DottedMatching, reduce_to_standard
+from springerrep.snaction import act_word
 from springerrep.cli import MAX_SIZE_N, main
 from springerrep.errors import VerificationError
+from springerrep.jsonio import matching_from_obj
 
-from bruteforce import cap_memory
+from bruteforce import cap_memory, matching_sum_from_obj
 
 
 def run(capsys, *argv):
@@ -194,8 +201,47 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     monkeypatch.setattr(matchings.NoncrossingMatching, "__post_init__", counted)
     code, out, _ = run(capsys, "act", "--input", str(source), "--gen", "3", "--format", "json")
     assert code == 0 and json.loads(out)["terms"]
-    # one object per output term: only the codes act outputs are decoded
-    assert len(built) == len(json.loads(out)["terms"]) <= matchings.syt_count(8, 2) < len(terms)
+    # the output is rendered from its codes: no matching object at all
+    assert built == []
+
+
+def plain_matching(n, text):
+    """A matching in the plain form ``(1,6)* (2,3) (4,5)`` as a DottedMatching."""
+    arcs = [tuple(map(int, arc.strip("()*").split(","))) for arc in text.split()]
+    return DottedMatching.make(n, arcs, [arc for arc, word in zip(arcs, text.split()) if word.endswith("*")])
+
+
+def three_renderings(capsys, n, *argv):
+    """The (coef, matching) terms of one command in json, csv and plain."""
+    terms = {}
+    for fmt in ("json", "csv", "plain"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            terms[fmt] = [(t["coef"], matching_from_obj(t["matching"])) for t in json.loads(out)["terms"]]
+        elif fmt == "csv":
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == ["coef", "matching"]
+            terms[fmt] = [(int(coef), plain_matching(n, text)) for coef, text in rows]
+        else:
+            terms[fmt] = [(int(part[:part.index(" ")]), plain_matching(n, part[part.index(" ") + 1:]))
+                          for part in out.rstrip("\n").split("  ")]
+    return terms
+
+
+def test_reduce_and_act_list_the_same_terms_in_every_format(capsys, tmp_path):
+    # one seeded sum over every generator of (10, 3); the rendering is read back per format
+    rng = random.Random(10)
+    generators = [rw._decode(10, *code) for code in rw._generator_codes(10, 3)]
+    rng.shuffle(generators)
+    payload = {"terms": [{"coef": rng.choice((-3, -2, -1, 1, 2, 3)), "matching": m} for m in generators]}
+    source = tmp_path / "sum.json"
+    source.write_text(json.dumps(payload))
+    v = matching_sum_from_obj(json.loads(source.read_text()))
+    for argv, expected in ((("reduce",), reduce_to_standard(v)), (("act", "--gen", "3"), act_word((3,), v))):
+        terms = three_renderings(capsys, 10, *argv, "--input", str(source))
+        assert terms["json"] == terms["csv"] == terms["plain"] == [(c, m) for m, c in expected.sorted_terms()]
+        assert len(terms["json"]) > 1
 
 
 def test_act_rejects_non_integer_permutation_entries(capsys, tmp_path):
@@ -565,8 +611,8 @@ def _raise(exc):
 
 def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, collector):
     seen = []
-    honest = cli.enumerate_noncrossing
-    monkeypatch.setattr(cli, "enumerate_noncrossing", lambda n: seen.append(gc.isenabled()) or honest(n))
+    honest = cli.dyck_words
+    monkeypatch.setattr(cli, "dyck_words", lambda n: seen.append(gc.isenabled()) or honest(n))
     assert main(["enumerate", "--n", "4"]) == 0
     assert seen == [False] and gc.isenabled() == collector
 
@@ -576,7 +622,7 @@ def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, c
     (ValueError("planted bad input"), 2),
 ], ids=("exit-1", "exit-2"))
 def test_main_restores_the_collector_on_failure(capsys, monkeypatch, collector, exc, status):
-    monkeypatch.setattr(cli, "enumerate_noncrossing", _raise(exc))
+    monkeypatch.setattr(cli, "dyck_words", _raise(exc))
     assert main(["enumerate", "--n", "4"]) == status
     assert str(exc) in capsys.readouterr().err and gc.isenabled() == collector
 
@@ -595,7 +641,7 @@ def test_main_restores_the_collector_on_an_argparse_exit(capsys, collector):
 
 
 def test_main_restores_the_collector_when_an_exception_escapes(monkeypatch, collector):
-    monkeypatch.setattr(cli, "enumerate_noncrossing", _raise(RuntimeError("planted bug")))
+    monkeypatch.setattr(cli, "dyck_words", _raise(RuntimeError("planted bug")))
     with pytest.raises(RuntimeError, match="planted bug"):
         main(["enumerate", "--n", "4"])
     assert gc.isenabled() == collector

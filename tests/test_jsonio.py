@@ -11,13 +11,14 @@ from springerrep.jsonio import (
     matching_from_obj,
     matching_plain,
     matching_sum_to_obj,
+    matching_to_obj,
     rows_plain,
     tableau_to_obj,
     tabloid_sum_to_obj,
     undot_plain,
 )
 from springerrep.jsonio import matching_codes_from_obj
-from springerrep.rewriting import _encode
+from springerrep.rewriting import _encode, _merge
 from springerrep.specht import matching_generator
 
 from bruteforce import matching_sum_from_obj, perfect_matchings, tableau_from_obj
@@ -31,13 +32,11 @@ def test_matching_json_matches_documented_encoding():
         '{"terms":[{"coef":1,"matching":'
         '{"n":6,"arcs":[[1,6],[2,3],[4,5]],"dotted":[[2,3]]}}]}'
     )
-    assert matching_codes_from_obj(matching_to) == [((6, *_encode(FIGURE)), 1)]
+    assert matching_codes_from_obj(matching_to) == {(6, 2): {_encode(FIGURE): 1}}
 
 
 def test_matching_round_trip():
-    from springerrep.jsonio import matching_to_obj
-
-    obj = matching_to_obj(FIGURE)
+    obj = matching_to_obj((6, *_encode(FIGURE)))
     assert obj == {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}
     assert matching_from_obj(obj) == FIGURE
     # dotted defaults to empty
@@ -101,16 +100,19 @@ def test_decode_rejects_non_integer_coef(coef):
 
 
 def test_plain_renderings():
-    assert matching_plain(FIGURE) == "(1,6) (2,3)* (4,5)"
+    assert matching_plain((6, *_encode(FIGURE))) == "(1,6) (2,3)* (4,5)"
     star_on_top = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(1, 6)])
-    assert matching_plain(star_on_top) == "(1,6)* (2,3) (4,5)"
+    assert matching_plain((6, *_encode(star_on_top))) == "(1,6)* (2,3) (4,5)"
+    assert matching_plain((6, 0b000111, None)) == matching_plain((6, 0b000111, 0)) == "(1,6) (2,5) (3,4)"
+    assert matching_to_obj((6, 0b000111, None)) == {"n": 6, "arcs": [[1, 6], [2, 5], [3, 4]]}
+    assert matching_plain((0, 0, 0)) == "(empty)"
     assert rows_plain(TwoRowTableau(6, (3, 6))) == "1 2 4 5|3 6"
     assert rows_plain(TwoRowTableau(4, ())) == "1 2 3 4|"
     assert rows_plain(Tabloid(4, (3, 1))) == "2 4|1 3"
     assert undot_plain(Tabloid(4, (2, 4))) == "{2,4}"
     v = FormalSum([(Tabloid(2, (1,)), -1), (Tabloid(2, (2,)), 1)])
-    assert formal_plain(v, undot_plain) == "-1 {1}  +1 {2}"
-    assert formal_plain(FormalSum(), undot_plain) == "0"
+    assert formal_plain(v.sorted_terms(), undot_plain) == "-1 {1}  +1 {2}"
+    assert formal_plain([], undot_plain) == "0"
 
 
 def make_or_error(n, arcs, dotted):
@@ -123,9 +125,10 @@ def make_or_error(n, arcs, dotted):
 
 def code_or_error(n, arcs, dotted):
     try:
-        [(code, _)] = matching_codes_from_obj(
-            {"terms": [{"coef": 1, "matching": {"n": n, "arcs": arcs, "dotted": dotted}}]})
-        return code
+        [((size, _), codes)] = matching_codes_from_obj(
+            {"terms": [{"coef": 1, "matching": {"n": n, "arcs": arcs, "dotted": dotted}}]}).items()
+        [code] = codes
+        return size, *code
     except ValueError as err:
         return str(err)
 
@@ -175,18 +178,18 @@ def test_code_decoder_agrees_with_make_on_malformed_input(n, arcs, dotted):
 
 def both_decoders(*matchings):
     """One sum of these matchings through matching_codes_from_obj, and through
-    matching_sum_from_obj with each term's code read off its object: the
-    per-term codes or the error message of each."""
+    matching_sum_from_obj with each term's code read off its object and merged
+    by ``rewriting._merge``: the per-degree codes or the error message of each."""
     obj = {"terms": [{"coef": 1, "matching": m} for m in matchings]}
     try:
-        codes = [code for code, _ in matching_codes_from_obj(obj)]
+        codes = matching_codes_from_obj(obj)
     except ValueError as err:
         codes = str(err)
     try:
         matching_sum_from_obj(obj)
     except ValueError as err:
         return codes, str(err)
-    return codes, [(m.n, *_encode(m)) for m in map(matching_from_obj, matchings)]
+    return codes, _merge(((m.n, *_encode(m)), 1) for m in map(matching_from_obj, matchings))
 
 
 SIDE = {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, 2]]}

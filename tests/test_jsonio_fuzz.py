@@ -1,10 +1,12 @@
 """Property tests of the wire decoders: every payload decodes or is refused.
 
-``matching_codes_from_obj``, the package's one formal-sum decoder, must
-return its ``((n, opens, dots), coef)`` terms or raise ``ValueError`` (which
-the CLI turns into exit 2), never anything else, and so must the object
-reference ``bruteforce.matching_sum_from_obj``; the two must agree term by
-term or refuse with the same message.
+``matching_codes_from_obj``, the package's one formal-sum decoder, decodes
+and merges in one pass.  On every payload drawn here it must return exactly
+the per-degree dicts that ``rewriting._merge`` builds from the terms of the
+object reference ``bruteforce.matching_sum_from_obj`` (degrees in order of
+their first surviving code, codes in merge order, cancelled codes and zero
+coefficients dropped), or raise ``ValueError`` (which the CLI turns into
+exit 2) with the reference's message; never anything else.
 """
 
 import json
@@ -19,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from springerrep.formal import FormalSum
-from springerrep.jsonio import matching_codes_from_obj, matching_from_obj
-from springerrep.rewriting import _encode, reduce_to_standard
+from springerrep.jsonio import matching_codes_from_obj
+from springerrep.rewriting import _encode, _merge, reduce_to_standard
 
 from bruteforce import cap_memory, matching_sum_from_obj
 
@@ -60,57 +62,6 @@ def mutated(obj, path, value, delete):
     return copy
 
 
-def decodes_or_refuses(obj):
-    try:
-        result = matching_sum_from_obj(obj)
-    except ValueError:
-        return None
-    assert isinstance(result, FormalSum)
-    return result
-
-
-def codes_or_refuses(obj):
-    try:
-        result = matching_codes_from_obj(obj)
-    except ValueError:
-        return None
-    assert isinstance(result, list)
-    for (n, opens, dots), coef in result:
-        assert all(type(x) is int for x in (n, opens, dots, coef))
-    return result
-
-
-def test_the_valid_sum_decodes():
-    assert len(decodes_or_refuses(VALID)) == len(codes_or_refuses(VALID)) == 2
-
-
-@FUZZ
-@given(JSON_TREES)
-def test_arbitrary_trees_decode_or_are_refused(obj):
-    for decode in (decodes_or_refuses, codes_or_refuses):
-        decode(obj)
-        decode({"terms": [obj]})
-        decode({"terms": [{"coef": 1, "matching": obj}]})
-
-
-@FUZZ
-@given(st.data())
-def test_mutated_sums_decode_or_are_refused(data):
-    path = data.draw(st.sampled_from(list(node_paths(VALID))))
-    obj = mutated(VALID, path, data.draw(JSON_TREES), data.draw(st.booleans()) and bool(path))
-    result = decodes_or_refuses(obj)
-    if result is not None:
-        try:
-            reduced = reduce_to_standard(result)
-        except ValueError:  # inhomogeneous
-            return
-        assert isinstance(reduced, FormalSum)
-
-
-# the first term again, so that the code decoder meets an arc list it has seen
-REPEATED = {"terms": [*VALID["terms"], VALID["terms"][0]]}
-
-
 def message_or(decode, obj):
     try:
         return decode(obj)
@@ -118,20 +69,84 @@ def message_or(decode, obj):
         return str(err)
 
 
-def object_term_code(entry):
-    m = matching_from_obj(entry["matching"])
-    return (m.n, *_encode(m)), entry["coef"]
+def ordered(degrees):
+    """Per-degree dicts as nested item lists, so that order counts in a comparison."""
+    return [(degree, list(codes.items())) for degree, codes in degrees.items()]
+
+
+def reference(obj):
+    """What the one-pass decoder must give: the object decoder's message, or
+    ``rewriting._merge`` of its terms, each read off its object as a code."""
+    result = message_or(matching_sum_from_obj, obj)
+    if isinstance(result, str):
+        return result
+    assert isinstance(result, FormalSum)
+    return ordered(_merge(((m.n, *_encode(m)), coef) for m, coef in result))
+
+
+def agreed(obj):
+    """Check the decoder against the reference on obj; its degrees, or None if refused."""
+    result = message_or(matching_codes_from_obj, obj)
+    if isinstance(result, str):
+        assert result == reference(obj)
+        return None
+    for (n, k), codes in result.items():
+        assert all(type(x) is int for x in (n, k))
+        for (opens, dots), coef in codes.items():
+            assert all(type(x) is int for x in (opens, dots, coef)) and coef
+    assert ordered(result) == reference(obj)
+    return result
+
+
+def test_the_valid_sum_decodes():
+    assert len(matching_sum_from_obj(VALID)) == sum(map(len, agreed(VALID).values())) == 2
+
+
+@FUZZ
+@given(JSON_TREES)
+def test_arbitrary_trees_decode_or_are_refused(obj):
+    agreed(obj)
+    agreed({"terms": [obj]})
+    agreed({"terms": [{"coef": 1, "matching": obj}]})
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_sums_decode_or_are_refused(data):
+    path = data.draw(st.sampled_from(list(node_paths(VALID))))
+    obj = mutated(VALID, path, data.draw(JSON_TREES), data.draw(st.booleans()) and bool(path))
+    if agreed(obj) is not None:
+        try:
+            reduced = reduce_to_standard(matching_sum_from_obj(obj))
+        except ValueError:  # inhomogeneous
+            return
+        assert isinstance(reduced, FormalSum)
+
+
+# The first term again, so that the decoder meets an arc list it has seen; a
+# second degree; the first term's code cancelled (reversed pairs, the same
+# code), so that the merge drops it and the degree of the n = 4 term comes
+# first; and that code again, which must come back after the second term's.
+MERGING = {"terms": [
+    VALID["terms"][0],
+    {"coef": 3, "matching": {"n": 4, "arcs": [[1, 2], [3, 4]]}},
+    VALID["terms"][1],
+    VALID["terms"][0],
+    {"coef": -4, "matching": {"n": 6, "arcs": [[6, 1], [3, 2], [5, 4]], "dotted": [[3, 2]]}},
+    {"coef": 5, "matching": VALID["terms"][0]["matching"]},
+]}
+
+
+def test_the_merging_sum_drops_its_cancelled_code():
+    assert ordered(agreed(MERGING)) == [((4, 2), [((0b0101, 0), 3)]),
+                                        ((6, 2), [((0b010101, 0b000100), -1), ((0b001011, 0b000010), 5)])]
 
 
 @FUZZ
 @given(st.data())
 def test_code_decoder_agrees_with_the_object_decoder(data):
-    path = data.draw(st.sampled_from(list(node_paths(REPEATED))))
-    obj = mutated(REPEATED, path, data.draw(JSON_TREES), data.draw(st.booleans()) and bool(path))
-    expected = message_or(matching_sum_from_obj, obj)
-    if not isinstance(expected, str):
-        expected = list(map(object_term_code, obj["terms"]))
-    assert message_or(matching_codes_from_obj, obj) == expected
+    path = data.draw(st.sampled_from(list(node_paths(MERGING))))
+    agreed(mutated(MERGING, path, data.draw(JSON_TREES), data.draw(st.booleans()) and bool(path)))
 
 
 @pytest.mark.parametrize("payload", (

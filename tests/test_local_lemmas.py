@@ -15,6 +15,12 @@ that hold include every one a standard matching has.  (L5) The chart's image
 of a standard matching is standard, in the same degree, so the chart never
 leaves the basis.
 
+Echelon and output order (``linediagrams.echelon_certificate``,
+``jsonio.standard_terms``): (L6) the largest key of L_M is U_M, the right
+endpoints of the undotted arcs, with coefficient +1, and distinct standard M
+have distinct U_M.  So the L_M of one degree are in echelon form by U_M, and
+(n, k, U_M) alone orders the standard matchings as their sort key does.
+
 Module equality (``specht.verify_module_equality``): the down operator d
 sends a subset mask S to the sum over x in S of S - {x}.  (L8) d kills every
 product over disjoint pairs of (l_b - l_a): every L_M, e_T and e_M.  (L9)
@@ -122,10 +128,10 @@ def test_kernel_step_is_the_row_at_its_site(n):
         for g in rw._generator_codes(n, k):
             if not rw._nesting(*g):
                 continue
-            site = rw._find_site(n, *g)
+            site, children = rw._step(n, *g)
             step = {g: 1}
-            for opens, dots, sign in rw._rewrite(*g, site):
-                step[opens, dots] = step.get((opens, dots), 0) - sign
+            for code, sign in children:
+                step[code] = step.get(code, 0) - sign
             assert step == {c: -x for c, x in rw._site_row(n, *g, site[1]).items()}
 
 
@@ -241,6 +247,27 @@ def test_chart_image_is_standard(n):
                 for image_opens, image_dots, _ in snaction._chart(i, opens, dots, partner):
                     assert nesting(image_opens, image_dots) == 0
                     assert image_dots.bit_count() == dots.bit_count()
+
+
+@pytest.mark.parametrize("n", range(0, 13, 2))
+def test_lead_key_is_the_undot_set(n):
+    """(L6) L_M is the product over the undotted arcs (a, b) of (l_b - l_a):
+    one term per choice of an endpoint on each arc, with sign -1 to the number
+    of left endpoints chosen.  The arcs are disjoint, so distinct choices are
+    distinct subsets and nothing cancels; moving one choice from a to b > a
+    raises the mask, so the largest key chooses every right endpoint, U_M,
+    with coefficient +1.  On standard matchings U_M is the bottom row of
+    phi(M), and theta inverts phi, so distinct M have distinct U_M; checked
+    here, and the canonical basis order is the order of U_M."""
+    for k in range(n // 2 + 1):
+        leads = []
+        for opens, dots in standard_codes(n, k):
+            lead = subset_mask(b for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1)
+            expansion = code_expansion_masks(n, opens, dots)
+            assert max(expansion) == lead and expansion[lead] == 1
+            leads.append(lead)
+        assert len(set(leads)) == len(leads) == syt_count(n, k)
+        assert leads == sorted(leads)
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))

@@ -181,7 +181,8 @@ def test_rewrites_decrease_nesting_measure():
 def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     # a plain assert would vanish under python -O; the guard must raise
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
-    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: [(opens, dots, 1)])
+    honest = rw._step
+    monkeypatch.setattr(rw, "_step", lambda n, opens, dots: (honest(n, opens, dots)[0], (((opens, dots), 1),)))
     witness = {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)], "site": ["II", 1, 2, 3, 4]}
     with pytest.raises(VerificationError) as info:
         reduce_to_standard(single(m))
@@ -198,7 +199,8 @@ def test_rewrite_to_an_unseen_code_that_keeps_nesting_is_refused(monkeypatch):
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
     child = (0b0011, 0b0010)  # (1,4),(2,3) with only (2,3) dotted: measure 1, as m
     assert child != rw._encode(m) and rw._nesting(*child) == rw._nesting(*rw._encode(m)) == 1
-    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: [(*child, 1)])
+    honest = rw._step
+    monkeypatch.setattr(rw, "_step", lambda n, opens, dots: (honest(n, opens, dots)[0], ((child, 1),)))
     with pytest.raises(VerificationError, match="rewrite did not decrease nesting") as info:
         reduce_to_standard(single(m))
     assert info.value.witness == {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)],
@@ -222,19 +224,19 @@ def test_kernel_measures_each_code_once(monkeypatch):
     expected = combined(table, terms)
     seen = {g for g, _ in terms}
     calls = Counter()
-    honest_nesting, honest_rewrite = rw._nesting, rw._rewrite
+    honest_nesting, honest_step = rw._nesting, rw._step
 
     def counted(opens, dots):
         calls[opens, dots] += 1
         return honest_nesting(opens, dots)
 
-    def recorded(opens, dots, site):
-        children = honest_rewrite(opens, dots, site)
-        seen.update((o, d) for o, d, _ in children)
-        return children
+    def recorded(n, opens, dots):
+        site, children = honest_step(n, opens, dots)
+        seen.update(code for code, _ in children)
+        return site, children
 
     monkeypatch.setattr(rw, "_nesting", counted)
-    monkeypatch.setattr(rw, "_rewrite", recorded)
+    monkeypatch.setattr(rw, "_step", recorded)
     assert rw._reduce_codes(n, terms) == expected
     assert sum(calls.values()) <= len(seen) and max(calls.values()) == 1
 
@@ -252,11 +254,14 @@ def test_code_outside_the_standard_basis_is_refused(monkeypatch):
 def test_rewrite_that_changes_the_degree_is_refused(monkeypatch):
     # a Type II step that drops the nested dot without dotting the new arc: the
     # nesting falls, so only the degree check on the level-0 masks can see it
-    def drop_dot(opens, dots, site):
-        i, j, k, _ = site
-        return [(opens ^ (1 << j | 1 << k), dots ^ (1 << j), 1)]
+    honest = rw._step
 
-    monkeypatch.setattr(rw, "_rewrite", drop_dot)
+    def drop_dot(n, opens, dots):
+        site = honest(n, opens, dots)[0]
+        i, j, k, _ = site
+        return site, (((opens ^ (1 << j | 1 << k), dots ^ (1 << j)), 1),)
+
+    monkeypatch.setattr(rw, "_step", drop_dot)
     with pytest.raises(VerificationError, match="outside the standard basis") as info:
         reduce_to_standard(single(m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])))
     assert info.value.witness == {"n": 4, "arcs": ((1, 2), (3, 4)), "dotted": [(1, 2)], "k": 0}
@@ -283,10 +288,10 @@ def test_kernel_step_matches_reference_rule(n):
             sites = find_sites(g)
             if not sites:
                 continue
-            i, j, kk, l = site = rw._find_site(n, opens, dots)
+            (i, j, kk, l), children = rw._step(n, opens, dots)
             kind = "II" if dots >> i & 1 else "I"
             assert sites[0] == RewriteSite(kind, i + 1, j + 1, kk + 1, l + 1)
-            step = FormalSum((decoded(n, o, d), c) for o, d, c in rw._rewrite(opens, dots, site))
+            step = FormalSum((decoded(n, *code), c) for code, c in children)
             assert step == apply_site(g, sites[0])
 
 
@@ -298,9 +303,9 @@ def test_site_table_matches_the_stack_scan(n):
             assert (site is None) == (rw._nesting(opens, dots) == 0)
             if site is None:
                 with pytest.raises(ValueError, match="no rewrite site"):
-                    rw._find_site(n, opens, dots)
+                    rw._step(n, opens, dots)
             else:
-                assert rw._find_site(n, opens, dots) == site
+                assert rw._step(n, opens, dots)[0] == site
 
 
 @pytest.mark.parametrize("n", range(2, 9, 2))
@@ -344,17 +349,17 @@ def test_dependent_standard_columns_fail_the_suite_and_the_reference(monkeypatch
     # a Type I step that drops its nested term, and a site row patched to
     # agree: with that step as a relation the standard matchings are
     # dependent, and the drain of the generators changes their image
-    honest = rw._rewrite
+    honest = rw._step
 
-    def truncated(opens, dots, site):
-        terms = honest(opens, dots, site)
-        return terms[1:] if len(terms) == 3 else terms
+    def truncated(n, opens, dots):
+        site, children = honest(n, opens, dots)
+        return site, children[1:] if len(children) == 3 else children
 
     def agreeing(n, opens, dots, j):
-        children = truncated(opens, dots, rw._find_site(n, opens, dots))
-        return {(opens, dots): 1, **{(o, d): -c for o, d, c in children}}
+        children = truncated(n, opens, dots)[1]
+        return {(opens, dots): 1, **{code: -c for code, c in children}}
 
-    monkeypatch.setattr(rw, "_rewrite", truncated)
+    monkeypatch.setattr(rw, "_step", truncated)
     monkeypatch.setattr(rw, "_site_row", agreeing)
     assert rw._certify(4, 1)[1] == 0
     assert verify._rewriting(4, 1) == (False, "4 generators, dim 3, 1 mismatches")
@@ -370,8 +375,13 @@ def test_dependent_standard_columns_fail_the_suite_and_the_reference(monkeypatch
 
 
 def test_certify_counts_a_step_that_is_not_a_relation(monkeypatch):
-    honest = rw._rewrite
-    monkeypatch.setattr(rw, "_rewrite", lambda opens, dots, site: honest(opens, dots, site)[1:])
+    honest = rw._step
+
+    def truncated(n, opens, dots):
+        site, children = honest(n, opens, dots)
+        return site, children[1:]
+
+    monkeypatch.setattr(rw, "_step", truncated)
     assert rw._certify(4, 1)[1] == 1
 
 
@@ -390,6 +400,42 @@ def test_reduce_matches_oracle(n):
         table = rref_quotient_codes(n, k)
         for g in degree_generators(n, k):
             assert {rw._encode(m): c for m, c in reduce_to_standard(single(g))} == table[rw._encode(g)]
+
+
+def type_one_sign_flipped(step):
+    """The Type I step with the sign of its first term, (opens, dots^j^i), flipped."""
+    def mutant(n, opens, dots):
+        site, children = step(n, opens, dots)
+        if len(children) == 3:
+            (code, sign), *rest = children
+            children = ((code, -sign), *rest)
+        return site, children
+    return mutant
+
+
+def type_two_dot_unflipped(step):
+    """The Type II step that rewires (i,l),(j,k) but leaves the dot bits as they were."""
+    def mutant(n, opens, dots):
+        site, children = step(n, opens, dots)
+        if len(children) == 1:
+            [((child_opens, _), sign)] = children
+            children = (((child_opens, dots), sign),)
+        return site, children
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", (type_one_sign_flipped, type_two_dot_unflipped))
+def test_step_mutants_fail_the_rewriting_suite_and_the_oracle(monkeypatch, mutant):
+    # the one step the kernel and the certificate both read
+    monkeypatch.setattr(rw, "_step", mutant(rw._step))
+    assert not all(r.ok for r in verify.run_suites(["rewriting"], 6))
+    failed = 0
+    for n in (2, 4, 6, 8, 10):
+        try:
+            test_reduce_matches_oracle(n)
+        except (AssertionError, VerificationError):
+            failed += 1
+    assert failed
 
 
 def test_certify_raises_on_impossible_dimension(monkeypatch):
@@ -413,7 +459,7 @@ def test_code_generators_and_rows_match_the_object_builders(n):
         assert set(generators) == {rw._encode(g) for g in degree_generators(n, k)}
         rows = set(map(encoded_row, relation_vectors(n, k)))
         for opens, dots in generators:
-            for bit, _ in rw._sites(n, opens):
+            for bit, *_ in rw._steps(n, opens):
                 if dots & bit:
                     row = rw._site_row(n, opens, dots, bit.bit_length() - 1)
                     assert frozenset(row.items()) in rows
@@ -428,8 +474,8 @@ def test_oracle_never_calls_the_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the rewriting kernel")
 
-    monkeypatch.setattr(rw, "_find_site", refuse)
-    monkeypatch.setattr(rw, "_rewrite", refuse)
+    monkeypatch.setattr(rw, "_steps", refuse)
+    monkeypatch.setattr(rw, "_step", refuse)
     monkeypatch.setattr(rw, "_nesting", lambda opens, dots: 0)
     for (n, k), table in honest.items():
         assert rref_quotient_codes(n, k) == table
@@ -440,16 +486,16 @@ import sys
 import springerrep.rewriting as rw
 from springerrep.cli import main
 
-honest = rw._rewrite
+honest = rw._step
 
-def negated(opens, dots, site):
-    terms = honest(opens, dots, site)
-    if len(terms) == 3:
-        (o, d, c), *rest = terms
-        terms = [(o, d, -c), *rest]
-    return terms
+def negated(n, opens, dots):
+    site, children = honest(n, opens, dots)
+    if len(children) == 3:
+        (code, c), *rest = children
+        children = ((code, -c), *rest)
+    return site, children
 
-rw._rewrite = negated
+rw._step = negated
 sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
 """
 
@@ -495,21 +541,24 @@ EVERY_BINDING = "ld.code_expansion_masks = rw.code_expansion_masks = sp.code_exp
 # name -> (text in every FAIL line, the sabotage)
 SABOTAGE = {
     "rewrite did not decrease nesting": (
-        "rewrite did not decrease nesting", "rw._rewrite = lambda opens, dots, site: [(opens, dots, 1)]"),
+        "rewrite did not decrease nesting", """
+honest = rw._step
+rw._step = lambda n, opens, dots: (honest(n, opens, dots)[0], (((opens, dots), 1),))
+"""),
     # a Type I step that drops its nested term, with the site row patched to
     # agree: a relation among the standard matchings that only E can see
     "standard matchings are dependent modulo the relations": ("1 mismatches", """
-honest = rw._rewrite
+honest = rw._step
 
-def truncated(opens, dots, site):
-    terms = honest(opens, dots, site)
-    return terms[1:] if len(terms) == 3 else terms
+def truncated(n, opens, dots):
+    site, children = honest(n, opens, dots)
+    return site, children[1:] if len(children) == 3 else children
 
 def agreeing(n, opens, dots, j):
-    children = truncated(opens, dots, rw._find_site(n, opens, dots))
-    return {(opens, dots): 1, **{(o, d): -c for o, d, c in children}}
+    children = truncated(n, opens, dots)[1]
+    return {(opens, dots): 1, **{code: -c for code, c in children}}
 
-rw._rewrite, rw._site_row = truncated, agreeing
+rw._step, rw._site_row = truncated, agreeing
 """),
     "1 mismatches": ("1 mismatches", """
 honest = verify._reduce_codes
@@ -522,13 +571,14 @@ def dropped(n, terms):
 verify._reduce_codes = dropped
 """),
     "type II without the dot flip": ("rewrite did not decrease nesting", """
-honest = rw._rewrite
+honest = rw._step
 
-def unflipped(opens, dots, site):
+def unflipped(n, opens, dots):
+    site, children = honest(n, opens, dots)
     i, j, k, _ = site
-    return [(opens ^ (1 << j | 1 << k), dots, 1)] if dots >> i & 1 else honest(opens, dots, site)
+    return site, (((opens ^ (1 << j | 1 << k), dots), 1),) if dots >> i & 1 else children
 
-rw._rewrite = unflipped
+rw._step = unflipped
 """),
     # recompiled from its source, so the drain's own loop is the mutant
     "kernel accumulating coef": ("1 mismatches", """
