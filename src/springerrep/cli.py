@@ -30,7 +30,7 @@ from .linediagrams import expand
 from .matchings import (check_degree, dyck_words, encode, enumerate_standard, nesting, phi, standard_codes,
                         standard_tableaux)
 from .perms import parse_permutation
-from .rewriting import _reduce_sum
+from .rewriting import _by_degree, _reduce_sum
 from .snaction import _check_word, act_codes, character, rep_matrix
 from .specht import emit_top_degree_basis, matching_generator, polytabloid
 from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
@@ -113,16 +113,13 @@ def _emit_sum(args, terms, json, column: str, cell, render) -> None:
 
 
 def _emit_matchings(args, codes: dict) -> None:
-    """Emit ``{(n, opens, dots): coef}`` over standard matchings, rendered from the codes."""
+    """Emit ``{(opens, dots): coef}`` over standard matchings, rendered from the codes."""
     terms = jsonio.standard_terms(codes)
     _emit_sum(args, terms, lambda: jsonio.sum_to_obj(terms), "matching", jsonio.matching_plain, jsonio.matching_plain)
 
 
 def _cmd_enumerate(args) -> int:
-    if args.k is None:
-        codes = [(args.n, opens, None) for opens in dyck_words(args.n)]
-    else:
-        codes = [(args.n, *code) for code in standard_codes(args.n, args.k)]
+    codes = [(opens, None) for opens in dyck_words(args.n)] if args.k is None else standard_codes(args.n, args.k)
     head = {"n": args.n} if args.k is None else {"n": args.n, "k": args.k}
     _emit(args,
           lambda: {**head, "count": len(codes), "matchings": list(map(jsonio.matching_to_obj, codes))},
@@ -138,7 +135,7 @@ def _cmd_bijection(args) -> int:
     for k in ks:
         if not _bijection(args.n, k)[0]:
             raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
-        rows += ((k, (m.n, *encode(m)), phi(m)) for m in enumerate_standard(args.n, k))
+        rows += ((k, encode(m), phi(m)) for m in enumerate_standard(args.n, k))
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
                                           "tableau": jsonio.tableau_to_obj(t)} for k, m, t in rows]},
@@ -150,7 +147,7 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    degrees = jsonio.matching_codes_from_obj(_read_json(args.input))
+    degrees = _by_degree(jsonio.matching_codes_from_obj(_read_json(args.input)).items())
     for (n, _), codes in degrees.items():
         if n > MAX_SIZE_N and any(nesting(*code) for code in codes):
             raise ValueError(f"nonstandard input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
@@ -171,7 +168,7 @@ def _cmd_act(args) -> int:
     payload = _read_json(args.input)
     if not (isinstance(payload, dict) and "terms" in payload):
         payload = {"terms": [{"coef": 1, "matching": payload}]}
-    degrees = jsonio.matching_codes_from_obj(payload)
+    degrees = _by_degree(jsonio.matching_codes_from_obj(payload).items())
     sizes, ks = {n for n, _ in degrees}, {k for _, k in degrees}
     _check_size(max(sizes, default=0))
     if args.n is not None and sizes - {args.n}:
@@ -182,6 +179,8 @@ def _cmd_act(args) -> int:
         raise ValueError("provide exactly one of --gen or --perm")
     if not degrees and args.n is not None:  # no degree of the input to check --n and --k against
         check_degree(args.n, args.k or 0)
+    elif not degrees and args.k is not None and args.k < 0:
+        raise ValueError(f"k={args.k} out of range: degrees start at 0")
     if args.gen is not None:
         word = (args.gen,)
         if not degrees and args.n is not None:  # no degree for act_codes to check it in

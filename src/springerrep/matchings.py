@@ -10,6 +10,8 @@ tableaux.
 Inside the package a matching is a code ``(opens, dots)`` of two n-bit
 masks: bit v-1 of ``opens`` is set when v is a left endpoint (a Dyck word,
 which determines the matching), and of ``dots`` when v opens a dotted arc.
+A word on n vertices has n/2 openers, so a code names its own size n and
+degree k: n = 2 * popcount(opens), k = popcount(opens) - popcount(dots).
 This module owns the format and both rules on it.  The arc opened at a lies
 below 2*popcount(opens below a) - (a-1) arcs; the nesting measure, that
 depth summed over the dotted arcs (:func:`nesting`), is 0 exactly on
@@ -314,9 +316,9 @@ def decode(n: int, opens: int, dots: int) -> dict:
     return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
 
 
-def code_matching(n: int, opens: int, dots: int) -> DottedMatching:
-    """The matching object of a code: the inverse of :func:`encode`."""
-    return DottedMatching.make(**decode(n, opens, dots))
+def code_matching(opens: int, dots: int) -> DottedMatching:
+    """The matching object of a code, on 2 * popcount(opens) vertices: the inverse of :func:`encode`."""
+    return DottedMatching.make(**decode(2 * opens.bit_count(), opens, dots))
 
 
 def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
@@ -353,7 +355,7 @@ def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     Canonical order: increasing in the undot set U_M (right endpoints of the
     undotted arcs) in the undot-set order, that is by :func:`subset_mask`.
     """
-    return tuple(code_matching(n, *code) for code in standard_codes(n, k))
+    return tuple(code_matching(*code) for code in standard_codes(n, k))
 
 
 def phi(m: DottedMatching) -> TwoRowTableau:
@@ -387,7 +389,7 @@ def theta_code(n: int, bottom) -> tuple[int, int]:
 def theta(t: TwoRowTableau) -> DottedMatching:
     """Standard dotted matching associated to a standard two-row tableau:
     :func:`theta_code` of its bottom row, decoded."""
-    return code_matching(t.n, *theta_code(t.n, t.bottom))
+    return code_matching(*theta_code(t.n, t.bottom))
 
 
 @cache

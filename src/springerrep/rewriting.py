@@ -34,10 +34,10 @@ outlives the call.  A term whose measure is not below its bucket raises
 
 ``reduce`` and ``act`` run from wire to wire on codes: the wire sum decodes
 and merges in one pass (:func:`springerrep.jsonio.matching_codes_from_obj`)
-into one ``{(opens, dots): coef}`` per degree (n, k), as :func:`_merge` does
-for codes of objects; :func:`_standard` drains one degree through the kernel
-:func:`_reduce_codes`, checks each survivor on its masks (degree k, measure
-0), and the CLI renders the survivors from their codes.  Only
+into one ``{(opens, dots): coef}``, which :func:`_by_degree` files under the
+degree (n, k) each code names; :func:`_standard` drains one degree through the
+kernel :func:`_reduce_codes`, checks each survivor on its masks (degree k,
+measure 0), and the CLI renders the survivors from their codes.  Only
 :func:`reduce_to_standard` and ``act_word`` build objects, for their results.
 
 :func:`_certify` and the ``rewriting`` verify suite show, per degree, that
@@ -75,8 +75,7 @@ from .linediagrams import code_expansion_masks
 from .matchings import decode_word, dyck_words, syt_count
 from .matchings import code_matching as _matching, decode as _decode, encode as _encode, nesting as _nesting
 
-Code = tuple[int, int]  # (opens, dots)
-Wire = tuple[int, int, int]  # (n, opens, dots)
+Code = tuple[int, int]  # (opens, dots), on 2 * popcount(opens) vertices
 Degrees = dict[tuple[int, int], dict[Code, int]]  # (n, k) -> {(opens, dots): coef}
 
 
@@ -139,21 +138,19 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
     return {code: coef for code, coef in levels[0].items() if coef}
 
 
-def _merge(terms: Iterable[tuple[Wire, int]]) -> Degrees:
-    """``((n, opens, dots), coef)`` terms merged into a :class:`FormalSum`, which drops zeros, and split."""
-    return _by_degree(FormalSum(terms))
-
-
-def _by_degree(merged: Iterable[tuple[Wire, int]]) -> Degrees:
-    """Merged terms split into one ``{(opens, dots): coef}`` per degree (n, k), in order of first codes."""
+def _by_degree(merged: Iterable[tuple[Code, int]]) -> Degrees:
+    """Merged ``((opens, dots), coef)`` terms split into one ``{(opens, dots): coef}`` per
+    degree (n, k) read off the code, in order of first codes."""
     degrees: Degrees = {}
-    for (n, opens, dots), coef in merged:
-        degrees.setdefault((n, n // 2 - dots.bit_count()), {})[opens, dots] = coef
+    for code, coef in merged:
+        opens, dots = code
+        half = opens.bit_count()
+        degrees.setdefault((2 * half, half - dots.bit_count()), {})[code] = coef
     return degrees
 
 
 def _standard(codes: dict[Code, int], n: int, k: int) -> dict[Code, int]:
-    """One degree's codes, split by :func:`_merge`, drained through the kernel,
+    """One degree's codes, split by :func:`_by_degree`, drained through the kernel,
     each survivor checked on its masks: k undotted arcs, measure 0."""
     out = _reduce_codes(n, codes.items())
     for opens, dots in out:
@@ -164,12 +161,12 @@ def _standard(codes: dict[Code, int], n: int, k: int) -> dict[Code, int]:
     return out
 
 
-def _reduce_sum(degrees: Degrees) -> dict[Wire, int]:
-    """A sum split by :func:`_merge` in, its class in the standard basis out as codes.
+def _reduce_sum(degrees: Degrees) -> dict[Code, int]:
+    """A sum split by :func:`_by_degree` in, its class in the standard basis out as codes.
     Codes merge before the degree check, so terms that cancel do not count towards it."""
     if len(degrees) > 1:
         raise ValueError(f"inhomogeneous sum: degrees {sorted(degrees)}")
-    return {(n, *code): coef for (n, k), codes in degrees.items() for code, coef in _standard(codes, n, k).items()}
+    return next((_standard(codes, *degree) for degree, codes in degrees.items()), {})
 
 
 def reduce_to_standard(v: FormalSum) -> FormalSum:
@@ -178,7 +175,7 @@ def reduce_to_standard(v: FormalSum) -> FormalSum:
     The result represents the same class modulo the Type I/II relations;
     already-standard sums come back unchanged.
     """
-    reduced = _reduce_sum(_merge(((m.n, *_encode(m)), coef) for m, coef in v))
+    reduced = _reduce_sum(_by_degree(FormalSum((_encode(m), coef) for m, coef in v)))
     return FormalSum((_matching(*code), coef) for code, coef in reduced.items())
 
 

@@ -31,8 +31,8 @@ basis column, and column c of its matrix is the sum over the layers of entry
 with e != 1]``: a +1 entry is its row r < dim, a missing term the zero at
 slot dim, and any other entry a slot past it.  The chart has two layers, since
 every column is ±M or M + M', and only its -M columns need slots past the
-zero.  The tables hold codes only; ``act`` decodes to :class:`DottedMatching`
-objects just the codes it outputs.  The public action works on classes: an
+zero.  The tables hold codes only, and ``act`` renders its output from them
+without building a :class:`DottedMatching`.  The public action works on classes: an
 arbitrary sum of dotted matchings is merged and rewritten into the standard
 basis on its codes, the step ``reduce`` takes, then acted on as one vector per degree.
 
@@ -71,7 +71,7 @@ from .formal import FormalSum
 from .matchings import (DottedMatching, check_partition, code_matching, decode, decode_word, encode, pair_product,
                         partitions_of, standard_codes, transpose_mask)
 from .perms import Permutation
-from .rewriting import Degrees, Wire, _merge, _standard
+from .rewriting import Degrees, _by_degree, _standard
 
 if TYPE_CHECKING:
     from array import array
@@ -326,17 +326,17 @@ def act_simple(i: int, m: DottedMatching) -> FormalSum:
     return act_word((i,), FormalSum({m: 1}))
 
 
-def act_codes(word: tuple[int, ...], degrees: Degrees) -> dict[Wire, int]:
-    """Apply a word to a sum split by :func:`springerrep.rewriting._merge` into one
+def act_codes(word: tuple[int, ...], degrees: Degrees) -> dict[tuple[int, int], int]:
+    """Apply a word to a sum split by :func:`springerrep.rewriting._by_degree` into one
     ``{(opens, dots): coef}`` per degree, each rewritten into the standard basis on its
-    codes and acted on as one integer vector: the image as ``{(n, opens, dots): coef}``."""
+    codes and acted on as one integer vector: the image as ``{(opens, dots): coef}``."""
     result = {}
     for (n, k), codes in degrees.items():
         _check_word(word, n)
         tables = _tables(n, k)
         vec = {tables.index[code]: coef for code, coef in _standard(codes, n, k).items()}
         for r, coef in _apply(tables, word, vec).items():
-            result[(n, *tables.codes[r])] = coef
+            result[tables.codes[r]] = coef
     return result
 
 
@@ -346,7 +346,7 @@ def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
     ``v`` may be any sum of dotted matchings; each degree is rewritten into
     the standard basis once and the result is expressed in that basis.
     """
-    image = act_codes(word, _merge(((m.n, *encode(m)), coef) for m, coef in v))
+    image = act_codes(word, _by_degree(FormalSum((encode(m), coef) for m, coef in v)))
     return FormalSum((code_matching(*code), coef) for code, coef in image.items())
 
 

@@ -29,7 +29,6 @@ from springerrep import rewriting as rw
 from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.jsonio import matching_from_obj
 from springerrep.linediagrams import code_expansion_masks
 from springerrep.matchings import (
     enumerate_noncrossing,
@@ -424,10 +423,36 @@ def tableau_from_obj(obj) -> TwoRowTableau:
     return TwoRowTableau(obj["n"], tuple(bottom))
 
 
+def is_pair_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p) for p in value)
+
+
+def matching_from_obj(obj) -> DottedMatching:
+    """Decode the matching wire format from its definition, without the package's
+    decoder: an int n, arcs that are int pairs forming a perfect noncrossing
+    matching of 1..n, and optional dotted pairs, each an arc; pairs may come in
+    either order.  Anything else is refused with a ValueError."""
+    if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
+        raise ValueError("matching: n or arcs missing")
+    n, pairs, dotted = obj["n"], obj["arcs"], obj.get("dotted", [])
+    if type(n) is not int or not is_pair_list(pairs) or not is_pair_list(dotted):
+        raise ValueError("matching: n and every pair must be integers")
+    arcs = {(min(p), max(p)) for p in pairs}
+    if n < 0 or 2 * len(pairs) != n or sorted(v for p in pairs for v in p) != list(range(1, n + 1)):
+        raise ValueError("matching: not a perfect matching of 1..n")
+    if not is_noncrossing(arcs):
+        raise ValueError("matching: arcs cross")
+    dots = {(min(p), max(p)) for p in dotted}
+    if not dots <= arcs:
+        raise ValueError("matching: a dotted pair is not an arc")
+    return DottedMatching(n, tuple(sorted(arcs)), frozenset(dots))
+
+
 def matching_sum_from_obj(obj) -> FormalSum:
-    """Decode a wire formal sum to matching objects, term by term through
-    ``jsonio.matching_from_obj``: the object reference that
-    ``jsonio.matching_codes_from_obj`` must agree with, message for message."""
+    """Decode a wire formal sum to matching objects, term by term through the
+    decoder above: the reference that ``jsonio.matching_codes_from_obj`` must
+    agree with, refusal for refusal and code for code."""
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("formal sum: missing key 'terms'")
     if not isinstance(obj["terms"], list):

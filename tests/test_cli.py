@@ -274,7 +274,10 @@ def test_act_perm_on_the_zero_sum(capsys, tmp_path, payload):
                       (["--gen", "1", "--n", "3"], "vertex count must be even and nonnegative, got 3"),
                       (["--perm", "(1 2)", "--n", "3"], "vertex count must be even and nonnegative, got 3"),
                       (["--gen", "1", "--n", "4", "--k", "9"], "k=9 out of range for n=4"),
-                      (["--gen", "1", "--n", "-2"], "vertex count must be even and nonnegative, got -2")]:
+                      (["--gen", "1", "--n", "-2"], "vertex count must be even and nonnegative, got -2"),
+                      # with no --n, a negative --k names no degree at any n
+                      (["--gen", "1", "--k", "-1"], "k=-1 out of range: degrees start at 0"),
+                      (["--perm", "(1 2)", "--k", "-1"], "k=-1 out of range: degrees start at 0")]:
         assert run(capsys, "act", "--input", str(source), *argv) == (2, "", f"error: {err}\n")
     code, out, err = run(capsys, "act", "--input", str(source), "--perm", "(1 x)")
     assert code == 2 and out == ""

@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from springerrep.jsonio import (
     undot_plain,
 )
 from springerrep.jsonio import matching_codes_from_obj
-from springerrep.rewriting import _encode, _merge
+from springerrep.rewriting import _encode
 from springerrep.specht import matching_generator
 
 from bruteforce import matching_sum_from_obj, perfect_matchings, tableau_from_obj
@@ -32,11 +34,11 @@ def test_matching_json_matches_documented_encoding():
         '{"terms":[{"coef":1,"matching":'
         '{"n":6,"arcs":[[1,6],[2,3],[4,5]],"dotted":[[2,3]]}}]}'
     )
-    assert matching_codes_from_obj(matching_to) == {(6, 2): {_encode(FIGURE): 1}}
+    assert matching_codes_from_obj(matching_to) == {_encode(FIGURE): 1}
 
 
 def test_matching_round_trip():
-    obj = matching_to_obj((6, *_encode(FIGURE)))
+    obj = matching_to_obj(_encode(FIGURE))
     assert obj == {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}
     assert matching_from_obj(obj) == FIGURE
     # dotted defaults to empty
@@ -100,12 +102,13 @@ def test_decode_rejects_non_integer_coef(coef):
 
 
 def test_plain_renderings():
-    assert matching_plain((6, *_encode(FIGURE))) == "(1,6) (2,3)* (4,5)"
+    assert matching_plain(_encode(FIGURE)) == "(1,6) (2,3)* (4,5)"
     star_on_top = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(1, 6)])
-    assert matching_plain((6, *_encode(star_on_top))) == "(1,6)* (2,3) (4,5)"
-    assert matching_plain((6, 0b000111, None)) == matching_plain((6, 0b000111, 0)) == "(1,6) (2,5) (3,4)"
-    assert matching_to_obj((6, 0b000111, None)) == {"n": 6, "arcs": [[1, 6], [2, 5], [3, 4]]}
-    assert matching_plain((0, 0, 0)) == "(empty)"
+    assert matching_plain(_encode(star_on_top)) == "(1,6)* (2,3) (4,5)"
+    assert matching_plain((0b000111, None)) == matching_plain((0b000111, 0)) == "(1,6) (2,5) (3,4)"
+    assert matching_to_obj((0b000111, None)) == {"n": 6, "arcs": [[1, 6], [2, 5], [3, 4]]}
+    assert matching_plain((0, 0)) == "(empty)"
+    assert matching_to_obj((0, None)) == {"n": 0, "arcs": []}
     assert rows_plain(TwoRowTableau(6, (3, 6))) == "1 2 4 5|3 6"
     assert rows_plain(TwoRowTableau(4, ())) == "1 2 3 4|"
     assert rows_plain(Tabloid(4, (3, 1))) == "2 4|1 3"
@@ -120,15 +123,14 @@ def make_or_error(n, arcs, dotted):
         m = DottedMatching.make(n, arcs, dotted)
     except ValueError as err:
         return str(err)
-    return (m.n, *_encode(m))
+    return _encode(m)
 
 
 def code_or_error(n, arcs, dotted):
     try:
-        [((size, _), codes)] = matching_codes_from_obj(
-            {"terms": [{"coef": 1, "matching": {"n": n, "arcs": arcs, "dotted": dotted}}]}).items()
-        [code] = codes
-        return size, *code
+        [code] = matching_codes_from_obj(
+            {"terms": [{"coef": 1, "matching": {"n": n, "arcs": arcs, "dotted": dotted}}]})
+        return code
     except ValueError as err:
         return str(err)
 
@@ -173,23 +175,28 @@ def test_code_decoder_agrees_with_make_on_malformed_input(n, arcs, dotted):
     assert result == make_or_error(n, arcs, dotted)
     assert isinstance(result, tuple) == (n == 6)
     if n == 6:
-        assert result == (6, 0b001011, 0b000010)
+        assert result == (0b001011, 0b000010)
+
+
+def message_or(decode, obj):
+    try:
+        return decode(obj)
+    except ValueError as err:
+        return str(err)
 
 
 def both_decoders(*matchings):
-    """One sum of these matchings through matching_codes_from_obj, and through
-    matching_sum_from_obj with each term's code read off its object and merged
-    by ``rewriting._merge``: the per-degree codes or the error message of each."""
+    """One sum of these matchings through matching_codes_from_obj, and what it must
+    give: the codes of the merged terms of the reference matching_sum_from_obj, or,
+    where the reference refuses, the message of the first term that the decoder
+    refuses when it meets that term alone, with no shape seen before."""
     obj = {"terms": [{"coef": 1, "matching": m} for m in matchings]}
+    codes = message_or(matching_codes_from_obj, obj)
     try:
-        codes = matching_codes_from_obj(obj)
-    except ValueError as err:
-        codes = str(err)
-    try:
-        matching_sum_from_obj(obj)
-    except ValueError as err:
-        return codes, str(err)
-    return codes, _merge(((m.n, *_encode(m)), 1) for m in map(matching_from_obj, matchings))
+        return codes, {_encode(m): coef for m, coef in matching_sum_from_obj(obj)}
+    except ValueError:
+        alone = (message_or(matching_from_obj, m) for m in matchings)
+        return codes, next(outcome for outcome in alone if isinstance(outcome, str))
 
 
 SIDE = {"n": 4, "arcs": [[1, 2], [3, 4]], "dotted": [[1, 2]]}
@@ -219,3 +226,16 @@ def test_code_decoder_reuses_shapes_without_changing_outcomes(matchings, refused
     codes, expected = both_decoders(*matchings)
     assert codes == expected
     assert isinstance(codes, str) == refused
+
+
+def test_the_wire_layer_does_not_import_the_rewriting_kernel():
+    source = Path(__file__).resolve().parents[1] / "src" / "springerrep" / "jsonio.py"
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):  # relative names resolved in springerrep
+            package = (("springerrep." if node.level else "") + (node.module or "")).rstrip(".")
+            names = [package, *(f"{package}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[:2] == ["springerrep", "rewriting"] for name in names), ast.unparse(node)

@@ -128,32 +128,37 @@ def test_reduce_rejects_inhomogeneous():
         reduce_to_standard(FormalSum([(a, 1), (b, 1)]))
 
 
-# wire codes (n, opens, dots): (1,2)*(3,4) and (1,4)(2,3)* of degree (4, 1),
+# codes (opens, dots): (1,2)*(3,4) and (1,4)(2,3)* of degree (4, 1),
 # (1,2)(3,4) of degree (4, 2), and (1,2)*(3,4)(5,6) of degree (6, 2)
-SIDE, NESTED, UNDOTTED, SIX = (4, 0b0101, 0b0001), (4, 0b0011, 0b0010), (4, 0b0101, 0), (6, 0b10101, 0b1)
+SIDE, NESTED, UNDOTTED, SIX = (0b0101, 0b0001), (0b0011, 0b0010), (0b0101, 0), (0b10101, 0b1)
+
+
+def merge(terms):
+    """Terms merged as the wire decoder merges them, then split per degree."""
+    return rw._by_degree(FormalSum(terms))
 
 
 def test_merge_drops_a_degree_whose_codes_all_cancel():
-    degrees = rw._merge([(SIDE, 1), (SIX, 2), (NESTED, 3), (SIDE, -1), (NESTED, -3)])
-    assert degrees == {(6, 2): {SIX[1:]: 2}}
+    degrees = merge([(SIDE, 1), (SIX, 2), (NESTED, 3), (SIDE, -1), (NESTED, -3)])
+    assert degrees == {(6, 2): {SIX: 2}}
 
 
 def test_merge_orders_degrees_by_their_first_surviving_code():
     # SIDE opens (4, 1) first but cancels; its return comes after UNDOTTED's (4, 2)
     terms = [(SIDE, 1), (UNDOTTED, 5), (SIDE, -1), (NESTED, 2), (SIDE, 4), (NESTED, 1)]
-    degrees = rw._merge(terms)
+    degrees = merge(terms)
     assert list(degrees) == [(4, 2), (4, 1)]
-    assert degrees == {(4, 2): {UNDOTTED[1:]: 5}, (4, 1): {NESTED[1:]: 3, SIDE[1:]: 4}}
-    assert list(degrees[4, 1]) == [NESTED[1:], SIDE[1:]]
+    assert degrees == {(4, 2): {UNDOTTED: 5}, (4, 1): {NESTED: 3, SIDE: 4}}
+    assert list(degrees[4, 1]) == [NESTED, SIDE]
 
 
 def test_merge_opens_no_degree_for_a_zero_coefficient():
-    assert rw._merge([(SIX, 0), (SIDE, 1), (UNDOTTED, 0)]) == {(4, 1): {SIDE[1:]: 1}}
-    assert rw._merge([(SIX, 0)]) == {}
+    assert merge([(SIX, 0), (SIDE, 1), (UNDOTTED, 0)]) == {(4, 1): {SIDE: 1}}
+    assert merge([(SIX, 0)]) == {}
 
 
 def test_inhomogeneous_message_lists_the_surviving_degrees_sorted():
-    degrees = rw._merge([(UNDOTTED, 1), (SIX, 1), (SIX, -1), (SIDE, 1)])
+    degrees = merge([(UNDOTTED, 1), (SIX, 1), (SIX, -1), (SIDE, 1)])
     with pytest.raises(ValueError) as info:
         rw._reduce_sum(degrees)
     assert str(info.value) == "inhomogeneous sum: degrees [(4, 1), (4, 2)]"

@@ -68,7 +68,7 @@ def test_no_matching_object_outlives_its_call():
 
     before = alive()
     assert all(r.ok for r in run_suites(["counting", "bijection"], 8))
-    m = matchings.code_matching(8, *matchings.standard_codes(8, 2)[0])
+    m = matchings.code_matching(*matchings.standard_codes(8, 2)[0])
     image = act_word((1, 2, 3), FormalSum({m: 1}))
     assert image and alive() >= before + len(image)
     del m, image
