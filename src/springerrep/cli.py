@@ -22,25 +22,25 @@ import io
 import json
 import re
 import sys
+from functools import partial
 
 from . import jsonio
 from .errors import VerificationError
-from .formal import FormalSum
-from .linediagrams import expand
-from .matchings import (check_degree, dyck_words, encode, enumerate_standard, nesting, phi, standard_codes,
-                        standard_tableaux)
+from .linediagrams import expand_code
+from .matchings import check_degree, dyck_words, nesting, standard_bottom_sets, standard_codes, undot_mask
 from .perms import parse_permutation
 from .rewriting import _by_degree, _reduce_sum
 from .snaction import _check_word, act_codes, character, rep_matrix
-from .specht import emit_top_degree_basis, matching_generator, polytabloid
+from .specht import code_generator_masks, polytabloid_masks
 from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
 # Largest --n of enumerate, bijection, specht, top-basis, matrix, character and act, the
 # largest input act and expand take, the largest vertex act --perm names, and the largest
 # nonstandard input reduce takes (a standard one is its own answer, at any size).  At 14 each
-# takes under 2 s and 100 MB (specht --n 14 --k 6 is the largest); output grows like
-# Catalan(n/2) * 2^k, and specht at 16 has seven times as many terms.
+# takes under 2 s and 100 MB; the largest, specht --n 14 --k 6, takes 0.6-0.9 s by format and
+# 85 MB as JSON (2 vCPUs, Python 3.11).  Output grows like Catalan(n/2) * 2^k, and specht at
+# 16 has seven times as many terms.
 MAX_SIZE_N = 14
 MAX_N_HELP = (f"largest n checked, even, {MIN_VERIFY_N} to {MAX_VERIFY_N} (default 8); "
               f"dimension always runs to {MAX_VERIFY_N}")
@@ -131,18 +131,18 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bijection(args) -> int:
     check_degree(args.n, 0)
     ks = [args.k] if args.k is not None else list(range(args.n // 2 + 1))
-    rows = []
+    rows = []  # (k, code of M, bottom-row mask of phi(M), which is U_M)
     for k in ks:
         if not _bijection(args.n, k)[0]:
             raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
-        rows += ((k, encode(m), phi(m)) for m in enumerate_standard(args.n, k))
+        rows += ((k, code, undot_mask(*code)) for code in standard_codes(args.n, k))
+    rows_plain = partial(jsonio.rows_plain, args.n)
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
-                                          "tableau": jsonio.tableau_to_obj(t)} for k, m, t in rows]},
+                                          "tableau": jsonio.tableau_to_obj(args.n, t)} for k, m, t in rows]},
           lambda: [["k", "matching", "tableau"],
-                   *([k, jsonio.matching_plain(m), jsonio.rows_plain(t)] for k, m, t in rows)],
-          lambda: "\n".join(f"{jsonio.matching_plain(m)}  <->  {jsonio.rows_plain(t)}"
-                            for _, m, t in rows) or "(none)")
+                   *([k, jsonio.matching_plain(m), rows_plain(t)] for k, m, t in rows)],
+          lambda: "\n".join(f"{jsonio.matching_plain(m)}  <->  {rows_plain(t)}" for _, m, t in rows) or "(none)")
     return 0
 
 
@@ -156,11 +156,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    m = jsonio.matching_from_obj(_read_json(args.input))
-    _check_size(m.n)
-    v = expand(m)
-    _emit_sum(args, v.sorted_terms(), lambda: jsonio.diagram_sum_to_obj(v, n=m.n), "undot",
-              lambda u: " ".join(map(str, u.bottom)), jsonio.undot_plain)
+    payload = {"terms": [{"coef": 1, "matching": _read_json(args.input)}]}  # one term, so one code
+    [((n, _), codes)] = _by_degree(jsonio.matching_codes_from_obj(payload).items()).items()
+    _check_size(n)
+    [code] = codes
+    terms = sorted(expand_code(*code).items())
+    _emit_sum(args, terms, lambda: jsonio.subset_sum_to_obj({"n": n}, "undot", terms), "undot",
+              jsonio.subset_plain, jsonio.undot_plain)
     return 0
 
 
@@ -229,31 +231,34 @@ def _cmd_character(args) -> int:
     return 0
 
 
-def _tabloid_vectors(args, k: int, named: dict[str, list[FormalSum]]) -> None:
-    families = [(name, idx, v) for name, vectors in named.items() for idx, v in enumerate(vectors)]
+def _tabloid_vectors(args, k: int, named: dict[str, list[dict[int, int]]]) -> None:
+    """Emit families of {bottom-row mask: coef} vectors, each in mask order."""
+    head, rows_plain = {"n": args.n, "k": k}, partial(jsonio.rows_plain, args.n)
+    named = {name: [sorted(v.items()) for v in vectors] for name, vectors in named.items()}
+    families = [(name, idx, terms) for name, vectors in named.items() for idx, terms in enumerate(vectors)]
     _emit(args,
-          lambda: {"n": args.n, "k": k, **{
-              name: [jsonio.tabloid_sum_to_obj(v, n=args.n, k=k) for v in vectors]
-              for name, vectors in named.items()}},
+          lambda: {**head, **{name: [jsonio.subset_sum_to_obj(head, "bottom", terms) for terms in vectors]
+                              for name, vectors in named.items()}},
           lambda: [["family", "index", "coef", "bottom"],
-                   *([name, idx, coef, " ".join(map(str, t.bottom))]
-                     for name, idx, v in families for t, coef in v.sorted_terms())],
-          lambda: "\n".join(f"{name}[{idx}] = {jsonio.formal_plain(v.sorted_terms(), jsonio.rows_plain)}"
-                            for name, idx, v in families))
+                   *([name, idx, coef, jsonio.subset_plain(mask)]
+                     for name, idx, terms in families for mask, coef in terms)],
+          lambda: "\n".join(f"{name}[{idx}] = {jsonio.formal_plain(terms, rows_plain)}"
+                            for name, idx, terms in families))
 
 
 def _cmd_specht(args) -> int:
-    named: dict[str, list[FormalSum]] = {}
+    named = {}
     if args.emit in ("eT", "both"):
-        named["eT"] = [polytabloid(t) for t in standard_tableaux(args.n, args.k)]
+        named["eT"] = [polytabloid_masks(args.n, b) for b in standard_bottom_sets(args.n, args.k)]
     if args.emit in ("eM", "both"):
-        named["eM"] = [matching_generator(m) for m in enumerate_standard(args.n, args.k)]
+        named["eM"] = [code_generator_masks(*code) for code in standard_codes(args.n, args.k)]
     _tabloid_vectors(args, args.k, named)
     return 0
 
 
 def _cmd_top_basis(args) -> int:
-    _tabloid_vectors(args, args.n // 2, {"top": emit_top_degree_basis(args.n)})
+    _tabloid_vectors(args, args.n // 2, {"top": [code_generator_masks(*code)
+                                                 for code in standard_codes(args.n, args.n // 2)]})
     return 0
 
 

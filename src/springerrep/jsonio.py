@@ -10,11 +10,12 @@ and a tabloid or tableau as its two rows, ``1 2 4 5|3 6``.
 
 A formal sum, the input of ``reduce`` and ``act``, decodes and merges in one
 pass to ``{(opens, dots): coef}`` (:func:`matching_codes_from_obj`, the one
-copy of the wire matching rules; :func:`matching_from_obj` reads a matching as
-a one-term sum), each distinct arc list checked once per call.  Output goes
-the other way from codes, which name their own size: one writer per format
-(:func:`matching_to_obj`, :func:`matching_plain`), and :func:`standard_terms`
-orders standard survivors off their masks.
+copy of the wire matching rules; ``expand`` reads a matching as a one-term
+sum), each distinct arc list checked once per call.  No writer takes an
+object: a matching is its ``(opens, dots)`` code, which names its own size,
+and :func:`standard_terms` orders standard survivors off their masks; a
+tableau, tabloid or line diagram is its bottom-row or undot-set mask, and a
+sum of them its ``(mask, coef)`` terms in mask order.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from itertools import chain
 from typing import Any
 
 from .formal import FormalSum
-from .matchings import (DottedMatching, Tabloid, TwoRowTableau, code_matching, decode_word, dotted_arcs, encode,
-                        noncrossing_arcs, opens_mask, undot_mask)
+from .matchings import decode_word, dotted_arcs, encode, noncrossing_arcs, opens_mask, subset_members, undot_mask
 
 
 def dumps(obj: Any) -> str:
@@ -38,16 +38,16 @@ def matching_to_obj(code: tuple[int, int | None]) -> dict:
     """The matching of an ``(opens, dots)`` code, the one writer of a matching (object
     callers pass ``encode(m)``); ``dots`` None writes no ``dotted`` key."""
     opens, dots = code
-    n = 2 * opens.bit_count()
-    arcs = decode_word(n, opens)[0]
-    obj = {"n": n, "arcs": [list(a) for a in arcs]}
+    arcs, partner = decode_word(opens)
+    obj = {"n": len(partner), "arcs": [list(a) for a in arcs]}
     if dots is not None:
         obj["dotted"] = [[i, j] for i, j in arcs if dots >> (i - 1) & 1]
     return obj
 
 
-def tableau_to_obj(t: TwoRowTableau) -> dict:
-    return {"n": t.n, "bottom": list(t.bottom)}
+def tableau_to_obj(n: int, bottom: int) -> dict:
+    """The tableau on n vertices with bottom-row mask ``bottom``."""
+    return {"n": n, "bottom": subset_members(bottom)}
 
 
 def standard_terms(codes: dict[tuple[int, int], int]) -> list[tuple[tuple[int, int], int]]:
@@ -55,7 +55,7 @@ def standard_terms(codes: dict[tuple[int, int], int]) -> list[tuple[tuple[int, i
     (n, k, U_M) off the masks: distinct standard M of one degree have distinct U_M, so the later
     keys never decide (L6, ``tests/test_local_lemmas.py::test_lead_key_is_the_undot_set``)."""
     return sorted(codes.items(), key=lambda term: (term[0][0].bit_count(), -term[0][1].bit_count(),
-                                                   undot_mask(2 * term[0][0].bit_count(), *term[0])))
+                                                   undot_mask(*term[0])))
 
 
 def sum_to_obj(terms) -> dict:
@@ -67,19 +67,9 @@ def matching_sum_to_obj(v: FormalSum) -> dict:
     return sum_to_obj((encode(m), coef) for m, coef in v.sorted_terms())
 
 
-def diagram_sum_to_obj(v: FormalSum, n: int) -> dict:
-    return {
-        "n": n,
-        "terms": [{"coef": coef, "undot": list(u.bottom)} for u, coef in v.sorted_terms()],
-    }
-
-
-def tabloid_sum_to_obj(v: FormalSum, n: int, k: int) -> dict:
-    return {
-        "n": n,
-        "k": k,
-        "terms": [{"coef": coef, "bottom": list(t.bottom)} for t, coef in v.sorted_terms()],
-    }
+def subset_sum_to_obj(head: dict, key: str, terms) -> dict:
+    """``(mask, coef)`` terms, in order, after ``head``, each subset under ``key``: ``"bottom"`` or ``"undot"``."""
+    return {**head, "terms": [{"coef": coef, key: subset_members(mask)} for mask, coef in terms]}
 
 
 # ---------------------------------------------------------------- decoding
@@ -94,12 +84,6 @@ def _pair_list(value: Any, context: str) -> list[list[int]]:
         if not (isinstance(p, list) and len(p) == 2 and type(p[0]) is int and type(p[1]) is int):
             raise ValueError(f"{context}: expected a list of [left,right] integer pairs")
     return value
-
-
-def matching_from_obj(obj: Any) -> DottedMatching:
-    """A wire matching, decoded as the one-term sum of it by :func:`matching_codes_from_obj`."""
-    [code] = matching_codes_from_obj({"terms": [{"coef": 1, "matching": obj}]})
-    return code_matching(*code)
 
 
 def matching_codes_from_obj(obj: Any) -> dict[tuple[int, int], int]:
@@ -155,17 +139,22 @@ def matching_plain(code: tuple[int, int | None]) -> str:
     matching; ``dots`` None is an undotted matching."""
     opens, dots = code
     return " ".join(f"({i},{j})*" if (dots or 0) >> (i - 1) & 1 else f"({i},{j})"
-                    for i, j in decode_word(2 * opens.bit_count(), opens)[0]) or "(empty)"
+                    for i, j in decode_word(opens)[0]) or "(empty)"
 
 
-def rows_plain(t: Tabloid) -> str:
-    """A tabloid or tableau as its two rows, top first."""
-    return " ".join(map(str, t.top)) + "|" + " ".join(map(str, t.bottom))
+def subset_plain(mask: int) -> str:
+    """A subset mask as its members, space separated."""
+    return " ".join(map(str, subset_members(mask)))
 
 
-def undot_plain(u: Tabloid) -> str:
+def rows_plain(n: int, bottom: int) -> str:
+    """The tabloid or tableau on n vertices with bottom-row mask ``bottom`` as its two rows, top first."""
+    return subset_plain((1 << n) - 1 & ~bottom) + "|" + subset_plain(bottom)
+
+
+def undot_plain(mask: int) -> str:
     """A line diagram as its undot set."""
-    return "{" + ",".join(map(str, u.bottom)) + "}"
+    return "{" + ",".join(map(str, subset_members(mask))) + "}"
 
 
 def formal_plain(terms, render) -> str:

@@ -12,31 +12,37 @@ sorted by the undot-set order.  The certificates read matchings as codes
 and hold undot sets as bitmasks (strand x at bit x-1), on which that order
 is integer order (:func:`~springerrep.matchings.subset_mask`).
 
-A line diagram is held as the :class:`~springerrep.matchings.Tabloid` whose
-bottom row is its undot set: the paper's relabelling of line diagrams to
-tabloids is the identity.
+A line diagram is its undot-set mask; :func:`expand` alone decodes it to the
+:class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set: the
+paper's relabelling of line diagrams to tabloids is the identity.
 """
 
 from __future__ import annotations
 
 from .formal import FormalSum
-from .matchings import (DottedMatching, code_undotted, encode, is_standard, pair_product, standard_codes,
+from .matchings import (DottedMatching, code_undotted, decode, encode, nesting, pair_product, standard_codes,
                         tabloid_sum, undot_mask)
 
 
-def code_expansion_masks(n: int, opens: int, dots: int) -> dict[int, int]:
+def code_expansion_masks(opens: int, dots: int) -> dict[int, int]:
     """L_M as {undot-set mask: ±1}, strand x at bit x-1, for the matching with
     code ``(opens, dots)``: the expansion rule, the product over undotted arcs
     (i, j) of (l_j - l_i), multiplied out by :func:`~springerrep.matchings.pair_product`."""
-    return pair_product(code_undotted(n, opens, dots))
+    return pair_product(code_undotted(opens, dots))
+
+
+def expand_code(opens: int, dots: int) -> dict[int, int]:
+    """L_M of a code, as :func:`code_expansion_masks`; ValueError unless M is standard."""
+    if nesting(opens, dots):
+        matching = decode(opens, dots)
+        raise ValueError(f"matching {matching['arcs']} with dots {matching['dotted']} is not standard")
+    return code_expansion_masks(opens, dots)
 
 
 def expand(m: DottedMatching) -> FormalSum:
     """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1,
     each a :class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set."""
-    if not is_standard(m):
-        raise ValueError(f"matching {m.arcs} with dots {sorted(m.dotted)} is not standard")
-    return tabloid_sum(m.n, code_expansion_masks(m.n, *encode(m)))
+    return tabloid_sum(m.n, expand_code(*encode(m)))
 
 
 def echelon_certificate(n: int, k: int) -> bool:
@@ -49,9 +55,9 @@ def echelon_certificate(n: int, k: int) -> bool:
     """
     previous = -1
     for code in standard_codes(n, k):
-        row = code_expansion_masks(n, *code)
+        row = code_expansion_masks(*code)
         lead = max(row, default=None)
-        if lead != undot_mask(n, *code) or row[lead] != 1 or lead <= previous:
+        if lead != undot_mask(*code) or row[lead] != 1 or lead <= previous:
             return False
         previous = lead
     return True

@@ -20,10 +20,10 @@ is theta on bitmasks, the one implementation of the bijection:
 :func:`standard_codes` enumerates the basis with it, and :func:`theta` and
 :func:`enumerate_standard` decode its codes, so every suite reads one basis.
 :func:`dyck_words` enumerates words, :func:`decode_word` is the one decoder
-of a word, and :func:`encode` / :func:`code_matching` are the edge between
-codes and objects.  The classes are built only at the edges: JSON, the CLI,
-the object enumerators, and the public functions documented to return them;
-the caches here hold codes and arcs, never a matching or tableau object.
+of a word and reader of its size, and :func:`encode` / :func:`code_matching`
+are the edge between codes and objects.  Objects are built only by the
+object enumerators and the public functions documented to return them; the
+caches here hold codes and arcs, never a matching or tableau object.
 """
 
 from __future__ import annotations
@@ -271,10 +271,11 @@ def dyck_words(n: int) -> tuple[int, ...]:
 
 
 @cache
-def decode_word(n: int, opens: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """A Dyck word on n vertices decoded, cached per word: its arcs as (left,
-    right) pairs sorted by left endpoint, and its partner array, bit v joined
-    to bit partner[v]."""
+def decode_word(opens: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """A Dyck word on 2 * popcount(opens) vertices decoded, cached per word: its
+    arcs as (left, right) pairs sorted by left endpoint, and its partner array,
+    bit v joined to bit partner[v]."""
+    n = 2 * opens.bit_count()
     stack, partner = [], [0] * n
     for v in range(n):
         if opens >> v & 1:
@@ -285,14 +286,14 @@ def decode_word(n: int, opens: int) -> tuple[tuple[tuple[int, int], ...], tuple[
     return tuple((v + 1, partner[v] + 1) for v in range(n) if opens >> v & 1), tuple(partner)
 
 
-def code_undotted(n: int, opens: int, dots: int) -> list[tuple[int, int]]:
+def code_undotted(opens: int, dots: int) -> list[tuple[int, int]]:
     """The undotted arcs of the matching with code ``(opens, dots)``, sorted."""
-    return [(a, b) for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1]
+    return [(a, b) for a, b in decode_word(opens)[0] if not dots >> (a - 1) & 1]
 
 
-def undot_mask(n: int, opens: int, dots: int) -> int:
+def undot_mask(opens: int, dots: int) -> int:
     """U_M, the right endpoints of the undotted arcs, as a subset mask."""
-    return sum([1 << (b - 1) for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1])
+    return sum([1 << (b - 1) for a, b in decode_word(opens)[0] if not dots >> (a - 1) & 1])
 
 
 def nesting(opens: int, dots: int) -> int:
@@ -310,21 +311,21 @@ def encode(m: DottedMatching) -> tuple[int, int]:
     return opens_mask(m.arcs), opens_mask(m.dotted)
 
 
-def decode(n: int, opens: int, dots: int) -> dict:
+def decode(opens: int, dots: int) -> dict:
     """The matching of a code as a witness: n, arcs and dotted arcs."""
-    arcs = decode_word(n, opens)[0]
-    return {"n": n, "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
+    arcs, partner = decode_word(opens)
+    return {"n": len(partner), "arcs": arcs, "dotted": [(i, j) for i, j in arcs if dots >> (i - 1) & 1]}
 
 
 def code_matching(opens: int, dots: int) -> DottedMatching:
-    """The matching object of a code, on 2 * popcount(opens) vertices: the inverse of :func:`encode`."""
-    return DottedMatching.make(**decode(2 * opens.bit_count(), opens, dots))
+    """The matching object of a code: the inverse of :func:`encode`."""
+    return DottedMatching.make(**decode(opens, dots))
 
 
 def enumerate_noncrossing(n: int) -> tuple[NoncrossingMatching, ...]:
     """All noncrossing perfect matchings of {1..n} as new objects, in
     :func:`dyck_words` order: only the words are cached."""
-    return tuple(NoncrossingMatching(n, decode_word(n, opens)[0]) for opens in dyck_words(n))
+    return tuple(NoncrossingMatching(n, decode_word(opens)[0]) for opens in dyck_words(n))
 
 
 def is_standard(m: DottedMatching) -> bool:
@@ -335,7 +336,8 @@ def is_standard(m: DottedMatching) -> bool:
 
 def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
     """Bottom rows of the standard (n-k, k) tableaux, in undot-set order: the
-    k-subsets that pass :func:`column_condition`."""
+    k-subsets that pass :func:`column_condition`, after :func:`check_degree`."""
+    check_degree(n, k)
     sets = [b for b in itertools.combinations(range(1, n + 1), k) if column_condition(b)]
     sets.sort(key=subset_mask)
     return sets
@@ -343,7 +345,6 @@ def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
 
 def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
     """The standard (n-k, k) tableaux, in undot-set order of their bottom rows."""
-    check_degree(n, k)
     return [TwoRowTableau(n, b) for b in standard_bottom_sets(n, k)]
 
 
@@ -397,7 +398,6 @@ def standard_codes(n: int, k: int) -> tuple[tuple[int, int], ...]:
     """The standard matchings of degree (n, k) as ``(opens, dots)`` codes:
     :func:`theta_code` of each standard tableau, in undot-set order of their
     bottom rows.  Cached per degree."""
-    check_degree(n, k)
     return tuple(theta_code(n, bottom) for bottom in standard_bottom_sets(n, k))
 
 

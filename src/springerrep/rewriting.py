@@ -80,12 +80,12 @@ Degrees = dict[tuple[int, int], dict[Code, int]]  # (n, k) -> {(opens, dots): co
 
 
 @cache
-def _steps(n: int, opens: int) -> tuple[tuple[int, int, int, int, tuple[int, int, int, int]], ...]:
+def _steps(opens: int) -> tuple[tuple[int, int, int, int, tuple[int, int, int, int]], ...]:
     """Every nested arc (j,k) of a Dyck word under its innermost encloser (i,l),
     deepest first and leftmost among equals, as (bit of j, bit of i, flip j|k,
     flip j|i, bit positions (i, j, k, l)), from one scan with the open arcs on a stack."""
-    partner, stack, nested = decode_word(n, opens)[1], [], []
-    for v in range(n):
+    partner, stack, nested = decode_word(opens)[1], [], []
+    for v in range(len(partner)):
         if opens >> v & 1:
             nested += [(-len(stack), v, stack[-1])] if stack else []
             stack.append(v)
@@ -96,10 +96,10 @@ def _steps(n: int, opens: int) -> tuple[tuple[int, int, int, int, tuple[int, int
                  for _, j, i in nested)
 
 
-def _step(n: int, opens: int, dots: int) -> tuple[tuple[int, int, int, int], tuple[tuple[Code, int], ...]]:
+def _step(opens: int, dots: int) -> tuple[tuple[int, int, int, int], tuple[tuple[Code, int], ...]]:
     """The rewrite step of a code: its site (i, j, k, l), from the first entry of
     :func:`_steps` with j dotted, and the relation there solved for the matching."""
-    for j, i, jk, ji, site in _steps(n, opens):
+    for j, i, jk, ji, site in _steps(opens):
         if dots & j:
             if dots & i:
                 return site, (((opens ^ jk, dots ^ jk), 1),)
@@ -107,15 +107,15 @@ def _step(n: int, opens: int, dots: int) -> tuple[tuple[int, int, int, int], tup
     raise ValueError("a standard matching has no rewrite site")
 
 
-def _no_descent(n: int, opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
+def _no_descent(opens: int, dots: int, site: tuple[int, int, int, int]) -> VerificationError:
     kind = "II" if dots >> site[0] & 1 else "I"
     return VerificationError("rewrite did not decrease nesting",
-                             {**_decode(n, opens, dots), "site": [kind, *(x + 1 for x in site)]})
+                             {**_decode(opens, dots), "site": [kind, *(x + 1 for x in site)]})
 
 
-def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
-    """The kernel: ``((opens, dots), coef)`` terms on n vertices in, the
-    nonzero ``{(opens, dots): coef}`` left at measure 0 out."""
+def _reduce_codes(terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
+    """The kernel: ``((opens, dots), coef)`` terms in, the nonzero
+    ``{(opens, dots): coef}`` left at measure 0 out."""
     levels: dict[int, dict[Code, int]] = {0: {}}
     measures: dict[Code, int] = {}
     for code, coef in terms:
@@ -127,12 +127,12 @@ def _reduce_codes(n: int, terms: Iterable[tuple[Code, int]]) -> dict[Code, int]:
         for (opens, dots), coef in levels.pop(level, {}).items():
             if not coef:
                 continue
-            site, children = _step(n, opens, dots)
+            site, children = _step(opens, dots)
             for code, sign in children:
                 if (child_level := measures.get(code)) is None:
                     child_level = measures[code] = _nesting(*code)
                 if child_level >= level:
-                    raise _no_descent(n, opens, dots, site)
+                    raise _no_descent(opens, dots, site)
                 bucket = levels.setdefault(child_level, {})
                 bucket[code] = bucket.get(code, 0) + coef * sign
     return {code: coef for code, coef in levels[0].items() if coef}
@@ -152,11 +152,11 @@ def _by_degree(merged: Iterable[tuple[Code, int]]) -> Degrees:
 def _standard(codes: dict[Code, int], n: int, k: int) -> dict[Code, int]:
     """One degree's codes, split by :func:`_by_degree`, drained through the kernel,
     each survivor checked on its masks: k undotted arcs, measure 0."""
-    out = _reduce_codes(n, codes.items())
+    out = _reduce_codes(codes.items())
     for opens, dots in out:
         if n // 2 - dots.bit_count() != k or _nesting(opens, dots):
             raise VerificationError(
-                "rewriting ended outside the standard basis", {**_decode(n, opens, dots), "k": k}
+                "rewriting ended outside the standard basis", {**_decode(opens, dots), "k": k}
             )
     return out
 
@@ -187,11 +187,11 @@ def _generator_codes(n: int, k: int) -> list[Code]:
             for dots in itertools.combinations([1 << v for v in range(n) if opens >> v & 1], n // 2 - k)]
 
 
-def _site_row(n: int, nested: int, dots: int, j: int) -> dict[Code, int] | None:
+def _site_row(nested: int, dots: int, j: int) -> dict[Code, int] | None:
     """The Type I or II row, as ``{(opens, dots): +-1}``, at the dotted arc (j,k)
     that opens at bit j, read off the arcs: (i,l) is its innermost encloser and
     s the spectator dots.  None if no arc opens there or it has no encloser."""
-    right, v = dict(decode_word(n, nested)[0]), j + 1
+    right, v = dict(decode_word(nested)[0]), j + 1
     enclosers = [a for a, b in right.items() if a < v < b] if v in right else []
     if not enclosers:
         return None
@@ -213,13 +213,13 @@ def _certify(n: int, k: int) -> tuple[list[Code], int]:
         if not (level := _nesting(*g)):
             standard += 1
             continue
-        site, children = _step(n, *g)
+        site, children = _step(*g)
         step = {g: 1}
         for code, sign in children:
             if _nesting(*code) >= level:
-                raise _no_descent(n, *g, site)
+                raise _no_descent(*g, site)
             step[code] = step.get(code, 0) - sign
-        row = _site_row(n, *g, site[1])
+        row = _site_row(*g, site[1])
         if row is None or (step != row and step != {c: -x for c, x in row.items()}):
             unmatched += 1
     if standard != syt_count(n, k):
@@ -235,7 +235,7 @@ def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
     out: dict[int, int] = {}
     for (opens, dots), coef in terms:
         sign = (-1) ** (opens & ~dots & even).bit_count()
-        for mask, x in code_expansion_masks(n, opens, dots).items():
+        for mask, x in code_expansion_masks(opens, dots).items():
             out[mask] = out.get(mask, 0) + sign * coef * x
     return {mask: x for mask, x in out.items() if x}
 

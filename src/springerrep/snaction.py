@@ -168,7 +168,7 @@ class _Tables:
         then the least i at it.
         """
         n, codes = self.n, self.codes
-        partners = [decode_word(n, opens)[1] for opens, _ in codes]
+        partners = [decode_word(opens)[1] for opens, _ in codes]
         holds = cache(_local_identity)  # configurations shifted to bit 0, for this call only
         for c, ((opens, dots), partner) in enumerate(zip(codes, partners)):
             for i, g in enumerate(self.generators, 1):
@@ -185,7 +185,7 @@ class _Tables:
                     config += (term_opens & v) >> low, (term_dots & v) >> low, coef
                 if not (local and holds(*config)):
                     raise VerificationError("chart action disagrees with diagram permutation",
-                                            {"n": n, "k": n // 2 - dots.bit_count(), "i": i, **decode(n, opens, dots)})
+                                            {"n": n, "k": n // 2 - dots.bit_count(), "i": i, **decode(opens, dots)})
         return True
 
 
@@ -255,7 +255,7 @@ def _tables(n: int, k: int) -> _Tables:
     columns encoded as they are evaluated; an image outside the basis fails the build."""
     codes = standard_codes(n, k)
     index = {code: r for r, code in enumerate(codes)}
-    partners = [decode_word(n, opens)[1] for opens, _ in codes]
+    partners = [decode_word(opens)[1] for opens, _ in codes]
 
     def columns(i: int) -> Iterator[list[tuple[int, int]]]:
         for (opens, dots), partner in zip(codes, partners):
@@ -264,7 +264,7 @@ def _tables(n: int, k: int) -> _Tables:
                 r = index.get((image_opens, image_dots))
                 if r is None:
                     raise VerificationError("chart image is not a standard basis matching",
-                                            {"n": n, "k": k, "i": i, **decode(n, opens, dots)})
+                                            {"n": n, "k": k, "i": i, **decode(opens, dots)})
                 column.append((r, coef))
             yield column
 

@@ -9,12 +9,13 @@ both generating sets span the same irreducible module in every degree —
 that is the representation-theoretic content this package certifies.
 
 The relabelling is the identity: a line diagram is the ``Tabloid`` of its
-undot set, and the certificates key both as ``{bottom-row mask: +-1}``
-(entry x at bit x-1) and read matchings as codes, constructing neither a
-tabloid nor a matching; integer order on masks is the undot-set order.
+undot set.  The certificate and the ``specht`` and ``top-basis`` commands key
+both as ``{bottom-row mask: +-1}`` (entry x at bit x-1) and read tableaux as
+bottom rows and matchings as codes, constructing neither a tabloid nor a
+matching; integer order on masks is the undot-set order.
 e_T and L_M come from one product rule, ``pair_product``, over the columns
 of T and the undotted arcs of M.  e_M does not: it is built from the arc
-swaps of phi(M), so the check ``code_expansion_masks(n, *code) == e_M``
+swaps of phi(M), so the check ``code_expansion_masks(*code) == e_M``
 compares the shared rule with code it does not share.
 
 No rank is computed and nothing is eliminated.  The down operator d sends
@@ -40,43 +41,26 @@ from __future__ import annotations
 from .errors import VerificationError
 from .formal import FormalSum
 from .linediagrams import code_expansion_masks
-from .matchings import (
-    DottedMatching,
-    TwoRowTableau,
-    _check_even,
-    check_degree,
-    check_partition,
-    code_undotted,
-    decode,
-    encode,
-    pair_product,
-    partitions_of,
-    standard_codes,
-    standard_tableaux,
-    subset_mask,
-    subset_members,
-    syt_count,
-    tabloid_sum,
-    transpose_mask,
-    undot_mask,
-)
+from .matchings import (DottedMatching, TwoRowTableau, _check_even, check_degree, check_partition, code_undotted,
+                        decode, encode, pair_product, partitions_of, standard_bottom_sets, standard_codes,
+                        subset_mask, subset_members, syt_count, tabloid_sum, transpose_mask, undot_mask)
 from .snaction import character_table, class_inner_product, irreducibility_check
 
 
-def polytabloid_masks(t: TwoRowTableau) -> dict[int, int]:
-    """e_T as {bottom-row mask: +-1}: the signed sum over the column group of
-    the standard tableau T, the product over its height-two columns
-    (top_c, bottom_c) of (bit(bottom_c) - bit(top_c)), multiplied out."""
-    return pair_product(zip(t.top, t.bottom))
+def polytabloid_masks(n: int, bottom) -> dict[int, int]:
+    """e_T as {bottom-row mask: +-1} for the standard tableau T on n vertices with
+    sorted bottom row ``bottom``: the signed sum over its column group, the product
+    over its height-two columns (top_c, bottom_c) of (bit(bottom_c) - bit(top_c))."""
+    return pair_product(zip([v for v in range(1, n + 1) if v not in bottom], bottom))
 
 
-def code_generator_masks(n: int, opens: int, dots: int) -> dict[int, int]:
+def code_generator_masks(opens: int, dots: int) -> dict[int, int]:
     """e_M as {bottom-row mask: +-1} for the matching M with code ``(opens,
     dots)``: the signed sum over the group generated by the undotted arcs of
     M, each transposition (i j) acting on the bottom row of phi(M), the mask
     U_M, by exchanging i and j, signed by the subset's parity."""
-    terms = {undot_mask(n, opens, dots): 1}
-    for i, j in code_undotted(n, opens, dots):
+    terms = {undot_mask(opens, dots): 1}
+    for i, j in code_undotted(opens, dots):
         pair = 1 << (i - 1) | 1 << (j - 1)
         acc: dict[int, int] = {}
         for mask, coef in terms.items():
@@ -88,12 +72,12 @@ def code_generator_masks(n: int, opens: int, dots: int) -> dict[int, int]:
 
 def polytabloid(t: TwoRowTableau) -> FormalSum:
     """e_T as a sum of tabloids, decoded from :func:`polytabloid_masks`."""
-    return tabloid_sum(t.n, polytabloid_masks(t))
+    return tabloid_sum(t.n, polytabloid_masks(t.n, t.bottom))
 
 
 def matching_generator(m: DottedMatching) -> FormalSum:
     """e_M as a sum of tabloids, decoded from :func:`code_generator_masks`."""
-    return tabloid_sum(m.n, code_generator_masks(m.n, *encode(m)))
+    return tabloid_sum(m.n, code_generator_masks(*encode(m)))
 
 
 def down(vector: dict[int, int]) -> dict[int, int]:
@@ -117,35 +101,35 @@ def verify_module_equality(n: int, k: int) -> bool:
     Both families must number syt_count(n, k).  e_T must lead at {T} with
     coefficient 1 (the dominance lemma, Sagan, *The Symmetric Group*), and e_M
     at {T} = U_M with coefficient +-1, a {T} no earlier pair had, so both
-    families are independent.  ``code_expansion_masks(n, *code) == e_M`` ties
+    families are independent.  ``code_expansion_masks(*code) == e_M`` ties
     e_M to L_M and to the product rule of e_T.  Last, :func:`down` must kill
     each e_T and e_M, so each family spans its kernel, of dimension
     syt_count(n, k): the argument of the module docstring.  No chart is read.
     """
-    tableaux, codes = standard_tableaux(n, k), standard_codes(n, k)
+    bottoms, codes = standard_bottom_sets(n, k), standard_codes(n, k)
     expected = syt_count(n, k)
-    if (len(tableaux), len(codes)) != (expected, expected):
+    if (len(bottoms), len(codes)) != (expected, expected):
         raise VerificationError(
             "dimension mismatch between Specht and matching modules",
-            {"n": n, "k": k, "specht": len(tableaux), "matching": len(codes), "expected": expected},
+            {"n": n, "k": k, "specht": len(bottoms), "matching": len(codes), "expected": expected},
         )
     leads: set[int] = set()  # the {T} of every pair checked so far
-    for t, (opens, dots) in zip(tableaux, codes):
-        lead = subset_mask(t.bottom)
-        vector = polytabloid_masks(t)
-        witness = {"n": n, "k": k, "bottom": t.bottom}
+    for bottom, (opens, dots) in zip(bottoms, codes):
+        lead = subset_mask(bottom)
+        vector = polytabloid_masks(n, bottom)
+        witness = {"n": n, "k": k, "bottom": bottom}
         if vector.get(lead) != 1 or max(vector) != lead:
             raise VerificationError("polytabloid is not unitriangular in the undot-set order", witness)
-        e_m = code_generator_masks(n, opens, dots)
+        e_m = code_generator_masks(opens, dots)
         top = max(e_m, default=None)
-        m_witness = {"n": n, "k": k, **decode(n, opens, dots)}
+        m_witness = {"n": n, "k": k, **decode(opens, dots)}
         if top != lead or lead in leads or e_m[lead] not in (1, -1):
             raise VerificationError(
                 "matching generators do not have distinct leading tabloids with coefficient +-1",
                 {**m_witness, "tabloid": subset_members(top or 0)},
             )
         leads.add(lead)
-        if code_expansion_masks(n, opens, dots) != e_m:
+        if code_expansion_masks(opens, dots) != e_m:
             raise VerificationError("relabelled expansion differs from matching generator", m_witness)
         if down(vector):
             raise VerificationError("polytabloid is not in the kernel of the down operator", witness)
@@ -162,7 +146,7 @@ def emit_top_degree_basis(n: int) -> list[FormalSum]:
     certified here (ROADMAP item 1): no canonical-basis computation happens,
     and the vectors are emitted for outside comparison.
     """
-    return [tabloid_sum(n, code_generator_masks(n, *code)) for code in standard_codes(n, n // 2)]
+    return [tabloid_sum(n, code_generator_masks(*code)) for code in standard_codes(n, n // 2)]
 
 
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:

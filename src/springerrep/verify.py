@@ -18,19 +18,9 @@ from typing import Callable, Iterable
 
 from .errors import VerificationError
 from .linediagrams import echelon_certificate
-from .matchings import (
-    catalan,
-    enumerate_noncrossing,
-    enumerate_standard,
-    is_standard,
-    kostka_two_row,
-    partitions_of,
-    phi,
-    springer_dimension,
-    standard_tableaux,
-    syt_count,
-    theta,
-)
+from .matchings import (catalan, dyck_words, enumerate_noncrossing, enumerate_standard, kostka_two_row, nesting,
+                        partitions_of, springer_dimension, standard_bottom_sets, standard_codes, subset_mask,
+                        subset_members, syt_count, theta_code, undot_mask)
 from .rewriting import _certify, _generator_codes, _image, _reduce_codes
 from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
@@ -58,6 +48,7 @@ def _per_degree(label: str, check: Callable[[int, int], tuple[bool, str]]):
 
 
 def _counting(n: int, seed: int) -> Rows:
+    # the one suite that builds objects: it counts the public object enumerators
     count = len(enumerate_noncrossing(n))
     out = [(f"n={n} noncrossing", count == catalan(n // 2), f"count={count} catalan={catalan(n // 2)}")]
     total = 0
@@ -70,8 +61,14 @@ def _counting(n: int, seed: int) -> Rows:
 
 
 def _bijection(n: int, k: int) -> tuple[bool, str]:
-    ok = all(is_standard(m := theta(t)) and m.k == k and phi(m) == t for t in standard_tableaux(n, k))
-    ok = all(theta(phi(m)) == m for m in enumerate_standard(n, k)) and ok
+    # theta(T) and the basis codes must be Dyck words on n vertices with dots among their openers,
+    # of degree k and nesting 0; phi(theta(T)) = T, as phi reads U_M, and theta(phi(M)) = M
+    bottoms, codes, words = standard_bottom_sets(n, k), standard_codes(n, k), set(dyck_words(n))
+    images = [theta_code(n, b) for b in bottoms]
+    ok = all(opens in words and not dots & ~opens and opens.bit_count() - dots.bit_count() == k
+             and not nesting(opens, dots) for opens, dots in images + list(codes))
+    ok = ok and [subset_mask(b) for b in bottoms] == [undot_mask(*code) for code in images]
+    ok = ok and all(theta_code(n, subset_members(undot_mask(*code))) == code for code in codes)
     return ok, f"{syt_count(n, k)} tableaux"
 
 
@@ -81,7 +78,7 @@ def _rewriting(n: int, k: int) -> tuple[bool, str]:
     generators, mismatches = _certify(n, k)
     if not mismatches:
         terms = [(g, weight) for weight, g in enumerate(generators, 1)]
-        drained = _reduce_codes(n, terms)
+        drained = _reduce_codes(terms)
         mismatches = (not echelon_certificate(n, k)) + (_image(n, drained.items()) != _image(n, terms))
     return mismatches == 0, (f"{len(generators)} generators, dim {syt_count(n, k)}"
                              + (f", {mismatches} mismatches" if mismatches else ""))
@@ -119,10 +116,10 @@ def _linearity(n: int, seed: int) -> Rows:
         for _ in range(3):
             g1, g2 = rng.choice(pool), rng.choice(pool)
             a, b = rng.randint(-5, 5), rng.randint(-5, 5)
-            combined = _reduce_codes(n, [(g1, a), (g2, b)])
+            combined = _reduce_codes([(g1, a), (g2, b)])
             # standard codes pass the kernel unchanged, so it also adds the parts
-            split = _reduce_codes(n, [(c, a * x) for c, x in _reduce_codes(n, [(g1, 1)]).items()]
-                                  + [(c, b * x) for c, x in _reduce_codes(n, [(g2, 1)]).items()])
+            split = _reduce_codes([(c, a * x) for c, x in _reduce_codes([(g1, 1)]).items()]
+                                  + [(c, b * x) for c, x in _reduce_codes([(g2, 1)]).items()])
             if combined != split:
                 ok = False
     return [(f"n={n} random-combinations", ok, f"seed={seed}")]

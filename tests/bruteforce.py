@@ -341,7 +341,7 @@ def consistency_failure(n: int, k: int) -> tuple[int, int] | None:
     the chart columns on {undot mask: coefficient} dicts from
     ``code_expansion_masks``, and P_i * E by ``transpose_mask`` on those dicts."""
     tables = snaction._tables(n, k)
-    expansions = [code_expansion_masks(n, *code) for code in tables.codes]
+    expansions = [code_expansion_masks(*code) for code in tables.codes]
     failures = []
     for i, generator in enumerate(chart_columns(tables), 1):
         for c, column in enumerate(generator):

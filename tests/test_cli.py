@@ -14,9 +14,8 @@ from springerrep import DottedMatching, reduce_to_standard
 from springerrep.snaction import act_word
 from springerrep.cli import MAX_SIZE_N, main
 from springerrep.errors import VerificationError
-from springerrep.jsonio import matching_from_obj
 
-from bruteforce import cap_memory, matching_sum_from_obj
+from bruteforce import cap_memory, matching_from_obj, matching_sum_from_obj
 
 
 def run(capsys, *argv):
@@ -59,18 +58,25 @@ def test_bijection_table(capsys):
 @pytest.mark.parametrize("k", (None, "1"))
 def test_bijection_exits_1_when_theta_is_broken(capsys, monkeypatch, k):
     # the command is guarded by the bijection suite's own check; a theta that
-    # sends every tableau to the first standard matching fails it at k = 1
+    # sends every tableau to the first standard matching of its degree fails it
+    # at k = 1, and the basis it enumerates is rebuilt through the broken theta
     import springerrep
     import springerrep.matchings as matchings
     import springerrep.verify as verify
 
-    def broken(t):
-        return matchings.enumerate_standard(t.n, len(t.bottom))[0]
+    honest = matchings.theta_code
+
+    def broken(n, bottom):
+        return honest(n, matchings.standard_bottom_sets(n, len(bottom))[0])
 
     for module in (springerrep, matchings, verify, cli):  # every binding, as an edit of its source would
-        if hasattr(module, "theta"):
-            monkeypatch.setattr(module, "theta", broken)
-    code, out, err = run(capsys, "bijection", "--n", "4", *(("--k", k) if k else ()))
+        if hasattr(module, "theta_code"):
+            monkeypatch.setattr(module, "theta_code", broken)
+    matchings.standard_codes.cache_clear()
+    try:
+        code, out, err = run(capsys, "bijection", "--n", "4", *(("--k", k) if k else ()))
+    finally:
+        matchings.standard_codes.cache_clear()
     assert code == 1 and out == ""
     assert err == 'error: bijection round-trip failed\nwitness: {"n":4,"k":1}\n'
 
@@ -186,7 +192,7 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     import springerrep.rewriting as rw
     import springerrep.snaction as snaction
 
-    terms = [{"coef": c + 1, "matching": rw._decode(8, *code)}
+    terms = [{"coef": c + 1, "matching": rw._decode(*code)}
              for c, code in enumerate(rw._generator_codes(8, 2))]
     source = tmp_path / "sum.json"
     source.write_text(json.dumps({"terms": terms}))
@@ -202,6 +208,33 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     code, out, _ = run(capsys, "act", "--input", str(source), "--gen", "3", "--format", "json")
     assert code == 0 and json.loads(out)["terms"]
     # the output is rendered from its codes: no matching object at all
+    assert built == []
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "plain"))
+@pytest.mark.parametrize("argv", [
+    ["bijection", "--n", "8"],
+    ["specht", "--n", "8", "--k", "3"],
+    ["top-basis", "--n", "8"],
+    ["expand", "--input", "standard.json"],
+    ["expand", "--input", "nested.json"],  # refused as nonstandard
+], ids=["bijection", "specht", "top-basis", "expand", "expand-refused"])
+def test_table_commands_build_no_matching_or_tabloid(capsys, tmp_path, monkeypatch, argv, fmt):
+    import springerrep.matchings as matchings
+
+    arcs = [[1, 8], [2, 3], [4, 7], [5, 6]]
+    (tmp_path / "standard.json").write_text(json.dumps({"n": 8, "arcs": arcs, "dotted": [[1, 8]]}))
+    (tmp_path / "nested.json").write_text(json.dumps({"n": 8, "arcs": arcs, "dotted": [[2, 3]]}))
+    monkeypatch.chdir(tmp_path)
+    built = []
+    for cls in (matchings.NoncrossingMatching, matchings.Tabloid):  # the bases of every object class
+        def counted(self, honest=cls.__post_init__):
+            built.append(self)
+            honest(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, bool(out), bool(err)) == ((2, False, True) if "nested.json" in argv else (0, True, False))
+    # the commands render codes and subset masks: no object at all
     assert built == []
 
 
@@ -232,7 +265,7 @@ def three_renderings(capsys, n, *argv):
 def test_reduce_and_act_list_the_same_terms_in_every_format(capsys, tmp_path):
     # one seeded sum over every generator of (10, 3); the rendering is read back per format
     rng = random.Random(10)
-    generators = [rw._decode(10, *code) for code in rw._generator_codes(10, 3)]
+    generators = [rw._decode(*code) for code in rw._generator_codes(10, 3)]
     rng.shuffle(generators)
     payload = {"terms": [{"coef": rng.choice((-3, -2, -1, 1, 2, 3)), "matching": m} for m in generators]}
     source = tmp_path / "sum.json"

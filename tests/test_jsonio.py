@@ -4,29 +4,36 @@ from pathlib import Path
 
 import pytest
 
-from springerrep import DottedMatching, Tabloid, TwoRowTableau, expand
+from springerrep import DottedMatching, TwoRowTableau
 from springerrep.formal import FormalSum
 from springerrep.jsonio import (
-    diagram_sum_to_obj,
     dumps,
     formal_plain,
-    matching_from_obj,
     matching_plain,
     matching_sum_to_obj,
     matching_to_obj,
     rows_plain,
+    subset_plain,
+    subset_sum_to_obj,
     tableau_to_obj,
-    tabloid_sum_to_obj,
     undot_plain,
 )
 from springerrep.jsonio import matching_codes_from_obj
+from springerrep.linediagrams import expand_code
+from springerrep.matchings import subset_mask
 from springerrep.rewriting import _encode
-from springerrep.specht import matching_generator
+from springerrep.specht import code_generator_masks
 
 from bruteforce import matching_sum_from_obj, perfect_matchings, tableau_from_obj
 
 
 FIGURE = DottedMatching.make(6, [(1, 6), (2, 3), (4, 5)], [(2, 3)])
+
+
+def matching_code(obj):
+    """A wire matching decoded as the one-term sum of it, as ``expand`` reads its input."""
+    [code] = matching_codes_from_obj({"terms": [{"coef": 1, "matching": obj}]})
+    return code
 
 
 def test_matching_json_matches_documented_encoding():
@@ -40,21 +47,20 @@ def test_matching_json_matches_documented_encoding():
 def test_matching_round_trip():
     obj = matching_to_obj(_encode(FIGURE))
     assert obj == {"n": 6, "arcs": [[1, 6], [2, 3], [4, 5]], "dotted": [[2, 3]]}
-    assert matching_from_obj(obj) == FIGURE
+    assert matching_code(obj) == _encode(FIGURE)
     # dotted defaults to empty
-    assert matching_from_obj({"n": 2, "arcs": [[1, 2]]}).dotted == frozenset()
+    assert matching_code({"n": 2, "arcs": [[1, 2]]}) == (0b01, 0)
 
 
 def test_tableau_round_trip():
-    t = TwoRowTableau(6, (3, 6))
-    obj = tableau_to_obj(t)
+    obj = tableau_to_obj(6, subset_mask((3, 6)))
     assert dumps(obj) == '{"n":6,"bottom":[3,6]}'
-    assert tableau_from_obj(obj) == t
+    assert tableau_from_obj(obj) == TwoRowTableau(6, (3, 6))
 
 
 def test_diagram_sum_encoding():
     m = DottedMatching.make(4, [(1, 2), (3, 4)])
-    obj = diagram_sum_to_obj(expand(m), n=4)
+    obj = subset_sum_to_obj({"n": 4}, "undot", sorted(expand_code(*_encode(m)).items()))
     assert dumps(obj) == (
         '{"n":4,"terms":['
         '{"coef":1,"undot":[1,3]},{"coef":-1,"undot":[2,3]},'
@@ -64,16 +70,16 @@ def test_diagram_sum_encoding():
 
 def test_tabloid_sum_encoding():
     m = DottedMatching.make(4, [(1, 2), (3, 4)])
-    obj = tabloid_sum_to_obj(matching_generator(m), n=4, k=2)
-    assert obj["n"] == 4 and obj["k"] == 2
+    obj = subset_sum_to_obj({"n": 4, "k": 2}, "bottom", sorted(code_generator_masks(*_encode(m)).items()))
+    assert list(obj) == ["n", "k", "terms"] and obj["n"] == 4 and obj["k"] == 2
     assert obj["terms"][0] == {"coef": 1, "bottom": [1, 3]}
 
 
 def test_decode_errors():
     with pytest.raises(ValueError):
-        matching_from_obj({"arcs": [[1, 2]]})
+        matching_code({"arcs": [[1, 2]]})
     with pytest.raises(ValueError):
-        matching_from_obj({"n": 2, "arcs": [[1, 2, 3]]})
+        matching_code({"n": 2, "arcs": [[1, 2, 3]]})
     with pytest.raises(ValueError):
         tableau_from_obj({"n": 2, "bottom": "x"})
     with pytest.raises(ValueError):
@@ -92,7 +98,7 @@ def test_decode_errors():
 ))
 def test_decode_rejects_non_integer_vertices(obj):
     with pytest.raises(ValueError):
-        matching_from_obj(obj)
+        matching_code(obj)
 
 
 @pytest.mark.parametrize("coef", (True, False, 1.0, "1", None))
@@ -109,12 +115,12 @@ def test_plain_renderings():
     assert matching_to_obj((0b000111, None)) == {"n": 6, "arcs": [[1, 6], [2, 5], [3, 4]]}
     assert matching_plain((0, 0)) == "(empty)"
     assert matching_to_obj((0, None)) == {"n": 0, "arcs": []}
-    assert rows_plain(TwoRowTableau(6, (3, 6))) == "1 2 4 5|3 6"
-    assert rows_plain(TwoRowTableau(4, ())) == "1 2 3 4|"
-    assert rows_plain(Tabloid(4, (3, 1))) == "2 4|1 3"
-    assert undot_plain(Tabloid(4, (2, 4))) == "{2,4}"
-    v = FormalSum([(Tabloid(2, (1,)), -1), (Tabloid(2, (2,)), 1)])
-    assert formal_plain(v.sorted_terms(), undot_plain) == "-1 {1}  +1 {2}"
+    assert rows_plain(6, subset_mask((3, 6))) == "1 2 4 5|3 6"
+    assert rows_plain(4, 0) == "1 2 3 4|"
+    assert rows_plain(4, subset_mask((3, 1))) == "2 4|1 3"
+    assert undot_plain(subset_mask((2, 4))) == "{2,4}" and undot_plain(0) == "{}"
+    assert subset_plain(subset_mask((2, 4))) == "2 4" and subset_plain(0) == ""
+    assert formal_plain([(0b01, -1), (0b10, 1)], undot_plain) == "-1 {1}  +1 {2}"
     assert formal_plain([], undot_plain) == "0"
 
 
@@ -195,7 +201,7 @@ def both_decoders(*matchings):
     try:
         return codes, {_encode(m): coef for m, coef in matching_sum_from_obj(obj)}
     except ValueError:
-        alone = (message_or(matching_from_obj, m) for m in matchings)
+        alone = (message_or(matching_code, m) for m in matchings)
         return codes, next(outcome for outcome in alone if isinstance(outcome, str))
 
 

@@ -69,9 +69,9 @@ def test_expand_examples():
 
 def test_expansion_masks_examples():
     # strand x at bit x-1; product order over the arcs, left endpoint first
-    assert code_expansion_masks(4, *encode(m_(4, [(1, 2), (3, 4)], [(1, 2), (3, 4)]))) == {0: 1}
-    assert code_expansion_masks(4, *encode(m_(4, [(1, 2), (3, 4)], [(3, 4)]))) == {0b01: -1, 0b10: 1}
-    assert list(code_expansion_masks(4, *encode(m_(4, [(1, 2), (3, 4)]))).items()) == [
+    assert code_expansion_masks(*encode(m_(4, [(1, 2), (3, 4)], [(1, 2), (3, 4)]))) == {0: 1}
+    assert code_expansion_masks(*encode(m_(4, [(1, 2), (3, 4)], [(3, 4)]))) == {0b01: -1, 0b10: 1}
+    assert list(code_expansion_masks(*encode(m_(4, [(1, 2), (3, 4)]))).items()) == [
         (0b0101, 1), (0b1001, -1), (0b0110, -1), (0b1010, 1),
     ]
 

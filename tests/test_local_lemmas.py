@@ -117,7 +117,7 @@ def test_image_kills_every_relation(n):
 def test_image_is_the_expansion_up_to_sign_on_standard_matchings(n):
     for k in range(n // 2 + 1):
         for code in standard_codes(n, k):
-            image, expansion = rw._image(n, [(code, 1)]), code_expansion_masks(n, *code)
+            image, expansion = rw._image(n, [(code, 1)]), code_expansion_masks(*code)
             assert image in (expansion, {mask: -x for mask, x in expansion.items()})
 
 
@@ -128,11 +128,11 @@ def test_kernel_step_is_the_row_at_its_site(n):
         for g in rw._generator_codes(n, k):
             if not rw._nesting(*g):
                 continue
-            site, children = rw._step(n, *g)
+            site, children = rw._step(*g)
             step = {g: 1}
             for code, sign in children:
                 step[code] = step.get(code, 0) - sign
-            assert step == {c: -x for c, x in rw._site_row(n, *g, site[1]).items()}
+            assert step == {c: -x for c, x in rw._site_row(*g, site[1]).items()}
 
 
 @pytest.mark.parametrize("n", range(0, 17, 2))
@@ -176,10 +176,10 @@ def chart_identity_holds(rule, i, m):
     polynomials in the at most four variables of the configuration?"""
     opens, dots = encode(m)
     total = Counter()
-    for o, d, coef in rule(i, opens, dots, decode_word(m.n, opens)[1]):
-        for u, x in code_expansion_masks(m.n, o, d).items():
+    for o, d, coef in rule(i, opens, dots, decode_word(opens)[1]):
+        for u, x in code_expansion_masks(o, d).items():
             total[u] += coef * x
-    swapped = {transpose_mask(u, 0b11 << (i - 1)): x for u, x in code_expansion_masks(m.n, opens, dots).items()}
+    swapped = {transpose_mask(u, 0b11 << (i - 1)): x for u, x in code_expansion_masks(opens, dots).items()}
     return {u: x for u, x in total.items() if x} == swapped
 
 
@@ -208,7 +208,7 @@ def test_consistency_is_local():
         (holding if holds else failing).append((name, m))
         # the certificate's own identity, on the configuration's vertices
         opens, dots = encode(m)
-        terms = [x for term in real(i, opens, dots, decode_word(m.n, opens)[1]) for x in term]
+        terms = [x for term in real(i, opens, dots, decode_word(opens)[1]) for x in term]
         assert snaction._local_identity(i - 1, (1 << m.n) - 1, opens, dots, *terms) == holds
     assert (len(holding), len(failing)) == (12, 2)
     assert failing == [(name, m) for name, _, m in local_configurations() if dotted_under_undotted(m)]
@@ -242,7 +242,7 @@ def test_chart_image_is_standard(n):
     Each case keeps the number of dots.  Checked exhaustively up to n = 12."""
     for k in range(n // 2 + 1):
         for opens, dots in standard_codes(n, k):
-            partner = decode_word(n, opens)[1]
+            partner = decode_word(opens)[1]
             for i in range(1, n):
                 for image_opens, image_dots, _ in snaction._chart(i, opens, dots, partner):
                     assert nesting(image_opens, image_dots) == 0
@@ -262,8 +262,8 @@ def test_lead_key_is_the_undot_set(n):
     for k in range(n // 2 + 1):
         leads = []
         for opens, dots in standard_codes(n, k):
-            lead = subset_mask(b for a, b in decode_word(n, opens)[0] if not dots >> (a - 1) & 1)
-            expansion = code_expansion_masks(n, opens, dots)
+            lead = subset_mask(b for a, b in decode_word(opens)[0] if not dots >> (a - 1) & 1)
+            expansion = code_expansion_masks(opens, dots)
             assert max(expansion) == lead and expansion[lead] == 1
             leads.append(lead)
         assert len(set(leads)) == len(leads) == syt_count(n, k)
@@ -279,11 +279,11 @@ def test_down_operator_kills_every_product_over_disjoint_pairs(n):
     crossing or not, every e_T (its columns (top, bottom)) and every e_M."""
     for k in range(n // 2 + 1):
         for m in degree_generators(n, k):
-            assert down(code_expansion_masks(n, *encode(m))) == {}
+            assert down(code_expansion_masks(*encode(m))) == {}
         for t in standard_tableaux(n, k):
-            assert down(polytabloid_masks(t)) == {}
+            assert down(polytabloid_masks(t.n, t.bottom)) == {}
         for code in standard_codes(n, k):
-            assert down(code_generator_masks(n, *code)) == {}
+            assert down(code_generator_masks(*code)) == {}
     if n <= 8:
         for arcs in perfect_matchings(n):
             for size in range(len(arcs) + 1):

@@ -20,8 +20,9 @@ from springerrep import (
     syt_count,
     theta,
 )
-from springerrep.matchings import (check_partition, decode_word, dyck_words, opens_mask, standard_tableaux,
-                                   subset_mask, subset_members)
+from springerrep.matchings import (check_degree, check_partition, decode_word, dyck_words, opens_mask,
+                                   standard_bottom_sets, standard_codes, standard_tableaux, subset_mask,
+                                   subset_members)
 
 from bruteforce import (
     kostka_bruteforce,
@@ -41,7 +42,7 @@ def test_decoder_agrees_with_the_object_rules_and_the_stack_scan():
     for n in range(2, 15, 2):
         assert len(dyck_words(n)) == catalan(n // 2)
         for opens in dyck_words(n):
-            arcs, partner = decode_word(n, opens)
+            arcs, partner = decode_word(opens)
             assert arcs == NoncrossingMatching(n, arcs).arcs and opens_mask(arcs) == opens
             assert list(partner) == partners_by_stack(n, opens)
             words += 1
@@ -143,6 +144,23 @@ def test_enumerate_standard_rejects_bad_k():
     for n, k in ((4, 3), (4, -1), (5, 1)):
         with pytest.raises(ValueError, match="out of range|even and nonnegative"):
             standard_tableaux(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (-2, 0), (4, -1), (4, 3), (3, 0)])
+def test_every_basis_enumerator_refuses_a_degree_off_the_two_row_shapes(n, k):
+    # an odd or negative vertex count, or k outside 0..n/2, with check_degree's own message
+    with pytest.raises(ValueError) as expected:
+        check_degree(n, k)
+    for enumerate_degree in (standard_bottom_sets, standard_codes, standard_tableaux, enumerate_standard):
+        with pytest.raises(ValueError) as info:
+            enumerate_degree(n, k)
+        assert str(info.value) == str(expected.value), enumerate_degree
+
+
+def test_decoder_reads_the_size_off_the_word():
+    # n = 2 * popcount(opens): the partner array spans exactly the word's vertices
+    assert decode_word(0b0011) == (((1, 4), (2, 3)), (3, 2, 1, 0))
+    assert decode_word(0) == ((), ())
 
 
 def test_subset_mask_examples():

@@ -187,7 +187,7 @@ def test_rewrite_that_keeps_nesting_is_refused(monkeypatch):
     # a plain assert would vanish under python -O; the guard must raise
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
     honest = rw._step
-    monkeypatch.setattr(rw, "_step", lambda n, opens, dots: (honest(n, opens, dots)[0], (((opens, dots), 1),)))
+    monkeypatch.setattr(rw, "_step", lambda opens, dots: (honest(opens, dots)[0], (((opens, dots), 1),)))
     witness = {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)], "site": ["II", 1, 2, 3, 4]}
     with pytest.raises(VerificationError) as info:
         reduce_to_standard(single(m))
@@ -205,7 +205,7 @@ def test_rewrite_to_an_unseen_code_that_keeps_nesting_is_refused(monkeypatch):
     child = (0b0011, 0b0010)  # (1,4),(2,3) with only (2,3) dotted: measure 1, as m
     assert child != rw._encode(m) and rw._nesting(*child) == rw._nesting(*rw._encode(m)) == 1
     honest = rw._step
-    monkeypatch.setattr(rw, "_step", lambda n, opens, dots: (honest(n, opens, dots)[0], ((child, 1),)))
+    monkeypatch.setattr(rw, "_step", lambda opens, dots: (honest(opens, dots)[0], ((child, 1),)))
     with pytest.raises(VerificationError, match="rewrite did not decrease nesting") as info:
         reduce_to_standard(single(m))
     assert info.value.witness == {"n": 4, "arcs": ((1, 4), (2, 3)), "dotted": [(1, 4), (2, 3)],
@@ -235,21 +235,21 @@ def test_kernel_measures_each_code_once(monkeypatch):
         calls[opens, dots] += 1
         return honest_nesting(opens, dots)
 
-    def recorded(n, opens, dots):
-        site, children = honest_step(n, opens, dots)
+    def recorded(opens, dots):
+        site, children = honest_step(opens, dots)
         seen.update(code for code, _ in children)
         return site, children
 
     monkeypatch.setattr(rw, "_nesting", counted)
     monkeypatch.setattr(rw, "_step", recorded)
-    assert rw._reduce_codes(n, terms) == expected
+    assert rw._reduce_codes(terms) == expected
     assert sum(calls.values()) <= len(seen) and max(calls.values()) == 1
 
 
 def test_code_outside_the_standard_basis_is_refused(monkeypatch):
     # a kernel that hands its input back, and a measure that calls every code nested:
     # only the check on the survivors' masks is left to refuse
-    monkeypatch.setattr(rw, "_reduce_codes", lambda n, terms: dict(terms))
+    monkeypatch.setattr(rw, "_reduce_codes", lambda terms: dict(terms))
     monkeypatch.setattr(rw, "_nesting", lambda opens, dots: 1)
     with pytest.raises(VerificationError, match="outside the standard basis") as info:
         reduce_to_standard(single(m_(4, [(1, 2), (3, 4)], [(1, 2)])))
@@ -261,8 +261,8 @@ def test_rewrite_that_changes_the_degree_is_refused(monkeypatch):
     # nesting falls, so only the degree check on the level-0 masks can see it
     honest = rw._step
 
-    def drop_dot(n, opens, dots):
-        site = honest(n, opens, dots)[0]
+    def drop_dot(opens, dots):
+        site = honest(opens, dots)[0]
         i, j, k, _ = site
         return site, (((opens ^ (1 << j | 1 << k), dots ^ (1 << j)), 1),)
 
@@ -277,7 +277,7 @@ def test_reduce_of_zero_is_zero():
 
 
 def decoded(n, opens, dots):
-    witness = rw._decode(n, opens, dots)
+    witness = rw._decode(opens, dots)
     return DottedMatching.make(n, witness["arcs"], witness["dotted"])
 
 
@@ -293,7 +293,7 @@ def test_kernel_step_matches_reference_rule(n):
             sites = find_sites(g)
             if not sites:
                 continue
-            (i, j, kk, l), children = rw._step(n, opens, dots)
+            (i, j, kk, l), children = rw._step(opens, dots)
             kind = "II" if dots >> i & 1 else "I"
             assert sites[0] == RewriteSite(kind, i + 1, j + 1, kk + 1, l + 1)
             step = FormalSum((decoded(n, *code), c) for code, c in children)
@@ -308,9 +308,9 @@ def test_site_table_matches_the_stack_scan(n):
             assert (site is None) == (rw._nesting(opens, dots) == 0)
             if site is None:
                 with pytest.raises(ValueError, match="no rewrite site"):
-                    rw._step(n, opens, dots)
+                    rw._step(opens, dots)
             else:
-                assert rw._step(n, opens, dots)[0] == site
+                assert rw._step(opens, dots)[0] == site
 
 
 @pytest.mark.parametrize("n", range(2, 9, 2))
@@ -356,12 +356,12 @@ def test_dependent_standard_columns_fail_the_suite_and_the_reference(monkeypatch
     # dependent, and the drain of the generators changes their image
     honest = rw._step
 
-    def truncated(n, opens, dots):
-        site, children = honest(n, opens, dots)
+    def truncated(opens, dots):
+        site, children = honest(opens, dots)
         return site, children[1:] if len(children) == 3 else children
 
-    def agreeing(n, opens, dots, j):
-        children = truncated(n, opens, dots)[1]
+    def agreeing(opens, dots, j):
+        children = truncated(opens, dots)[1]
         return {(opens, dots): 1, **{code: -c for code, c in children}}
 
     monkeypatch.setattr(rw, "_step", truncated)
@@ -382,8 +382,8 @@ def test_dependent_standard_columns_fail_the_suite_and_the_reference(monkeypatch
 def test_certify_counts_a_step_that_is_not_a_relation(monkeypatch):
     honest = rw._step
 
-    def truncated(n, opens, dots):
-        site, children = honest(n, opens, dots)
+    def truncated(opens, dots):
+        site, children = honest(opens, dots)
         return site, children[1:]
 
     monkeypatch.setattr(rw, "_step", truncated)
@@ -395,7 +395,7 @@ def test_certificate_matches_the_elimination_reference(n):
     for k in range(n // 2 + 1):
         generators, unmatched = rw._certify(n, k)
         assert unmatched == 0
-        assert {g: rw._reduce_codes(n, [(g, 1)]) for g in generators} == rref_quotient_codes(n, k)
+        assert {g: rw._reduce_codes([(g, 1)]) for g in generators} == rref_quotient_codes(n, k)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
@@ -409,8 +409,8 @@ def test_reduce_matches_oracle(n):
 
 def type_one_sign_flipped(step):
     """The Type I step with the sign of its first term, (opens, dots^j^i), flipped."""
-    def mutant(n, opens, dots):
-        site, children = step(n, opens, dots)
+    def mutant(opens, dots):
+        site, children = step(opens, dots)
         if len(children) == 3:
             (code, sign), *rest = children
             children = ((code, -sign), *rest)
@@ -420,8 +420,8 @@ def type_one_sign_flipped(step):
 
 def type_two_dot_unflipped(step):
     """The Type II step that rewires (i,l),(j,k) but leaves the dot bits as they were."""
-    def mutant(n, opens, dots):
-        site, children = step(n, opens, dots)
+    def mutant(opens, dots):
+        site, children = step(opens, dots)
         if len(children) == 1:
             [((child_opens, _), sign)] = children
             children = (((child_opens, dots), sign),)
@@ -464,9 +464,9 @@ def test_code_generators_and_rows_match_the_object_builders(n):
         assert set(generators) == {rw._encode(g) for g in degree_generators(n, k)}
         rows = set(map(encoded_row, relation_vectors(n, k)))
         for opens, dots in generators:
-            for bit, *_ in rw._steps(n, opens):
+            for bit, *_ in rw._steps(opens):
                 if dots & bit:
-                    row = rw._site_row(n, opens, dots, bit.bit_length() - 1)
+                    row = rw._site_row(opens, dots, bit.bit_length() - 1)
                     assert frozenset(row.items()) in rows
 
 
@@ -493,8 +493,8 @@ from springerrep.cli import main
 
 honest = rw._step
 
-def negated(n, opens, dots):
-    site, children = honest(n, opens, dots)
+def negated(opens, dots):
+    site, children = honest(opens, dots)
     if len(children) == 3:
         (code, c), *rest = children
         children = ((code, -c), *rest)
@@ -548,19 +548,19 @@ SABOTAGE = {
     "rewrite did not decrease nesting": (
         "rewrite did not decrease nesting", """
 honest = rw._step
-rw._step = lambda n, opens, dots: (honest(n, opens, dots)[0], (((opens, dots), 1),))
+rw._step = lambda opens, dots: (honest(opens, dots)[0], (((opens, dots), 1),))
 """),
     # a Type I step that drops its nested term, with the site row patched to
     # agree: a relation among the standard matchings that only E can see
     "standard matchings are dependent modulo the relations": ("1 mismatches", """
 honest = rw._step
 
-def truncated(n, opens, dots):
-    site, children = honest(n, opens, dots)
+def truncated(opens, dots):
+    site, children = honest(opens, dots)
     return site, children[1:] if len(children) == 3 else children
 
-def agreeing(n, opens, dots, j):
-    children = truncated(n, opens, dots)[1]
+def agreeing(opens, dots, j):
+    children = truncated(opens, dots)[1]
     return {(opens, dots): 1, **{code: -c for code, c in children}}
 
 rw._step, rw._site_row = truncated, agreeing
@@ -568,8 +568,8 @@ rw._step, rw._site_row = truncated, agreeing
     "1 mismatches": ("1 mismatches", """
 honest = verify._reduce_codes
 
-def dropped(n, terms):
-    out = honest(n, terms)
+def dropped(terms):
+    out = honest(terms)
     out.pop(max(out, default=None), None)
     return out
 
@@ -578,8 +578,8 @@ verify._reduce_codes = dropped
     "type II without the dot flip": ("rewrite did not decrease nesting", """
 honest = rw._step
 
-def unflipped(n, opens, dots):
-    site, children = honest(n, opens, dots)
+def unflipped(opens, dots):
+    site, children = honest(opens, dots)
     i, j, k, _ = site
     return site, (((opens ^ (1 << j | 1 << k), dots), 1),) if dots >> i & 1 else children
 
@@ -602,8 +602,8 @@ exec(source.replace("(-1) **", "1 **"), vars(rw))
 verify._image = rw._image
 """),
     # the rule E reads is the rule the echelon premise checks, so it fails there
-    "constant expansion rule": ("mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {0: 1}")),
-    "zero expansion rule": ("1 mismatches", EVERY_BINDING.format(rule="lambda n, opens, dots: {}")),
+    "constant expansion rule": ("mismatches", EVERY_BINDING.format(rule="lambda opens, dots: {0: 1}")),
+    "zero expansion rule": ("1 mismatches", EVERY_BINDING.format(rule="lambda opens, dots: {}")),
     "echelon certificate refused": ("1 mismatches", "verify.echelon_certificate = lambda n, k: False"),
     "quotient dimension does not match": (
         "quotient dimension does not match", "rw.syt_count = lambda n, k: 99"),

@@ -190,9 +190,9 @@ def test_specht_leading_term_is_checked(monkeypatch, broken):
 
     honest = sp.polytabloid_masks
 
-    def sabotaged(t):
-        vector = honest(t)
-        if t.bottom != (3, 4):
+    def sabotaged(n, bottom):
+        vector = honest(n, bottom)
+        if bottom != (3, 4):
             return vector
         if broken == "doubled":  # {T} keeps the lead with coefficient 2
             return {b: 2 * c for b, c in vector.items()}
@@ -220,7 +220,7 @@ def test_specht_guard_survives_optimized_python():
         from springerrep.cli import main
         from springerrep.matchings import subset_mask
 
-        sp.polytabloid_masks = lambda t: {subset_mask(t.bottom): 1}
+        sp.polytabloid_masks = lambda n, bottom: {subset_mask(bottom): 1}
         sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
     """)
     assert proc.returncode == 1, proc.stderr
@@ -316,7 +316,7 @@ def test_module_equality_names_the_pivot_when_polytabloids_are_single_tabloids(m
     import springerrep.specht as sp
 
     # single standard tabloids are unitriangular, but the down operator sends {2} to {}
-    monkeypatch.setattr(sp, "polytabloid_masks", lambda t: {subset_mask(t.bottom): 1})
+    monkeypatch.setattr(sp, "polytabloid_masks", lambda n, bottom: {subset_mask(bottom): 1})
     with pytest.raises(VerificationError, match="polytabloid is not in the kernel of the down operator") as info:
         verify_module_equality(4, 1)
     assert info.value.witness == {"n": 4, "k": 1, "bottom": (2,)}
@@ -336,10 +336,10 @@ def test_chain_gate_kills_a_sign_flip_below_a_non_pivot_lead(monkeypatch):
 
     honest = sp.polytabloid_masks
 
-    def sabotaged(t):
+    def sabotaged(n, bottom):
         # the lead keeps +1, so only the down operator, or a peel, can see it
-        vector = honest(t)
-        if t.bottom == (3, 4):
+        vector = honest(n, bottom)
+        if bottom == (3, 4):
             vector[min(vector)] *= -1
         return vector
 
@@ -348,7 +348,7 @@ def test_chain_gate_kills_a_sign_flip_below_a_non_pivot_lead(monkeypatch):
         verify_module_equality(6, 2)
     assert info.value.witness == {"n": 6, "k": 2, "bottom": (3, 4)}
     # the elimination reference rejects the same mutant
-    rests = peel_rests(6, 2, polytabloid=lambda t: tabloid_sum(t.n, sabotaged(t)))
+    rests = peel_rests(6, 2, polytabloid=lambda t: tabloid_sum(t.n, sabotaged(t.n, t.bottom)))
     assert any(rests.values())
 
 
@@ -404,10 +404,10 @@ def test_module_equality_checks_the_matching_leads(monkeypatch, broken):
     honest = sp.code_generator_masks
     first, second = standard_codes(6, 2)[:2]
 
-    def sabotaged(n, *code):
+    def sabotaged(*code):
         if code != second:
-            return honest(n, *code)
-        return honest(n, *first) if broken == "repeated" else {b: 2 * c for b, c in honest(n, *code).items()}
+            return honest(*code)
+        return honest(*first) if broken == "repeated" else {b: 2 * c for b, c in honest(*code).items()}
 
     monkeypatch.setattr(sp, "code_generator_masks", sabotaged)
     with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
@@ -443,7 +443,7 @@ def test_module_equality_pairs_each_tableau_with_its_own_code(monkeypatch):
             verify_module_equality(6, 2)
     finally:
         clear()
-    assert info.value.witness == {"n": 6, "k": 2, **decode(6, *honest(6, 2)[1]), "tabloid": [3, 4]}
+    assert info.value.witness == {"n": 6, "k": 2, **decode(*honest(6, 2)[1]), "tabloid": [3, 4]}
 
 
 def test_module_equality_refuses_a_repeated_pair(monkeypatch):
@@ -451,12 +451,12 @@ def test_module_equality_refuses_a_repeated_pair(monkeypatch):
     # passes its own gates, and only distinct leads tell the pairs apart
     import springerrep.specht as sp
 
-    tableaux, codes = sp.standard_tableaux(6, 2), sp.standard_codes(6, 2)
-    monkeypatch.setattr(sp, "standard_tableaux", lambda n, k: [tableaux[0], *tableaux[:-1]])
+    bottoms, codes = sp.standard_bottom_sets(6, 2), sp.standard_codes(6, 2)
+    monkeypatch.setattr(sp, "standard_bottom_sets", lambda n, k: [bottoms[0], *bottoms[:-1]])
     monkeypatch.setattr(sp, "standard_codes", lambda n, k: (codes[0], *codes[:-1]))
     with pytest.raises(VerificationError, match="distinct leading tabloids") as info:
         verify_module_equality(6, 2)
-    assert info.value.witness == {"n": 6, "k": 2, **decode(6, *codes[0]), "tabloid": [2, 4]}
+    assert info.value.witness == {"n": 6, "k": 2, **decode(*codes[0]), "tabloid": [2, 4]}
 
 
 @pytest.mark.parametrize("n", range(0, 9, 2))

@@ -36,19 +36,19 @@ def test_unknown_suite_rejected():
 
 
 def test_certificates_build_no_matching_object(monkeypatch):
+    # nor a tabloid or tableau: only counting, which counts the object enumerators, builds any
     import springerrep.matchings as matchings
     import springerrep.snaction as snaction
 
     snaction._tables.cache_clear()
+    matchings.standard_codes.cache_clear()
     built = []
-    honest = matchings.NoncrossingMatching.__post_init__
-
-    def counted(self):
-        built.append(self)
-        honest(self)
-
-    monkeypatch.setattr(matchings.NoncrossingMatching, "__post_init__", counted)
-    suites = [s for s in SUITE_NAMES if s not in ("counting", "bijection")]
+    for cls in (matchings.NoncrossingMatching, matchings.Tabloid):  # the bases of every object class
+        def counted(self, honest=cls.__post_init__):
+            built.append(self)
+            honest(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    suites = [s for s in SUITE_NAMES if s != "counting"]
     results = run_suites(suites, max_n=8)
     assert results and all(r.ok for r in results)
     assert built == []
@@ -130,7 +130,7 @@ def test_an_empty_expansion_is_reported_not_raised(monkeypatch):
     import springerrep.specht as sp
 
     for module in (ld, rw, sp):
-        monkeypatch.setattr(module, "code_expansion_masks", lambda n, opens, dots: {})
+        monkeypatch.setattr(module, "code_expansion_masks", lambda opens, dots: {})
     results = run_suites(("rewriting", "echelon"), max_n=4)
     assert len(results) == 10 and not any(r.ok for r in results)
 
