@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, default="json")
     p.set_defaults(func=_cmd_act)
 
-    p = sub.add_parser("matrix", help="matrix of a simple transposition on the standard basis")
+    p = sub.add_parser("matrix", help="matrix of a simple transposition on the standard basis",
+                       description="s_i, i = --gen, on the standard basis of degree k: column c is the image of "
+                                   "basis matching c, and columns, like rows, follow enumerate --n N --k K order.")
     p.add_argument("--n", type=vertex_count, required=True)
     p.add_argument("--k", type=integer, required=True)
     p.add_argument("--gen", type=integer, required=True)

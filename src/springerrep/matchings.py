@@ -343,11 +343,6 @@ def standard_bottom_sets(n: int, k: int) -> list[tuple[int, ...]]:
     return sets
 
 
-def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
-    """The standard (n-k, k) tableaux, in undot-set order of their bottom rows."""
-    return [TwoRowTableau(n, b) for b in standard_bottom_sets(n, k)]
-
-
 def enumerate_standard(n: int, k: int) -> tuple[DottedMatching, ...]:
     """All standard dotted matchings on n vertices with exactly k undotted
     arcs: the cached :func:`standard_codes` of the degree, decoded into new

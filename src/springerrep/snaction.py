@@ -37,9 +37,9 @@ arbitrary sum of dotted matchings is merged and rewritten into the standard
 basis on its codes, the step ``reduce`` takes, then acted on as one vector per degree.
 
 The Coxeter relations and the class-tree character table are checked
-and computed on whole matrices packed into Python integers (Kronecker
-substitution).  A column, or a block of at most
-``ROW_BLOCK`` rows of it, is the integer sum of A[r][c] * 2^(w*r) with
+and computed on matrices packed into Python integers (Kronecker
+substitution), ``ROW_BLOCK`` = 512 rows at a time.  A block of a column
+is the integer sum of A[r][c] * 2^(w*r) with
 balanced w-bit digits, |A[r][c]| < 2^(w-1); so two packed matrices are equal
 exactly when their integer lists are, and a product A * s_i is two C-level
 gathers of A's packed columns through the slot arrays and one big-integer
@@ -47,10 +47,10 @@ addition per column.  The width w is computed, never assumed: if R is the
 largest column abs-sum of the generators (recorded as each is encoded), a
 product of m of them has entries of size at most R^m, so w = m *
 ceil(log2 R) + 2 bits hold every digit, whatever chart the tables were
-built from.  The Coxeter words have m = 3 and the class words m <= n - 1.  The class-tree walk packs
-``ROW_BLOCK`` = 512 rows per integer, one block after another, so that it
-never holds a whole matrix per tree node: every degree with n <= 12
-(dimension at most 297) is one block, and n = 14 (up to 1001) two.  A
+built from.  The Coxeter words have m = 3 and the class words m <= n - 1.
+Blocks are taken one after another, so neither holds a whole matrix per
+generator or tree node: every degree with n <= 12 (dimension at most 297)
+is one block, n = 14 (up to 1001) two and n = 16 (up to 3640) eight.  A
 node's trace, digit c - start of each column c of the block, is read in one
 pass: adding 2^(w-1) to every digit makes all of them unsigned without a
 carry, so each is a shift and a mask, and the bias is subtracted back.
@@ -59,8 +59,7 @@ carry, so each is a shift and a mask, and the bias is subtracted back.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import repeat
 from math import factorial
 from operator import add, and_, rshift
@@ -89,22 +88,19 @@ class _Generator(NamedTuple):
     radius: int  # the largest column abs-sum
 
 
-@dataclass(frozen=True)
 class _Tables:
     """The chart action of every s_i on one degree, by basis index, as slot
     arrays, and the degree's character table, computed once from it on packed
     matrices, and consistency verdict, computed once from its columns."""
 
-    n: int
-    codes: tuple[tuple[int, int], ...]  # (opens, dots) of each basis matching
-    index: dict[tuple[int, int], int]  # (opens, dots) code -> basis index
-    generators: tuple[_Generator, ...]  # generators[i - 1]: s_i
-
-    @cached_property
-    def radius(self) -> int:
-        """R, the largest column abs-sum of the generators (1 if none), from
-        the one each recorded when it was encoded."""
-        return max((g.radius for g in self.generators), default=1)
+    def __init__(self, n: int, codes: tuple[tuple[int, int], ...], index: dict[tuple[int, int], int],
+                 generators: tuple[_Generator, ...]):
+        self.n = n
+        self.codes = codes  # (opens, dots) of each basis matching
+        self.index = index  # (opens, dots) code -> basis index
+        self.generators = generators  # generators[i - 1]: s_i
+        # R, the largest column abs-sum of the generators (1 if none), each recorded when encoded
+        self.radius = max((g.radius for g in generators), default=1)
 
     def width(self, length: int) -> int:
         """Digit width in bits for products of up to ``length`` generators:
@@ -294,7 +290,7 @@ def _step(g: _Generator, vec: Iterable[tuple[int, int]]) -> dict[int, int]:
     return acc
 
 
-ROW_BLOCK = 512  # rows per packed integer in the class-tree walk: one block for every n <= 12
+ROW_BLOCK = 512  # rows per packed integer in the class-tree walk and the Coxeter check: one block for every n <= 12
 
 
 def _identity(rows: range, dim: int, w: int) -> list[int]:
@@ -373,34 +369,36 @@ def rep_matrix(n: int, k: int, i: int) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_coxeter(n: int, k: int) -> int:
-    """Check s_i^2 = 1, then braid and commuting relations, on packed matrices,
-    and return how many relations were checked.
+    """Check s_i^2 = 1, then braid and commuting relations, on packed matrices
+    ``ROW_BLOCK`` rows at a time, and return how many relations were checked.
 
     With every s_i an involution, the inverse of a word is the word reversed,
     so (s_i s_{i+1})^3 = 1 holds exactly when s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1},
     and (s_i s_j)^2 = 1 exactly when s_i s_j = s_j s_i.  Each relation is a pair
-    of words whose products must be equal; no word is longer than three
-    letters, and the width of the digits is chosen for that.
+    of words whose products must be equal; no word is longer than three letters,
+    and the digit width is chosen for that.  A failure names the first relation,
+    in list order, that fails in any block.
     """
     tables = _tables(n, k)
-    dim = len(tables.codes)
-    identity = _identity(range(dim), dim, tables.width(3))
-    packed = (identity, *(_times(identity, g) for g in tables.generators))  # packed[i]: s_i, packed[0]: 1
-
-    def product(word: tuple[int, ...]) -> list[int]:
-        out = packed[word[0] if word else 0]
-        for letter in word[1:]:
-            out = _times(out, tables.generators[letter - 1])
-        return out
-
+    dim, w = len(tables.codes), tables.width(3)
     relations = [("s_i^2 != 1", {"i": i}, (i, i), ()) for i in range(1, n)]
     relations += [("braid relation fails", {"i": i, "j": i + 1}, (i, i + 1, i), (i + 1, i, i + 1))
                   for i in range(1, n - 1)]
     relations += [("commuting relation fails", {"i": i, "j": j}, (i, j), (j, i))
                   for i in range(1, n) for j in range(i + 2, n)]
-    for message, witness, left, right in relations:
-        if product(left) != product(right):
-            raise VerificationError(message, {"n": n, "k": k, **witness})
+    failed = len(relations)  # the first failing relation so far
+    for start in range(0, dim, ROW_BLOCK):
+        identity = _identity(range(start, min(start + ROW_BLOCK, dim)), dim, w)
+        packed = (identity, *(_times(identity, g) for g in tables.generators))  # packed[i]: s_i, packed[0]: 1
+
+        def product(word: tuple[int, ...]) -> list[int]:
+            return reduce(_times, (tables.generators[i - 1] for i in word[1:]), packed[word[0] if word else 0])
+
+        failed = next((r for r, (_, _, left, right) in enumerate(relations[:failed])
+                       if product(left) != product(right)), failed)
+    if failed < len(relations):
+        message, witness, _, _ = relations[failed]
+        raise VerificationError(message, {"n": n, "k": k, **witness})
     return len(relations)
 
 

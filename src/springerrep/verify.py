@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import VerificationError
 from .linediagrams import echelon_certificate
@@ -26,16 +26,15 @@ from .snaction import _tables, chart_diagram_consistency, irreducibility_check, 
 from .specht import graded_decomposition, verify_module_equality
 
 # Largest n of the verify suites, a size bound.  Budget: all of ``verify --suite
-# all --max-n 12`` (252 checks) takes 0.6-1.4 s on 2 vCPUs as host load varies
-# (Python 3.11, 8 fresh processes: 0.64-1.19 s, median 0.95 s; 0.60-0.74 s,
-# median 0.65 s, under -O), and must stay under 15 s.
+# all --max-n 12`` (252 checks) takes 0.6-1.1 s on 2 vCPUs as host load varies
+# (Python 3.11, fresh bytecode, 8 fresh processes: 0.84-1.03 s, median 0.96 s;
+# 0.64-1.02 s, median 0.90 s, under -O), and must stay under 15 s.
 MAX_VERIFY_N = 12
 
 Rows = list[tuple[str, bool, str]]  # (check name, ok, detail) for one n
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     ok: bool

@@ -1,5 +1,5 @@
 """Independent brute-force oracles used by the tests, and the few helpers
-they share (``m_``, ``single``, ``cap_memory``).
+they share (``m_``, ``single``, ``cap_memory``, ``standard_tableaux``).
 
 Everything here recomputes expected values from first principles — raw
 enumeration, direct pattern filtering, fixed-point counting — without going
@@ -34,7 +34,7 @@ from springerrep.matchings import (
     enumerate_noncrossing,
     enumerate_standard,
     partitions_of,
-    standard_tableaux,
+    standard_bottom_sets,
     subset_mask,
     subset_members,
     syt_count,
@@ -56,6 +56,11 @@ def cap_memory() -> None:
     fail fast, not exhaust the machine."""
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def standard_tableaux(n: int, k: int) -> list[TwoRowTableau]:
+    """The standard (n-k, k) tableaux, in undot-set order of their bottom rows."""
+    return [TwoRowTableau(n, b) for b in standard_bottom_sets(n, k)]
 
 
 def map_basis(v: FormalSum, f) -> FormalSum:

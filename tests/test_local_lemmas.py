@@ -28,12 +28,21 @@ dU - Ud = (n - 2j) I on the j-subsets, U adding an element, so d is onto
 from the k-subsets for k <= n/2 and its kernel has dimension C(n, k) -
 C(n, k-1) = syt_count(n, k).
 
+Coxeter relations (``snaction.verify_coxeter``): (L10) let L send a standard
+M to L_M, and P_i exchange the variables l_i and l_{i+1}.  Echelon (L6)
+makes L injective on the standard span, and consistency (L4) gives
+L s_i = P_i L.  So L w(s) = w(P) L for every word w, and w(s) = 1 whenever
+w(P) = 1.  The P_i permute the subset masks of each size and satisfy
+P_i^2 = 1 and the braid and commuting relations, so every relation the
+coxeter suite checks holds for every n once echelon and consistency do.
+
 (L3) Every standard tableau but T0 is s_i of a standard tableau of smaller
 mask.  No certificate rests on it since module equality checks d instead of
 a chain of s_i from e_T0; it is kept as a fact about standard tableaux."""
 
 import itertools
 from collections import Counter
+from functools import reduce
 from math import comb
 
 import pytest
@@ -42,10 +51,11 @@ import springerrep.rewriting as rw
 from springerrep import snaction
 from springerrep.linediagrams import code_expansion_masks
 from springerrep.matchings import (DottedMatching, decode_word, encode, is_standard, nesting, pair_product,
-                                   standard_codes, standard_tableaux, subset_mask, syt_count, transpose_mask)
+                                   standard_codes, subset_mask, syt_count, transpose_mask)
 from springerrep.specht import code_generator_masks, down, polytabloid_masks
 
-from bruteforce import degree_generators, perfect_matchings, rank, relation_vectors, standard_bottoms_bruteforce
+from bruteforce import (degree_generators, perfect_matchings, rank, relation_vectors, standard_bottoms_bruteforce,
+                        standard_tableaux)
 from test_snaction import sign_of_undotted_pair_flipped
 
 
@@ -289,6 +299,25 @@ def test_down_operator_kills_every_product_over_disjoint_pairs(n):
             for size in range(len(arcs) + 1):
                 for undotted in itertools.combinations(arcs, size):
                     assert down(pair_product(undotted)) == {}
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_strand_exchanges_satisfy_the_coxeter_relations(n):
+    """(L10) P_i^2 = 1, P_i P_{i+1} P_i = P_{i+1} P_i P_{i+1} and P_i P_j = P_j P_i
+    for j >= i + 2, as permutations of the k-subset masks for every k: the
+    relations ``verify_coxeter`` checks on the chart."""
+    def word(letters, masks):
+        """The masks under the product of the P_i of ``letters``, rightmost first."""
+        return [reduce(lambda mask, i: transpose_mask(mask, 3 << (i - 1)), reversed(letters), mask)
+                for mask in masks]
+
+    relations = [((i, i), ()) for i in range(1, n)]
+    relations += [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    relations += [((i, j), (j, i)) for i in range(1, n) for j in range(i + 2, n)]
+    assert len(relations) == (n - 1) + (n - 2) * (n - 1) // 2
+    for k in range(n + 1):
+        masks = [subset_mask(c) for c in itertools.combinations(range(1, n + 1), k)]
+        assert all(word(left, masks) == word(right, masks) for left, right in relations)
 
 
 def up(n, vector):

@@ -21,8 +21,7 @@ from springerrep import (
     theta,
 )
 from springerrep.matchings import (check_degree, check_partition, decode_word, dyck_words, opens_mask,
-                                   standard_bottom_sets, standard_codes, standard_tableaux, subset_mask,
-                                   subset_members)
+                                   standard_bottom_sets, standard_codes, subset_mask, subset_members)
 
 from bruteforce import (
     kostka_bruteforce,
@@ -32,6 +31,7 @@ from bruteforce import (
     standard_bottoms_bruteforce,
     standard_bruteforce,
     standard_by_enclosers,
+    standard_tableaux,
     subset_order_key,
     theta_by_sets,
 )

@@ -22,8 +22,7 @@ from springerrep import (
 )
 from springerrep import snaction
 from springerrep.formal import FormalSum
-from springerrep.matchings import (decode_word, enumerate_standard, partitions_of, standard_codes,
-                                   standard_tableaux, syt_count)
+from springerrep.matchings import decode_word, enumerate_standard, partitions_of, standard_codes, syt_count
 from springerrep.perms import Permutation, parse_permutation
 from springerrep.rewriting import _encode
 from springerrep.snaction import (
@@ -52,6 +51,7 @@ from bruteforce import (
     permute_diagram,
     reduced_word_characters,
     single,
+    standard_tableaux,
     theta_by_sets,
     two_row_character_oracle,
     unpack_columns,
@@ -608,11 +608,14 @@ S1 = (((0, -1),), ((0, 1), (1, 1)))
 S2 = (((0, 1), (1, 1)), ((1, -1),))
 
 
-@pytest.mark.parametrize("n, generators, message, witness", [
+RELATION_GATES = [
     (3, (SHEAR, ONE), "s_i\\^2 != 1", {"i": 1}),
     (3, (SWAP, ONE), "braid relation fails", {"i": 1, "j": 2}),
     (4, (S1, S1, S2), "commuting relation fails", {"i": 1, "j": 3}),
-])
+]
+
+
+@pytest.mark.parametrize("n, generators, message, witness", RELATION_GATES)
 def test_each_relation_gate_fires_alone(monkeypatch, n, generators, message, witness):
     # generators that break exactly one relation; all but the shear are involutions
     tables = encoded_tables(n, generators)
@@ -620,3 +623,35 @@ def test_each_relation_gate_fires_alone(monkeypatch, n, generators, message, wit
     with pytest.raises(VerificationError, match=message) as info:
         verify_coxeter(n, 0)
     assert info.value.witness == {"n": n, "k": 0, **witness}
+
+
+def coxeter_failure(n, k):
+    """The message and witness of verify_coxeter's failure on degree (n, k), or None."""
+    try:
+        verify_coxeter(n, k)
+    except VerificationError as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def test_coxeter_witness_is_the_same_across_row_blocks(monkeypatch, broken_chart):
+    # the first failing relation in list order, whichever block it fails in: every
+    # case here is one block of 512 rows, or many blocks of one row; with the second
+    # rule at n = 6, k = 2 and 3, the first row to fail does so on a later relation
+    def failures():
+        out = []
+        for n, generators, _, _ in RELATION_GATES:
+            with monkeypatch.context() as patch:
+                patch.setattr(snaction, "_tables", lambda n, k, tables=encoded_tables(n, generators): tables)
+                out.append(coxeter_failure(n, 0))
+        for rule in (sign_of_undotted_pair_flipped, second_image_dropped_on_a_pattern):
+            broken_chart(rule)
+            out += [coxeter_failure(n, k) for n in (6, 8) for k in range(n // 2 + 1)]
+        return out
+
+    monkeypatch.setattr(snaction, "ROW_BLOCK", 1)
+    single_rows = failures()
+    monkeypatch.setattr(snaction, "ROW_BLOCK", 512)
+    assert failures() == single_rows
+    assert [witness for _, witness in single_rows[:3]] == [{"n": n, "k": 0, **w} for n, _, _, w in RELATION_GATES]
+    assert sum(failure is not None for failure in single_rows[3:]) == 14

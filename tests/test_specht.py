@@ -17,8 +17,8 @@ from springerrep import (
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import (decode, enumerate_standard, partitions_of, standard_codes, standard_tableaux,
-                                   subset_mask, syt_count, tabloid_sum)
+from springerrep.matchings import (decode, enumerate_standard, partitions_of, standard_codes, subset_mask, syt_count,
+                                   tabloid_sum)
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -39,6 +39,7 @@ from bruteforce import (
     permute_diagram,
     permute_tabloids,
     span_rank,
+    standard_tableaux,
     two_row_character_oracle,
 )
 
