@@ -9,6 +9,9 @@ are emitted in a fixed order, and the verify suites run serially in a fixed
 order.  Every command builds only the rendering ``--format`` names, and
 ``--out FILE`` writes exactly the bytes stdout would get.
 
+A start loads only this module, ``springerrep.errors`` and the package's
+constants: each command imports the modules it runs when it runs.
+
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
 """
@@ -16,23 +19,13 @@ printed), 2 on invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
-import json
 import re
 import sys
 from functools import partial
 
-from . import jsonio
+from . import MAX_VERIFY_N, SUITE_NAMES
 from .errors import VerificationError
-from .linediagrams import expand_code
-from .matchings import check_degree, dyck_words, nesting, standard_bottom_sets, standard_codes, undot_mask
-from .perms import parse_permutation
-from .rewriting import _by_degree, _reduce_sum
-from .snaction import _check_word, act_codes, character, rep_matrix
-from .specht import code_generator_masks, polytabloid_masks
-from .verify import MAX_VERIFY_N, SUITE_NAMES, _bijection, run_suites
 
 MIN_VERIFY_N = 2
 # Largest --n of enumerate, bijection, specht, top-basis, matrix, character and act, the
@@ -69,6 +62,7 @@ def _check_size(n: int) -> None:
 
 
 def _read_json(path: str):
+    import json
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -76,6 +70,8 @@ def _read_json(path: str):
             text = handle.read()
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
 
@@ -85,6 +81,7 @@ def _emit(args, json, csv, plain) -> None:
     newline.  ``json()`` returns a JSON value, ``csv()`` the table rows and
     ``plain()`` the text; only the named one is called."""
     if args.format == "json":
+        from . import jsonio
         text = jsonio.dumps(json())
     elif args.format == "csv":
         text = _csv_text(csv())
@@ -100,6 +97,8 @@ def _emit(args, json, csv, plain) -> None:
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -108,18 +107,22 @@ def _csv_text(rows) -> str:
 def _emit_sum(args, terms, json, column: str, cell, render) -> None:
     """Emit the ordered (element, coef) ``terms`` of a sum as ``json()``, as CSV rows (coef,
     ``cell(x)``) under the header (coef, ``column``), or as plain text with ``render``."""
+    from . import jsonio
     _emit(args, json, lambda: [["coef", column], *([coef, cell(x)] for x, coef in terms)],
           lambda: jsonio.formal_plain(terms, render))
 
 
 def _emit_matchings(args, codes: dict) -> None:
     """Emit ``{(opens, dots): coef}`` over standard matchings, rendered from the codes."""
+    from . import jsonio
     terms = jsonio.standard_terms(codes)
     _emit_sum(args, terms, lambda: jsonio.sum_to_obj(terms), "matching", jsonio.matching_plain, jsonio.matching_plain)
 
 
 def _cmd_enumerate(args) -> int:
-    codes = [(opens, None) for opens in dyck_words(args.n)] if args.k is None else standard_codes(args.n, args.k)
+    from . import jsonio, matchings
+    codes = ([(opens, None) for opens in matchings.dyck_words(args.n)] if args.k is None
+             else matchings.standard_codes(args.n, args.k))
     head = {"n": args.n} if args.k is None else {"n": args.n, "k": args.k}
     _emit(args,
           lambda: {**head, "count": len(codes), "matchings": list(map(jsonio.matching_to_obj, codes))},
@@ -129,13 +132,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    check_degree(args.n, 0)
+    from . import jsonio, matchings, verify
+    matchings.check_degree(args.n, 0)
     ks = [args.k] if args.k is not None else list(range(args.n // 2 + 1))
     rows = []  # (k, code of M, bottom-row mask of phi(M), which is U_M)
     for k in ks:
-        if not _bijection(args.n, k)[0]:
+        if not verify._bijection(args.n, k)[0]:
             raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
-        rows += ((k, code, undot_mask(*code)) for code in standard_codes(args.n, k))
+        rows += ((k, code, matchings.undot_mask(*code)) for code in matchings.standard_codes(args.n, k))
     rows_plain = partial(jsonio.rows_plain, args.n)
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
@@ -147,30 +151,33 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    degrees = _by_degree(jsonio.matching_codes_from_obj(_read_json(args.input)).items())
+    from . import jsonio, matchings, rewriting
+    degrees = rewriting._by_degree(jsonio.matching_codes_from_obj(_read_json(args.input)).items())
     for (n, _), codes in degrees.items():
-        if n > MAX_SIZE_N and any(nesting(*code) for code in codes):
+        if n > MAX_SIZE_N and any(matchings.nesting(*code) for code in codes):
             raise ValueError(f"nonstandard input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
-    _emit_matchings(args, _reduce_sum(degrees))
+    _emit_matchings(args, rewriting._reduce_sum(degrees))
     return 0
 
 
 def _cmd_expand(args) -> int:
+    from . import jsonio, linediagrams, rewriting
     payload = {"terms": [{"coef": 1, "matching": _read_json(args.input)}]}  # one term, so one code
-    [((n, _), codes)] = _by_degree(jsonio.matching_codes_from_obj(payload).items()).items()
+    [((n, _), codes)] = rewriting._by_degree(jsonio.matching_codes_from_obj(payload).items()).items()
     _check_size(n)
     [code] = codes
-    terms = sorted(expand_code(*code).items())
+    terms = sorted(linediagrams.expand_code(*code).items())
     _emit_sum(args, terms, lambda: jsonio.subset_sum_to_obj({"n": n}, "undot", terms), "undot",
               jsonio.subset_plain, jsonio.undot_plain)
     return 0
 
 
 def _cmd_act(args) -> int:
+    from . import jsonio, matchings, perms, rewriting, snaction
     payload = _read_json(args.input)
     if not (isinstance(payload, dict) and "terms" in payload):
         payload = {"terms": [{"coef": 1, "matching": payload}]}
-    degrees = _by_degree(jsonio.matching_codes_from_obj(payload).items())
+    degrees = rewriting._by_degree(jsonio.matching_codes_from_obj(payload).items())
     sizes, ks = {n for n, _ in degrees}, {k for _, k in degrees}
     _check_size(max(sizes, default=0))
     if args.n is not None and sizes - {args.n}:
@@ -180,26 +187,27 @@ def _cmd_act(args) -> int:
     if (args.gen is None) == (args.perm is None):
         raise ValueError("provide exactly one of --gen or --perm")
     if not degrees and args.n is not None:  # no degree of the input to check --n and --k against
-        check_degree(args.n, args.k or 0)
+        matchings.check_degree(args.n, args.k or 0)
     elif not degrees and args.k is not None and args.k < 0:
         raise ValueError(f"k={args.k} out of range: degrees start at 0")
     if args.gen is not None:
         word = (args.gen,)
         if not degrees and args.n is not None:  # no degree for act_codes to check it in
-            _check_word(word, args.n)
+            snaction._check_word(word, args.n)
         elif not degrees and args.gen < 1:
             raise ValueError(f"generator index {args.gen} out of range: indices start at 1")
     else:
         n = args.n if args.n is not None else max(sizes, default=None)  # None: the text sizes itself
         if n is None and (named := max(map(int, re.findall("[0-9]+", args.perm)), default=0)) > MAX_SIZE_N:
             raise ValueError(f"--perm vertex {named} exceeds the supported bound {MAX_SIZE_N}")
-        word = parse_permutation(args.perm, n=n).reduced_word()
-    _emit_matchings(args, act_codes(word, degrees))
+        word = perms.parse_permutation(args.perm, n=n).reduced_word()
+    _emit_matchings(args, snaction.act_codes(word, degrees))
     return 0
 
 
 def _cmd_matrix(args) -> int:
-    rows = rep_matrix(args.n, args.k, args.gen)
+    from . import snaction
+    rows = snaction.rep_matrix(args.n, args.k, args.gen)
 
     def aligned() -> str:
         width = max((len(str(x)) for row in rows for x in row), default=1)
@@ -221,8 +229,9 @@ def _parse_cycle_type(text: str) -> tuple[int, ...]:
 
 
 def _cmd_character(args) -> int:
+    from . import snaction
     cycle_type = _parse_cycle_type(args.cycle_type)
-    value = character(args.n, args.k, cycle_type)
+    value = snaction.character(args.n, args.k, cycle_type)
     _emit(args,
           lambda: {"n": args.n, "k": args.k, "cycle_type": list(cycle_type), "value": value},
           lambda: [["n", "k", "cycle_type", "value"],
@@ -233,6 +242,7 @@ def _cmd_character(args) -> int:
 
 def _tabloid_vectors(args, k: int, named: dict[str, list[dict[int, int]]]) -> None:
     """Emit families of {bottom-row mask: coef} vectors, each in mask order."""
+    from . import jsonio
     head, rows_plain = {"n": args.n, "k": k}, partial(jsonio.rows_plain, args.n)
     named = {name: [sorted(v.items()) for v in vectors] for name, vectors in named.items()}
     families = [(name, idx, terms) for name, vectors in named.items() for idx, terms in enumerate(vectors)]
@@ -247,18 +257,20 @@ def _tabloid_vectors(args, k: int, named: dict[str, list[dict[int, int]]]) -> No
 
 
 def _cmd_specht(args) -> int:
+    from . import matchings, specht
     named = {}
     if args.emit in ("eT", "both"):
-        named["eT"] = [polytabloid_masks(args.n, b) for b in standard_bottom_sets(args.n, args.k)]
+        named["eT"] = [specht.polytabloid_masks(args.n, b) for b in matchings.standard_bottom_sets(args.n, args.k)]
     if args.emit in ("eM", "both"):
-        named["eM"] = [code_generator_masks(*code) for code in standard_codes(args.n, args.k)]
+        named["eM"] = [specht.code_generator_masks(*code) for code in matchings.standard_codes(args.n, args.k)]
     _tabloid_vectors(args, args.k, named)
     return 0
 
 
 def _cmd_top_basis(args) -> int:
-    _tabloid_vectors(args, args.n // 2, {"top": [code_generator_masks(*code)
-                                                 for code in standard_codes(args.n, args.n // 2)]})
+    from . import matchings, specht
+    _tabloid_vectors(args, args.n // 2, {"top": [specht.code_generator_masks(*code)
+                                                 for code in matchings.standard_codes(args.n, args.n // 2)]})
     return 0
 
 
@@ -270,8 +282,9 @@ def _cmd_verify(args) -> int:
     if args.max_n % 2:
         raise ValueError(f"--max-n {args.max_n} is odd; the suites run on even n, "
                          f"so choose an even value from {MIN_VERIFY_N} to {MAX_VERIFY_N}")
+    from . import verify
     suites = SUITE_NAMES if args.suite == "all" else tuple(args.suite.split(","))
-    results = run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
+    results = verify.run_suites(suites, args.max_n, seed=getattr(args, "test_seed", 0))
     passed = sum(r.ok for r in results)
     _emit(args,
           lambda: {"max_n": args.max_n, "suites": [name for name in SUITE_NAMES if name in suites],
@@ -387,11 +400,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 2
     except VerificationError as exc:
+        from . import jsonio
         print(f"error: {exc}", file=sys.stderr)
         print(f"witness: {jsonio.dumps(exc.witness)}", file=sys.stderr)
         return 1

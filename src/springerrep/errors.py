@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 
 class VerificationError(Exception):
     """A cross-check that should hold mathematically came out false.
@@ -12,6 +10,6 @@ class VerificationError(Exception):
     oracle comparisons, the Coxeter checks, and the span certificates.
     """
 
-    def __init__(self, message: str, witness: dict[str, Any] | None = None):
+    def __init__(self, message: str, witness: dict[str, object] | None = None):
         super().__init__(message)
         self.witness = witness or {}

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, NamedTuple
 
+from . import MAX_VERIFY_N, SUITE_NAMES  # the largest n, and the keys of SUITES in order
 from .errors import VerificationError
 from .linediagrams import echelon_certificate
 from .matchings import (catalan, dyck_words, enumerate_noncrossing, enumerate_standard, kostka_two_row, nesting,
@@ -24,12 +25,6 @@ from .matchings import (catalan, dyck_words, enumerate_noncrossing, enumerate_st
 from .rewriting import _certify, _generator_codes, _image, _reduce_codes
 from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
-
-# Largest n of the verify suites, a size bound.  Budget: all of ``verify --suite
-# all --max-n 12`` (252 checks) takes 0.6-1.1 s on 2 vCPUs as host load varies
-# (Python 3.11, fresh bytecode, 8 fresh processes: 0.84-1.03 s, median 0.96 s;
-# 0.64-1.02 s, median 0.90 s, under -O), and must stay under 15 s.
-MAX_VERIFY_N = 12
 
 Rows = list[tuple[str, bool, str]]  # (check name, ok, detail) for one n
 
@@ -124,7 +119,7 @@ def _linearity(n: int, seed: int) -> Rows:
     return [(f"n={n} random-combinations", ok, f"seed={seed}")]
 
 
-# suite -> (checks for one n, smallest top n it always reaches), in report order;
+# suite -> (checks for one n, smallest top n it always reaches), in report order, SUITE_NAMES;
 # the fiber-dimension formula is always checked for every n <= MAX_VERIFY_N.
 # Check functions are looked up through module globals when a task runs, so
 # patching ``verify.verify_coxeter`` (or wrapping it) takes effect.
@@ -145,8 +140,6 @@ SUITES: dict[str, tuple[Callable[[int, int], Rows], int]] = {
     "dimension": (_dimension, MAX_VERIFY_N),
     "linearity": (_linearity, 0),
 }
-
-SUITE_NAMES = tuple(SUITES)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import springerrep.cli as cli
+import springerrep.matchings as matchings
 import springerrep.rewriting as rw
 from springerrep import DottedMatching, reduce_to_standard
 from springerrep.snaction import act_word
@@ -61,7 +62,6 @@ def test_bijection_exits_1_when_theta_is_broken(capsys, monkeypatch, k):
     # sends every tableau to the first standard matching of its degree fails it
     # at k = 1, and the basis it enumerates is rebuilt through the broken theta
     import springerrep
-    import springerrep.matchings as matchings
     import springerrep.verify as verify
 
     honest = matchings.theta_code
@@ -188,7 +188,6 @@ def test_act_on_a_sum_over_several_degrees_is_pinned(capsys, tmp_path, argv, sta
 
 
 def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkeypatch):
-    import springerrep.matchings as matchings
     import springerrep.rewriting as rw
     import springerrep.snaction as snaction
 
@@ -220,8 +219,6 @@ def test_act_builds_no_matching_outside_the_table_basis(capsys, tmp_path, monkey
     ["expand", "--input", "nested.json"],  # refused as nonstandard
 ], ids=["bijection", "specht", "top-basis", "expand", "expand-refused"])
 def test_table_commands_build_no_matching_or_tabloid(capsys, tmp_path, monkeypatch, argv, fmt):
-    import springerrep.matchings as matchings
-
     arcs = [[1, 8], [2, 3], [4, 7], [5, 6]]
     (tmp_path / "standard.json").write_text(json.dumps({"n": 8, "arcs": arcs, "dotted": [[1, 8]]}))
     (tmp_path / "nested.json").write_text(json.dumps({"n": 8, "arcs": arcs, "dotted": [[2, 3]]}))
@@ -647,8 +644,8 @@ def _raise(exc):
 
 def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, collector):
     seen = []
-    honest = cli.dyck_words
-    monkeypatch.setattr(cli, "dyck_words", lambda n: seen.append(gc.isenabled()) or honest(n))
+    honest = matchings.dyck_words  # enumerate reads it through the module when it runs
+    monkeypatch.setattr(matchings, "dyck_words", lambda n: seen.append(gc.isenabled()) or honest(n))
     assert main(["enumerate", "--n", "4"]) == 0
     assert seen == [False] and gc.isenabled() == collector
 
@@ -658,7 +655,7 @@ def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, c
     (ValueError("planted bad input"), 2),
 ], ids=("exit-1", "exit-2"))
 def test_main_restores_the_collector_on_failure(capsys, monkeypatch, collector, exc, status):
-    monkeypatch.setattr(cli, "dyck_words", _raise(exc))
+    monkeypatch.setattr(matchings, "dyck_words", _raise(exc))
     assert main(["enumerate", "--n", "4"]) == status
     assert str(exc) in capsys.readouterr().err and gc.isenabled() == collector
 
@@ -677,7 +674,7 @@ def test_main_restores_the_collector_on_an_argparse_exit(capsys, collector):
 
 
 def test_main_restores_the_collector_when_an_exception_escapes(monkeypatch, collector):
-    monkeypatch.setattr(cli, "dyck_words", _raise(RuntimeError("planted bug")))
+    monkeypatch.setattr(matchings, "dyck_words", _raise(RuntimeError("planted bug")))
     with pytest.raises(RuntimeError, match="planted bug"):
         main(["enumerate", "--n", "4"])
     assert gc.isenabled() == collector

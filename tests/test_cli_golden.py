@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from springerrep import cli
+from springerrep import cli, jsonio
 from springerrep.cli import main
 from springerrep.matchings import partitions_of
 
@@ -228,7 +228,7 @@ def test_only_the_named_rendering_is_built(golden, monkeypatch, command, fmt):
     if fmt != "csv":
         monkeypatch.setattr(cli, "_csv_text", refuse)
     if fmt != "json":
-        monkeypatch.setattr(cli.jsonio, "dumps", refuse)
+        monkeypatch.setattr(jsonio, "dumps", refuse)
     assert list(run(argv)) == expected, argv
 
 

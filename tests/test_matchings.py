@@ -10,8 +10,12 @@ from springerrep import (
     TwoRowTableau,
     catalan,
     character,
+    character_table,
+    chart_diagram_consistency,
+    echelon_certificate,
     enumerate_noncrossing,
     enumerate_standard,
+    irreducibility_check,
     is_standard,
     kostka_two_row,
     partitions_of,
@@ -19,6 +23,8 @@ from springerrep import (
     springer_dimension,
     syt_count,
     theta,
+    verify_coxeter,
+    verify_module_equality,
 )
 from springerrep.matchings import (check_degree, check_partition, decode_word, dyck_words, opens_mask,
                                    standard_bottom_sets, standard_codes, subset_mask, subset_members)
@@ -31,7 +37,6 @@ from bruteforce import (
     standard_bottoms_bruteforce,
     standard_bruteforce,
     standard_by_enclosers,
-    standard_tableaux,
     subset_order_key,
     theta_by_sets,
 )
@@ -136,14 +141,21 @@ def test_is_standard_is_the_encloser_rule(n):
                 assert is_standard(m) == standard_by_enclosers(m)
 
 
+# the package entry points that take a degree (n, k), beside the basis enumerators; rep_matrix
+# is left out, as it checks its generator index first
+DEGREE_ENTRY_POINTS = (character_table, verify_coxeter, chart_diagram_consistency, irreducibility_check,
+                       verify_module_equality, echelon_certificate)
+
+
 def test_enumerate_standard_rejects_bad_k():
     with pytest.raises(ValueError):
         enumerate_standard(4, 3)
     with pytest.raises(ValueError):
         enumerate_standard(4, -1)
     for n, k in ((4, 3), (4, -1), (5, 1)):
-        with pytest.raises(ValueError, match="out of range|even and nonnegative"):
-            standard_tableaux(n, k)
+        for entry_point in DEGREE_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="out of range|even and nonnegative"):
+                entry_point(n, k)
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (-2, 0), (4, -1), (4, 3), (3, 0)])
@@ -151,7 +163,7 @@ def test_every_basis_enumerator_refuses_a_degree_off_the_two_row_shapes(n, k):
     # an odd or negative vertex count, or k outside 0..n/2, with check_degree's own message
     with pytest.raises(ValueError) as expected:
         check_degree(n, k)
-    for enumerate_degree in (standard_bottom_sets, standard_codes, standard_tableaux, enumerate_standard):
+    for enumerate_degree in (standard_bottom_sets, standard_codes, enumerate_standard, *DEGREE_ENTRY_POINTS):
         with pytest.raises(ValueError) as info:
             enumerate_degree(n, k)
         assert str(info.value) == str(expected.value), enumerate_degree
