@@ -15,8 +15,8 @@ use, so ``import springerrep`` (and the CLI's start) loads no kernel.
 # (Python 3.11, fresh bytecode, 8 fresh processes: 0.84-1.03 s, median 0.96 s;
 # 0.64-1.02 s, median 0.90 s, under -O), and must stay under 15 s.
 MAX_VERIFY_N = 12
-# The verify suites in report order; ``verify.SUITES`` maps each to its checks, in
-# this order.  Both constants live here so that the CLI parser imports no kernel.
+# The verify suites in report order, the one spelling of it: ``verify.SUITES`` zips these
+# names with their checks.  Both constants live here so that the CLI parser imports no kernel.
 SUITE_NAMES = ("counting", "bijection", "rewriting", "echelon", "coxeter", "consistency",
                "irreducibility", "module-equality", "multiplicity", "dimension", "linearity")
 

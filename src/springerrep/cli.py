@@ -9,8 +9,10 @@ are emitted in a fixed order, and the verify suites run serially in a fixed
 order.  Every command builds only the rendering ``--format`` names, and
 ``--out FILE`` writes exactly the bytes stdout would get.
 
-A start loads only this module, ``springerrep.errors`` and the package's
-constants: each command imports the modules it runs when it runs.
+Building the parser loads only this module, ``springerrep.errors`` and the
+package's constants, so ``--help`` and a usage error load no kernel.  Each command
+imports its kernels after parsing, so it runs at the same cost; only ``enumerate``,
+``reduce`` and ``expand`` skip the action, Specht and verify modules.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.

@@ -119,27 +119,27 @@ def _linearity(n: int, seed: int) -> Rows:
     return [(f"n={n} random-combinations", ok, f"seed={seed}")]
 
 
-# suite -> (checks for one n, smallest top n it always reaches), in report order, SUITE_NAMES;
-# the fiber-dimension formula is always checked for every n <= MAX_VERIFY_N.
+# suite -> (checks for one n, smallest top n it always reaches), keyed by SUITE_NAMES in
+# report order; the fiber-dimension formula is always checked for every n <= MAX_VERIFY_N.
 # Check functions are looked up through module globals when a task runs, so
 # patching ``verify.verify_coxeter`` (or wrapping it) takes effect.
-SUITES: dict[str, tuple[Callable[[int, int], Rows], int]] = {
-    "counting": (_counting, 0),
-    "bijection": (_per_degree("round-trip", _bijection), 0),
-    "rewriting": (_per_degree("oracle", _rewriting), 0),
-    "echelon": (_per_degree("row-echelon", lambda n, k: (
+SUITES: dict[str, tuple[Callable[[int, int], Rows], int]] = dict(zip(SUITE_NAMES, (
+    (_counting, 0),
+    (_per_degree("round-trip", _bijection), 0),
+    (_per_degree("oracle", _rewriting), 0),
+    (_per_degree("row-echelon", lambda n, k: (
         echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), 0),
-    "coxeter": (_per_degree("relations", lambda n, k: (
+    (_per_degree("relations", lambda n, k: (
         True, f"{verify_coxeter(n, k)} relations hold")), 0),
-    "consistency": (_per_degree("chart-vs-diagram", lambda n, k: (
+    (_per_degree("chart-vs-diagram", lambda n, k: (
         chart_diagram_consistency(n, k), f"{syt_count(n, k) * (n - 1)} identities")), 0),
-    "irreducibility": (_per_degree("character-norm", _irreducibility), 0),
-    "module-equality": (_per_degree("spans", lambda n, k: (
+    (_per_degree("character-norm", _irreducibility), 0),
+    (_per_degree("spans", lambda n, k: (
         verify_module_equality(n, k), f"rank {syt_count(n, k)}")), 0),
-    "multiplicity": (_multiplicity, 0),
-    "dimension": (_dimension, MAX_VERIFY_N),
-    "linearity": (_linearity, 0),
-}
+    (_multiplicity, 0),
+    (_dimension, MAX_VERIFY_N),
+    (_linearity, 0),
+), strict=True))
 
 
 @dataclass(frozen=True)
