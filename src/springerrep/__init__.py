@@ -22,16 +22,17 @@ SUITE_NAMES = ("counting", "bijection", "rewriting", "echelon", "coxeter", "cons
 
 # module -> the names the package exports from it
 _MODULES = {
+    "codes": "catalan kostka_two_row partitions_of springer_dimension syt_count",
     "errors": "VerificationError",
     "formal": "FormalSum",
-    "matchings": "DottedMatching NoncrossingMatching Tabloid TwoRowTableau catalan enumerate_noncrossing "
-                 "enumerate_standard is_standard kostka_two_row partitions_of phi springer_dimension syt_count theta",
-    "linediagrams": "echelon_certificate expand",
+    "matchings": "DottedMatching NoncrossingMatching Tabloid TwoRowTableau act_permutation act_simple "
+                 "emit_top_degree_basis enumerate_noncrossing enumerate_standard expand is_standard "
+                 "matching_generator phi polytabloid theta",
+    "linediagrams": "echelon_certificate",
     "perms": "Permutation parse_permutation",
     "rewriting": "reduce_to_standard",
-    "snaction": "act_permutation act_simple character character_table chart_diagram_consistency "
-                "irreducibility_check rep_matrix verify_coxeter",
-    "specht": "emit_top_degree_basis graded_decomposition matching_generator polytabloid verify_module_equality",
+    "snaction": "character character_table chart_diagram_consistency irreducibility_check rep_matrix verify_coxeter",
+    "specht": "graded_decomposition verify_module_equality",
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
 __all__ = [*_EXPORTS, *_MODULES]

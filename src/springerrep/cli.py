@@ -12,7 +12,10 @@ order.  Every command builds only the rendering ``--format`` names, and
 Building the parser loads only this module, ``springerrep.errors`` and the
 package's constants, so ``--help`` and a usage error load no kernel.  Each command
 imports its kernels after parsing, so it runs at the same cost; only ``enumerate``,
-``reduce`` and ``expand`` skip the action, Specht and verify modules.
+``bijection``, ``reduce`` and ``expand`` skip the action, Specht and verify modules.
+No command but ``verify``, ``verify-equality`` and ``act --perm`` loads the object
+layer (``springerrep.matchings``, ``formal``, ``perms`` or ``dataclasses``): the others
+run on the codes of ``springerrep.codes`` and render from them.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
@@ -122,9 +125,10 @@ def _emit_matchings(args, codes: dict) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import jsonio, matchings
-    codes = ([(opens, None) for opens in matchings.dyck_words(args.n)] if args.k is None
-             else matchings.standard_codes(args.n, args.k))
+    from . import jsonio
+    from .codes import dyck_words, standard_codes
+    codes = ([(opens, None) for opens in dyck_words(args.n)] if args.k is None
+             else standard_codes(args.n, args.k))
     head = {"n": args.n} if args.k is None else {"n": args.n, "k": args.k}
     _emit(args,
           lambda: {**head, "count": len(codes), "matchings": list(map(jsonio.matching_to_obj, codes))},
@@ -134,14 +138,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    from . import jsonio, matchings, verify
-    matchings.check_degree(args.n, 0)
+    from . import jsonio
+    from .codes import check_degree, standard_codes, theta_round_trip, undot_mask
+    check_degree(args.n, 0)
     ks = [args.k] if args.k is not None else list(range(args.n // 2 + 1))
     rows = []  # (k, code of M, bottom-row mask of phi(M), which is U_M)
     for k in ks:
-        if not verify._bijection(args.n, k)[0]:
+        if not theta_round_trip(args.n, k):
             raise VerificationError("bijection round-trip failed", {"n": args.n, "k": k})
-        rows += ((k, code, matchings.undot_mask(*code)) for code in matchings.standard_codes(args.n, k))
+        rows += ((k, code, undot_mask(*code)) for code in standard_codes(args.n, k))
     rows_plain = partial(jsonio.rows_plain, args.n)
     _emit(args,
           lambda: {"n": args.n, "rows": [{"k": k, "matching": jsonio.matching_to_obj(m),
@@ -153,10 +158,11 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from . import jsonio, matchings, rewriting
+    from . import jsonio, rewriting
+    from .codes import nesting
     degrees = rewriting._by_degree(jsonio.matching_codes_from_obj(_read_json(args.input)).items())
     for (n, _), codes in degrees.items():
-        if n > MAX_SIZE_N and any(matchings.nesting(*code) for code in codes):
+        if n > MAX_SIZE_N and any(nesting(*code) for code in codes):
             raise ValueError(f"nonstandard input on {n} vertices exceeds the supported bound {MAX_SIZE_N}")
     _emit_matchings(args, rewriting._reduce_sum(degrees))
     return 0
@@ -175,7 +181,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    from . import jsonio, matchings, perms, rewriting, snaction
+    from . import jsonio, rewriting, snaction
+    from .codes import check_degree
     payload = _read_json(args.input)
     if not (isinstance(payload, dict) and "terms" in payload):
         payload = {"terms": [{"coef": 1, "matching": payload}]}
@@ -189,7 +196,7 @@ def _cmd_act(args) -> int:
     if (args.gen is None) == (args.perm is None):
         raise ValueError("provide exactly one of --gen or --perm")
     if not degrees and args.n is not None:  # no degree of the input to check --n and --k against
-        matchings.check_degree(args.n, args.k or 0)
+        check_degree(args.n, args.k or 0)
     elif not degrees and args.k is not None and args.k < 0:
         raise ValueError(f"k={args.k} out of range: degrees start at 0")
     if args.gen is not None:
@@ -199,10 +206,11 @@ def _cmd_act(args) -> int:
         elif not degrees and args.gen < 1:
             raise ValueError(f"generator index {args.gen} out of range: indices start at 1")
     else:
+        from .perms import parse_permutation  # only --perm builds an object, so only it loads perms
         n = args.n if args.n is not None else max(sizes, default=None)  # None: the text sizes itself
         if n is None and (named := max(map(int, re.findall("[0-9]+", args.perm)), default=0)) > MAX_SIZE_N:
             raise ValueError(f"--perm vertex {named} exceeds the supported bound {MAX_SIZE_N}")
-        word = perms.parse_permutation(args.perm, n=n).reduced_word()
+        word = parse_permutation(args.perm, n=n).reduced_word()
     _emit_matchings(args, snaction.act_codes(word, degrees))
     return 0
 
@@ -259,20 +267,22 @@ def _tabloid_vectors(args, k: int, named: dict[str, list[dict[int, int]]]) -> No
 
 
 def _cmd_specht(args) -> int:
-    from . import matchings, specht
+    from . import specht
+    from .codes import standard_bottom_sets, standard_codes
     named = {}
     if args.emit in ("eT", "both"):
-        named["eT"] = [specht.polytabloid_masks(args.n, b) for b in matchings.standard_bottom_sets(args.n, args.k)]
+        named["eT"] = [specht.polytabloid_masks(args.n, b) for b in standard_bottom_sets(args.n, args.k)]
     if args.emit in ("eM", "both"):
-        named["eM"] = [specht.code_generator_masks(*code) for code in matchings.standard_codes(args.n, args.k)]
+        named["eM"] = [specht.code_generator_masks(*code) for code in standard_codes(args.n, args.k)]
     _tabloid_vectors(args, args.k, named)
     return 0
 
 
 def _cmd_top_basis(args) -> int:
-    from . import matchings, specht
+    from . import specht
+    from .codes import standard_codes
     _tabloid_vectors(args, args.n // 2, {"top": [specht.code_generator_masks(*code)
-                                                 for code in matchings.standard_codes(args.n, args.n // 2)]})
+                                                 for code in standard_codes(args.n, args.n // 2)]})
     return 0
 
 

@@ -10,24 +10,22 @@ embedding.  The choose-the-right-endpoint term always carries coefficient
 +1 — which makes the expansion matrix row-echelon once rows and columns are
 sorted by the undot-set order.  The certificates read matchings as codes
 and hold undot sets as bitmasks (strand x at bit x-1), on which that order
-is integer order (:func:`~springerrep.matchings.subset_mask`).
+is integer order (:func:`~springerrep.codes.subset_mask`).
 
-A line diagram is its undot-set mask; :func:`expand` alone decodes it to the
-:class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set: the
-paper's relabelling of line diagrams to tabloids is the identity.
+A line diagram is its undot-set mask; only :func:`springerrep.matchings.expand`
+decodes it to the :class:`~springerrep.matchings.Tabloid` whose bottom row is
+the undot set: the paper's relabelling of line diagrams to tabloids is the identity.
 """
 
 from __future__ import annotations
 
-from .formal import FormalSum
-from .matchings import (DottedMatching, code_undotted, decode, encode, nesting, pair_product, standard_codes,
-                        tabloid_sum, undot_mask)
+from .codes import code_undotted, decode, nesting, pair_product, standard_codes, undot_mask
 
 
 def code_expansion_masks(opens: int, dots: int) -> dict[int, int]:
     """L_M as {undot-set mask: ±1}, strand x at bit x-1, for the matching with
     code ``(opens, dots)``: the expansion rule, the product over undotted arcs
-    (i, j) of (l_j - l_i), multiplied out by :func:`~springerrep.matchings.pair_product`."""
+    (i, j) of (l_j - l_i), multiplied out by :func:`~springerrep.codes.pair_product`."""
     return pair_product(code_undotted(opens, dots))
 
 
@@ -37,12 +35,6 @@ def expand_code(opens: int, dots: int) -> dict[int, int]:
         matching = decode(opens, dots)
         raise ValueError(f"matching {matching['arcs']} with dots {matching['dotted']} is not standard")
     return code_expansion_masks(opens, dots)
-
-
-def expand(m: DottedMatching) -> FormalSum:
-    """The signed expansion L_M, a sum of 2^k undot sets with coefficients ±1,
-    each a :class:`~springerrep.matchings.Tabloid` whose bottom row is the undot set."""
-    return tabloid_sum(m.n, expand_code(*encode(m)))
 
 
 def echelon_certificate(n: int, k: int) -> bool:

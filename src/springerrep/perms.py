@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .codes import check_integers
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -19,6 +21,7 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
+        check_integers("image", self.images)
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
 

@@ -17,24 +17,25 @@ s_i changes, and it is what makes the chart a representation at all.  Its
 verdict is cached on the degree's tables, like the character table, until a
 verify run ends or ``_tables.cache_clear()``.
 
-The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.matchings`
+The chart runs on the ``(opens, dots)`` codes of :mod:`springerrep.codes`
 and the partner array of each word, decoded once per word: cases 1 and 2
 are read off the bits, and M' clears the four endpoint bits and sets those
 of i and the nearer far end.  It is evaluated once per (n, k, i, basis code)
 into a sparse (row, coef) column by basis index, an image outside the basis
 failing the build, and :func:`_encode`, the one writer of slot arrays and the
 one the property tests drive, writes each s_i as a :class:`_Generator` of the
-degree's table, beside the :func:`~springerrep.matchings.standard_codes` and
+degree's table, beside the :func:`~springerrep.codes.standard_codes` and
 their index.  A generator has one integer array per term layer, one slot per
 basis column, and column c of its matrix is the sum over the layers of entry
 ``layers[t][c]`` of ``packed ++ [0] ++ [e * packed[r] for its entries (r, e)
 with e != 1]``: a +1 entry is its row r < dim, a missing term the zero at
 slot dim, and any other entry a slot past it.  The chart has two layers, since
 every column is ±M or M + M', and only its -M columns need slots past the
-zero.  The tables hold codes only, and ``act`` renders its output from them
-without building a :class:`DottedMatching`.  The public action works on classes: an
-arbitrary sum of dotted matchings is merged and rewritten into the standard
-basis on its codes, the step ``reduce`` takes, then acted on as one vector per degree.
+zero.  The tables hold codes only, and ``act`` renders its output from them.
+The action works on classes: :func:`act_codes` rewrites an arbitrary sum of
+codes into the standard basis, the step ``reduce`` takes, then acts on it as
+one vector per degree; the object action, :func:`springerrep.matchings.act_word`,
+decodes its result.
 
 The Coxeter relations and the class-tree character table are checked
 and computed on matrices packed into Python integers (Kronecker
@@ -65,12 +66,9 @@ from math import factorial
 from operator import add, and_, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
+from .codes import check_partition, decode, decode_word, pair_product, partitions_of, standard_codes, transpose_mask
 from .errors import VerificationError
-from .formal import FormalSum
-from .matchings import (DottedMatching, check_partition, code_matching, decode, decode_word, encode, pair_product,
-                        partitions_of, standard_codes, transpose_mask)
-from .perms import Permutation
-from .rewriting import Degrees, _by_degree, _standard
+from .rewriting import Degrees, _standard
 
 if TYPE_CHECKING:
     from array import array
@@ -317,11 +315,6 @@ def _apply(tables: _Tables, word: tuple[int, ...], vec: dict[int, int]) -> dict[
     return {r: coef for r, coef in vec.items() if coef}
 
 
-def act_simple(i: int, m: DottedMatching) -> FormalSum:
-    """Action of the simple transposition s_i on the class of a matching."""
-    return act_word((i,), FormalSum({m: 1}))
-
-
 def act_codes(word: tuple[int, ...], degrees: Degrees) -> dict[tuple[int, int], int]:
     """Apply a word to a sum split by :func:`springerrep.rewriting._by_degree` into one
     ``{(opens, dots): coef}`` per degree, each rewritten into the standard basis on its
@@ -334,25 +327,6 @@ def act_codes(word: tuple[int, ...], degrees: Degrees) -> dict[tuple[int, int], 
         for r, coef in _apply(tables, word, vec).items():
             result[tables.codes[r]] = coef
     return result
-
-
-def act_word(word: tuple[int, ...], v: FormalSum) -> FormalSum:
-    """Apply a word in the simple transpositions, rightmost letter first.
-
-    ``v`` may be any sum of dotted matchings; each degree is rewritten into
-    the standard basis once and the result is expressed in that basis.
-    """
-    image = act_codes(word, _by_degree(FormalSum((encode(m), coef) for m, coef in v)))
-    return FormalSum((code_matching(*code), coef) for code, coef in image.items())
-
-
-def act_permutation(w: Permutation, v: FormalSum) -> FormalSum:
-    """Linear action of an arbitrary permutation, via a reduced word; every
-    term of ``v`` must be a matching on the w.n points w permutes."""
-    for m, _ in v:
-        if m.n != w.n:
-            raise ValueError(f"a permutation of {w.n} points cannot act on a matching on {m.n} vertices")
-    return act_word(w.reduced_word(), v)
 
 
 def rep_matrix(n: int, k: int, i: int) -> tuple[tuple[int, ...], ...]:

@@ -12,7 +12,9 @@ The relabelling is the identity: a line diagram is the ``Tabloid`` of its
 undot set.  The certificate and the ``specht`` and ``top-basis`` commands key
 both as ``{bottom-row mask: +-1}`` (entry x at bit x-1) and read tableaux as
 bottom rows and matchings as codes, constructing neither a tabloid nor a
-matching; integer order on masks is the undot-set order.
+matching; integer order on masks is the undot-set order.  Only the wrappers
+in :mod:`springerrep.matchings` (``polytabloid``, ``matching_generator`` and
+``emit_top_degree_basis``) decode the masks to tabloid sums.
 e_T and L_M come from one product rule, ``pair_product``, over the columns
 of T and the undotted arcs of M.  e_M does not: it is built from the arc
 swaps of phi(M), so the check ``code_expansion_masks(*code) == e_M``
@@ -38,12 +40,11 @@ are paired with.
 
 from __future__ import annotations
 
+from .codes import (_check_even, check_degree, check_partition, code_undotted, decode, pair_product, partitions_of,
+                    standard_bottom_sets, standard_codes, subset_mask, subset_members, syt_count, transpose_mask,
+                    undot_mask)
 from .errors import VerificationError
-from .formal import FormalSum
 from .linediagrams import code_expansion_masks
-from .matchings import (DottedMatching, TwoRowTableau, _check_even, check_degree, check_partition, code_undotted,
-                        decode, encode, pair_product, partitions_of, standard_bottom_sets, standard_codes,
-                        subset_mask, subset_members, syt_count, tabloid_sum, transpose_mask, undot_mask)
 from .snaction import character_table, class_inner_product, irreducibility_check
 
 
@@ -68,16 +69,6 @@ def code_generator_masks(opens: int, dots: int) -> dict[int, int]:
                 acc[image] = acc.get(image, 0) + c
         terms = {mask: coef for mask, coef in acc.items() if coef}
     return terms
-
-
-def polytabloid(t: TwoRowTableau) -> FormalSum:
-    """e_T as a sum of tabloids, decoded from :func:`polytabloid_masks`."""
-    return tabloid_sum(t.n, polytabloid_masks(t.n, t.bottom))
-
-
-def matching_generator(m: DottedMatching) -> FormalSum:
-    """e_M as a sum of tabloids, decoded from :func:`code_generator_masks`."""
-    return tabloid_sum(m.n, code_generator_masks(*encode(m)))
 
 
 def down(vector: dict[int, int]) -> dict[int, int]:
@@ -136,17 +127,6 @@ def verify_module_equality(n: int, k: int) -> bool:
         if down(e_m):
             raise VerificationError("matching generator is not in the kernel of the down operator", m_witness)
     return True
-
-
-def emit_top_degree_basis(n: int) -> list[FormalSum]:
-    """The e_M for the fully undotted matchings, in canonical order.
-
-    The paper identifies this top-degree basis of the irreducible module for
-    (n/2, n/2) with the Kazhdan-Lusztig basis.  That identification is not
-    certified here (ROADMAP item 1): no canonical-basis computation happens,
-    and the vectors are emitted for outside comparison.
-    """
-    return [tabloid_sum(n, code_generator_masks(*code)) for code in standard_codes(n, n // 2)]
 
 
 def specht_characters(n: int, k: int) -> dict[tuple[int, ...], int]:

@@ -17,11 +17,10 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple
 
 from . import MAX_VERIFY_N, SUITE_NAMES  # the largest n, and the keys of SUITES in order
+from .codes import catalan, kostka_two_row, partitions_of, springer_dimension, syt_count, theta_round_trip
 from .errors import VerificationError
 from .linediagrams import echelon_certificate
-from .matchings import (catalan, dyck_words, enumerate_noncrossing, enumerate_standard, kostka_two_row, nesting,
-                        partitions_of, springer_dimension, standard_bottom_sets, standard_codes, subset_mask,
-                        subset_members, syt_count, theta_code, undot_mask)
+from .matchings import enumerate_noncrossing, enumerate_standard
 from .rewriting import _certify, _generator_codes, _image, _reduce_codes
 from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
@@ -52,18 +51,6 @@ def _counting(n: int, seed: int) -> Rows:
         out.append((f"n={n} k={k} standard", standard == expected, f"count={standard} expected={expected}"))
     out.append((f"n={n} total", total == comb(n, n // 2), f"sum={total} C(n,n/2)={comb(n, n // 2)}"))
     return out
-
-
-def _bijection(n: int, k: int) -> tuple[bool, str]:
-    # theta(T) and the basis codes must be Dyck words on n vertices with dots among their openers,
-    # of degree k and nesting 0; phi(theta(T)) = T, as phi reads U_M, and theta(phi(M)) = M
-    bottoms, codes, words = standard_bottom_sets(n, k), standard_codes(n, k), set(dyck_words(n))
-    images = [theta_code(n, b) for b in bottoms]
-    ok = all(opens in words and not dots & ~opens and opens.bit_count() - dots.bit_count() == k
-             and not nesting(opens, dots) for opens, dots in images + list(codes))
-    ok = ok and [subset_mask(b) for b in bottoms] == [undot_mask(*code) for code in images]
-    ok = ok and all(theta_code(n, subset_members(undot_mask(*code))) == code for code in codes)
-    return ok, f"{syt_count(n, k)} tableaux"
 
 
 def _rewriting(n: int, k: int) -> tuple[bool, str]:
@@ -125,7 +112,7 @@ def _linearity(n: int, seed: int) -> Rows:
 # patching ``verify.verify_coxeter`` (or wrapping it) takes effect.
 SUITES: dict[str, tuple[Callable[[int, int], Rows], int]] = dict(zip(SUITE_NAMES, (
     (_counting, 0),
-    (_per_degree("round-trip", _bijection), 0),
+    (_per_degree("round-trip", lambda n, k: (theta_round_trip(n, k), f"{syt_count(n, k)} tableaux")), 0),
     (_per_degree("oracle", _rewriting), 0),
     (_per_degree("row-echelon", lambda n, k: (
         echelon_certificate(n, k), f"{syt_count(n, k)} pivots")), 0),

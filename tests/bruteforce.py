@@ -30,15 +30,18 @@ from springerrep import snaction
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.linediagrams import code_expansion_masks
-from springerrep.matchings import (
-    enumerate_noncrossing,
-    enumerate_standard,
+from springerrep.codes import (
     partitions_of,
     standard_bottom_sets,
     subset_mask,
     subset_members,
     syt_count,
     transpose_mask,
+)
+from springerrep.matchings import (
+    encode,
+    enumerate_noncrossing,
+    enumerate_standard,
 )
 from springerrep.perms import Permutation
 
@@ -124,7 +127,7 @@ def standard_by_enclosers(m: DottedMatching) -> bool:
 
 
 def theta_by_sets(t: TwoRowTableau) -> DottedMatching:
-    """theta on vertex sets, the reference for ``matchings.theta_code``:
+    """theta on vertex sets, the reference for ``codes.theta_code``:
     bottom-row entries are matched left to right, each to the nearest
     unmatched vertex on its left, by undotted arcs; what remains is swept up
     into dotted arcs between neighbouring unmatched vertices."""
@@ -912,14 +915,14 @@ def rref_quotient_codes(n: int, k: int) -> dict[tuple[int, int], dict[tuple[int,
     Never calls the rewriting kernel; the helpers, ``relation_vectors``
     included, are looked up on their modules, so a test can patch them.
     """
-    standard = [rw._encode(theta_by_sets(t)) for t in standard_tableaux(n, k)]
+    standard = [encode(theta_by_sets(t)) for t in standard_tableaux(n, k)]
     known = set(standard)
     nonstandard = sorted((g for g in rw._generator_codes(n, k) if g not in known),
                          key=lambda g: rw._nesting(*g))
     columns = nonstandard + standard
     index = {g: c for c, g in enumerate(columns)}
     reduced = sparse_rref(
-        {index[rw._encode(m)]: coef for m, coef in relation} for relation in relation_vectors(n, k)
+        {index[encode(m)]: coef for m, coef in relation} for relation in relation_vectors(n, k)
     )
     pivots = sorted(reduced)
     if any(p >= len(nonstandard) for p in pivots):

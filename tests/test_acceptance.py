@@ -31,8 +31,8 @@ from springerrep import (
     verify_module_equality,
 )
 from springerrep.formal import FormalSum
-from springerrep.matchings import TwoRowTableau, partitions_of
-from springerrep.matchings import standard_bottom_sets
+from springerrep.codes import partitions_of, standard_bottom_sets
+from springerrep.matchings import TwoRowTableau
 
 from bruteforce import degree_generators, dense_quotient_table
 

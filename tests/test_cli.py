@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import springerrep.cli as cli
+import springerrep.codes as codes
 import springerrep.matchings as matchings
 import springerrep.rewriting as rw
 from springerrep import DottedMatching, reduce_to_standard
-from springerrep.snaction import act_word
+from springerrep.matchings import act_word
 from springerrep.cli import MAX_SIZE_N, main
 from springerrep.errors import VerificationError
 
@@ -64,19 +65,19 @@ def test_bijection_exits_1_when_theta_is_broken(capsys, monkeypatch, k):
     import springerrep
     import springerrep.verify as verify
 
-    honest = matchings.theta_code
+    honest = codes.theta_code
 
     def broken(n, bottom):
-        return honest(n, matchings.standard_bottom_sets(n, len(bottom))[0])
+        return honest(n, codes.standard_bottom_sets(n, len(bottom))[0])
 
-    for module in (springerrep, matchings, verify, cli):  # every binding, as an edit of its source would
+    for module in (springerrep, codes, matchings, verify, cli):  # every binding, as an edit of its source would
         if hasattr(module, "theta_code"):
             monkeypatch.setattr(module, "theta_code", broken)
-    matchings.standard_codes.cache_clear()
+    codes.standard_codes.cache_clear()
     try:
         code, out, err = run(capsys, "bijection", "--n", "4", *(("--k", k) if k else ()))
     finally:
-        matchings.standard_codes.cache_clear()
+        codes.standard_codes.cache_clear()
     assert code == 1 and out == ""
     assert err == 'error: bijection round-trip failed\nwitness: {"n":4,"k":1}\n'
 
@@ -644,8 +645,8 @@ def _raise(exc):
 
 def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, collector):
     seen = []
-    honest = matchings.dyck_words  # enumerate reads it through the module when it runs
-    monkeypatch.setattr(matchings, "dyck_words", lambda n: seen.append(gc.isenabled()) or honest(n))
+    honest = codes.dyck_words  # enumerate reads it through the module when it runs
+    monkeypatch.setattr(codes, "dyck_words", lambda n: seen.append(gc.isenabled()) or honest(n))
     assert main(["enumerate", "--n", "4"]) == 0
     assert seen == [False] and gc.isenabled() == collector
 
@@ -655,7 +656,7 @@ def test_main_runs_with_the_collector_off_and_restores_it(capsys, monkeypatch, c
     (ValueError("planted bad input"), 2),
 ], ids=("exit-1", "exit-2"))
 def test_main_restores_the_collector_on_failure(capsys, monkeypatch, collector, exc, status):
-    monkeypatch.setattr(matchings, "dyck_words", _raise(exc))
+    monkeypatch.setattr(codes, "dyck_words", _raise(exc))
     assert main(["enumerate", "--n", "4"]) == status
     assert str(exc) in capsys.readouterr().err and gc.isenabled() == collector
 
@@ -674,7 +675,7 @@ def test_main_restores_the_collector_on_an_argparse_exit(capsys, collector):
 
 
 def test_main_restores_the_collector_when_an_exception_escapes(monkeypatch, collector):
-    monkeypatch.setattr(matchings, "dyck_words", _raise(RuntimeError("planted bug")))
+    monkeypatch.setattr(codes, "dyck_words", _raise(RuntimeError("planted bug")))
     with pytest.raises(RuntimeError, match="planted bug"):
         main(["enumerate", "--n", "4"])
     assert gc.isenabled() == collector

@@ -23,7 +23,7 @@ import pytest
 
 from springerrep import cli, jsonio
 from springerrep.cli import main
-from springerrep.matchings import partitions_of
+from springerrep.codes import partitions_of
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 COMMANDS = ("enumerate", "bijection", "reduce", "expand", "act", "matrix", "character",

@@ -14,7 +14,7 @@ from springerrep import verify
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the modules the package binds by name, and every name it exports, as `from springerrep import *` binds them
-SUBMODULES = {"errors", "formal", "linediagrams", "matchings", "perms", "rewriting", "snaction", "specht"}
+SUBMODULES = {"codes", "errors", "formal", "linediagrams", "matchings", "perms", "rewriting", "snaction", "specht"}
 EXPORTS = {
     "VerificationError", "FormalSum", "DottedMatching", "NoncrossingMatching", "Tabloid", "TwoRowTableau",
     "catalan", "enumerate_noncrossing", "enumerate_standard", "is_standard", "kostka_two_row", "partitions_of",
@@ -62,7 +62,7 @@ def test_a_submodule_and_an_export_resolve_without_an_explicit_import():
     code = ("import sys, springerrep\n"
             "assert not [m for m in sys.modules if m.startswith('springerrep.')]\n"
             "assert springerrep.snaction is sys.modules['springerrep.snaction']\n"
-            "assert springerrep.snaction.act_simple is springerrep.act_simple\n"
+            "assert springerrep.snaction.character is springerrep.character\n"
             "assert springerrep.theta is sys.modules['springerrep.matchings'].theta\n"
             "assert 'springerrep.specht' not in sys.modules\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

@@ -20,8 +20,8 @@ from springerrep.jsonio import (
 )
 from springerrep.jsonio import matching_codes_from_obj
 from springerrep.linediagrams import expand_code
-from springerrep.matchings import subset_mask
-from springerrep.rewriting import _encode
+from springerrep.codes import subset_mask
+from springerrep.matchings import encode as _encode
 from springerrep.specht import code_generator_masks
 
 from bruteforce import matching_sum_from_obj, perfect_matchings, tableau_from_obj

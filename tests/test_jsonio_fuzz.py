@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from springerrep.formal import FormalSum
 from springerrep.jsonio import matching_codes_from_obj
-from springerrep.rewriting import _by_degree, _encode, reduce_to_standard
+from springerrep.matchings import encode as _encode
+from springerrep.rewriting import _by_degree, reduce_to_standard
 
 from bruteforce import cap_memory, matching_sum_from_obj
 

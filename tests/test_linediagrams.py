@@ -10,7 +10,8 @@ from springerrep import (
 )
 from springerrep.linediagrams import code_expansion_masks
 from springerrep.formal import FormalSum
-from springerrep.matchings import encode, enumerate_standard, standard_codes
+from springerrep.codes import standard_codes
+from springerrep.matchings import encode, enumerate_standard
 from springerrep.perms import Permutation, parse_permutation
 
 from bruteforce import (

@@ -50,8 +50,9 @@ import pytest
 import springerrep.rewriting as rw
 from springerrep import snaction
 from springerrep.linediagrams import code_expansion_masks
-from springerrep.matchings import (DottedMatching, decode_word, encode, is_standard, nesting, pair_product,
-                                   standard_codes, subset_mask, syt_count, transpose_mask)
+from springerrep.codes import (decode_word, nesting, pair_product, standard_codes, subset_mask, syt_count,
+                               transpose_mask)
+from springerrep.matchings import DottedMatching, encode, is_standard
 from springerrep.specht import code_generator_masks, down, polytabloid_masks
 
 from bruteforce import (degree_generators, perfect_matchings, rank, relation_vectors, standard_bottoms_bruteforce,
@@ -113,14 +114,14 @@ def test_image_is_the_antipodal_product(n):
     # every dotted matching, standard or not: the signed L_M is the definition
     for k in range(n // 2 + 1):
         for g in degree_generators(n, k):
-            assert rw._image(n, [(rw._encode(g), 1)]) == antipodal_product(g.undotted_arcs)
+            assert rw._image(n, [(encode(g), 1)]) == antipodal_product(g.undotted_arcs)
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_image_kills_every_relation(n):
     for k in range(n // 2 + 1):
         for relation in relation_vectors(n, k):
-            assert rw._image(n, [(rw._encode(m), coef) for m, coef in relation]) == {}
+            assert rw._image(n, [(encode(m), coef) for m, coef in relation]) == {}
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))

@@ -26,8 +26,8 @@ from springerrep import (
     verify_coxeter,
     verify_module_equality,
 )
-from springerrep.matchings import (check_degree, check_partition, decode_word, dyck_words, opens_mask,
-                                   standard_bottom_sets, standard_codes, subset_mask, subset_members)
+from springerrep.codes import (check_degree, check_partition, decode_word, dyck_words, opens_mask,
+                               standard_bottom_sets, standard_codes, subset_mask, subset_members)
 
 from bruteforce import (
     kostka_bruteforce,
@@ -95,6 +95,20 @@ def test_noncrossing_validation():
         DottedMatching.make(4, [(1, 2), (3, 4)], [(1, 4)])  # dot on a non-arc
     with pytest.raises(ValueError, match="partition"):
         NoncrossingMatching(10**12, ((1, 2),))  # refused before any work of size n
+
+
+@pytest.mark.parametrize("cls, args", [
+    (NoncrossingMatching, (2, [(1.0, 2.0)])),
+    (NoncrossingMatching, (2, [(True, 2)])),
+    (NoncrossingMatching, (2.0, [(1, 2)])),
+    (NoncrossingMatching, (False, [])),
+    (DottedMatching, (2, [(1, 2)], [(1.0, 2.0)])),
+    (DottedMatching, (4, [(1, 2), (3, 4)], [(True, 2)])),
+])
+def test_matchings_refuse_numbers_that_are_not_ints(cls, args):
+    # each compares equal to an int, so it used to construct and then fail in encode
+    with pytest.raises(ValueError, match="is not an integer"):
+        cls(*args)
 
 
 def test_crossing_check_over_every_perfect_matching():
@@ -235,6 +249,19 @@ def test_tableau_rejects_nonstandard():
         TwoRowTableau(4, (2, 2))
 
 
+@pytest.mark.parametrize("cls, n, bottom", [
+    (Tabloid, 4, (1.5,)),
+    (Tabloid, 4, (True,)),
+    (Tabloid, 4.0, (1,)),
+    (Tabloid, True, ()),
+    (TwoRowTableau, 4, (2.0,)),
+    (TwoRowTableau, 4.0, (2,)),
+])
+def test_tabloids_refuse_numbers_that_are_not_ints(cls, n, bottom):
+    with pytest.raises(ValueError, match="is not an integer"):
+        cls(n, bottom)
+
+
 def test_refinements_extend_their_base():
     t = TwoRowTableau(6, [6, 3])  # sorted, as a tabloid's bottom row is
     assert isinstance(t, Tabloid) and t.bottom == (3, 6) and t.top == (1, 2, 4, 5) and t.k == 2
@@ -321,7 +348,7 @@ def test_partitions_of():
 
 
 def test_partitions_share_one_memo_and_return_fresh_lists():
-    from springerrep.matchings import _partitions
+    from springerrep.codes import _partitions
 
     partitions_of(12)
     before = _partitions.cache_info()

@@ -23,6 +23,13 @@ def test_validation():
         Permutation((2, 3)) * Permutation((1,))
 
 
+@pytest.mark.parametrize("images", [(1, 2.0), (1.0,), (True,), (2, True)])
+def test_permutation_refuses_images_that_are_not_ints(images):
+    # each sorts equal to 1..n, so it used to construct
+    with pytest.raises(ValueError, match="is not an integer"):
+        Permutation(images)
+
+
 def test_reduced_word_reconstructs_every_permutation_up_to_s6():
     for n in range(1, 7):
         for images in itertools.permutations(range(1, n + 1)):

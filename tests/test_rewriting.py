@@ -12,7 +12,8 @@ from springerrep import DottedMatching, is_standard, reduce_to_standard
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
 from springerrep.cli import main
-from springerrep.matchings import enumerate_standard, syt_count
+from springerrep.codes import syt_count
+from springerrep.matchings import encode, enumerate_standard
 
 from bruteforce import (
     apply_site,
@@ -203,7 +204,7 @@ def test_rewrite_to_an_unseen_code_that_keeps_nesting_is_refused(monkeypatch):
     # measure is computed on the spot, and it equals the parent's
     m = m_(4, [(1, 4), (2, 3)], [(1, 4), (2, 3)])
     child = (0b0011, 0b0010)  # (1,4),(2,3) with only (2,3) dotted: measure 1, as m
-    assert child != rw._encode(m) and rw._nesting(*child) == rw._nesting(*rw._encode(m)) == 1
+    assert child != encode(m) and rw._nesting(*child) == rw._nesting(*encode(m)) == 1
     honest = rw._step
     monkeypatch.setattr(rw, "_step", lambda opens, dots: (honest(opens, dots)[0], ((child, 1),)))
     with pytest.raises(VerificationError, match="rewrite did not decrease nesting") as info:
@@ -287,7 +288,7 @@ def test_kernel_step_matches_reference_rule(n):
     # pins the site choice and both rewrite formulas
     for k in range(n // 2 + 1):
         for g in degree_generators(n, k):
-            opens, dots = rw._encode(g)
+            opens, dots = encode(g)
             assert decoded(n, opens, dots) == g
             assert rw._nesting(opens, dots) == nesting_measure(g)
             sites = find_sites(g)
@@ -328,8 +329,8 @@ def test_seeded_sum_matches_oracle_rows():
         table = rref_quotient_codes(10, k)
         terms = [(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in degree_generators(10, k)]
         rng.shuffle(terms)
-        expected = combined(table, [(rw._encode(g), coef) for g, coef in terms])
-        assert {rw._encode(m): c for m, c in reduce_to_standard(FormalSum(terms))} == expected
+        expected = combined(table, [(encode(g), coef) for g, coef in terms])
+        assert {encode(m): c for m, c in reduce_to_standard(FormalSum(terms))} == expected
 
 
 def test_reduction_is_order_independent():
@@ -404,7 +405,7 @@ def test_reduce_matches_oracle(n):
     for k in range(n // 2 + 1):
         table = rref_quotient_codes(n, k)
         for g in degree_generators(n, k):
-            assert {rw._encode(m): c for m, c in reduce_to_standard(single(g))} == table[rw._encode(g)]
+            assert {encode(m): c for m, c in reduce_to_standard(single(g))} == table[encode(g)]
 
 
 def type_one_sign_flipped(step):
@@ -452,7 +453,7 @@ def test_certify_raises_on_impossible_dimension(monkeypatch):
 
 
 def encoded_row(relation):
-    return frozenset((rw._encode(m), coef) for m, coef in relation)
+    return frozenset((encode(m), coef) for m, coef in relation)
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
@@ -461,7 +462,7 @@ def test_code_generators_and_rows_match_the_object_builders(n):
     for k in range(n // 2 + 1):
         generators = rw._generator_codes(n, k)
         assert len(generators) == len(set(generators))
-        assert set(generators) == {rw._encode(g) for g in degree_generators(n, k)}
+        assert set(generators) == {encode(g) for g in degree_generators(n, k)}
         rows = set(map(encoded_row, relation_vectors(n, k)))
         for opens, dots in generators:
             for bit, *_ in rw._steps(opens):

@@ -22,9 +22,9 @@ from springerrep import (
 )
 from springerrep import snaction
 from springerrep.formal import FormalSum
-from springerrep.matchings import decode_word, enumerate_standard, partitions_of, standard_codes, syt_count
+from springerrep.codes import decode_word, partitions_of, standard_codes, syt_count
+from springerrep.matchings import encode as _encode, enumerate_standard
 from springerrep.perms import Permutation, parse_permutation
-from springerrep.rewriting import _encode
 from springerrep.snaction import (
     centralizer_order,
     character_table,

@@ -1,5 +1,6 @@
 """The package source read as syntax trees: which modules build dataclasses,
-and that every top-level definition in ``src/springerrep`` serves the package."""
+that every top-level definition in ``src/springerrep`` serves the package, and
+that no kernel imports the object layer when it is loaded."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,35 @@ def test_every_top_level_definition_has_a_package_use():
             if definition.name not in elsewhere | read and (module, definition.name) not in BENCH_ONLY | EXPORTED:
                 unused.append(f"{module}.{definition.name}")
     assert unused == []
+
+
+# the kernels, which run on codes and masks, and what none of them may import when loaded
+KERNELS = ("codes", "linediagrams", "rewriting", "snaction", "specht", "jsonio")
+OBJECT_LAYER = {"springerrep.matchings", "springerrep.formal", "springerrep.perms", "dataclasses"}
+# the object-level names the benchmark harness imports from their kernels: each reaches the
+# object layer through one import inside itself, until that pin goes (ROADMAP item 2)
+PINNED = {("rewriting", "reduce_to_standard"), ("jsonio", "matching_sum_to_obj")}
+
+
+def object_imports(node):
+    """The statements under ``node`` that import the object layer, ``from . import
+    matchings`` included, as source text."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.ImportFrom):
+            package = (("springerrep." if child.level else "") + (child.module or "")).rstrip(".")
+            names = {package, *(f"{package}.{alias.name}" for alias in child.names)}
+        elif isinstance(child, ast.Import):
+            names = {alias.name for alias in child.names}
+        else:
+            continue
+        if names & OBJECT_LAYER:
+            yield ast.unparse(child)
+
+
+def test_kernels_import_the_object_layer_only_inside_the_pinned_functions():
+    found = {(module, getattr(top, "name", None), statement) for module in KERNELS
+             for top in TREES[module].body for statement in object_imports(top)}
+    assert {(module, name) for module, name, _ in found} == PINNED, sorted(found)
+    assert len(found) == len(PINNED)  # one import statement each
+    # and the code module imports nothing of the package at all
+    assert not [name for name in imported_modules(TREES["codes"]) if name.startswith("springerrep")]

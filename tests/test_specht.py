@@ -17,8 +17,8 @@ from springerrep import (
 )
 from springerrep.errors import VerificationError
 from springerrep.formal import FormalSum
-from springerrep.matchings import (decode, enumerate_standard, partitions_of, standard_codes, subset_mask, syt_count,
-                                   tabloid_sum)
+from springerrep.codes import decode, partitions_of, standard_codes, subset_mask, syt_count
+from springerrep.matchings import enumerate_standard, tabloid_sum
 from springerrep.perms import Permutation
 from springerrep.snaction import (
     character,
@@ -219,7 +219,7 @@ def test_specht_guard_survives_optimized_python():
         import sys
         import springerrep.specht as sp
         from springerrep.cli import main
-        from springerrep.matchings import subset_mask
+        from springerrep.codes import subset_mask
 
         sp.polytabloid_masks = lambda n, bottom: {subset_mask(bottom): 1}
         sys.exit(main(["verify", "--suite", "module-equality", "--max-n", "4"]))
@@ -230,10 +230,10 @@ def test_specht_guard_survives_optimized_python():
 
 BROKEN_PRODUCT_RULE = """
     import sys
-    from springerrep import linediagrams, matchings, specht
+    from springerrep import codes, linediagrams, specht
     from springerrep.cli import main
 
-    honest = matchings.pair_product
+    honest = codes.pair_product
 
     def broken(pairs):
         # the first factor (bit b - bit a) becomes (bit a - bit b), or (bit b + bit a)
@@ -366,7 +366,7 @@ def test_module_equality_checks_the_relabelled_expansion(monkeypatch):
 def one_factor_flipped(fault):
     """``pair_product`` with its last factor (bit b - bit a) turned into (bit a - bit b), or
     into (bit b + bit a)."""
-    from springerrep.matchings import pair_product
+    from springerrep.codes import pair_product
 
     def broken(pairs):
         pairs = list(pairs)
@@ -420,13 +420,13 @@ def test_module_equality_pairs_each_tableau_with_its_own_code(monkeypatch):
     # with the first two codes exchanged the e_M keep distinct +-1 leads and
     # the pivot matching is still among them, but the first e_M no longer
     # leads at its own tableau T0
+    import springerrep.codes as codes
     import springerrep.linediagrams as ld
-    import springerrep.matchings as matchings
     import springerrep.snaction as sn
     import springerrep.specht as sp
 
-    honest = matchings.standard_codes
-    caches = (matchings.standard_codes, sn._tables)
+    honest = codes.standard_codes
+    caches = (codes.standard_codes, sn._tables)
 
     def clear():
         for cached in caches:
@@ -437,7 +437,7 @@ def test_module_equality_pairs_each_tableau_with_its_own_code(monkeypatch):
         return (*codes[1::-1], *codes[2:])
 
     clear()
-    for module in (matchings, sn, sp, ld):  # every binding, as an edit of its source would
+    for module in (codes, sn, sp, ld):  # every binding, as an edit of its source would
         monkeypatch.setattr(module, "standard_codes", swapped)
     try:
         with pytest.raises(VerificationError, match="distinct leading tabloids") as info:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from springerrep.verify import MAX_VERIFY_N, SUITE_NAMES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,6 +45,33 @@ def test_reduce_loads_none_of_the_action_or_verify_modules(tmp_path):
     assert {"springerrep.rewriting", "springerrep.jsonio"} <= added
     assert not package_modules(added) & {f"springerrep.{name}" for name in ("snaction", "specht", "verify", "perms")}
     assert json.loads(target.read_text())["terms"]  # a nested dot rewrites to a nonzero sum
+
+
+# every command that runs on codes alone, which is all but the verify commands and act --perm
+CODE_COMMANDS = {
+    "enumerate": ["enumerate", "--n", "6", "--k", "2"],
+    "bijection": ["bijection", "--n", "6"],
+    "reduce": ["reduce", "--input", "sum.json"],
+    "expand": ["expand", "--input", "matching.json"],
+    "act-gen": ["act", "--gen", "1", "--input", "sum.json"],
+    "matrix": ["matrix", "--n", "6", "--k", "2", "--gen", "1"],
+    "character": ["character", "--n", "6", "--k", "2", "--cycle-type", "3,2,1"],
+    "specht": ["specht", "--n", "6", "--k", "2"],
+    "top-basis": ["top-basis", "--n", "6"],
+}
+
+
+@pytest.mark.parametrize("argv", CODE_COMMANDS.values(), ids=CODE_COMMANDS)
+def test_commands_on_codes_load_no_object_layer(tmp_path, argv):
+    standard = {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[1, 4]]}
+    (tmp_path / "matching.json").write_text(json.dumps(standard))
+    (tmp_path / "sum.json").write_text(json.dumps({"terms": [{"coef": 2, "matching": standard}]}))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    target = tmp_path / "out.txt"
+    added = added_modules(f"from springerrep.cli import main\n"
+                          f"assert main({[*argv, '--out', str(target)]!r}) == 0")
+    assert not added & {"dataclasses", "inspect", "springerrep.matchings", "springerrep.formal", "springerrep.perms"}
+    assert target.read_text()
 
 
 def test_the_module_entry_point_starts_without_a_kernel():

@@ -37,11 +37,12 @@ def test_unknown_suite_rejected():
 
 def test_certificates_build_no_matching_object(monkeypatch):
     # nor a tabloid or tableau: only counting, which counts the object enumerators, builds any
+    import springerrep.codes as codes
     import springerrep.matchings as matchings
     import springerrep.snaction as snaction
 
     snaction._tables.cache_clear()
-    matchings.standard_codes.cache_clear()
+    codes.standard_codes.cache_clear()
     built = []
     for cls in (matchings.NoncrossingMatching, matchings.Tabloid):  # the bases of every object class
         def counted(self, honest=cls.__post_init__):
@@ -58,9 +59,10 @@ def test_no_matching_object_outlives_its_call():
     # the enumerators and the action tables cache codes, never objects
     import gc
 
+    import springerrep.codes as codes
     import springerrep.matchings as matchings
     from springerrep.formal import FormalSum
-    from springerrep.snaction import act_word
+    from springerrep.matchings import act_word
 
     def alive():
         gc.collect()
@@ -68,7 +70,7 @@ def test_no_matching_object_outlives_its_call():
 
     before = alive()
     assert all(r.ok for r in run_suites(["counting", "bijection"], 8))
-    m = matchings.code_matching(*matchings.standard_codes(8, 2)[0])
+    m = matchings.code_matching(*codes.standard_codes(8, 2)[0])
     image = act_word((1, 2, 3), FormalSum({m: 1}))
     assert image and alive() >= before + len(image)
     del m, image
@@ -76,13 +78,13 @@ def test_no_matching_object_outlives_its_call():
 
 
 def test_each_degree_is_enumerated_once():
-    import springerrep.matchings as matchings
+    import springerrep.codes as codes
     import springerrep.snaction as snaction
 
-    for cached in (matchings.standard_codes, snaction._tables):
+    for cached in (codes.standard_codes, snaction._tables):
         cached.cache_clear()
     assert all(r.ok for r in run_suites(SUITE_NAMES, max_n=8))
-    info = matchings.standard_codes.cache_info()
+    info = codes.standard_codes.cache_info()
     assert info.misses == info.currsize == sum(n // 2 + 1 for n in range(2, 9, 2))
     assert info.hits  # the suites share each degree's codes
 
@@ -90,18 +92,18 @@ def test_each_degree_is_enumerated_once():
 def test_counting_reads_the_action_basis(monkeypatch):
     # the counting rows count the very codes the algebraic suites run on, so
     # a basis enumerator that loses one code fails them
-    import springerrep.matchings as matchings
+    import springerrep.codes as codes
     import springerrep.snaction as snaction
 
-    honest = matchings.standard_codes
-    caches = (matchings.standard_codes, snaction._tables)
+    honest = codes.standard_codes
+    caches = (codes.standard_codes, snaction._tables)
 
     def clear():
         for cached in caches:
             cached.cache_clear()
 
     clear()
-    monkeypatch.setattr(matchings, "standard_codes", lambda n, k: honest(n, k)[:-1])
+    monkeypatch.setattr(codes, "standard_codes", lambda n, k: honest(n, k)[:-1])
     try:
         results = run_suites(("counting",), max_n=6)
     finally:
