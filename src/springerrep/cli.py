@@ -12,10 +12,11 @@ order.  Every command builds only the rendering ``--format`` names, and
 Building the parser loads only this module, ``springerrep.errors`` and the
 package's constants, so ``--help`` and a usage error load no kernel.  Each command
 imports its kernels after parsing, so it runs at the same cost; only ``enumerate``,
-``bijection``, ``reduce`` and ``expand`` skip the action, Specht and verify modules.
-No command but ``verify``, ``verify-equality`` and ``act --perm`` loads the object
-layer (``springerrep.matchings``, ``formal``, ``perms`` or ``dataclasses``): the others
-run on the codes of ``springerrep.codes`` and render from them.
+``bijection``, ``reduce`` and ``expand`` skip the action, Specht and verify modules,
+``reduce``, ``act``, ``matrix`` and ``character`` skip ``linediagrams``, and ``expand``
+skips ``rewriting``.  No command but ``verify``, ``verify-equality`` and ``act --perm``
+loads the object layer (``matchings``, ``formal``, ``perms`` or ``dataclasses``): the
+others run on the codes of ``springerrep.codes`` and render from them.
 
 Exit status: 0 on success, 1 when a verification fails (a witness is
 printed), 2 on invalid input.
@@ -169,12 +170,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    from . import jsonio, linediagrams, rewriting
-    payload = {"terms": [{"coef": 1, "matching": _read_json(args.input)}]}  # one term, so one code
-    [((n, _), codes)] = rewriting._by_degree(jsonio.matching_codes_from_obj(payload).items()).items()
-    _check_size(n)
-    [code] = codes
-    terms = sorted(linediagrams.expand_code(*code).items())
+    from . import jsonio, linediagrams
+    [(opens, dots)] = jsonio.matching_codes_from_obj({"terms": [{"coef": 1, "matching": _read_json(args.input)}]})
+    _check_size(n := 2 * opens.bit_count())
+    terms = sorted(linediagrams.expand_code(opens, dots).items())
     _emit_sum(args, terms, lambda: jsonio.subset_sum_to_obj({"n": n}, "undot", terms), "undot",
               jsonio.subset_plain, jsonio.undot_plain)
     return 0

@@ -50,12 +50,12 @@ undotted arcs (a,b) of (-1)^a l_a + (-1)^b l_b, kills every row: a row's
 terms share their spectator factor, Type I's sides are then (-1)^i l_i +
 (-1)^j l_j + (-1)^k l_k + (-1)^l l_l, and Type II leaves no undotted arc at
 the site (``tests/test_local_lemmas.py``).  As b - a is odd, E is L_M
-times (-1)^(sum of the b).  (4) ``echelon_certificate`` shows that L_M, the
-rule :func:`_image` reads, is injective on the standard span, whose image is
-then the kernel of the down operator (the argument of :mod:`springerrep.specht`,
-by L8, L9 and the ballot count).  By (3) and
-(4) the standard codes are independent in V/R, so they are a basis.  (5) A
-drain that keeps its input's image under E ends, by (4), at its class.
+times (-1)^(sum of the b): :func:`~springerrep.linediagrams.antipodal_image`.
+(4) ``echelon_certificate`` shows that L_M, the rule E reads, is injective on
+the standard span, whose image is then the kernel of the down operator (the
+argument of :mod:`springerrep.specht`, by L8, L9 and the ballot count).  By
+(3) and (4) the standard codes are independent in V/R, so they are a basis.
+(5) A drain that keeps its input's image under E ends, by (4), at its class.
 The spanning half is the linear diamond lemma (Bergman, 1978); E replaces
 its check that every row vanishes under the normal forms, so no normal
 form or row is kept.  The signs are the paper's antipodal hypothesis: with
@@ -71,7 +71,6 @@ from functools import cache
 
 from .codes import decode as _decode, decode_word, dyck_words, nesting as _nesting, syt_count
 from .errors import VerificationError
-from .linediagrams import code_expansion_masks
 
 Code = tuple[int, int]  # (opens, dots), on 2 * popcount(opens) vertices
 Degrees = dict[tuple[int, int], dict[Code, int]]  # (n, k) -> {(opens, dots): coef}
@@ -227,16 +226,4 @@ def _certify(n: int, k: int) -> tuple[list[Code], int]:
         raise VerificationError("quotient dimension does not match the standard-tableau count",
                                 {"n": n, "k": k, "dimension": standard, "expected": syt_count(n, k)})
     return generators, unmatched
-
-
-def _image(n: int, terms: Iterable[tuple[Code, int]]) -> dict[int, int]:
-    """E of ``((opens, dots), coef)`` terms, as {undot-set mask: coef}: each L_M
-    times -1 to the number of undotted arcs that open at an even vertex."""
-    even = (1 << n) // 3 << 1  # the bits of vertices 2, 4, ..., n
-    out: dict[int, int] = {}
-    for (opens, dots), coef in terms:
-        sign = (-1) ** (opens & ~dots & even).bit_count()
-        for mask, x in code_expansion_masks(opens, dots).items():
-            out[mask] = out.get(mask, 0) + sign * coef * x
-    return {mask: x for mask, x in out.items() if x}
 

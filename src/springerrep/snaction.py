@@ -91,10 +91,11 @@ class _Tables:
     arrays, and the degree's character table, computed once from it on packed
     matrices, and consistency verdict, computed once from its columns."""
 
-    def __init__(self, n: int, codes: tuple[tuple[int, int], ...], index: dict[tuple[int, int], int],
-                 generators: tuple[_Generator, ...]):
+    def __init__(self, n: int, codes: tuple[tuple[int, int], ...], partners: list[tuple[int, ...]],
+                 index: dict[tuple[int, int], int], generators: tuple[_Generator, ...]):
         self.n = n
         self.codes = codes  # (opens, dots) of each basis matching
+        self.partners = partners  # partners[c][v]: the bit joined to bit v in basis matching c
         self.index = index  # (opens, dots) code -> basis index
         self.generators = generators  # generators[i - 1]: s_i
         # R, the largest column abs-sum of the generators (1 if none), each recorded when encoded
@@ -161,8 +162,7 @@ class _Tables:
         A failure, raised and never stored, reports the least basis index c,
         then the least i at it.
         """
-        n, codes = self.n, self.codes
-        partners = [decode_word(opens)[1] for opens, _ in codes]
+        n, codes, partners = self.n, self.codes, self.partners
         holds = cache(_local_identity)  # configurations shifted to bit 0, for this call only
         for c, ((opens, dots), partner) in enumerate(zip(codes, partners)):
             for i, g in enumerate(self.generators, 1):
@@ -262,7 +262,7 @@ def _tables(n: int, k: int) -> _Tables:
                 column.append((r, coef))
             yield column
 
-    return _Tables(n, codes, index, tuple(_encode(len(codes), columns(i)) for i in range(1, n)))
+    return _Tables(n, codes, partners, index, tuple(_encode(len(codes), columns(i)) for i in range(1, n)))
 
 
 def _check_word(word: tuple[int, ...], n: int) -> None:

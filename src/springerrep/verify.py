@@ -19,9 +19,9 @@ from typing import Callable, Iterable, NamedTuple
 from . import MAX_VERIFY_N, SUITE_NAMES  # the largest n, and the keys of SUITES in order
 from .codes import catalan, kostka_two_row, partitions_of, springer_dimension, syt_count, theta_round_trip
 from .errors import VerificationError
-from .linediagrams import echelon_certificate
+from .linediagrams import antipodal_image, echelon_certificate
 from .matchings import enumerate_noncrossing, enumerate_standard
-from .rewriting import _certify, _generator_codes, _image, _reduce_codes
+from .rewriting import _certify, _generator_codes, _reduce_codes
 from .snaction import _tables, chart_diagram_consistency, irreducibility_check, verify_coxeter
 from .specht import graded_decomposition, verify_module_equality
 
@@ -59,8 +59,8 @@ def _rewriting(n: int, k: int) -> tuple[bool, str]:
     generators, mismatches = _certify(n, k)
     if not mismatches:
         terms = [(g, weight) for weight, g in enumerate(generators, 1)]
-        drained = _reduce_codes(terms)
-        mismatches = (not echelon_certificate(n, k)) + (_image(n, drained.items()) != _image(n, terms))
+        drained = _reduce_codes(terms).items()
+        mismatches = (not echelon_certificate(n, k)) + (antipodal_image(n, drained) != antipodal_image(n, terms))
     return mismatches == 0, (f"{len(generators)} generators, dim {syt_count(n, k)}"
                              + (f", {mismatches} mismatches" if mismatches else ""))
 

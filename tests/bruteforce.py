@@ -304,9 +304,9 @@ def chart_columns(tables):
 def encoded_tables(n: int, generators):
     """A ``snaction._Tables`` on n strands whose s_i has the sparse columns
     ``generators[i - 1]``, each written by the package encoder
-    ``snaction._encode``; its codes are placeholders, one per column."""
+    ``snaction._encode``; its codes are placeholders, one per column, and it has no partners."""
     dim = len(generators[0]) if generators else 0
-    return snaction._Tables(n, (None,) * dim, {}, tuple(snaction._encode(dim, g) for g in generators))
+    return snaction._Tables(n, (None,) * dim, [], {}, tuple(snaction._encode(dim, g) for g in generators))
 
 
 def column_product(left, right):

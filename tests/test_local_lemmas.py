@@ -49,7 +49,7 @@ import pytest
 
 import springerrep.rewriting as rw
 from springerrep import snaction
-from springerrep.linediagrams import code_expansion_masks
+from springerrep.linediagrams import antipodal_image, code_expansion_masks
 from springerrep.codes import (decode_word, nesting, pair_product, standard_codes, subset_mask, syt_count,
                                transpose_mask)
 from springerrep.matchings import DottedMatching, encode, is_standard
@@ -114,21 +114,21 @@ def test_image_is_the_antipodal_product(n):
     # every dotted matching, standard or not: the signed L_M is the definition
     for k in range(n // 2 + 1):
         for g in degree_generators(n, k):
-            assert rw._image(n, [(encode(g), 1)]) == antipodal_product(g.undotted_arcs)
+            assert antipodal_image(n, [(encode(g), 1)]) == antipodal_product(g.undotted_arcs)
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_image_kills_every_relation(n):
     for k in range(n // 2 + 1):
         for relation in relation_vectors(n, k):
-            assert rw._image(n, [(encode(m), coef) for m, coef in relation]) == {}
+            assert antipodal_image(n, [(encode(m), coef) for m, coef in relation]) == {}
 
 
 @pytest.mark.parametrize("n", range(0, 11, 2))
 def test_image_is_the_expansion_up_to_sign_on_standard_matchings(n):
     for k in range(n // 2 + 1):
         for code in standard_codes(n, k):
-            image, expansion = rw._image(n, [(code, 1)]), code_expansion_masks(*code)
+            image, expansion = antipodal_image(n, [(code, 1)]), code_expansion_masks(*code)
             assert image in (expansion, {mask: -x for mask, x in expansion.items()})
 
 

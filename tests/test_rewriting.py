@@ -542,7 +542,7 @@ from springerrep.cli import main
 sys.exit(main(["verify", "--suite", "rewriting", "--max-n", "4"]))
 """
 
-EVERY_BINDING = "ld.code_expansion_masks = rw.code_expansion_masks = sp.code_expansion_masks = {rule}"
+EVERY_BINDING = "ld.code_expansion_masks = sp.code_expansion_masks = {rule}"
 
 # name -> (text in every FAIL line, the sabotage)
 SABOTAGE = {
@@ -596,11 +596,11 @@ verify._reduce_codes = rw._reduce_codes
 """),
     # recompiled from its source, so E is L_M itself
     "E without its sign": ("1 mismatches", """
-source = inspect.getsource(rw._image)
+source = inspect.getsource(ld.antipodal_image)
 if source.count("(-1) **") != 1:
     sys.exit(3)
-exec(source.replace("(-1) **", "1 **"), vars(rw))
-verify._image = rw._image
+exec(source.replace("(-1) **", "1 **"), vars(ld))
+verify.antipodal_image = ld.antipodal_image
 """),
     # the rule E reads is the rule the echelon premise checks, so it fails there
     "constant expansion rule": ("mismatches", EVERY_BINDING.format(rule="lambda opens, dots: {0: 1}")),

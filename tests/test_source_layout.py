@@ -109,3 +109,12 @@ def test_kernels_import_the_object_layer_only_inside_the_pinned_functions():
     assert len(found) == len(PINNED)  # one import statement each
     # and the code module imports nothing of the package at all
     assert not [name for name in imported_modules(TREES["codes"]) if name.startswith("springerrep")]
+
+
+def test_the_rewriting_kernel_imports_only_the_code_rules():
+    # E, the expansion times its sign, lives with the expansion in linediagrams, so the
+    # kernel that reduce and act run loads no expansion; reduce_to_standard's one import
+    # of the object layer, inside it, is the pin the test above allows
+    loaded = {name for top in TREES["rewriting"].body if isinstance(top, (ast.Import, ast.ImportFrom))
+              for name in imported_modules(top) if name.startswith("springerrep")}
+    assert loaded == {"springerrep.codes", "springerrep.errors"}

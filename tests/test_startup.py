@@ -47,22 +47,32 @@ def test_reduce_loads_none_of_the_action_or_verify_modules(tmp_path):
     assert json.loads(target.read_text())["terms"]  # a nested dot rewrites to a nonzero sum
 
 
-# every command that runs on codes alone, which is all but the verify commands and act --perm
-CODE_COMMANDS = {
-    "enumerate": ["enumerate", "--n", "6", "--k", "2"],
-    "bijection": ["bijection", "--n", "6"],
-    "reduce": ["reduce", "--input", "sum.json"],
-    "expand": ["expand", "--input", "matching.json"],
-    "act-gen": ["act", "--gen", "1", "--input", "sum.json"],
-    "matrix": ["matrix", "--n", "6", "--k", "2", "--gen", "1"],
-    "character": ["character", "--n", "6", "--k", "2", "--cycle-type", "3,2,1"],
-    "specht": ["specht", "--n", "6", "--k", "2"],
-    "top-basis": ["top-basis", "--n", "6"],
+# each command, and the package modules beyond springerrep and springerrep.cli that it
+# loads: only expand, specht, top-basis and the verify commands load the expansion, and
+# expand does not load the rewriting kernel
+CODE_COMMANDS = {  # every command that runs on codes alone: all but the verify commands and act --perm
+    "enumerate": (["enumerate", "--n", "6", "--k", "2"], "codes errors jsonio"),
+    "bijection": (["bijection", "--n", "6"], "codes errors jsonio"),
+    "reduce": (["reduce", "--input", "sum.json"], "codes errors jsonio rewriting"),
+    "expand": (["expand", "--input", "matching.json"], "codes errors jsonio linediagrams"),
+    "act-gen": (["act", "--gen", "1", "--input", "sum.json"], "codes errors jsonio rewriting snaction"),
+    "matrix": (["matrix", "--n", "6", "--k", "2", "--gen", "1"], "codes errors rewriting snaction"),
+    "character": (["character", "--n", "6", "--k", "2", "--cycle-type", "3,2,1"], "codes errors rewriting snaction"),
+    "specht": (["specht", "--n", "6", "--k", "2"], "codes errors jsonio linediagrams rewriting snaction specht"),
+    "top-basis": (["top-basis", "--n", "6"], "codes errors jsonio linediagrams rewriting snaction specht"),
+}
+OBJECT_COMMANDS = {  # the commands that build objects
+    "act-perm": (["act", "--perm", "(1 2)", "--input", "sum.json"], "codes errors jsonio perms rewriting snaction"),
+    "verify": (["verify", "--max-n", "4"],
+               "codes errors formal linediagrams matchings rewriting snaction specht verify"),
+    "verify-equality": (["verify-equality", "--max-n", "4"],
+                        "codes errors formal linediagrams matchings rewriting snaction specht verify"),
 }
 
 
-@pytest.mark.parametrize("argv", CODE_COMMANDS.values(), ids=CODE_COMMANDS)
-def test_commands_on_codes_load_no_object_layer(tmp_path, argv):
+def command_modules(tmp_path, argv, expected: str) -> set[str]:
+    """The modules a fresh start that runs the command ``argv`` adds, after checking that
+    its package modules are exactly springerrep, springerrep.cli and ``expected``."""
     standard = {"n": 4, "arcs": [[1, 4], [2, 3]], "dotted": [[1, 4]]}
     (tmp_path / "matching.json").write_text(json.dumps(standard))
     (tmp_path / "sum.json").write_text(json.dumps({"terms": [{"coef": 2, "matching": standard}]}))
@@ -70,8 +80,20 @@ def test_commands_on_codes_load_no_object_layer(tmp_path, argv):
     target = tmp_path / "out.txt"
     added = added_modules(f"from springerrep.cli import main\n"
                           f"assert main({[*argv, '--out', str(target)]!r}) == 0")
-    assert not added & {"dataclasses", "inspect", "springerrep.matchings", "springerrep.formal", "springerrep.perms"}
+    assert package_modules(added) == {"springerrep", "springerrep.cli",
+                                      *(f"springerrep.{name}" for name in expected.split())}
     assert target.read_text()
+    return added
+
+
+@pytest.mark.parametrize("command", CODE_COMMANDS)
+def test_commands_on_codes_load_no_object_layer(tmp_path, command):
+    assert not command_modules(tmp_path, *CODE_COMMANDS[command]) & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("command", OBJECT_COMMANDS)
+def test_commands_on_objects_load_exactly_their_package_modules(tmp_path, command):
+    command_modules(tmp_path, *OBJECT_COMMANDS[command])
 
 
 def test_the_module_entry_point_starts_without_a_kernel():

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from springerrep.cli import main
 from springerrep.errors import VerificationError
 from springerrep.verify import SUITE_NAMES, build_tasks, run_suites
 
@@ -128,10 +131,9 @@ def test_failures_are_reported_not_raised(monkeypatch):
 def test_an_empty_expansion_is_reported_not_raised(monkeypatch):
     # a zero rule on every binding: the echelon premise finds no lead in any row
     import springerrep.linediagrams as ld
-    import springerrep.rewriting as rw
     import springerrep.specht as sp
 
-    for module in (ld, rw, sp):
+    for module in (ld, sp):
         monkeypatch.setattr(module, "code_expansion_masks", lambda opens, dots: {})
     results = run_suites(("rewriting", "echelon"), max_n=4)
     assert len(results) == 10 and not any(r.ok for r in results)
@@ -158,3 +160,19 @@ def test_verify_equality_subcommand(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "module-equality" in out and "FAIL" not in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# each committed certificate, read only, and the verify options that write it
+CERTIFICATES = {
+    "bench/reference/certify-8.json": ["--suite", "all", "--max-n", "8"],
+    "bench/reference/action-12.json": ["--suite", "coxeter,consistency,irreducibility", "--max-n", "12"],
+    "tests/data/verify-all-12.json": ["--suite", "all", "--max-n", "12"],
+}
+
+
+@pytest.mark.parametrize("reference", CERTIFICATES)
+def test_the_committed_certificates_replay_byte_for_byte(tmp_path, reference):
+    report = tmp_path / "report.json"
+    assert main(["verify", *CERTIFICATES[reference], "--format", "json", "--out", str(report)]) == 0
+    assert report.read_bytes() == (ROOT / reference).read_bytes()
